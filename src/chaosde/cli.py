@@ -87,6 +87,16 @@ def _validate(cfg: dict):
         raise ConfigError("truncation L must be positive")
     if int(cfg["process"]["n"]) < 2:
         raise ConfigError("grid n must be at least 2")
+    seed = cfg["run"]["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"run.seed={seed!r} invalid: a seed is an integer >= 0")
+    try:
+        M = int(cfg["run"]["M"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"run.M={cfg['run']['M']!r} invalid: M counts draws")
+    # selfsim draws seeds up to seed + 2M - 1; every seed must fit in uint64
+    if seed + 2 * M > 1 << 64:
+        raise ConfigError(f"run.seed={seed} invalid: seed + 2*M must not exceed 2^64")
     preset(cfg["sde"]["preset"])  # raises ConfigError for unknown names
 
 
@@ -131,11 +141,9 @@ def cmd_simulate(cfg: dict) -> int:
                 cols = ",".join(_fmt(v) for v in values[k, ti])
                 fh.write(f"{seed + k},{_fmt(t)},{cols}\n")
     kpath = _outpath(cfg, "kernels.txt")
-    export_kernels(field, kpath)
-    with open(kpath) as fh:
-        body = fh.read()
     with open(kpath, "w", newline="\n") as fh:
-        fh.write(_header(cfg) + body)
+        fh.write(_header(cfg))
+        export_kernels(field, fh)
     print(f"wrote {path} and {kpath}")
     return 0
 
@@ -199,9 +207,7 @@ def _check_records(cfg: dict):
     worst = 0.0
     for i in range(T):
         for j in range(i, T):
-            ip = math.factorial(spec.q) * float(
-                np.sum(field.blocks[i] * field.blocks[j])
-            )
+            ip = math.factorial(spec.q) * field.inner(i, j)
             tgt = covariance_theoretical(spec.out_times[i], spec.out_times[j], spec.H)
             worst = max(worst, abs(ip - tgt) / tgt)
     add("kernel_covariance", worst, 0.05, worst <= 0.05)
@@ -291,11 +297,9 @@ def cmd_density(cfg: dict) -> int:
     ensemble = run_ensemble(scenario, int(r["M"]), base_seed=int(r["seed"]),
                             workers=int(r.get("workers", 1)))
     csv_path = _outpath(cfg, "ensemble.csv")
-    dump_csv(ensemble, csv_path)
-    with open(csv_path) as fh:
-        body = fh.read()
     with open(csv_path, "w", newline="\n") as fh:
-        fh.write(_header(cfg) + body)
+        fh.write(_header(cfg))
+        dump_csv(ensemble, fh)
     report = positivity_report(ensemble)
     try:
         est = kde(ensemble.x_samples[:, 0])

@@ -220,17 +220,17 @@ def ks_two_sample(a, b) -> dict:
     }
 
 
-def dump_csv(ensemble: SampleEnsemble, path: str):
-    """Ensemble dump: seed, t, x_1..x_d, det_gamma, min_eig, excluded_flag."""
+def dump_csv(ensemble: SampleEnsemble, fh):
+    """Ensemble dump to the open text stream fh: seed, t, x_1..x_d,
+    det_gamma, min_eig, excluded_flag."""
     d = ensemble.x_samples.shape[1] if ensemble.x_samples.size else 0
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
-                        + ["det_gamma", "min_eig", "excluded_flag"])
-        for i, seed in enumerate(ensemble.seeds):
-            row = [seed, f"{ensemble.t:.17g}"]
-            row += [f"{v:.17g}" for v in ensemble.x_samples[i]]
-            row += [f"{ensemble.det_samples[i]:.17g}", f"{ensemble.min_eigs[i]:.17g}", 0]
-            writer.writerow(row)
-        for seed in ensemble.excluded_seeds:
-            writer.writerow([seed, f"{ensemble.t:.17g}"] + [""] * d + ["", "", 1])
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
+                    + ["det_gamma", "min_eig", "excluded_flag"])
+    for i, seed in enumerate(ensemble.seeds):
+        row = [seed, f"{ensemble.t:.17g}"]
+        row += [f"{v:.17g}" for v in ensemble.x_samples[i]]
+        row += [f"{ensemble.det_samples[i]:.17g}", f"{ensemble.min_eigs[i]:.17g}", 0]
+        writer.writerow(row)
+    for seed in ensemble.excluded_seeds:
+        writer.writerow([seed, f"{ensemble.t:.17g}"] + [""] * d + ["", "", 1])

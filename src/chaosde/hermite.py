@@ -20,12 +20,20 @@ time integral is done by midpoint quadrature (exactly, for q = 1).  The
 small remaining diagonal-band mass is restored by scaling each kernel to
 its exact norm t^{2H}/q!, so that E[Z_t^2] = t^{2H} holds by the
 isometry.
+
+Storage note: the midpoint rule makes every block a short sum of rank-one
+powers rho * sum_k beta_k g_k^{(x)q}, so kernels are kept as the factors
+(g, beta, rho).  Values and derivatives follow exactly from I_q(g^{(x)q}) =
+|g|^q H_q(<g, xi>/|g|) in O(s_nodes * n) per time; the dense block is
+built only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betaln
@@ -38,12 +46,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, make_hilbert, sample_omega
-from .chaos import (
-    MAX_ORDER,
-    MEMORY_BUDGET_ENTRIES,
-    SymTensor,
-    _wick_value,
-)
+from .chaos import MAX_ORDER, MEMORY_BUDGET_ENTRIES
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -132,75 +135,110 @@ def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
     return (lpow - rpow) / (a + 1.0)
 
 
-def _raw_block(spec: HermiteSpec, t: float, s_nodes: int) -> np.ndarray:
-    """Uncalibrated order-q coefficient block of L_t over one component."""
+def _kernel_factors(spec: HermiteSpec, t: float, s_nodes: int) -> tuple:
+    """Uncalibrated factors (g, beta) of L_t over one component.
+
+    The block is sum_k beta_k g_k^{(x)q}.  For q >= 2, g_k are the cell
+    averages at the midpoint node s_k of the time quadrature on (0, t];
+    for q = 1 the time integral is exact: one factor, the difference of the
+    second antiderivative between 0 and t, with beta = 1.
+    """
     space, q = spec.space, spec.q
     H0, c = hurst_aux(spec.H, q)
     a = H0 - 1.5
-    n = space.n
-    if n**q > MEMORY_BUDGET_ENTRIES:
-        raise MemoryBudgetError(f"order-{q} kernel block over {n} cells exceeds budget")
     scale = c * space.delta ** (-q / 2.0)
     if q == 1:
-        # exact double integral via the second antiderivative
-        edges = space.cell_edges()
-
-        def prim(s):
-            lpow = np.clip(s - edges[:-1], 0.0, None) ** (a + 2.0)
-            rpow = np.clip(s - edges[1:], 0.0, None) ** (a + 2.0)
-            return (lpow - rpow) / ((a + 1.0) * (a + 2.0))
-
-        block = scale * (prim(t) - prim(0.0))
+        prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
+        g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
     else:
-        s = t * (np.arange(s_nodes) + 0.5) / s_nodes
-        w = t / s_nodes
-        g = _cell_avg_matrix(space, s, a)
-        if q == 2:
-            block = scale * w * np.einsum("si,sj->ij", g, g, optimize=True)
-        else:
-            block = scale * w * np.einsum("si,sj,sk->ijk", g, g, g, optimize=True)
+        g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
+        beta = np.full(s_nodes, scale * t / s_nodes)
     # adaptedness: cells at or beyond t carry no coefficient
-    alive = space.cell_midpoints() < t
-    for axis in range(q):
-        shape = [1] * q
-        shape[axis] = n
-        block = block * alive.reshape(shape)
-    return block
+    return g * (space.cell_midpoints() < t), beta
+
+
+def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
+    """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q}.
+
+    With gx = <g_k, xi> and gg = |g_k|^2, the value weight is
+    I_q(g_k^{(x)q}) = |g_k|^q H_q(gx/|g_k|) and the derivative weight is
+    q |g_k|^{q-1} H_{q-1}(gx/|g_k|), so that D I_q(g_k^{(x)q}) = weight * g_k.
+    """
+    gx = g @ xi
+    gg = np.einsum("ki,ki->k", g, g)
+    if q == 1:
+        return gx, np.ones_like(gx)
+    if q == 2:
+        return gx * gx - gg, 2.0 * gx
+    return gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg)
+
+
+def _factored_eval(g: np.ndarray, beta: np.ndarray, xi: np.ndarray, q: int) -> tuple:
+    """I_q of sum_k beta_k g_k^{(x)q} at xi and its derivative vector."""
+    val_w, der_w = _wick_weights(g, xi, q)
+    return float(beta @ val_w), (beta * der_w) @ g
+
+
+def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
+    """rho_j scaling the prefix sum_{k<=j} beta_k g_k^{(x)q} to norm sqrt(t_j^{2H}/q!)."""
+    bb = beta[:, None] * beta[None, :] * (g @ g.T) ** q
+    # prefix norms ||block_j||^2 over the growing leading square:
+    # increment when adding node j is bb[j,j] + 2 sum_{k<j} bb[k,j]
+    inc = np.diagonal(bb).copy()
+    if inc.shape[0] > 1:
+        inc[1:] += 2.0 * np.cumsum(bb, axis=0).diagonal(1)
+    norms2 = np.cumsum(inc)
+    targets = times ** (2.0 * H) / math.factorial(q)
+    return np.sqrt(targets / norms2)
 
 
 @dataclass(frozen=True)
 class KernelField:
-    """Kernel blocks for every output time; one block shared per component.
+    """Kernels at every output time, stored as factors.
 
-    blocks has shape (len(out_times),) + (n,)*q.  Component ell realizes
-    the block on its own index range, so kernels of distinct components
-    have disjoint support by construction.
+    The block at out_times[ti] is rho[ti] * sum_k beta[ti, k] g[ti, k]^{(x)q}
+    over the cells of one component; component ell realizes it on its own
+    index range, so kernels of distinct components have disjoint support by
+    construction.  Values and derivatives come from the factors; the dense
+    (T,) + (n,)*q array is built on first use of `blocks`.
     """
 
     spec: HermiteSpec
-    blocks: np.ndarray
+    g: np.ndarray
+    beta: np.ndarray
+    rho: np.ndarray
     calibrated: bool
 
-    def block_at(self, ti: int) -> np.ndarray:
-        return self.blocks[ti]
+    def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
+        """(I_q(f_ti), D I_q(f_ti)) at one component's coordinates xi."""
+        val, der = _factored_eval(self.g[ti], self.beta[ti], xi, self.spec.q)
+        return self.rho[ti] * val, self.rho[ti] * der
 
-    def tensor_at(self, ti: int, ell: int) -> SymTensor:
-        """Embed the block of (time index ti, component ell) in the full basis."""
-        space, q = self.spec.space, self.spec.q
-        if not 0 <= ell < space.m:
-            raise OutOfRangeError(f"component {ell} out of range")
-        dim = space.basis_dim
-        full = np.zeros((dim,) * q)
-        sl = space.component_slice(ell)
-        full[(sl,) * q] = self.blocks[ti]
-        return SymTensor(space, q, full)
+    def inner(self, i: int, j: int) -> float:
+        """<f_i, f_j>, the Euclidean inner product of two blocks."""
+        gram = (self.g[i] @ self.g[j].T) ** self.spec.q
+        return float(self.rho[i] * self.rho[j] * (self.beta[i] @ gram @ self.beta[j]))
 
     def norm_at(self, ti: int) -> float:
-        return float(np.linalg.norm(self.blocks[ti].ravel()))
+        return math.sqrt(self.inner(ti, ti))
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Dense blocks, shape (len(out_times),) + (n,)*q."""
+        n, q = self.spec.space.n, self.spec.q
+        if n**q > MEMORY_BUDGET_ENTRIES:
+            raise MemoryBudgetError(f"order-{q} kernel block over {n} cells exceeds budget")
+        cells = "abc"[:q]
+        subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
+        out = np.empty((len(self.spec.out_times),) + (n,) * q)
+        for ti in range(out.shape[0]):
+            weights = self.rho[ti] * self.beta[ti]
+            out[ti] = np.einsum(subscripts, weights, *(self.g[ti],) * q, optimize=True)
+        return out
 
 
 def build_kernels(spec: HermiteSpec, calibrate: bool = True, s_nodes: int = None) -> KernelField:
-    """Cell-average kernel blocks at every output time.
+    """Cell-average kernel factors at every output time.
 
     With calibrate=True each block is scaled to its exact continuum norm
     sqrt(t^{2H}/q!), which enforces E[Z_t^2] = t^{2H} through the
@@ -208,17 +246,19 @@ def build_kernels(spec: HermiteSpec, calibrate: bool = True, s_nodes: int = None
     """
     if s_nodes is None:
         s_nodes = spec.s_nodes
-    blocks = []
+    gs, betas, rhos = [], [], []
     for t in spec.out_times:
-        block = _raw_block(spec, t, s_nodes)
+        g, beta = _kernel_factors(spec, t, s_nodes)
+        rho = 1.0
         if calibrate:
-            target = math.sqrt(t ** (2.0 * spec.H) / math.factorial(spec.q))
-            nrm = float(np.linalg.norm(block.ravel()))
-            if nrm == 0.0:
+            if not np.any(g):
                 raise InvalidDimensionError(f"degenerate kernel at t={t}")
-            block = block * (target / nrm)
-        blocks.append(block)
-    return KernelField(spec=spec, blocks=np.array(blocks), calibrated=calibrate)
+            rho = _calibration(g, beta, spec.q, t, spec.H)[-1]
+        gs.append(g)
+        betas.append(beta)
+        rhos.append(rho)
+    return KernelField(spec=spec, g=np.array(gs), beta=np.array(betas), rho=np.array(rhos),
+                       calibrated=calibrate)
 
 
 @dataclass(frozen=True)
@@ -251,35 +291,22 @@ def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     T = len(spec.out_times)
     values = np.empty((T, spec.m))
     for ti in range(T):
-        block = field.blocks[ti]
         for ell in range(spec.m):
-            xi = _component_xi(spec.space, w.xi, ell)
-            values[ti, ell] = _wick_value(block, xi, spec.q)
+            values[ti, ell] = field.evaluate(ti, _component_xi(spec.space, w.xi, ell))[0]
     return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
 
 
 def simulate_paths(field: KernelField, seeds) -> np.ndarray:
-    """Vectorized ensemble of simulate_path; returns shape (len(seeds), T, m)."""
+    """Ensemble of simulate_path values, shape (len(seeds), T, m).
+
+    Each draw is evaluated on its own, so row k does not depend on the
+    other seeds of the batch.
+    """
     spec = field.spec
-    space, q = spec.space, spec.q
     seeds = list(seeds)
-    M, T = len(seeds), len(spec.out_times)
-    xis = np.empty((M, space.basis_dim))
+    out = np.empty((len(seeds), len(spec.out_times), spec.m))
     for k, seed in enumerate(seeds):
-        xis[k] = sample_omega(space, seed).xi
-    out = np.empty((M, T, spec.m))
-    for ell in range(spec.m):
-        x = xis[:, space.component_slice(ell)]
-        for ti in range(T):
-            b = field.blocks[ti]
-            if q == 1:
-                out[:, ti, ell] = x @ b
-            elif q == 2:
-                out[:, ti, ell] = np.einsum("mi,ij,mj->m", x, b, x, optimize=True) - np.trace(b)
-            else:
-                full = np.einsum("ijk,mi,mj,mk->m", b, x, x, x, optimize=True)
-                corr = x @ np.einsum("iik->k", b)
-                out[:, ti, ell] = full - 3.0 * corr
+        out[k] = simulate_path(field, sample_omega(spec.space, seed)).values
     return out
 
 
@@ -345,25 +372,18 @@ def _nclt_one(spec, seed, chol, A, steps_per_unit) -> DrivingPath:
 
 def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarray:
     """Ensemble of simulate_nclt values, shape (len(seeds), T, m)."""
+    seeds = list(seeds)
     chol, A = nclt_factor(spec, steps_per_unit)
-    out = np.empty((len(list(seeds)), len(spec.out_times), spec.m))
+    out = np.empty((len(seeds), len(spec.out_times), spec.m))
     for k, seed in enumerate(seeds):
         out[k] = _nclt_one(spec, seed, chol, A, steps_per_unit).values
     return out
 
 
-def _localized_derivative_energy(spec: HermiteSpec, block: np.ndarray, xi: np.ndarray,
+def _localized_derivative_energy(spec: HermiteSpec, factors: tuple, xi: np.ndarray,
                                  window: np.ndarray) -> float:
-    """sum over cells r in the window of |D_r I_q(block)|^2."""
-    q = spec.q
-    if q == 1:
-        d = block[window]
-    elif q == 2:
-        d = 2.0 * (block @ xi)[window]
-    else:
-        quad = np.einsum("i,j,ijr->r", xi, xi, block, optimize=True)
-        trace = np.einsum("iir->r", block)
-        d = 3.0 * (quad - trace)[window]
+    """sum over cells r in the window of |D_r I_q(sum_k beta_k g_k^{(x)q})|^2."""
+    d = _factored_eval(*factors, xi, spec.q)[1][window]
     return float(np.sum(d * d))
 
 
@@ -387,18 +407,18 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, w: GaussianDra
     space = spec.space
     if w.space != space:
         raise SpaceMismatchError("draw built over a different discretization")
-    if _cache is not None and "blocks" in _cache:
-        block_lhs, spec_rhs, block_rhs, win_lhs, win_rhs = _cache["blocks"]
+    if _cache is not None and "factors" in _cache:
+        factors_lhs, spec_rhs, factors_rhs, win_lhs, win_rhs = _cache["factors"]
     else:
         # lhs s-node count chosen so window nodes are the exact images of
         # the rhs nodes under the affine rescaling
         s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
-        block_lhs = _raw_block(spec, t, s_lhs)
+        factors_lhs = _kernel_factors(spec, t, s_lhs)
         lo_rhs = (space.lo - (t - eps)) / eps
         space_rhs = make_hilbert(1, lo_rhs, 1.0, space.n)
         spec_rhs = HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs,
                                s_nodes=spec.s_nodes, out_times=(1.0,))
-        block_rhs = _raw_block(spec_rhs, 1.0, spec.s_nodes)
+        factors_rhs = _kernel_factors(spec_rhs, 1.0, spec.s_nodes)
         # only cells fully inside the window: a straddling cell carries
         # kernel mass from outside (t-eps, t], which the rescaled side
         # cannot represent
@@ -408,13 +428,13 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, w: GaussianDra
         edges_rhs = space_rhs.cell_edges()
         win_rhs = (edges_rhs[:-1] >= -tol) & (edges_rhs[1:] <= 1.0 + tol)
         if _cache is not None:
-            _cache["blocks"] = (block_lhs, spec_rhs, block_rhs, win_lhs, win_rhs)
+            _cache["factors"] = (factors_lhs, spec_rhs, factors_rhs, win_lhs, win_rhs)
     xi = _component_xi(space, w.xi, 0)
-    lhs = _localized_derivative_energy(spec, block_lhs, xi, win_lhs)
+    lhs = _localized_derivative_energy(spec, factors_lhs, xi, win_lhs)
     if rhs_seed is None:
         rhs_seed = w.seed + 1_000_003
     xi_rhs = sample_omega(spec_rhs.space, rhs_seed).xi
-    rhs_raw = _localized_derivative_energy(spec_rhs, block_rhs, xi_rhs, win_rhs)
+    rhs_raw = _localized_derivative_energy(spec_rhs, factors_rhs, xi_rhs, win_rhs)
     rhs = eps ** (2.0 * spec.H) * rhs_raw
     return lhs, rhs
 
@@ -475,13 +495,13 @@ def holder_norms(times, values, config: HolderConfig, theta: float = None) -> tu
 class GridDriver:
     """Driver evaluated on a fine solver grid via cumulative quadrature.
 
-    Dense per-time kernel blocks are too large on SDE grids, but every
-    quantity needed there is a prefix sum over time-quadrature nodes: the
-    block at t_i is sum_{k<i} beta_k g_k^{(x)q} with g_k the cell-average
-    factor at the midpoint of (t_k, t_{k+1}).  Values, Malliavin
-    derivative vectors, and directional derivatives are therefore O(n) per
-    grid time, and the directional derivative is the exact gradient of the
-    value, which the difference-quotient checks rely on.
+    Every quantity needed on an SDE grid is a prefix sum over
+    time-quadrature nodes: the block at t_i is sum_{k<i} beta_k g_k^{(x)q}
+    with g_k the cell-average factor at the midpoint of (t_k, t_{k+1}).
+    Values, Malliavin derivative vectors, and directional derivatives are
+    therefore O(n) per grid time, and the directional derivative is the
+    exact gradient of the value, which the difference-quotient checks rely
+    on.
 
     times must start at 0; values at time 0 are 0.
     """
@@ -498,40 +518,12 @@ class GridDriver:
         H0, c = hurst_aux(spec.H, q)
         mids = 0.5 * (times[:-1] + times[1:])
         dts = np.diff(times)
-        g = _cell_avg_matrix_single(space, mids, H0 - 1.5)
-        self._g = g
+        self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
         self._beta = c * space.delta ** (-q / 2.0) * dts
         self.calibrated = calibrate
+        self._rho = np.ones(times.shape[0])
         if calibrate:
-            gram = (g @ g.T) ** q
-            bb = self._beta[:, None] * self._beta[None, :] * gram
-            # prefix norms ||block_i||^2 over the growing leading square:
-            # increment when adding node j is bb[j,j] + 2 sum_{k<j} bb[k,j]
-            inc = np.diagonal(bb).copy()
-            if inc.shape[0] > 1:
-                inc[1:] += 2.0 * np.cumsum(bb, axis=0).diagonal(1)
-            norms2 = np.cumsum(inc)
-            targets = times ** (2.0 * spec.H) / math.factorial(q)
-            rho = np.sqrt(targets[1:] / norms2)
-            self._rho = np.concatenate([[1.0], rho])
-        else:
-            self._rho = np.ones(times.shape[0])
-
-    def _component_raw(self, xi_block: np.ndarray):
-        """Per-node scalar contributions (value, derivative weight)."""
-        q = self.spec.q
-        gx = self._g @ xi_block
-        gg = np.einsum("ki,ki->k", self._g, self._g)
-        if q == 1:
-            val_w = gx
-            der_w = np.ones_like(gx)
-        elif q == 2:
-            val_w = gx * gx - gg
-            der_w = 2.0 * gx
-        else:
-            val_w = gx**3 - 3.0 * gg * gx
-            der_w = 3.0 * (gx * gx - gg)
-        return val_w, der_w
+            self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
     def values(self, w: GaussianDraw) -> np.ndarray:
         """Driver values on the grid, shape (len(times), m); row 0 is 0."""
@@ -540,7 +532,7 @@ class GridDriver:
             raise SpaceMismatchError("draw built over a different discretization")
         out = np.zeros((self.times.shape[0], self.spec.m))
         for ell in range(self.spec.m):
-            val_w, _ = self._component_raw(_component_xi(space, w.xi, ell))
+            val_w, _ = _wick_weights(self._g, _component_xi(space, w.xi, ell), self.spec.q)
             out[1:, ell] = np.cumsum(self._beta * val_w)
         return out * self._rho[:, None]
 
@@ -551,7 +543,7 @@ class GridDriver:
         out = np.zeros((self.times.shape[0], self.spec.m))
         for ell in range(self.spec.m):
             sl = space.component_slice(ell)
-            val_w, der_w = self._component_raw(w.xi[sl])
+            val_w, der_w = _wick_weights(self._g, w.xi[sl], self.spec.q)
             gh = self._g @ h[sl]
             out[1:, ell] = np.cumsum(self._beta * der_w * gh)
         return out * self._rho[:, None]
@@ -562,41 +554,30 @@ class GridDriver:
         n = space.n
         out = np.zeros((self.times.shape[0], self.spec.m, n))
         for ell in range(self.spec.m):
-            _, der_w = self._component_raw(w.xi[space.component_slice(ell)])
+            _, der_w = _wick_weights(self._g, w.xi[space.component_slice(ell)], self.spec.q)
             rows = (self._beta * der_w)[:, None] * self._g
             out[1:, ell, :] = np.cumsum(rows, axis=0)
         return out * self._rho[:, None, None]
 
 
-def _cell_avg_matrix_single(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
-    return _cell_avg_matrix(space, s, a)
-
-
-def export_kernels(field: KernelField, path: str):
-    """Portable text dump: one line per nonzero canonical multi-index."""
+def export_kernels(field: KernelField, fh):
+    """Portable text dump to the open text stream fh: one line per nonzero
+    canonical (nondecreasing) multi-index."""
     spec = field.spec
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
-        fh.write(
-            f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n"
-        )
-        fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
-        fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
-        for ti in range(len(spec.out_times)):
-            block = field.blocks[ti]
-            for idx in np.ndindex(block.shape):
-                if list(idx) != sorted(idx):
-                    continue
-                v = block[idx]
-                if v != 0.0:
-                    cols = " ".join(str(i) for i in idx)
-                    fh.write(f"{ti} {cols} {v:.17g}\n")
+    fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
+    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n")
+    fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
+    fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
+    for ti, block in enumerate(field.blocks):
+        for idx in itertools.combinations_with_replacement(range(spec.space.n), spec.q):
+            v = block[idx]
+            if v != 0.0:
+                cols = " ".join(str(i) for i in idx)
+                fh.write(f"{ti} {cols} {v:.17g}\n")
 
 
-def import_kernels(path: str) -> KernelField:
-    """Rebuild a KernelField from an export_kernels dump."""
-    import itertools
-
+def import_kernels(path: str) -> tuple:
+    """Read an export_kernels dump: (spec, dense blocks, calibrated)."""
     header = {}
     rows = []
     with open(path) as fh:
@@ -628,4 +609,4 @@ def import_kernels(path: str) -> KernelField:
         v = float(row[1 + q])
         for perm in set(itertools.permutations(idx)):
             blocks[(ti,) + perm] = v
-    return KernelField(spec=spec, blocks=blocks, calibrated=bool(int(header["calibrated"])))
+    return spec, blocks, bool(int(header["calibrated"]))

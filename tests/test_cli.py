@@ -80,6 +80,22 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "process.hurst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
+    payload = {"process": FAST_PROCESS, "run": {"M": 2}}
+    code, _ = run_cli(tmp_path, "solve", payload, extra=["--seed", seed])
+    assert code == 2
+    assert "run.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run, key", [({"M": 2, "seed": 1.5}, "run.seed"),
+                                      ({"M": "many"}, "run.M")])
+def test_non_integer_run_values_exit_2(tmp_path, capsys, run, key):
+    code, _ = run_cli(tmp_path, "solve", {"process": FAST_PROCESS, "run": run})
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     code = main(["check", "--config", str(tmp_path / "nope.json")])
     assert code == 2

@@ -144,7 +144,8 @@ def test_dump_csv_layout(tmp_path):
     sc = Scenario(preset="elliptic-2d", **SMALL)
     ens = run_ensemble(sc, M=4, base_seed=0)
     path = tmp_path / "ensemble.csv"
-    dump_csv(ens, str(path))
+    with open(path, "w", newline="\n") as fh:
+        dump_csv(ens, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "seed,t,x_1,x_2,det_gamma,min_eig,excluded_flag"
     assert len(lines) == 5

@@ -136,6 +136,44 @@ def test_simulate_paths_matches_loop():
         assert np.allclose(batch[k], one, atol=1e-12)
 
 
+def test_simulate_paths_row_independent_of_batch():
+    # sample k is the same on its own as inside a larger batch, bit for bit
+    spec = small_spec(q=3, n=32, m=2)
+    field = build_kernels(spec)
+    batch = simulate_paths(field, range(10, 30))
+    for k in (0, 7, 19):
+        assert np.array_equal(simulate_paths(field, [10 + k])[0], batch[k])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_factored_matches_dense_chaos(q, m):
+    # the factored value and derivative equal the dense chaos calculus
+    # applied to the blocks they describe
+    from chaosde import chaos
+    from chaosde.malliavin import driver_derivative
+    from chaosde.wiener import GaussianDraw
+
+    n = 24 if q == 3 else 48
+    spec = small_spec(q=q, n=n, m=m, out_times=(0.25, 0.5, 1.0))
+    field = build_kernels(spec)
+    sub = make_hilbert(1, spec.space.lo, spec.space.hi, n)
+    for seed in range(4):
+        w = sample_omega(spec.space, seed)
+        got = simulate_path(field, w).values
+        want = np.empty_like(got)
+        for ell in range(m):
+            sl = spec.space.component_slice(ell)
+            w_sub = GaussianDraw(sub, w.xi[sl], seed)
+            for ti in range(len(spec.out_times)):
+                f = chaos.SymTensor(sub, q, field.blocks[ti])
+                want[ti, ell] = chaos.multiple_integral(f, w_sub).value
+                d_want = chaos.malliavin_derivative(f, w_sub, 1)
+                d_got = driver_derivative(field, w, ti, ell).coords[sl]
+                assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_covariance_theoretical_values():
     assert covariance_theoretical(0.0, 1.0, 0.7) == 0.0
     assert covariance_theoretical(1.0, 1.0, 0.7) == pytest.approx(1.0)
@@ -185,15 +223,23 @@ def test_nclt_oracle_variance():
             assert abs(np.mean(v * v) - t ** (2 * spec.H)) <= 4.0 * sig
 
 
+def test_nclt_paths_accepts_iterator():
+    spec = small_spec(q=2, n=16, out_times=(0.5, 1.0))
+    from_range = nclt_paths(spec, range(5), steps_per_unit=32)
+    from_gen = nclt_paths(spec, (s for s in range(5)), steps_per_unit=32)
+    assert np.array_equal(from_gen, from_range)
+
+
 def test_export_import_roundtrip(tmp_path):
     spec = small_spec(q=2, n=24, out_times=(0.5, 1.0))
     field = build_kernels(spec)
     path = str(tmp_path / "kernels.txt")
-    export_kernels(field, path)
-    back = import_kernels(path)
-    assert back.spec.q == spec.q and back.spec.H == spec.H
-    assert back.calibrated == field.calibrated
-    assert np.allclose(back.blocks, field.blocks, rtol=1e-14, atol=1e-300)
+    with open(path, "w", newline="\n") as fh:
+        export_kernels(field, fh)
+    back_spec, back_blocks, back_calibrated = import_kernels(path)
+    assert back_spec.q == spec.q and back_spec.H == spec.H
+    assert back_calibrated == field.calibrated
+    assert np.allclose(back_blocks, field.blocks, rtol=1e-14, atol=1e-300)
 
 
 def test_self_similarity_q1_deterministic():
