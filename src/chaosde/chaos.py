@@ -139,8 +139,13 @@ def sym_contract(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
     return symmetrize(f.space, raw, order)
 
 
-def hermite_poly(n: int, x):
-    """Probabilists' Hermite polynomial H_n via the stable recurrence."""
+def hermite_poly(n: int, x, v=1.0):
+    """Hermite polynomial H_n(x; v) = v^{n/2} H_n(x / sqrt(v)) of variance v.
+
+    Stable recurrence H_{k+1} = x H_k - k v H_{k-1}: v = 1 is the
+    probabilists' H_n, v = 0 gives x^n, and with x = <g, xi>, v = |g|^2 it
+    is I_n(g^{(x)n}).
+    """
     if n < 0:
         raise InvalidDimensionError("Hermite degree must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -149,7 +154,7 @@ def hermite_poly(n: int, x):
         return h_prev if h_prev.ndim else float(h_prev)
     h = x.copy()
     for k in range(1, n):
-        h, h_prev = x * h - k * h_prev, h
+        h, h_prev = x * h - k * v * h_prev, h
     return h if h.ndim else float(h)
 
 
@@ -162,41 +167,32 @@ class ChaosValue:
     diag_policy: str = "wick"
 
 
-def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> float:
-    if q == 0:
-        return float(coeffs)
-    if q == 1:
-        return float(coeffs @ xi)
-    if q == 2:
-        return float(xi @ coeffs @ xi - np.trace(coeffs))
-    if q == 3:
-        full = float(np.einsum("ijk,i,j,k->", coeffs, xi, xi, xi, optimize=True))
-        corr = float(np.einsum("iik,k->", coeffs, xi))
-        return full - 3.0 * corr
-    if q == 4:
-        # internal use only (product formula residual); 6 single pairings
-        # and 3 double pairings for a symmetric coefficient array
-        m4 = float(np.einsum("ijkl,i,j,k,l->", coeffs, xi, xi, xi, xi, optimize=True))
-        m2 = float(np.einsum("iikl,k,l->", coeffs, xi, xi, optimize=True))
-        t2 = float(np.einsum("iijj->", coeffs))
-        return m4 - 6.0 * m2 + 3.0 * t2
-    raise UnsupportedOrderError(f"order {q}")
+def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> np.ndarray:
+    """I_q over the leading q axes of coeffs; trailing axes stay free.
+
+    Divergence recursion I_q(f) = I_{q-1}(f . xi) - (q-1) I_{q-2}(tr f),
+    with f . xi contracting one slot against xi and tr f tracing two slots
+    out; valid for coefficients symmetric in the leading q axes.
+    """
+    if q < 1:
+        return np.asarray(coeffs, dtype=float)
+    value = _wick_value(np.tensordot(xi, coeffs, axes=(0, 0)), xi, q - 1)
+    if q > 1:
+        value = value - (q - 1) * _wick_value(np.trace(coeffs, axis1=0, axis2=1), xi, q - 2)
+    return value
 
 
 def multiple_integral(f: SymTensor, w: GaussianDraw) -> ChaosValue:
     """I_q(f)(w) in Wick form; exact centered polynomial of degree q."""
     if f.space != w.space:
         raise SpaceMismatchError("tensor and draw over different spaces")
-    return ChaosValue(_wick_value(f.coeffs, w.xi, f.q), f.q)
+    return ChaosValue(float(_wick_value(f.coeffs, w.xi, f.q)), f.q)
 
 
 def elementary_power_value(g: HilbertVec, q: int, w: GaussianDraw) -> float:
-    """Oracle for I_q(g^{(.)q}) = |g|^q H_q(X_g / |g|)."""
+    """Oracle for I_q(g^{(.)q}) = H_q(X_g; |g|^2) = |g|^q H_q(X_g / |g|)."""
     _check_order(q)
-    nrm = g.norm()
-    if nrm == 0.0:
-        return 0.0 if q >= 1 else 1.0
-    return nrm**q * float(hermite_poly(q, iso_gaussian(g, w) / nrm))
+    return float(hermite_poly(q, iso_gaussian(g, w), g.norm() ** 2))
 
 
 def product_formula_check(f: SymTensor, g: SymTensor, w: GaussianDraw) -> float:
@@ -208,13 +204,13 @@ def product_formula_check(f: SymTensor, g: SymTensor, w: GaussianDraw) -> float:
     p, q = f.q, g.q
     if p + q > 4:
         raise UnsupportedOrderError("product formula evaluator limited to p + q <= 4")
-    lhs = _wick_value(f.coeffs, w.xi, p) * _wick_value(g.coeffs, w.xi, q)
+    lhs = float(_wick_value(f.coeffs, w.xi, p)) * float(_wick_value(g.coeffs, w.xi, q))
     rhs = 0.0
     for r in range(min(p, q) + 1):
         coef = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
         order = p + q - 2 * r
         raw = _perm_average(np.asarray(contract(f, g, r)), order)
-        rhs += coef * _wick_value(raw, w.xi, order)
+        rhs += coef * float(_wick_value(raw, w.xi, order))
     return lhs - rhs
 
 
@@ -228,22 +224,11 @@ def malliavin_derivative(f: SymTensor, w: GaussianDraw, r: int) -> np.ndarray:
         raise SpaceMismatchError("tensor and draw over different spaces")
     if r < 0:
         raise InvalidDimensionError("derivative order must be nonnegative")
-    q, dim, xi = f.q, f.space.basis_dim, w.xi
+    q, dim = f.q, f.space.basis_dim
     if r > q:
         return np.zeros((dim,) * r)
     coef = math.factorial(q) / math.factorial(q - r)
-    c = f.coeffs
-    inner_order = q - r
-    if inner_order == 0:
-        return coef * c.copy() if r > 0 else np.array(coef * float(c))
-    if inner_order == 1:
-        # I_1 over the first index for every fixed tail
-        return coef * np.tensordot(xi, c, axes=(0, 0))
-    if inner_order == 2:
-        quad = np.einsum("i,j,ij...->...", xi, xi, c, optimize=True)
-        trace = np.einsum("ii...->...", c)
-        return coef * (quad - trace)
-    raise UnsupportedOrderError(f"derivative of order-{q} integral with r={r}")
+    return coef * _wick_value(f.coeffs, w.xi, q - r)
 
 
 def taylor_shift(f: SymTensor, w: GaussianDraw, h: HilbertVec, eps: float) -> float:
@@ -260,7 +245,7 @@ def taylor_shift(f: SymTensor, w: GaussianDraw, h: HilbertVec, eps: float) -> fl
     for k in range(q + 1):
         inner_order = q - k
         coef = math.factorial(q) / math.factorial(inner_order)
-        term = _wick_value(np.asarray(reduced), w.xi, inner_order)
+        term = float(_wick_value(reduced, w.xi, inner_order))
         total += (eps**k / math.factorial(k)) * coef * term
         if k < q:
             reduced = np.tensordot(np.asarray(reduced), h.coords, axes=(inner_order - 1, 0))
@@ -268,26 +253,16 @@ def taylor_shift(f: SymTensor, w: GaussianDraw, h: HilbertVec, eps: float) -> fl
 
 
 def reintegrate(f: SymTensor, w: GaussianDraw) -> float:
-    """I_q(f) recovered as the divergence of u_j = I_{q-1}(f(., j)).
+    """I_q(f) recovered as the divergence of u = D I_q(f) / q.
 
     Uses the integration-by-parts form delta(u) = sum_j u_j xi_j - sum_j D_j u_j,
     which reproduces the Wick value exactly.
     """
-    if f.space != w.space:
-        raise SpaceMismatchError("tensor and draw over different spaces")
-    q, xi, c = f.q, w.xi, f.coeffs
-    if q < 1:
+    if f.q < 1:
         raise UnsupportedOrderError("reintegration needs order >= 1")
-    if q == 1:
-        return float(c @ xi)
-    if q == 2:
-        u = c @ xi  # u_j = I_1(f(., j))
-        correction = float(np.trace(c))  # D_j u_j = f_jj
-        return float(u @ xi) - correction
-    # q == 3: u_j = I_2(f(., ., j)); D_j u_j = 2 I_1(f(., j, j))
-    u = np.einsum("i,k,ikj->j", xi, xi, c, optimize=True) - np.einsum("iij->j", c)
-    correction = 2.0 * float(np.einsum("ijj,i->", c, xi))
-    return float(u @ xi) - correction
+    u = malliavin_derivative(f, w, 1) / f.q
+    du = malliavin_derivative(f, w, 2) / f.q
+    return float(u @ w.xi - np.trace(du))
 
 
 def _rotation_with_first_row(e0: np.ndarray) -> np.ndarray:
@@ -371,5 +346,5 @@ def decompose_eval(parts, e0: HilbertVec, w: GaussianDraw) -> float:
     x0 = iso_gaussian(e0, w)
     total = 0.0
     for k, part in parts:
-        total += float(hermite_poly(k, x0)) * _wick_value(part.coeffs, w.xi, part.q)
+        total += float(hermite_poly(k, x0)) * float(_wick_value(part.coeffs, w.xi, part.q))
     return total

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowupError, ChaosdeError, ConfigError
-from .wiener import HilbertVec, make_hilbert, sample_omega
+from .wiener import GaussianDraw, HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
-    GridDriver,
     HermiteSpec,
     build_kernels,
     covariance_theoretical,
@@ -44,16 +43,47 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
+def _coerce(default, value, key: str):
+    """value checked against the type of its default; a None default takes
+    null or a list of numbers.  Whole floats become integers."""
+    if default is None:
+        return None if value is None else _coerce([0.0], value, key)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}={value!r} invalid: expected a list")
+        return [_coerce(default[0], v, key) for v in value]
+    if isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif isinstance(default, int):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        expected = "an integer"
+    else:
+        try:
+            if not isinstance(value, bool) and math.isfinite(value):
+                return value
+        except (TypeError, OverflowError):
+            pass
+        expected = "a finite number"
+    raise ConfigError(f"{key}={value!r} invalid: expected {expected}")
+
+
+def _merge_strict(defaults: dict, user, path: str = "") -> dict:
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path[:-1] or 'config root'} must be an object")
+    unknown = set(user) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(path + k for k in sorted(unknown))}")
     out = {}
     for key, val in defaults.items():
         if isinstance(val, dict):
             out[key] = _merge_strict(val, user.get(key, {}), f"{path}{key}.")
         else:
-            out[key] = user.get(key, val)
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(path + k for k in sorted(unknown))}")
+            out[key] = _coerce(val, user[key], path + key) if key in user else val
     return out
 
 
@@ -65,39 +95,47 @@ def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> di
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be an object")
     cfg = _merge_strict(DEFAULT_CONFIG, user)
     if seed_override is not None:
         cfg["run"]["seed"] = int(seed_override)
     if out_dir is not None:
         cfg["output"]["directory"] = out_dir
-    cfg["run"]["workers"] = int(workers) if workers else 1
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers={workers} invalid: at least 1 worker")
+    cfg["run"]["workers"] = 1 if workers is None else workers
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict):
-    H = cfg["process"]["H"]
-    if not 0.5 < H < 1.0:
-        raise ConfigError(f"H={H} invalid: the Hurst index must lie in (1/2, 1)")
-    if not 1 <= int(cfg["process"]["q"]) <= 3:
-        raise ConfigError("order q must be 1, 2 or 3")
-    if cfg["process"]["L"] <= 0:
-        raise ConfigError("truncation L must be positive")
-    if int(cfg["process"]["n"]) < 2:
-        raise ConfigError("grid n must be at least 2")
-    seed = cfg["run"]["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"run.seed={seed!r} invalid: a seed is an integer >= 0")
-    try:
-        M = int(cfg["run"]["M"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"run.M={cfg['run']['M']!r} invalid: M counts draws")
-    # selfsim draws seeds up to seed + 2M - 1; every seed must fit in uint64
-    if seed + 2 * M > 1 << 64:
-        raise ConfigError(f"run.seed={seed} invalid: seed + 2*M must not exceed 2^64")
-    preset(cfg["sde"]["preset"])  # raises ConfigError for unknown names
+    p, s, r = cfg["process"], cfg["sde"], cfg["run"]
+    times, x0 = r["out_times"], s["x0"]
+    x0_default = preset(s["preset"])[1]  # raises ConfigError for unknown names
+    checks = [
+        ("process.H", 0.5 < p["H"] < 1.0, "the Hurst index must lie in (1/2, 1)"),
+        ("process.q", 1 <= p["q"] <= 3, "the order must be 1, 2 or 3"),
+        ("process.m", p["m"] >= 1, "at least one noise component"),
+        ("process.n", p["n"] >= 2, "the grid needs at least 2 cells"),
+        ("process.L", p["L"] > 0, "the truncation length must be positive"),
+        ("process.s_nodes", p["s_nodes"] >= 1, "at least one quadrature node"),
+        ("sde.x0", x0 is None or len(x0) == len(x0_default),
+         f"preset {s['preset']} has {len(x0_default)} state components"),
+        ("sde.steps", s["steps"] >= 1, "at least one Euler step"),
+        ("sde.T", s["T"] > 0, "the horizon must be positive"),
+        ("run.M", r["M"] >= 1, "at least one draw"),
+        ("run.seed", r["seed"] >= 0, "a seed is an integer >= 0"),
+        # selfsim draws seeds up to seed + 2M - 1; every seed must fit in uint64
+        ("run.seed", r["seed"] + 2 * r["M"] <= 1 << 64, "seed + 2*M must not exceed 2^64"),
+        ("run.out_times", times and times[0] > 0 and all(a < b for a, b in zip(times, times[1:])),
+         "a nonempty increasing list of positive times"),
+        ("run.eps", all(e > 0 for e in r["eps"]), "the quotient steps must be positive"),
+        ("run.t", r["t"] > 0, "the time must be positive"),
+        ("run.epsilon_window", 0 < r["epsilon_window"] < r["t"], "the window must lie in (0, run.t)"),
+    ]
+    for key, ok, why in checks:
+        if not ok:
+            section, name = key.split(".")
+            raise ConfigError(f"{key}={cfg[section][name]!r} invalid: {why}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -122,15 +160,15 @@ def _fmt(x: float) -> str:
 def _build_field(cfg: dict):
     p = cfg["process"]
     T = max(cfg["run"]["out_times"])
-    space = make_hilbert(int(p["m"]), -float(p["L"]), float(T), int(p["n"]))
-    spec = HermiteSpec(q=int(p["q"]), H=float(p["H"]), m=int(p["m"]), space=space,
-                       s_nodes=int(p["s_nodes"]), out_times=tuple(cfg["run"]["out_times"]))
+    space = make_hilbert(p["m"], -float(p["L"]), float(T), p["n"])
+    spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=p["m"], space=space,
+                       s_nodes=p["s_nodes"], out_times=tuple(cfg["run"]["out_times"]))
     return spec, build_kernels(spec)
 
 
 def cmd_simulate(cfg: dict) -> int:
     spec, field = _build_field(cfg)
-    M, seed = int(cfg["run"]["M"]), int(cfg["run"]["seed"])
+    M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     values = simulate_paths(field, range(seed, seed + M))
     path = _outpath(cfg, "driver.csv")
     with open(path, "w", newline="\n") as fh:
@@ -149,7 +187,10 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _check_records(cfg: dict):
-    rng = np.random.default_rng(int(cfg["run"]["seed"]))
+    M = cfg["run"]["M"]
+    if M < 2:
+        raise ConfigError(f"run.M={M} invalid: the check statistics need at least 2 draws")
+    rng = np.random.default_rng(cfg["run"]["seed"])
     records = []
 
     def add(name, stat, bound, ok):
@@ -157,14 +198,16 @@ def _check_records(cfg: dict):
                         "pass": bool(ok)})
 
     space = make_hilbert(1, 0.0, 1.0, 16)
-    M = int(cfg["run"]["M"])
-    xis = rng.standard_normal((M, space.basis_dim))
+    draws = [GaussianDraw(space, xi, k) for k, xi in enumerate(rng.standard_normal((M, 16)))]
     f = chaos.symmetrize(space, rng.standard_normal((16, 16)))
     g1 = chaos.SymTensor(space, 1, rng.standard_normal(16))
+    u = chaos.SymTensor(space, 1, rng.standard_normal(16))
+
+    def integrals(h):
+        return np.array([chaos.multiple_integral(h, w).value for w in draws])
 
     # Monte Carlo identities on a fixed chaos pair
-    i2 = np.einsum("mi,ij,mj->m", xis, f.coeffs, xis) - np.trace(f.coeffs)
-    i1 = xis @ g1.coeffs
+    i1, i2 = integrals(g1), integrals(f)
     iso_tgt = 2.0 * chaos.tensor_norm(f) ** 2
     sig = np.std(i2 * i2, ddof=1) / math.sqrt(M)
     add("isometry_order2", abs(np.mean(i2 * i2) - iso_tgt), 3 * sig,
@@ -172,9 +215,8 @@ def _check_records(cfg: dict):
     sig = np.std(i1 * i2, ddof=1) / math.sqrt(M)
     add("orthogonality_12", abs(np.mean(i1 * i2)), 3 * sig, abs(np.mean(i1 * i2)) <= 3 * sig)
     # duality: E[I_2(f) * delta(u)] = E[<D I_2(f), u>] for u = const vector field
-    u = rng.standard_normal(16)
-    delta_u = xis @ u
-    dprod = 2.0 * np.einsum("ij,j,mi->m", f.coeffs, u, xis)
+    delta_u = integrals(u)
+    dprod = np.array([chaos.malliavin_derivative(f, w, 1) @ u.coeffs for w in draws])
     gap = abs(np.mean(i2 * delta_u) - np.mean(dprod))
     sig = np.std(i2 * delta_u - dprod, ddof=1) / math.sqrt(M)
     add("duality", gap, 3 * sig, gap <= 3 * sig)
@@ -190,8 +232,6 @@ def _check_records(cfg: dict):
         h = HilbertVec(space, rng.standard_normal(16))
         eps = float(rng.uniform(-1, 1))
         lhs = chaos.taylor_shift(f, w, h, eps)
-        from .wiener import shift_omega
-
         rhs2 = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
         worst = max(worst, abs(lhs - rhs2) / max(1.0, abs(rhs2)))
     add("taylor_shift_identity", worst, 1e-10, worst <= 1e-10)
@@ -228,21 +268,17 @@ def cmd_check(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def _grid_driver(cfg: dict):
+def _scenario(cfg: dict) -> Scenario:
     p, s = cfg["process"], cfg["sde"]
-    coeffs, x0_default = preset(s["preset"])
-    x0 = np.asarray(s["x0"], dtype=float) if s["x0"] is not None else x0_default
-    space = make_hilbert(coeffs.m, -float(p["L"]), float(s["T"]), int(p["n"]))
-    spec = HermiteSpec(q=int(p["q"]), H=float(p["H"]), m=coeffs.m, space=space,
-                       out_times=(float(s["T"]),))
-    times = np.linspace(0.0, float(s["T"]), int(s["steps"]) + 1)
-    return coeffs, x0, spec, GridDriver(spec, times)
+    return Scenario(preset=s["preset"], q=p["q"], H=float(p["H"]), t=float(s["T"]),
+                    steps=s["steps"], n=p["n"], L=float(p["L"]),
+                    x0=tuple(s["x0"]) if s["x0"] is not None else None)
 
 
 def cmd_solve(cfg: dict) -> int:
-    coeffs, x0, spec, driver = _grid_driver(cfg)
+    coeffs, x0, spec, driver = _scenario(cfg).build()
     validate_derivatives(coeffs)
-    M, seed = int(cfg["run"]["M"]), int(cfg["run"]["seed"])
+    M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     path = _outpath(cfg, "solution.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write(_header(cfg))
@@ -258,8 +294,8 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_malliavin(cfg: dict) -> int:
-    coeffs, x0, spec, driver = _grid_driver(cfg)
-    seed = int(cfg["run"]["seed"])
+    coeffs, x0, spec, driver = _scenario(cfg).build()
+    seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
     solve_theta_all(coeffs, bundle)
@@ -289,13 +325,8 @@ def cmd_malliavin(cfg: dict) -> int:
 
 
 def cmd_density(cfg: dict) -> int:
-    p, s, r = cfg["process"], cfg["sde"], cfg["run"]
-    scenario = Scenario(preset=s["preset"], q=int(p["q"]), H=float(p["H"]),
-                        t=float(s["T"]), steps=int(s["steps"]), n=int(p["n"]),
-                        L=float(p["L"]),
-                        x0=tuple(s["x0"]) if s["x0"] is not None else None)
-    ensemble = run_ensemble(scenario, int(r["M"]), base_seed=int(r["seed"]),
-                            workers=int(r.get("workers", 1)))
+    r = cfg["run"]
+    ensemble = run_ensemble(_scenario(cfg), r["M"], base_seed=r["seed"], workers=r["workers"])
     csv_path = _outpath(cfg, "ensemble.csv")
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(_header(cfg))
@@ -325,10 +356,10 @@ def cmd_density(cfg: dict) -> int:
 def cmd_selfsim(cfg: dict) -> int:
     p, r = cfg["process"], cfg["run"]
     t, eps = float(r["t"]), float(r["epsilon_window"])
-    space = make_hilbert(1, -float(p["L"]), t, int(p["n"]))
-    spec = HermiteSpec(q=int(p["q"]), H=float(p["H"]), m=1, space=space,
-                       s_nodes=int(p["s_nodes"]), out_times=(t,))
-    M, seed = int(r["M"]), int(r["seed"])
+    space = make_hilbert(1, -float(p["L"]), t, p["n"])
+    spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=1, space=space,
+                       s_nodes=p["s_nodes"], out_times=(t,))
+    M, seed = r["M"], r["seed"]
     cache = {}
     lhs, rhs = [], []
     for k in range(M):

@@ -86,14 +86,7 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
     if workers > 1:
         results = _run_parallel(scenario, seeds, workers)
     else:
-        coeffs, x0, spec, driver = scenario.build()
-        results = []
-        for seed in seeds:
-            try:
-                results.append((seed,) + _run_one(coeffs, x0, spec, driver, seed,
-                                                  scenario.with_malliavin))
-            except BlowupError:
-                results.append((seed, None, None, None))
+        results = _parallel_chunk((scenario, seeds))
     kept = [r for r in results if r[1] is not None]
     excluded = [r[0] for r in results if r[1] is None]
     return SampleEnsemble(

@@ -24,8 +24,9 @@ isometry.
 Storage note: the midpoint rule makes every block a short sum of rank-one
 powers rho * sum_k beta_k g_k^{(x)q}, so kernels are kept as the factors
 (g, beta, rho).  Values and derivatives follow exactly from I_q(g^{(x)q}) =
-|g|^q H_q(<g, xi>/|g|) in O(s_nodes * n) per time; the dense block is
-built only when a caller asks for it.
+H_q(<g, xi>; |g|^2), the Hermite polynomial of variance |g|^2, in
+O(s_nodes * n) per time; the dense block is built only when a caller asks
+for it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, make_hilbert, sample_omega
-from .chaos import MAX_ORDER, MEMORY_BUDGET_ENTRIES
+from .chaos import MAX_ORDER, MEMORY_BUDGET_ENTRIES, hermite_poly
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -161,16 +162,12 @@ def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
     """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q}.
 
     With gx = <g_k, xi> and gg = |g_k|^2, the value weight is
-    I_q(g_k^{(x)q}) = |g_k|^q H_q(gx/|g_k|) and the derivative weight is
-    q |g_k|^{q-1} H_{q-1}(gx/|g_k|), so that D I_q(g_k^{(x)q}) = weight * g_k.
+    I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
+    q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k.
     """
     gx = g @ xi
     gg = np.einsum("ki,ki->k", g, g)
-    if q == 1:
-        return gx, np.ones_like(gx)
-    if q == 2:
-        return gx * gx - gg, 2.0 * gx
-    return gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg)
+    return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
 
 
 def _factored_eval(g: np.ndarray, beta: np.ndarray, xi: np.ndarray, q: int) -> tuple:
@@ -345,19 +342,7 @@ def nclt_factor(spec: HermiteSpec, steps_per_unit: int):
     return chol, A
 
 
-def simulate_nclt(spec: HermiteSpec, seed: int, steps_per_unit: int = 256) -> DrivingPath:
-    """Independent marginal-law oracle via normalized Hermite partial sums.
-
-    Shares no coupling with simulate_path: only marginal statistics are
-    comparable, not pathwise values.
-    """
-    chol, A = nclt_factor(spec, steps_per_unit)
-    return _nclt_one(spec, seed, chol, A, steps_per_unit)
-
-
 def _nclt_one(spec, seed, chol, A, steps_per_unit) -> DrivingPath:
-    from .chaos import hermite_poly
-
     N_tot = chol.shape[0]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     values = np.empty((len(spec.out_times), spec.m))
@@ -371,7 +356,12 @@ def _nclt_one(spec, seed, chol, A, steps_per_unit) -> DrivingPath:
 
 
 def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarray:
-    """Ensemble of simulate_nclt values, shape (len(seeds), T, m)."""
+    """Independent marginal-law oracle via normalized Hermite partial sums,
+    shape (len(seeds), T, m).
+
+    Shares no coupling with simulate_path: only marginal statistics are
+    comparable, not pathwise values.
+    """
     seeds = list(seeds)
     chol, A = nclt_factor(spec, steps_per_unit)
     out = np.empty((len(seeds), len(spec.out_times), spec.m))

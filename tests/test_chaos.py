@@ -34,21 +34,26 @@ def random_tensor(q, seed, space=SPACE):
 
 
 def test_hermite_poly_low_orders():
+    # H_n(x; v) = v^{n/2} H_n(x / sqrt(v)); v = 0 leaves the monomial x^n
     x = 1.3
-    assert chaos.hermite_poly(0, x) == 1.0
-    assert chaos.hermite_poly(1, x) == pytest.approx(x)
-    assert chaos.hermite_poly(2, x) == pytest.approx(x * x - 1.0)
-    assert chaos.hermite_poly(3, x) == pytest.approx(x**3 - 3 * x)
+    for v in (1.0, 0.36, 2.5, 0.0):
+        assert chaos.hermite_poly(0, x, v) == 1.0
+        assert chaos.hermite_poly(1, x, v) == pytest.approx(x)
+        assert chaos.hermite_poly(2, x, v) == pytest.approx(x * x - v)
+        assert chaos.hermite_poly(3, x, v) == pytest.approx(x**3 - 3 * v * x)
+        assert chaos.hermite_poly(4, x, v) == pytest.approx(x**4 - 6 * v * x * x + 3 * v * v)
     # frozen oracle: H_4(1.3) = 1.3^4 - 6*1.3^2 + 3
     assert chaos.hermite_poly(4, x) == pytest.approx(-4.2839, abs=1e-10)
 
 
-@given(st.integers(1, 7), st.floats(-4.0, 4.0))
+@given(st.integers(1, 7), st.floats(-4.0, 4.0), st.floats(0.25, 4.0))
 @settings(max_examples=50, deadline=None)
-def test_hermite_recurrence(n, x):
+def test_hermite_recurrence(n, x, v):
     lhs = chaos.hermite_poly(n + 1, x)
     rhs = x * chaos.hermite_poly(n, x) - n * chaos.hermite_poly(n - 1, x)
     assert lhs == pytest.approx(rhs, abs=1e-8 * (1 + abs(rhs)))
+    scaled = v ** (n / 2) * chaos.hermite_poly(n, x / math.sqrt(v))
+    assert chaos.hermite_poly(n, x, v) == pytest.approx(scaled, abs=1e-8 * (1 + abs(scaled)))
 
 
 def test_symmetrize_is_symmetric_and_idempotent():
@@ -101,6 +106,10 @@ def test_multiple_integral_wick_values():
     assert chaos.multiple_integral(f2, zero_draw(SPACE)).value == pytest.approx(
         -np.trace(f2.coeffs)
     )
+    f3 = random_tensor(3, 12)
+    c = f3.coeffs
+    expected = float(np.einsum("ijk,i,j,k->", c, xi, xi, xi) - 3.0 * np.einsum("iik,k->", c, xi))
+    assert chaos.multiple_integral(f3, w).value == pytest.approx(expected)
 
 
 def test_multiple_integral_space_checked():
@@ -110,17 +119,18 @@ def test_multiple_integral_space_checked():
         chaos.multiple_integral(f, sample_omega(other, 0))
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_elementary_power_oracle(q):
-    # I_q of a pure power tensor equals |g|^q H_q(X_g / |g|)
+    # I_q of a pure power tensor equals |g|^q H_q(X_g / |g|), also for g = 0
     rng = np.random.default_rng(q)
-    g = HilbertVec(SPACE, rng.standard_normal(DIM))
-    f = chaos.tensor_from_vectors(SPACE, *([g] * q))
-    for seed in range(10):
-        w = sample_omega(SPACE, seed)
-        lhs = chaos.multiple_integral(f, w).value
-        rhs = chaos.elementary_power_value(g, q, w)
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(rhs)))
+    for scale in (1.0, 0.0):
+        g = HilbertVec(SPACE, scale * rng.standard_normal(DIM))
+        f = chaos.tensor_from_vectors(SPACE, *([g] * q))
+        for seed in range(10):
+            w = sample_omega(SPACE, seed)
+            lhs = chaos.multiple_integral(f, w).value
+            rhs = chaos.elementary_power_value(g, q, w)
+            assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(rhs)))
 
 
 def test_isometry_monte_carlo():
@@ -167,6 +177,68 @@ def test_malliavin_derivative_first_order():
         up = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
         dn = chaos.multiple_integral(f, shift_omega(w, -eps, h)).value
         assert (up - dn) / (2 * eps) == pytest.approx(d1[j], abs=1e-6)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_malliavin_derivative_order_zero_is_value(q):
+    f = random_tensor(q, 52 + q)
+    for seed in range(3):
+        w = sample_omega(SPACE, seed)
+        d0 = chaos.malliavin_derivative(f, w, 0)
+        assert float(d0) == pytest.approx(chaos.multiple_integral(f, w).value, rel=1e-13)
+
+
+def _closed_form_wick(c, xi, q):
+    """Hand-expanded Wick values of orders 0..4 (oracle for the recursion).
+
+    Order 4 has 6 single and 3 double pairings for a symmetric array."""
+    if q == 0:
+        return float(c)
+    if q == 1:
+        return float(c @ xi)
+    if q == 2:
+        return float(xi @ c @ xi - np.trace(c))
+    if q == 3:
+        return float(np.einsum("ijk,i,j,k->", c, xi, xi, xi)
+                     - 3.0 * np.einsum("iik,k->", c, xi))
+    m4 = np.einsum("ijkl,i,j,k,l->", c, xi, xi, xi, xi)
+    m2 = np.einsum("iikl,k,l->", c, xi, xi)
+    return float(m4 - 6.0 * m2 + 3.0 * np.einsum("iijj->", c))
+
+
+def _closed_form_derivative(c, xi, q, r):
+    """Hand-expanded D^r I_q for inner order q - r <= 2 (oracle)."""
+    coef = math.factorial(q) / math.factorial(q - r)
+    inner = q - r
+    if inner == 0:
+        return coef * c
+    if inner == 1:
+        return coef * np.tensordot(xi, c, axes=(0, 0))
+    return coef * (np.einsum("i,j,ij...->...", xi, xi, c) - np.einsum("ii...->...", c))
+
+
+@pytest.mark.parametrize("n", [4, 8, 13])
+@pytest.mark.parametrize("seed", range(4))
+def test_wick_recursion_matches_closed_forms(n, seed):
+    space = make_hilbert(1, 0.0, 1.0, n)
+    w = sample_omega(space, seed)
+
+    def close(got, want, scale=1.0):
+        err = np.max(np.abs(np.asarray(got) - want))
+        return err <= 1e-13 * max(scale, np.max(np.abs(want)))
+
+    for q in range(4):
+        f = random_tensor(q, 1000 * n + seed, space)
+        assert close(chaos.multiple_integral(f, w).value, _closed_form_wick(f.coeffs, w.xi, q))
+        for r in range(q + 1):
+            want = (_closed_form_derivative(f.coeffs, w.xi, q, r) if q - r <= 2
+                    else _closed_form_wick(f.coeffs, w.xi, q))
+            assert close(chaos.malliavin_derivative(f, w, r), want)
+    rng = np.random.default_rng(seed)
+    c4 = chaos._perm_average(rng.standard_normal((n,) * 4), 4)
+    # order 4 cancels down from terms of size |c4| |xi|^4: measure against that
+    scale = np.linalg.norm(c4) * np.linalg.norm(w.xi) ** 4
+    assert close(chaos._wick_value(c4, w.xi, 4), _closed_form_wick(c4, w.xi, 4), scale)
 
 
 def test_malliavin_derivative_vanishing_order():

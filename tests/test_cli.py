@@ -96,6 +96,36 @@ def test_non_integer_run_values_exit_2(tmp_path, capsys, run, key):
     assert key in capsys.readouterr().err
 
 
+def bad(**sections):
+    return dict({"process": FAST_PROCESS, "run": {"M": 2}}, **sections)
+
+
+@pytest.mark.parametrize("command, payload, extra, key", [
+    ("simulate", bad(run={"out_times": []}), [], "run.out_times"),
+    ("simulate", bad(run={"out_times": "abc"}), [], "run.out_times"),
+    ("simulate", bad(process=dict(FAST_PROCESS, n="many")), [], "process.n"),
+    ("simulate", bad(process=dict(FAST_PROCESS, q="two")), [], "process.q"),
+    ("simulate", bad(process=dict(FAST_PROCESS, H="0.7")), [], "process.H"),
+    ("simulate", bad(process=dict(FAST_PROCESS, L="8")), [], "process.L"),
+    ("simulate", bad(process=dict(FAST_PROCESS, q=2, s_nodes=0)), [], "process.s_nodes"),
+    ("simulate", bad(process=dict(FAST_PROCESS, m=0)), [], "process.m"),
+    ("simulate", bad(run={"M": 0}), [], "run.M"),
+    ("simulate", bad(run={"M": -3}), [], "run.M"),
+    ("solve", bad(sde={"steps": -4}), [], "sde.steps"),
+    ("solve", bad(sde={"x0": ["a"]}), [], "sde.x0"),
+    ("solve", bad(sde={"x0": [1.0, 2.0]}), [], "sde.x0"),
+    ("solve", bad(sde={"T": 0.0}), [], "sde.T"),
+    ("malliavin", bad(run={"eps": [0.1, 0.0]}), [], "run.eps"),
+    ("check", bad(process=3), [], "process"),
+    ("check", bad(run={"M": 1}), [], "run.M"),
+    ("density", bad(), ["--workers", "-2"], "--workers"),
+])
+def test_invalid_config_exits_2(tmp_path, capsys, command, payload, extra, key):
+    code, _ = run_cli(tmp_path, command, payload, extra=extra)
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     code = main(["check", "--config", str(tmp_path / "nope.json")])
     assert code == 2

@@ -174,6 +174,25 @@ def test_factored_matches_dense_chaos(q, m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_wick_weights_match_closed_forms(q):
+    # hand-expanded per-order weight table, the oracle for the Hermite recurrence
+    from chaosde.hermite import _wick_weights
+
+    rng = np.random.default_rng(q)
+    g = rng.standard_normal((40, 32))
+    xi = rng.standard_normal(32)
+    gx, gg = g @ xi, np.einsum("ki,ki->k", g, g)
+    want = {1: (gx, np.ones_like(gx)),
+            2: (gx * gx - gg, 2.0 * gx),
+            3: (gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg))}[q]
+    for got, ref in zip(_wick_weights(g, xi, q), want):
+        if q < 3:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_covariance_theoretical_values():
     assert covariance_theoretical(0.0, 1.0, 0.7) == 0.0
     assert covariance_theoretical(1.0, 1.0, 0.7) == pytest.approx(1.0)
