@@ -78,7 +78,7 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
     """M independent samples with per-seed determinism.
 
     Blowups are excluded from the arrays and their seeds reported; nothing
-    is imputed.
+    is imputed.  x_samples has shape (kept, d) even when nothing is kept.
     """
     if M < 2:
         raise ConfigError("ensemble needs at least 2 draws")
@@ -89,10 +89,11 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
         results = _parallel_chunk((scenario, seeds))
     kept = [r for r in results if r[1] is not None]
     excluded = [r[0] for r in results if r[1] is None]
+    d = preset(scenario.preset)[0].d
     return SampleEnsemble(
         t=scenario.t,
         seeds=[r[0] for r in kept],
-        x_samples=np.array([r[1] for r in kept]),
+        x_samples=np.array([r[1] for r in kept]).reshape(len(kept), d),
         det_samples=np.array([r[2] for r in kept]),
         min_eigs=np.array([r[3] for r in kept]),
         excluded_seeds=excluded,
@@ -216,7 +217,7 @@ def ks_two_sample(a, b) -> dict:
 def dump_csv(ensemble: SampleEnsemble, fh):
     """Ensemble dump to the open text stream fh: seed, t, x_1..x_d,
     det_gamma, min_eig, excluded_flag."""
-    d = ensemble.x_samples.shape[1] if ensemble.x_samples.size else 0
+    d = ensemble.x_samples.shape[1]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
                     + ["det_gamma", "min_eig", "excluded_flag"])

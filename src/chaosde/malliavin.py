@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, OutOfRangeError, SpaceMismatchError
+from .errors import BlowupError, InvalidDimensionError, OutOfRangeError, SpaceMismatchError
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
 from .chaos import SymTensor, taylor_shift
 from .hermite import DrivingPath, GridDriver, HermiteSpec, KernelField, build_kernels
@@ -75,7 +75,8 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     dfields has shape (steps+1, m, n): the component-block coordinates of
     DF^l at every grid time (GridDriver.deriv_vectors output).  Each
     (k, l) pair is a Hilbert-valued Young integral evaluated with tol=0,
-    i.e. the finest-level left-point sum.
+    i.e. the finest-level left-point sum.  Raises BlowupError (step =
+    t_index) when DX or its Gram matrix is not finite.
     """
     if bundle.theta is None:
         solve_theta_all(coeffs, bundle)
@@ -97,6 +98,10 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
             g_path = bundle.theta[sub, t_index, k, ell]
             res = rs_integral_hvalued(times, g_path, dfields[sub, ell, :], tol=0.0)
             dx[k, space.component_slice(ell)] += np.asarray(res.value)
+    # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
+    # means a finite DX and a finite Malliavin matrix
+    if not np.isfinite(np.vdot(dx, dx)):
+        raise BlowupError(f"non-finite Malliavin derivative at step {t_index}", step=t_index)
     df = np.zeros((coeffs.m, space.basis_dim))
     for ell in range(coeffs.m):
         df[ell, space.component_slice(ell)] = dfields[t_index, ell, :]

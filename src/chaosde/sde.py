@@ -7,7 +7,9 @@ left-point increments.  Theta rows follow the convention that makes the
 left-point sum sum_i Theta_t(s_i) dpsi_i the exact derivative of the
 discrete flow: Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step
 Jacobians of steps i+1 .. t-1 (the step at s_i itself enters through the
-increment, not through Theta).
+increment, not through Theta).  The whole triangle is filled column by
+column, evaluating sigma and each one-step Jacobian once per step:
+O(steps) coefficient calls, O(steps^2) memory.
 """
 
 from __future__ import annotations
@@ -191,11 +193,30 @@ def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -
 
 
 def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> SolutionBundle:
-    """Fill the full (s, t) triangle; O(steps^2) time and memory."""
+    """Fill the full (s, t) triangle column by column.
+
+    Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
+    and J_j Theta[:j, j] in the rows above: the entries solve_theta builds
+    row by row.  sigma(X_j) and the step Jacobians J_j are evaluated once
+    per step, so the work is O(steps) coefficient calls and batched
+    products; the triangle itself takes O(steps^2) memory.  A non-finite
+    entry raises BlowupError at the first column that holds one.
+    """
     N = bundle.steps
-    theta = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))
-    for i in range(N + 1):
-        theta[i] = solve_theta(coeffs, bundle, i)
+    d, m = coeffs.d, coeffs.m
+    sig = np.array([coeffs.eval_sigma(x) for x in bundle.X])
+    dt = np.diff(bundle.times)
+    dF = np.diff(bundle.driver_values, axis=0)
+    jac = np.eye(d) + np.array([coeffs.eval_db(x) for x in bundle.X[:N]]) * dt[:, None, None]
+    jac += np.einsum("jklp,jl->jkp", np.array([coeffs.eval_dsigma(x) for x in bundle.X[:N]]), dF)
+    theta = np.zeros((N + 1, N + 1, d, m))
+    for j in range(N + 1):
+        if j > 0:
+            theta[:j - 1, j] = jac[j - 1] @ theta[:j - 1, j - 1]
+            theta[j - 1, j] = sig[j - 1]
+        theta[j, j] = sig[j]
+        if not np.all(np.isfinite(theta[:j + 1, j])):
+            raise BlowupError(f"non-finite variational state at step {j}", step=j)
     bundle.theta = theta
     return bundle
 
@@ -215,11 +236,9 @@ def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) ->
         raise InvalidDimensionError("psi must be an R^m path on the solver grid")
     N = bundle.steps
     dpsi = np.diff(psi, axis=0)
-    out = np.zeros((N + 1, coeffs.d))
-    for j in range(1, N + 1):
-        # sum_i<j Theta_{t_j}(t_i) dpsi_i
-        out[j] = np.einsum("ikl,il->k", bundle.theta[:j, j], dpsi[:j])
-    return out
+    # out[j] = sum_{i<j} Theta_{t_j}(t_i) dpsi_i: the diagonal i = j is left out
+    below = np.triu(np.ones((N, N + 1)), k=1)[:, :, None, None]
+    return np.einsum("ijkl,il->jk", bundle.theta[:N] * below, dpsi)
 
 
 def _elliptic_sigma(x):

@@ -169,6 +169,25 @@ def test_density_command(tmp_path):
     assert (out / "kde.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_density_with_every_seed_excluded(tmp_path):
+    # every path overflows: the degenerate report, not a traceback
+    payload = {
+        "process": {"q": 1, "n": 32, "L": 4.0},
+        "sde": {"preset": "linear-scalar", "x0": [1.797e308], "steps": 16},
+        "run": {"M": 2},
+    }
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    report = json.loads("\n".join(
+        (out / "positivity.json").read_text().splitlines()[1:]))
+    assert report["excluded"] == 2
+    assert report["degenerate"]
+    lines = (out / "ensemble.csv").read_text().splitlines()[1:]
+    assert lines == ["seed,t,x_1,det_gamma,min_eig,excluded_flag", "0,1,,,,1", "1,1,,,,1"]
+    assert not (out / "kde.csv").exists()
+
+
 def test_selfsim_command(tmp_path):
     payload = {
         "process": FAST_PROCESS,

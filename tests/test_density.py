@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from chaosde.errors import ConfigError, DegenerateLawError
+from chaosde.errors import BlowupError, ConfigError, DegenerateLawError
+from chaosde.wiener import sample_omega
+from chaosde.sde import solve_euler, solve_theta_all
+from chaosde.malliavin import solution_derivative
 from chaosde.density import (
     SampleEnsemble,
     Scenario,
@@ -61,6 +64,24 @@ def test_additive_law_variance():
     se = target * math.sqrt(2.0 / (len(x) - 1))
     assert abs(var - target) <= 3 * se
     assert np.mean(x) == pytest.approx(0.5 + 0.25, abs=3 * 1.5 / math.sqrt(len(x)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_malliavin_derivative_is_a_blowup():
+    # x0 at the top of the double range: seed 9 keeps a finite Euler state
+    # and a finite Theta, but its DX overflows; no sample keeps an inf det
+    sc = Scenario(preset="linear-scalar", x0=(1.797e308,), q=1, H=0.7,
+                  steps=16, n=32, L=4.0)
+    coeffs, x0, spec, driver = sc.build()
+    w = sample_omega(spec.space, 9)
+    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(w))))
+    with pytest.raises(BlowupError) as exc:
+        solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space, t_index=12)
+    assert exc.value.step == 12
+    ens = run_ensemble(sc, M=10, base_seed=0)
+    assert ens.excluded_seeds == list(range(10))
+    assert ens.x_samples.shape == (0, 1)
+    assert ens.det_samples.shape == ens.min_eigs.shape == (0,)
 
 
 def test_kde_standard_normal():

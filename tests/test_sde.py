@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError
 from chaosde.sde import (
@@ -111,6 +113,51 @@ def test_theta_constant_sigma():
     row = solve_theta(coeffs, bundle, 5)
     assert np.all(row[:5] == 0.0)
     assert np.allclose(row[5:], 1.5)
+
+
+@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+       st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+@example("elliptic-2d", 1, 0, 0.1)
+@example("linear-scalar", 2, 0, 0.1)
+@settings(max_examples=40, deadline=None)
+def test_theta_triangle_matches_rows(name, steps, seed, scale):
+    # the column recursion against the row-by-row oracle solve_theta
+    coeffs, x0 = preset(name)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    F = np.cumsum(rng.standard_normal((steps + 1, coeffs.m)), axis=0) * scale
+    F[0] = 0.0
+    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (times, F)))
+    assert bundle.theta.shape == (steps + 1, steps + 1, coeffs.d, coeffs.m)
+    for s_idx in range(steps + 1):
+        want = solve_theta(coeffs, bundle, s_idx)
+        gap = np.max(np.abs(bundle.theta[s_idx] - want))
+        assert gap <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_theta_blowup_reports_first_column():
+    # bounded sigma keeps Euler finite; dsigma = 1e300 makes each one-step
+    # Jacobian ~6e298, so a product of two of them overflows Theta
+    huge = SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.zeros(1),
+        sigma=lambda x: np.array([[1.0 + 0.5 * np.sin(x[0])]]),
+        db=lambda x: np.zeros((1, 1)),
+        dsigma=lambda x: np.full((1, 1, 1), 1e300),
+    )
+    times, F = smooth_driver(16)
+    bundle = solve_euler(huge, np.array([0.3]), (times, F))
+    # oracle: the earliest step at which some row overflows
+    first = []
+    for s_idx in range(bundle.steps + 1):
+        try:
+            solve_theta(huge, bundle, s_idx)
+        except BlowupError as err:
+            first.append(err.step)
+    with pytest.raises(BlowupError) as exc:
+        solve_theta_all(huge, bundle)
+    assert exc.value.step == min(first) == 3
 
 
 def test_theta_closed_form_linear():
