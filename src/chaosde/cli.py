@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BlowupError, ChaosdeError, ConfigError
+from .errors import BlowupError, ChaosdeError, ConfigError, MemoryBudgetError
 from .wiener import GaussianDraw, HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
@@ -168,6 +168,10 @@ def _build_field(cfg: dict):
 
 def cmd_simulate(cfg: dict) -> int:
     spec, field = _build_field(cfg)
+    try:
+        field.check_dense_budget()  # the kernel dump needs the dense blocks
+    except MemoryBudgetError as exc:
+        raise ConfigError(f"process.n={spec.space.n} invalid: {exc}") from None
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     values = simulate_paths(field, range(seed, seed + M))
     path = _outpath(cfg, "driver.csv")

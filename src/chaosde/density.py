@@ -168,7 +168,8 @@ def positivity_report(ensemble: SampleEnsemble, eps_det: float = None) -> dict:
     """Fraction of samples whose Malliavin determinant clears the threshold.
 
     Default threshold is scale-aware: 1e-12 * (trace Gamma / d)^d per
-    sample, using d inferred from the state dimension.
+    sample, using d inferred from the state dimension.  With every sample
+    excluded the four statistics are None (null in JSON, which has no NaN).
     """
     dets = ensemble.det_samples
     d = ensemble.x_samples.shape[1] if ensemble.x_samples.ndim > 1 else 1
@@ -181,11 +182,11 @@ def positivity_report(ensemble: SampleEnsemble, eps_det: float = None) -> dict:
         thresholds = np.full_like(dets, float(eps_det))
     ok = dets > thresholds
     return {
-        "fraction": float(np.mean(ok)) if dets.size else float("nan"),
-        "min_det": float(np.min(dets)) if dets.size else float("nan"),
-        "median_det": float(np.median(dets)) if dets.size else float("nan"),
+        "fraction": float(np.mean(ok)) if dets.size else None,
+        "min_det": float(np.min(dets)) if dets.size else None,
+        "median_det": float(np.median(dets)) if dets.size else None,
         "excluded": ensemble.excluded,
-        "threshold": float(np.min(thresholds)) if dets.size else float("nan"),
+        "threshold": float(np.min(thresholds)) if dets.size else None,
     }
 
 

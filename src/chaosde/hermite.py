@@ -219,12 +219,17 @@ class KernelField:
     def norm_at(self, ti: int) -> float:
         return math.sqrt(self.inner(ti, ti))
 
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """Dense blocks, shape (len(out_times),) + (n,)*q."""
+    def check_dense_budget(self):
+        """Raise MemoryBudgetError when one dense block would exceed the budget."""
         n, q = self.spec.space.n, self.spec.q
         if n**q > MEMORY_BUDGET_ENTRIES:
             raise MemoryBudgetError(f"order-{q} kernel block over {n} cells exceeds budget")
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Dense blocks, shape (len(out_times),) + (n,)*q."""
+        self.check_dense_budget()
+        n, q = self.spec.space.n, self.spec.q
         cells = "abc"[:q]
         subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
         out = np.empty((len(self.spec.out_times),) + (n,) * q)
@@ -551,19 +556,33 @@ class GridDriver:
 
 
 def export_kernels(field: KernelField, fh):
-    """Portable text dump to the open text stream fh: one line per nonzero
-    canonical (nondecreasing) multi-index."""
+    """Portable text dump to the open text stream fh: one line
+    `ti i_1 .. i_q value` per nonzero canonical (nondecreasing) multi-index,
+    in lexicographic order, values in %.17g.
+
+    Each leading (q-1)-tuple is one canonical row, the trailing indices
+    from its last entry on; a row's nonzero entries (NaN kept, -0.0
+    skipped) are written with one format of a repeated line template.
+    """
     spec = field.spec
+    n = spec.space.n
     fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
-    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n")
+    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n")
     fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
     fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
+    labels = [str(i) for i in range(n)]
     for ti, block in enumerate(field.blocks):
-        for idx in itertools.combinations_with_replacement(range(spec.space.n), spec.q):
-            v = block[idx]
-            if v != 0.0:
-                cols = " ".join(str(i) for i in idx)
-                fh.write(f"{ti} {cols} {v:.17g}\n")
+        for lead in itertools.combinations_with_replacement(range(n), spec.q - 1):
+            start = max(lead, default=0)
+            row = block[lead][start:]
+            ks = np.flatnonzero(row)
+            if ks.size == 0:
+                continue
+            args = [None] * (2 * ks.size)
+            args[0::2] = [labels[start + k] for k in ks.tolist()]
+            args[1::2] = row[ks].tolist()
+            line = " ".join([str(ti), *(labels[i] for i in lead), "%s %.17g\n"])
+            fh.write(line * ks.size % tuple(args))
 
 
 def import_kernels(path: str) -> tuple:

@@ -99,7 +99,8 @@ class SolutionBundle:
     """Euler solution on a grid, with the optional Theta triangle.
 
     theta[i, j] is the d x m matrix Theta_{t_j}(t_i) for j >= i, zero
-    above the diagonal in the other direction (s > t).
+    above the diagonal in the other direction (s > t).  sigma[i] is
+    sigma(X_i) for i < steps, as evaluated by the Euler steps.
     """
 
     times: np.ndarray
@@ -108,6 +109,7 @@ class SolutionBundle:
     x0: np.ndarray
     theta: np.ndarray = field(default=None)  # type: ignore[assignment]
     driver: DrivingPath = None
+    sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
     def steps(self) -> int:
@@ -148,14 +150,17 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     N = times.shape[0] - 1
     X = np.empty((N + 1, coeffs.d))
     X[0] = x0
+    sig = np.empty((N, coeffs.d, coeffs.m))
     for i in range(N):
         dt = times[i + 1] - times[i]
         dF = F[i + 1] - F[i]
-        X[i + 1] = X[i] + coeffs.eval_b(X[i]) * dt + coeffs.eval_sigma(X[i]) @ dF
+        drift = coeffs.eval_b(X[i]) * dt
+        sig[i] = coeffs.eval_sigma(X[i])
+        X[i + 1] = X[i] + drift + sig[i] @ dF
         if not np.all(np.isfinite(X[i + 1])):
             raise BlowupError(f"non-finite state at step {i + 1}", step=i + 1)
     dp = driver if isinstance(driver, DrivingPath) else None
-    return SolutionBundle(times=times, X=X, driver_values=F, x0=x0, driver=dp)
+    return SolutionBundle(times=times, X=X, driver_values=F, x0=x0, driver=dp, sigma=sig)
 
 
 def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
@@ -197,14 +202,15 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
 
     Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
     and J_j Theta[:j, j] in the rows above: the entries solve_theta builds
-    row by row.  sigma(X_j) and the step Jacobians J_j are evaluated once
-    per step, so the work is O(steps) coefficient calls and batched
+    row by row.  sigma(X_j) comes from the Euler steps (only sigma(X_N) is
+    evaluated here) and the step Jacobians J_j are evaluated once per
+    step, so the work is O(steps) coefficient calls and batched
     products; the triangle itself takes O(steps^2) memory.  A non-finite
     entry raises BlowupError at the first column that holds one.
     """
     N = bundle.steps
     d, m = coeffs.d, coeffs.m
-    sig = np.array([coeffs.eval_sigma(x) for x in bundle.X])
+    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N])[None]])
     dt = np.diff(bundle.times)
     dF = np.diff(bundle.driver_values, axis=0)
     jac = np.eye(d) + np.array([coeffs.eval_db(x) for x in bundle.X[:N]]) * dt[:, None, None]

@@ -183,9 +183,26 @@ def test_density_with_every_seed_excluded(tmp_path):
         (out / "positivity.json").read_text().splitlines()[1:]))
     assert report["excluded"] == 2
     assert report["degenerate"]
+
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    strict = json.loads("\n".join((out / "positivity.json").read_text().splitlines()[1:]),
+                        parse_constant=reject)
+    assert [strict[k] for k in ("fraction", "min_det", "median_det", "threshold")] == [None] * 4
     lines = (out / "ensemble.csv").read_text().splitlines()[1:]
     assert lines == ["seed,t,x_1,det_gamma,min_eig,excluded_flag", "0,1,,,,1", "1,1,,,,1"]
     assert not (out / "kde.csv").exists()
+
+
+def test_simulate_over_dense_budget_exits_2(tmp_path, capsys):
+    # the order-3 dump over 600 cells needs a 600^3 dense block: a size
+    # error in the configuration, rejected before any output is written
+    payload = {"process": {"q": 3, "n": 600, "L": 4.0}, "run": {"M": 2}}
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 2
+    assert "process.n=600" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selfsim_command(tmp_path):

@@ -1,6 +1,8 @@
 """Hermite driver kernels: constants, pointwise values, blocks, simulation,
 covariance, the central-limit oracle, self-similarity and Holder norms."""
 
+import io
+import itertools
 import math
 
 import numpy as np
@@ -259,6 +261,67 @@ def test_export_import_roundtrip(tmp_path):
     assert back_spec.q == spec.q and back_spec.H == spec.H
     assert back_calibrated == field.calibrated
     assert np.allclose(back_blocks, field.blocks, rtol=1e-14, atol=1e-300)
+
+
+def _export_kernels_loop(field, fh):
+    """Line-by-line kernel dump, one write per canonical multi-index: the
+    oracle for the row-batched export_kernels."""
+    spec = field.spec
+    fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
+    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n")
+    fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
+    fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
+    for ti, block in enumerate(field.blocks):
+        for idx in itertools.combinations_with_replacement(range(spec.space.n), spec.q):
+            v = block[idx]
+            if v != 0.0:
+                cols = " ".join(str(i) for i in idx)
+                fh.write(f"{ti} {cols} {v:.17g}\n")
+
+
+def _dump(export, field) -> str:
+    buf = io.StringIO()
+    export(field, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("calibrate", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_export_kernels_matches_line_loop(q, m, calibrate):
+    # out_times 0.5 leaves the cells in (0.5, 1] of the first block at zero
+    n = 14 if q == 3 else 40
+    spec = small_spec(q=q, n=n, L=1.0, m=m, out_times=(0.5, 1.0))
+    field = build_kernels(spec, calibrate=calibrate)
+    got = _dump(export_kernels, field)
+    assert got == _dump(_export_kernels_loop, field)
+    data = [line for line in got.splitlines() if not line.startswith("#")]
+    assert 0 < len(data) < 2 * math.comb(n + q - 1, q)
+    assert any(line.startswith("0 ") for line in data)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_export_kernels_special_values_match_line_loop(q):
+    # zeros, -0.0 (skipped), subnormals, NaN (kept) and infinities at
+    # scattered canonical entries of a replaced dense view
+    n = 10 if q == 3 else 30
+    spec = small_spec(q=q, n=n, L=1.0, out_times=(0.5, 1.0))
+    field = build_kernels(spec)
+    blocks = field.blocks.copy()
+    canon = list(itertools.combinations_with_replacement(range(n), q))
+    rng = np.random.default_rng(q)
+    specials = [0.0, -0.0, 5e-324, np.nan, -2.5e-310, np.inf, -np.inf, -0.0]
+    for ti in range(blocks.shape[0]):
+        for k, pick in enumerate(rng.choice(len(canon), size=24, replace=False)):
+            blocks[(ti,) + canon[pick]] = specials[k % len(specials)]
+    blocks[(1,) + (n - 1,) * q] = -0.0
+    blocks[(1,) + (0,) * q] = np.nan
+    field.__dict__["blocks"] = blocks
+    got = _dump(export_kernels, field)
+    assert got == _dump(_export_kernels_loop, field)
+    values = [line.split()[-1] for line in got.splitlines() if not line.startswith("#")]
+    assert {"nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(values)
+    assert not any(v in ("0", "-0") for v in values)
 
 
 def test_self_similarity_q1_deterministic():
