@@ -59,9 +59,13 @@ class SymTensor:
         return float(np.linalg.norm(self.coeffs.ravel()))
 
 
-def _check_budget(dim: int, q: int):
-    if dim**q > MEMORY_BUDGET_ENTRIES:
-        raise MemoryBudgetError(f"dense order-{q} tensor over dim {dim} exceeds budget")
+def check_budget(shape: tuple):
+    """Raise MemoryBudgetError when a dense array of this shape would hold
+    more than MEMORY_BUDGET_ENTRIES entries."""
+    entries = math.prod(shape)
+    if entries > MEMORY_BUDGET_ENTRIES:
+        raise MemoryBudgetError(f"dense array of shape {shape} holds {entries} entries, "
+                                f"over the budget of {MEMORY_BUDGET_ENTRIES}")
 
 
 def _perm_average(raw: np.ndarray, q: int) -> np.ndarray:
@@ -82,7 +86,7 @@ def symmetrize(space: HilbertDisc, raw: np.ndarray, q: int = None) -> SymTensor:
     if q is None:
         q = raw.ndim
     _check_order(q)
-    _check_budget(space.basis_dim, q)
+    check_budget((space.basis_dim,) * q)
     return SymTensor(space, q, _perm_average(raw, q))
 
 
@@ -107,10 +111,6 @@ def tensor_inner(f: SymTensor, g: SymTensor) -> float:
     return float(np.vdot(f.coeffs, g.coeffs))
 
 
-def tensor_norm(f: SymTensor) -> float:
-    return f.norm()
-
-
 def contract(f: SymTensor, g: SymTensor, r: int) -> np.ndarray:
     """r-fold contraction over the first r indices of each factor.
 
@@ -130,13 +130,6 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> np.ndarray:
     axes_f = tuple(range(r))
     axes_g = tuple(range(r))
     return np.tensordot(a, b, axes=(axes_f, axes_g))
-
-
-def sym_contract(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
-    raw = contract(f, g, r)
-    order = f.q + g.q - 2 * r
-    _check_order(order)
-    return symmetrize(f.space, raw, order)
 
 
 def hermite_poly(n: int, x, v=1.0):
@@ -160,11 +153,10 @@ def hermite_poly(n: int, x, v=1.0):
 
 @dataclass(frozen=True)
 class ChaosValue:
-    """Evaluated multiple integral, tagged with order and diagonal policy."""
+    """Evaluated multiple integral, tagged with its order."""
 
     value: float
     order: int
-    diag_policy: str = "wick"
 
 
 def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> np.ndarray:

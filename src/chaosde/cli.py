@@ -30,8 +30,8 @@ from .hermite import (
     self_similarity_stat,
     simulate_paths,
 )
-from .sde import preset, solve_euler, solve_theta_all, validate_derivatives
-from .malliavin import malliavin_matrix, solution_derivative
+from .sde import preset, solve_euler, validate_derivatives
+from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
 from .density import Scenario, dump_csv, kde, ks_two_sample, positivity_report, run_ensemble
 
 DEFAULT_CONFIG = {
@@ -212,7 +212,7 @@ def _check_records(cfg: dict):
 
     # Monte Carlo identities on a fixed chaos pair
     i1, i2 = integrals(g1), integrals(f)
-    iso_tgt = 2.0 * chaos.tensor_norm(f) ** 2
+    iso_tgt = 2.0 * f.norm() ** 2
     sig = np.std(i2 * i2, ddof=1) / math.sqrt(M)
     add("isometry_order2", abs(np.mean(i2 * i2) - iso_tgt), 3 * sig,
         abs(np.mean(i2 * i2) - iso_tgt) <= 3 * sig)
@@ -302,14 +302,11 @@ def cmd_malliavin(cfg: dict) -> int:
     seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    solve_theta_all(coeffs, bundle)
     mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
     mm = malliavin_matrix(mf)
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
     target = mf.dx @ h.coords
-    from .malliavin import directional_quotient
-
     lines = [f"t {_fmt(mf.t)}", f"det_gamma {_fmt(mm.det)}", f"min_eig {_fmt(mm.min_eig)}"]
     errs = []
     for eps in cfg["run"]["eps"]:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BlowupError, ConfigError, DegenerateLawError
 from .wiener import make_hilbert, sample_omega
 from .hermite import GridDriver, HermiteSpec
-from .sde import preset, solve_euler, solve_theta_all
+from .sde import preset, solve_euler
 from .malliavin import malliavin_matrix, solution_derivative
 
 
@@ -68,7 +68,6 @@ def _run_one(coeffs, x0, spec, driver, seed, with_malliavin):
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
     if not with_malliavin:
         return bundle.X[-1], float("nan"), float("nan")
-    solve_theta_all(coeffs, bundle)
     mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
     mm = malliavin_matrix(mf)
     return bundle.X[-1], mm.det, mm.min_eig

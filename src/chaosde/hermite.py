@@ -41,13 +41,12 @@ from scipy.special import betaln
 
 from .errors import (
     InvalidDimensionError,
-    MemoryBudgetError,
     OutOfRangeError,
     SpaceMismatchError,
     UnsupportedOrderError,
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, make_hilbert, sample_omega
-from .chaos import MAX_ORDER, MEMORY_BUDGET_ENTRIES, hermite_poly
+from .chaos import MAX_ORDER, check_budget, hermite_poly
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -220,10 +219,9 @@ class KernelField:
         return math.sqrt(self.inner(ti, ti))
 
     def check_dense_budget(self):
-        """Raise MemoryBudgetError when one dense block would exceed the budget."""
-        n, q = self.spec.space.n, self.spec.q
-        if n**q > MEMORY_BUDGET_ENTRIES:
-            raise MemoryBudgetError(f"order-{q} kernel block over {n} cells exceeds budget")
+        """Raise MemoryBudgetError when the dense view, one (n,)*q block per
+        output time, would exceed the budget."""
+        check_budget((len(self.spec.out_times),) + (self.spec.space.n,) * self.spec.q)
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -493,10 +491,9 @@ class GridDriver:
     Every quantity needed on an SDE grid is a prefix sum over
     time-quadrature nodes: the block at t_i is sum_{k<i} beta_k g_k^{(x)q}
     with g_k the cell-average factor at the midpoint of (t_k, t_{k+1}).
-    Values, Malliavin derivative vectors, and directional derivatives are
-    therefore O(n) per grid time, and the directional derivative is the
-    exact gradient of the value, which the difference-quotient checks rely
-    on.
+    Values and Malliavin derivative vectors are therefore O(n) per grid
+    time, and each derivative vector is the exact gradient of the value,
+    which the difference-quotient checks rely on.
 
     times must start at 0; values at time 0 are 0.
     """
@@ -515,7 +512,6 @@ class GridDriver:
         dts = np.diff(times)
         self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
         self._beta = c * space.delta ** (-q / 2.0) * dts
-        self.calibrated = calibrate
         self._rho = np.ones(times.shape[0])
         if calibrate:
             self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
@@ -529,18 +525,6 @@ class GridDriver:
         for ell in range(self.spec.m):
             val_w, _ = _wick_weights(self._g, _component_xi(space, w.xi, ell), self.spec.q)
             out[1:, ell] = np.cumsum(self._beta * val_w)
-        return out * self._rho[:, None]
-
-    def dir_deriv(self, w: GaussianDraw, h: np.ndarray) -> np.ndarray:
-        """<DF_t^ell, h> on the grid; h in full-basis coordinates."""
-        space = self.spec.space
-        h = np.asarray(h, dtype=float)
-        out = np.zeros((self.times.shape[0], self.spec.m))
-        for ell in range(self.spec.m):
-            sl = space.component_slice(ell)
-            val_w, der_w = _wick_weights(self._g, w.xi[sl], self.spec.q)
-            gh = self._g @ h[sl]
-            out[1:, ell] = np.cumsum(self._beta * der_w * gh)
         return out * self._rho[:, None]
 
     def deriv_vectors(self, w: GaussianDraw) -> np.ndarray:

@@ -16,28 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, InvalidDimensionError, OutOfRangeError, SpaceMismatchError
-from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
+from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert, shift_omega
 from .chaos import SymTensor, taylor_shift
 from .hermite import DrivingPath, GridDriver, HermiteSpec, KernelField, build_kernels
-from .sde import SdeCoefficients, SolutionBundle, solve_theta_all
+from .sde import SdeCoefficients, SolutionBundle, solve_euler, solve_theta_all
 from .young import rs_integral_hvalued
 
 
 @dataclass(frozen=True)
 class MalliavinField:
-    """Derivatives at one output time: DX per solution component, DF per
-    driver component, all as full-basis coordinate vectors."""
+    """DX at one output time: row k holds DX^k in full-basis coordinates."""
 
-    space: HilbertDisc
     t: float
     dx: np.ndarray
-    df: np.ndarray
-
-    def dx_vec(self, k: int) -> HilbertVec:
-        return HilbertVec(self.space, self.dx[k])
-
-    def df_vec(self, ell: int) -> HilbertVec:
-        return HilbertVec(self.space, self.df[ell])
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,9 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     dfields has shape (steps+1, m, n): the component-block coordinates of
     DF^l at every grid time (GridDriver.deriv_vectors output).  Each
     (k, l) pair is a Hilbert-valued Young integral evaluated with tol=0,
-    i.e. the finest-level left-point sum.  Raises BlowupError (step =
-    t_index) when DX or its Gram matrix is not finite.
+    i.e. the finest-level left-point sum.  Theta is filled first when the
+    bundle does not hold it yet.  Raises BlowupError (step = t_index) when
+    DX or its Gram matrix is not finite.
     """
     if bundle.theta is None:
         solve_theta_all(coeffs, bundle)
@@ -102,10 +94,7 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     # means a finite DX and a finite Malliavin matrix
     if not np.isfinite(np.vdot(dx, dx)):
         raise BlowupError(f"non-finite Malliavin derivative at step {t_index}", step=t_index)
-    df = np.zeros((coeffs.m, space.basis_dim))
-    for ell in range(coeffs.m):
-        df[ell, space.component_slice(ell)] = dfields[t_index, ell, :]
-    return MalliavinField(space=space, t=float(bundle.times[t_index]), dx=dx, df=df)
+    return MalliavinField(t=float(bundle.times[t_index]), dx=dx)
 
 
 def malliavin_matrix(mfield: MalliavinField) -> MalliavinMatrix:
@@ -197,10 +186,8 @@ def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
     report["cross_df_max"] = cross
 
     if h5_integrand is not None and dfields is not None and times is not None:
-        acc = np.zeros(dfields.shape[2])
-        for i in range(len(times) - 1):
-            y = float(h5_integrand(times[i]))
-            acc += y * (dfields[i + 1, 0, :] - dfields[i, 0, :])
+        y = [float(h5_integrand(t)) for t in times]
+        acc = rs_integral_hvalued(times, y, dfields[:, 0, :], tol=0.0).value
         report["h5_premise"] = float(np.linalg.norm(acc))
     else:
         report["h5_premise"] = None
@@ -210,9 +197,6 @@ def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
 def directional_quotient(coeffs: SdeCoefficients, x0, gd: GridDriver, w: GaussianDraw,
                          h: HilbertVec, eps: float) -> np.ndarray:
     """(X_T(omega + eps h) - X_T(omega)) / eps for the discrete flow."""
-    from .sde import solve_euler
-    from .wiener import shift_omega
-
     base = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
     pert = solve_euler(coeffs, x0, (gd.times, gd.values(shift_omega(w, eps, h))))
     return (pert.X[-1] - base.X[-1]) / eps

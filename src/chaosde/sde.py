@@ -7,9 +7,10 @@ left-point increments.  Theta rows follow the convention that makes the
 left-point sum sum_i Theta_t(s_i) dpsi_i the exact derivative of the
 discrete flow: Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step
 Jacobians of steps i+1 .. t-1 (the step at s_i itself enters through the
-increment, not through Theta).  The whole triangle is filled column by
-column, evaluating sigma and each one-step Jacobian once per step:
-O(steps) coefficient calls, O(steps^2) memory.
+increment, not through Theta).  The one-step Jacobians are evaluated once
+per step (_step_jacobians); the whole triangle is filled from them column
+by column in O(steps^2) memory, while a directional derivative needs only
+the forward tangent recursion over them, in O(steps) memory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowupError, ConfigError, InvalidDimensionError
-from .hermite import DrivingPath
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,7 @@ class SolutionBundle:
     times: np.ndarray
     X: np.ndarray
     driver_values: np.ndarray
-    x0: np.ndarray
     theta: np.ndarray = field(default=None)  # type: ignore[assignment]
-    driver: DrivingPath = None
     sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
@@ -117,15 +115,11 @@ class SolutionBundle:
 
 
 def _driver_arrays(driver, times):
-    if isinstance(driver, DrivingPath):
-        dtimes = np.concatenate([[0.0], np.asarray(driver.times, dtype=float)])
-        dvals = np.vstack([np.zeros((1, driver.spec.m)), driver.values])
-    else:
-        dtimes, dvals = driver
-        dtimes = np.asarray(dtimes, dtype=float)
-        dvals = np.atleast_2d(np.asarray(dvals, dtype=float))
-        if dvals.shape[0] != dtimes.shape[0]:
-            dvals = dvals.T
+    dtimes, dvals = driver
+    dtimes = np.asarray(dtimes, dtype=float)
+    dvals = np.asarray(dvals, dtype=float)
+    if dvals.ndim != 2 or dvals.shape[0] != dtimes.shape[0]:
+        raise InvalidDimensionError("driver values need shape (len(driver times), m)")
     if times is None:
         times = dtimes
     times = np.asarray(times, dtype=float)
@@ -138,8 +132,8 @@ def _driver_arrays(driver, times):
 def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBundle:
     """Left-point Euler solve of dX = b dt + sigma dF along the given driver.
 
-    driver is a DrivingPath or a (times, values) pair sampled on the solver
-    grid or a refinement of it.
+    driver is a (times, values) pair, values of shape (len(times), m),
+    sampled on the solver grid or a refinement of it.
     """
     times, F = _driver_arrays(driver, times)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -159,8 +153,7 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
         X[i + 1] = X[i] + drift + sig[i] @ dF
         if not np.all(np.isfinite(X[i + 1])):
             raise BlowupError(f"non-finite state at step {i + 1}", step=i + 1)
-    dp = driver if isinstance(driver, DrivingPath) else None
-    return SolutionBundle(times=times, X=X, driver_values=F, x0=x0, driver=dp, sigma=sig)
+    return SolutionBundle(times=times, X=X, driver_values=F, sigma=sig)
 
 
 def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
@@ -168,6 +161,18 @@ def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
     J = np.eye(coeffs.d) + coeffs.eval_db(x) * dt
     J += np.einsum("klp,l->kp", coeffs.eval_dsigma(x), dF)
     return J
+
+
+def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
+    """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
+    j < steps, stacked to shape (steps, d, d): one db and one dsigma call
+    per step."""
+    N = bundle.steps
+    dt = np.diff(bundle.times)
+    dF = np.diff(bundle.driver_values, axis=0)
+    jac = np.eye(coeffs.d) + np.array([coeffs.eval_db(x) for x in bundle.X[:N]]) * dt[:, None, None]
+    jac += np.einsum("jklp,jl->jkp", np.array([coeffs.eval_dsigma(x) for x in bundle.X[:N]]), dF)
+    return jac
 
 
 def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -> np.ndarray:
@@ -209,13 +214,9 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
     entry raises BlowupError at the first column that holds one.
     """
     N = bundle.steps
-    d, m = coeffs.d, coeffs.m
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N])[None]])
-    dt = np.diff(bundle.times)
-    dF = np.diff(bundle.driver_values, axis=0)
-    jac = np.eye(d) + np.array([coeffs.eval_db(x) for x in bundle.X[:N]]) * dt[:, None, None]
-    jac += np.einsum("jklp,jl->jkp", np.array([coeffs.eval_dsigma(x) for x in bundle.X[:N]]), dF)
-    theta = np.zeros((N + 1, N + 1, d, m))
+    jac = _step_jacobians(coeffs, bundle)
+    theta = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))
     for j in range(N + 1):
         if j > 0:
             theta[:j - 1, j] = jac[j - 1] @ theta[:j - 1, j - 1]
@@ -230,21 +231,25 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
 def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) -> np.ndarray:
     """Directional Frechet derivative path: sum_l int_0^t Theta_t(s) dpsi_s^l.
 
-    psi is an R^m path on the solver grid; returns an R^d path.  Left-point
-    sums at full grid resolution, matching the Theta convention.
+    psi is an R^m path on the solver grid, shape (steps+1, m); returns an
+    R^d path.  Left-point sums at full grid resolution, matching the Theta
+    convention, by the forward tangent recursion y_0 = 0, y_{j+1} = J_j y_j
+    + sigma(X_j) dpsi_j over the one-step Jacobians: O(steps) work and
+    memory, no triangle.  A non-finite entry raises BlowupError at its step.
     """
-    if bundle.theta is None:
-        solve_theta_all(coeffs, bundle)
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    if psi.shape[0] != bundle.times.shape[0]:
-        psi = psi.T
+    psi = np.asarray(psi, dtype=float)
     if psi.shape != (bundle.times.shape[0], coeffs.m):
         raise InvalidDimensionError("psi must be an R^m path on the solver grid")
-    N = bundle.steps
-    dpsi = np.diff(psi, axis=0)
-    # out[j] = sum_{i<j} Theta_{t_j}(t_i) dpsi_i: the diagonal i = j is left out
-    below = np.triu(np.ones((N, N + 1)), k=1)[:, :, None, None]
-    return np.einsum("ijkl,il->jk", bundle.theta[:N] * below, dpsi)
+    jac = _step_jacobians(coeffs, bundle)
+    drive = np.einsum("jkl,jl->jk", bundle.sigma, np.diff(psi, axis=0))
+    out = np.zeros((bundle.steps + 1, coeffs.d))
+    for j in range(bundle.steps):
+        out[j + 1] = jac[j] @ out[j] + drive[j]
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if bad.any():
+        step = int(np.argmax(bad))
+        raise BlowupError(f"non-finite tangent state at step {step}", step=step)
+    return out
 
 
 def _elliptic_sigma(x):

@@ -196,13 +196,16 @@ def test_density_with_every_seed_excluded(tmp_path):
 
 
 def test_simulate_over_dense_budget_exits_2(tmp_path, capsys):
-    # the order-3 dump over 600 cells needs a 600^3 dense block: a size
-    # error in the configuration, rejected before any output is written
-    payload = {"process": {"q": 3, "n": 600, "L": 4.0}, "run": {"M": 2}}
-    code, out = run_cli(tmp_path, "simulate", payload)
-    assert code == 2
-    assert "process.n=600" in capsys.readouterr().err
-    assert not out.exists()
+    # the order-3 dump needs one dense n^3 block per output time: over 600
+    # cells one block is over budget, over 512 cells one block fits but the
+    # default three do not; a size error in the configuration, rejected
+    # before any output is written
+    for n in (600, 512):
+        payload = {"process": {"q": 3, "n": n, "L": 4.0}, "run": {"M": 2}}
+        code, out = run_cli(tmp_path, "simulate", payload)
+        assert code == 2
+        assert f"process.n={n}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_selfsim_command(tmp_path):

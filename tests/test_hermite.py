@@ -10,6 +10,7 @@ import pytest
 
 from chaosde.errors import (
     InvalidDimensionError,
+    MemoryBudgetError,
     OutOfRangeError,
     UnsupportedOrderError,
 )
@@ -103,6 +104,17 @@ def test_blocks_calibrated_norm_and_adapted(q):
         # symmetry
         if q == 2:
             assert np.allclose(block, block.T)
+
+
+def test_dense_budget_counts_every_block():
+    # one 512^3 block is exactly 2^27 entries, within budget; the dense view
+    # holds one block per output time, 3 * 2^27 entries (3.2 GB), which is
+    # not.  The check itself allocates nothing.
+    spec = small_spec(q=3, n=512, out_times=(0.25, 0.5, 1.0))
+    field = build_kernels(spec)
+    with pytest.raises(MemoryBudgetError):
+        field.check_dense_budget()
+    build_kernels(small_spec(q=3, n=512, out_times=(1.0,))).check_dense_budget()
 
 
 def test_block_q1_matches_pointwise_kernel():
@@ -386,14 +398,15 @@ def test_grid_driver_calibrated_variance_q1():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_grid_driver_directional_derivative_exact(q):
-    # dir_deriv must be the exact gradient of values in the draw coordinates
+    # the derivative vectors must be the exact gradient of values in the
+    # draw coordinates
     spec = small_spec(q=q, n=64, L=4.0, out_times=(1.0,))
     times = np.linspace(0.0, 1.0, 17)
     gd = GridDriver(spec, times)
     w = sample_omega(spec.space, 1)
     rng = np.random.default_rng(2)
     h = rng.standard_normal(spec.space.basis_dim)
-    target = gd.dir_deriv(w, h)
+    target = gd.deriv_vectors(w) @ h  # m = 1: one block spans the basis
     eps = 1e-6
     from chaosde.wiener import HilbertVec, shift_omega
 
@@ -402,19 +415,6 @@ def test_grid_driver_directional_derivative_exact(q):
     dn = gd.values(shift_omega(w, -eps, hv))
     fd = (up - dn) / (2 * eps)
     assert np.max(np.abs(fd - target)) <= 1e-6
-
-
-def test_grid_driver_deriv_vectors_consistent():
-    spec = small_spec(q=2, n=64, L=4.0, out_times=(1.0,))
-    times = np.linspace(0.0, 1.0, 9)
-    gd = GridDriver(spec, times)
-    w = sample_omega(spec.space, 3)
-    rng = np.random.default_rng(4)
-    h = rng.standard_normal(spec.space.basis_dim)
-    vecs = gd.deriv_vectors(w)
-    direct = gd.dir_deriv(w, h)
-    sl = spec.space.component_slice(0)
-    assert np.allclose(vecs[:, 0, :] @ h[sl], direct[:, 0], atol=1e-12)
 
 
 def test_grid_driver_validation():

@@ -25,6 +25,17 @@ def smooth_driver(steps, func=lambda t: t):
     return times, func(times)[:, None]
 
 
+def frechet_triangle(coeffs, bundle, psi):
+    """Oracle for frechet_directional: the strict-triangle einsum
+    out[j] = sum_{i<j} Theta_{t_j}(t_i) dpsi_i over the full Theta."""
+    if bundle.theta is None:
+        solve_theta_all(coeffs, bundle)
+    N = bundle.steps
+    dpsi = np.diff(psi, axis=0)
+    below = np.triu(np.ones((N, N + 1)), k=1)[:, :, None, None]
+    return np.einsum("ijkl,il->jk", bundle.theta[:N] * below, dpsi)
+
+
 def test_presets_have_consistent_derivatives():
     for name in ("additive", "linear-scalar", "elliptic-2d", "rank1-2d"):
         coeffs, x0 = preset(name)
@@ -75,6 +86,12 @@ def test_solver_shape_validation():
         solve_euler(coeffs, np.zeros(2), (times, F))
     with pytest.raises(InvalidDimensionError):
         solve_euler(coeffs, x0, (times, np.zeros((9, 2))))
+    # transposed driver values and a transposed psi are rejected, not guessed
+    with pytest.raises(InvalidDimensionError):
+        solve_euler(coeffs, x0, (times, F.T))
+    bundle = solve_euler(coeffs, x0, (times, F))
+    with pytest.raises(InvalidDimensionError):
+        frechet_directional(coeffs, bundle, F.T)
 
 
 def test_driver_subgrid():
@@ -158,6 +175,10 @@ def test_theta_blowup_reports_first_column():
     with pytest.raises(BlowupError) as exc:
         solve_theta_all(huge, bundle)
     assert exc.value.step == min(first) == 3
+    # the tangent recursion overflows at the same step along psi = t
+    with pytest.raises(BlowupError) as exc:
+        frechet_directional(huge, bundle, times[:, None])
+    assert exc.value.step == 3
 
 
 def test_theta_closed_form_linear():
@@ -179,6 +200,26 @@ def test_theta_closed_form_linear():
             got = bundle.theta[s_idx, t_idx, 0, 0]
             worst = max(worst, abs(got - exact) / exact)
     assert worst <= 0.01
+
+
+@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+       st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+@example("elliptic-2d", 1, 0, 0.1)
+@example("linear-scalar", 2, 0, 0.1)
+@settings(max_examples=40, deadline=None)
+def test_frechet_recursion_matches_triangle(name, steps, seed, scale):
+    # the forward tangent recursion against the strict-triangle einsum
+    coeffs, x0 = preset(name)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    F = np.cumsum(rng.standard_normal((steps + 1, coeffs.m)), axis=0) * scale
+    F[0] = 0.0
+    psi = rng.standard_normal((steps + 1, coeffs.m))
+    bundle = solve_euler(coeffs, x0, (times, F))
+    got = frechet_directional(coeffs, bundle, psi)
+    want = frechet_triangle(coeffs, bundle, psi)
+    assert got.shape == want.shape == (steps + 1, coeffs.d)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_frechet_additive_exact():
