@@ -19,15 +19,13 @@ import numpy as np
 
 from .errors import (
     InvalidDimensionError,
-    MemoryBudgetError,
     SpaceMismatchError,
     UnsupportedOrderError,
+    check_budget,
 )
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, iso_gaussian
 
 MAX_ORDER = 3
-#: dense storage cap (number of float64 entries per tensor)
-MEMORY_BUDGET_ENTRIES = 1 << 27
 
 
 def _check_order(q: int):
@@ -57,15 +55,6 @@ class SymTensor:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs.ravel()))
-
-
-def check_budget(shape: tuple):
-    """Raise MemoryBudgetError when a dense array of this shape would hold
-    more than MEMORY_BUDGET_ENTRIES entries."""
-    entries = math.prod(shape)
-    if entries > MEMORY_BUDGET_ENTRIES:
-        raise MemoryBudgetError(f"dense array of shape {shape} holds {entries} entries, "
-                                f"over the budget of {MEMORY_BUDGET_ENTRIES}")
 
 
 def _perm_average(raw: np.ndarray, q: int) -> np.ndarray:

@@ -10,6 +10,7 @@ carrying the library version and a hash of the effective configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -157,21 +158,30 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@contextlib.contextmanager
+def _budget_key(cfg: dict, key: str):
+    """Report a dense array over the memory budget as an invalid value of key."""
+    try:
+        yield
+    except MemoryBudgetError as exc:
+        section, name = key.split(".")
+        raise ConfigError(f"{key}={cfg[section][name]!r} invalid: {exc}") from None
+
+
 def _build_field(cfg: dict):
     p = cfg["process"]
     T = max(cfg["run"]["out_times"])
     space = make_hilbert(p["m"], -float(p["L"]), float(T), p["n"])
-    spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=p["m"], space=space,
-                       s_nodes=p["s_nodes"], out_times=tuple(cfg["run"]["out_times"]))
-    return spec, build_kernels(spec)
+    with _budget_key(cfg, "process.s_nodes"):
+        spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=p["m"], space=space,
+                           s_nodes=p["s_nodes"], out_times=tuple(cfg["run"]["out_times"]))
+        return spec, build_kernels(spec)
 
 
 def cmd_simulate(cfg: dict) -> int:
     spec, field = _build_field(cfg)
-    try:
+    with _budget_key(cfg, "process.n"):
         field.check_dense_budget()  # the kernel dump needs the dense blocks
-    except MemoryBudgetError as exc:
-        raise ConfigError(f"process.n={spec.space.n} invalid: {exc}") from None
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     values = simulate_paths(field, range(seed, seed + M))
     path = _outpath(cfg, "driver.csv")
@@ -194,6 +204,7 @@ def _check_records(cfg: dict):
     M = cfg["run"]["M"]
     if M < 2:
         raise ConfigError(f"run.M={M} invalid: the check statistics need at least 2 draws")
+    spec, field = _build_field(cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
     records = []
 
@@ -246,7 +257,6 @@ def _check_records(cfg: dict):
     add("product_formula", worst, 1e-10, worst <= 1e-10)
 
     # kernel covariance at the configured process parameters
-    spec, field = _build_field(cfg)
     T = len(spec.out_times)
     worst = 0.0
     for i in range(T):
@@ -274,9 +284,10 @@ def cmd_check(cfg: dict) -> int:
 
 def _scenario(cfg: dict) -> Scenario:
     p, s = cfg["process"], cfg["sde"]
-    return Scenario(preset=s["preset"], q=p["q"], H=float(p["H"]), t=float(s["T"]),
-                    steps=s["steps"], n=p["n"], L=float(p["L"]),
-                    x0=tuple(s["x0"]) if s["x0"] is not None else None)
+    with _budget_key(cfg, "sde.steps"):
+        return Scenario(preset=s["preset"], q=p["q"], H=float(p["H"]), t=float(s["T"]),
+                        steps=s["steps"], n=p["n"], L=float(p["L"]),
+                        x0=tuple(s["x0"]) if s["x0"] is not None else None)
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -302,7 +313,8 @@ def cmd_malliavin(cfg: dict) -> int:
     seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
+    with _budget_key(cfg, "sde.steps"):  # the variational triangle
+        mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
     mm = malliavin_matrix(mf)
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
@@ -327,7 +339,8 @@ def cmd_malliavin(cfg: dict) -> int:
 
 def cmd_density(cfg: dict) -> int:
     r = cfg["run"]
-    ensemble = run_ensemble(_scenario(cfg), r["M"], base_seed=r["seed"], workers=r["workers"])
+    with _budget_key(cfg, "sde.steps"):  # the variational triangle
+        ensemble = run_ensemble(_scenario(cfg), r["M"], base_seed=r["seed"], workers=r["workers"])
     csv_path = _outpath(cfg, "ensemble.csv")
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(_header(cfg))
@@ -358,21 +371,18 @@ def cmd_selfsim(cfg: dict) -> int:
     p, r = cfg["process"], cfg["run"]
     t, eps = float(r["t"]), float(r["epsilon_window"])
     space = make_hilbert(1, -float(p["L"]), t, p["n"])
-    spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=1, space=space,
-                       s_nodes=p["s_nodes"], out_times=(t,))
+    with _budget_key(cfg, "process.s_nodes"):
+        spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=1, space=space,
+                           s_nodes=p["s_nodes"], out_times=(t,))
     M, seed = r["M"], r["seed"]
-    cache = {}
-    lhs, rhs = [], []
-    for k in range(M):
-        w = sample_omega(space, seed + k)
-        a, b = self_similarity_stat(spec, t, eps, w, rhs_seed=seed + M + k, _cache=cache)
-        lhs.append(a)
-        rhs.append(b)
+    with _budget_key(cfg, "run.epsilon_window"):  # the lhs quadrature nodes
+        lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
+                                        range(seed + M, seed + 2 * M))
     result = ks_two_sample(lhs, rhs)
     if spec.q == 1:
         # order 1 is deterministic: both sides are draw-independent numbers,
         # so the relative gap is the decisive statistic, not the KS distance
-        result["deterministic_gap"] = abs(lhs[0] - rhs[0]) / abs(rhs[0])
+        result["deterministic_gap"] = float(abs(lhs[0] - rhs[0]) / abs(rhs[0]))
         ok = result["deterministic_gap"] <= 1e-3
     else:
         ok = result["statistic"] <= result["critical_1pct"]

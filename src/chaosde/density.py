@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, DegenerateLawError
+from .errors import BlowupError, ConfigError, DegenerateLawError, check_budget
 from .wiener import make_hilbert, sample_omega
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler
@@ -31,6 +31,9 @@ class Scenario:
     L: float = 8.0
     x0: tuple = None
     with_malliavin: bool = True
+
+    def __post_init__(self):
+        check_budget((self.steps, self.steps))  # the driver's calibration Gram
 
     def build(self):
         coeffs, x0_default = preset(self.preset)

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the one dense
+memory budget rule."""
+
+import math
+
+#: dense storage cap (number of float64 entries per array)
+MEMORY_BUDGET_ENTRIES = 1 << 27
 
 
 class ChaosdeError(Exception):
@@ -35,6 +41,15 @@ class BlowupError(ChaosdeError):
 
 class MemoryBudgetError(ChaosdeError):
     """A dense tensor allocation would exceed the configured cap."""
+
+
+def check_budget(shape: tuple):
+    """Raise MemoryBudgetError when a dense array of this shape would hold
+    more than MEMORY_BUDGET_ENTRIES entries."""
+    entries = math.prod(shape)
+    if entries > MEMORY_BUDGET_ENTRIES:
+        raise MemoryBudgetError(f"dense array of shape {shape} holds {entries} entries, "
+                                f"over the budget of {MEMORY_BUDGET_ENTRIES}")
 
 
 class ConfigError(ChaosdeError):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,9 +44,10 @@ from .errors import (
     OutOfRangeError,
     SpaceMismatchError,
     UnsupportedOrderError,
+    check_budget,
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, make_hilbert, sample_omega
-from .chaos import MAX_ORDER, check_budget, hermite_poly
+from .chaos import MAX_ORDER, hermite_poly
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -91,15 +92,13 @@ class HermiteSpec:
             raise OutOfRangeError("out_times must lie in (0, hi]")
         if self.s_nodes < 1:
             raise InvalidDimensionError("s_nodes must be positive")
+        if self.q >= 2:
+            check_budget((self.s_nodes, self.space.n + 1))  # factors at the nodes
         object.__setattr__(self, "out_times", times)
 
     @property
     def H0(self) -> float:
         return 1.0 + (self.H - 1.0) / self.q
-
-    @property
-    def constant(self) -> float:
-        return hurst_aux(self.H, self.q)[1]
 
 
 def kernel_eval(spec: HermiteSpec, t: float, xs) -> float:
@@ -135,7 +134,7 @@ def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
     return (lpow - rpow) / (a + 1.0)
 
 
-def _kernel_factors(spec: HermiteSpec, t: float, s_nodes: int) -> tuple:
+def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
     """Uncalibrated factors (g, beta) of L_t over one component.
 
     The block is sum_k beta_k g_k^{(x)q}.  For q >= 2, g_k are the cell
@@ -143,7 +142,7 @@ def _kernel_factors(spec: HermiteSpec, t: float, s_nodes: int) -> tuple:
     for q = 1 the time integral is exact: one factor, the difference of the
     second antiderivative between 0 and t, with beta = 1.
     """
-    space, q = spec.space, spec.q
+    space, q, s_nodes = spec.space, spec.q, spec.s_nodes
     H0, c = hurst_aux(spec.H, q)
     a = H0 - 1.5
     scale = c * space.delta ** (-q / 2.0)
@@ -169,14 +168,9 @@ def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
     return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
 
 
-def _factored_eval(g: np.ndarray, beta: np.ndarray, xi: np.ndarray, q: int) -> tuple:
-    """I_q of sum_k beta_k g_k^{(x)q} at xi and its derivative vector."""
-    val_w, der_w = _wick_weights(g, xi, q)
-    return float(beta @ val_w), (beta * der_w) @ g
-
-
 def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
     """rho_j scaling the prefix sum_{k<=j} beta_k g_k^{(x)q} to norm sqrt(t_j^{2H}/q!)."""
+    check_budget((beta.shape[0],) * 2)
     bb = beta[:, None] * beta[None, :] * (g @ g.T) ** q
     # prefix norms ||block_j||^2 over the growing leading square:
     # increment when adding node j is bb[j,j] + 2 sum_{k<j} bb[k,j]
@@ -207,8 +201,9 @@ class KernelField:
 
     def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
         """(I_q(f_ti), D I_q(f_ti)) at one component's coordinates xi."""
-        val, der = _factored_eval(self.g[ti], self.beta[ti], xi, self.spec.q)
-        return self.rho[ti] * val, self.rho[ti] * der
+        g, beta = self.g[ti], self.beta[ti]
+        val_w, der_w = _wick_weights(g, xi, self.spec.q)
+        return self.rho[ti] * float(beta @ val_w), self.rho[ti] * ((beta * der_w) @ g)
 
     def inner(self, i: int, j: int) -> float:
         """<f_i, f_j>, the Euclidean inner product of two blocks."""
@@ -237,18 +232,16 @@ class KernelField:
         return out
 
 
-def build_kernels(spec: HermiteSpec, calibrate: bool = True, s_nodes: int = None) -> KernelField:
+def build_kernels(spec: HermiteSpec, calibrate: bool = True) -> KernelField:
     """Cell-average kernel factors at every output time.
 
     With calibrate=True each block is scaled to its exact continuum norm
     sqrt(t^{2H}/q!), which enforces E[Z_t^2] = t^{2H} through the
     isometry and removes the diagonal-band discretization bias.
     """
-    if s_nodes is None:
-        s_nodes = spec.s_nodes
     gs, betas, rhos = [], [], []
     for t in spec.out_times:
-        g, beta = _kernel_factors(spec, t, s_nodes)
+        g, beta = _kernel_factors(spec, t)
         rho = 1.0
         if calibrate:
             if not np.any(g):
@@ -279,10 +272,6 @@ class DrivingPath:
         object.__setattr__(self, "values", values)
 
 
-def _component_xi(space: HilbertDisc, xi: np.ndarray, ell: int) -> np.ndarray:
-    return xi[space.component_slice(ell)]
-
-
 def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     """Evaluate Z_t^ell = I_q(kernel) on one draw, all times and components."""
     spec = field.spec
@@ -292,7 +281,7 @@ def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     values = np.empty((T, spec.m))
     for ti in range(T):
         for ell in range(spec.m):
-            values[ti, ell] = field.evaluate(ti, _component_xi(spec.space, w.xi, ell))[0]
+            values[ti, ell] = field.evaluate(ti, w.xi[spec.space.component_slice(ell)])[0]
     return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
 
 
@@ -345,19 +334,6 @@ def nclt_factor(spec: HermiteSpec, steps_per_unit: int):
     return chol, A
 
 
-def _nclt_one(spec, seed, chol, A, steps_per_unit) -> DrivingPath:
-    N_tot = chol.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    values = np.empty((len(spec.out_times), spec.m))
-    for ell in range(spec.m):
-        X = chol @ rng.standard_normal(N_tot)
-        hsum = np.concatenate([[0.0], np.cumsum(hermite_poly(spec.q, X))])
-        for ti, t in enumerate(spec.out_times):
-            K = min(int(math.floor(steps_per_unit * t)), N_tot)
-            values[ti, ell] = hsum[K] / A
-    return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=int(seed))
-
-
 def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarray:
     """Independent marginal-law oracle via normalized Hermite partial sums,
     shape (len(seeds), T, m).
@@ -367,29 +343,29 @@ def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarra
     """
     seeds = list(seeds)
     chol, A = nclt_factor(spec, steps_per_unit)
+    N_tot = chol.shape[0]
+    K = [min(int(math.floor(steps_per_unit * t)), N_tot) for t in spec.out_times]
     out = np.empty((len(seeds), len(spec.out_times), spec.m))
     for k, seed in enumerate(seeds):
-        out[k] = _nclt_one(spec, seed, chol, A, steps_per_unit).values
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        for ell in range(spec.m):
+            X = chol @ rng.standard_normal(N_tot)
+            hsum = np.concatenate([[0.0], np.cumsum(hermite_poly(spec.q, X))])
+            out[k, :, ell] = hsum[K] / A
     return out
 
 
-def _localized_derivative_energy(spec: HermiteSpec, factors: tuple, xi: np.ndarray,
-                                 window: np.ndarray) -> float:
-    """sum over cells r in the window of |D_r I_q(sum_k beta_k g_k^{(x)q})|^2."""
-    d = _factored_eval(*factors, xi, spec.q)[1][window]
-    return float(np.sum(d * d))
+def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
+                         rhs_seeds) -> tuple:
+    """Samples of each side of the localized-derivative law identity.
 
-
-def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, w: GaussianDraw,
-                         rhs_seed: int = None, _cache: dict = None) -> tuple:
-    """One sample of each side of the localized-derivative law identity.
-
-    lhs = sum over cells r in (t-eps, t] of |D_r(Z_t - Z_{t-eps})|^2 on the
-    given draw; rhs = eps^{2H} times the same functional of Z_1 on the
-    image grid under x -> (x - (t-eps))/eps, restricted to (0, 1], on an
-    independent draw.  The image grid and aligned quadrature nodes make
-    the two sides exactly equal in law for the discretized kernels, which
-    is the faithful finite analogue of the continuum statement.
+    lhs[k] = sum over cells r in (t-eps, t] of |D_r(Z_t - Z_{t-eps})|^2 on
+    the draw of seeds[k]; rhs[k] = eps^{2H} times the same functional of Z_1
+    on the image grid under x -> (x - (t-eps))/eps, restricted to (0, 1],
+    on the draw of rhs_seeds[k].  The image grid and aligned quadrature
+    nodes make the two sides exactly equal in law for the discretized
+    kernels, which is the faithful finite analogue of the continuum
+    statement.  Both draws enter through their first component.
 
     Kernels enter uncalibrated here: the identity is a statement about the
     homogeneous kernels themselves and per-side calibration constants
@@ -397,38 +373,28 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, w: GaussianDra
     """
     if not 0.0 < eps < t:
         raise OutOfRangeError(f"need 0 < eps < t, got eps={eps}, t={t}")
-    space = spec.space
-    if w.space != space:
-        raise SpaceMismatchError("draw built over a different discretization")
-    if _cache is not None and "factors" in _cache:
-        factors_lhs, spec_rhs, factors_rhs, win_lhs, win_rhs = _cache["factors"]
-    else:
-        # lhs s-node count chosen so window nodes are the exact images of
-        # the rhs nodes under the affine rescaling
-        s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
-        factors_lhs = _kernel_factors(spec, t, s_lhs)
-        lo_rhs = (space.lo - (t - eps)) / eps
-        space_rhs = make_hilbert(1, lo_rhs, 1.0, space.n)
-        spec_rhs = HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs,
-                               s_nodes=spec.s_nodes, out_times=(1.0,))
-        factors_rhs = _kernel_factors(spec_rhs, 1.0, spec.s_nodes)
+    # lhs s-node count chosen so window nodes are the exact images of the
+    # rhs nodes under the affine rescaling
+    s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
+    lhs_field = build_kernels(replace(spec, s_nodes=s_lhs, out_times=(t,)), calibrate=False)
+    space_rhs = make_hilbert(1, (spec.space.lo - (t - eps)) / eps, 1.0, spec.space.n)
+    rhs_field = build_kernels(HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs,
+                                          s_nodes=spec.s_nodes, out_times=(1.0,)),
+                              calibrate=False)
+
+    def energies(field, seeds, lo, hi):
         # only cells fully inside the window: a straddling cell carries
         # kernel mass from outside (t-eps, t], which the rescaled side
         # cannot represent
+        space, tol = field.spec.space, 1e-12
         edges = space.cell_edges()
-        tol = 1e-12
-        win_lhs = (edges[:-1] >= t - eps - tol) & (edges[1:] <= t + tol)
-        edges_rhs = space_rhs.cell_edges()
-        win_rhs = (edges_rhs[:-1] >= -tol) & (edges_rhs[1:] <= 1.0 + tol)
-        if _cache is not None:
-            _cache["factors"] = (factors_lhs, spec_rhs, factors_rhs, win_lhs, win_rhs)
-    xi = _component_xi(space, w.xi, 0)
-    lhs = _localized_derivative_energy(spec, factors_lhs, xi, win_lhs)
-    if rhs_seed is None:
-        rhs_seed = w.seed + 1_000_003
-    xi_rhs = sample_omega(spec_rhs.space, rhs_seed).xi
-    rhs_raw = _localized_derivative_energy(spec_rhs, factors_rhs, xi_rhs, win_rhs)
-    rhs = eps ** (2.0 * spec.H) * rhs_raw
+        window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
+        ders = (field.evaluate(0, sample_omega(space, s).xi[space.component_slice(0)])[1][window]
+                for s in seeds)
+        return np.array([np.sum(d * d) for d in ders], dtype=float)
+
+    lhs = energies(lhs_field, seeds, t - eps, t)
+    rhs = eps ** (2.0 * spec.H) * energies(rhs_field, rhs_seeds, 0.0, 1.0)
     return lhs, rhs
 
 
@@ -441,11 +407,14 @@ def holder_norms(times, values, config: HolderConfig, theta: float = None) -> tu
       w2_oneminusalpha   sup_{s<t} (|f(t)-f(s)|/(t-s)^{1-alpha}
                                      + int_s^t |f(u)-f(s)|/(u-s)^{2-alpha} du)
     Integrals use the trapezoid rule with the singular endpoint dropped.
+    values has one row per time, shape (len(times), k), or is 1-D (k = 1).
     """
     times = np.asarray(times, dtype=float)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != times.shape[0]:
-        values = values.T
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2 or values.shape[0] != times.shape[0]:
+        raise InvalidDimensionError(f"values need one row per time, got {values.shape}")
     npts = times.shape[0]
     if npts < 8:
         raise InvalidDimensionError("need at least 8 grid points")
@@ -467,11 +436,11 @@ def holder_norms(times, values, config: HolderConfig, theta: float = None) -> tu
     w1 = 0.0
     for i in range(npts):
         if i == 0:
-            w1 = max(w1, mag[0])
+            w1 = max(w1, float(mag[0]))
             continue
         integrand = diffs[i, :i] / gaps[i, :i] ** (1.0 + alpha)
         integral = dt * (np.sum(integrand) - 0.5 * integrand[0])
-        w1 = max(w1, mag[i] + integral)
+        w1 = max(w1, float(mag[i] + integral))
 
     quot2 = np.zeros_like(gaps)
     quot2[upper] = diffs[upper] / gaps[upper] ** (1.0 - alpha)
@@ -498,7 +467,7 @@ class GridDriver:
     times must start at 0; values at time 0 are 0.
     """
 
-    def __init__(self, spec: HermiteSpec, times, calibrate: bool = True):
+    def __init__(self, spec: HermiteSpec, times):
         times = np.asarray(times, dtype=float)
         if times[0] != 0.0 or not np.all(np.diff(times) > 0):
             raise InvalidDimensionError("grid must start at 0 and increase strictly")
@@ -513,8 +482,7 @@ class GridDriver:
         self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
         self._beta = c * space.delta ** (-q / 2.0) * dts
         self._rho = np.ones(times.shape[0])
-        if calibrate:
-            self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
+        self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
     def values(self, w: GaussianDraw) -> np.ndarray:
         """Driver values on the grid, shape (len(times), m); row 0 is 0."""
@@ -523,7 +491,7 @@ class GridDriver:
             raise SpaceMismatchError("draw built over a different discretization")
         out = np.zeros((self.times.shape[0], self.spec.m))
         for ell in range(self.spec.m):
-            val_w, _ = _wick_weights(self._g, _component_xi(space, w.xi, ell), self.spec.q)
+            val_w, _ = _wick_weights(self._g, w.xi[space.component_slice(ell)], self.spec.q)
             out[1:, ell] = np.cumsum(self._beta * val_w)
         return out * self._rho[:, None]
 

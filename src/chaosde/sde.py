@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, InvalidDimensionError
+from .errors import BlowupError, ConfigError, InvalidDimensionError, check_budget
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,7 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
     entry raises BlowupError at the first column that holds one.
     """
     N = bundle.steps
+    check_budget((N + 1, N + 1, coeffs.d, coeffs.m))
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N])[None]])
     jac = _step_jacobians(coeffs, bundle)
     theta = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))

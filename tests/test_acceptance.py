@@ -326,16 +326,10 @@ def test_criterion_10_self_similarity_law():
     t, eps, M = 1.0, 0.25, 2000
     space = make_hilbert(1, -8.0, 1.0, 128)
     spec = HermiteSpec(q=2, H=0.7, m=1, space=space, out_times=(1.0,))
-    cache = {}
-    lhs, rhs = [], []
-    for k in range(M):
-        w = sample_omega(space, k)
-        a, b = self_similarity_stat(spec, t, eps, w, rhs_seed=M + k, _cache=cache)
-        lhs.append(a)
-        rhs.append(b)
+    lhs, rhs = self_similarity_stat(spec, t, eps, range(M), range(M, 2 * M))
     ks = ks_two_sample(lhs, rhs)
     spec1 = HermiteSpec(q=1, H=0.7, m=1, space=space, out_times=(1.0,))
-    l1, r1 = self_similarity_stat(spec1, t, eps, sample_omega(space, 0))
+    (l1,), (r1,) = self_similarity_stat(spec1, t, eps, [0], [1_000_003])
     det_gap = abs(l1 - r1) / abs(r1)
     ok = ks["statistic"] <= ks["critical_1pct"] and det_gap <= 1e-3
     report(10, "self-similarity law", ok,

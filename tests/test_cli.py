@@ -100,6 +100,9 @@ def bad(**sections):
     return dict({"process": FAST_PROCESS, "run": {"M": 2}}, **sections)
 
 
+Q2 = dict(FAST_PROCESS, q=2)
+
+
 @pytest.mark.parametrize("command, payload, extra, key", [
     ("simulate", bad(run={"out_times": []}), [], "run.out_times"),
     ("simulate", bad(run={"out_times": "abc"}), [], "run.out_times"),
@@ -119,11 +122,20 @@ def bad(**sections):
     ("check", bad(process=3), [], "process"),
     ("check", bad(run={"M": 1}), [], "run.M"),
     ("density", bad(), ["--workers", "-2"], "--workers"),
+    # sizes over the dense budget, rejected before the array exists
+    ("selfsim", bad(process=Q2, run={"M": 2, "epsilon_window": 1e-7}), [], "run.epsilon_window"),
+    ("simulate", bad(process=dict(Q2, s_nodes=10**9)), [], "process.s_nodes"),
+    ("check", bad(process=dict(Q2, s_nodes=10**9)), [], "process.s_nodes"),
+    ("simulate", bad(process=dict(Q2, n=16, s_nodes=20_000)), [], "process.s_nodes"),
+    ("solve", bad(sde={"steps": 40_000}), [], "sde.steps"),
+    ("density", bad(sde={"steps": 40_000}), [], "sde.steps"),
+    ("malliavin", bad(sde={"steps": 10**12}), [], "sde.steps"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, command, payload, extra, key):
-    code, _ = run_cli(tmp_path, command, payload, extra=extra)
+    code, out = run_cli(tmp_path, command, payload, extra=extra)
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chaosde.errors import BlowupError, ConfigError, DegenerateLawError
+from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryBudgetError
 from chaosde.wiener import sample_omega
 from chaosde.sde import solve_euler, solve_theta_all
 from chaosde.malliavin import solution_derivative
@@ -21,6 +21,15 @@ from chaosde.density import (
 )
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
+
+
+def test_scenario_steps_budget():
+    # the driver's (steps, steps) calibration Gram is checked when the
+    # scenario is made, before the solver grid exists
+    with pytest.raises(MemoryBudgetError):
+        Scenario(preset="additive", q=1, H=0.7, steps=40_000)
+    with pytest.raises(MemoryBudgetError):
+        Scenario(preset="additive", q=1, H=0.7, steps=10**12)
 
 
 def test_ensemble_deterministic():

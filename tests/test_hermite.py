@@ -15,7 +15,9 @@ from chaosde.errors import (
     UnsupportedOrderError,
 )
 from chaosde.wiener import HolderConfig, make_hilbert, sample_omega, zero_draw
+from chaosde.chaos import hermite_poly
 from chaosde.hermite import (
+    _cell_avg_matrix,
     GridDriver,
     HermiteSpec,
     build_kernels,
@@ -71,6 +73,12 @@ def test_spec_validation():
         small_spec(out_times=(0.5, 0.25))
     with pytest.raises(OutOfRangeError):
         small_spec(out_times=(0.5, 2.0))
+    # q >= 2 factors hold one row of n+1 cell edges per quadrature node: a
+    # billion nodes is over budget, rejected before any node exists; q = 1
+    # has one exact factor and never reads s_nodes
+    with pytest.raises(MemoryBudgetError):
+        small_spec(q=2, s_nodes=10**9)
+    small_spec(q=1, s_nodes=10**9)
 
 
 def test_kernel_eval_frozen_oracles():
@@ -115,6 +123,16 @@ def test_dense_budget_counts_every_block():
     with pytest.raises(MemoryBudgetError):
         field.check_dense_budget()
     build_kernels(small_spec(q=3, n=512, out_times=(1.0,))).check_dense_budget()
+
+
+def test_calibration_gram_budget():
+    # calibration forms the (nodes, nodes) Gram of the factors: 20000 time
+    # nodes pass the factor check at n = 16 but their Gram (4e8 entries)
+    # is over budget, for the kernels and for a solver-grid driver alike
+    with pytest.raises(MemoryBudgetError):
+        build_kernels(small_spec(q=2, n=16, s_nodes=20_000, out_times=(1.0,)))
+    with pytest.raises(MemoryBudgetError):
+        GridDriver(small_spec(q=1, n=16), np.linspace(0.0, 1.0, 20_001))
 
 
 def test_block_q1_matches_pointwise_kernel():
@@ -340,26 +358,76 @@ def test_self_similarity_q1_deterministic():
     # for q = 1 the localized derivative energy does not depend on the draw,
     # so the two sides must agree as numbers
     spec = small_spec(q=1, n=128, L=8.0, out_times=(1.0,))
-    lhs, rhs = self_similarity_stat(spec, 1.0, 0.25, sample_omega(spec.space, 0))
+    (lhs,), (rhs,) = self_similarity_stat(spec, 1.0, 0.25, [0], [1_000_003])
     assert lhs == pytest.approx(rhs, rel=1e-3)
 
 
 def test_self_similarity_validation():
     spec = small_spec(q=2, n=32)
     with pytest.raises(OutOfRangeError):
-        self_similarity_stat(spec, 0.5, 0.5, sample_omega(spec.space, 0))
+        self_similarity_stat(spec, 0.5, 0.5, [0], [1])
+    with pytest.raises(OutOfRangeError):  # t beyond the noise support
+        self_similarity_stat(spec, 1.5, 0.25, [0], [1])
+    # a window of 1e-7 asks for 6.4e8 lhs quadrature nodes: rejected before
+    # the node array exists
+    with pytest.raises(MemoryBudgetError):
+        self_similarity_stat(spec, 1.0, 1e-7, [0], [1])
+
+
+def selfsim_oracle(spec, t, eps, seeds, rhs_seeds):
+    """The per-draw computation self_similarity_stat replaced: raw factors
+    (g, beta) built directly, one derivative vector per draw, its squared
+    norm over the fully covered window cells."""
+    q = spec.q
+    H0, c = hurst_aux(spec.H, q)
+    a = H0 - 1.5
+
+    def factors(space, t, s_nodes):
+        scale = c * space.delta ** (-q / 2.0)
+        if q == 1:
+            prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
+            g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
+        else:
+            g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
+            beta = np.full(s_nodes, scale * t / s_nodes)
+        return g * (space.cell_midpoints() < t), beta
+
+    def window(space, lo, hi):
+        edges, tol = space.cell_edges(), 1e-12
+        return (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
+
+    def energy(g, beta, xi, win):
+        gx, gg = g @ xi, np.einsum("ki,ki->k", g, g)
+        d = ((beta * (q * hermite_poly(q - 1, gx, gg))) @ g)[win]
+        return float(np.sum(d * d))
+
+    space = spec.space
+    s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
+    g_l, b_l = factors(space, t, s_lhs)
+    space_r = make_hilbert(1, (space.lo - (t - eps)) / eps, 1.0, space.n)
+    g_r, b_r = factors(space_r, 1.0, spec.s_nodes)
+    win_l, win_r = window(space, t - eps, t), window(space_r, 0.0, 1.0)
+    lhs = [energy(g_l, b_l, sample_omega(space, k).xi[space.component_slice(0)], win_l)
+           for k in seeds]
+    rhs = [eps ** (2.0 * spec.H) * energy(g_r, b_r, sample_omega(space_r, k).xi, win_r)
+           for k in rhs_seeds]
+    return np.array(lhs), np.array(rhs)
+
+
+@pytest.mark.parametrize("q, m", [(1, 1), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("eps", [0.25, 0.3])
+def test_self_similarity_matches_raw_factor_oracle(q, m, eps):
+    spec = small_spec(q=q, n=64, L=4.0, m=m, s_nodes=48, out_times=(1.0,))
+    got = self_similarity_stat(spec, 1.0, eps, range(20), range(100, 120))
+    want = selfsim_oracle(spec, 1.0, eps, range(20), range(100, 120))
+    for g, w in zip(got, want):
+        assert g.shape == (20,)
+        assert g.tobytes() == w.tobytes()
 
 
 def test_self_similarity_q2_law_small():
     spec = small_spec(q=2, n=128, L=8.0, out_times=(1.0,))
-    cache = {}
-    lhs, rhs = [], []
-    for k in range(300):
-        w = sample_omega(spec.space, k)
-        a, b = self_similarity_stat(spec, 1.0, 0.25, w, rhs_seed=10_000 + k,
-                                    _cache=cache)
-        lhs.append(a)
-        rhs.append(b)
+    lhs, rhs = self_similarity_stat(spec, 1.0, 0.25, range(300), range(10_000, 10_300))
     # medians of the two laws agree to ~10% at this sample size
     assert np.median(lhs) == pytest.approx(np.median(rhs), rel=0.25)
 
@@ -374,6 +442,21 @@ def test_holder_norms_constant_and_linear():
     # linear path f(t) = 2t with theta = 1: sup quotient is the slope
     c_theta, _, _ = holder_norms(times, 2.0 * times[:, None], cfg, theta=1.0)
     assert c_theta == pytest.approx(4.0)
+
+
+def test_holder_norms_layout():
+    # one row per time: a (2, 9) array over 9 times is rejected, not
+    # transposed; 1-D values are one column; the norms are Python floats
+    cfg = HolderConfig(0.7)
+    times = np.linspace(0.0, 1.0, 9)
+    path = np.sin(3.0 * times)
+    with pytest.raises(InvalidDimensionError):
+        holder_norms(times, np.stack([path, path]), cfg)
+    with pytest.raises(InvalidDimensionError):
+        holder_norms(times, path[:, None, None], cfg)
+    norms = holder_norms(times, path, cfg)
+    assert norms == holder_norms(times, path[:, None], cfg)
+    assert all(type(v) is float for v in norms)
 
 
 def test_holder_norms_requires_uniform_grid():

@@ -59,3 +59,31 @@ def test_scan_sees_function_local_and_package_imports(tmp_path):
                    "def f():\n    from .hermite import GridDriver\n"
                    "    import chaosde.young\n")
     assert package_imports(src) == {"__init__", "chaos", "hermite", "young"}
+
+
+def underscore_parameters(path: pathlib.Path) -> list:
+    """(function, parameter) for every parameter of every function or lambda
+    in the source file whose name starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            name = getattr(node, "name", "<lambda>")
+            found += [(name, p.arg) for p in params if p.arg.startswith("_")]
+    return found
+
+
+def test_no_private_parameters():
+    # a parameter is part of the signature: one a caller must not pass has
+    # no place there
+    bad = {p.stem: underscore_parameters(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in bad.items() if v} == {}
+
+
+def test_private_parameter_scan(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("def f(a, _b, *, _c=1, **_d):\n    pass\n"
+                   "class K:\n    def g(self, *_e):\n        return lambda _x: _x\n")
+    assert underscore_parameters(src) == [("f", "_b"), ("f", "_c"), ("f", "_d"),
+                                          ("g", "_e"), ("<lambda>", "_x")]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError
+from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError, MemoryBudgetError
 from chaosde.sde import (
     SdeCoefficients,
     frechet_directional,
@@ -153,6 +153,18 @@ def test_theta_triangle_matches_rows(name, steps, seed, scale):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_theta_triangle_budget():
+    # at d = m = 2, 5800 steps make a (5801, 5801, 2, 2) triangle, over the
+    # budget, while the (5800, 5800) driver Gram is within it: rejected
+    # before the triangle is allocated
+    coeffs, x0 = preset("elliptic-2d")
+    times = np.linspace(0.0, 1.0, 5801)
+    bundle = solve_euler(coeffs, x0, (times, np.zeros((5801, 2))))
+    with pytest.raises(MemoryBudgetError):
+        solve_theta_all(coeffs, bundle)
+    assert bundle.theta is None
+
+
 def test_theta_blowup_reports_first_column():
     # bounded sigma keeps Euler finite; dsigma = 1e300 makes each one-step
     # Jacobian ~6e298, so a product of two of them overflows Theta
