@@ -111,14 +111,8 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> np.ndarray:
         raise SpaceMismatchError("tensors over different spaces")
     if not 0 <= r <= min(f.q, g.q):
         raise InvalidDimensionError(f"contraction order {r} out of range")
-    a, b = f.coeffs, g.coeffs
-    if r == 0:
-        if f.q == 0 or g.q == 0:
-            return a * b
-        return np.multiply.outer(a, b)
-    axes_f = tuple(range(r))
-    axes_g = tuple(range(r))
-    return np.tensordot(a, b, axes=(axes_f, axes_g))
+    axes = tuple(range(r))
+    return np.tensordot(f.coeffs, g.coeffs, axes=(axes, axes))
 
 
 def hermite_poly(n: int, x, v=1.0):
@@ -140,14 +134,6 @@ def hermite_poly(n: int, x, v=1.0):
     return h if h.ndim else float(h)
 
 
-@dataclass(frozen=True)
-class ChaosValue:
-    """Evaluated multiple integral, tagged with its order."""
-
-    value: float
-    order: int
-
-
 def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> np.ndarray:
     """I_q over the leading q axes of coeffs; trailing axes stay free.
 
@@ -163,11 +149,11 @@ def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> np.ndarray:
     return value
 
 
-def multiple_integral(f: SymTensor, w: GaussianDraw) -> ChaosValue:
+def multiple_integral(f: SymTensor, w: GaussianDraw) -> float:
     """I_q(f)(w) in Wick form; exact centered polynomial of degree q."""
     if f.space != w.space:
         raise SpaceMismatchError("tensor and draw over different spaces")
-    return ChaosValue(float(_wick_value(f.coeffs, w.xi, f.q)), f.q)
+    return float(_wick_value(f.coeffs, w.xi, f.q))
 
 
 def elementary_power_value(g: HilbertVec, q: int, w: GaussianDraw) -> float:
@@ -246,34 +232,6 @@ def reintegrate(f: SymTensor, w: GaussianDraw) -> float:
     return float(u @ w.xi - np.trace(du))
 
 
-def _rotation_with_first_row(e0: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first row is e0 (Householder construction)."""
-    dim = e0.shape[0]
-    u = np.zeros(dim)
-    u[0] = 1.0
-    v = e0 - u if e0[0] >= 0 else e0 + u
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        refl = np.eye(dim)
-    else:
-        v /= nv
-        refl = np.eye(dim) - 2.0 * np.outer(v, v)
-    # refl maps e0 to +-u; rows of refl (it is symmetric) give the basis
-    rot = refl.copy()
-    if e0[0] < 0:
-        rot[0] *= -1.0
-    # enforce first row exactly
-    rot[0] = e0
-    return rot
-
-
-def _rotate_tensor(coeffs: np.ndarray, rot: np.ndarray, q: int) -> np.ndarray:
-    out = coeffs
-    for axis in range(q):
-        out = np.moveaxis(np.tensordot(rot, out, axes=(1, axis)), 0, axis)
-    return out
-
-
 def decompose_along(f: SymTensor, e0: HilbertVec):
     """Split f along a unit direction e0: f = sum_k e0^{(x)k} (.) f_{q-k}.
 
@@ -281,31 +239,29 @@ def decompose_along(f: SymTensor, e0: HilbertVec):
     the orthogonal complement of e0 (expressed in the original basis).  The
     evaluation identity I_q(f) = sum_k I_k(e0^{(x)k}) I_{q-k}(f_{q-k}) then
     holds exactly, with I_k(e0^{(x)k}) = H_k(X_{e0}).
+
+    Writing each slot's identity as e0 e0' + P, P = I - e0 e0', and
+    expanding f over the q slots gives f_{q-k} = C(q, k) P^{(x)(q-k)} f_k
+    with f_k the k-fold contraction of f with e0.  Projecting every slot of
+    a symmetric array keeps it symmetric, and the parts are unique.
     """
     if f.space != e0.space:
         raise SpaceMismatchError("tensor and direction over different spaces")
     if abs(e0.norm() - 1.0) > 1e-10:
         raise InvalidDimensionError("direction vector must have unit norm")
-    q = f.q
-    rot = _rotation_with_first_row(e0.coords)
-    rotated = _rotate_tensor(f.coeffs, rot, q)
+    q, e = f.q, e0.coords
+    proj = np.eye(f.space.basis_dim) - np.outer(e, e)
     parts = []
+    contracted = f.coeffs
     for k in range(q + 1):
-        rem = q - k
-        sl = (0,) * k + (slice(None),) * rem
-        block = np.asarray(rotated[sl]) * math.comb(q, k)
-        if rem == 0:
-            part = SymTensor(f.space, 0, np.array(float(block)))
-        else:
-            # zero out residual mass on the e0 direction, then rotate back
-            clean = block.copy()
-            for axis in range(rem):
-                idx = [slice(None)] * rem
-                idx[axis] = 0
-                clean[tuple(idx)] = 0.0
-            back = _rotate_tensor(clean, rot.T, rem)
-            part = symmetrize(f.space, back, rem)
-        parts.append((k, part))
+        part = math.comb(q, k) * contracted
+        for _ in range(q - k):
+            # contracting axis 0 appends the projected slot last, so q - k
+            # passes project every slot and restore the axis order
+            part = np.tensordot(part, proj, axes=(0, 0))
+        parts.append((k, SymTensor(f.space, q - k, part)))
+        if k < q:
+            contracted = np.tensordot(contracted, e, axes=(0, 0))
     return parts
 
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BlowupError, ChaosdeError, ConfigError, MemoryBudgetError
+from .errors import BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, check_budget
 from .wiener import GaussianDraw, HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
@@ -33,7 +33,15 @@ from .hermite import (
 )
 from .sde import preset, solve_euler, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
-from .density import Scenario, dump_csv, kde, ks_two_sample, positivity_report, run_ensemble
+from .density import (
+    KDE_GRID_POINTS,
+    Scenario,
+    dump_csv,
+    kde,
+    ks_two_sample,
+    positivity_report,
+    run_ensemble,
+)
 
 DEFAULT_CONFIG = {
     "process": {"q": 1, "H": 0.7, "m": 1, "n": 256, "L": 8.0, "s_nodes": 64},
@@ -144,14 +152,16 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _header(cfg: dict) -> str:
-    return f"# chaosde {__version__} config={config_hash(cfg)}\n"
-
-
-def _outpath(cfg: dict, name: str) -> str:
+@contextlib.contextmanager
+def _output(cfg: dict, name: str):
+    """The output file `name`, open for text with LF line endings and its
+    header line written.  The output directory is made on the first file,
+    so a command that fails before writing leaves none behind."""
     directory = cfg["output"]["directory"]
     os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, name)
+    with open(os.path.join(directory, name), "w", newline="\n") as fh:
+        fh.write(f"# chaosde {__version__} config={config_hash(cfg)}\n")
+        yield fh
 
 
 def _fmt(x: float) -> str:
@@ -168,13 +178,20 @@ def _budget_key(cfg: dict, key: str):
         raise ConfigError(f"{key}={cfg[section][name]!r} invalid: {exc}") from None
 
 
-def _build_field(cfg: dict):
+def _spec(cfg: dict, m: int, out_times) -> HermiteSpec:
+    """The m-component driver on a noise grid ending at the last output time."""
     p = cfg["process"]
-    T = max(cfg["run"]["out_times"])
-    space = make_hilbert(p["m"], -float(p["L"]), float(T), p["n"])
-    with _budget_key(cfg, "process.s_nodes"):
-        spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=p["m"], space=space,
-                           s_nodes=p["s_nodes"], out_times=tuple(cfg["run"]["out_times"]))
+    space = make_hilbert(m, -float(p["L"]), float(out_times[-1]), p["n"])
+    # the spec checks its kernel factors, one row of n+1 cell edges per node:
+    # s_nodes nodes at q >= 2, the two ends of the exact time integral at q = 1
+    with _budget_key(cfg, "process.s_nodes" if p["q"] >= 2 else "process.n"):
+        return HermiteSpec(q=p["q"], H=float(p["H"]), m=m, space=space,
+                           s_nodes=p["s_nodes"], out_times=tuple(out_times))
+
+
+def _build_field(cfg: dict):
+    spec = _spec(cfg, cfg["process"]["m"], cfg["run"]["out_times"])
+    with _budget_key(cfg, "process.s_nodes"):  # the calibration Gram
         return spec, build_kernels(spec)
 
 
@@ -183,20 +200,20 @@ def cmd_simulate(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         field.check_dense_budget()  # the kernel dump needs the dense blocks
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
+    with _budget_key(cfg, "process.m"):
+        check_budget((spec.m, spec.space.n))  # one draw, m * n coordinates
+    with _budget_key(cfg, "run.M"):
+        check_budget((M, len(spec.out_times), spec.m))  # the driver values
     values = simulate_paths(field, range(seed, seed + M))
-    path = _outpath(cfg, "driver.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
-        fh.write("seed,t," + ",".join(f"F_{l + 1}" for l in range(spec.m)) + "\n")
+    with _output(cfg, "driver.csv") as driver:
+        driver.write("seed,t," + ",".join(f"F_{l + 1}" for l in range(spec.m)) + "\n")
         for k in range(M):
             for ti, t in enumerate(spec.out_times):
                 cols = ",".join(_fmt(v) for v in values[k, ti])
-                fh.write(f"{seed + k},{_fmt(t)},{cols}\n")
-    kpath = _outpath(cfg, "kernels.txt")
-    with open(kpath, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
-        export_kernels(field, fh)
-    print(f"wrote {path} and {kpath}")
+                driver.write(f"{seed + k},{_fmt(t)},{cols}\n")
+    with _output(cfg, "kernels.txt") as kernels:
+        export_kernels(field, kernels)
+    print(f"wrote {driver.name} and {kernels.name}")
     return 0
 
 
@@ -205,6 +222,8 @@ def _check_records(cfg: dict):
     if M < 2:
         raise ConfigError(f"run.M={M} invalid: the check statistics need at least 2 draws")
     spec, field = _build_field(cfg)
+    with _budget_key(cfg, "run.M"):
+        check_budget((M, 16))  # the Monte Carlo draws
     rng = np.random.default_rng(cfg["run"]["seed"])
     records = []
 
@@ -219,7 +238,7 @@ def _check_records(cfg: dict):
     u = chaos.SymTensor(space, 1, rng.standard_normal(16))
 
     def integrals(h):
-        return np.array([chaos.multiple_integral(h, w).value for w in draws])
+        return np.array([chaos.multiple_integral(h, w) for w in draws])
 
     # Monte Carlo identities on a fixed chaos pair
     i1, i2 = integrals(g1), integrals(f)
@@ -247,7 +266,7 @@ def _check_records(cfg: dict):
         h = HilbertVec(space, rng.standard_normal(16))
         eps = float(rng.uniform(-1, 1))
         lhs = chaos.taylor_shift(f, w, h, eps)
-        rhs2 = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
+        rhs2 = chaos.multiple_integral(f, shift_omega(w, eps, h))
         worst = max(worst, abs(lhs - rhs2) / max(1.0, abs(rhs2)))
     add("taylor_shift_identity", worst, 1e-10, worst <= 1e-10)
     worst = 0.0
@@ -270,9 +289,7 @@ def _check_records(cfg: dict):
 
 def cmd_check(cfg: dict) -> int:
     records = _check_records(cfg)
-    path = _outpath(cfg, "check_report.json")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+    with _output(cfg, "check_report.json") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")
     ok = all(r["pass"] for r in records)
@@ -282,21 +299,22 @@ def cmd_check(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def _scenario(cfg: dict) -> Scenario:
+def _scenario(cfg: dict):
+    """The SDE scenario and its built (coeffs, x0, spec, driver)."""
     p, s = cfg["process"], cfg["sde"]
-    with _budget_key(cfg, "sde.steps"):
-        return Scenario(preset=s["preset"], q=p["q"], H=float(p["H"]), t=float(s["T"]),
-                        steps=s["steps"], n=p["n"], L=float(p["L"]),
-                        x0=tuple(s["x0"]) if s["x0"] is not None else None)
+    with _budget_key(cfg, "sde.steps"):  # the driver's calibration Gram
+        scenario = Scenario(preset=s["preset"], q=p["q"], H=float(p["H"]), t=float(s["T"]),
+                            steps=s["steps"], n=p["n"], L=float(p["L"]),
+                            x0=tuple(s["x0"]) if s["x0"] is not None else None)
+    with _budget_key(cfg, "process.n"):  # the driver's (steps, n+1) cell-average factors
+        return scenario, scenario.build()
 
 
 def cmd_solve(cfg: dict) -> int:
-    coeffs, x0, spec, driver = _scenario(cfg).build()
+    _, (coeffs, x0, spec, driver) = _scenario(cfg)
     validate_derivatives(coeffs)
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
-    path = _outpath(cfg, "solution.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+    with _output(cfg, "solution.csv") as fh:
         fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
         for k in range(M):
             w = sample_omega(spec.space, seed + k)
@@ -304,12 +322,12 @@ def cmd_solve(cfg: dict) -> int:
             for i in range(0, bundle.steps + 1, max(1, bundle.steps // 16)):
                 cols = ",".join(_fmt(v) for v in bundle.X[i])
                 fh.write(f"{seed + k},{_fmt(bundle.times[i])},{cols}\n")
-    print(f"wrote {path}")
+    print(f"wrote {fh.name}")
     return 0
 
 
 def cmd_malliavin(cfg: dict) -> int:
-    coeffs, x0, spec, driver = _scenario(cfg).build()
+    _, (coeffs, x0, spec, driver) = _scenario(cfg)
     seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
@@ -329,9 +347,7 @@ def cmd_malliavin(cfg: dict) -> int:
     if len(errs) >= 2 and min(errs) > 0:
         order = np.polyfit(np.log([float(e) for e in cfg["run"]["eps"]]), np.log(errs), 1)[0]
         lines.append(f"observed_order {_fmt(float(order))}")
-    path = _outpath(cfg, "malliavin_report.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+    with _output(cfg, "malliavin_report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -339,18 +355,17 @@ def cmd_malliavin(cfg: dict) -> int:
 
 def cmd_density(cfg: dict) -> int:
     r = cfg["run"]
+    scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
+    with _budget_key(cfg, "run.M"):
+        check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     with _budget_key(cfg, "sde.steps"):  # the variational triangle
-        ensemble = run_ensemble(_scenario(cfg), r["M"], base_seed=r["seed"], workers=r["workers"])
-    csv_path = _outpath(cfg, "ensemble.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+        ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
+    with _output(cfg, "ensemble.csv") as fh:
         dump_csv(ensemble, fh)
     report = positivity_report(ensemble)
     try:
         est = kde(ensemble.x_samples[:, 0])
-        kde_path = _outpath(cfg, "kde.csv")
-        with open(kde_path, "w", newline="\n") as fh:
-            fh.write(_header(cfg))
+        with _output(cfg, "kde.csv") as fh:
             fh.write("x,density\n")
             for x, v in zip(est.grid, est.values):
                 fh.write(f"{_fmt(x)},{_fmt(v)}\n")
@@ -358,9 +373,7 @@ def cmd_density(cfg: dict) -> int:
         report["degenerate"] = False
     except ChaosdeError:
         report["degenerate"] = True
-    rpath = _outpath(cfg, "positivity.json")
-    with open(rpath, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+    with _output(cfg, "positivity.json") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
@@ -368,13 +381,12 @@ def cmd_density(cfg: dict) -> int:
 
 
 def cmd_selfsim(cfg: dict) -> int:
-    p, r = cfg["process"], cfg["run"]
+    r = cfg["run"]
     t, eps = float(r["t"]), float(r["epsilon_window"])
-    space = make_hilbert(1, -float(p["L"]), t, p["n"])
-    with _budget_key(cfg, "process.s_nodes"):
-        spec = HermiteSpec(q=p["q"], H=float(p["H"]), m=1, space=space,
-                           s_nodes=p["s_nodes"], out_times=(t,))
+    spec = _spec(cfg, 1, [t])
     M, seed = r["M"], r["seed"]
+    with _budget_key(cfg, "run.M"):
+        check_budget((M,))  # each side's samples
     with _budget_key(cfg, "run.epsilon_window"):  # the lhs quadrature nodes
         lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
                                         range(seed + M, seed + 2 * M))
@@ -386,9 +398,7 @@ def cmd_selfsim(cfg: dict) -> int:
         ok = result["deterministic_gap"] <= 1e-3
     else:
         ok = result["statistic"] <= result["critical_1pct"]
-    path = _outpath(cfg, "selfsim_report.json")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(cfg))
+    with _output(cfg, "selfsim_report.json") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
     print(json.dumps(result, indent=2))

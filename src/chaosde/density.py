@@ -39,8 +39,9 @@ class Scenario:
         coeffs, x0_default = preset(self.preset)
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else x0_default
         space = make_hilbert(coeffs.m, -self.L, self.t, self.n)
+        # the driver's time-quadrature nodes are the step midpoints
         spec = HermiteSpec(q=self.q, H=self.H, m=coeffs.m, space=space,
-                           out_times=(self.t,))
+                           s_nodes=self.steps, out_times=(self.t,))
         times = np.linspace(0.0, self.t, self.steps + 1)
         driver = GridDriver(spec, times)
         return coeffs, x0, spec, driver
@@ -140,7 +141,11 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def kde(samples, bandwidth: float = None, grid_points: int = 512) -> DensityEstimate:
+#: default number of KDE grid points; kde holds a (grid_points, samples) matrix
+KDE_GRID_POINTS = 512
+
+
+def kde(samples, bandwidth: float = None, grid_points: int = KDE_GRID_POINTS) -> DensityEstimate:
     """Gaussian-kernel density estimate with Silverman-rule bandwidth.
 
     Raises DegenerateLawError for (numerically) constant samples.

@@ -92,8 +92,9 @@ class HermiteSpec:
             raise OutOfRangeError("out_times must lie in (0, hi]")
         if self.s_nodes < 1:
             raise InvalidDimensionError("s_nodes must be positive")
-        if self.q >= 2:
-            check_budget((self.s_nodes, self.space.n + 1))  # factors at the nodes
+        # the kernel factors: one row of n+1 cell edges per quadrature node at
+        # q >= 2, and at q = 1 the two ends 0 and t of the exact time integral
+        check_budget((self.s_nodes if self.q >= 2 else 2, self.space.n + 1))
         object.__setattr__(self, "out_times", times)
 
     @property
@@ -479,6 +480,7 @@ class GridDriver:
         H0, c = hurst_aux(spec.H, q)
         mids = 0.5 * (times[:-1] + times[1:])
         dts = np.diff(times)
+        check_budget((mids.shape[0], space.n + 1))  # the cell-average factors
         self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
         self._beta = c * space.delta ** (-q / 2.0) * dts
         self._rho = np.ones(times.shape[0])

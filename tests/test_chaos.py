@@ -1,6 +1,7 @@
 """Chaos calculus: Hermite polynomials, multiple integrals, product formula,
 Malliavin derivatives, Taylor shifts, reintegration, decomposition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,11 @@ def test_contract_against_matrix_algebra():
     assert chaos.contract(f, g, 2) == pytest.approx(np.sum(f.coeffs * g.coeffs))
     c1 = chaos.contract(f, g, 1)
     assert np.allclose(c1, f.coeffs.T @ g.coeffs)
+    # r = 0 is the tensor product, each entry one product
+    assert np.array_equal(chaos.contract(f, g, 0), np.multiply.outer(f.coeffs, g.coeffs))
+    s = random_tensor(0, 4)
+    assert np.array_equal(chaos.contract(s, g, 0), s.coeffs * g.coeffs)
+    assert chaos.contract(s, s, 0) == s.coeffs * s.coeffs
     with pytest.raises(InvalidDimensionError):
         chaos.contract(f, g, 3)
 
@@ -98,18 +104,19 @@ def test_multiple_integral_wick_values():
     w = sample_omega(SPACE, 5)
     xi = w.xi
     f1 = random_tensor(1, 10)
-    assert chaos.multiple_integral(f1, w).value == pytest.approx(float(f1.coeffs @ xi))
+    assert type(chaos.multiple_integral(f1, w)) is float
+    assert chaos.multiple_integral(f1, w) == pytest.approx(float(f1.coeffs @ xi))
     f2 = random_tensor(2, 11)
     expected = float(xi @ f2.coeffs @ xi - np.trace(f2.coeffs))
-    assert chaos.multiple_integral(f2, w).value == pytest.approx(expected)
+    assert chaos.multiple_integral(f2, w) == pytest.approx(expected)
     # zero draw: I_2 reduces to minus the trace correction
-    assert chaos.multiple_integral(f2, zero_draw(SPACE)).value == pytest.approx(
+    assert chaos.multiple_integral(f2, zero_draw(SPACE)) == pytest.approx(
         -np.trace(f2.coeffs)
     )
     f3 = random_tensor(3, 12)
     c = f3.coeffs
     expected = float(np.einsum("ijk,i,j,k->", c, xi, xi, xi) - 3.0 * np.einsum("iik,k->", c, xi))
-    assert chaos.multiple_integral(f3, w).value == pytest.approx(expected)
+    assert chaos.multiple_integral(f3, w) == pytest.approx(expected)
 
 
 def test_multiple_integral_space_checked():
@@ -128,7 +135,7 @@ def test_elementary_power_oracle(q):
         f = chaos.tensor_from_vectors(SPACE, *([g] * q))
         for seed in range(10):
             w = sample_omega(SPACE, seed)
-            lhs = chaos.multiple_integral(f, w).value
+            lhs = chaos.multiple_integral(f, w)
             rhs = chaos.elementary_power_value(g, q, w)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(rhs)))
 
@@ -174,8 +181,8 @@ def test_malliavin_derivative_first_order():
     eps = 1e-6
     for j in range(DIM):
         h = HilbertVec(SPACE, np.eye(DIM)[j])
-        up = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
-        dn = chaos.multiple_integral(f, shift_omega(w, -eps, h)).value
+        up = chaos.multiple_integral(f, shift_omega(w, eps, h))
+        dn = chaos.multiple_integral(f, shift_omega(w, -eps, h))
         assert (up - dn) / (2 * eps) == pytest.approx(d1[j], abs=1e-6)
 
 
@@ -185,7 +192,7 @@ def test_malliavin_derivative_order_zero_is_value(q):
     for seed in range(3):
         w = sample_omega(SPACE, seed)
         d0 = chaos.malliavin_derivative(f, w, 0)
-        assert float(d0) == pytest.approx(chaos.multiple_integral(f, w).value, rel=1e-13)
+        assert float(d0) == pytest.approx(chaos.multiple_integral(f, w), rel=1e-13)
 
 
 def _closed_form_wick(c, xi, q):
@@ -229,7 +236,7 @@ def test_wick_recursion_matches_closed_forms(n, seed):
 
     for q in range(4):
         f = random_tensor(q, 1000 * n + seed, space)
-        assert close(chaos.multiple_integral(f, w).value, _closed_form_wick(f.coeffs, w.xi, q))
+        assert close(chaos.multiple_integral(f, w), _closed_form_wick(f.coeffs, w.xi, q))
         for r in range(q + 1):
             want = (_closed_form_derivative(f.coeffs, w.xi, q, r) if q - r <= 2
                     else _closed_form_wick(f.coeffs, w.xi, q))
@@ -258,7 +265,7 @@ def test_taylor_shift_matches_shifted_draw(q):
         h = HilbertVec(SPACE, rng.standard_normal(DIM))
         eps = float(rng.uniform(-2, 2))
         lhs = chaos.taylor_shift(f, w, h, eps)
-        rhs = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
+        rhs = chaos.multiple_integral(f, shift_omega(w, eps, h))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
 
@@ -268,7 +275,7 @@ def test_reintegrate_recovers_value(q):
     for seed in range(10):
         w = sample_omega(SPACE, seed)
         lhs = chaos.reintegrate(f, w)
-        rhs = chaos.multiple_integral(f, w).value
+        rhs = chaos.multiple_integral(f, w)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
 
@@ -278,21 +285,43 @@ def unit_vector(seed):
     return HilbertVec(SPACE, v / np.linalg.norm(v))
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_decompose_roundtrip_and_eval(q):
+def negative_first(seed):
+    v = unit_vector(seed).coords.copy()
+    v[0] = -abs(v[0])
+    return v
+
+
+# the basis directions +-e_0 and e_j and a first coordinate below zero are
+# the cases a rotation taking e0 to the first basis vector must special-case
+DIRECTIONS = {
+    "e0": lambda seed: np.eye(DIM)[0],
+    "-e0": lambda seed: -np.eye(DIM)[0],
+    "e3": lambda seed: np.eye(DIM)[3],
+    "negative-first": negative_first,
+}
+
+
+@pytest.mark.parametrize("q, direction", [pytest.param(q, None, id=str(q)) for q in (1, 2, 3)]
+                         + [pytest.param(q, name, id=f"{q}-{name}")
+                            for q in (1, 2, 3) for name in DIRECTIONS])
+def test_decompose_roundtrip_and_eval(q, direction):
     f = random_tensor(q, 80 + q)
-    e0 = unit_vector(q)
+    e0 = unit_vector(q) if direction is None else HilbertVec(SPACE, DIRECTIONS[direction](q))
     parts = chaos.decompose_along(f, e0)
     back = chaos.recompose(parts, e0)
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12
-    # each part is orthogonal to e0 in every slot
     for k, part in parts:
         if part.q >= 1:
+            # each part is orthogonal to e0 in every slot
             proj = np.tensordot(part.coeffs, e0.coords, axes=(0, 0))
             assert np.max(np.abs(proj)) <= 1e-12
+            # and symmetric, with no symmetrization pass
+            for perm in itertools.permutations(range(part.q)):
+                gap = np.max(np.abs(part.coeffs - np.transpose(part.coeffs, perm)))
+                assert gap <= 1e-14 * part.norm()
     for seed in range(5):
         w = sample_omega(SPACE, seed)
-        lhs = chaos.multiple_integral(f, w).value
+        lhs = chaos.multiple_integral(f, w)
         rhs = chaos.decompose_eval(parts, e0, w)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
@@ -325,5 +354,5 @@ def test_taylor_shift_property(seed, eps, q):
     w = sample_omega(SPACE, seed)
     h = HilbertVec(SPACE, rng.standard_normal(DIM))
     lhs = chaos.taylor_shift(f, w, h, eps)
-    rhs = chaos.multiple_integral(f, shift_omega(w, eps, h)).value
+    rhs = chaos.multiple_integral(f, shift_omega(w, eps, h))
     assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))

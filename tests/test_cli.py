@@ -130,6 +130,24 @@ Q2 = dict(FAST_PROCESS, q=2)
     ("solve", bad(sde={"steps": 40_000}), [], "sde.steps"),
     ("density", bad(sde={"steps": 40_000}), [], "sde.steps"),
     ("malliavin", bad(sde={"steps": 10**12}), [], "sde.steps"),
+    # the solver-grid driver's (steps, n+1) factors; at q = 2 its spec has
+    # one quadrature node per step, so no (s_nodes, n+1) check fires first
+    ("solve", bad(process=dict(FAST_PROCESS, n=3_000_000)), [], "process.n"),
+    ("malliavin", bad(process=dict(FAST_PROCESS, n=3_000_000)), [], "process.n"),
+    ("density", bad(process=dict(FAST_PROCESS, n=3_000_000)), [], "process.n"),
+    ("solve", bad(process=dict(Q2, n=3_000_000)), [], "process.n"),
+    ("malliavin", bad(process=dict(Q2, n=3_000_000)), [], "process.n"),
+    ("density", bad(process=dict(Q2, n=3_000_000)), [], "process.n"),
+    # the q = 1 kernel factors, two rows of n+1 cell edges
+    ("simulate", bad(process=dict(FAST_PROCESS, n=200_000_000)), [], "process.n"),
+    ("check", bad(process=dict(FAST_PROCESS, n=200_000_000)), [], "process.n"),
+    # one draw of m*n coordinates
+    ("simulate", bad(process={"m": 2_000_000}), [], "process.m"),
+    # every M-sized array, checked before the first draw
+    ("simulate", bad(run={"M": 10**9}), [], "run.M"),
+    ("density", bad(run={"M": 10**9}), [], "run.M"),
+    ("check", bad(run={"M": 10**9}), [], "run.M"),
+    ("selfsim", bad(run={"M": 10**9}), [], "run.M"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, command, payload, extra, key):
     code, out = run_cli(tmp_path, command, payload, extra=extra)

@@ -32,6 +32,15 @@ def test_scenario_steps_budget():
         Scenario(preset="additive", q=1, H=0.7, steps=10**12)
 
 
+def test_scenario_driver_nodes_are_the_steps():
+    # the solver-grid driver has one quadrature node per step, and its spec
+    # says so: with one step, 2.2e6 cells fit the budget although 64 nodes
+    # of n+1 cell edges would not
+    _, _, spec, driver = Scenario(preset="additive", q=2, H=0.7, steps=1, n=2_200_000).build()
+    assert spec.s_nodes == 1
+    assert driver.times.shape == (2,)
+
+
 def test_ensemble_deterministic():
     sc = Scenario(preset="additive", **SMALL)
     a = run_ensemble(sc, M=8, base_seed=11)
