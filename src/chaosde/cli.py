@@ -232,13 +232,17 @@ def _check_records(cfg: dict):
                         "pass": bool(ok)})
 
     space = make_hilbert(1, 0.0, 1.0, 16)
-    draws = [GaussianDraw(space, xi, k) for k, xi in enumerate(rng.standard_normal((M, 16)))]
+    xis = rng.standard_normal((M, 16))
     f = chaos.symmetrize(space, rng.standard_normal((16, 16)))
     g1 = chaos.SymTensor(space, 1, rng.standard_normal(16))
     u = chaos.SymTensor(space, 1, rng.standard_normal(16))
 
+    def draws():
+        # one draw object at a time over the rows of the one (M, 16) array
+        return (GaussianDraw(space, xi, k) for k, xi in enumerate(xis))
+
     def integrals(h):
-        return np.array([chaos.multiple_integral(h, w) for w in draws])
+        return np.array([chaos.multiple_integral(h, w) for w in draws()])
 
     # Monte Carlo identities on a fixed chaos pair
     i1, i2 = integrals(g1), integrals(f)
@@ -250,7 +254,7 @@ def _check_records(cfg: dict):
     add("orthogonality_12", abs(np.mean(i1 * i2)), 3 * sig, abs(np.mean(i1 * i2)) <= 3 * sig)
     # duality: E[I_2(f) * delta(u)] = E[<D I_2(f), u>] for u = const vector field
     delta_u = integrals(u)
-    dprod = np.array([chaos.malliavin_derivative(f, w, 1) @ u.coeffs for w in draws])
+    dprod = np.array([chaos.malliavin_derivative(f, w, 1) @ u.coeffs for w in draws()])
     gap = abs(np.mean(i2 * delta_u) - np.mean(dprod))
     sig = np.std(i2 * delta_u - dprod, ddof=1) / math.sqrt(M)
     add("duality", gap, 3 * sig, gap <= 3 * sig)

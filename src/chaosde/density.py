@@ -30,7 +30,6 @@ class Scenario:
     n: int = 256
     L: float = 8.0
     x0: tuple = None
-    with_malliavin: bool = True
 
     def __post_init__(self):
         check_budget((self.steps, self.steps))  # the driver's calibration Gram
@@ -67,11 +66,9 @@ class SampleEnsemble:
         return len(self.excluded_seeds)
 
 
-def _run_one(coeffs, x0, spec, driver, seed, with_malliavin):
+def _run_one(coeffs, x0, spec, driver, seed):
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    if not with_malliavin:
-        return bundle.X[-1], float("nan"), float("nan")
     mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
     mm = malliavin_matrix(mf)
     return bundle.X[-1], mm.det, mm.min_eig
@@ -109,8 +106,7 @@ def _parallel_chunk(args):
     out = []
     for seed in chunk:
         try:
-            out.append((seed,) + _run_one(coeffs, x0, spec, driver, seed,
-                                          scenario.with_malliavin))
+            out.append((seed,) + _run_one(coeffs, x0, spec, driver, seed))
         except BlowupError:
             out.append((seed, None, None, None))
     return out

@@ -10,7 +10,8 @@ I_q(L_t) with the homogeneous kernel
 H0 = 1 + (H-1)/q.  Discretely each kernel becomes an order-q coefficient
 block over the cells of one noise component; m components use m disjoint
 blocks of the same shape, which makes distinct components exactly
-orthogonal at the kernel level.
+orthogonal at the kernel level.  Evaluators take the (m, n) component view
+of a draw (`HilbertDisc.components`) and return every component at once.
 
 Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
@@ -158,13 +159,16 @@ def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
 
 
 def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
-    """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q}.
+    """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q},
+    shape (m, k) each, for the (m, n) component coordinates xi.
 
-    With gx = <g_k, xi> and gg = |g_k|^2, the value weight is
+    With gx = <g_k, xi^ell> and gg = |g_k|^2, the value weight is
     I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
     q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k.
     """
-    gx = g @ xi
+    # one stacked matrix-vector product per component: a single GEMM would
+    # reduce in another order and change the bits
+    gx = (g @ xi[:, :, None])[..., 0]
     gg = np.einsum("ki,ki->k", g, g)
     return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
 
@@ -189,9 +193,9 @@ class KernelField:
 
     The block at out_times[ti] is rho[ti] * sum_k beta[ti, k] g[ti, k]^{(x)q}
     over the cells of one component; component ell realizes it on its own
-    index range, so kernels of distinct components have disjoint support by
-    construction.  Values and derivatives come from the factors; the dense
-    (T,) + (n,)*q array is built on first use of `blocks`.
+    row of the component view, so kernels of distinct components have
+    disjoint support by construction.  Values and derivatives come from the
+    factors; the dense (T,) + (n,)*q array is built on first use of `blocks`.
     """
 
     spec: HermiteSpec
@@ -201,10 +205,13 @@ class KernelField:
     calibrated: bool
 
     def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
-        """(I_q(f_ti), D I_q(f_ti)) at one component's coordinates xi."""
+        """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (m,) and
+        (m, n), at the (m, n) component coordinates xi."""
         g, beta = self.g[ti], self.beta[ti]
         val_w, der_w = _wick_weights(g, xi, self.spec.q)
-        return self.rho[ti] * float(beta @ val_w), self.rho[ti] * ((beta * der_w) @ g)
+        value = (val_w[:, None, :] @ beta)[:, 0]
+        deriv = ((beta * der_w)[:, None, :] @ g)[:, 0]
+        return self.rho[ti] * value, self.rho[ti] * deriv
 
     def inner(self, i: int, j: int) -> float:
         """<f_i, f_j>, the Euclidean inner product of two blocks."""
@@ -278,11 +285,8 @@ def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     spec = field.spec
     if w.space != spec.space:
         raise SpaceMismatchError("draw built over a different discretization")
-    T = len(spec.out_times)
-    values = np.empty((T, spec.m))
-    for ti in range(T):
-        for ell in range(spec.m):
-            values[ti, ell] = field.evaluate(ti, w.xi[spec.space.component_slice(ell)])[0]
+    xi = spec.space.components(w.xi)
+    values = np.array([field.evaluate(ti, xi)[0] for ti in range(len(spec.out_times))])
     return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
 
 
@@ -390,7 +394,7 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         space, tol = field.spec.space, 1e-12
         edges = space.cell_edges()
         window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
-        ders = (field.evaluate(0, sample_omega(space, s).xi[space.component_slice(0)])[1][window]
+        ders = (field.evaluate(0, space.components(sample_omega(space, s).xi)[:1])[1][0, window]
                 for s in seeds)
         return np.array([np.sum(d * d) for d in ders], dtype=float)
 
@@ -486,26 +490,25 @@ class GridDriver:
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
+    def _components(self, w: GaussianDraw) -> np.ndarray:
+        """The (m, n) component coordinates of a draw over the driver's space."""
+        if w.space != self.spec.space:
+            raise SpaceMismatchError("draw built over a different discretization")
+        return self.spec.space.components(w.xi)
+
     def values(self, w: GaussianDraw) -> np.ndarray:
         """Driver values on the grid, shape (len(times), m); row 0 is 0."""
-        space = self.spec.space
-        if w.space != space:
-            raise SpaceMismatchError("draw built over a different discretization")
+        val_w, _ = _wick_weights(self._g, self._components(w), self.spec.q)
         out = np.zeros((self.times.shape[0], self.spec.m))
-        for ell in range(self.spec.m):
-            val_w, _ = _wick_weights(self._g, w.xi[space.component_slice(ell)], self.spec.q)
-            out[1:, ell] = np.cumsum(self._beta * val_w)
+        out[1:] = np.cumsum(self._beta * val_w, axis=1).T
         return out * self._rho[:, None]
 
     def deriv_vectors(self, w: GaussianDraw) -> np.ndarray:
         """Full DF vectors, shape (len(times), m, n) in component-block coords."""
-        space = self.spec.space
-        n = space.n
-        out = np.zeros((self.times.shape[0], self.spec.m, n))
-        for ell in range(self.spec.m):
-            _, der_w = _wick_weights(self._g, w.xi[space.component_slice(ell)], self.spec.q)
-            rows = (self._beta * der_w)[:, None] * self._g
-            out[1:, ell, :] = np.cumsum(rows, axis=0)
+        _, der_w = _wick_weights(self._g, self._components(w), self.spec.q)
+        rows = (self._beta * der_w).T[:, :, None] * self._g[:, None, :]
+        out = np.zeros((self.times.shape[0], self.spec.m, self.spec.space.n))
+        out[1:] = np.cumsum(rows, axis=0)
         return out * self._rho[:, None, None]
 
 

@@ -52,9 +52,8 @@ def driver_derivative(field: KernelField, w: GaussianDraw, ti: int, ell: int) ->
         raise SpaceMismatchError("draw built over a different discretization")
     if not 0 <= ell < space.m:
         raise OutOfRangeError(f"component {ell} out of range")
-    sl = space.component_slice(ell)
     coords = np.zeros(space.basis_dim)
-    coords[sl] = field.evaluate(ti, w.xi[sl])[1]
+    space.components(coords)[ell] = field.evaluate(ti, space.components(w.xi)[ell:ell + 1])[1][0]
     return HilbertVec(space, coords)
 
 
@@ -89,7 +88,7 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
         for ell in range(coeffs.m):
             g_path = bundle.theta[sub, t_index, k, ell]
             res = rs_integral_hvalued(times, g_path, dfields[sub, ell, :], tol=0.0)
-            dx[k, space.component_slice(ell)] += np.asarray(res.value)
+            space.components(dx)[k, ell] += np.asarray(res.value)
     # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
     # means a finite DX and a finite Malliavin matrix
     if not np.isfinite(np.vdot(dx, dx)):
@@ -118,12 +117,12 @@ def shifted_driver(field: KernelField, w: GaussianDraw, h: HilbertVec, eps: floa
     if w.space != space or h.space != space:
         raise SpaceMismatchError("mismatched spaces")
     sub = make_hilbert(1, space.lo, space.hi, space.n)
+    xi, hc = space.components(w.xi), space.components(h.coords)
     T = len(spec.out_times)
     values = np.empty((T, spec.m))
     for ell in range(spec.m):
-        sl = space.component_slice(ell)
-        w_sub = GaussianDraw(sub, w.xi[sl], w.seed)
-        h_sub = HilbertVec(sub, h.coords[sl])
+        w_sub = GaussianDraw(sub, xi[ell], w.seed)
+        h_sub = HilbertVec(sub, hc[ell])
         for ti in range(T):
             f = SymTensor(sub, spec.q, field.blocks[ti])
             values[ti, ell] = taylor_shift(f, w_sub, h_sub, eps)

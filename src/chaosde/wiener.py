@@ -27,7 +27,8 @@ from .errors import (
 class HilbertDisc:
     """Discretization of L^2([lo, hi], R^m) with n cells per component.
 
-    Basis index layout is component-major: index = ell * n + cell.
+    Basis index layout is component-major: index = ell * n + cell.  Only
+    `components` reads that layout; everything else goes through it.
     """
 
     m: int
@@ -50,11 +51,10 @@ class HilbertDisc:
     def cell_midpoints(self) -> np.ndarray:
         return self.lo + (np.arange(self.n) + 0.5) * self.delta
 
-    def flat_index(self, ell: int, cell: int) -> int:
-        return ell * self.n + cell
-
-    def component_slice(self, ell: int) -> slice:
-        return slice(ell * self.n, (ell + 1) * self.n)
+    def components(self, coords: np.ndarray) -> np.ndarray:
+        """The (..., m, n) view of basis coordinates (..., m * n): row ell
+        holds component ell's cells."""
+        return coords.reshape(coords.shape[:-1] + (self.m, self.n))
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,7 @@ def embed_function(space: HilbertDisc, f) -> HilbertVec:
     """
     mids = space.cell_midpoints()
     coords = np.empty(space.basis_dim)
+    cells = space.components(coords)
     root_delta = np.sqrt(space.delta)
     for i, t in enumerate(mids):
         val = np.atleast_1d(np.asarray(f(t), dtype=float))
@@ -169,8 +170,7 @@ def embed_function(space: HilbertDisc, f) -> HilbertVec:
             )
         if not np.all(np.isfinite(val)):
             raise EmbeddingError(f"f({t}) is not finite")
-        for ell in range(space.m):
-            coords[space.flat_index(ell, i)] = val[ell] * root_delta
+        cells[:, i] = val * root_delta
     return HilbertVec(space, coords)
 
 
@@ -180,19 +180,16 @@ def cameron_martin_path(space: HilbertDisc, h: HilbertVec, t: float) -> np.ndarr
     The boundary cells at 0 and t contribute linearly with the covered
     fraction, consistent with first-order (Euler) accuracy.
     """
-    _check_same_space(h, HilbertVec(space, np.zeros(space.basis_dim)))
+    if h.space != space:
+        raise SpaceMismatchError("h lives over a different discretization")
     if not (space.lo <= 0.0 <= t <= space.hi):
         raise OutOfRangeError(f"need lo <= 0 <= t <= hi, got t={t}")
     edges = space.cell_edges()
     # fraction of each cell covered by (0, t]
     overlap = np.clip(np.minimum(edges[1:], t) - np.maximum(edges[:-1], 0.0), 0.0, None)
     frac = overlap / space.delta
-    root_delta = np.sqrt(space.delta)
-    out = np.empty(space.m)
-    for ell in range(space.m):
-        block = h.coords[space.component_slice(ell)]
-        out[ell] = root_delta * float(block @ frac)
-    return out
+    # a stacked (1, n) @ (n,) product keeps each component's dot product
+    return np.sqrt(space.delta) * (space.components(h.coords)[:, None, :] @ frac)[:, 0]
 
 
 def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:

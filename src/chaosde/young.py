@@ -64,7 +64,7 @@ def _level_strides(npts: int):
 
 
 def _left_sum(g: np.ndarray, phi: np.ndarray, stride: int):
-    gs = g[:-stride:stride] if stride > 1 else g[:-1]
+    gs = g[:-stride:stride]
     inc = phi[stride::stride] - phi[:-stride:stride]
     if phi.ndim == 1:
         return float(gs @ inc)
@@ -78,9 +78,7 @@ def _estimate_holder(times: np.ndarray, path: np.ndarray) -> float:
     for lag in (1, 2, 4):
         if lag >= len(times):
             break
-        diffs = np.linalg.norm(vals[lag:] - vals[:-lag], axis=-1) if vals.ndim > 1 else np.abs(
-            vals[lag:] - vals[:-lag]
-        )
+        diffs = np.linalg.norm(vals[lag:] - vals[:-lag], axis=-1)
         m = float(np.max(diffs))
         if m > 0:
             exps.append((np.log(m), np.log(lag * float(np.max(np.diff(times))))))

@@ -1,10 +1,12 @@
 """Command-line interface: config handling, exit codes, output artifacts."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from chaosde.cli import main
+from chaosde import chaos
+from chaosde.cli import _check_records, load_config, main
 
 FAST_PROCESS = {"q": 1, "H": 0.7, "n": 64, "L": 4.0}
 
@@ -64,6 +66,24 @@ def test_check_passes(tmp_path, capsys):
     report = json.loads("\n".join(
         (out / "check_report.json").read_text().splitlines()[1:]))
     assert all(r["pass"] for r in report)
+
+
+def test_check_holds_only_its_draw_array(tmp_path, monkeypatch):
+    # check keeps its Monte Carlo draws as one (M, 16) array and makes each
+    # draw object where it is evaluated.  The chaos evaluations are swapped
+    # for stand-ins that keep nothing per draw: the peak stays the one the
+    # real evaluations reach, and the trace stays short.
+    M = 20_000
+    monkeypatch.setattr(chaos, "multiple_integral", lambda h, w: float(w.xi[0]))
+    monkeypatch.setattr(chaos, "malliavin_derivative", lambda f, w, order: w.xi)
+    cfg = load_config(write_config(tmp_path, {"run": {"M": M}}))
+    tracemalloc.start()
+    try:
+        _check_records(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * M * 16 * 8
 
 
 def test_invalid_hurst_exits_2(tmp_path, capsys):

@@ -23,6 +23,16 @@ from chaosde.density import (
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
 
+def terminal_states(scenario, M, base_seed):
+    """X_t of seeds base_seed.. base_seed + M - 1: the Euler solve of an
+    ensemble sample without its Malliavin matrix."""
+    coeffs, x0, spec, driver = scenario.build()
+    return np.array([
+        solve_euler(coeffs, x0, (driver.times, driver.values(sample_omega(spec.space, s)))).X[-1]
+        for s in range(base_seed, base_seed + M)
+    ])
+
+
 def test_scenario_steps_budget():
     # the driver's (steps, steps) calibration Gram is checked when the
     # scenario is made, before the solver grid exists
@@ -65,18 +75,17 @@ def test_ensemble_needs_two_draws():
 
 
 def test_parallel_matches_serial():
-    sc = Scenario(preset="additive", with_malliavin=False, **SMALL)
+    sc = Scenario(preset="additive", **SMALL)
     serial = run_ensemble(sc, M=6, base_seed=0, workers=1)
     par = run_ensemble(sc, M=6, base_seed=0, workers=2)
     assert np.array_equal(serial.x_samples, par.x_samples)
+    assert np.array_equal(serial.det_samples, par.det_samples)
 
 
 def test_additive_law_variance():
     # X_1 = x0 + b + sigma Z_1 with Var(Z_1) = 1: sample variance must
     # match sigma^2 within 3 sigma of its sampling error
-    sc = Scenario(preset="additive", with_malliavin=False, **SMALL)
-    ens = run_ensemble(sc, M=2000, base_seed=0)
-    x = ens.x_samples[:, 0]
+    x = terminal_states(Scenario(preset="additive", **SMALL), M=2000, base_seed=0)[:, 0]
     var = np.var(x, ddof=1)
     target = 1.5**2
     se = target * math.sqrt(2.0 / (len(x) - 1))
@@ -119,9 +128,7 @@ def test_kde_rejects_constant_and_short_samples():
 
 def test_kde_matches_exact_gaussian_law():
     # additive preset at t=1: X_1 is Gaussian with mean x0 + b and sd sigma
-    sc = Scenario(preset="additive", with_malliavin=False, **SMALL)
-    ens = run_ensemble(sc, M=4000, base_seed=100)
-    est = kde(ens.x_samples[:, 0])
+    est = kde(terminal_states(Scenario(preset="additive", **SMALL), M=4000, base_seed=100)[:, 0])
     mu, sd = 0.75, 1.5
     exact = np.exp(-0.5 * ((est.grid - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
     assert np.max(np.abs(est.values - exact)) <= 0.02

@@ -12,6 +12,7 @@ from chaosde.errors import (
     InvalidDimensionError,
     MemoryBudgetError,
     OutOfRangeError,
+    SpaceMismatchError,
     UnsupportedOrderError,
 )
 from chaosde.wiener import HolderConfig, make_hilbert, sample_omega, zero_draw
@@ -195,13 +196,12 @@ def test_factored_matches_dense_chaos(q, m):
         got = simulate_path(field, w).values
         want = np.empty_like(got)
         for ell in range(m):
-            sl = spec.space.component_slice(ell)
-            w_sub = GaussianDraw(sub, w.xi[sl], seed)
+            w_sub = GaussianDraw(sub, spec.space.components(w.xi)[ell], seed)
             for ti in range(len(spec.out_times)):
                 f = chaos.SymTensor(sub, q, field.blocks[ti])
                 want[ti, ell] = chaos.multiple_integral(f, w_sub)
                 d_want = chaos.malliavin_derivative(f, w_sub, 1)
-                d_got = driver_derivative(field, w, ti, ell).coords[sl]
+                d_got = spec.space.components(driver_derivative(field, w, ti, ell).coords)[ell]
                 assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -213,8 +213,8 @@ def test_wick_weights_match_closed_forms(q):
 
     rng = np.random.default_rng(q)
     g = rng.standard_normal((40, 32))
-    xi = rng.standard_normal(32)
-    gx, gg = g @ xi, np.einsum("ki,ki->k", g, g)
+    xi = rng.standard_normal((2, 32))
+    gx, gg = np.array([g @ x for x in xi]), np.einsum("ki,ki->k", g, g)
     want = {1: (gx, np.ones_like(gx)),
             2: (gx * gx - gg, 2.0 * gx),
             3: (gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg))}[q]
@@ -407,7 +407,7 @@ def selfsim_oracle(spec, t, eps, seeds, rhs_seeds):
     space_r = make_hilbert(1, (space.lo - (t - eps)) / eps, 1.0, space.n)
     g_r, b_r = factors(space_r, 1.0, spec.s_nodes)
     win_l, win_r = window(space, t - eps, t), window(space_r, 0.0, 1.0)
-    lhs = [energy(g_l, b_l, sample_omega(space, k).xi[space.component_slice(0)], win_l)
+    lhs = [energy(g_l, b_l, space.components(sample_omega(space, k).xi)[0], win_l)
            for k in seeds]
     rhs = [eps ** (2.0 * spec.H) * energy(g_r, b_r, sample_omega(space_r, k).xi, win_r)
            for k in rhs_seeds]
@@ -506,3 +506,82 @@ def test_grid_driver_validation():
         GridDriver(spec, np.linspace(0.5, 1.0, 9))
     with pytest.raises(OutOfRangeError):
         GridDriver(spec, np.linspace(0.0, 2.0, 9))
+
+
+def test_grid_driver_rejects_draw_over_another_space():
+    # both evaluators read the draw through the driver's own component
+    # layout, so a draw over another grid of the same size is refused
+    spec = small_spec(q=1, n=32, L=4.0, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
+    w = sample_omega(make_hilbert(1, -8.0, 1.0, 32), 0)
+    with pytest.raises(SpaceMismatchError):
+        gd.values(w)
+    with pytest.raises(SpaceMismatchError):
+        gd.deriv_vectors(w)
+
+
+# Per-component oracles: one (n,) block of the component-major coordinates
+# at a time, each reduction a matrix-vector or dot product of its own.
+
+def blocks_of(space, coords):
+    n = space.n
+    return [coords[ell * n:(ell + 1) * n] for ell in range(space.m)]
+
+
+def wick_weights_one(g, xi, q):
+    gx, gg = g @ xi, np.einsum("ki,ki->k", g, g)
+    return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
+
+
+def evaluate_one(field, ti, xi):
+    g, beta, rho = field.g[ti], field.beta[ti], field.rho[ti]
+    val_w, der_w = wick_weights_one(g, xi, field.spec.q)
+    return rho * float(beta @ val_w), rho * ((beta * der_w) @ g)
+
+
+def grid_values_one(gd, w):
+    out = np.zeros((gd.times.shape[0], gd.spec.m))
+    for ell, xi in enumerate(blocks_of(gd.spec.space, w.xi)):
+        val_w, _ = wick_weights_one(gd._g, xi, gd.spec.q)
+        out[1:, ell] = np.cumsum(gd._beta * val_w)
+    return out * gd._rho[:, None]
+
+
+def grid_deriv_vectors_one(gd, w):
+    out = np.zeros((gd.times.shape[0], gd.spec.m, gd.spec.space.n))
+    for ell, xi in enumerate(blocks_of(gd.spec.space, w.xi)):
+        _, der_w = wick_weights_one(gd._g, xi, gd.spec.q)
+        out[1:, ell, :] = np.cumsum((gd._beta * der_w)[:, None] * gd._g, axis=0)
+    return out * gd._rho[:, None, None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_kernel_evaluate_matches_per_component_oracle(q, m):
+    # every component of a draw in one pass, bit for bit the per-component
+    # evaluation, for the value, the derivative and simulate_path
+    spec = small_spec(q=q, n=48, m=m, s_nodes=24, out_times=(0.25, 0.5, 1.0))
+    field = build_kernels(spec)
+    for seed in range(5):
+        w = sample_omega(spec.space, seed)
+        want = np.empty((len(spec.out_times), m))
+        for ti in range(len(spec.out_times)):
+            val, der = field.evaluate(ti, spec.space.components(w.xi))
+            assert val.shape == (m,) and der.shape == (m, spec.space.n)
+            for ell, xi in enumerate(blocks_of(spec.space, w.xi)):
+                v_one, d_one = evaluate_one(field, ti, xi)
+                assert val[ell] == v_one
+                assert np.array_equal(der[ell], d_one)
+                want[ti, ell] = v_one
+        assert np.array_equal(simulate_path(field, w).values, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_grid_driver_matches_per_component_oracle(q, m):
+    spec = small_spec(q=q, n=40, m=m, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 33))
+    for seed in range(5):
+        w = sample_omega(spec.space, seed)
+        assert np.array_equal(gd.values(w), grid_values_one(gd, w))
+        assert np.array_equal(gd.deriv_vectors(w), grid_deriv_vectors_one(gd, w))

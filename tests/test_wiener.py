@@ -31,9 +31,17 @@ def test_space_layout():
     space = make_hilbert(2, -8.0, 1.0, 36)
     assert space.delta == pytest.approx(0.25)
     assert space.basis_dim == 72
-    assert space.flat_index(0, 0) == 0
-    assert space.flat_index(1, 0) == 36
-    assert space.flat_index(1, 35) == 71
+    # the (m, n) view: row ell holds coords[ell*n:(ell+1)*n], in place
+    coords = np.arange(72.0)
+    cells = space.components(coords)
+    assert cells.shape == (2, 36)
+    assert np.shares_memory(cells, coords)
+    for ell in range(2):
+        assert np.array_equal(cells[ell], coords[ell * 36:(ell + 1) * 36])
+    assert cells[1, 0] == 36.0 and cells[1, 35] == 71.0
+    assert space.components(np.zeros((3, 72))).shape == (3, 2, 36)
+    with pytest.raises(ValueError):
+        space.components(np.zeros(71))
     edges = space.cell_edges()
     assert edges[0] == -8.0 and edges[-1] == 1.0
     assert np.allclose(np.diff(edges), 0.25)
@@ -91,6 +99,40 @@ def test_cameron_martin_path_constant():
         assert cameron_martin_path(space, h, t)[0] == pytest.approx(2.0 * t, abs=1e-12)
     with pytest.raises(OutOfRangeError):
         cameron_martin_path(space, h, 1.5)
+
+
+@pytest.mark.parametrize("n", [37, 64, 200])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_component_view_matches_per_component_oracle(m, n):
+    # embed_function and cameron_martin_path through the (m, n) view, bit
+    # for bit the per-component loops over index ell * n + cell
+    space = make_hilbert(m, -2.0, 1.0, n)
+    edges, root_delta = space.cell_edges(), np.sqrt(space.delta)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(m), rng.standard_normal(m)
+        f = lambda t: np.sin(a * t + b)
+        want = np.empty(space.basis_dim)
+        for i, t in enumerate(space.cell_midpoints()):
+            val = f(t)
+            for ell in range(m):
+                want[ell * n + i] = val[ell] * root_delta
+        assert np.array_equal(embed_function(space, f).coords, want)
+
+        h = HilbertVec(space, rng.standard_normal(space.basis_dim))
+        for t in (0.0, 0.3, float(rng.uniform(0.0, 1.0)), 1.0):
+            overlap = np.clip(np.minimum(edges[1:], t) - np.maximum(edges[:-1], 0.0), 0.0, None)
+            frac = overlap / space.delta
+            want = [root_delta * float(h.coords[ell * n:(ell + 1) * n] @ frac)
+                    for ell in range(m)]
+            assert np.array_equal(cameron_martin_path(space, h, t), want)
+
+
+def test_cameron_martin_path_space_checked():
+    space = make_hilbert(1, -1.0, 1.0, 64)
+    h = embed_function(make_hilbert(1, -2.0, 1.0, 64), lambda t: 1.0)
+    with pytest.raises(SpaceMismatchError):
+        cameron_martin_path(space, h, 0.5)
 
 
 def test_sample_omega_reproducible_and_seed_sensitive():
