@@ -134,18 +134,30 @@ def hermite_poly(n: int, x, v=1.0):
     return h if h.ndim else float(h)
 
 
-def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int) -> np.ndarray:
+def _wick_value(coeffs: np.ndarray, xi: np.ndarray, q: int, batched: bool = False) -> np.ndarray:
     """I_q over the leading q axes of coeffs; trailing axes stay free.
 
     Divergence recursion I_q(f) = I_{q-1}(f . xi) - (q-1) I_{q-2}(tr f),
     with f . xi contracting one slot against xi and tr f tracing two slots
-    out; valid for coefficients symmetric in the leading q axes.
+    out; valid for coefficients symmetric in the leading q axes.  xi is one
+    draw, shape (dim,), or a batch of draws, shape (M, dim), whose axis
+    leads the value.  batched says that coeffs already leads with that
+    axis, one coefficient array per draw, as f . xi does for a batch.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
     if q < 1:
-        return np.asarray(coeffs, dtype=float)
-    value = _wick_value(np.tensordot(xi, coeffs, axes=(0, 0)), xi, q - 1)
+        if batched or xi.ndim == 1:
+            return coeffs
+        return np.broadcast_to(coeffs, xi.shape[:1] + coeffs.shape)
+    if batched:
+        reduced = np.einsum("bi...,bi->b...", coeffs, xi)
+    else:
+        reduced = np.tensordot(xi, coeffs, axes=(-1, 0))
+    value = _wick_value(reduced, xi, q - 1, batched=xi.ndim == 2)
     if q > 1:
-        value = value - (q - 1) * _wick_value(np.trace(coeffs, axis1=0, axis2=1), xi, q - 2)
+        slot = int(batched)
+        traced = np.trace(coeffs, axis1=slot, axis2=slot + 1)
+        value = value - (q - 1) * _wick_value(traced, xi, q - 2, batched)
     return value
 
 
@@ -189,13 +201,30 @@ def malliavin_derivative(f: SymTensor, w: GaussianDraw, r: int) -> np.ndarray:
     """
     if f.space != w.space:
         raise SpaceMismatchError("tensor and draw over different spaces")
+    return _derivative(f, w.xi, r)
+
+
+def draw_values(f: SymTensor, xis, r: int = 0) -> np.ndarray:
+    """D^r I_q(f) at every draw of a batch: xis holds one draw's coordinates
+    per row, shape (M, basis_dim), and row k of the result is
+    malliavin_derivative(f, draw k, r) (multiple_integral for r = 0), with
+    shape (M,) + (basis_dim,) * r.  One pass of the Wick recursion serves
+    the whole batch."""
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != f.space.basis_dim:
+        raise InvalidDimensionError(
+            f"draws need shape (M, {f.space.basis_dim}), got {xis.shape}")
+    return _derivative(f, xis, r)
+
+
+def _derivative(f: SymTensor, xi: np.ndarray, r: int) -> np.ndarray:
     if r < 0:
         raise InvalidDimensionError("derivative order must be nonnegative")
     q, dim = f.q, f.space.basis_dim
     if r > q:
-        return np.zeros((dim,) * r)
+        return np.zeros(xi.shape[:-1] + (dim,) * r)
     coef = math.factorial(q) / math.factorial(q - r)
-    return coef * _wick_value(f.coeffs, w.xi, q - r)
+    return coef * _wick_value(f.coeffs, xi, q - r)
 
 
 def taylor_shift(f: SymTensor, w: GaussianDraw, h: HilbertVec, eps: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, check_budget
-from .wiener import GaussianDraw, HilbertVec, make_hilbert, sample_omega, shift_omega
+from .wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
     HermiteSpec,
@@ -37,6 +37,7 @@ from .density import (
     KDE_GRID_POINTS,
     Scenario,
     dump_csv,
+    euler_batches,
     kde,
     ks_two_sample,
     positivity_report,
@@ -217,6 +218,26 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
+#: draws per block of the check's chaos values: a block's (rows, 16)
+#: contractions stay small beside the (M, 16) draw array
+CHECK_BLOCK = 1024
+
+
+def _check_values(f, g1, u, xis) -> np.ndarray:
+    """I_1(g1), I_2(f), delta(u) = I_1(u) and <D I_2(f), u> at every row of
+    the (M, 16) draw array xis, as the rows of a (4, M) array; the chaos
+    values of a block of draws come from one batched Wick recursion."""
+    out = np.empty((4, xis.shape[0]))
+    for start in range(0, xis.shape[0], CHECK_BLOCK):
+        rows = xis[start:start + CHECK_BLOCK]
+        block = out[:, start:start + CHECK_BLOCK]
+        block[0] = chaos.draw_values(g1, rows)
+        block[1] = chaos.draw_values(f, rows)
+        block[2] = chaos.draw_values(u, rows)
+        block[3] = chaos.draw_values(f, rows, 1) @ u.coeffs
+    return out
+
+
 def _check_records(cfg: dict):
     M = cfg["run"]["M"]
     if M < 2:
@@ -237,15 +258,8 @@ def _check_records(cfg: dict):
     g1 = chaos.SymTensor(space, 1, rng.standard_normal(16))
     u = chaos.SymTensor(space, 1, rng.standard_normal(16))
 
-    def draws():
-        # one draw object at a time over the rows of the one (M, 16) array
-        return (GaussianDraw(space, xi, k) for k, xi in enumerate(xis))
-
-    def integrals(h):
-        return np.array([chaos.multiple_integral(h, w) for w in draws()])
-
     # Monte Carlo identities on a fixed chaos pair
-    i1, i2 = integrals(g1), integrals(f)
+    i1, i2, delta_u, dprod = _check_values(f, g1, u, xis)
     iso_tgt = 2.0 * f.norm() ** 2
     sig = np.std(i2 * i2, ddof=1) / math.sqrt(M)
     add("isometry_order2", abs(np.mean(i2 * i2) - iso_tgt), 3 * sig,
@@ -253,8 +267,6 @@ def _check_records(cfg: dict):
     sig = np.std(i1 * i2, ddof=1) / math.sqrt(M)
     add("orthogonality_12", abs(np.mean(i1 * i2)), 3 * sig, abs(np.mean(i1 * i2)) <= 3 * sig)
     # duality: E[I_2(f) * delta(u)] = E[<D I_2(f), u>] for u = const vector field
-    delta_u = integrals(u)
-    dprod = np.array([chaos.malliavin_derivative(f, w, 1) @ u.coeffs for w in draws()])
     gap = abs(np.mean(i2 * delta_u) - np.mean(dprod))
     sig = np.std(i2 * delta_u - dprod, ddof=1) / math.sqrt(M)
     add("duality", gap, 3 * sig, gap <= 3 * sig)
@@ -320,12 +332,12 @@ def cmd_solve(cfg: dict) -> int:
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     with _output(cfg, "solution.csv") as fh:
         fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
-        for k in range(M):
-            w = sample_omega(spec.space, seed + k)
-            bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-            for i in range(0, bundle.steps + 1, max(1, bundle.steps // 16)):
-                cols = ",".join(_fmt(v) for v in bundle.X[i])
-                fh.write(f"{seed + k},{_fmt(bundle.times[i])},{cols}\n")
+        for seeds, _, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
+            for k, path_seed in enumerate(seeds):
+                X = batch.path(k).X  # a path that went non-finite stops the command
+                for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):
+                    cols = ",".join(_fmt(v) for v in X[i])
+                    fh.write(f"{path_seed},{_fmt(batch.times[i])},{cols}\n")
     print(f"wrote {fh.name}")
     return 0
 

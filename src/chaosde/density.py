@@ -66,12 +66,21 @@ class SampleEnsemble:
         return len(self.excluded_seeds)
 
 
-def _run_one(coeffs, x0, spec, driver, seed):
-    w = sample_omega(spec.space, seed)
-    bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
-    mm = malliavin_matrix(mf)
-    return bundle.X[-1], mm.det, mm.min_eig
+#: paths per batched Euler solve: its arrays hold about EULER_BATCH * steps
+#: * (d * m + d + m) doubles, whatever the number of seeds
+EULER_BATCH = 64
+
+
+def euler_batches(coeffs, x0, spec, driver, seeds):
+    """(seeds, draws, batch) for consecutive runs of at most EULER_BATCH
+    seeds: their draws and the batched Euler solve along their driver
+    values; batch.path(k) is the path of seeds[k]."""
+    seeds = list(seeds)
+    for start in range(0, len(seeds), EULER_BATCH):
+        chunk = seeds[start:start + EULER_BATCH]
+        draws = [sample_omega(spec.space, seed) for seed in chunk]
+        values = np.array([driver.values(w) for w in draws])
+        yield chunk, draws, solve_euler(coeffs, x0, (driver.times, values))
 
 
 def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 1) -> SampleEnsemble:
@@ -101,14 +110,20 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
 
 
 def _parallel_chunk(args):
-    scenario, chunk = args
+    """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
+    for a blowup: Euler over batches of seeds, the Malliavin matrix per seed."""
+    scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
     out = []
-    for seed in chunk:
-        try:
-            out.append((seed,) + _run_one(coeffs, x0, spec, driver, seed))
-        except BlowupError:
-            out.append((seed, None, None, None))
+    for chunk, draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+        for k, (seed, w) in enumerate(zip(chunk, draws)):
+            try:
+                path = batch.path(k)
+                mf = solution_derivative(coeffs, path, driver.deriv_vectors(w), spec.space)
+                mm = malliavin_matrix(mf)
+                out.append((seed, path.X[-1], mm.det, mm.min_eig))
+            except BlowupError:
+                out.append((seed, None, None, None))
     return out
 
 

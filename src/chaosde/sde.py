@@ -3,13 +3,19 @@ variational equation for the kernel Theta of the Frechet derivative, and
 named coefficient presets used by the checks and the CLI.
 
 The state recursion is X_{i+1} = X_i + b(X_i) dt + sigma(X_i) dF_i with
-left-point increments.  Theta rows follow the convention that makes the
-left-point sum sum_i Theta_t(s_i) dpsi_i the exact derivative of the
-discrete flow: Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step
-Jacobians of steps i+1 .. t-1 (the step at s_i itself enters through the
-increment, not through Theta).  The one-step Jacobians are evaluated once
-per step (_step_jacobians); the whole triangle is filled from them column
-by column in O(steps^2) memory, while a directional derivative needs only
+left-point increments.  Coefficients take states with any leading axes:
+b, sigma, db and dsigma map x of shape (..., d) to (..., d), (..., d, m),
+(..., d, d) and (..., d, m, d), one value per state, so Euler makes one b
+and one sigma call per step for a whole batch of paths, and the Jacobian
+stack one db and one dsigma call for all steps of a path.
+
+Theta rows follow the convention that makes the left-point sum
+sum_i Theta_t(s_i) dpsi_i the exact derivative of the discrete flow:
+Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step Jacobians of steps
+i+1 .. t-1 (the step at s_i itself enters through the increment, not
+through Theta).  The one-step Jacobians are evaluated once for all steps
+(_step_jacobians); the whole triangle is filled from them column by
+column in O(steps^2) memory, while a directional derivative needs only
 the forward tangent recursion over them, in O(steps) memory.
 """
 
@@ -27,7 +33,9 @@ class SdeCoefficients:
     """Drift, diffusion and their user-supplied spatial derivatives.
 
     b: R^d -> R^d, sigma: R^d -> R^{d x m}, db[k,p] = d b_k / d x_p,
-    dsigma[k,l,p] = d sigma_{k,l} / d x_p.
+    dsigma[k,l,p] = d sigma_{k,l} / d x_p, each evaluated pointwise over
+    the leading axes of its argument: x of shape (..., d) gives values of
+    shape (..., d), (..., d, m), (..., d, d) and (..., d, m, d).
     """
 
     d: int
@@ -39,30 +47,26 @@ class SdeCoefficients:
     name: str = ""
 
     def eval_b(self, x):
-        out = np.asarray(self.b(x), dtype=float)
-        if out.shape != (self.d,):
-            raise InvalidDimensionError(f"b must return shape ({self.d},)")
-        return out
+        return _evaluated("b", self.b, x, (self.d,))
 
     def eval_sigma(self, x):
-        out = np.asarray(self.sigma(x), dtype=float)
-        if out.shape != (self.d, self.m):
-            raise InvalidDimensionError(f"sigma must return shape ({self.d},{self.m})")
-        return out
+        return _evaluated("sigma", self.sigma, x, (self.d, self.m))
 
     def eval_db(self, x):
-        out = np.asarray(self.db(x), dtype=float)
-        if out.shape != (self.d, self.d):
-            raise InvalidDimensionError(f"db must return shape ({self.d},{self.d})")
-        return out
+        return _evaluated("db", self.db, x, (self.d, self.d))
 
     def eval_dsigma(self, x):
-        out = np.asarray(self.dsigma(x), dtype=float)
-        if out.shape != (self.d, self.m, self.d):
-            raise InvalidDimensionError(
-                f"dsigma must return shape ({self.d},{self.m},{self.d})"
-            )
-        return out
+        return _evaluated("dsigma", self.dsigma, x, (self.d, self.m, self.d))
+
+
+def _evaluated(name, fn, x, tail):
+    """fn(x) as floats, checked to have the shape (x's leading axes) + tail."""
+    out = np.asarray(fn(x), dtype=float)
+    want = np.shape(x)[:-1] + tail
+    if out.shape != want:
+        raise InvalidDimensionError(f"{name} must return shape {want} at states of shape "
+                                    f"{np.shape(x)}, got {out.shape}")
+    return out
 
 
 def validate_derivatives(coeffs: SdeCoefficients, probes: int = 10, seed: int = 0,
@@ -98,9 +102,16 @@ def validate_derivatives(coeffs: SdeCoefficients, probes: int = 10, seed: int = 
 class SolutionBundle:
     """Euler solution on a grid, with the optional Theta triangle.
 
-    theta[i, j] is the d x m matrix Theta_{t_j}(t_i) for j >= i, zero
-    above the diagonal in the other direction (s > t).  sigma[i] is
-    sigma(X_i) for i < steps, as evaluated by the Euler steps.
+    For one path X has shape (steps+1, d), driver_values (steps+1, m) and
+    sigma (steps, d, m): sigma[i] is sigma(X_i) for i < steps, as evaluated
+    by the Euler steps.  theta[i, j] is the d x m matrix Theta_{t_j}(t_i)
+    for j >= i, zero in the other direction (s > t); it is a view of a
+    column-major buffer, so each column theta[:, j] is contiguous.
+
+    A batch of B paths puts a leading B axis on X, driver_values and sigma,
+    and failed[k] is the step of path k's first non-finite state (0 for a
+    finite path); entries of a failed path after that state are NaN.
+    path(k) is path k as a one-path bundle.
     """
 
     times: np.ndarray
@@ -108,52 +119,84 @@ class SolutionBundle:
     driver_values: np.ndarray
     theta: np.ndarray = field(default=None)  # type: ignore[assignment]
     sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
+    failed: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
     def steps(self) -> int:
         return self.times.shape[0] - 1
+
+    def path(self, k: int) -> "SolutionBundle":
+        """Path k of a batch; BlowupError at its step if it went non-finite."""
+        step = int(self.failed[k])
+        if step:
+            raise BlowupError(f"non-finite state at step {step}", step=step)
+        return SolutionBundle(times=self.times, X=self.X[k],
+                              driver_values=self.driver_values[k], sigma=self.sigma[k])
 
 
 def _driver_arrays(driver, times):
     dtimes, dvals = driver
     dtimes = np.asarray(dtimes, dtype=float)
     dvals = np.asarray(dvals, dtype=float)
-    if dvals.ndim != 2 or dvals.shape[0] != dtimes.shape[0]:
-        raise InvalidDimensionError("driver values need shape (len(driver times), m)")
+    if dvals.ndim not in (2, 3) or dvals.shape[-2] != dtimes.shape[0]:
+        raise InvalidDimensionError("driver values need shape ([B,] len(driver times), m)")
     if times is None:
         times = dtimes
     times = np.asarray(times, dtype=float)
     if not np.all(np.isin(np.round(times, 12), np.round(dtimes, 12))):
         raise InvalidDimensionError("driver must be sampled at the solver grid or finer")
     idx = np.searchsorted(np.round(dtimes, 12), np.round(times, 12))
-    return times, dvals[idx]
+    return times, dvals[..., idx, :]
 
 
 def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBundle:
     """Left-point Euler solve of dX = b dt + sigma dF along the given driver.
 
-    driver is a (times, values) pair, values of shape (len(times), m),
-    sampled on the solver grid or a refinement of it.
+    driver is a (times, values) pair sampled on the solver grid or a
+    refinement of it: values of shape (len(times), m) for one path, or
+    (B, len(times), m) for a batch of B paths from the common x0.  Each
+    step makes one b and one sigma call for the whole batch; a path's rows
+    equal its own one-path solve bit for bit.  One path raises BlowupError
+    at its first non-finite state.  In a batch such a path is recorded in
+    `failed` and frozen there (no further arithmetic on it) while the
+    others go on.
     """
     times, F = _driver_arrays(driver, times)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (coeffs.d,):
         raise InvalidDimensionError(f"x0 must have shape ({coeffs.d},)")
-    if F.shape[1] != coeffs.m:
+    if F.shape[-1] != coeffs.m:
         raise InvalidDimensionError("driver component count does not match m")
-    N = times.shape[0] - 1
-    X = np.empty((N + 1, coeffs.d))
-    X[0] = x0
-    sig = np.empty((N, coeffs.d, coeffs.m))
+    paths = F if F.ndim == 3 else F[None]
+    B, N = paths.shape[0], times.shape[0] - 1
+    X = np.empty((B, N + 1, coeffs.d))
+    X[:, 0] = x0
+    sig = np.empty((B, N, coeffs.d, coeffs.m))
+    failed = np.zeros(B, dtype=int)
+    live = slice(None)  # the paths still finite: all of them, or their indices
     for i in range(N):
+        x = X[live, i]
         dt = times[i + 1] - times[i]
-        dF = F[i + 1] - F[i]
-        drift = coeffs.eval_b(X[i]) * dt
-        sig[i] = coeffs.eval_sigma(X[i])
-        X[i + 1] = X[i] + drift + sig[i] @ dF
-        if not np.all(np.isfinite(X[i + 1])):
-            raise BlowupError(f"non-finite state at step {i + 1}", step=i + 1)
-    return SolutionBundle(times=times, X=X, driver_values=F, sigma=sig)
+        dF = paths[live, i + 1] - paths[live, i]
+        s = coeffs.eval_sigma(x)
+        nxt = x + coeffs.eval_b(x) * dt + (s @ dF[..., None])[..., 0]
+        sig[live, i] = s
+        X[live, i + 1] = nxt
+        if not np.isfinite(nxt).all():
+            rows = np.arange(B)[live]
+            bad = ~np.isfinite(nxt).all(axis=-1)
+            failed[rows[bad]] = i + 1
+            live = rows[~bad]
+            if live.size == 0:
+                break
+    for k in np.flatnonzero(failed):
+        X[k, failed[k] + 1:] = np.nan
+        sig[k, failed[k]:] = np.nan
+    if F.ndim == 2:
+        if failed[0]:
+            raise BlowupError(f"non-finite state at step {failed[0]}", step=int(failed[0]))
+        return SolutionBundle(times=times, X=X[0], driver_values=F, sigma=sig[0])
+    return SolutionBundle(times=times, X=X, driver_values=F, sigma=sig, failed=failed)
 
 
 def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
@@ -166,12 +209,13 @@ def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
     j < steps, stacked to shape (steps, d, d): one db and one dsigma call
-    per step."""
+    over the states X_0 .. X_{steps-1}."""
     N = bundle.steps
     dt = np.diff(bundle.times)
     dF = np.diff(bundle.driver_values, axis=0)
-    jac = np.eye(coeffs.d) + np.array([coeffs.eval_db(x) for x in bundle.X[:N]]) * dt[:, None, None]
-    jac += np.einsum("jklp,jl->jkp", np.array([coeffs.eval_dsigma(x) for x in bundle.X[:N]]), dF)
+    X = bundle.X[:N]
+    jac = np.eye(coeffs.d) + coeffs.eval_db(X) * dt[:, None, None]
+    jac += np.einsum("jklp,jl->jkp", coeffs.eval_dsigma(X), dF)
     return jac
 
 
@@ -208,24 +252,26 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
     Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
     and J_j Theta[:j, j] in the rows above: the entries solve_theta builds
     row by row.  sigma(X_j) comes from the Euler steps (only sigma(X_N) is
-    evaluated here) and the step Jacobians J_j are evaluated once per
-    step, so the work is O(steps) coefficient calls and batched
-    products; the triangle itself takes O(steps^2) memory.  A non-finite
-    entry raises BlowupError at the first column that holds one.
+    evaluated here) and the step Jacobians J_j are evaluated once for all
+    steps, so the work is O(1) coefficient calls and one batched product
+    per column, written in place into the column's contiguous block; the
+    triangle itself takes O(steps^2) memory.  A non-finite entry raises
+    BlowupError at the first column that holds one.
     """
     N = bundle.steps
     check_budget((N + 1, N + 1, coeffs.d, coeffs.m))
-    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N])[None]])
+    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
     jac = _step_jacobians(coeffs, bundle)
-    theta = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))
+    columns = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))  # columns[j, i] = theta[i, j]
     for j in range(N + 1):
+        col = columns[j]
         if j > 0:
-            theta[:j - 1, j] = jac[j - 1] @ theta[:j - 1, j - 1]
-            theta[j - 1, j] = sig[j - 1]
-        theta[j, j] = sig[j]
-        if not np.all(np.isfinite(theta[:j + 1, j])):
+            np.matmul(jac[j - 1], columns[j - 1, :j - 1], out=col[:j - 1])
+            col[j - 1] = sig[j - 1]
+        col[j] = sig[j]
+        if not np.isfinite(col[:j + 1]).all():
             raise BlowupError(f"non-finite variational state at step {j}", step=j)
-    bundle.theta = theta
+    bundle.theta = columns.transpose(1, 0, 2, 3)
     return bundle
 
 
@@ -253,32 +299,41 @@ def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) ->
     return out
 
 
+def _constant(value):
+    """Coefficient equal to the array value at every state."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape).copy()
+
+
 def _elliptic_sigma(x):
-    return np.array(
-        [
-            [1.0 + 0.1 * np.sin(x[1]), 0.1 * np.cos(x[0])],
-            [0.1 * np.cos(x[1]), 1.0 + 0.1 * np.sin(x[0])],
-        ]
-    )
+    x0, x1 = x[..., 0], x[..., 1]
+    out = np.empty(np.shape(x)[:-1] + (2, 2))
+    out[..., 0, 0] = 1.0 + 0.1 * np.sin(x1)
+    out[..., 0, 1] = 0.1 * np.cos(x0)
+    out[..., 1, 0] = 0.1 * np.cos(x1)
+    out[..., 1, 1] = 1.0 + 0.1 * np.sin(x0)
+    return out
 
 
 def _elliptic_dsigma(x):
-    out = np.zeros((2, 2, 2))
-    out[0, 0, 1] = 0.1 * np.cos(x[1])
-    out[0, 1, 0] = -0.1 * np.sin(x[0])
-    out[1, 0, 1] = -0.1 * np.sin(x[1])
-    out[1, 1, 0] = 0.1 * np.cos(x[0])
+    out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+    out[..., 0, 0, 1] = 0.1 * np.cos(x[..., 1])
+    out[..., 0, 1, 0] = -0.1 * np.sin(x[..., 0])
+    out[..., 1, 0, 1] = -0.1 * np.sin(x[..., 1])
+    out[..., 1, 1, 0] = 0.1 * np.cos(x[..., 0])
     return out
 
 
 def _elliptic_b(x):
-    return 0.1 * np.array([np.tanh(x[1]), np.tanh(x[0])])
+    return 0.1 * np.stack([np.tanh(x[..., 1]), np.tanh(x[..., 0])], axis=-1)
 
 
 def _elliptic_db(x):
-    out = np.zeros((2, 2))
-    out[0, 1] = 0.1 / np.cosh(x[1]) ** 2
-    out[1, 0] = 0.1 / np.cosh(x[0]) ** 2
+    # float_power squares through pow, as a scalar ** 2 does; an array ** 2
+    # multiplies, which differs from pow in the last bit at some states
+    out = np.zeros(np.shape(x)[:-1] + (2, 2))
+    out[..., 0, 1] = 0.1 / np.float_power(np.cosh(x[..., 1]), 2.0)
+    out[..., 1, 0] = 0.1 / np.float_power(np.cosh(x[..., 0]), 2.0)
     return out
 
 
@@ -292,10 +347,10 @@ def preset(name: str):
         return (
             SdeCoefficients(
                 d=1, m=1,
-                b=lambda x: np.array([0.25]),
-                sigma=lambda x: np.array([[1.5]]),
-                db=lambda x: np.zeros((1, 1)),
-                dsigma=lambda x: np.zeros((1, 1, 1)),
+                b=_constant([0.25]),
+                sigma=_constant([[1.5]]),
+                db=_constant(np.zeros((1, 1))),
+                dsigma=_constant(np.zeros((1, 1, 1))),
                 name="additive",
             ),
             np.array([0.5]),
@@ -305,10 +360,10 @@ def preset(name: str):
         return (
             SdeCoefficients(
                 d=1, m=1,
-                b=lambda x: np.zeros(1),
-                sigma=lambda x: np.array([[lam * x[0]]]),
-                db=lambda x: np.zeros((1, 1)),
-                dsigma=lambda x: np.array([[[lam]]]),
+                b=_constant(np.zeros(1)),
+                sigma=lambda x: (lam * x)[..., None],
+                db=_constant(np.zeros((1, 1))),
+                dsigma=_constant([[[lam]]]),
                 name="linear-scalar",
             ),
             np.array([1.0]),
@@ -324,14 +379,13 @@ def preset(name: str):
             np.array([0.1, -0.2]),
         )
     if name == "rank1-2d":
-        sig = np.outer(_RANK1_U, _RANK1_V)
         return (
             SdeCoefficients(
                 d=2, m=2,
-                b=lambda x: np.zeros(2),
-                sigma=lambda x, s=sig: s.copy(),
-                db=lambda x: np.zeros((2, 2)),
-                dsigma=lambda x: np.zeros((2, 2, 2)),
+                b=_constant(np.zeros(2)),
+                sigma=_constant(np.outer(_RANK1_U, _RANK1_V)),
+                db=_constant(np.zeros((2, 2))),
+                dsigma=_constant(np.zeros((2, 2, 2))),
                 name="rank1-2d",
             ),
             np.array([0.0, 0.0]),

@@ -248,6 +248,33 @@ def test_wick_recursion_matches_closed_forms(n, seed):
     assert close(chaos._wick_value(c4, w.xi, 4), _closed_form_wick(c4, w.xi, 4), scale)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_draw_values_match_per_draw_oracle(q):
+    # the batched Wick recursion against one multiple_integral or
+    # malliavin_derivative call per draw, for every derivative order
+    f = random_tensor(q, 60 + q)
+    draws = [sample_omega(SPACE, seed) for seed in range(40)]
+    xis = np.array([w.xi for w in draws])
+    for r in range(q + 2):
+        got = chaos.draw_values(f, xis, r)
+        want = np.array([chaos.malliavin_derivative(f, w, r) for w in draws])
+        assert got.shape == want.shape == (40,) + (DIM,) * r
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+    values = chaos.draw_values(f, xis)
+    oracle = [chaos.multiple_integral(f, w) for w in draws]
+    assert np.max(np.abs(values - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert chaos.draw_values(f, xis[:0]).shape == (0,)
+
+
+def test_draw_values_shape_checked():
+    f = random_tensor(2, 0)
+    for bad in (np.zeros(DIM), np.zeros((3, DIM + 1)), np.zeros((2, 3, DIM))):
+        with pytest.raises(InvalidDimensionError):
+            chaos.draw_values(f, bad)
+    with pytest.raises(InvalidDimensionError):
+        chaos.draw_values(f, np.zeros((3, DIM)), -1)
+
+
 def test_malliavin_derivative_vanishing_order():
     f = random_tensor(2, 51)
     w = sample_omega(SPACE, 4)

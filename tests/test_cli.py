@@ -3,10 +3,12 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from chaosde import chaos
-from chaosde.cli import _check_records, load_config, main
+from chaosde.cli import CHECK_BLOCK, _check_records, _check_values, load_config, main
+from chaosde.wiener import GaussianDraw, make_hilbert
 
 FAST_PROCESS = {"q": 1, "H": 0.7, "n": 64, "L": 4.0}
 
@@ -68,14 +70,10 @@ def test_check_passes(tmp_path, capsys):
     assert all(r["pass"] for r in report)
 
 
-def test_check_holds_only_its_draw_array(tmp_path, monkeypatch):
-    # check keeps its Monte Carlo draws as one (M, 16) array and makes each
-    # draw object where it is evaluated.  The chaos evaluations are swapped
-    # for stand-ins that keep nothing per draw: the peak stays the one the
-    # real evaluations reach, and the trace stays short.
+def test_check_holds_only_its_draw_array(tmp_path):
+    # check keeps its Monte Carlo draws as one (M, 16) array, and its
+    # batched chaos values work through it a block of draws at a time
     M = 20_000
-    monkeypatch.setattr(chaos, "multiple_integral", lambda h, w: float(w.xi[0]))
-    monkeypatch.setattr(chaos, "malliavin_derivative", lambda f, w, order: w.xi)
     cfg = load_config(write_config(tmp_path, {"run": {"M": M}}))
     tracemalloc.start()
     try:
@@ -84,6 +82,28 @@ def test_check_holds_only_its_draw_array(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * M * 16 * 8
+
+
+def test_check_values_match_per_draw_oracle():
+    # the check's batched chaos values against one multiple_integral or
+    # malliavin_derivative call per draw, across block boundaries
+    space = make_hilbert(1, 0.0, 1.0, 16)
+    rng = np.random.default_rng(4)
+    M = 2 * CHECK_BLOCK + 37
+    xis = rng.standard_normal((M, 16))
+    f = chaos.symmetrize(space, rng.standard_normal((16, 16)))
+    g1 = chaos.SymTensor(space, 1, rng.standard_normal(16))
+    u = chaos.SymTensor(space, 1, rng.standard_normal(16))
+    draws = [GaussianDraw(space, xi, k) for k, xi in enumerate(xis)]
+    want = np.array([
+        [chaos.multiple_integral(g1, w) for w in draws],
+        [chaos.multiple_integral(f, w) for w in draws],
+        [chaos.multiple_integral(u, w) for w in draws],
+        [chaos.malliavin_derivative(f, w, 1) @ u.coeffs for w in draws],
+    ])
+    got = _check_values(f, g1, u, xis)
+    assert got.shape == want.shape == (4, M)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=1, keepdims=True))
 
 
 def test_invalid_hurst_exits_2(tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryBudgetError
 from chaosde.wiener import sample_omega
-from chaosde.sde import solve_euler, solve_theta_all
+from chaosde import density
+from chaosde.sde import SdeCoefficients, solve_euler, solve_theta_all
 from chaosde.malliavin import solution_derivative
 from chaosde.density import (
     SampleEnsemble,
@@ -109,6 +110,49 @@ def test_overflowing_malliavin_derivative_is_a_blowup():
     assert ens.excluded_seeds == list(range(10))
     assert ens.x_samples.shape == (0, 1)
     assert ens.det_samples.shape == ens.min_eigs.shape == (0,)
+
+
+def capped_preset(level):
+    """The `density.preset` lookup with one more name, "capped": unit
+    additive noise and a drift that is infinite above level, so that a
+    path fails at the step after its state first exceeds level."""
+    lookup = density.preset
+
+    def patched(name):
+        if name != "capped":
+            return lookup(name)
+        return SdeCoefficients(
+            d=1, m=1,
+            b=lambda x: np.where(x > level, np.inf, 0.0),
+            sigma=lambda x: np.ones(np.shape(x) + (1,)),
+            db=lambda x: np.zeros(np.shape(x) + (1,)),
+            dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
+            name="capped",
+        ), np.zeros(1)
+
+    return patched
+
+
+def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
+    # the level lies between the two highest path maxima of the seeds, so
+    # one path of the batched Euler solves fails; the ensemble excludes
+    # that seed alone and keeps the other rows bit for bit
+    M = density.EULER_BATCH + 6
+    sc = Scenario(preset="capped", **SMALL)
+    monkeypatch.setattr(density, "preset", capped_preset(np.inf))
+    free = run_ensemble(sc, M=M, base_seed=0)
+    coeffs, x0, spec, driver = sc.build()
+    peaks = np.array([np.max(driver.values(sample_omega(spec.space, s))) for s in range(M)])
+    top, second = np.sort(peaks)[[-1, -2]]
+    monkeypatch.setattr(density, "preset", capped_preset(0.5 * (top + second)))
+    capped = run_ensemble(sc, M=M, base_seed=0)
+    worst = int(np.argmax(peaks))
+    assert capped.excluded_seeds == [worst]
+    assert capped.seeds == [s for s in range(M) if s != worst]
+    keep = np.array(capped.seeds)
+    assert np.array_equal(capped.x_samples, free.x_samples[keep])
+    assert np.array_equal(capped.det_samples, free.det_samples[keep])
+    assert np.array_equal(capped.min_eigs, free.min_eigs[keep])
 
 
 def test_kde_standard_normal():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError, MemoryBudgetError
 from chaosde.sde import (
     SdeCoefficients,
+    _step_jacobian,
+    _step_jacobians,
     frechet_directional,
     preset,
     solve_euler,
@@ -18,6 +20,9 @@ from chaosde.sde import (
     solve_theta_all,
     validate_derivatives,
 )
+
+
+PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
 
 
 def smooth_driver(steps, func=lambda t: t):
@@ -48,10 +53,10 @@ def test_presets_have_consistent_derivatives():
 def test_validate_derivatives_catches_mismatch():
     bad = SdeCoefficients(
         d=1, m=1,
-        b=lambda x: np.array([x[0] ** 2]),
-        sigma=lambda x: np.array([[1.0]]),
-        db=lambda x: np.array([[1.0]]),  # wrong: should be 2x
-        dsigma=lambda x: np.zeros((1, 1, 1)),
+        b=lambda x: x ** 2,
+        sigma=lambda x: np.ones(np.shape(x) + (1,)),
+        db=lambda x: np.ones(np.shape(x) + (1,)),  # wrong: should be 2x
+        dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
     )
     with pytest.raises(ConfigError):
         validate_derivatives(bad)
@@ -111,10 +116,10 @@ def test_driver_subgrid():
 def test_blowup_detected():
     cubed = SdeCoefficients(
         d=1, m=1,
-        b=lambda x: np.array([x[0] ** 3]),
-        sigma=lambda x: np.zeros((1, 1)),
-        db=lambda x: np.array([[3 * x[0] ** 2]]),
-        dsigma=lambda x: np.zeros((1, 1, 1)),
+        b=lambda x: x ** 3,
+        sigma=lambda x: np.zeros(np.shape(x) + (1,)),
+        db=lambda x: (3 * x ** 2)[..., None],
+        dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
     )
     times, F = smooth_driver(16)
     with pytest.raises(BlowupError) as exc:
@@ -132,7 +137,7 @@ def test_theta_constant_sigma():
     assert np.allclose(row[5:], 1.5)
 
 
-@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+@given(st.sampled_from(PRESETS),
        st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
 @example("elliptic-2d", 1, 0, 0.1)
 @example("linear-scalar", 2, 0, 0.1)
@@ -171,10 +176,10 @@ def test_theta_blowup_reports_first_column():
     # Jacobian ~6e298, so a product of two of them overflows Theta
     huge = SdeCoefficients(
         d=1, m=1,
-        b=lambda x: np.zeros(1),
-        sigma=lambda x: np.array([[1.0 + 0.5 * np.sin(x[0])]]),
-        db=lambda x: np.zeros((1, 1)),
-        dsigma=lambda x: np.full((1, 1, 1), 1e300),
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.full(np.shape(x) + (1, 1), 1e300),
     )
     times, F = smooth_driver(16)
     bundle = solve_euler(huge, np.array([0.3]), (times, F))
@@ -215,7 +220,7 @@ def test_theta_closed_form_linear():
     assert worst <= 0.01
 
 
-@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+@given(st.sampled_from(PRESETS),
        st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
 @example("elliptic-2d", 1, 0, 0.1)
 @example("linear-scalar", 2, 0, 0.1)
@@ -279,3 +284,143 @@ def test_frechet_linearity():
     lhs = frechet_directional(coeffs, bundle, 2.0 * p1 - 0.5 * p2)
     rhs = 2.0 * frechet_directional(coeffs, bundle, p1) - 0.5 * frechet_directional(coeffs, bundle, p2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def random_paths(coeffs, M, steps, seed, scale):
+    """M Brownian-like driver paths of shape (M, steps+1, m), zero at t = 0."""
+    rng = np.random.default_rng(seed)
+    F = np.cumsum(rng.standard_normal((M, steps + 1, coeffs.m)), axis=1) * scale
+    F[:, 0] = 0.0
+    return F
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_presets_are_pointwise_over_leading_axes(name):
+    # a (K, d) or (K1, K2, d) batch of states gives the stacked per-point
+    # values bit for bit, at small, large and awkward states
+    coeffs, _ = preset(name)
+    rng = np.random.default_rng(7)
+    X = np.concatenate([0.1 * rng.standard_normal((500, coeffs.d)),
+                        3.0 * rng.standard_normal((500, coeffs.d)),
+                        rng.uniform(-30.0, 30.0, (500, coeffs.d)),
+                        rng.uniform(-350.0, 350.0, (500, coeffs.d))])
+    for ev in (coeffs.eval_b, coeffs.eval_sigma, coeffs.eval_db, coeffs.eval_dsigma):
+        want = np.array([ev(x) for x in X])
+        assert np.array_equal(ev(X), want)
+        assert np.array_equal(ev(X.reshape(40, 50, coeffs.d)), want.reshape((40, 50) + want.shape[1:]))
+        assert ev(X[:0]).shape == (0,) + want.shape[1:]
+
+
+def test_coefficient_shapes_are_checked():
+    # a coefficient that ignores the leading axes of its states, or returns
+    # the wrong trailing shape, is rejected
+    pointwise = SdeCoefficients(
+        d=2, m=2,
+        b=lambda x: np.array([x[0], x[1]]),
+        sigma=lambda x: np.eye(2),
+        db=lambda x: np.zeros((2, 2)),
+        dsigma=lambda x: np.zeros((2, 2, 2)),
+    )
+    x = np.zeros(2)
+    X = np.zeros((5, 2))
+    for ev in (pointwise.eval_sigma, pointwise.eval_db, pointwise.eval_dsigma):
+        ev(x)
+        with pytest.raises(InvalidDimensionError):
+            ev(X)
+    with pytest.raises(InvalidDimensionError):
+        pointwise.eval_b(X)  # (2, 5) for five states
+    transposed = SdeCoefficients(
+        d=2, m=1,
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: np.zeros(np.shape(x)[:-1] + (1, 2)),
+        db=lambda x: np.zeros(np.shape(x)[:-1] + (2, 3)),
+        dsigma=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 1)),
+    )
+    for ev in (transposed.eval_sigma, transposed.eval_db, transposed.eval_dsigma):
+        for states in (x, X):
+            with pytest.raises(InvalidDimensionError):
+                ev(states)
+    with pytest.raises(InvalidDimensionError):
+        solve_euler(transposed, x, smooth_driver(4))
+
+
+@given(st.sampled_from(PRESETS), st.integers(1, 32), st.integers(8, 20),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+@example("elliptic-2d", 1, 8, 0, 0.1)
+@example("elliptic-2d", 128, 20, 5, 1.0)
+@settings(max_examples=30, deadline=None)
+def test_batched_euler_matches_single_paths(name, steps, M, seed, scale):
+    # each row of a batched solve equals its one-path solve bit for bit, in
+    # batches of 1, of 7 and of all M paths
+    coeffs, x0 = preset(name)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    F = random_paths(coeffs, M, steps, seed, scale)
+    single = [solve_euler(coeffs, x0, (times, F[k])) for k in range(M)]
+    for size in (1, 7, M):
+        for start in range(0, M, size):
+            batch = solve_euler(coeffs, x0, (times, F[start:start + size]))
+            assert batch.X.shape == (F[start:start + size].shape[0], steps + 1, coeffs.d)
+            assert not batch.failed.any()
+            for k in range(batch.X.shape[0]):
+                one, path = single[start + k], batch.path(k)
+                assert np.array_equal(path.X, one.X)
+                assert np.array_equal(path.sigma, one.sigma)
+                assert np.array_equal(path.driver_values, one.driver_values)
+
+
+def test_batched_euler_freezes_a_failed_path():
+    # a drift that is infinite above a level makes the one path of the
+    # batch that crosses it fail; it reports the step of its one-path
+    # BlowupError, the other rows are unchanged, and no coefficient sees
+    # the failed path again
+    level = 1.2
+    calls = []
+
+    def drift(x):
+        calls.append(np.shape(x))
+        return np.where(x > level, np.inf, 0.0)
+
+    capped = SdeCoefficients(
+        d=1, m=1, b=drift,
+        sigma=lambda x: np.ones(np.shape(x) + (1,)),
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
+    )
+    steps, M = 32, 9
+    times = np.linspace(0.0, 1.0, steps + 1)
+    F = random_paths(capped, M, steps, 3, 0.02)  # far below the level
+    F[4, :, 0] = np.linspace(0.0, 2.0, steps + 1)  # crosses it
+    with pytest.raises(BlowupError) as exc:
+        solve_euler(capped, np.zeros(1), (times, F[4]))
+    step = exc.value.step
+    assert 1 <= step < steps
+    calls.clear()
+    batch = solve_euler(capped, np.zeros(1), (times, F))
+    assert batch.failed.tolist() == [step if k == 4 else 0 for k in range(M)]
+    assert calls == [(M, 1)] * step + [(M - 1, 1)] * (steps - step)
+    assert np.isinf(batch.X[4, step]).all() and np.isnan(batch.X[4, step + 1:]).all()
+    assert np.isnan(batch.sigma[4, step:]).all()
+    with pytest.raises(BlowupError) as exc:
+        batch.path(4)
+    assert exc.value.step == step
+    for k in range(M):
+        if k != 4:
+            one = solve_euler(capped, np.zeros(1), (times, F[k]))
+            assert np.array_equal(batch.path(k).X, one.X)
+            assert np.array_equal(batch.path(k).sigma, one.sigma)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_step_jacobian_stack_matches_single_steps(name):
+    # one db and one dsigma call over all steps give the per-step Jacobians
+    # bit for bit
+    coeffs, x0 = preset(name)
+    steps = 96
+    times = np.linspace(0.0, 1.0, steps + 1)
+    bundle = solve_euler(coeffs, x0, (times, random_paths(coeffs, 1, steps, 11, 0.3)[0]))
+    want = np.array([
+        _step_jacobian(coeffs, bundle.X[j], times[j + 1] - times[j],
+                       bundle.driver_values[j + 1] - bundle.driver_values[j])
+        for j in range(steps)
+    ])
+    assert np.array_equal(_step_jacobians(coeffs, bundle), want)
