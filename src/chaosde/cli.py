@@ -199,7 +199,8 @@ def _build_field(cfg: dict):
 def cmd_simulate(cfg: dict) -> int:
     spec, field = _build_field(cfg)
     with _budget_key(cfg, "process.n"):
-        field.check_dense_budget()  # the kernel dump needs the dense blocks
+        # the dump's size guard: len(out_times) * n^q, the entries of the dense view
+        field.check_dense_budget()
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     with _budget_key(cfg, "process.m"):
         check_budget((spec.m, spec.space.n))  # one draw, m * n coordinates

@@ -226,17 +226,20 @@ class KernelField:
         output time, would exceed the budget."""
         check_budget((len(self.spec.out_times),) + (self.spec.space.n,) * self.spec.q)
 
+    def _block(self, ti: int) -> np.ndarray:
+        """The dense (n,)*q block at out_times[ti], one einsum over the factors."""
+        cells = "abc"[:self.spec.q]
+        subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
+        weights = self.rho[ti] * self.beta[ti]
+        return np.einsum(subscripts, weights, *(self.g[ti],) * self.spec.q, optimize=True)
+
     @cached_property
     def blocks(self) -> np.ndarray:
         """Dense blocks, shape (len(out_times),) + (n,)*q."""
         self.check_dense_budget()
-        n, q = self.spec.space.n, self.spec.q
-        cells = "abc"[:q]
-        subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
-        out = np.empty((len(self.spec.out_times),) + (n,) * q)
+        out = np.empty((len(self.spec.out_times),) + (self.spec.space.n,) * self.spec.q)
         for ti in range(out.shape[0]):
-            weights = self.rho[ti] * self.beta[ti]
-            out[ti] = np.einsum(subscripts, weights, *(self.g[ti],) * q, optimize=True)
+            out[ti] = self._block(ti)
         return out
 
 
@@ -512,34 +515,186 @@ class GridDriver:
         return out * self._rho[:, None, None]
 
 
+def _canonical_entries(field: KernelField, ti: int) -> tuple:
+    """(index, values) of the block at out_times[ti] over its canonical
+    multi-indices i_1 <= .. <= i_q in lexicographic order: index has shape
+    (q, N), values shape (N,).
+
+    The block comes from the einsum of `blocks`, one output time at a time,
+    so the values are those of `field.blocks` bit for bit.  A GEMM over the
+    canonical entries alone would do half the work at q = 3, but BLAS sums
+    in an order that depends on the matrix shape, which moves last bits.
+    """
+    n, q = field.spec.space.n, field.spec.q
+    check_budget((n,) * q)
+    grid = np.indices((n,) * q, dtype=np.min_scalar_type(n - 1), sparse=True)
+    canonical = np.ones((n,) * q, dtype=bool)
+    for lo, hi in zip(grid, grid[1:]):
+        canonical &= lo <= hi
+    index = [np.broadcast_to(i, canonical.shape)[canonical] for i in grid]
+    return np.array(index), field._block(ti)[canonical]
+
+
+#: 10^k for k = 0..22, every one exact in binary64
+_POW10 = np.array([float(10**k) for k in range(23)])
+#: Dekker's splitting constant 2^27 + 1
+_SPLIT = 134217729.0
+#: row i: the ASCII code of digit i of 0000 .. 9999
+_QUADS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")
+#: character positions, as a column that broadcasts over the values
+_ROWS = np.arange(18)[:, None]
+_ZERO_POINT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_ZERO, _DOT, _MINUS, _PLUS, _EXP = np.frombuffer(b"0.-+e", dtype=np.uint8)
+#: bytes of one formatted value: sign, "0.000" prefix, 17 digits with a
+#: point, "e-XX"; '%.17g' is at most 24 bytes long
+_VALUE_WIDTH = 28
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker, 1971)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _digits17(d: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each d in [10^16, 10^17) as ASCII codes,
+    one row per digit: shape (17, N)."""
+    out = np.empty((17, d.shape[0]), dtype=np.uint8)
+    head, low = np.divmod(d, 10**8)
+    lead, mid = np.divmod(head, 10**8)
+    out[0] = lead + _ZERO
+    for j, quad in enumerate(np.divmod(mid, 10**4) + np.divmod(low, 10**4)):
+        for i in range(4):
+            out[1 + 4 * j + i] = _QUADS[i][quad]
+    return out
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of every value, as the rows of an (N, _VALUE_WIDTH) uint8
+    array of ASCII codes, NUL-padded.
+
+    With E the decimal exponent, |v| * 10^(16 - E) is formed exactly as a
+    double pair by Dekker's product while 10^(16 - E) is a double (E >= -6),
+    and rounded half-even to 17 digits; %g then writes them fixed for
+    -4 <= E < 17 and as d.ddde+-XX otherwise, trailing zeros stripped.
+    Other values (zero, subnormal, non-finite, E outside [-6, 16]) are
+    formatted by Python one by one.  The text is assembled one character
+    position at a time over all values, as a (_VALUE_WIDTH, N) array.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    x = np.abs(values)
+    # floor((e2 - 1) log10 2) is E or E - 1 for x in [2^(e2-1), 2^e2)
+    E = np.floor((np.frexp(x)[1] - 1) * math.log10(2.0)).astype(np.int64)
+    fast = np.isfinite(x) & (x > 0) & (E >= -7) & (E <= 16)
+    x, E = np.where(fast, x, 1.0), np.clip(E, -6, 16)
+
+    def scaled():
+        """hi + lo = x 10^(16 - E) and where it falls below 10^16, above 10^17."""
+        hi, lo = _two_product(x, _POW10[np.clip(16 - E, 0, 22)])
+        return hi, lo, (hi < 1e16) | ((hi == 1e16) & (lo < 0)), (hi > 1e17) | (
+            (hi == 1e17) & (lo >= 0))
+
+    hi, lo, below, above = scaled()
+    E += above
+    E -= below
+    hi, lo, below, above = scaled()
+    fast &= (E >= -6) & (E <= 16) & ~below & ~above
+    hi, lo = np.where(fast, hi, 1e16), np.where(fast, lo, 0.0)
+    # hi is an even integer, so rounding lo half-even rounds hi + lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # a carry needs a double within 5e-18 (relative) below a power of ten;
+    # none is in range, but the digits stay right without that fact
+    carry = d == 10**17
+    d[carry] = 10**16
+    E += carry
+    digits = _digits17(d)
+
+    fixed = (E >= -4) & (E < 17)
+    whole = np.where(fixed & (E >= 0), E, -1)  # the last digit before the point
+    # %g strips trailing zeros, but not those of the integer part
+    strip = digits == _ZERO
+    for i in range(15, -1, -1):
+        strip[i] &= strip[i + 1]
+    strip &= _ROWS[:17] > whole
+    digits *= ~strip
+    kept = 17 - np.count_nonzero(strip, axis=0)
+    # the point follows digit `point`; below 1, fixed notation writes it in
+    # the "0.000" prefix and none among the digits
+    point = np.where(fixed, np.where(E >= 0, E, 16), 0)
+    out = np.zeros((_VALUE_WIDTH, values.shape[0]), dtype=np.uint8)
+    out[0] = _MINUS * (values < 0)
+    out[1:6] = _ZERO_POINT * (_ROWS[:5] < np.where(fixed & (E < 0), 1 - E, 0))
+    area = out[6:24]
+    area[:17] = digits * (_ROWS[:17] <= point)
+    area[1:] += digits * (_ROWS[1:18] > point + 1)
+    area += _DOT * ((_ROWS[:18] == point + 1) & (kept > point + 1))
+    sci = ~fixed
+    tens, units = np.divmod(np.abs(E).astype(np.uint8), np.uint8(10))
+    out[24] = _EXP * sci
+    out[25] = np.where(E < 0, _MINUS, _PLUS) * sci
+    out[26] = (_ZERO + tens) * sci
+    out[27] = (_ZERO + units) * sci
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.17g" % v for v in values[slow].tolist()], dtype=f"S{_VALUE_WIDTH}")
+        out[:, slow] = text.view(np.uint8).reshape(-1, _VALUE_WIDTH).T
+    return out.T
+
+
+def _labels(count: int) -> np.ndarray:
+    """str(i) for i < count, NUL-padded: row k holds character k of each."""
+    width = len(str(count - 1))
+    return np.array([str(i) for i in range(count)], dtype=f"S{width}").view(
+        np.uint8).reshape(count, width).T.copy()
+
+
+#: data lines formatted at once: each chunk's arrays stay a few MB
+EXPORT_CHUNK = 1 << 15
+
+
 def export_kernels(field: KernelField, fh):
     """Portable text dump to the open text stream fh: one line
     `ti i_1 .. i_q value` per nonzero canonical (nondecreasing) multi-index,
-    in lexicographic order, values in %.17g.
+    in lexicographic order, values in %.17g (NaN kept, -0.0 skipped).
 
-    Each leading (q-1)-tuple is one canonical row, the trailing indices
-    from its last entry on; a row's nonzero entries (NaN kept, -0.0
-    skipped) are written with one format of a repeated line template.
+    Works from the factors (`_canonical_entries`), never the dense view.
+    Each field of a line has a NUL-padded slot of fixed width in one uint8
+    row; dropping the NULs of a chunk of rows leaves its text.
     """
     spec = field.spec
-    n = spec.space.n
+    n, q = spec.space.n, spec.q
     fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
     fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n")
     fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
     fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
-    labels = [str(i) for i in range(n)]
-    for ti, block in enumerate(field.blocks):
-        for lead in itertools.combinations_with_replacement(range(n), spec.q - 1):
-            start = max(lead, default=0)
-            row = block[lead][start:]
-            ks = np.flatnonzero(row)
-            if ks.size == 0:
-                continue
-            args = [None] * (2 * ks.size)
-            args[0::2] = [labels[start + k] for k in ks.tolist()]
-            args[1::2] = row[ks].tolist()
-            line = " ".join([str(ti), *(labels[i] for i in lead), "%s %.17g\n"])
-            fh.write(line * ks.size % tuple(args))
+    labels = _labels(n)
+    # slots: ti, i_1 .. i_q and the value, each followed by a space or "\n"
+    times = _labels(len(spec.out_times))
+    widths = [times.shape[0]] + [labels.shape[0]] * q + [_VALUE_WIDTH]
+    ends = np.cumsum([w + 1 for w in widths])
+    template = np.zeros(ends[-1], dtype=np.uint8)
+    template[ends - 1] = ord(" ")
+    template[-1] = ord("\n")
+    for ti in range(len(spec.out_times)):
+        template[:widths[0]] = times[:, ti]
+        index, values = _canonical_entries(field, ti)
+        nonzero = values != 0
+        index, values = [i[nonzero] for i in index], values[nonzero]
+        for lo in range(0, values.shape[0], EXPORT_CHUNK):
+            rows = slice(lo, lo + EXPORT_CHUNK)
+            line = np.empty((values[rows].shape[0], ends[-1]), dtype=np.uint8)
+            line[:] = template
+            for j in range(q):
+                for k in range(labels.shape[0]):
+                    line[:, ends[j] + k] = labels[k][index[j][rows]]
+            line[:, ends[-2]:-1] = _format_17g(values[rows])
+            fh.write(line[line != 0].tobytes().decode("ascii"))
 
 
 def import_kernels(path: str) -> tuple:

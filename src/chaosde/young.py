@@ -100,6 +100,9 @@ def _rs_core(times, g, phi, tol, check_exponents):
     if check_exponents and times.shape[0] >= 9:
         if _estimate_holder(times, g) + _estimate_holder(times, phi) <= 1.0:
             warning = True
+    if tol == 0.0:
+        # no level can meet a zero tolerance: the finest sum, on its own
+        return YoungResult(_left_sum(g, phi, 1), 1, np.inf, False, warning)
     strides = _level_strides(times.shape[0])
     prev = None
     delta = np.inf
@@ -123,7 +126,8 @@ def rs_integral(times, g, phi, tol: float = DEFAULT_TOL) -> YoungResult:
 
     Left-point sums on dyadic refinements until two successive levels agree
     to tol (relative to max(1, |value|)) or the refinement tower is
-    exhausted; tol = 0 forces full refinement and returns the finest sum.
+    exhausted.  tol = 0 returns the finest sum alone: one level, last_delta
+    inf and converged False.
     """
     return _rs_core(times, g, phi, tol, check_exponents=True)
 

@@ -17,10 +17,14 @@ from chaosde.errors import (
 )
 from chaosde.wiener import HolderConfig, make_hilbert, sample_omega, zero_draw
 from chaosde.chaos import hermite_poly
+from chaosde import hermite
 from chaosde.hermite import (
+    _canonical_entries,
     _cell_avg_matrix,
+    _format_17g,
     GridDriver,
     HermiteSpec,
+    KernelField,
     build_kernels,
     covariance_theoretical,
     export_kernels,
@@ -331,9 +335,10 @@ def test_export_kernels_matches_line_loop(q, m, calibrate):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_export_kernels_special_values_match_line_loop(q):
+def test_export_kernels_special_values_match_line_loop(q, monkeypatch):
     # zeros, -0.0 (skipped), subnormals, NaN (kept) and infinities at
-    # scattered canonical entries of a replaced dense view
+    # scattered canonical entries, fed to the exporter in place of the
+    # canonical values and to the line loop through its dense view
     n = 10 if q == 3 else 30
     spec = small_spec(q=q, n=n, L=1.0, out_times=(0.5, 1.0))
     field = build_kernels(spec)
@@ -347,11 +352,102 @@ def test_export_kernels_special_values_match_line_loop(q):
     blocks[(1,) + (n - 1,) * q] = -0.0
     blocks[(1,) + (0,) * q] = np.nan
     field.__dict__["blocks"] = blocks
+
+    def entries(field, ti):
+        index, _ = _canonical_entries(field, ti)
+        return index, blocks[ti][tuple(index)]
+
+    monkeypatch.setattr(hermite, "_canonical_entries", entries)
     got = _dump(export_kernels, field)
     assert got == _dump(_export_kernels_loop, field)
     values = [line.split()[-1] for line in got.splitlines() if not line.startswith("#")]
     assert {"nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(values)
     assert not any(v in ("0", "-0") for v in values)
+
+
+@pytest.mark.parametrize("calibrate", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_canonical_entries_match_blocks(q, m, calibrate):
+    # grids with n below, at and above s_nodes
+    for n, s_nodes in ((14, 64), (24, 24), (40, 16)):
+        spec = small_spec(q=q, n=n, L=1.0, m=m, s_nodes=s_nodes, out_times=(0.5, 1.0))
+        field = build_kernels(spec, calibrate=calibrate)
+        canon = np.array(list(itertools.combinations_with_replacement(range(n), q))).T
+        for ti in range(len(spec.out_times)):
+            index, values = _canonical_entries(field, ti)
+            assert np.array_equal(index, canon)
+            assert np.array_equal(values, field.blocks[ti][tuple(canon)])
+
+
+def test_canonical_entries_match_blocks_drivers_q3():
+    # the order-3 grid of `chaosde simulate` in the drivers-q3 benchmark
+    space = make_hilbert(1, -8.0, 1.0, 160)
+    spec = HermiteSpec(q=3, H=0.7, m=1, space=space, s_nodes=64, out_times=(0.25, 0.5, 1.0))
+    field = build_kernels(spec)
+    for ti in range(len(spec.out_times)):
+        index, values = _canonical_entries(field, ti)
+        assert index.shape == (3, math.comb(162, 3))
+        assert np.all(index[:-1] <= index[1:])
+        assert np.array_equal(values, field.blocks[ti][tuple(index)])
+
+
+def test_export_kernels_stays_off_dense_view(monkeypatch):
+    fields = [build_kernels(small_spec(q=q, n=14 if q == 3 else 40, L=1.0, m=2,
+                                       out_times=(0.5, 1.0))) for q in (1, 2, 3)]
+    want = [_dump(_export_kernels_loop, field) for field in fields]
+
+    def dense_view(self):
+        raise AssertionError("export_kernels read the dense view")
+
+    monkeypatch.setattr(KernelField, "blocks", property(dense_view))
+    for field, text in zip(fields, want):
+        field.__dict__.pop("blocks", None)
+        assert _dump(export_kernels, field) == text
+
+
+def _assert_formats_as_python(values):
+    """_format_17g gives '%.17g' % v byte for byte, NULs dropped."""
+    values = np.asarray(values, dtype=float)
+    rows = _format_17g(values)
+    want = ["%.17g" % v for v in values.tolist()]
+    assert rows.shape == (values.shape[0], hermite._VALUE_WIDTH)
+    assert np.count_nonzero(rows, axis=1).tolist() == [len(w) for w in want]
+    assert rows[rows != 0].tobytes().decode("ascii") == "".join(want)
+
+
+def test_format_17g_special_values():
+    specials = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308,
+                np.nan, -np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.5, -1e-6,
+                -0.1, -123.25]
+    _assert_formats_as_python(specials)
+    assert [bytes(r[r != 0]) for r in _format_17g([-0.0, np.nan, -np.inf])] == [
+        b"-0", b"nan", b"-inf"]
+
+
+def test_format_17g_exponent_boundaries_carry_and_ties():
+    values = []
+    # decimal exponents -7 .. 18, fixed notation for -4 <= E < 17
+    for E in range(-7, 19):
+        p = float(f"1e{E}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p, 1.5 * p, 9.5 * p]
+    # next to powers of ten, where rounding to 17 digits could carry
+    values += [9.9999999999999999e-5, 9.99999999999999999e-5, 9.9999999999999999e16,
+               99999999999999999.0, 1e16 + 2.0, 1e17 - 16.0]
+    # exact ties at the 18th digit: half-even keeps ...2|5 and raises ...7|5
+    values += [9 * 2.0**-23, 13 * 2.0**-23, 11 * 2.0**-23, 2.0**-20, 2.0**-19, 2.0**56]
+    assert "%.17g" % (11 * 2.0**-23) == "1.3113021850585938e-06"
+    _assert_formats_as_python(values)
+
+
+def test_format_17g_random_bit_patterns():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    _assert_formats_as_python(bits.view(np.float64))
+    # the same with binary exponents around the vectorized range, E in [-6, 16]
+    exponent = rng.integers(1023 - 25, 1023 + 60, size=10**6, dtype=np.uint64)
+    bits = (bits & np.uint64(2**52 - 1 | 2**63)) | (exponent << np.uint64(52))
+    _assert_formats_as_python(bits.view(np.float64))
 
 
 def test_self_similarity_q1_deterministic():

@@ -69,8 +69,9 @@ def test_tol_zero_returns_finest_sum():
     phi = np.exp(t)
     res = rs_integral(t, g, phi, tol=0.0)
     finest = float(g[:-1] @ np.diff(phi))
-    assert res.value == pytest.approx(finest, abs=1e-15)
-    assert res.refinement_levels == 6
+    assert res.value == finest
+    assert res.refinement_levels == 1
+    assert res.last_delta == np.inf and not res.converged
 
 
 def test_young_warning_for_rough_pair():

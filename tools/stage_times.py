@@ -1,28 +1,37 @@
-"""Per-stage cost of one `chaosde density` ensemble sample, for one or more
-source trees measured side by side.
+"""Per-stage cost of a `chaosde` scenario, for one or more source trees
+measured side by side.
 
 Usage (from the root of a checkout):
 
-    python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--repeats R] [--out FILE]
+    python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME]
+                                 [--repeats R] [--out FILE]
 
 SRC is a directory holding the `chaosde` package (the `src` directory of a
-checkout).  The scenario is the benchmark's `ensemble-elliptic` one:
-elliptic-2d, q = 1, H = 0.7, n = 256, L = 8, 128 steps to T = 1, seeds
-5-104.  Each pass runs in a fresh interpreter with one BLAS thread, and
-times the seven stages of every sample in the order the ensemble runs them:
-draw (`sample_omega`), driver values (`GridDriver.values`), Euler
-(`solve_euler`; per sample, when that source solves Euler over batches of
-`density.EULER_BATCH` seeds, the batch time divided among its seeds), Theta
-(`solve_theta_all`), DF (`GridDriver.deriv_vectors`), DX
-(`solution_derivative` on the filled triangle) and Gram
-(`malliavin_matrix`).  The pass then times one whole `chaosde density`
-command on the same scenario with `run.seed` 5 and `run.M` 100, in process.
+checkout).  Each pass runs in a fresh interpreter with one BLAS thread.
+The scenarios are the benchmark's two workloads:
+
+ensemble-elliptic (the default): elliptic-2d, q = 1, H = 0.7, n = 256,
+L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
+every sample in the order the ensemble runs them: draw (`sample_omega`),
+driver values (`GridDriver.values`), Euler (`solve_euler`; per sample, when
+that source solves Euler over batches of `density.EULER_BATCH` seeds, the
+batch time divided among its seeds), Theta (`solve_theta_all`), DF
+(`GridDriver.deriv_vectors`), DX (`solution_derivative` on the filled
+triangle) and Gram (`malliavin_matrix`), in milliseconds per sample.  The
+pass then times one whole `chaosde density` command on the same scenario
+with `run.seed` 5 and `run.M` 100, in process.
+
+drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
+n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
+process as the first command of the interpreter.  A pass times its four
+stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
+and writing `kernels.txt` (each file from opening to closing), the whole
+command, and the peak resident memory of the pass.
 
 The passes alternate between the sources, R times each (default 7), so
 that host drift hits every source alike; the report gives the median over
-the passes of each stage's mean milliseconds per sample, and of the command
-seconds.  The JSON record (stdout, or FILE with --out) carries the
-per-pass figures and the provenance of the run.
+the passes of each figure.  The JSON record (stdout, or FILE with --out)
+carries the per-pass figures and the provenance of the run.
 """
 
 from __future__ import annotations
@@ -36,14 +45,17 @@ import subprocess
 import sys
 import tempfile
 
-SCENARIO = {"preset": "elliptic-2d", "q": 1, "H": 0.7, "t": 1.0, "steps": 128, "n": 256,
+ENSEMBLE = {"preset": "elliptic-2d", "q": 1, "H": 0.7, "t": 1.0, "steps": 128, "n": 256,
             "L": 8.0}
 SEEDS = range(5, 105)
 STAGES = ("draw", "driver_values", "euler", "theta", "df", "dx", "gram")
+SIMULATE = {"process": {"q": 3, "H": 0.7, "m": 1, "n": 160, "L": 8.0, "s_nodes": 64},
+            "run": {"M": 200, "seed": 5, "out_times": [0.25, 0.5, 1.0]}}
+SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def measure() -> dict:
+def measure_ensemble() -> dict:
     """One pass over SEEDS with the chaosde on sys.path (run in a child)."""
     import contextlib
     import io
@@ -55,7 +67,7 @@ def measure() -> dict:
     from chaosde.sde import solve_euler, solve_theta_all
     from chaosde.wiener import sample_omega
 
-    scenario = density.Scenario(**SCENARIO)
+    scenario = density.Scenario(**ENSEMBLE)
     coeffs, x0, spec, driver = scenario.build()
     batch = getattr(density, "EULER_BATCH", None)
     clock = time.perf_counter
@@ -92,10 +104,10 @@ def measure() -> dict:
                 sample(w, bundle)
     stages_ms = {k: 1e3 * v / len(seeds) for k, v in totals.items()}
 
-    cfg = {"process": {"q": SCENARIO["q"], "H": SCENARIO["H"], "m": coeffs.m,
-                       "n": SCENARIO["n"], "L": SCENARIO["L"]},
-           "sde": {"preset": SCENARIO["preset"], "steps": SCENARIO["steps"],
-                   "T": SCENARIO["t"]},
+    cfg = {"process": {"q": ENSEMBLE["q"], "H": ENSEMBLE["H"], "m": coeffs.m,
+                       "n": ENSEMBLE["n"], "L": ENSEMBLE["L"]},
+           "sde": {"preset": ENSEMBLE["preset"], "steps": ENSEMBLE["steps"],
+                   "T": ENSEMBLE["t"]},
            "run": {"M": len(seeds), "seed": seeds[0]}}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -111,6 +123,66 @@ def measure() -> dict:
         raise RuntimeError(f"chaosde density exited {rc}")
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
             "command_s": command_s, "euler_batch": batch}
+
+
+def measure_simulate() -> dict:
+    """One `chaosde simulate` command with its stages timed (run in a child).
+
+    The stages are timed by wrapping the names the command calls them by,
+    so every source tree runs its own, unchanged command."""
+    import contextlib
+    import io
+    import resource
+    import time
+
+    from chaosde import cli
+
+    clock = time.perf_counter
+    stages = dict.fromkeys(SIMULATE_STAGES, 0.0)
+
+    def timed(stage, fn):
+        def run(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stages[stage] += clock() - start
+        return run
+
+    def timed_output(output):
+        @contextlib.contextmanager
+        def run(cfg, name):
+            start = clock()
+            with output(cfg, name) as fh:
+                yield fh
+            stages[name] += clock() - start
+        return run
+
+    cli.build_kernels = timed("build_kernels", cli.build_kernels)
+    cli.simulate_paths = timed("simulate_paths", cli.simulate_paths)
+    cli._output = timed_output(cli._output)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(dict(SIMULATE, output={"directory": os.path.join(tmp, "out")}), fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = clock()
+            rc = cli.main(["simulate", "--config", path, "--workers", "1"])
+            command_s = clock() - start
+    if rc != 0:
+        raise RuntimeError(f"chaosde simulate exited {rc}")
+    return {"stages_s": stages, "command_s": command_s,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+#: scenario -> (child measurement, per-pass stage key, stages, per-pass totals,
+#: record of the setting)
+SCENARIOS = {
+    "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES, ("sample_ms", "command_s"),
+                          dict(ENSEMBLE, seeds=[SEEDS.start, SEEDS.stop - 1])),
+    "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES, ("command_s", "peak_rss_mb"),
+                   SIMULATE),
+}
 
 
 def _git_commit(src: str):
@@ -134,35 +206,38 @@ def _cpu_model():
     return None
 
 
-def _pass(src: str) -> dict:
+def _pass(src: str, scenario: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update({name: "1" for name in BLAS_ENV})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"], env=env,
-                         check=True, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario],
+                         env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sources", nargs="*", metavar="LABEL=SRC")
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS), default="ensemble-elliptic")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", default=None, help="write the JSON record here")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=sorted(SCENARIOS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure()))
+        print(json.dumps(SCENARIOS[args.child][0]()))
         return 0
     sources = dict(item.split("=", 1) for item in args.sources if "=" in item)
     if not sources or len(sources) != len(args.sources) or args.repeats < 1:
         parser.error("give at least one LABEL=SRC, each label once, and --repeats >= 1")
+    _, stage_key, stages, totals, setting = SCENARIOS[args.scenario]
     passes = {label: [] for label in sources}
     for _ in range(args.repeats):
         for label, src in sources.items():
-            passes[label].append(_pass(src))
+            passes[label].append(_pass(src, args.scenario))
     import numpy
 
     record = {
-        "scenario": dict(SCENARIO, seeds=[SEEDS.start, SEEDS.stop - 1]),
+        "scenario": args.scenario,
+        "setting": setting,
         "blas_threads": 1,
         "repeats": args.repeats,
         "provenance": {"cpu_model": _cpu_model(), "nproc": os.cpu_count(),
@@ -171,26 +246,28 @@ def main(argv=None) -> int:
     }
     for label, src in sources.items():
         runs = passes[label]
-        record["sources"][label] = {
-            "git_commit": _git_commit(src),
-            "euler_batch": runs[0]["euler_batch"],
-            "median_stages_ms": {k: statistics.median(r["stages_ms"][k] for r in runs)
-                                 for k in STAGES},
-            "median_sample_ms": statistics.median(r["sample_ms"] for r in runs),
-            "median_command_s": statistics.median(r["command_s"] for r in runs),
-            "passes": runs,
-        }
+        entry = {"git_commit": _git_commit(src)}
+        if "euler_batch" in runs[0]:
+            entry["euler_batch"] = runs[0]["euler_batch"]
+        entry["median_" + stage_key] = {k: statistics.median(r[stage_key][k] for r in runs)
+                                       for k in stages}
+        entry.update({"median_" + key: statistics.median(r[key] for r in runs)
+                      for key in totals})
+        entry["passes"] = runs
+        record["sources"][label] = entry
     text = json.dumps(record, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    print(f"{'stage':<18}" + "".join(f"{label:>12}" for label in sources))
-    for key in STAGES:
-        print(f"{key + ' ms':<18}" + "".join(
-            f"{record['sources'][label]['median_stages_ms'][key]:>12.3f}" for label in sources))
-    for key, fmt in (("median_sample_ms", "sample ms"), ("median_command_s", "command s")):
-        print(f"{fmt:<18}" + "".join(
-            f"{record['sources'][label][key]:>12.3f}" for label in sources))
+    unit = stage_key.split("_")[1]
+    print(f"{'stage':<22}" + "".join(f"{label:>12}" for label in sources))
+    for key in stages:
+        print(f"{key + ' ' + unit:<22}" + "".join(
+            f"{record['sources'][label]['median_' + stage_key][key]:>12.3f}"
+            for label in sources))
+    for key in totals:
+        print(f"{key.replace('_', ' '):<22}" + "".join(
+            f"{record['sources'][label]['median_' + key]:>12.3f}" for label in sources))
     if not args.out:
         print(text)
     return 0
