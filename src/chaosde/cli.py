@@ -333,12 +333,12 @@ def cmd_solve(cfg: dict) -> int:
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     with _output(cfg, "solution.csv") as fh:
         fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
-        for seeds, _, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
-            for k, path_seed in enumerate(seeds):
+        for draws, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
+            for k, w in enumerate(draws):
                 X = batch.path(k).X  # a path that went non-finite stops the command
                 for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):
                     cols = ",".join(_fmt(v) for v in X[i])
-                    fh.write(f"{path_seed},{_fmt(batch.times[i])},{cols}\n")
+                    fh.write(f"{w.seed},{_fmt(batch.times[i])},{cols}\n")
     print(f"wrote {fh.name}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DegenerateLawError, check_budget
-from .wiener import make_hilbert, sample_omega
+from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler
 from .malliavin import malliavin_matrix, solution_derivative
@@ -66,21 +66,12 @@ class SampleEnsemble:
         return len(self.excluded_seeds)
 
 
-#: paths per batched Euler solve: its arrays hold about EULER_BATCH * steps
-#: * (d * m + d + m) doubles, whatever the number of seeds
-EULER_BATCH = 64
-
-
 def euler_batches(coeffs, x0, spec, driver, seeds):
-    """(seeds, draws, batch) for consecutive runs of at most EULER_BATCH
-    seeds: their draws and the batched Euler solve along their driver
-    values; batch.path(k) is the path of seeds[k]."""
-    seeds = list(seeds)
-    for start in range(0, len(seeds), EULER_BATCH):
-        chunk = seeds[start:start + EULER_BATCH]
-        draws = [sample_omega(spec.space, seed) for seed in chunk]
-        values = np.array([driver.values(w) for w in draws])
-        yield chunk, draws, solve_euler(coeffs, x0, (driver.times, values))
+    """(draws, batch) for each block of `wiener.draw_blocks`: the batched
+    Euler solve along the draws' driver values, about DRAW_BLOCK * steps *
+    (d * m + d + m) doubles; batch.path(k) is the path of draws[k]."""
+    for draws, _ in draw_blocks(spec.space, seeds):
+        yield draws, solve_euler(coeffs, x0, (driver.times, driver.values(draws)))
 
 
 def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 1) -> SampleEnsemble:
@@ -115,15 +106,15 @@ def _parallel_chunk(args):
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
     out = []
-    for chunk, draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
-        for k, (seed, w) in enumerate(zip(chunk, draws)):
+    for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+        for k, w in enumerate(draws):
             try:
                 path = batch.path(k)
                 mf = solution_derivative(coeffs, path, driver.deriv_vectors(w), spec.space)
                 mm = malliavin_matrix(mf)
-                out.append((seed, path.X[-1], mm.det, mm.min_eig))
+                out.append((w.seed, path.X[-1], mm.det, mm.min_eig))
             except BlowupError:
-                out.append((seed, None, None, None))
+                out.append((w.seed, None, None, None))
     return out
 
 
@@ -152,11 +143,11 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
-#: default number of KDE grid points; kde holds a (grid_points, samples) matrix
+#: number of KDE grid points; kde holds a (KDE_GRID_POINTS, samples) matrix
 KDE_GRID_POINTS = 512
 
 
-def kde(samples, bandwidth: float = None, grid_points: int = KDE_GRID_POINTS) -> DensityEstimate:
+def kde(samples) -> DensityEstimate:
     """Gaussian-kernel density estimate with Silverman-rule bandwidth.
 
     Raises DegenerateLawError for (numerically) constant samples.
@@ -169,11 +160,10 @@ def kde(samples, bandwidth: float = None, grid_points: int = KDE_GRID_POINTS) ->
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     if spread <= 0 or not np.isfinite(spread):
         raise DegenerateLawError("samples are numerically constant")
-    if bandwidth is None:
-        bandwidth = 0.9 * spread * x.shape[0] ** (-0.2)
+    bandwidth = 0.9 * spread * x.shape[0] ** (-0.2)
     lo = x.min() - 5.0 * bandwidth
     hi = x.max() + 5.0 * bandwidth
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - x[None, :]) / bandwidth
     values = np.exp(-0.5 * z * z).sum(axis=1) / (x.shape[0] * bandwidth * math.sqrt(2 * math.pi))
     est = DensityEstimate(grid=grid, values=values, bandwidth=float(bandwidth))

@@ -11,7 +11,9 @@ H0 = 1 + (H-1)/q.  Discretely each kernel becomes an order-q coefficient
 block over the cells of one noise component; m components use m disjoint
 blocks of the same shape, which makes distinct components exactly
 orthogonal at the kernel level.  Evaluators take the (m, n) component view
-of a draw (`HilbertDisc.components`) and return every component at once.
+of a draw (`HilbertDisc.components`), or the (B, m, n) one of a block of
+draws (`wiener.draw_blocks`), and return every component of every draw at
+once.
 
 Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
@@ -47,7 +49,7 @@ from .errors import (
     UnsupportedOrderError,
     check_budget,
 )
-from .wiener import GaussianDraw, HilbertDisc, HolderConfig, make_hilbert, sample_omega
+from .wiener import GaussianDraw, HilbertDisc, HolderConfig, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
 
 
@@ -160,15 +162,15 @@ def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
 
 def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
     """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q},
-    shape (m, k) each, for the (m, n) component coordinates xi.
+    shape (..., m, k) each, for the (..., m, n) component coordinates xi.
 
     With gx = <g_k, xi^ell> and gg = |g_k|^2, the value weight is
     I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
     q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k.
     """
-    # one stacked matrix-vector product per component: a single GEMM would
-    # reduce in another order and change the bits
-    gx = (g @ xi[:, :, None])[..., 0]
+    # one stacked matrix-vector product per component of each draw: a single
+    # GEMM would reduce in another order and change the bits
+    gx = (g @ xi[..., None])[..., 0]
     gg = np.einsum("ki,ki->k", g, g)
     return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
 
@@ -205,12 +207,12 @@ class KernelField:
     calibrated: bool
 
     def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
-        """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (m,) and
-        (m, n), at the (m, n) component coordinates xi."""
+        """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (..., m) and
+        (..., m, n), at the (..., m, n) component coordinates xi."""
         g, beta = self.g[ti], self.beta[ti]
         val_w, der_w = _wick_weights(g, xi, self.spec.q)
-        value = (val_w[:, None, :] @ beta)[:, 0]
-        deriv = ((beta * der_w)[:, None, :] @ g)[:, 0]
+        value = (val_w[..., None, :] @ beta)[..., 0]
+        deriv = ((beta * der_w)[..., None, :] @ g)[..., 0, :]
         return self.rho[ti] * value, self.rho[ti] * deriv
 
     def inner(self, i: int, j: int) -> float:
@@ -235,11 +237,14 @@ class KernelField:
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """Dense blocks, shape (len(out_times),) + (n,)*q."""
+        """Dense blocks, shape (len(out_times),) + (n,)*q, exactly symmetric:
+        each canonical entry is copied to every permutation of its index."""
         self.check_dense_budget()
         out = np.empty((len(self.spec.out_times),) + (self.spec.space.n,) * self.spec.q)
         for ti in range(out.shape[0]):
-            out[ti] = self._block(ti)
+            index, values = _canonical_entries(self, ti)
+            for perm in itertools.permutations(index):
+                out[(ti,) + perm] = values
         return out
 
 
@@ -283,28 +288,28 @@ class DrivingPath:
         object.__setattr__(self, "values", values)
 
 
+def _path_values(field: KernelField, xi: np.ndarray) -> np.ndarray:
+    """Z_t^ell at every output time, shape (..., T, m), at coordinates (..., m, n)."""
+    return np.stack([field.evaluate(ti, xi)[0] for ti in range(len(field.spec.out_times))], -2)
+
+
 def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     """Evaluate Z_t^ell = I_q(kernel) on one draw, all times and components."""
     spec = field.spec
     if w.space != spec.space:
         raise SpaceMismatchError("draw built over a different discretization")
-    xi = spec.space.components(w.xi)
-    values = np.array([field.evaluate(ti, xi)[0] for ti in range(len(spec.out_times))])
-    return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
+    return DrivingPath(spec=spec, times=spec.out_times, seed=w.seed,
+                       values=_path_values(field, spec.space.components(w.xi)))
 
 
 def simulate_paths(field: KernelField, seeds) -> np.ndarray:
-    """Ensemble of simulate_path values, shape (len(seeds), T, m).
-
-    Each draw is evaluated on its own, so row k does not depend on the
-    other seeds of the batch.
+    """Ensemble of simulate_path values, shape (len(seeds), T, m), one
+    evaluation per block of draws; each draw's reductions are its own, so
+    row k equals simulate_path of seeds[k] bit for bit.
     """
     spec = field.spec
-    seeds = list(seeds)
-    out = np.empty((len(seeds), len(spec.out_times), spec.m))
-    for k, seed in enumerate(seeds):
-        out[k] = simulate_path(field, sample_omega(spec.space, seed)).values
-    return out
+    blocks = [_path_values(field, xi) for _, xi in draw_blocks(spec.space, seeds)]
+    return np.concatenate([np.empty((0, len(spec.out_times), spec.m))] + blocks)
 
 
 def covariance_theoretical(s: float, t: float, H: float) -> float:
@@ -397,9 +402,9 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         space, tol = field.spec.space, 1e-12
         edges = space.cell_edges()
         window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
-        ders = (field.evaluate(0, space.components(sample_omega(space, s).xi)[:1])[1][0, window]
-                for s in seeds)
-        return np.array([np.sum(d * d) for d in ders], dtype=float)
+        ders = (field.evaluate(0, xi[:, :1])[1][:, 0, window]
+                for _, xi in draw_blocks(space, seeds))
+        return np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders])
 
     lhs = energies(lhs_field, seeds, t - eps, t)
     rhs = eps ** (2.0 * spec.H) * energies(rhs_field, rhs_seeds, 0.0, 1.0)
@@ -493,17 +498,20 @@ class GridDriver:
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
-    def _components(self, w: GaussianDraw) -> np.ndarray:
-        """The (m, n) component coordinates of a draw over the driver's space."""
-        if w.space != self.spec.space:
+    def _components(self, draws) -> np.ndarray:
+        """The (m, n) component coordinates of one draw, or the (B, m, n)
+        ones of a list of B draws, each over the driver's space."""
+        one = isinstance(draws, GaussianDraw)
+        if any(w.space != self.spec.space for w in ([draws] if one else draws)):
             raise SpaceMismatchError("draw built over a different discretization")
-        return self.spec.space.components(w.xi)
+        return self.spec.space.components(draws.xi if one else np.array([w.xi for w in draws]))
 
-    def values(self, w: GaussianDraw) -> np.ndarray:
-        """Driver values on the grid, shape (len(times), m); row 0 is 0."""
-        val_w, _ = _wick_weights(self._g, self._components(w), self.spec.q)
-        out = np.zeros((self.times.shape[0], self.spec.m))
-        out[1:] = np.cumsum(self._beta * val_w, axis=1).T
+    def values(self, draws) -> np.ndarray:
+        """Driver values on the grid, shape (len(times), m) for one draw and
+        (B, len(times), m) for a list of B draws; row 0 is 0."""
+        val_w, _ = _wick_weights(self._g, self._components(draws), self.spec.q)
+        out = np.zeros(val_w.shape[:-2] + (self.times.shape[0], self.spec.m))
+        out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
         return out * self._rho[:, None]
 
     def deriv_vectors(self, w: GaussianDraw) -> np.ndarray:
@@ -520,8 +528,8 @@ def _canonical_entries(field: KernelField, ti: int) -> tuple:
     multi-indices i_1 <= .. <= i_q in lexicographic order: index has shape
     (q, N), values shape (N,).
 
-    The block comes from the einsum of `blocks`, one output time at a time,
-    so the values are those of `field.blocks` bit for bit.  A GEMM over the
+    The block comes from the einsum of `_block`, one output time at a time;
+    `field.blocks` is built from these entries.  A GEMM over the
     canonical entries alone would do half the work at q = 3, but BLAS sums
     in an order that depends on the matrix shape, which moves last bits.
     """
@@ -698,36 +706,20 @@ def export_kernels(field: KernelField, fh):
 
 
 def import_kernels(path: str) -> tuple:
-    """Read an export_kernels dump: (spec, dense blocks, calibrated)."""
-    header = {}
-    rows = []
+    """Read an export_kernels dump: (spec, dense blocks, calibrated), filled
+    by symmetry as `KernelField.blocks` is."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[0] == "times":
-                    header["times"] = tuple(float(x) for x in parts[1:])
-                else:
-                    for tok in parts:
-                        if "=" in tok:
-                            k, v = tok.split("=", 1)
-                            header[k] = v
-            else:
-                rows.append(line.split())
+        lines = [line[1:].split() for line in fh if line.startswith("#")]
+    header = dict(tok.split("=", 1) for parts in lines for tok in parts if "=" in tok)
+    times = next(tuple(float(x) for x in parts[1:]) for parts in lines if parts[0] == "times")
     space = make_hilbert(int(header["m"]), float(header["lo"]), float(header["hi"]), int(header["n"]))
     spec = HermiteSpec(
         q=int(header["q"]), H=float(header["H"]), m=int(header["m"]), space=space,
-        s_nodes=int(header["s_nodes"]), out_times=header["times"],
+        s_nodes=int(header["s_nodes"]), out_times=times,
     )
-    T, n, q = len(spec.out_times), space.n, spec.q
-    blocks = np.zeros((T,) + (n,) * q)
-    for row in rows:
-        ti = int(row[0])
-        idx = tuple(int(x) for x in row[1 : 1 + q])
-        v = float(row[1 + q])
-        for perm in set(itertools.permutations(idx)):
-            blocks[(ti,) + perm] = v
+    rows = np.loadtxt(path, ndmin=2)
+    index = rows[:, :-1].astype(np.intp).T
+    blocks = np.zeros((len(spec.out_times),) + (space.n,) * spec.q)
+    for perm in itertools.permutations(index[1:]):
+        blocks[(index[0],) + perm] = rows[:, -1]
     return spec, blocks, bool(int(header["calibrated"]))

@@ -195,7 +195,6 @@ def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
 
 def directional_quotient(coeffs: SdeCoefficients, x0, gd: GridDriver, w: GaussianDraw,
                          h: HilbertVec, eps: float) -> np.ndarray:
-    """(X_T(omega + eps h) - X_T(omega)) / eps for the discrete flow."""
-    base = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
-    pert = solve_euler(coeffs, x0, (gd.times, gd.values(shift_omega(w, eps, h))))
-    return (pert.X[-1] - base.X[-1]) / eps
+    """(X_T(omega + eps h) - X_T(omega)) / eps for the discrete flow, one batch."""
+    pair = solve_euler(coeffs, x0, (gd.times, gd.values([w, shift_omega(w, eps, h)])))
+    return (pair.path(1).X[-1] - pair.path(0).X[-1]) / eps

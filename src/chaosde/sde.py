@@ -69,31 +69,32 @@ def _evaluated(name, fn, x, tail):
     return out
 
 
-def validate_derivatives(coeffs: SdeCoefficients, probes: int = 10, seed: int = 0,
-                         tol: float = 1e-4) -> float:
-    """Finite-difference check of db and dsigma at random probe points.
+#: validate_derivatives' probe count (Philox key 0) and relative tolerance
+DERIV_PROBES, DERIV_TOL = 10, 1e-4
 
-    Returns the worst relative discrepancy; raises ConfigError above tol.
+
+def validate_derivatives(coeffs: SdeCoefficients) -> float:
+    """Central-difference check of db and dsigma at DERIV_PROBES random
+    points: one b, sigma, db and dsigma call for all probes and steps.
+
+    Returns the worst relative discrepancy; raises ConfigError above
+    DERIV_TOL or at NaN.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    worst = 0.0
-    for _ in range(probes):
-        x = rng.standard_normal(coeffs.d)
-        h = 1e-6 * (1.0 + np.abs(x))
-        db_num = np.empty((coeffs.d, coeffs.d))
-        ds_num = np.empty((coeffs.d, coeffs.m, coeffs.d))
-        for p in range(coeffs.d):
-            e = np.zeros(coeffs.d)
-            e[p] = h[p]
-            db_num[:, p] = (coeffs.eval_b(x + e) - coeffs.eval_b(x - e)) / (2 * h[p])
-            ds_num[:, :, p] = (coeffs.eval_sigma(x + e) - coeffs.eval_sigma(x - e)) / (2 * h[p])
-        scale = 1.0 + float(np.max(np.abs(db_num))) + float(np.max(np.abs(ds_num)))
-        gap = max(
-            float(np.max(np.abs(db_num - coeffs.eval_db(x)))),
-            float(np.max(np.abs(ds_num - coeffs.eval_dsigma(x)))),
-        )
-        worst = max(worst, gap / scale)
-    if worst > tol:
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(0)))
+    x = rng.standard_normal((DERIV_PROBES, coeffs.d))
+    h = 1e-6 * (1.0 + np.abs(x))
+    # states[0 or 1, i, p] = x_i + or - h_ip e_p
+    step = h[:, :, None] * np.eye(coeffs.d)
+    states = np.stack([x[:, None] + step, x[:, None] - step])
+    b, sig = coeffs.eval_b(states), coeffs.eval_sigma(states)
+    # the quotient along e_p goes to the last axis: [i, k, p] and [i, k, l, p]
+    db_num = np.moveaxis((b[0] - b[1]) / (2 * h)[:, :, None], 1, -1)
+    ds_num = np.moveaxis((sig[0] - sig[1]) / (2 * h)[:, :, None, None], 1, -1)
+    scale = 1.0 + np.max(np.abs(db_num), axis=(1, 2)) + np.max(np.abs(ds_num), axis=(1, 2, 3))
+    gap = np.maximum(np.max(np.abs(db_num - coeffs.eval_db(x)), axis=(1, 2)),
+                     np.max(np.abs(ds_num - coeffs.eval_dsigma(x)), axis=(1, 2, 3)))
+    worst = float(np.max(gap / scale))
+    if not worst <= DERIV_TOL:
         raise ConfigError(f"derivative callables disagree with finite differences ({worst:.2e})")
     return worst
 
@@ -156,10 +157,10 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     refinement of it: values of shape (len(times), m) for one path, or
     (B, len(times), m) for a batch of B paths from the common x0.  Each
     step makes one b and one sigma call for the whole batch; a path's rows
-    equal its own one-path solve bit for bit.  One path raises BlowupError
-    at its first non-finite state.  In a batch such a path is recorded in
-    `failed` and frozen there (no further arithmetic on it) while the
-    others go on.
+    equal its own one-path solve bit for bit.  A path that goes non-finite
+    is recorded in `failed` and frozen there (no further arithmetic on it)
+    while the others go on.  One path is a batch of one, returned as its
+    `path(0)`: BlowupError at its first non-finite state.
     """
     times, F = _driver_arrays(driver, times)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -192,11 +193,8 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     for k in np.flatnonzero(failed):
         X[k, failed[k] + 1:] = np.nan
         sig[k, failed[k]:] = np.nan
-    if F.ndim == 2:
-        if failed[0]:
-            raise BlowupError(f"non-finite state at step {failed[0]}", step=int(failed[0]))
-        return SolutionBundle(times=times, X=X[0], driver_values=F, sigma=sig[0])
-    return SolutionBundle(times=times, X=X, driver_values=F, sigma=sig, failed=failed)
+    batch = SolutionBundle(times=times, X=X, driver_values=paths, sigma=sig, failed=failed)
+    return batch if F.ndim == 3 else batch.path(0)
 
 
 def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
@@ -307,7 +305,7 @@ def _constant(value):
 
 def _elliptic_sigma(x):
     x0, x1 = x[..., 0], x[..., 1]
-    out = np.empty(np.shape(x)[:-1] + (2, 2))
+    out = np.empty(np.shape(x)[:-1] + (2, 2), dtype=np.result_type(x, float))
     out[..., 0, 0] = 1.0 + 0.1 * np.sin(x1)
     out[..., 0, 1] = 0.1 * np.cos(x0)
     out[..., 1, 0] = 0.1 * np.cos(x1)
@@ -316,7 +314,7 @@ def _elliptic_sigma(x):
 
 
 def _elliptic_dsigma(x):
-    out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+    out = np.zeros(np.shape(x)[:-1] + (2, 2, 2), dtype=np.result_type(x, float))
     out[..., 0, 0, 1] = 0.1 * np.cos(x[..., 1])
     out[..., 0, 1, 0] = -0.1 * np.sin(x[..., 0])
     out[..., 1, 0, 1] = -0.1 * np.sin(x[..., 1])
@@ -331,7 +329,7 @@ def _elliptic_b(x):
 def _elliptic_db(x):
     # float_power squares through pow, as a scalar ** 2 does; an array ** 2
     # multiplies, which differs from pow in the last bit at some states
-    out = np.zeros(np.shape(x)[:-1] + (2, 2))
+    out = np.zeros(np.shape(x)[:-1] + (2, 2), dtype=np.result_type(x, float))
     out[..., 0, 1] = 0.1 / np.float_power(np.cosh(x[..., 1]), 2.0)
     out[..., 1, 0] = 0.1 / np.float_power(np.cosh(x[..., 0]), 2.0)
     return out

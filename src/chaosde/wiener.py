@@ -11,6 +11,7 @@ coordinate translation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +202,22 @@ def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     xi = rng.standard_normal(space.basis_dim)
     return GaussianDraw(space=space, xi=xi, seed=int(seed))
+
+
+#: draws per block of `draw_blocks`, whatever the number of seeds
+DRAW_BLOCK = 64
+#: coordinates per block (8 MB): over a fine grid a block holds fewer draws
+DRAW_BLOCK_COORDS = 1 << 20
+
+
+def draw_blocks(space: HilbertDisc, seeds):
+    """(draws, xi) for consecutive blocks of at most DRAW_BLOCK seeds: the
+    `sample_omega` draws of the block and their (B, m, n) component
+    coordinates.  A draw does not depend on the block it lands in."""
+    size = max(1, min(DRAW_BLOCK, DRAW_BLOCK_COORDS // space.basis_dim))
+    seeds = iter(seeds)
+    while draws := [sample_omega(space, s) for s in itertools.islice(seeds, size)]:
+        yield draws, space.components(np.array([w.xi for w in draws]))
 
 
 def zero_draw(space: HilbertDisc) -> GaussianDraw:

@@ -8,7 +8,7 @@ import pytest
 
 from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryBudgetError
 from chaosde.wiener import sample_omega
-from chaosde import density
+from chaosde import density, wiener
 from chaosde.sde import SdeCoefficients, solve_euler, solve_theta_all
 from chaosde.malliavin import solution_derivative
 from chaosde.density import (
@@ -137,7 +137,7 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     # the level lies between the two highest path maxima of the seeds, so
     # one path of the batched Euler solves fails; the ensemble excludes
     # that seed alone and keeps the other rows bit for bit
-    M = density.EULER_BATCH + 6
+    M = wiener.DRAW_BLOCK + 6
     sc = Scenario(preset="capped", **SMALL)
     monkeypatch.setattr(density, "preset", capped_preset(np.inf))
     free = run_ensemble(sc, M=M, base_seed=0)

@@ -15,7 +15,7 @@ from chaosde.errors import (
     SpaceMismatchError,
     UnsupportedOrderError,
 )
-from chaosde.wiener import HolderConfig, make_hilbert, sample_omega, zero_draw
+from chaosde.wiener import DRAW_BLOCK, HolderConfig, make_hilbert, sample_omega, zero_draw
 from chaosde.chaos import hermite_poly
 from chaosde import hermite
 from chaosde.hermite import (
@@ -164,13 +164,18 @@ def test_simulate_path_zero_draw():
 
 
 def test_simulate_paths_matches_loop():
-    spec = small_spec(q=2, m=2)
-    field = build_kernels(spec)
-    seeds = list(range(5))
-    batch = simulate_paths(field, seeds)
-    for k, seed in enumerate(seeds):
-        one = simulate_path(field, sample_omega(spec.space, seed)).values
-        assert np.allclose(batch[k], one, atol=1e-12)
+    # blocks of draws, a short last one included, give every row the bits of
+    # its own simulate_path
+    seeds = range(40, 40 + 2 * DRAW_BLOCK + 5)
+    for q, m in itertools.product((1, 2, 3), (1, 2, 3)):
+        spec = small_spec(q=q, n=20 if q == 3 else 33, m=m, s_nodes=24)
+        field = build_kernels(spec)
+        batch = simulate_paths(field, seeds)
+        assert batch.shape == (len(seeds), len(spec.out_times), m)
+        for k, seed in enumerate(seeds):
+            one = simulate_path(field, sample_omega(spec.space, seed)).values
+            assert np.array_equal(batch[k], one)
+    assert simulate_paths(field, []).shape == (0, len(spec.out_times), m)
 
 
 def test_simulate_paths_row_independent_of_batch():
@@ -286,15 +291,32 @@ def test_nclt_paths_accepts_iterator():
 
 
 def test_export_import_roundtrip(tmp_path):
-    spec = small_spec(q=2, n=24, out_times=(0.5, 1.0))
-    field = build_kernels(spec)
-    path = str(tmp_path / "kernels.txt")
-    with open(path, "w", newline="\n") as fh:
-        export_kernels(field, fh)
-    back_spec, back_blocks, back_calibrated = import_kernels(path)
-    assert back_spec.q == spec.q and back_spec.H == spec.H
-    assert back_calibrated == field.calibrated
-    assert np.allclose(back_blocks, field.blocks, rtol=1e-14, atol=1e-300)
+    # the dump reads back as the dense view bit for bit, at every order
+    for q in (1, 2, 3):
+        spec = small_spec(q=q, n=12 if q == 3 else 24, m=2, out_times=(0.5, 1.0))
+        field = build_kernels(spec, calibrate=q != 3)
+        path = str(tmp_path / f"kernels{q}.txt")
+        with open(path, "w", newline="\n") as fh:
+            export_kernels(field, fh)
+        back_spec, back_blocks, back_calibrated = import_kernels(path)
+        assert back_spec == spec
+        assert back_calibrated == field.calibrated
+        assert np.array_equal(back_blocks, field.blocks)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [2, 3])
+def test_blocks_are_exactly_symmetric(q, m):
+    # every transposition of a block is the block itself, bit for bit, and
+    # its canonical entries are those of the exporter
+    for n, s_nodes in ((14, 64), (21, 21), (30, 16)):
+        spec = small_spec(q=q, n=n, L=1.0, m=m, s_nodes=s_nodes, out_times=(0.5, 1.0))
+        field = build_kernels(spec)
+        for ti, block in enumerate(field.blocks):
+            for perm in itertools.permutations(range(q)):
+                assert np.array_equal(np.transpose(block, perm), block)
+            index, values = _canonical_entries(field, ti)
+            assert np.array_equal(block[tuple(index)], values)
 
 
 def _export_kernels_loop(field, fh):
@@ -513,11 +535,13 @@ def selfsim_oracle(spec, t, eps, seeds, rhs_seeds):
 @pytest.mark.parametrize("q, m", [(1, 1), (2, 1), (2, 2), (3, 1)])
 @pytest.mark.parametrize("eps", [0.25, 0.3])
 def test_self_similarity_matches_raw_factor_oracle(q, m, eps):
+    # more seeds than one block of draws on each side, a short block last
     spec = small_spec(q=q, n=64, L=4.0, m=m, s_nodes=48, out_times=(1.0,))
-    got = self_similarity_stat(spec, 1.0, eps, range(20), range(100, 120))
-    want = selfsim_oracle(spec, 1.0, eps, range(20), range(100, 120))
-    for g, w in zip(got, want):
-        assert g.shape == (20,)
+    seeds, rhs_seeds = range(DRAW_BLOCK + 9), range(500, 500 + 2 * DRAW_BLOCK + 1)
+    got = self_similarity_stat(spec, 1.0, eps, seeds, rhs_seeds)
+    want = selfsim_oracle(spec, 1.0, eps, seeds, rhs_seeds)
+    for g, w, count in zip(got, want, (len(seeds), len(rhs_seeds))):
+        assert g.shape == (count,)
         assert g.tobytes() == w.tobytes()
 
 
@@ -614,6 +638,11 @@ def test_grid_driver_rejects_draw_over_another_space():
         gd.values(w)
     with pytest.raises(SpaceMismatchError):
         gd.deriv_vectors(w)
+    # one foreign draw in a list is enough
+    ours = [sample_omega(spec.space, s) for s in range(3)]
+    with pytest.raises(SpaceMismatchError):
+        gd.values(ours[:2] + [w] + ours[2:])
+    assert gd.values(ours).shape == (3, 17, 1)
 
 
 # Per-component oracles: one (n,) block of the component-major coordinates
@@ -681,3 +710,8 @@ def test_grid_driver_matches_per_component_oracle(q, m):
         w = sample_omega(spec.space, seed)
         assert np.array_equal(gd.values(w), grid_values_one(gd, w))
         assert np.array_equal(gd.deriv_vectors(w), grid_deriv_vectors_one(gd, w))
+    # a list of draws, a full block and a short one, stacks the draws' values
+    draws = [sample_omega(spec.space, s) for s in range(100, 100 + DRAW_BLOCK)]
+    want = np.array([grid_values_one(gd, w) for w in draws])
+    assert np.array_equal(gd.values(draws), want)
+    assert np.array_equal(gd.values(draws[5:8]), want[5:8])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaosde.errors import OutOfRangeError, SpaceMismatchError
 from chaosde.wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
@@ -19,6 +21,7 @@ from chaosde.malliavin import (
     shifted_driver,
     solution_derivative,
 )
+from oracles import complex_step_dx
 
 
 def make_spec(q=1, m=1, n=96, L=4.0, out_times=(0.5, 1.0)):
@@ -144,6 +147,23 @@ def test_directional_quotient_converges():
     assert errs[0] > errs[1] > errs[2]
     order = np.polyfit(np.log([1e-1, 1e-2, 1e-3]), np.log(errs), 1)[0]
     assert order >= 0.9
+
+
+@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+       st.integers(1, 3), st.integers(1, 64), st.integers(0, 2**64 - 1))
+@example("elliptic-2d", 3, 128, 0)
+@example("linear-scalar", 2, 1, 2**64 - 1)
+@settings(max_examples=25, deadline=None)
+def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
+    # DX h equals the complex-step derivative of the discrete Euler flow,
+    # which shares no recursion with the Theta triangle and the Young sums,
+    # to 1e-13 of the size of the summands of DX h (their sum may cancel)
+    coeffs, x0, spec, gd, w, bundle, mf = solve_case(name, q, steps=steps, n=40, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        h = rng.standard_normal(spec.space.basis_dim)
+        want = complex_step_dx(coeffs, x0, gd, w, h)
+        assert np.max(np.abs(mf.dx @ h - want)) <= 1e-13 * np.max(np.abs(mf.dx) @ np.abs(h))
 
 
 def test_hypothesis_checks_report():

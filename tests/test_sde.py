@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaosde import sde
 from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError, MemoryBudgetError
 from chaosde.sde import (
     SdeCoefficients,
@@ -60,6 +61,85 @@ def test_validate_derivatives_catches_mismatch():
     )
     with pytest.raises(ConfigError):
         validate_derivatives(bad)
+
+
+def validate_derivatives_loop(coeffs, probes=10, seed=0):
+    """The per-probe, per-coordinate central differences that
+    validate_derivatives batches: its oracle.  Returns the worst relative
+    discrepancy."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    worst = 0.0
+    for _ in range(probes):
+        x = rng.standard_normal(coeffs.d)
+        h = 1e-6 * (1.0 + np.abs(x))
+        db_num = np.empty((coeffs.d, coeffs.d))
+        ds_num = np.empty((coeffs.d, coeffs.m, coeffs.d))
+        for p in range(coeffs.d):
+            e = np.zeros(coeffs.d)
+            e[p] = h[p]
+            db_num[:, p] = (coeffs.eval_b(x + e) - coeffs.eval_b(x - e)) / (2 * h[p])
+            ds_num[:, :, p] = (coeffs.eval_sigma(x + e) - coeffs.eval_sigma(x - e)) / (2 * h[p])
+        scale = 1.0 + float(np.max(np.abs(db_num))) + float(np.max(np.abs(ds_num)))
+        gap = max(
+            float(np.max(np.abs(db_num - coeffs.eval_db(x)))),
+            float(np.max(np.abs(ds_num - coeffs.eval_dsigma(x)))),
+        )
+        worst = max(worst, gap / scale)
+    return worst
+
+
+def _waves(x):
+    """sigma[k, l] = sin((k + 1) x_0 + (l + 1) x_1), d = 2 and m = 3."""
+    k, l = np.arange(1.0, 3.0)[:, None], np.arange(1.0, 4.0)
+    return np.sin(k * x[..., 0, None, None] + l * x[..., 1, None, None])
+
+
+def _waves_slopes(x):
+    """The two partials of _waves, stacked last."""
+    k, l = np.arange(1.0, 3.0)[:, None], np.arange(1.0, 4.0)
+    cos = np.cos(k * x[..., 0, None, None] + l * x[..., 1, None, None])
+    return np.stack([k * cos, l * cos], axis=-1)
+
+
+WAVES = dict(
+    d=2, m=3,
+    b=lambda x: np.stack([np.sin(x[..., 0] * x[..., 1]), x[..., 0] ** 3], axis=-1),
+    db=lambda x: np.stack([
+        np.stack([x[..., 1] * np.cos(x[..., 0] * x[..., 1]),
+                  x[..., 0] * np.cos(x[..., 0] * x[..., 1])], axis=-1),
+        np.stack([3.0 * x[..., 0] ** 2, 0.0 * x[..., 0]], axis=-1)], axis=-2),
+    sigma=_waves,
+)
+
+
+def test_validate_derivatives_matches_probe_loop(monkeypatch):
+    # one batched difference over all probes and coordinates gives the
+    # probe loop's worst discrepancy bit for bit: for the presets, and for
+    # a d = 2, m = 3 set whose dsigma is right and then wrong
+    right = SdeCoefficients(dsigma=_waves_slopes, **WAVES)
+    wrong = SdeCoefficients(dsigma=lambda x: 1.5 * _waves_slopes(x), **WAVES)
+    for coeffs in [preset(name)[0] for name in PRESETS] + [right]:
+        worst = validate_derivatives(coeffs)
+        assert worst == validate_derivatives_loop(coeffs) and worst <= sde.DERIV_TOL
+    want = validate_derivatives_loop(wrong)
+    assert want > sde.DERIV_TOL
+    with pytest.raises(ConfigError, match=f"{want:.2e}"):
+        validate_derivatives(wrong)
+    monkeypatch.setattr(sde, "DERIV_TOL", np.inf)
+    assert validate_derivatives(wrong) == want
+
+
+def test_validate_derivatives_rejects_nan():
+    # a coefficient that is not a number at the probes fails the check
+    undefined = SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.sqrt(x - 1e3),
+        sigma=lambda x: np.ones(np.shape(x) + (1,)),
+        db=lambda x: (0.5 / np.sqrt(x - 1e3))[..., None],
+        dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigError):
+        validate_derivatives(undefined)
 
 
 def test_additive_exact():

@@ -12,11 +12,14 @@ from chaosde.errors import (
     SpaceMismatchError,
 )
 from chaosde.wiener import (
+    DRAW_BLOCK,
+    DRAW_BLOCK_COORDS,
     GaussianDraw,
     HilbertVec,
     HolderConfig,
     basis_vector,
     cameron_martin_path,
+    draw_blocks,
     embed_function,
     inner,
     iso_gaussian,
@@ -142,6 +145,28 @@ def test_sample_omega_reproducible_and_seed_sensitive():
     w3 = sample_omega(space, 8)
     assert np.array_equal(w1.xi, w2.xi)
     assert not np.array_equal(w1.xi, w3.xi)
+
+
+def test_draw_blocks_split_seeds_into_sample_omega_blocks():
+    # consecutive blocks of at most DRAW_BLOCK seeds, from any iterable; a
+    # draw's coordinates are those of its own sample_omega call
+    space = make_hilbert(3, -4.0, 1.0, 10)
+    seeds = [9, 2, 2**64 - 1] + list(range(100, 100 + 2 * DRAW_BLOCK))
+    blocks = list(draw_blocks(space, iter(seeds)))
+    assert [len(draws) for draws, _ in blocks] == [DRAW_BLOCK, DRAW_BLOCK, 3]
+    draws = [w for block, _ in blocks for w in block]
+    assert [w.seed for w in draws] == seeds
+    for block, xi in blocks:
+        assert xi.shape == (len(block), 3, 10)
+        for w, rows in zip(block, xi):
+            assert np.array_equal(rows, space.components(sample_omega(space, w.seed).xi))
+    assert list(draw_blocks(space, [])) == []
+    # over a fine grid a block holds at most DRAW_BLOCK_COORDS coordinates,
+    # and one draw at least
+    fine = make_hilbert(2, -4.0, 1.0, DRAW_BLOCK_COORDS // 40)
+    assert [len(d) for d, _ in draw_blocks(fine, range(45))] == [20, 20, 5]
+    huge = make_hilbert(1, -4.0, 1.0, DRAW_BLOCK_COORDS + 1)
+    assert [len(d) for d, _ in draw_blocks(huge, range(2))] == [1, 1]
 
 
 def test_sample_omega_marginals():

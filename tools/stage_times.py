@@ -3,7 +3,7 @@ measured side by side.
 
 Usage (from the root of a checkout):
 
-    python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME]
+    python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME ...]
                                  [--repeats R] [--out FILE]
 
 SRC is a directory holding the `chaosde` package (the `src` directory of a
@@ -12,14 +12,18 @@ The scenarios are the benchmark's two workloads:
 
 ensemble-elliptic (the default): elliptic-2d, q = 1, H = 0.7, n = 256,
 L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
-every sample in the order the ensemble runs them: draw (`sample_omega`),
-driver values (`GridDriver.values`), Euler (`solve_euler`; per sample, when
-that source solves Euler over batches of `density.EULER_BATCH` seeds, the
-batch time divided among its seeds), Theta (`solve_theta_all`), DF
-(`GridDriver.deriv_vectors`), DX (`solution_derivative` on the filled
-triangle) and Gram (`malliavin_matrix`), in milliseconds per sample.  The
-pass then times one whole `chaosde density` command on the same scenario
-with `run.seed` 5 and `run.M` 100, in process.
+every sample in the order the ensemble runs them, each the way the source
+runs it: draw (`sample_omega`), driver values (`GridDriver.values`), Euler
+(`solve_euler`), Theta (`solve_theta_all`), DF (`GridDriver.deriv_vectors`),
+DX (`solution_derivative` on the filled triangle) and Gram
+(`malliavin_matrix`), in milliseconds per sample.  Seeds go in blocks of
+`wiener.DRAW_BLOCK` (or, in older sources, `density.EULER_BATCH`): Euler is
+one batched solve per block, and driver values one call per block where
+the source has `wiener.DRAW_BLOCK` (its `values` takes a list of draws) and
+one call per draw otherwise.  A source with neither constant runs one seed
+at a time.  As in the ensemble, a sample's path and Theta triangle are
+dropped once its stages are timed.  The pass then times one whole `chaosde density` command on the
+same scenario with `run.seed` 5 and `run.M` 100, in process.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
 n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
@@ -31,7 +35,9 @@ command, and the peak resident memory of the pass.
 The passes alternate between the sources, R times each (default 7), so
 that host drift hits every source alike; the report gives the median over
 the passes of each figure.  The JSON record (stdout, or FILE with --out)
-carries the per-pass figures and the provenance of the run.
+carries the per-pass figures and the provenance of the run; with
+`--scenario` given more than once, the scenarios run one after the other
+and the JSON maps each scenario to its record.
 """
 
 from __future__ import annotations
@@ -62,14 +68,15 @@ def measure_ensemble() -> dict:
     import time
 
     import numpy as np
-    from chaosde import cli, density
+    from chaosde import cli, density, wiener
     from chaosde.malliavin import malliavin_matrix, solution_derivative
     from chaosde.sde import solve_euler, solve_theta_all
     from chaosde.wiener import sample_omega
 
     scenario = density.Scenario(**ENSEMBLE)
     coeffs, x0, spec, driver = scenario.build()
-    batch = getattr(density, "EULER_BATCH", None)
+    draw_block = getattr(wiener, "DRAW_BLOCK", None)
+    batch = draw_block or getattr(density, "EULER_BATCH", None)
     clock = time.perf_counter
     totals = dict.fromkeys(STAGES, 0.0)
 
@@ -92,11 +99,16 @@ def measure_ensemble() -> dict:
         for start in range(0, size if first else len(seeds), size):
             group = seeds[start:start + size]
             draws = [timed("draw", sample_omega, spec.space, s) for s in group]
-            values = [timed("driver_values", driver.values, w) for w in draws]
+            if draw_block:
+                values = timed("driver_values", driver.values, draws)
+            else:
+                values = [timed("driver_values", driver.values, w) for w in draws]
             if batch:
                 paths = timed("euler", solve_euler, coeffs, x0,
-                              (driver.times, np.array(values)))
-                bundles = [paths.path(k) for k in range(len(group))]
+                              (driver.times, np.asarray(values)))
+                # one path at a time, as the ensemble takes them: a bundle
+                # and its Theta triangle are dropped after their sample
+                bundles = (paths.path(k) for k in range(len(group)))
             else:
                 bundles = [timed("euler", solve_euler, coeffs, x0, (driver.times, v))
                            for v in values]
@@ -122,7 +134,8 @@ def measure_ensemble() -> dict:
     if rc != 0:
         raise RuntimeError(f"chaosde density exited {rc}")
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
-            "command_s": command_s, "euler_batch": batch}
+            "command_s": command_s, "euler_batch": batch,
+            "values_per_block": bool(draw_block)}
 
 
 def measure_simulate() -> dict:
@@ -214,10 +227,54 @@ def _pass(src: str, scenario: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _record(scenario: str, sources: dict, repeats: int) -> dict:
+    """Alternating passes of one scenario over the sources: the JSON record,
+    with a table of the medians printed to stdout."""
+    _, stage_key, stages, totals, setting = SCENARIOS[scenario]
+    passes = {label: [] for label in sources}
+    for _ in range(repeats):
+        for label, src in sources.items():
+            passes[label].append(_pass(src, scenario))
+    import numpy
+
+    record = {
+        "scenario": scenario,
+        "setting": setting,
+        "blas_threads": 1,
+        "repeats": repeats,
+        "provenance": {"cpu_model": _cpu_model(), "nproc": os.cpu_count(),
+                       "python": platform.python_version(), "numpy": numpy.__version__},
+        "sources": {},
+    }
+    for label, src in sources.items():
+        runs = passes[label]
+        entry = {"git_commit": _git_commit(src)}
+        for key in ("euler_batch", "values_per_block"):
+            if key in runs[0]:
+                entry[key] = runs[0][key]
+        entry["median_" + stage_key] = {k: statistics.median(r[stage_key][k] for r in runs)
+                                       for k in stages}
+        entry.update({"median_" + key: statistics.median(r[key] for r in runs)
+                      for key in totals})
+        entry["passes"] = runs
+        record["sources"][label] = entry
+    unit = stage_key.split("_")[1]
+    print(f"{scenario:<22}" + "".join(f"{label:>12}" for label in sources))
+    for key in stages:
+        print(f"{key + ' ' + unit:<22}" + "".join(
+            f"{record['sources'][label]['median_' + stage_key][key]:>12.3f}"
+            for label in sources))
+    for key in totals:
+        print(f"{key.replace('_', ' '):<22}" + "".join(
+            f"{record['sources'][label]['median_' + key]:>12.3f}" for label in sources))
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sources", nargs="*", metavar="LABEL=SRC")
-    parser.add_argument("--scenario", choices=sorted(SCENARIOS), default="ensemble-elliptic")
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS), action="append",
+                        help="scenario to time (default ensemble-elliptic); repeat for more")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", default=None, help="write the JSON record here")
     parser.add_argument("--child", choices=sorted(SCENARIOS), help=argparse.SUPPRESS)
@@ -228,47 +285,13 @@ def main(argv=None) -> int:
     sources = dict(item.split("=", 1) for item in args.sources if "=" in item)
     if not sources or len(sources) != len(args.sources) or args.repeats < 1:
         parser.error("give at least one LABEL=SRC, each label once, and --repeats >= 1")
-    _, stage_key, stages, totals, setting = SCENARIOS[args.scenario]
-    passes = {label: [] for label in sources}
-    for _ in range(args.repeats):
-        for label, src in sources.items():
-            passes[label].append(_pass(src, args.scenario))
-    import numpy
-
-    record = {
-        "scenario": args.scenario,
-        "setting": setting,
-        "blas_threads": 1,
-        "repeats": args.repeats,
-        "provenance": {"cpu_model": _cpu_model(), "nproc": os.cpu_count(),
-                       "python": platform.python_version(), "numpy": numpy.__version__},
-        "sources": {},
-    }
-    for label, src in sources.items():
-        runs = passes[label]
-        entry = {"git_commit": _git_commit(src)}
-        if "euler_batch" in runs[0]:
-            entry["euler_batch"] = runs[0]["euler_batch"]
-        entry["median_" + stage_key] = {k: statistics.median(r[stage_key][k] for r in runs)
-                                       for k in stages}
-        entry.update({"median_" + key: statistics.median(r[key] for r in runs)
-                      for key in totals})
-        entry["passes"] = runs
-        record["sources"][label] = entry
-    text = json.dumps(record, indent=1)
+    scenarios = args.scenario or ["ensemble-elliptic"]
+    records = {name: _record(name, sources, args.repeats) for name in scenarios}
+    text = json.dumps(records[scenarios[0]] if len(scenarios) == 1 else records, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    unit = stage_key.split("_")[1]
-    print(f"{'stage':<22}" + "".join(f"{label:>12}" for label in sources))
-    for key in stages:
-        print(f"{key + ' ' + unit:<22}" + "".join(
-            f"{record['sources'][label]['median_' + stage_key][key]:>12.3f}"
-            for label in sources))
-    for key in totals:
-        print(f"{key.replace('_', ' '):<22}" + "".join(
-            f"{record['sources'][label]['median_' + key]:>12.3f}" for label in sources))
-    if not args.out:
+    else:
         print(text)
     return 0
 
