@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import (
     InvalidDimensionError,
@@ -57,14 +56,16 @@ def hurst_aux(H: float, q: int) -> tuple:
     """Auxiliary Hurst index H0 = 1 + (H-1)/q and the kernel constant.
 
     c(H,q) = sqrt(H(2H-1) / (q! * B(H0-1/2, 2-2H0)^q)), with the Beta
-    function evaluated through log-gamma for stability.
+    function evaluated through log-gamma for stability.  This is the one
+    place H0 and c are computed.
     """
     if not 0.5 < H < 1.0:
         raise OutOfRangeError(f"H must lie in (1/2, 1), got {H}")
     if q < 1:
         raise OutOfRangeError(f"order must be >= 1, got {q}")
     H0 = 1.0 + (H - 1.0) / q
-    log_beta = float(betaln(H0 - 0.5, 2.0 - 2.0 * H0))
+    a, b = H0 - 0.5, 2.0 - 2.0 * H0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     c = math.sqrt(H * (2.0 * H - 1.0) / math.factorial(q) * math.exp(-q * log_beta))
     return H0, c
 
@@ -83,7 +84,7 @@ class HermiteSpec:
     def __post_init__(self):
         if not 1 <= self.q <= MAX_ORDER:
             raise UnsupportedOrderError(f"order {self.q} outside 1..{MAX_ORDER}")
-        H0, c = hurst_aux(self.H, self.q)  # validates H
+        hurst_aux(self.H, self.q)  # validates H
         if self.space.m != self.m:
             raise SpaceMismatchError("component count of spec and space disagree")
         if self.space.lo >= 0.0:
@@ -99,10 +100,6 @@ class HermiteSpec:
         # q >= 2, and at q = 1 the two ends 0 and t of the exact time integral
         check_budget((self.s_nodes if self.q >= 2 else 2, self.space.n + 1))
         object.__setattr__(self, "out_times", times)
-
-    @property
-    def H0(self) -> float:
-        return 1.0 + (self.H - 1.0) / self.q
 
 
 def kernel_eval(spec: HermiteSpec, t: float, xs) -> float:
@@ -339,7 +336,7 @@ def nclt_factor(spec: HermiteSpec, steps_per_unit: int):
     """
     t_max = spec.out_times[-1]
     N_tot = int(math.ceil(steps_per_unit * t_max))
-    cov = _fgn_covariance(spec.H0, N_tot)
+    cov = _fgn_covariance(hurst_aux(spec.H, spec.q)[0], N_tot)
     chol = np.linalg.cholesky(cov + 1e-12 * np.eye(N_tot))
     # exact variance of the last partial sum of H_q(X): q! sum r(i-j)^q
     var_last = math.factorial(spec.q) * float(np.sum(cov**spec.q))

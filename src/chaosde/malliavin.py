@@ -147,7 +147,7 @@ def holder_slope(field: KernelField) -> float:
 
 
 def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
-                      states: np.ndarray, draws=None, field: KernelField = None,
+                      states: np.ndarray, field: KernelField = None,
                       h5_integrand=None, dfields: np.ndarray = None,
                       times: np.ndarray = None) -> dict:
     """Diagnostic report for the standing hypotheses.
@@ -156,8 +156,6 @@ def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
       holder_slope      regularity exponent fit of kernel increments,
                         to compare with H (driver Holder scale)
       sigma_min_sv      min singular value of sigma over visited states
-      cross_df_max      max |<DF^l, DF^l'>| over l != l', times, draws
-                        (exactly 0 for block kernels)
       h5_premise        ||sum_i Y(s_i) (DF_{i+1} - DF_i)|| for the supplied
                         test integrand, or None; reported without verdict
     """
@@ -173,16 +171,6 @@ def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
     svs = [np.linalg.svd(coeffs.eval_sigma(x), compute_uv=False)[-1] for x in states]
     report["sigma_min_sv"] = float(np.min(svs)) if svs else float("nan")
     report["sigma_flag"] = bool(report["sigma_min_sv"] < 1e-8)
-
-    cross = 0.0
-    if draws is not None and spec.m >= 2:
-        for w in draws:
-            for ti in range(len(field.spec.out_times)):
-                vecs = [driver_derivative(field, w, ti, ell).coords for ell in range(spec.m)]
-                for a in range(spec.m):
-                    for b in range(a + 1, spec.m):
-                        cross = max(cross, abs(float(vecs[a] @ vecs[b])))
-    report["cross_df_max"] = cross
 
     if h5_integrand is not None and dfields is not None and times is not None:
         y = [float(h5_integrand(t)) for t in times]

@@ -1,6 +1,10 @@
-"""Test oracles that share no code with the library recursions they check."""
+"""Test oracles that share no code with the library recursions they check,
+and a component-independence check that addresses the basis by raw index."""
 
 import numpy as np
+
+from chaosde.hermite import GridDriver, build_kernels, simulate_path
+from chaosde.wiener import HilbertVec, sample_omega, shift_omega
 
 #: size of the imaginary Cameron-Martin step: far below every rounding
 #: error, and Im of a result divided by it is the exact derivative
@@ -33,3 +37,39 @@ def complex_step_dx(coeffs, x0, gd, w, h):
         dt = gd.times[i + 1] - gd.times[i]
         X = X + coeffs.b(X) * dt + coeffs.sigma(X) @ (F[i + 1] - F[i])
     return X.imag / COMPLEX_STEP
+
+
+def component_shift_failures(spec, times, seeds, eps=0.5):
+    """The (seed, ell, claim) triples where a shift off component ell
+    reaches it, or a shift on another component misses that one.
+
+    For each draw w and component ell, h is standard normal on the raw
+    basis indices of every other component (component k owns k*n ..
+    (k+1)*n - 1, the layout `HilbertDisc` documents) and zero on ell's.
+    At shift_omega(w, eps, h), Z^ell from simulate_path and row ell of
+    GridDriver.values and of deriv_vectors must keep every bit, and Z^k of
+    every other component must move at every output time.  Empty when the
+    evaluators read each component from its own block alone.
+    """
+    space = spec.space
+    n = space.n
+    field, gd = build_kernels(spec), GridDriver(spec, times)
+    failures = []
+    for seed in seeds:
+        w = sample_omega(space, seed)
+        rng = np.random.default_rng(seed)
+        for ell in range(spec.m):
+            coords = rng.standard_normal(space.basis_dim)
+            coords[ell * n:(ell + 1) * n] = 0.0
+            ws = shift_omega(w, eps, HilbertVec(space, coords))
+            others = [k for k in range(spec.m) if k != ell]
+            z, zs = simulate_path(field, w).values, simulate_path(field, ws).values
+            claims = {
+                "Z^ell kept": np.array_equal(zs[:, ell], z[:, ell]),
+                "values row ell kept": np.array_equal(gd.values(ws)[:, ell], gd.values(w)[:, ell]),
+                "deriv_vectors row ell kept": np.array_equal(
+                    gd.deriv_vectors(ws)[:, ell], gd.deriv_vectors(w)[:, ell]),
+                "Z^other moved": bool(np.all(zs[:, others] != z[:, others])),
+            }
+            failures += [(seed, ell, claim) for claim, ok in claims.items() if not ok]
+    return failures

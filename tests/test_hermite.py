@@ -62,6 +62,18 @@ def test_hurst_aux_frozen_constants():
     assert c == pytest.approx(C_07_2, rel=1e-8)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_hurst_aux_constant_normalizes_the_variance(q):
+    # c^2 q! B^q = H(2H - 1), with B from math.gamma: a route that shares
+    # no code with the log-gamma sum in hurst_aux
+    for H in np.linspace(0.5, 1.0, 62)[1:-1]:
+        H0, c = hurst_aux(H, q)
+        assert H0 == 1.0 + (H - 1.0) / q
+        a, b = H0 - 0.5, 2.0 - 2.0 * H0
+        B = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        assert c**2 * math.factorial(q) * B**q == pytest.approx(H * (2.0 * H - 1.0), rel=1e-13)
+
+
 def test_hurst_aux_validation():
     with pytest.raises(OutOfRangeError):
         hurst_aux(0.5, 1)

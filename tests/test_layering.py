@@ -1,12 +1,18 @@
 """Module layering of the package: every import between chaosde modules,
-function-local ones included, goes down the table below."""
+function-local ones included, goes down the table below; and the package
+imports no third-party module but those `pyproject.toml` declares."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import chaosde
 
 PACKAGE = pathlib.Path(chaosde.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: module -> the modules it may import from; "__init__" is the package itself
 ALLOWED = {"errors": set()}
@@ -87,3 +93,52 @@ def test_private_parameter_scan(tmp_path):
                    "class K:\n    def g(self, *_e):\n        return lambda _x: _x\n")
     assert underscore_parameters(src) == [("f", "_b"), ("f", "_c"), ("f", "_d"),
                                           ("g", "_e"), ("<lambda>", "_x")]
+
+
+def third_party_imports(path: pathlib.Path) -> set:
+    """Top-level names of the absolute imports in the source file that are
+    neither standard library nor chaosde."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"chaosde"}
+
+
+def declared_dependencies() -> set:
+    """Distribution names in the `dependencies` array of pyproject.toml (read
+    without tomllib, which Python 3.10 lacks)."""
+    body = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S)[1]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0] for spec in re.findall(r'"([^"]+)"', body)}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    imported = set().union(*(third_party_imports(p) for p in PACKAGE.glob("*.py")))
+    assert imported == declared_dependencies() == {"numpy"}
+
+
+def test_dependency_scan_sees_every_import_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("import os.path, numpy.linalg\nfrom __future__ import annotations\n"
+                   "from . import chaos\nfrom chaosde import wiener\n"
+                   "def f():\n    from scipy.special import betaln\n")
+    assert third_party_imports(src) == {"numpy", "scipy"}
+
+
+def loaded_modules(code: str) -> set:
+    """Top-level names of the modules loaded after `code` runs in a fresh
+    interpreter that finds this checkout's chaosde first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return {name.split(".")[0] for name in out.split()}
+
+
+def test_cli_import_loads_numpy_and_chaosde_only():
+    # the bare interpreter's own modules (site .pth hooks among them) and the
+    # standard library aside
+    extra = loaded_modules("import chaosde.cli") - loaded_modules("pass")
+    assert extra - set(sys.stdlib_module_names) == {"chaosde", "numpy"}

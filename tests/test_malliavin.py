@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosde.errors import OutOfRangeError, SpaceMismatchError
-from chaosde.wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
+from chaosde.wiener import HilbertDisc, HilbertVec, make_hilbert, sample_omega, shift_omega
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, simulate_path
 from chaosde.sde import preset, solve_euler, solve_theta_all
 from chaosde.malliavin import (
@@ -21,7 +21,7 @@ from chaosde.malliavin import (
     shifted_driver,
     solution_derivative,
 )
-from oracles import complex_step_dx
+from oracles import complex_step_dx, component_shift_failures
 
 
 def make_spec(q=1, m=1, n=96, L=4.0, out_times=(0.5, 1.0)):
@@ -64,15 +64,24 @@ def test_driver_derivative_q2_finite_difference():
     assert fd == pytest.approx(float(d.coords @ h.coords), abs=1e-6)
 
 
-def test_driver_derivative_cross_component_orthogonal():
-    spec = make_spec(q=2, m=2, n=48)
-    field = build_kernels(spec)
-    for seed in range(5):
-        w = sample_omega(spec.space, seed)
-        for ti in range(2):
-            a = driver_derivative(field, w, ti, 0).coords
-            b = driver_derivative(field, w, ti, 1).coords
-            assert float(a @ b) == 0.0
+def test_component_shift_independence():
+    # three components: a shift off each one leaves it and moves the rest
+    for q in (1, 2, 3):
+        spec = make_spec(q=q, m=3, n=32)
+        assert component_shift_failures(spec, np.linspace(0.0, 1.0, 17), range(3)) == []
+
+
+def test_component_shift_check_fails_on_an_interleaved_layout(monkeypatch):
+    # with basis index cell * m + ell, the raw-index shift reaches both
+    # components, so the check must report component ell as moved
+    def interleaved(space, coords):
+        return np.swapaxes(coords.reshape(coords.shape[:-1] + (space.n, space.m)), -1, -2)
+
+    monkeypatch.setattr(HilbertDisc, "components", interleaved)
+    spec = make_spec(q=2, m=2, n=32)
+    failures = component_shift_failures(spec, np.linspace(0.0, 1.0, 17), range(2))
+    assert {claim for _, _, claim in failures} >= {
+        "Z^ell kept", "values row ell kept", "deriv_vectors row ell kept"}
 
 
 def test_driver_derivative_validation():
@@ -168,16 +177,14 @@ def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
 
 def test_hypothesis_checks_report():
     coeffs, x0, spec2, gd, w, bundle, mf = solve_case("elliptic-2d", 1, n=64)
-    draws = [sample_omega(spec2.space, s) for s in range(3)]
     report = hypothesis_checks(
-        spec2, coeffs, bundle.X, draws=draws,
+        spec2, coeffs, bundle.X,
         h5_integrand=lambda t: 0.0,
         dfields=gd.deriv_vectors(w), times=gd.times,
     )
     assert abs(report["holder_slope"] - 0.7) <= 0.15
     assert report["sigma_min_sv"] >= 0.8
     assert not report["sigma_flag"]
-    assert report["cross_df_max"] == 0.0
     assert report["h5_premise"] == 0.0
 
 

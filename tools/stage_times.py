@@ -32,9 +32,16 @@ stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
 and writing `kernels.txt` (each file from opening to closing), the whole
 command, and the peak resident memory of the pass.
 
+Every pass of either scenario also records `import_s`: the wall time from
+just before its child interpreter is spawned to the end of the child's
+`import chaosde.cli`, which runs before anything else in the child imports
+numpy.  That is the start-up every command pays.
+
 The passes alternate between the sources, R times each (default 7), so
-that host drift hits every source alike; the report gives the median over
-the passes of each figure.  The JSON record (stdout, or FILE with --out)
+that host drift hits every source alike; the report gives the median and
+the minimum over the passes of each figure (`median_*` and `min_*`).  The
+minimum is the less noisy of the two where allocator state or host load
+inflate single passes.  The JSON record (stdout, or FILE with --out)
 carries the per-pass figures and the provenance of the run; with
 `--scenario` given more than once, the scenarios run one after the other
 and the JSON maps each scenario to its record.
@@ -50,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ENSEMBLE = {"preset": "elliptic-2d", "q": 1, "H": 0.7, "t": 1.0, "steps": 128, "n": 256,
             "L": 8.0}
@@ -191,10 +199,11 @@ def measure_simulate() -> dict:
 #: scenario -> (child measurement, per-pass stage key, stages, per-pass totals,
 #: record of the setting)
 SCENARIOS = {
-    "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES, ("sample_ms", "command_s"),
+    "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES,
+                          ("import_s", "sample_ms", "command_s"),
                           dict(ENSEMBLE, seeds=[SEEDS.start, SEEDS.stop - 1])),
-    "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES, ("command_s", "peak_rss_mb"),
-                   SIMULATE),
+    "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES,
+                   ("import_s", "command_s", "peak_rss_mb"), SIMULATE),
 }
 
 
@@ -222,7 +231,8 @@ def _cpu_model():
 def _pass(src: str, scenario: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update({name: "1" for name in BLAS_ENV})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario,
+                          "--started", repr(time.time())],
                          env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -252,21 +262,22 @@ def _record(scenario: str, sources: dict, repeats: int) -> dict:
         for key in ("euler_batch", "values_per_block"):
             if key in runs[0]:
                 entry[key] = runs[0][key]
-        entry["median_" + stage_key] = {k: statistics.median(r[stage_key][k] for r in runs)
-                                       for k in stages}
-        entry.update({"median_" + key: statistics.median(r[key] for r in runs)
-                      for key in totals})
+        for name, stat in (("median_", statistics.median), ("min_", min)):
+            entry[name + stage_key] = {k: stat(r[stage_key][k] for r in runs) for k in stages}
+            entry.update({name + key: stat(r[key] for r in runs) for key in totals})
         entry["passes"] = runs
         record["sources"][label] = entry
     unit = stage_key.split("_")[1]
-    print(f"{scenario:<22}" + "".join(f"{label:>12}" for label in sources))
+    columns = [(label, name) for label in sources for name in ("median_", "min_")]
+    print(f"{scenario:<22}" + "".join(f"{label + ' ' + name[:-1]:>16}"
+                                      for label, name in columns))
     for key in stages:
         print(f"{key + ' ' + unit:<22}" + "".join(
-            f"{record['sources'][label]['median_' + stage_key][key]:>12.3f}"
-            for label in sources))
+            f"{record['sources'][label][name + stage_key][key]:>16.3f}"
+            for label, name in columns))
     for key in totals:
         print(f"{key.replace('_', ' '):<22}" + "".join(
-            f"{record['sources'][label]['median_' + key]:>12.3f}" for label in sources))
+            f"{record['sources'][label][name + key]:>16.3f}" for label, name in columns))
     return record
 
 
@@ -278,9 +289,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", default=None, help="write the JSON record here")
     parser.add_argument("--child", choices=sorted(SCENARIOS), help=argparse.SUPPRESS)
+    parser.add_argument("--started", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(SCENARIOS[args.child][0]()))
+        import chaosde.cli  # noqa: F401  the child's first numpy import
+
+        import_s = time.time() - args.started
+        print(json.dumps(dict(SCENARIOS[args.child][0](), import_s=import_s)))
         return 0
     sources = dict(item.split("=", 1) for item in args.sources if "=" in item)
     if not sources or len(sources) != len(args.sources) or args.repeats < 1:
