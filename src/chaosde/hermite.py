@@ -512,12 +512,18 @@ class GridDriver:
         return out * self._rho[:, None]
 
     def deriv_vectors(self, w: GaussianDraw) -> np.ndarray:
-        """Full DF vectors, shape (len(times), m, n) in component-block coords."""
+        """Full DF vectors, shape (len(times), m, n) in component-block coords.
+
+        Each cell's increment beta der_w (x) g is written into its row of the
+        output and prefix-summed there one contiguous row at a time: the
+        sequential sum of a cumsum over the rows, with no temporaries."""
         _, der_w = _wick_weights(self._g, self._components(w), self.spec.q)
-        rows = (self._beta * der_w).T[:, :, None] * self._g[:, None, :]
         out = np.zeros((self.times.shape[0], self.spec.m, self.spec.space.n))
-        out[1:] = np.cumsum(rows, axis=0)
-        return out * self._rho[:, None, None]
+        np.multiply((self._beta * der_w).T[:, :, None], self._g[:, None, :], out=out[1:])
+        for i in range(2, out.shape[0]):
+            np.add(out[i - 1], out[i], out=out[i])
+        out *= self._rho[:, None, None]
+        return out
 
 
 def _canonical_entries(field: KernelField, ti: int) -> tuple:

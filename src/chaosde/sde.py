@@ -106,8 +106,9 @@ class SolutionBundle:
     For one path X has shape (steps+1, d), driver_values (steps+1, m) and
     sigma (steps, d, m): sigma[i] is sigma(X_i) for i < steps, as evaluated
     by the Euler steps.  theta[i, j] is the d x m matrix Theta_{t_j}(t_i)
-    for j >= i, zero in the other direction (s > t); it is a view of a
-    column-major buffer, so each column theta[:, j] is contiguous.
+    for j >= i, zero in the other direction (s > t); it is the view
+    transpose(2, 0, 1, 3) of a buffer laid out as [j, k, i, l], so column j,
+    theta[:, j], is one contiguous (d, (steps+1) m) matrix.
 
     A batch of B paths puts a leading B axis on X, driver_values and sigma,
     and failed[k] is the step of path k's first non-finite state (0 for a
@@ -144,9 +145,11 @@ def _driver_arrays(driver, times):
     if times is None:
         times = dtimes
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isin(np.round(times, 12), np.round(dtimes, 12))):
+    # the solver times must be driver times, to 12 decimals
+    rd, rt = np.round(dtimes, 12), np.round(times, 12)
+    idx = np.searchsorted(rd, rt)
+    if not (np.all(idx < rd.shape[0]) and np.array_equal(rd[idx], rt)):
         raise InvalidDimensionError("driver must be sampled at the solver grid or finer")
-    idx = np.searchsorted(np.round(dtimes, 12), np.round(times, 12))
     return times, dvals[..., idx, :]
 
 
@@ -251,25 +254,34 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
     and J_j Theta[:j, j] in the rows above: the entries solve_theta builds
     row by row.  sigma(X_j) comes from the Euler steps (only sigma(X_N) is
     evaluated here) and the step Jacobians J_j are evaluated once for all
-    steps, so the work is O(1) coefficient calls and one batched product
-    per column, written in place into the column's contiguous block; the
-    triangle itself takes O(steps^2) memory.  A non-finite entry raises
-    BlowupError at the first column that holds one.
+    steps.  The buffer is laid out as columns[j, k, i, l] = theta[i, j, k, l],
+    so column j is one contiguous (d, (steps+1) m) matrix and J_j times the
+    rows above the diagonal is one GEMM per column, written in place; the
+    sigma entries go in by two assignments before the recursion.  The
+    triangle takes O(steps^2) memory.  A non-finite entry reaches every
+    later column, so one scan after the recursion finds the first column
+    that holds one and raises BlowupError there; the invalid operations
+    (inf - inf) in the columns after it are not reported as warnings.
     """
     N = bundle.steps
-    check_budget((N + 1, N + 1, coeffs.d, coeffs.m))
+    d, m = coeffs.d, coeffs.m
+    check_budget((N + 1, N + 1, d, m))
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
     jac = _step_jacobians(coeffs, bundle)
-    columns = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))  # columns[j, i] = theta[i, j]
-    for j in range(N + 1):
-        col = columns[j]
-        if j > 0:
-            np.matmul(jac[j - 1], columns[j - 1, :j - 1], out=col[:j - 1])
-            col[j - 1] = sig[j - 1]
-        col[j] = sig[j]
-        if not np.isfinite(col[:j + 1]).all():
-            raise BlowupError(f"non-finite variational state at step {j}", step=j)
-    bundle.theta = columns.transpose(1, 0, 2, 3)
+    columns = np.zeros((N + 1, d, N + 1, m))  # columns[j, k, i, l] = theta[i, j, k, l]
+    diag = np.arange(N + 1)
+    columns[diag, :, diag] = sig  # Theta_{t_j}(t_j) = sigma(X_j)
+    columns[diag[1:], :, diag[:-1]] = sig[:-1]  # Theta_{t_{j+1}}(t_j) = sigma(X_j)
+    flat = columns.reshape(N + 1, d, (N + 1) * m)
+    with np.errstate(invalid="ignore"):
+        for j in range(2, N + 1):
+            above = (j - 1) * m
+            np.matmul(jac[j - 1], flat[j - 1, :, :above], out=flat[j, :, :above])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise BlowupError(f"non-finite variational state at step {step}", step=step)
+    bundle.theta = columns.transpose(2, 0, 1, 3)
     return bundle
 
 

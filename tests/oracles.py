@@ -1,9 +1,12 @@
 """Test oracles that share no code with the library recursions they check,
-and a component-independence check that addresses the basis by raw index."""
+the loops that faster library code replaced, and a component-independence
+check that addresses the basis by raw index."""
 
 import numpy as np
 
+from chaosde.errors import BlowupError
 from chaosde.hermite import GridDriver, build_kernels, simulate_path
+from chaosde.sde import _step_jacobians
 from chaosde.wiener import HilbertVec, sample_omega, shift_omega
 
 #: size of the imaginary Cameron-Martin step: far below every rounding
@@ -73,3 +76,24 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
             }
             failures += [(seed, ell, claim) for claim, ok in claims.items() if not ok]
     return failures
+
+
+def theta_columns(coeffs, bundle):
+    """The (steps+1, steps+1, d, m) Theta triangle by the per-column loop
+    solve_theta_all replaced: column j+1 is J_j times column j above the
+    diagonal, one stacked (d, d) x (d, m) product per entry, with
+    sigma(X_j) in row j and sigma(X_{j+1}) on the diagonal.  A non-finite
+    entry raises BlowupError at the first column that holds one."""
+    N = bundle.steps
+    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
+    jac = _step_jacobians(coeffs, bundle)
+    columns = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))  # columns[j, i] = theta[i, j]
+    for j in range(N + 1):
+        col = columns[j]
+        if j > 0:
+            np.matmul(jac[j - 1], columns[j - 1, :j - 1], out=col[:j - 1])
+            col[j - 1] = sig[j - 1]
+        col[j] = sig[j]
+        if not np.isfinite(col[:j + 1]).all():
+            raise BlowupError(f"non-finite variational state at step {j}", step=j)
+    return columns.transpose(1, 0, 2, 3)

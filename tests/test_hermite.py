@@ -717,11 +717,14 @@ def test_kernel_evaluate_matches_per_component_oracle(q, m):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_grid_driver_matches_per_component_oracle(q, m):
     spec = small_spec(q=q, n=40, m=m, out_times=(1.0,))
-    gd = GridDriver(spec, np.linspace(0.0, 1.0, 33))
-    for seed in range(5):
-        w = sample_omega(spec.space, seed)
-        assert np.array_equal(gd.values(w), grid_values_one(gd, w))
-        assert np.array_equal(gd.deriv_vectors(w), grid_deriv_vectors_one(gd, w))
+    # grids of 2 and 3 points, one cell (no prefix sum) and the first sum,
+    # then 33 points, the grid of the list of draws below
+    for times in (np.array([0.0, 1.0]), np.array([0.0, 0.3, 1.0]), np.linspace(0.0, 1.0, 33)):
+        gd = GridDriver(spec, times)
+        for seed in range(5):
+            w = sample_omega(spec.space, seed)
+            assert np.array_equal(gd.values(w), grid_values_one(gd, w))
+            assert np.array_equal(gd.deriv_vectors(w), grid_deriv_vectors_one(gd, w))
     # a list of draws, a full block and a short one, stacks the draws' values
     draws = [sample_omega(spec.space, s) for s in range(100, 100 + DRAW_BLOCK)]
     want = np.array([grid_values_one(gd, w) for w in draws])

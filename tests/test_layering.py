@@ -128,17 +128,31 @@ def test_dependency_scan_sees_every_import_form(tmp_path):
 
 
 def loaded_modules(code: str) -> set:
-    """Top-level names of the modules loaded after `code` runs in a fresh
-    interpreter that finds this checkout's chaosde first."""
+    """Names of the modules loaded after `code` runs in a fresh interpreter
+    that finds this checkout's chaosde first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
-    return {name.split(".")[0] for name in out.split()}
+    return set(out.split())
 
 
 def test_cli_import_loads_numpy_and_chaosde_only():
     # the bare interpreter's own modules (site .pth hooks among them) and the
     # standard library aside
     extra = loaded_modules("import chaosde.cli") - loaded_modules("pass")
-    assert extra - set(sys.stdlib_module_names) == {"chaosde", "numpy"}
+    top = {name.split(".")[0] for name in extra}
+    assert top - set(sys.stdlib_module_names) == {"chaosde", "numpy"}
+
+
+def test_euler_solve_leaves_numpy_ma_unloaded():
+    # numpy's masked arrays (about 10 ms to import) stay out of a solve: the
+    # driver grid check is a searchsorted equality, not np.isin
+    loaded = loaded_modules(
+        "import numpy as np\n"
+        "from chaosde.sde import preset, solve_euler\n"
+        "coeffs, x0 = preset('elliptic-2d')\n"
+        "fine = np.linspace(0.0, 1.0, 17)\n"
+        "solve_euler(coeffs, x0, (fine, np.zeros((3, 17, 2))), times=fine[::4])\n")
+    assert "chaosde.sde" in loaded
+    assert "numpy.ma" not in loaded

@@ -21,6 +21,7 @@ from chaosde.sde import (
     solve_theta_all,
     validate_derivatives,
 )
+from oracles import theta_columns
 
 
 PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
@@ -47,6 +48,7 @@ def test_presets_have_consistent_derivatives():
         coeffs, x0 = preset(name)
         assert x0.shape == (coeffs.d,)
         assert validate_derivatives(coeffs) <= 1e-4
+    assert validate_derivatives(mixed_3x2()[0]) <= 1e-4
     with pytest.raises(ConfigError):
         preset("no-such-preset")
 
@@ -192,6 +194,25 @@ def test_driver_subgrid():
         solve_euler(coeffs, x0, (fine_t, fine_F), times=np.array([0.0, 0.33, 1.0]))
 
 
+def test_driver_grid_membership():
+    # a solver time is a driver time to 12 decimals: the rows it selects are
+    # those of its driver times, and a time off the grid by more than 1e-12,
+    # before its start or after its end is rejected
+    coeffs, x0 = preset("elliptic-2d")
+    fine_t = np.linspace(0.0, 1.0, 65)
+    fine_F = random_paths(coeffs, 3, 64, 4, 0.3)
+    for rows in (np.arange(0, 65, 4), np.array([0, 3, 10, 11, 64]), np.arange(65)):
+        times = fine_t[rows] + 1e-14 * (rows % 2)
+        batch = solve_euler(coeffs, x0, (fine_t, fine_F), times=times)
+        assert np.array_equal(batch.driver_values, fine_F[:, rows])
+        one = solve_euler(coeffs, x0, (fine_t, fine_F[1]), times=times)
+        assert np.array_equal(one.driver_values, fine_F[1, rows])
+    for bad in (fine_t[7] + 2e-12, fine_t[7] - 2e-12, -1e-9, 1.0 + 1e-9):
+        times = np.sort(np.append(fine_t[::8], bad))
+        with pytest.raises(InvalidDimensionError):
+            solve_euler(coeffs, x0, (fine_t, fine_F), times=times)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_blowup_detected():
     cubed = SdeCoefficients(
@@ -277,6 +298,61 @@ def test_theta_blowup_reports_first_column():
     with pytest.raises(BlowupError) as exc:
         frechet_directional(huge, bundle, times[:, None])
     assert exc.value.step == 3
+
+
+def mixed_3x2():
+    """A d = 3, m = 2 coefficient set with full, state-dependent matrices."""
+    rng = np.random.default_rng(0)
+    base = np.array([[1.0, 0.2], [0.1, 0.9], [0.3, 0.5]])
+    amp = 0.3 * rng.standard_normal((3, 2, 3))
+    mix = 0.2 * rng.standard_normal((3, 3))
+    coeffs = SdeCoefficients(
+        d=3, m=2,
+        b=lambda x: np.einsum("kp,...p->...k", mix, np.tanh(x)),
+        sigma=lambda x: base + np.einsum("klp,...p->...kl", amp, np.sin(x)),
+        db=lambda x: mix * (1.0 - np.tanh(x) ** 2)[..., None, :],
+        dsigma=lambda x: amp * np.cos(x)[..., None, None, :],
+    )
+    return coeffs, np.array([0.1, -0.2, 0.3])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 16, 257])
+@pytest.mark.parametrize("name", PRESETS + ["mixed-3x2"])
+def test_theta_triangle_matches_column_loop(name, steps):
+    # one GEMM per column gives the triangle of the per-entry column loop
+    # bit for bit
+    coeffs, x0 = mixed_3x2() if name == "mixed-3x2" else preset(name)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    for seed, scale in ((0, 0.05), (1, 0.3), (2, 1.0)):
+        F = random_paths(coeffs, 1, steps, seed, scale)[0]
+        bundle = solve_euler(coeffs, x0, (times, F))
+        want = theta_columns(coeffs, bundle)
+        assert np.array_equal(solve_theta_all(coeffs, bundle).theta, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_theta_blowup_in_two_dimensions_matches_column_loop():
+    # bounded sigma keeps Euler finite; dsigma = +-1e300 makes each one-step
+    # Jacobian ~6e298 with a sign change in its second row, so Theta(t_0)
+    # overflows to (+inf, +inf) in column 3 and the Jacobian turns that into
+    # inf - inf = nan in the columns after it: the step is the column loop's
+    dsigma = 1e300 * np.array([[1.0, 1.0], [1.0, -1.0]])[:, None, :]
+    huge = SdeCoefficients(
+        d=2, m=1,
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: (1.0 + 0.5 * np.sin(x.sum(axis=-1)))[..., None, None] * np.ones((2, 1)),
+        db=lambda x: np.zeros(np.shape(x) + (2,)),
+        dsigma=lambda x: np.broadcast_to(dsigma, np.shape(x)[:-1] + dsigma.shape).copy(),
+    )
+    times, F = smooth_driver(16)
+    bundle = solve_euler(huge, np.array([0.3, -0.1]), (times, F))
+    assert np.isfinite(bundle.X).all()
+    with pytest.raises(BlowupError) as want:
+        theta_columns(huge, bundle)
+    with pytest.raises(BlowupError) as exc:
+        solve_theta_all(huge, bundle)
+    assert exc.value.step == want.value.step == 3
+    assert bundle.theta is None
 
 
 def test_theta_closed_form_linear():
