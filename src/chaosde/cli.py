@@ -28,6 +28,7 @@ from .hermite import (
     build_kernels,
     covariance_theoretical,
     export_kernels,
+    export_paths,
     self_similarity_stat,
     simulate_paths,
 )
@@ -208,11 +209,7 @@ def cmd_simulate(cfg: dict) -> int:
         check_budget((M, len(spec.out_times), spec.m))  # the driver values
     values = simulate_paths(field, range(seed, seed + M))
     with _output(cfg, "driver.csv") as driver:
-        driver.write("seed,t," + ",".join(f"F_{l + 1}" for l in range(spec.m)) + "\n")
-        for k in range(M):
-            for ti, t in enumerate(spec.out_times):
-                cols = ",".join(_fmt(v) for v in values[k, ti])
-                driver.write(f"{seed + k},{_fmt(t)},{cols}\n")
+        export_paths(values, spec.out_times, seed, driver)
     with _output(cfg, "kernels.txt") as kernels:
         export_kernels(field, kernels)
     print(f"wrote {driver.name} and {kernels.name}")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from chaosde import chaos
-from chaosde.cli import CHECK_BLOCK, _check_records, _check_values, load_config, main
+from chaosde.cli import (CHECK_BLOCK, _build_field, _check_records, _check_values, load_config,
+                         main)
+from chaosde.hermite import simulate_paths
 from chaosde.wiener import GaussianDraw, make_hilbert
 
 FAST_PROCESS = {"q": 1, "H": 0.7, "n": 64, "L": 4.0}
@@ -37,6 +39,21 @@ def test_simulate_writes_artifacts(tmp_path):
     assert len(lines) == 2 + 5 * 2
     kernels = (out / "kernels.txt").read_text()
     assert kernels.splitlines()[0].startswith("# chaosde ")
+
+
+def test_simulate_driver_csv_matches_value_loop(tmp_path):
+    # driver.csv written by rows of words, against one '%.17g' per value
+    payload = {"process": dict(FAST_PROCESS, m=2), "run": {"M": 1000, "seed": 40,
+                                                           "out_times": [0.25, 0.5, 1.0]}}
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 0
+    cfg = load_config(write_config(tmp_path, payload))
+    spec, field = _build_field(cfg)
+    values = simulate_paths(field, range(40, 1040))
+    want = ["seed,t,F_1,F_2"] + [
+        f"{40 + k},{t:.17g}," + ",".join(f"{v:.17g}" for v in values[k, ti])
+        for k in range(1000) for ti, t in enumerate(spec.out_times)]
+    assert (out / "driver.csv").read_text().splitlines()[1:] == want
 
 
 def test_simulate_deterministic(tmp_path):

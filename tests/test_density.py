@@ -178,6 +178,43 @@ def test_kde_matches_exact_gaussian_law():
     assert np.max(np.abs(est.values - exact)) <= 0.02
 
 
+def _order_statistic_samples():
+    """Samples of sizes 100-1000: continuous, with ties, constant, and
+    spread over many binades with both signs."""
+    rng = np.random.default_rng(2024)
+    for size in rng.integers(100, 1001, size=60):
+        yield rng.standard_normal(size)
+        yield rng.integers(-3, 4, size=size).astype(float)  # ties
+        yield np.full(size, rng.standard_normal())  # constant
+        yield rng.standard_normal(size) * np.exp(rng.uniform(-40, 40, size))
+    yield np.array([1.0] * 99 + [np.nan])
+
+
+def test_percentile_and_median_match_numpy():
+    # np.percentile and np.median are the oracles, bit for bit
+    for x in _order_statistic_samples():
+        ordered = np.sort(x)
+        for q in (0.25, 0.5, 0.75):
+            want = np.percentile(x, 100 * q)
+            assert np.array_equal(density._percentile(ordered, q), want, equal_nan=True)
+        assert np.array_equal(density._median(ordered), np.median(x), equal_nan=True)
+
+
+def test_kde_and_positivity_statistics_match_numpy():
+    # the IQR behind the bandwidth and the median determinant, through the
+    # public functions, against the numpy statistics they replace
+    rng = np.random.default_rng(5)
+    for size in (100, 101, 512, 999):
+        x = rng.standard_normal(size)
+        iqr = float(np.subtract(*np.percentile(x, [75, 25])))
+        std = float(np.std(x, ddof=1))
+        assert kde(x).bandwidth == 0.9 * min(std, iqr / 1.34) * size ** (-0.2)
+        dets = rng.exponential(size=size)
+        ens = SampleEnsemble(t=1.0, seeds=list(range(size)), x_samples=x[:, None],
+                             det_samples=dets, min_eigs=dets)
+        assert positivity_report(ens)["median_det"] == float(np.median(dets))
+
+
 def test_positivity_elliptic_vs_rank1():
     ell = run_ensemble(Scenario(preset="elliptic-2d", **SMALL), M=40, base_seed=0)
     rep = positivity_report(ell)

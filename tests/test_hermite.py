@@ -28,6 +28,7 @@ from chaosde.hermite import (
     build_kernels,
     covariance_theoretical,
     export_kernels,
+    export_paths,
     holder_norms,
     hurst_aux,
     import_kernels,
@@ -440,10 +441,75 @@ def test_export_kernels_stays_off_dense_view(monkeypatch):
         assert _dump(export_kernels, field) == text
 
 
+@pytest.mark.parametrize("q, n, times", [(1, 1200, 3), (2, 120, 3), (1, 64, 12), (3, 12, 11)])
+def test_export_kernels_wide_labels_match_line_loop(q, n, times):
+    # 4-digit cell labels (q = 1, n >= 1000), 3-digit ones at q = 2 and
+    # 2-digit time labels (>= 11 output times), with two components
+    spec = small_spec(q=q, n=n, L=1.0, m=2, out_times=tuple(np.linspace(1.0, 0.3, times)[::-1]))
+    field = build_kernels(spec)
+    got = _dump(export_kernels, field)
+    assert got == _dump(_export_kernels_loop, field)
+    labels = [line.split() for line in got.splitlines() if not line.startswith("#")]
+    assert max(len(parts[0]) for parts in labels) == len(str(times - 1))
+    assert max(len(i) for parts in labels for i in parts[1:-1]) == len(str(n - 1))
+
+
+def _export_paths_loop(values, times, seed, fh):
+    """The driver.csv body one '%.17g' per value: the oracle for export_paths."""
+    fh.write("seed,t," + ",".join(f"F_{l + 1}" for l in range(values.shape[2])) + "\n")
+    for k in range(values.shape[0]):
+        for ti, t in enumerate(times):
+            cols = ",".join(f"{v:.17g}" for v in values[k, ti])
+            fh.write(f"{seed + k},{t:.17g},{cols}\n")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_export_paths_matches_value_loop(m):
+    # simulated values, then random bit patterns (NaN, infinities, zeros and
+    # subnormals among them), for small seeds and seeds up to 2^64 - 1
+    spec = small_spec(q=2, n=24, m=m, out_times=(0.25, 0.5, 1.0))
+    values = simulate_paths(build_kernels(spec), range(1100))
+    rng = np.random.default_rng(m)
+    bits = rng.integers(0, 2**64, size=values.shape, dtype=np.uint64)
+    bits[::7] &= np.uint64(2**63 | 2**52 - 1)  # zeros and subnormals
+    for vals in (values, bits.view(np.float64)):
+        for seed in (0, 123_456, 2**64 - vals.shape[0]):
+            for times in (spec.out_times, (1e-300, 2.5e-7, 1.0 / 3.0)):
+                got, want = io.StringIO(), io.StringIO()
+                export_paths(vals, times, seed, got)
+                _export_paths_loop(vals, times, seed, want)
+                assert got.getvalue() == want.getvalue()
+
+
+def test_ascii8_digits():
+    # the multiply-shift quotients over their whole ranges, then words of
+    # 8 digits, leading zeros kept, against Python's formatting
+    v = np.arange(10**4, dtype=np.uint64)
+    assert np.array_equal(v * 5243 >> 19, v // 100)
+    assert np.array_equal(v[:100] * 103 >> 10, v[:100] // 10)
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.integers(0, 10**8, 10**5),
+                        [0, 9, 10, 99, 100, 9999, 10**4, 10**7, 10**8 - 1]]).astype(np.uint64)
+    words = hermite._ascii8(x).astype(hermite._WORD)
+    assert words.view("S8").tolist() == [b"%08d" % v for v in x.tolist()]
+
+
+def test_exponent_tables_are_exact():
+    # _DECADES[k] is the smallest double >= 10^(k + _E_LO), and the binade
+    # table's floor is floor(e log10 2) for every binary exponent e
+    from fractions import Fraction
+
+    for E, c in zip(range(hermite._E_LO, hermite._E_HI + 2), hermite._DECADES):
+        assert Fraction(float(c)) >= Fraction(10) ** E > Fraction(float(np.nextafter(c, 0.0)))
+    for b in range(1, 2047):
+        E = int(hermite._E_FLOOR[b]) + hermite._E_LO
+        assert Fraction(10) ** E <= Fraction(2) ** (b - 1023) < Fraction(10) ** (E + 1)
+
+
 def _assert_formats_as_python(values):
     """_format_17g gives '%.17g' % v byte for byte, NULs dropped."""
     values = np.asarray(values, dtype=float)
-    rows = _format_17g(values)
+    rows = _format_17g(values).view(np.uint8)
     want = ["%.17g" % v for v in values.tolist()]
     assert rows.shape == (values.shape[0], hermite._VALUE_WIDTH)
     assert np.count_nonzero(rows, axis=1).tolist() == [len(w) for w in want]
@@ -455,7 +521,7 @@ def test_format_17g_special_values():
                 np.nan, -np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.5, -1e-6,
                 -0.1, -123.25]
     _assert_formats_as_python(specials)
-    assert [bytes(r[r != 0]) for r in _format_17g([-0.0, np.nan, -np.inf])] == [
+    assert [bytes(r[r != 0]) for r in _format_17g([-0.0, np.nan, -np.inf]).view(np.uint8)] == [
         b"-0", b"nan", b"-inf"]
 
 

@@ -156,3 +156,19 @@ def test_euler_solve_leaves_numpy_ma_unloaded():
         "solve_euler(coeffs, x0, (fine, np.zeros((3, 17, 2))), times=fine[::4])\n")
     assert "chaosde.sde" in loaded
     assert "numpy.ma" not in loaded
+
+
+def test_density_command_leaves_numpy_ma_unloaded(tmp_path):
+    # the KDE's IQR and the median determinant come from one np.sort each,
+    # not from np.percentile and np.median, which load numpy's masked arrays
+    config = tmp_path / "config.json"
+    config.write_text('{"process": {"q": 1, "n": 32, "L": 4.0}, '
+                      '"sde": {"preset": "elliptic-2d", "steps": 16}, "run": {"M": 100}}')
+    loaded = loaded_modules(
+        "import contextlib, io\n"
+        "from chaosde.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['density', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--workers', '1']) == 0\n")
+    assert "chaosde.density" in loaded
+    assert "numpy.ma" not in loaded

@@ -30,7 +30,11 @@ n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
 process as the first command of the interpreter.  A pass times its four
 stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
 and writing `kernels.txt` (each file from opening to closing), the whole
-command, and the peak resident memory of the pass.
+command, and the peak resident memory of the pass.  The `kernels.txt`
+stage is split in two: `kernel_entries`, the time inside
+`hermite._canonical_entries` (each output time's dense block and its
+canonical entries; 0 in sources without it), and `kernel_text`, the rest
+(formatting and writing the lines).
 
 Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
@@ -65,7 +69,8 @@ SEEDS = range(5, 105)
 STAGES = ("draw", "driver_values", "euler", "theta", "df", "dx", "gram")
 SIMULATE = {"process": {"q": 3, "H": 0.7, "m": 1, "n": 160, "L": 8.0, "s_nodes": 64},
             "run": {"M": 200, "seed": 5, "out_times": [0.25, 0.5, 1.0]}}
-SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt")
+SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt",
+                   "kernel_entries", "kernel_text")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -156,7 +161,7 @@ def measure_simulate() -> dict:
     import resource
     import time
 
-    from chaosde import cli
+    from chaosde import cli, hermite
 
     clock = time.perf_counter
     stages = dict.fromkeys(SIMULATE_STAGES, 0.0)
@@ -182,6 +187,8 @@ def measure_simulate() -> dict:
     cli.build_kernels = timed("build_kernels", cli.build_kernels)
     cli.simulate_paths = timed("simulate_paths", cli.simulate_paths)
     cli._output = timed_output(cli._output)
+    if hasattr(hermite, "_canonical_entries"):  # looked up by export_kernels at each call
+        hermite._canonical_entries = timed("kernel_entries", hermite._canonical_entries)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -192,6 +199,7 @@ def measure_simulate() -> dict:
             command_s = clock() - start
     if rc != 0:
         raise RuntimeError(f"chaosde simulate exited {rc}")
+    stages["kernel_text"] = stages["kernels.txt"] - stages["kernel_entries"]
     return {"stages_s": stages, "command_s": command_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
