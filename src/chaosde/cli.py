@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, check_budget
+from .errors import (BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, OutOfRangeError,
+                     check_budget)
 from .wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
@@ -28,12 +29,12 @@ from .hermite import (
     build_kernels,
     covariance_theoretical,
     export_kernels,
-    export_paths,
     self_similarity_stat,
     simulate_paths,
 )
 from .sde import preset, solve_euler, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
+from .textio import export_paths, value_fields, write_rows
 from .density import (
     KDE_GRID_POINTS,
     Scenario,
@@ -166,10 +167,6 @@ def _output(cfg: dict, name: str):
         yield fh
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @contextlib.contextmanager
 def _budget_key(cfg: dict, key: str):
     """Report a dense array over the memory budget as an invalid value of key."""
@@ -209,7 +206,8 @@ def cmd_simulate(cfg: dict) -> int:
         check_budget((M, len(spec.out_times), spec.m))  # the driver values
     values = simulate_paths(field, range(seed, seed + M))
     with _output(cfg, "driver.csv") as driver:
-        export_paths(values, spec.out_times, seed, driver)
+        export_paths(driver, [f"F_{l + 1}" for l in range(spec.m)], spec.out_times,
+                     [(seed, values)])
     with _output(cfg, "kernels.txt") as kernels:
         export_kernels(field, kernels)
     print(f"wrote {driver.name} and {kernels.name}")
@@ -328,14 +326,20 @@ def cmd_solve(cfg: dict) -> int:
     _, (coeffs, x0, spec, driver) = _scenario(cfg)
     validate_derivatives(coeffs)
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
-    with _output(cfg, "solution.csv") as fh:
-        fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
+    every = slice(None, None, max(1, cfg["sde"]["steps"] // 16))
+
+    def blocks():
+        # each block's paths up to its first that went non-finite, whose
+        # BlowupError then stops the command
         for draws, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
-            for k, w in enumerate(draws):
-                X = batch.path(k).X  # a path that went non-finite stops the command
-                for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):
-                    cols = ",".join(_fmt(v) for v in X[i])
-                    fh.write(f"{w.seed},{_fmt(batch.times[i])},{cols}\n")
+            failed = np.flatnonzero(batch.failed)
+            kept = failed[0] if failed.size else len(draws)
+            yield draws[0].seed, batch.X[:kept, every]
+            if failed.size:
+                batch.path(kept)  # raises
+
+    with _output(cfg, "solution.csv") as fh:
+        export_paths(fh, [f"X_{k + 1}" for k in range(coeffs.d)], driver.times[every], blocks())
     print(f"wrote {fh.name}")
     return 0
 
@@ -351,16 +355,16 @@ def cmd_malliavin(cfg: dict) -> int:
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
     target = mf.dx @ h.coords
-    lines = [f"t {_fmt(mf.t)}", f"det_gamma {_fmt(mm.det)}", f"min_eig {_fmt(mm.min_eig)}"]
+    lines = [f"t {mf.t:.17g}", f"det_gamma {mm.det:.17g}", f"min_eig {mm.min_eig:.17g}"]
     errs = []
     for eps in cfg["run"]["eps"]:
         quot = directional_quotient(coeffs, x0, driver, w, h, float(eps))
         err = float(np.max(np.abs(quot - target)))
         errs.append(err)
-        lines.append(f"quotient_gap eps={eps:g} {_fmt(err)}")
+        lines.append(f"quotient_gap eps={eps:g} {err:.17g}")
     if len(errs) >= 2 and min(errs) > 0:
         order = np.polyfit(np.log([float(e) for e in cfg["run"]["eps"]]), np.log(errs), 1)[0]
-        lines.append(f"observed_order {_fmt(float(order))}")
+        lines.append(f"observed_order {float(order):.17g}")
     with _output(cfg, "malliavin_report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -381,8 +385,7 @@ def cmd_density(cfg: dict) -> int:
         est = kde(ensemble.x_samples[:, 0])
         with _output(cfg, "kde.csv") as fh:
             fh.write("x,density\n")
-            for x, v in zip(est.grid, est.values):
-                fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+            write_rows(fh, value_fields(np.column_stack([est.grid, est.values])), ",")
         report["kde_bandwidth"] = est.bandwidth
         report["degenerate"] = False
     except ChaosdeError:
@@ -402,8 +405,12 @@ def cmd_selfsim(cfg: dict) -> int:
     with _budget_key(cfg, "run.M"):
         check_budget((M,))  # each side's samples
     with _budget_key(cfg, "run.epsilon_window"):  # the lhs quadrature nodes
-        lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
-                                        range(seed + M, seed + 2 * M))
+        try:
+            lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
+                                            range(seed + M, seed + 2 * M))
+        except OutOfRangeError as exc:
+            raise ConfigError(f"process.n={spec.space.n} and run.epsilon_window={eps!r} "
+                              f"invalid: {exc}") from None
     result = ks_two_sample(lhs, rhs)
     if spec.q == 1:
         # order 1 is deterministic: both sides are draw-independent numbers,

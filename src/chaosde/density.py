@@ -5,7 +5,6 @@ the absolute-continuity criterion, and a two-sample distribution test.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler
 from .malliavin import malliavin_matrix, solution_derivative
+from .textio import integer_field, value_fields, write_rows
 
 
 @dataclass(frozen=True)
@@ -256,15 +256,16 @@ def ks_two_sample(a, b) -> dict:
 
 def dump_csv(ensemble: SampleEnsemble, fh):
     """Ensemble dump to the open text stream fh: seed, t, x_1..x_d,
-    det_gamma, min_eig, excluded_flag."""
+    det_gamma, min_eig, excluded_flag; the kept seeds first, then the
+    excluded ones, whose value fields are empty."""
     d = ensemble.x_samples.shape[1]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
-                    + ["det_gamma", "min_eig", "excluded_flag"])
-    for i, seed in enumerate(ensemble.seeds):
-        row = [seed, f"{ensemble.t:.17g}"]
-        row += [f"{v:.17g}" for v in ensemble.x_samples[i]]
-        row += [f"{ensemble.det_samples[i]:.17g}", f"{ensemble.min_eigs[i]:.17g}", 0]
-        writer.writerow(row)
-    for seed in ensemble.excluded_seeds:
-        writer.writerow([seed, f"{ensemble.t:.17g}"] + [""] * d + ["", "", 1])
+    fh.write(",".join(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
+                      + ["det_gamma", "min_eig", "excluded_flag"]) + "\n")
+    (t,) = value_fields([[ensemble.t]])
+    kept = value_fields(np.column_stack([ensemble.x_samples, ensemble.det_samples,
+                                         ensemble.min_eigs]))
+    empty = [np.zeros((len(ensemble.excluded_seeds), 1), dtype=t.dtype)] * (d + 2)
+    for seeds, fields, flag in ((ensemble.seeds, kept, "0"), (ensemble.excluded_seeds, empty, "1")):
+        N = len(seeds)
+        write_rows(fh, [integer_field(seeds), np.broadcast_to(t, (N, t.shape[1]))] + fields
+                   + [np.full((N, 1), ord(flag), dtype=t.dtype)], ",")

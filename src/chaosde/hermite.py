@@ -50,6 +50,7 @@ from .errors import (
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
+from .textio import EXPORT_CHUNK, _format_17g, _labels, write_rows
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -182,6 +183,9 @@ def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np
     if inc.shape[0] > 1:
         inc[1:] += 2.0 * np.cumsum(bb, axis=0).diagonal(1)
     norms2 = np.cumsum(inc)
+    if not norms2.all():  # beta underflows to 0 on a horizon near the smallest double
+        t = float(np.broadcast_to(times, norms2.shape)[np.argmin(norms2)])
+        raise InvalidDimensionError(f"degenerate kernel at t={t}: its norm is 0")
     targets = times ** (2.0 * H) / math.factorial(q)
     return np.sqrt(targets / norms2)
 
@@ -415,6 +419,9 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         space, tol = field.spec.space, 1e-12
         edges = space.cell_edges()
         window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
+        if not window.any():  # both sides would be all zeros, equal in law on no data
+            raise OutOfRangeError(f"no whole cell of the grid (width {space.delta:.6g}) lies "
+                                  f"in the window ({lo:.6g}, {hi:.6g}]")
         ders = (field.evaluate(0, xi[:, :1])[1][:, 0, window]
                 for _, xi in draw_blocks(space, seeds))
         return np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders])
@@ -556,199 +563,15 @@ def _canonical_entries(field: KernelField, ti: int) -> tuple:
     return index, field._block(ti)[canonical]
 
 
-#: Dekker's splitting constant 2^27 + 1
-_SPLIT = 134217729.0
-#: text is built in little-endian 64-bit words: byte j of a word is its
-#: bits 8j .. 8j+7, and a word's bytes are in text order
-_WORD = np.dtype("<u8")
-#: bytes of one formatted value, in words: '%.17g' is at most 24 bytes
-#: long, and the last byte stays NUL for the caller's separator
-_VALUE_WIDTH = 32
-#: the decimal exponents E the formatter handles in numpy: 10^(16 - E) is a
-#: double; %g writes all but E < -4 in fixed notation
-_E_LO, _E_HI = -6, 16
-
-
-def _decade_start(k: int) -> float:
-    """The smallest double >= 10^k: the correctly rounded quotient, moved up
-    one ulp when the exact comparison of integers puts it below 10^k."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    c = num / den
-    a, b = c.as_integer_ratio()
-    return c if a * den >= num * b else math.nextafter(c, math.inf)
-
-
-#: the smallest double >= 10^E for E = _E_LO .. _E_HI + 1
-_DECADES = np.array([_decade_start(E) for E in range(_E_LO, _E_HI + 2)])
-#: by the biased exponent b of a normal double v, 2^(b - 1023) <= |v| <
-#: 2^(b - 1022): k = floor((b - 1023) log10 2) - _E_LO, so that E - _E_LO is
-#: k or k + 1, and the smallest double >= 10^(_E_LO + k + 1), which |v|
-#: reaches exactly when it is k + 1 (inf outside `_DECADES`)
-_E_FLOOR = ((np.arange(2048) - 1023) * 78913 >> 18) - _E_LO
-_E_STEP = np.where((_E_FLOOR >= -1) & (_E_FLOOR < _DECADES.shape[0] - 1),
-                   _DECADES.take(np.clip(_E_FLOOR + 1, 0, _DECADES.shape[0] - 1)), np.inf)
-#: 10^(16 - E) by E - _E_LO, every one exact in binary64
-_SCALE = np.array([float(10 ** (16 - E)) for E in range(_E_LO, _E_HI + 1)])
-_ASCII_ZEROS = int.from_bytes(b"0" * 8, "little")
-#: by the exponent field f of float(z) for a word z of digit values 0..9:
-#: the number of zero bytes above its highest nonzero byte
-_TOP_ZERO_BYTES = np.minimum((1086 - np.arange(1087)) >> 3, 8)
-
-
-def _value_tables() -> np.ndarray:
-    """Words and masks that lay out a value with decimal exponent E whose
-    17 digits end in T zeros, column 17 (E - _E_LO) + T: the bytes of the
-    two digit words (digits 2-9 and 10-17) kept before the point, then
-    those kept after it, the point in each, the "0.000" prefix after the
-    sign and the exponent after the digit the point pushes out."""
-    E = np.arange(_E_LO, _E_HI + 1)[:, None]
-    T = np.arange(17)
-    fixed = E >= -4
-    # %g strips the trailing zeros after the point
-    strip = np.minimum(T, np.where(fixed & (E >= 0), 16 - E, 16))
-    # the point goes before digit 2 + point where a digit follows it (16: none)
-    point = np.where(fixed, np.where(E >= 0, E, 16), 0)
-    point = np.where(strip < 16 - point, point, 16)
-    # per digit word: the number of bytes kept and of bytes before the point
-    kept = [np.minimum(16 - strip, 8), np.maximum(8 - strip, 0)]
-    before = [np.minimum(point, 8), np.clip(point - 8, 0, 8)]
-    low = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=_WORD)  # the low j bytes
-    dots = np.array([ord(".") << 8 * j for j in range(8)] + [0], dtype=_WORD)
-    prefix = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in range(_E_LO, _E_HI + 1)]
-    exponent = [b"" if e >= -4 else b"e%+03d" % e for e in range(_E_LO, _E_HI + 1)]
-    rows = ([low[np.minimum(k, b)] for k, b in zip(kept, before)]
-            + [low[k] ^ low[np.minimum(k, b)] for k, b in zip(kept, before)]
-            + [dots[np.where((0 <= p) & (p < 8), p, 8)] for p in (point, point - 8)]
-            + [np.array([[int.from_bytes(text, "little") << 8] for text in texts], dtype=_WORD)
-               for texts in (prefix, exponent)])
-    return np.stack([np.broadcast_to(row, strip.shape).ravel() for row in rows])
-
-
-_VALUE_TABLES = _value_tables()
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker, 1971)."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _ascii8(x: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each x < 10^8 as one word of ASCII codes,
-    leading digit in byte 0.
-
-    SWAR lane division: the word holds x // 10^4 and x % 10^4 in its two
-    32-bit lanes, then each lane v holds v // 100 and v % 100 in its two
-    16-bit lanes, then each of those its two digits in 8-bit lanes, the
-    quotient always in the lower lane.  A quotient is a multiply and shift,
-    exact in these ranges: (v * 5243) >> 19 = v // 100 for v < 10^4 and
-    (v * 103) >> 10 = v // 10 for v < 100.
-    """
-    high = x // 10**4
-    x = high | (x - high * 10**4) << 32
-    x = (x << 16) - ((x * 5243 >> 19) & 0x0000007F_0000007F) * ((100 << 16) - 1)
-    x = (x << 8) - ((x * 103 >> 10) & 0x000F_000F_000F_000F) * ((10 << 8) - 1)
-    return x + _ASCII_ZEROS
-
-
-def _format_17g(values: np.ndarray) -> np.ndarray:
-    """'%.17g' % v of every value, as the rows of an (N, _VALUE_WIDTH // 8)
-    array of words: the bytes of a row, NULs dropped, are the text, and the
-    last byte of a row is NUL.
-
-    The words of a row: the sign, the "0.000" prefix and the leading digit;
-    digits 2-9 and 10-17, one ASCII word each (`_ascii8`); the digit the
-    point pushes out, and the exponent.  The decimal exponent E is exact
-    from the binary exponent and one comparison with `_DECADES`; for
-    -6 <= E <= 16, |v| 10^(16 - E) is formed exactly as a double pair by
-    one Dekker product and rounded half-even to 17 digits.  %g's trailing
-    zeros are counted from the bit length of the words' zero digits, and
-    `_VALUE_TABLES` gives the masks that clear them and move the digits
-    after the point one byte up.  Other values (zero, subnormal,
-    non-finite, E outside [-6, 16], or 17 digits that round up to 10^17)
-    are formatted by Python one by one.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    bits = values.view(np.uint64)
-    x = np.abs(values)
-    binade = (bits >> 52 & 0x7FF).view(np.int64)
-    k = _E_FLOOR.take(binade)
-    k += x >= _E_STEP.take(binade)
-    fast = (k >= 0) & (k <= _E_HI - _E_LO)
-    if not fast.all():  # a stand-in for the values left to Python
-        x[~fast], k[~fast] = 1.0, -_E_LO
-    hi, lo = _two_product(x, _SCALE.take(k))
-    # hi is an even integer, so rounding lo half-even rounds hi + lo
-    d = hi.astype(np.int64)
-    d += np.rint(lo).astype(np.int64)
-    # a carry to 10^17 needs a double within 5e-18 (relative) below a power
-    # of ten; none is in range, and Python would format one
-    fast &= d != 10**17
-    d = d.view(np.uint64)
-    lead = d // 10**16
-    d -= lead * 10**16
-    digits = np.empty((2, values.shape[0]), dtype=np.uint64)
-    np.floor_divide(d, 10**8, out=digits[0])
-    np.subtract(d, digits[0] * 10**8, out=digits[1])
-    digits = _ascii8(digits)
-    # the zero digits at the end of each word, from the bit length of its
-    # digit values (exact as a double's exponent: no byte exceeds 9, so no
-    # rounding reaches the next power of two); the second word's count goes
-    # on into the first
-    zeros = _TOP_ZERO_BYTES.take((digits ^ _ASCII_ZEROS).astype(np.float64).view(np.uint64) >> 52)
-    k *= 17
-    k += zeros[1]
-    k += (zeros[1] == 8) * zeros[0]
-    tables = _VALUE_TABLES.take(k, axis=1)
-    after = digits & tables[2:4]
-    digits &= tables[0:2]
-    digits |= after << 8
-    digits |= tables[4:6]
-    out = np.empty((values.shape[0], _VALUE_WIDTH // 8), dtype=_WORD)
-    out[:, 0] = tables[6] | (lead + ord("0")) << 48 | (bits >> 63) * ord("-")
-    out[:, 1] = digits[0]
-    out[:, 2] = digits[1] | after[0] >> 56
-    out[:, 3] = tables[7] | after[1] >> 56
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = np.array(["%.17g" % v for v in values[slow].tolist()], dtype=f"S{_VALUE_WIDTH}")
-        out[slow] = text.view(_WORD).reshape(slow.size, -1)
-    return out
-
-
-def _labels(count: int) -> np.ndarray:
-    """f"{i} " for i < count as NUL-padded words: row w holds word w of
-    each label, shape (W, count)."""
-    words = len(str(count - 1)) // 8 + 1
-    return np.array([f"{i} " for i in range(count)], dtype=f"S{8 * words}").view(
-        _WORD).reshape(count, words).T.copy()
-
-
-def _write_rows(fh, rows: np.ndarray):
-    """Write the text of rows of words: their bytes, NULs dropped."""
-    fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
-
-
-#: data lines formatted at once: each chunk's arrays stay within a few
-#: hundred kB, which keeps them in cache
-EXPORT_CHUNK = 1 << 13
-
-
 def export_kernels(field: KernelField, fh):
     """Portable text dump to the open text stream fh: one line
     `ti i_1 .. i_q value` per nonzero canonical (nondecreasing) multi-index,
     in lexicographic order, values in %.17g (NaN kept, -0.0 skipped).
 
-    Works from the factors (`_canonical_entries`), never the dense view.
-    A line is a row of words: the `ti ` label, the q `i ` labels (one
-    gather per word from a table of label words) and the value
-    (`_format_17g`) with its newline in the last byte.
+    Works from the factors (`_canonical_entries`), never the dense view,
+    and writes each chunk of lines through `textio.write_rows`: the `ti`
+    label, the q labels (one gather each from a table of label words) and
+    the value.
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
@@ -757,56 +580,17 @@ def export_kernels(field: KernelField, fh):
     fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
     fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
     times, labels = _labels(len(spec.out_times)), _labels(n)
-    # the first word column of each field of a line: ti, i_1 .. i_q, value
-    starts = np.cumsum([0, times.shape[0]] + [labels.shape[0]] * q)
     for ti in range(len(spec.out_times)):
         index, values = _canonical_entries(field, ti)
         nonzero = np.flatnonzero(values)
         index, values = index.take(nonzero, axis=1), values.take(nonzero)
         for lo in range(0, values.shape[0], EXPORT_CHUNK):
             rows = slice(lo, lo + EXPORT_CHUNK)
-            line = np.empty((values[rows].shape[0], starts[-1] + _VALUE_WIDTH // 8), dtype=_WORD)
-            line[:, :starts[1]] = times[:, ti]
-            for j in range(q):
-                cells = index[j, rows].astype(np.intp)
-                for column, words in enumerate(labels, starts[j + 1]):
-                    line[:, column] = words.take(cells)
-            line[:, starts[-1]:] = _format_17g(values[rows])
-            line[:, -1] |= ord("\n") << 56
-            _write_rows(fh, line)
+            cells = [labels.take(i.astype(np.intp), axis=0) for i in index[:, rows]]
+            ti_words = np.broadcast_to(times[ti], (values[rows].shape[0], times.shape[1]))
+            write_rows(fh, [ti_words] + cells + [_format_17g(values[rows])], " ")
         # the next block is built with this time's arrays gone
         del index, values, nonzero
-
-
-def export_paths(values: np.ndarray, times, seed: int, fh):
-    """CSV dump of driver values to the open text stream fh: the header
-    `seed,t,F_1,..,F_m`, then one row `seed,t,F_1,..,F_m` per draw and
-    output time, for the (M, T, m) values of the draws of seeds seed ..
-    seed + M - 1 at the T times, numbers in %.17g.
-
-    A row is a row of words, as a line of `export_kernels` is: the seed
-    (below 2^64, so at most 20 digits), t and each value in a NUL-padded
-    slot ended by its "," or "\n".
-    """
-    M, T, m = values.shape
-    fh.write("seed,t," + ",".join(f"F_{l + 1}" for l in range(m)) + "\n")
-    seed_words, value_words = 3, _VALUE_WIDTH // 8
-    t_words = _format_17g(times)
-    t_words[:, -1] |= ord(",") << 56
-    draws = max(EXPORT_CHUNK // T, 1)
-    for lo in range(0, M, draws):
-        block = values[lo:lo + draws]
-        B = block.shape[0]
-        seeds = np.arange(seed + lo, seed + lo + B, dtype=np.uint64).astype(f"S{8 * seed_words}")
-        row = np.empty((B, T, seed_words + value_words * (1 + m)), dtype=_WORD)
-        row[:, :, :seed_words] = seeds.view(_WORD).reshape(B, 1, seed_words)
-        row[:, :, seed_words - 1] |= ord(",") << 56
-        row[:, :, seed_words:seed_words + value_words] = t_words
-        row[:, :, seed_words + value_words:] = _format_17g(block).reshape(B, T, -1)
-        ends = row[:, :, seed_words + 2 * value_words - 1::value_words]
-        ends[:, :, :-1] |= ord(",") << 56
-        ends[:, :, -1] |= ord("\n") << 56
-        _write_rows(fh, row)
 
 
 def import_kernels(path: str) -> tuple:

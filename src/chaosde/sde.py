@@ -153,6 +153,9 @@ def _driver_arrays(driver, times):
     return times, dvals[..., idx, :]
 
 
+# overflow is expected on a path that blows up: the finiteness scan of each
+# step records it, and numpy's warning would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBundle:
     """Left-point Euler solve of dX = b dt + sigma dF along the given driver.
 

@@ -1,9 +1,13 @@
 """Test oracles that share no code with the library recursions they check,
-the loops that faster library code replaced, and a component-independence
-check that addresses the basis by raw index."""
+the loops that faster library code replaced (among them the per-value
+writers of the output tables), and a component-independence check that
+addresses the basis by raw index."""
+
+import csv
 
 import numpy as np
 
+from chaosde.density import euler_batches
 from chaosde.errors import BlowupError
 from chaosde.hermite import GridDriver, build_kernels, simulate_path
 from chaosde.sde import _step_jacobians
@@ -97,3 +101,38 @@ def theta_columns(coeffs, bundle):
         if not np.isfinite(col[:j + 1]).all():
             raise BlowupError(f"non-finite variational state at step {j}", step=j)
     return columns.transpose(1, 0, 2, 3)
+
+
+def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):
+    """The solution.csv body one '%.17g' per value, by the per-draw loop
+    the row writer replaced: every 16th step of each path, and BlowupError
+    at the first draw that went non-finite, after the rows before it."""
+    fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
+    for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+        for k, w in enumerate(draws):
+            X = batch.path(k).X
+            for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):
+                cols = ",".join(f"{v:.17g}" for v in X[i])
+                fh.write(f"{w.seed},{batch.times[i]:.17g},{cols}\n")
+
+
+def ensemble_csv_writer(ensemble, fh):
+    """The ensemble.csv body by `csv.writer`, one formatted field at a time."""
+    d = ensemble.x_samples.shape[1]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
+                    + ["det_gamma", "min_eig", "excluded_flag"])
+    for i, seed in enumerate(ensemble.seeds):
+        row = [seed, f"{ensemble.t:.17g}"]
+        row += [f"{v:.17g}" for v in ensemble.x_samples[i]]
+        row += [f"{ensemble.det_samples[i]:.17g}", f"{ensemble.min_eigs[i]:.17g}", 0]
+        writer.writerow(row)
+    for seed in ensemble.excluded_seeds:
+        writer.writerow([seed, f"{ensemble.t:.17g}"] + [""] * d + ["", "", 1])
+
+
+def kde_csv_loop(estimate, fh):
+    """The kde.csv body one line per grid point."""
+    fh.write("x,density\n")
+    for x, v in zip(estimate.grid, estimate.values):
+        fh.write(f"{x:.17g},{v:.17g}\n")

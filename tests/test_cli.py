@@ -1,5 +1,6 @@
 """Command-line interface: config handling, exit codes, output artifacts."""
 
+import io
 import json
 import tracemalloc
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from chaosde import chaos
-from chaosde.cli import (CHECK_BLOCK, _build_field, _check_records, _check_values, load_config,
-                         main)
+from chaosde.cli import (CHECK_BLOCK, _build_field, _check_records, _check_values, _scenario,
+                         load_config, main)
+from chaosde.density import kde, run_ensemble
+from chaosde.errors import BlowupError
 from chaosde.hermite import simulate_paths
 from chaosde.wiener import GaussianDraw, make_hilbert
+from oracles import ensemble_csv_writer, kde_csv_loop, solution_csv_loop
 
 FAST_PROCESS = {"q": 1, "H": 0.7, "n": 64, "L": 4.0}
 
@@ -240,6 +244,86 @@ def test_solve_and_malliavin(tmp_path, capsys):
     assert "det_gamma" in text and "observed_order" in text
 
 
+def body(path) -> str:
+    """An output file's text below its header line."""
+    return path.read_text().split("\n", 1)[1]
+
+
+def solution_oracle(tmp_path, payload) -> tuple:
+    """The solution.csv body of the per-value loop, and the BlowupError that
+    stopped it (None if every draw stayed finite)."""
+    cfg = load_config(write_config(tmp_path, payload, "oracle.json"))
+    _, (coeffs, x0, spec, driver) = _scenario(cfg)
+    M, seed = cfg["run"]["M"], cfg["run"]["seed"]
+    fh = io.StringIO()
+    try:
+        solution_csv_loop(fh, coeffs, x0, spec, driver, range(seed, seed + M))
+    except BlowupError as exc:
+        return fh.getvalue(), exc
+    return fh.getvalue(), None
+
+
+@pytest.mark.parametrize("q, steps, M, seed", [
+    (1, 128, 1000, 0),  # more draws than one block, every 8th step
+    (2, 40, 70, 3),  # every 2nd step
+    (1, 20, 2, 2**64 - 4),  # every step, 20-digit seeds
+])
+def test_solve_csv_matches_value_loop(tmp_path, q, steps, M, seed):
+    payload = {"process": dict(FAST_PROCESS, q=q, n=32),
+               "sde": {"preset": "elliptic-2d", "steps": steps}, "run": {"M": M, "seed": seed}}
+    code, out = run_cli(tmp_path, "solve", payload)
+    assert code == 0
+    want, failure = solution_oracle(tmp_path, payload)
+    assert failure is None
+    assert body(out / "solution.csv") == want
+    assert len(want.splitlines()) == 1 + M * (steps // max(1, steps // 16) + 1)
+
+
+def test_solve_writes_the_draws_before_a_blowup(tmp_path, capsys):
+    # seeds 59-76 stay finite and seed 77 overflows (draw 18 of the first
+    # block): their rows are written, then the command stops at seed 77
+    payload = {"process": dict(FAST_PROCESS, n=32),
+               "sde": {"preset": "linear-scalar", "x0": [9e307], "steps": 16},
+               "run": {"M": 100, "seed": 59}}
+    code, out = run_cli(tmp_path, "solve", payload)
+    assert code == 3
+    want, failure = solution_oracle(tmp_path, payload)
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: {failure}\n"
+    assert "Warning" not in err
+    assert body(out / "solution.csv") == want
+    seeds = {int(line.split(",")[0]) for line in want.splitlines()[1:]}
+    assert seeds == set(range(59, 77))
+
+
+def test_density_csvs_match_value_loops(tmp_path):
+    payload = {"process": dict(FAST_PROCESS, q=2, n=32),
+               "sde": {"preset": "elliptic-2d", "steps": 24}, "run": {"M": 130, "seed": 7}}
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    cfg = load_config(write_config(tmp_path, payload, "oracle.json"))
+    ensemble = run_ensemble(_scenario(cfg)[0], 130, base_seed=7)
+    want = io.StringIO()
+    ensemble_csv_writer(ensemble, want)
+    assert body(out / "ensemble.csv") == want.getvalue()
+    want = io.StringIO()
+    kde_csv_loop(kde(ensemble.x_samples[:, 0]), want)
+    assert body(out / "kde.csv") == want.getvalue()
+
+
+def test_malliavin_on_a_vanishing_horizon_exits_3(tmp_path, capsys):
+    # every beta underflows, so the driver's kernel norm is 0: a named
+    # numeric failure, with no 0/0 warning on the way
+    payload = {"process": dict(FAST_PROCESS, n=32),
+               "sde": {"preset": "elliptic-2d", "steps": 16, "T": 1e-300}, "run": {"M": 2}}
+    code, out = run_cli(tmp_path, "malliavin", payload)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "degenerate kernel" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_density_command(tmp_path):
     payload = {
         "process": FAST_PROCESS,
@@ -256,7 +340,6 @@ def test_density_command(tmp_path):
     assert (out / "kde.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_density_with_every_seed_excluded(tmp_path):
     # every path overflows: the degenerate report, not a traceback
     payload = {
@@ -306,3 +389,19 @@ def test_selfsim_command(tmp_path):
         (out / "selfsim_report.json").read_text().splitlines()[1:]))
     # q = 1 is deterministic: the relative gap decides, not the KS distance
     assert report["deterministic_gap"] <= 1e-3
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_selfsim_needs_a_whole_cell_in_the_window(tmp_path, capsys, q):
+    # at n = 32 (L = 8) a cell is 0.28 wide, wider than the 0.25 window: no
+    # data on either side, which would pass at q = 2 and divide 0 by 0 at
+    # q = 1; at n = 36 a cell is 0.25 wide and fits
+    payload = {"process": {"q": q, "n": 32}, "run": {"M": 20}}
+    code, out = run_cli(tmp_path, "selfsim", payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "process.n=32" in err and "run.epsilon_window=0.25" in err
+    assert not out.exists()
+    code, out = run_cli(tmp_path, "selfsim", {"process": {"q": q, "n": 36}, "run": {"M": 20}})
+    assert code == 0
+    assert (out / "selfsim_report.json").exists()

@@ -1,6 +1,7 @@
 """Density lab: reproducible ensembles, KDE, positivity reporting and the
 two-sample KS test."""
 
+import io
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
+from oracles import ensemble_csv_writer
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -280,3 +282,23 @@ def test_dump_csv_layout(tmp_path):
     assert int(row[0]) == 0 and row[-1] == "0"
     # 17-significant-digit round trip
     assert float(row[2]) == ens.x_samples[0, 0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dump_csv_matches_csv_writer(d):
+    # NaN, infinities, -0.0, subnormals and ordinary values in every column,
+    # seeds up to 2^64 - 1, and excluded seeds after the kept ones
+    rng = np.random.default_rng(d)
+    specials = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.5, 0.1]
+    values = np.concatenate([np.resize(specials, (len(specials), d + 2)),
+                             rng.standard_normal((30, d + 2)) * 10.0 ** rng.integers(-9, 20, (30, 1))])
+    kept = [0, 7, 123_456_789] + list(range(2**64 - values.shape[0] + 3, 2**64))
+    for t, excluded in ((1.0, []), (0.3, [5, 2**63, 2**64 - 1]), (1e-7, [1])):
+        for rows in (slice(None), slice(0)):
+            ens = SampleEnsemble(t=t, seeds=kept[rows], x_samples=values[rows, :d],
+                                 det_samples=values[rows, d], min_eigs=values[rows, d + 1],
+                                 excluded_seeds=excluded)
+            got, want = io.StringIO(), io.StringIO()
+            dump_csv(ens, got)
+            ensemble_csv_writer(ens, want)
+            assert got.getvalue() == want.getvalue()

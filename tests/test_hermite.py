@@ -21,14 +21,12 @@ from chaosde import hermite
 from chaosde.hermite import (
     _canonical_entries,
     _cell_avg_matrix,
-    _format_17g,
     GridDriver,
     HermiteSpec,
     KernelField,
     build_kernels,
     covariance_theoretical,
     export_kernels,
-    export_paths,
     holder_norms,
     hurst_aux,
     import_kernels,
@@ -38,6 +36,7 @@ from chaosde.hermite import (
     simulate_path,
     simulate_paths,
 )
+from chaosde.textio import export_paths
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -476,78 +475,9 @@ def test_export_paths_matches_value_loop(m):
         for seed in (0, 123_456, 2**64 - vals.shape[0]):
             for times in (spec.out_times, (1e-300, 2.5e-7, 1.0 / 3.0)):
                 got, want = io.StringIO(), io.StringIO()
-                export_paths(vals, times, seed, got)
+                export_paths(got, [f"F_{l + 1}" for l in range(m)], times, [(seed, vals)])
                 _export_paths_loop(vals, times, seed, want)
                 assert got.getvalue() == want.getvalue()
-
-
-def test_ascii8_digits():
-    # the multiply-shift quotients over their whole ranges, then words of
-    # 8 digits, leading zeros kept, against Python's formatting
-    v = np.arange(10**4, dtype=np.uint64)
-    assert np.array_equal(v * 5243 >> 19, v // 100)
-    assert np.array_equal(v[:100] * 103 >> 10, v[:100] // 10)
-    rng = np.random.default_rng(8)
-    x = np.concatenate([rng.integers(0, 10**8, 10**5),
-                        [0, 9, 10, 99, 100, 9999, 10**4, 10**7, 10**8 - 1]]).astype(np.uint64)
-    words = hermite._ascii8(x).astype(hermite._WORD)
-    assert words.view("S8").tolist() == [b"%08d" % v for v in x.tolist()]
-
-
-def test_exponent_tables_are_exact():
-    # _DECADES[k] is the smallest double >= 10^(k + _E_LO), and the binade
-    # table's floor is floor(e log10 2) for every binary exponent e
-    from fractions import Fraction
-
-    for E, c in zip(range(hermite._E_LO, hermite._E_HI + 2), hermite._DECADES):
-        assert Fraction(float(c)) >= Fraction(10) ** E > Fraction(float(np.nextafter(c, 0.0)))
-    for b in range(1, 2047):
-        E = int(hermite._E_FLOOR[b]) + hermite._E_LO
-        assert Fraction(10) ** E <= Fraction(2) ** (b - 1023) < Fraction(10) ** (E + 1)
-
-
-def _assert_formats_as_python(values):
-    """_format_17g gives '%.17g' % v byte for byte, NULs dropped."""
-    values = np.asarray(values, dtype=float)
-    rows = _format_17g(values).view(np.uint8)
-    want = ["%.17g" % v for v in values.tolist()]
-    assert rows.shape == (values.shape[0], hermite._VALUE_WIDTH)
-    assert np.count_nonzero(rows, axis=1).tolist() == [len(w) for w in want]
-    assert rows[rows != 0].tobytes().decode("ascii") == "".join(want)
-
-
-def test_format_17g_special_values():
-    specials = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308,
-                np.nan, -np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.5, -1e-6,
-                -0.1, -123.25]
-    _assert_formats_as_python(specials)
-    assert [bytes(r[r != 0]) for r in _format_17g([-0.0, np.nan, -np.inf]).view(np.uint8)] == [
-        b"-0", b"nan", b"-inf"]
-
-
-def test_format_17g_exponent_boundaries_carry_and_ties():
-    values = []
-    # decimal exponents -7 .. 18, fixed notation for -4 <= E < 17
-    for E in range(-7, 19):
-        p = float(f"1e{E}")
-        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p, 1.5 * p, 9.5 * p]
-    # next to powers of ten, where rounding to 17 digits could carry
-    values += [9.9999999999999999e-5, 9.99999999999999999e-5, 9.9999999999999999e16,
-               99999999999999999.0, 1e16 + 2.0, 1e17 - 16.0]
-    # exact ties at the 18th digit: half-even keeps ...2|5 and raises ...7|5
-    values += [9 * 2.0**-23, 13 * 2.0**-23, 11 * 2.0**-23, 2.0**-20, 2.0**-19, 2.0**56]
-    assert "%.17g" % (11 * 2.0**-23) == "1.3113021850585938e-06"
-    _assert_formats_as_python(values)
-
-
-def test_format_17g_random_bit_patterns():
-    rng = np.random.default_rng(11)
-    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
-    _assert_formats_as_python(bits.view(np.float64))
-    # the same with binary exponents around the vectorized range, E in [-6, 16]
-    exponent = rng.integers(1023 - 25, 1023 + 60, size=10**6, dtype=np.uint64)
-    bits = (bits & np.uint64(2**52 - 1 | 2**63)) | (exponent << np.uint64(52))
-    _assert_formats_as_python(bits.view(np.float64))
 
 
 def test_self_similarity_q1_deterministic():

@@ -213,7 +213,6 @@ def test_driver_grid_membership():
             solve_euler(coeffs, x0, (fine_t, fine_F), times=times)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_blowup_detected():
     cubed = SdeCoefficients(
         d=1, m=1,
