@@ -34,7 +34,7 @@ from .hermite import (
 )
 from .sde import preset, solve_euler, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
-from .textio import export_paths, value_fields, write_rows
+from .textio import export_paths, value_fields, write_ascii, write_rows
 from .density import (
     KDE_GRID_POINTS,
     Scenario,
@@ -156,14 +156,16 @@ def config_hash(cfg: dict) -> str:
 
 
 @contextlib.contextmanager
-def _output(cfg: dict, name: str):
-    """The output file `name`, open for text with LF line endings and its
-    header line written.  The output directory is made on the first file,
-    so a command that fails before writing leaves none behind."""
+def _output(cfg: dict, name: str, binary: bool = False):
+    """The output file `name`, open for text with LF line endings, or for
+    bytes (the numeric tables, which `textio` writes as ASCII bytes), and
+    its header line written.  The output directory is made on the first
+    file, so a command that fails before writing leaves none behind."""
     directory = cfg["output"]["directory"]
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, name), "w", newline="\n") as fh:
-        fh.write(f"# chaosde {__version__} config={config_hash(cfg)}\n")
+    path = os.path.join(directory, name)
+    with open(path, "wb") if binary else open(path, "w", newline="\n") as fh:
+        write_ascii(fh, f"# chaosde {__version__} config={config_hash(cfg)}\n".encode())
         yield fh
 
 
@@ -205,10 +207,10 @@ def cmd_simulate(cfg: dict) -> int:
     with _budget_key(cfg, "run.M"):
         check_budget((M, len(spec.out_times), spec.m))  # the driver values
     values = simulate_paths(field, range(seed, seed + M))
-    with _output(cfg, "driver.csv") as driver:
+    with _output(cfg, "driver.csv", binary=True) as driver:
         export_paths(driver, [f"F_{l + 1}" for l in range(spec.m)], spec.out_times,
                      [(seed, values)])
-    with _output(cfg, "kernels.txt") as kernels:
+    with _output(cfg, "kernels.txt", binary=True) as kernels:
         export_kernels(field, kernels)
     print(f"wrote {driver.name} and {kernels.name}")
     return 0
@@ -338,7 +340,7 @@ def cmd_solve(cfg: dict) -> int:
             if failed.size:
                 batch.path(kept)  # raises
 
-    with _output(cfg, "solution.csv") as fh:
+    with _output(cfg, "solution.csv", binary=True) as fh:
         export_paths(fh, [f"X_{k + 1}" for k in range(coeffs.d)], driver.times[every], blocks())
     print(f"wrote {fh.name}")
     return 0
@@ -378,13 +380,13 @@ def cmd_density(cfg: dict) -> int:
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     with _budget_key(cfg, "sde.steps"):  # the variational triangle
         ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
-    with _output(cfg, "ensemble.csv") as fh:
+    with _output(cfg, "ensemble.csv", binary=True) as fh:
         dump_csv(ensemble, fh)
     report = positivity_report(ensemble)
     try:
         est = kde(ensemble.x_samples[:, 0])
-        with _output(cfg, "kde.csv") as fh:
-            fh.write("x,density\n")
+        with _output(cfg, "kde.csv", binary=True) as fh:
+            fh.write(b"x,density\n")
             write_rows(fh, value_fields(np.column_stack([est.grid, est.values])), ",")
         report["kde_bandwidth"] = est.bandwidth
         report["degenerate"] = False

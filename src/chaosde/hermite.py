@@ -50,7 +50,7 @@ from .errors import (
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
-from .textio import EXPORT_CHUNK, _format_17g, _labels, write_rows
+from .textio import EXPORT_CHUNK, _format_17g, label_words, write_ascii, write_rows
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -229,28 +229,32 @@ class KernelField:
         output time, would exceed the budget."""
         check_budget((len(self.spec.out_times),) + (self.spec.space.n,) * self.spec.q)
 
-    def _block(self, ti: int) -> np.ndarray:
-        """The dense (n,)*q block at out_times[ti], one einsum over the factors."""
-        cells = "abc"[:self.spec.q]
-        subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
-        weights = self.rho[ti] * self.beta[ti]
-        return np.einsum(subscripts, weights, *(self.g[ti],) * self.spec.q, optimize=True)
-
     @cached_property
     def _canonical(self) -> tuple:
-        """(mask, index) of the canonical multi-indices i_1 <= .. <= i_q of
-        one block: an (n,)*q boolean mask and their (q, N) index array in
-        lexicographic order, built once for every output time and shared
-        read-only."""
+        """(tails, keep, index), shared read-only by every output time: the
+        canonical tails i_2 <= .. <= i_q of one block in lexicographic
+        order, shape (q-1, R) (one empty tail at q = 1); the (n, R) mask of
+        the pairs (i_1, tail) with i_1 <= i_2; and the (q, N) index of the
+        canonical multi-indices they make, in lexicographic order."""
         n, q = self.spec.space.n, self.spec.q
-        check_budget((n,) * q)
-        grid = np.indices((n,) * q, dtype=np.min_scalar_type(n - 1), sparse=True)
-        canonical = np.ones((n,) * q, dtype=bool)
-        for lo, hi in zip(grid, grid[1:]):
-            canonical &= lo <= hi
-        index = np.array([np.broadcast_to(i, canonical.shape)[canonical] for i in grid])
-        canonical.flags.writeable = index.flags.writeable = False
-        return canonical, index
+        small = np.min_scalar_type(n - 1)
+        tails = (np.array(np.triu_indices(n)) if q == 3 else np.arange(n)[None, :] if q == 2
+                 else np.zeros((0, 1), dtype=np.intp))
+        check_budget((n, tails.shape[1]))  # the mask, and each time's GEMM product
+        # row i_1 keeps the tails from the first whose i_2 is i_1 on
+        starts = np.searchsorted(tails[0], np.arange(n)) if q > 1 else np.zeros(n, dtype=np.intp)
+        counts = tails.shape[1] - starts
+        keep = np.arange(tails.shape[1]) >= starts[:, None]
+        # the tail of each canonical multi-index: its row's first kept tail
+        # plus its place in the row
+        columns = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        columns += np.arange(columns.shape[0])
+        index = np.empty((q, columns.shape[0]), dtype=small)
+        index[0] = np.repeat(np.arange(n, dtype=small), counts)
+        tails.astype(small).take(columns, axis=1, out=index[1:])
+        for array in (tails, keep, index):
+            array.flags.writeable = False
+        return tails, keep, index
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -554,42 +558,59 @@ def _canonical_entries(field: KernelField, ti: int) -> tuple:
     multi-indices i_1 <= .. <= i_q in lexicographic order: index has shape
     (q, N), values shape (N,).
 
-    The block comes from the einsum of `_block`, one output time at a time;
-    `field.blocks` is built from these entries.  A GEMM over the
-    canonical entries alone would do half the work at q = 3, but BLAS sums
-    in an order that depends on the matrix shape, which moves last bits.
+    One GEMM per output time over the canonical entries alone: (rho beta
+    g)^T @ P, with P[k, r] the product of g[k, i_j] over the r-th canonical
+    tail (i_2, .., i_q) (P = g at q = 2), masked to i_1 <= i_2; at q = 1
+    the entries are (rho beta) @ g.  Where the dense einsum
+    `k,ka,kb,kc->abc` (`tests/oracles.dense_block`) reduces by a BLAS GEMM
+    with the same M = n and K = s_nodes, as on the drivers-q3 grid, BLAS
+    sums each entry in the same order and the entries are its own bit for
+    bit; where it takes another path (q = 3 at n = 60) the last bits may
+    differ.  `field.blocks` is built from these entries.
     """
-    canonical, index = field._canonical
-    return index, field._block(ti)[canonical]
+    tails, keep, index = field._canonical
+    g, weights, q = field.g[ti], field.rho[ti] * field.beta[ti], field.spec.q
+    if q == 1:
+        return index, weights @ g
+    # the product of the factor rows over each tail is gone before the mask
+    entries = (weights[:, None] * g).T @ (g if q == 2 else g[:, tails[0]] * g[:, tails[1]])
+    return index, entries[keep]
 
 
 def export_kernels(field: KernelField, fh):
-    """Portable text dump to the open text stream fh: one line
-    `ti i_1 .. i_q value` per nonzero canonical (nondecreasing) multi-index,
-    in lexicographic order, values in %.17g (NaN kept, -0.0 skipped).
+    """Portable text dump to fh, an open text or binary stream: one line
+    `ti i_1 .. i_q value` per nonzero canonical (nondecreasing)
+    multi-index, in lexicographic order, values in %.17g (NaN kept, -0.0
+    skipped).
 
     Works from the factors (`_canonical_entries`), never the dense view,
-    and writes each chunk of lines through `textio.write_rows`: the `ti`
-    label, the q labels (one gather each from a table of label words) and
-    the value.
+    and writes each chunk of lines through `textio.write_rows`: the labels
+    as two packed words with their separators inside, `ti i_1 ` and `i_2
+    i_3 ` (`i_2 ` at q = 2), gathered from tables built per call, then the
+    value.
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
-    fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
-    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n")
-    fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
-    fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
-    times, labels = _labels(len(spec.out_times)), _labels(n)
+    write_ascii(fh, (f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n"
+                     f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n"
+                     f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n"
+                     "# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n").encode())
+    cells = np.arange(n)
+    # the words after `ti i_1 `: `i_2 i_3 ` by i_2 * n + i_3, or `i_2 ` by i_2
+    tail_words = (label_words(cells.repeat(n), np.tile(cells, n)) if q == 3
+                  else label_words(cells) if q == 2 else None)
     for ti in range(len(spec.out_times)):
         index, values = _canonical_entries(field, ti)
-        nonzero = np.flatnonzero(values)
+        nonzero = np.flatnonzero(values != 0)  # NaN kept, -0.0 skipped
         index, values = index.take(nonzero, axis=1), values.take(nonzero)
+        head_words = label_words(ti, cells)  # `ti i_1 ` by i_1
         for lo in range(0, values.shape[0], EXPORT_CHUNK):
-            rows = slice(lo, lo + EXPORT_CHUNK)
-            cells = [labels.take(i.astype(np.intp), axis=0) for i in index[:, rows]]
-            ti_words = np.broadcast_to(times[ti], (values[rows].shape[0], times.shape[1]))
-            write_rows(fh, [ti_words] + cells + [_format_17g(values[rows])], " ")
-        # the next block is built with this time's arrays gone
+            rows = index[:, lo:lo + EXPORT_CHUNK].astype(np.intp)
+            labels = [head_words.take(rows[0], axis=0)]
+            if q > 1:
+                labels.append(tail_words.take(rows[1] * n + rows[2] if q == 3 else rows[1], axis=0))
+            write_rows(fh, [_format_17g(values[lo:lo + EXPORT_CHUNK])], " ", head=labels)
+        # the next time's entries are computed with this time's arrays gone
         del index, values, nonzero
 
 

@@ -4,6 +4,7 @@ fields (`write_rows`) that hold '%.17g' of doubles (`_format_17g`),
 integers and labels.
 """
 
+import io
 import math
 
 import numpy as np
@@ -181,10 +182,24 @@ def integer_field(values) -> np.ndarray:
     return text.view(_WORD).reshape(text.shape[0], 3)
 
 
-def _labels(count: int) -> np.ndarray:
-    """The integer fields of 0 .. count - 1 cut to the W words that keep a
-    NUL after the longest, shape (count, W): a table to gather labels from."""
-    return integer_field(np.arange(count))[:, :len(str(count - 1)) // 8 + 1].copy()
+def label_words(*columns) -> np.ndarray:
+    """The text `c_1 c_2 .. c_k ` of each row of the nonnegative integer
+    columns, every label followed by a space, as the rows of an (N, W) word
+    array NUL-padded to the fewest words that hold the longest: a table to
+    gather labels from, separators included."""
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in columns))
+    texts = [c.astype(f"S{len(str(int(c.max())))}") for c in columns]
+    out = np.zeros((columns[0].shape[0], sum(t.itemsize + 1 for t in texts) + 7), dtype=np.uint8)
+    end = np.zeros(out.shape[0], dtype=np.intp)
+    rows = np.arange(out.shape[0])
+    for text in texts:
+        # each text's NUL padding is overwritten by the space and the next text
+        np.put_along_axis(out, end[:, None] + np.arange(text.itemsize),
+                          text.view(np.uint8).reshape(-1, text.itemsize), axis=1)
+        end += np.char.str_len(text)
+        out[rows, end] = ord(" ")
+        end += 1
+    return np.ascontiguousarray(out[:, :-(-end.max() // 8) * 8]).view(_WORD)
 
 
 def value_fields(values) -> list:
@@ -195,20 +210,28 @@ def value_fields(values) -> list:
     return list(words.transpose(1, 0, 2))
 
 
-def write_rows(fh, fields, sep: str):
-    """Write one line per row of the word fields to the open text stream fh.
+def write_ascii(fh, data: bytes):
+    """Write the ASCII bytes data to fh: as they are to a binary stream,
+    decoded to a text one."""
+    fh.write(data.decode("ascii") if isinstance(fh, io.TextIOBase) else data)
+
+
+def write_rows(fh, fields, sep: str, head=()):
+    """Write one line per row of the word fields to fh, an open text or
+    binary stream (bytes go to a binary one as they are).
 
     fields is a list of (N, w_i) word arrays, each row of each ending in a
-    NUL byte; an empty field is one zero word.  A line is its fields in
-    order, with sep in the last byte of every field but the last and the
-    newline in the last byte of the last, NULs dropped.
+    NUL byte; an empty field is one zero word.  A line is the words of head,
+    a list of (N, w) word arrays whose text holds its own separators, then
+    the fields in order, with sep in the last byte of every field but the
+    last and the newline in the last byte of the last, NULs dropped.  Only
+    those last words are touched.
     """
-    rows = np.concatenate(fields, axis=1)
-    ends = np.zeros(rows.shape[1], dtype=_WORD)  # one OR of this row over the rows
-    ends[np.cumsum([f.shape[1] for f in fields]) - 1] = ord(sep) << 56
-    ends[-1] = ord("\n") << 56
-    rows |= ends
-    fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    rows = np.concatenate(list(head) + list(fields), axis=1)
+    for column in rows.shape[1] - 1 - np.cumsum([f.shape[1] for f in fields[:0:-1]]):
+        rows[:, column] |= ord(sep) << 56
+    rows[:, -1] |= ord("\n") << 56
+    write_ascii(fh, rows.tobytes().translate(None, b"\0"))
 
 
 #: data lines formatted at once: each chunk's arrays stay within a few
@@ -217,13 +240,13 @@ EXPORT_CHUNK = 1 << 13
 
 
 def export_paths(fh, columns, times, blocks):
-    """CSV dump of paths to the open text stream fh: the header
+    """CSV dump of paths to fh, an open text or binary stream: the header
     `seed,t,<columns>`, then for each (seed, values) pair of blocks, one row
     `seed,t,v_1,..,v_m` per draw and time for the (B, T, m) values of the
     draws of seeds seed .. seed + B - 1 at the T times.  Each block is
     written before the next is asked for.
     """
-    fh.write(",".join(["seed", "t", *columns]) + "\n")
+    write_ascii(fh, (",".join(["seed", "t", *columns]) + "\n").encode())
     (t,) = value_fields(np.reshape(times, (-1, 1)))
     draws = max(EXPORT_CHUNK // len(t), 1)
     for seed, values in blocks:

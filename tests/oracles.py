@@ -103,6 +103,16 @@ def theta_columns(coeffs, bundle):
     return columns.transpose(1, 0, 2, 3)
 
 
+def dense_block(field, ti):
+    """The dense (n,)*q block at out_times[ti], one einsum over the factors:
+    the canonical entries came from it before they came from one GEMM over
+    the canonical tails."""
+    cells = "abc"[:field.spec.q]
+    subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
+    weights = field.rho[ti] * field.beta[ti]
+    return np.einsum(subscripts, weights, *(field.g[ti],) * field.spec.q, optimize=True)
+
+
 def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):
     """The solution.csv body one '%.17g' per value, by the per-draw loop
     the row writer replaced: every 16th step of each path, and BlowupError

@@ -366,8 +366,8 @@ def test_density_with_every_seed_excluded(tmp_path):
 
 
 def test_simulate_over_dense_budget_exits_2(tmp_path, capsys):
-    # the order-3 dump needs one dense n^3 block per output time: over 600
-    # cells one block is over budget, over 512 cells one block fits but the
+    # the order-3 dump's size guard counts n^3 entries per output time: at
+    # 600 cells one time is over budget, at 512 cells one time fits but the
     # default three do not; a size error in the configuration, rejected
     # before any output is written
     for n in (600, 512):
@@ -376,6 +376,39 @@ def test_simulate_over_dense_budget_exits_2(tmp_path, capsys):
         assert code == 2
         assert f"process.n={n}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _strict_json(text: str):
+    """json.loads with NaN and the infinities rejected, as JSON has none."""
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("check", {"process": FAST_PROCESS, "run": {"M": 200, "out_times": [0.5, 1.0]}},
+     "check_report.json"),
+    ("check", {"process": {"q": 3, "n": 12, "L": 1.0, "s_nodes": 8}, "run": {"M": 200}},
+     "check_report.json"),
+    ("density", {"process": FAST_PROCESS, "sde": {"steps": 16}, "run": {"M": 100}},
+     "positivity.json"),
+    ("density", {"process": {"q": 1, "n": 32, "L": 4.0},
+                 "sde": {"preset": "linear-scalar", "x0": [1.797e308], "steps": 16},
+                 "run": {"M": 2}}, "positivity.json"),
+    ("selfsim", {"process": dict(FAST_PROCESS, n=36), "run": {"M": 20}}, "selfsim_report.json"),
+    ("selfsim", {"process": dict(Q2, n=36), "run": {"M": 20}}, "selfsim_report.json"),
+])
+def test_json_outputs_parse_strictly(tmp_path, capsys, command, payload, name):
+    # every JSON file, and the JSON that density and selfsim print, holds
+    # no NaN or Infinity, whether the command passes or not
+    code, out = run_cli(tmp_path, command, payload)
+    assert code in (0, 1)
+    header, *body = (out / name).read_text().splitlines()
+    assert header.startswith("# chaosde ")
+    _strict_json("\n".join(body))
+    if command != "check":
+        _strict_json(capsys.readouterr().out)
 
 
 def test_selfsim_command(tmp_path):

@@ -37,6 +37,7 @@ from chaosde.hermite import (
     simulate_paths,
 )
 from chaosde.textio import export_paths
+from oracles import dense_block
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -414,6 +415,28 @@ def test_canonical_entries_match_blocks(q, m, calibrate):
             assert np.array_equal(values, field.blocks[ti][tuple(canon)])
 
 
+@pytest.mark.parametrize("calibrate", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_canonical_entries_match_dense_oracle(q, m, calibrate):
+    # the canonical GEMM against the dense einsum, within 1e-13 of the
+    # block's largest entry: n below, at and above s_nodes (q = 3 at n = 60
+    # takes a non-BLAS einsum), out_times 0.3 leaving the cells past t at
+    # zero, and the 2-component grid of 100 cells on 32 nodes
+    for n, s_nodes, L in ((14, 64, 1.0), (24, 24, 1.0), (40, 16, 1.0), (60, 64, 8.0),
+                          (100, 32, 8.0)):
+        spec = small_spec(q=q, n=n, L=L, m=m, s_nodes=s_nodes, out_times=(0.3, 1.0))
+        field = build_kernels(spec, calibrate=calibrate)
+        canon = tuple(np.array(list(itertools.combinations_with_replacement(range(n), q))).T)
+        for ti in range(len(spec.out_times)):
+            want = dense_block(field, ti)[canon]
+            index, values = _canonical_entries(field, ti)
+            assert np.array_equal(index, canon)
+            assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(values == 0, want == 0)
+            assert (values == 0).any() == (ti == 0)
+
+
 def test_canonical_entries_match_blocks_drivers_q3():
     # the order-3 grid of `chaosde simulate` in the drivers-q3 benchmark
     space = make_hilbert(1, -8.0, 1.0, 160)
@@ -440,10 +463,13 @@ def test_export_kernels_stays_off_dense_view(monkeypatch):
         assert _dump(export_kernels, field) == text
 
 
-@pytest.mark.parametrize("q, n, times", [(1, 1200, 3), (2, 120, 3), (1, 64, 12), (3, 12, 11)])
+@pytest.mark.parametrize("q, n, times", [(1, 1200, 3), (2, 120, 3), (1, 64, 12), (3, 12, 11),
+                                          (3, 101, 1), (1, 1200, 11), (2, 110, 11)])
 def test_export_kernels_wide_labels_match_line_loop(q, n, times):
     # 4-digit cell labels (q = 1, n >= 1000), 3-digit ones at q = 2 and
-    # 2-digit time labels (>= 11 output times), with two components
+    # 2-digit time labels (>= 11 output times), with two components; the
+    # packed label words filled to all 8 bytes, with no NUL, by "100 100 "
+    # (q = 3) and "10 1199 " (q = 1), and q = 2's odd last label "i_2 "
     spec = small_spec(q=q, n=n, L=1.0, m=2, out_times=tuple(np.linspace(1.0, 0.3, times)[::-1]))
     field = build_kernels(spec)
     got = _dump(export_kernels, field)

@@ -4,6 +4,7 @@ tables, and the row writer."""
 import io
 
 import numpy as np
+import pytest
 
 from chaosde import textio
 from chaosde.textio import _format_17g
@@ -81,7 +82,7 @@ def test_format_17g_random_bit_patterns():
 def test_write_rows_layout():
     # label, value and empty fields, each with its separator in its last
     # byte, and the newline in the last byte of the last field
-    labels = textio._labels(12)
+    labels = textio.integer_field(np.arange(12))
     cells = np.array([0, 11, 7])
     empty = np.zeros((3, 1), dtype=textio._WORD)
     fh = io.StringIO()
@@ -91,6 +92,23 @@ def test_write_rows_layout():
     fh = io.StringIO()
     textio.write_rows(fh, [empty[:0], empty[:0]], ",")
     assert fh.getvalue() == ""
+    # head words carry their own separators and are written as they are,
+    # to a binary stream as bytes
+    fh = io.BytesIO()
+    textio.write_rows(fh, [empty, labels.take(cells, axis=0)], ";",
+                      head=[textio.label_words(cells, 100), textio.label_words([1, 22, 333])])
+    assert fh.getvalue() == b"0 100 1 ;0\n11 100 22 ;11\n7 100 333 ;7\n"
+
+
+@pytest.mark.parametrize("columns", [[[0, 9, 10, 99999999]], [[5, 123], [7, 0], [1234, 55555]],
+                                     [[2**64 - 1, 0]]])
+def test_label_words_match_python_formatting(columns):
+    # one or more labels a row, each with its space, in the fewest words:
+    # exactly 8 bytes take one word with no NUL
+    words = textio.label_words(*columns)
+    texts = ["".join(f"{c} " for c in row) for row in zip(*columns)]
+    assert words.shape[1] == -(-max(len(t) for t in texts) // 8)
+    assert [row.tobytes().rstrip(b"\0").decode() for row in words] == texts
 
 
 def test_fields_match_python_formatting():

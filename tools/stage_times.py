@@ -32,9 +32,11 @@ stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
 and writing `kernels.txt` (each file from opening to closing), the whole
 command, and the peak resident memory of the pass.  The `kernels.txt`
 stage is split in two: `kernel_entries`, the time inside
-`hermite._canonical_entries` (each output time's dense block and its
-canonical entries; 0 in sources without it), and `kernel_text`, the rest
-(formatting and writing the lines).
+`hermite._canonical_entries` (each output time's canonical entries, by
+whatever means the source computes them: a dense einsum block in older
+sources, one GEMM over the canonical tails in newer ones; 0 in sources
+without it), and `kernel_text`, the rest (formatting and writing the
+lines).
 
 Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
@@ -177,9 +179,9 @@ def measure_simulate() -> dict:
 
     def timed_output(output):
         @contextlib.contextmanager
-        def run(cfg, name):
+        def run(cfg, name, *args, **kwargs):
             start = clock()
-            with output(cfg, name) as fh:
+            with output(cfg, name, *args, **kwargs) as fh:
                 yield fh
             stages[name] += clock() - start
         return run
