@@ -585,9 +585,9 @@ def export_kernels(field: KernelField, fh):
 
     Works from the factors (`_canonical_entries`), never the dense view,
     and writes each chunk of lines through `textio.write_rows`: the labels
-    as two packed words with their separators inside, `ti i_1 ` and `i_2
-    i_3 ` (`i_2 ` at q = 2), gathered from tables built per call, then the
-    value.
+    packed into words with their separators inside, `ti i_1 ` and, at q >=
+    2, `i_2 i_3 ` (`i_2 ` at q = 2), gathered from tables built per call,
+    then the value.
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
