@@ -201,6 +201,10 @@ def cmd_simulate(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         # the dump's size guard: len(out_times) * n^q, the entries of the dense view
         field.check_dense_budget()
+    with _budget_key(cfg, "process.s_nodes"):
+        # the dump's tail products of one output time: one row per node, one
+        # column per canonical tail i_2 <= .. <= i_q
+        check_budget((spec.s_nodes, math.comb(spec.space.n + spec.q - 2, spec.q - 1)))
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     with _budget_key(cfg, "process.m"):
         check_budget((spec.m, spec.space.n))  # one draw, m * n coordinates

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .wiener import GaussianDraw, HilbertDisc, HolderConfig, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
-from .textio import EXPORT_CHUNK, _format_17g, label_words, write_ascii, write_rows
+from .textio import EXPORT_CHUNK, VALUE_WORDS, _format_17g, label_words, write_ascii, write_words
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -231,30 +231,22 @@ class KernelField:
 
     @cached_property
     def _canonical(self) -> tuple:
-        """(tails, keep, index), shared read-only by every output time: the
+        """(tails, starts), shared read-only by every output time: the
         canonical tails i_2 <= .. <= i_q of one block in lexicographic
-        order, shape (q-1, R) (one empty tail at q = 1); the (n, R) mask of
-        the pairs (i_1, tail) with i_1 <= i_2; and the (q, N) index of the
-        canonical multi-indices they make, in lexicographic order."""
+        order, shape (q-1, R) (one empty tail at q = 1), and for each i_1
+        the first tail whose i_2 is i_1 (0 at q = 1): row i_1 of the block
+        keeps the tails from starts[i_1] on."""
         n, q = self.spec.space.n, self.spec.q
-        small = np.min_scalar_type(n - 1)
         tails = (np.array(np.triu_indices(n)) if q == 3 else np.arange(n)[None, :] if q == 2
                  else np.zeros((0, 1), dtype=np.intp))
-        check_budget((n, tails.shape[1]))  # the mask, and each time's GEMM product
-        # row i_1 keeps the tails from the first whose i_2 is i_1 on
+        # every row against every tail bounds a block's GEMM product; one
+        # output time's tail products are (s_nodes, R)
+        check_budget((n, tails.shape[1]))
+        check_budget((self.spec.s_nodes, tails.shape[1]))
         starts = np.searchsorted(tails[0], np.arange(n)) if q > 1 else np.zeros(n, dtype=np.intp)
-        counts = tails.shape[1] - starts
-        keep = np.arange(tails.shape[1]) >= starts[:, None]
-        # the tail of each canonical multi-index: its row's first kept tail
-        # plus its place in the row
-        columns = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        columns += np.arange(columns.shape[0])
-        index = np.empty((q, columns.shape[0]), dtype=small)
-        index[0] = np.repeat(np.arange(n, dtype=small), counts)
-        tails.astype(small).take(columns, axis=1, out=index[1:])
-        for array in (tails, keep, index):
+        for array in (tails, starts):
             array.flags.writeable = False
-        return tails, keep, index
+        return tails, starts
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -553,28 +545,61 @@ class GridDriver:
         return out
 
 
+#: rows of i_1 per GEMM of `_canonical_blocks`.  The height sets the
+#: GEMM's M, and with it the order in which BLAS may sum an entry: on
+#: OpenBLAS 0.3.31 (Haswell kernels) blocks of 4, 8, 16, 32, 48 and 64 rows
+#: keep every bit of the whole-time product on the drivers-q3 grid, and
+#: blocks of 12, 20, 24 and 40 rows do not
+ENTRY_ROWS = 16
+
+
+def _canonical_blocks(field: KernelField, ti: int):
+    """The entries of the block at out_times[ti] over row blocks of i_1:
+    yields (a, entries, keep) for the rows a <= i_1 < a + ENTRY_ROWS (the
+    last block may be shorter), with entries[r, c] the entry at i_1 = a + r
+    and the canonical tail starts[a] + c, and keep the mask of the
+    canonical ones, i_1 <= i_2.  Row by row and column by column that is
+    the lexicographic order.
+
+    Each block is one GEMM, (rho beta g)[:, a:b]^T @ P[:, starts[a]:], with
+    P[k, r] the product of g[k, i_j] over the r-th tail, built once per
+    time one i_2 at a time (P = g at q = 2); at q = 1 the one block is the
+    n rows of (rho beta) @ g.  Only P and one block are held, never an
+    array over the whole time's entries.
+    """
+    tails, starts = field._canonical
+    g, weights, q = field.g[ti], field.rho[ti] * field.beta[ti], field.spec.q
+    n = g.shape[1]
+    if q == 1:
+        yield 0, (weights @ g)[:, None], np.ones((n, 1), dtype=bool)
+        return
+    if q == 2:
+        tail_products = g
+    else:
+        tail_products = np.empty((g.shape[0], tails.shape[1]))
+        for i2 in range(n):
+            np.multiply(g[:, i2:i2 + 1], g[:, i2:],
+                        out=tail_products[:, starts[i2]:starts[i2] + n - i2])
+    weighted = weights[:, None] * g
+    for a in range(0, n, ENTRY_ROWS):
+        b = min(a + ENTRY_ROWS, n)
+        # nothing of a block stays bound here while the next is formed
+        yield (a, weighted[:, a:b].T @ tail_products[:, starts[a]:],
+               np.arange(tails.shape[1] - starts[a]) >= (starts[a:b] - starts[a])[:, None])
+
+
 def _canonical_entries(field: KernelField, ti: int) -> tuple:
     """(index, values) of the block at out_times[ti] over its canonical
     multi-indices i_1 <= .. <= i_q in lexicographic order: index has shape
-    (q, N), values shape (N,).
-
-    One GEMM per output time over the canonical entries alone: (rho beta
-    g)^T @ P, with P[k, r] the product of g[k, i_j] over the r-th canonical
-    tail (i_2, .., i_q) (P = g at q = 2), masked to i_1 <= i_2; at q = 1
-    the entries are (rho beta) @ g.  Where the dense einsum
-    `k,ka,kb,kc->abc` (`tests/oracles.dense_block`) reduces by a BLAS GEMM
-    with the same M = n and K = s_nodes, as on the drivers-q3 grid, BLAS
-    sums each entry in the same order and the entries are its own bit for
-    bit; where it takes another path (q = 3 at n = 60) the last bits may
-    differ.  `field.blocks` is built from these entries.
-    """
-    tails, keep, index = field._canonical
-    g, weights, q = field.g[ti], field.rho[ti] * field.beta[ti], field.spec.q
-    if q == 1:
-        return index, weights @ g
-    # the product of the factor rows over each tail is gone before the mask
-    entries = (weights[:, None] * g).T @ (g if q == 2 else g[:, tails[0]] * g[:, tails[1]])
-    return index, entries[keep]
+    (q, N), values shape (N,); the kept entries of `_canonical_blocks`, so
+    `field.blocks`, built from these, and the dump agree bit for bit."""
+    tails, starts = field._canonical
+    index, values = [], []
+    for a, entries, keep in _canonical_blocks(field, ti):
+        rows, columns = np.nonzero(keep)
+        index.append(np.vstack([rows + a, tails[:, columns + starts[a]]]))
+        values.append(entries[keep])
+    return np.concatenate(index, axis=1), np.concatenate(values)
 
 
 def export_kernels(field: KernelField, fh):
@@ -583,11 +608,12 @@ def export_kernels(field: KernelField, fh):
     multi-index, in lexicographic order, values in %.17g (NaN kept, -0.0
     skipped).
 
-    Works from the factors (`_canonical_entries`), never the dense view,
-    and writes each chunk of lines through `textio.write_rows`: the labels
-    packed into words with their separators inside, `ti i_1 ` and, at q >=
-    2, `i_2 i_3 ` (`i_2 ` at q = 2), gathered from tables built per call,
-    then the value.
+    Works from the factors (`_canonical_blocks`), never the dense view, and
+    writes each row block of i_1 before the next is formed, a chunk of
+    lines at a time: the labels packed into words with their separators
+    inside, `ti i_1 ` and, at q >= 2, `i_2 i_3 ` (`i_2 ` at q = 2), gathered
+    from tables built per call, and the value formatted, straight into one
+    row buffer (`textio.write_words`).
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
@@ -595,23 +621,35 @@ def export_kernels(field: KernelField, fh):
                      f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n"
                      f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n"
                      "# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n").encode())
+    tails, starts = field._canonical
     cells = np.arange(n)
-    # the words after `ti i_1 `: `i_2 i_3 ` by i_2 * n + i_3, or `i_2 ` by i_2
-    tail_words = (label_words(cells.repeat(n), np.tile(cells, n)) if q == 3
-                  else label_words(cells) if q == 2 else None)
+    # the words after `ti i_1 ` by tail: `i_2 i_3 ` or `i_2 ` (none at q = 1)
+    tail_words = label_words(*tails) if q > 1 else np.zeros((1, 0), dtype=np.uint64)
     for ti in range(len(spec.out_times)):
-        index, values = _canonical_entries(field, ti)
-        nonzero = np.flatnonzero(values != 0)  # NaN kept, -0.0 skipped
-        index, values = index.take(nonzero, axis=1), values.take(nonzero)
         head_words = label_words(ti, cells)  # `ti i_1 ` by i_1
-        for lo in range(0, values.shape[0], EXPORT_CHUNK):
-            rows = index[:, lo:lo + EXPORT_CHUNK].astype(np.intp)
-            labels = [head_words.take(rows[0], axis=0)]
-            if q > 1:
-                labels.append(tail_words.take(rows[1] * n + rows[2] if q == 3 else rows[1], axis=0))
-            write_rows(fh, [_format_17g(values[lo:lo + EXPORT_CHUNK])], " ", head=labels)
-        # the next time's entries are computed with this time's arrays gone
-        del index, values, nonzero
+        labels = head_words.shape[1] + tail_words.shape[1]
+        chunk = np.empty((EXPORT_CHUNK, labels + VALUE_WORDS), dtype=head_words.dtype)
+        for a, entries, keep in _canonical_blocks(field, ti):
+            _write_entries(fh, chunk, head_words[a:], tail_words[starts[a]:], entries, keep)
+            del entries, keep  # the next block is formed with this one's arrays gone
+
+
+def _write_entries(fh, chunk, heads, tails, entries, keep):
+    """The dump lines of one row block of `_canonical_blocks`, its entries
+    and keep mask, a chunk of lines at a time: for each nonzero kept entry
+    (NaN kept, -0.0 skipped) the word rows of heads by row and of tails by
+    column, then the value, laid into the rows of chunk."""
+    keep &= entries != 0
+    kept = np.flatnonzero(keep)
+    labels = heads.shape[1] + tails.shape[1]
+    for lo in range(0, kept.shape[0], chunk.shape[0]):
+        flat = kept[lo:lo + chunk.shape[0]]
+        rows = chunk[:flat.shape[0]]
+        row, column = np.divmod(flat, entries.shape[1])
+        heads.take(row, axis=0, out=rows[:, :heads.shape[1]], mode="clip")
+        tails.take(column, axis=0, out=rows[:, heads.shape[1]:labels], mode="clip")
+        _format_17g(entries.take(flat), out=rows[:, labels:])
+        write_words(fh, rows, " ", [VALUE_WORDS])
 
 
 def import_kernels(path: str) -> tuple:

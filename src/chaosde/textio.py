@@ -1,6 +1,6 @@
 """Exact text output: the numeric tables kernels.txt, driver.csv,
 solution.csv, ensemble.csv and kde.csv are written here, as lines of word
-fields (`write_rows`) that hold '%.17g' of doubles (`_format_17g`),
+fields (`write_words`) that hold '%.17g' of doubles (`_format_17g`),
 integers and labels.
 """
 
@@ -17,6 +17,8 @@ _WORD = np.dtype("<u8")
 #: bytes of one formatted value, in words: '%.17g' is at most 24 bytes
 #: long, and the last byte stays NUL for the caller's separator
 _VALUE_WIDTH = 32
+#: the words of one value field
+VALUE_WORDS = _VALUE_WIDTH // 8
 #: the decimal exponents E the formatter handles in numpy: 10^(16 - E) is a
 #: double; %g writes all but E < -4 in fixed notation
 _E_LO, _E_HI = -6, 16
@@ -110,10 +112,12 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return x + _ASCII_ZEROS
 
 
-def _format_17g(values: np.ndarray) -> np.ndarray:
-    """'%.17g' % v of every value, as the rows of an (N, _VALUE_WIDTH // 8)
+def _format_17g(values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """'%.17g' % v of every value, as the rows of an (N, VALUE_WORDS)
     array of words: the bytes of a row, NULs dropped, are the text, and the
-    last byte of a row is NUL.
+    last byte of a row is NUL.  The rows are written into out when it is
+    given (any (N, VALUE_WORDS) word array, a column slice of a row
+    buffer say), and out is returned.
 
     The words of a row: the sign, the "0.000" prefix and the leading digit;
     digits 2-9 and 10-17, one ASCII word each (`_ascii8`); the digit the
@@ -163,7 +167,8 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
     digits &= tables[0:2]
     digits |= after << 8
     digits |= tables[4:6]
-    out = np.empty((values.shape[0], _VALUE_WIDTH // 8), dtype=_WORD)
+    if out is None:
+        out = np.empty((values.shape[0], VALUE_WORDS), dtype=_WORD)
     out[:, 0] = tables[6] | (lead + ord("0")) << 48 | (bits >> 63) * ord("-")
     out[:, 1] = digits[0]
     out[:, 2] = digits[1] | after[0] >> 56
@@ -204,9 +209,9 @@ def label_words(*columns) -> np.ndarray:
 
 def value_fields(values) -> list:
     """The %.17g fields of each column of the (N, k) values: k arrays of
-    shape (N, _VALUE_WIDTH // 8)."""
+    shape (N, VALUE_WORDS)."""
     values = np.asarray(values, dtype=float)
-    words = _format_17g(values).reshape(values.shape + (_VALUE_WIDTH // 8,))
+    words = _format_17g(values).reshape(values.shape + (VALUE_WORDS,))
     return list(words.transpose(1, 0, 2))
 
 
@@ -216,22 +221,30 @@ def write_ascii(fh, data: bytes):
     fh.write(data.decode("ascii") if isinstance(fh, io.TextIOBase) else data)
 
 
-def write_rows(fh, fields, sep: str, head=()):
-    """Write one line per row of the word fields to fh, an open text or
-    binary stream (bytes go to a binary one as they are).
+def write_words(fh, rows: np.ndarray, sep: str, widths):
+    """Write one line per row of the (N, W) word array rows to fh, an open
+    text or binary stream (bytes go to a binary one as they are).
 
-    fields is a list of (N, w_i) word arrays, each row of each ending in a
-    NUL byte; an empty field is one zero word.  A line is the words of head,
-    a list of (N, w) word arrays whose text holds its own separators, then
-    the fields in order, with sep in the last byte of every field but the
-    last and the newline in the last byte of the last, NULs dropped.  Only
-    those last words are touched.
+    A row is head words, whose text holds its own separators, then fields
+    of the given widths in words, which end the row; each field's words end
+    in a NUL byte, and an empty field is one zero word.  The line is the
+    row with sep in the last byte of every field but the last and the
+    newline in the last byte of the last, NULs dropped.  Only those last
+    words are touched, in place.
     """
-    rows = np.concatenate(list(head) + list(fields), axis=1)
-    for column in rows.shape[1] - 1 - np.cumsum([f.shape[1] for f in fields[:0:-1]]):
+    for column in rows.shape[1] - 1 - np.cumsum(widths[:0:-1], dtype=np.intp):
         rows[:, column] |= ord(sep) << 56
     rows[:, -1] |= ord("\n") << 56
     write_ascii(fh, rows.tobytes().translate(None, b"\0"))
+
+
+def write_rows(fh, fields, sep: str, head=()):
+    """`write_words` of the word arrays head and fields side by side:
+    fields is a list of (N, w_i) word arrays, each row of each ending in a
+    NUL byte, and head a list of (N, w) ones whose text holds its own
+    separators."""
+    write_words(fh, np.concatenate(list(head) + list(fields), axis=1), sep,
+                [f.shape[1] for f in fields])
 
 
 #: data lines formatted at once: each chunk's arrays stay within a few

@@ -105,12 +105,30 @@ def theta_columns(coeffs, bundle):
 
 def dense_block(field, ti):
     """The dense (n,)*q block at out_times[ti], one einsum over the factors:
-    the canonical entries came from it before they came from one GEMM over
-    the canonical tails."""
+    the canonical entries came from it before they came from GEMMs over the
+    canonical tails."""
     cells = "abc"[:field.spec.q]
     subscripts = "k," + ",".join("k" + i for i in cells) + "->" + cells
     weights = field.rho[ti] * field.beta[ti]
     return np.einsum(subscripts, weights, *(field.g[ti],) * field.spec.q, optimize=True)
+
+
+def canonical_gemm(field, ti):
+    """(index, values) of the canonical entries at out_times[ti] by one GEMM
+    over the whole time: (rho beta g)^T @ P, every row i_1 against every
+    canonical tail i_2 <= .. <= i_q in lexicographic order, P[k, r] the
+    product of g[k, i_j] over tail r (P = g at q = 2), kept where i_1 <=
+    i_2; at q = 1 the entries are (rho beta) @ g.  The entries came from it
+    before they came from row blocks of i_1."""
+    n, q = field.spec.space.n, field.spec.q
+    g, weights = field.g[ti], field.rho[ti] * field.beta[ti]
+    if q == 1:
+        return np.arange(n)[None, :], weights @ g
+    tails = np.array(np.triu_indices(n)) if q == 3 else np.arange(n)[None, :]
+    entries = (weights[:, None] * g).T @ (g if q == 2 else g[:, tails[0]] * g[:, tails[1]])
+    keep = tails[0] >= np.arange(n)[:, None]
+    rows, columns = np.nonzero(keep)
+    return np.vstack([rows, tails[:, columns]]), entries[keep]
 
 
 def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):

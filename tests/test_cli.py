@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaosde import chaos
+from chaosde import chaos, errors
 from chaosde.cli import (CHECK_BLOCK, _build_field, _check_records, _check_values, _scenario,
                          load_config, main)
 from chaosde.density import kde, run_ensemble
@@ -376,6 +376,23 @@ def test_simulate_over_dense_budget_exits_2(tmp_path, capsys):
         assert code == 2
         assert f"process.n={n}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_simulate_over_tail_product_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the order-3 dump holds one output time's (s_nodes, n (n+1) / 2) tail
+    # products: under a budget of 100000 entries, n = 40 at one output time
+    # passes the dense guard (64000 entries) and s_nodes = 128 puts the tail
+    # products over it (104960), rejected before any output is written
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
+    payload = {"process": {"q": 3, "n": 40, "L": 1.0, "s_nodes": 128},
+               "run": {"M": 2, "out_times": [1.0]}}
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 2
+    assert "process.s_nodes=128" in capsys.readouterr().err
+    assert not out.exists()
+    payload["process"]["s_nodes"] = 120  # 98400 entries
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 0
 
 
 def _strict_json(text: str):

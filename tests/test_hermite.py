@@ -4,6 +4,8 @@ covariance, the central-limit oracle, self-similarity and Holder norms."""
 import io
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from chaosde.hermite import (
     simulate_paths,
 )
 from chaosde.textio import export_paths
-from oracles import dense_block
+from oracles import canonical_gemm, dense_block
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -388,11 +390,16 @@ def test_export_kernels_special_values_match_line_loop(q, monkeypatch):
     blocks[(1,) + (0,) * q] = np.nan
     field.__dict__["blocks"] = blocks
 
-    def entries(field, ti):
-        index, _ = _canonical_entries(field, ti)
-        return index, blocks[ti][tuple(index)]
+    row_blocks = hermite._canonical_blocks
+    tails, starts = field._canonical
 
-    monkeypatch.setattr(hermite, "_canonical_entries", entries)
+    def entries(field, ti):
+        for a, values, keep in row_blocks(field, ti):
+            rows, columns = np.nonzero(keep)
+            values[rows, columns] = blocks[ti][(rows + a, *tails[:, columns + starts[a]])]
+            yield a, values, keep
+
+    monkeypatch.setattr(hermite, "_canonical_blocks", entries)
     got = _dump(export_kernels, field)
     assert got == _dump(_export_kernels_loop, field)
     values = [line.split()[-1] for line in got.splitlines() if not line.startswith("#")]
@@ -419,10 +426,12 @@ def test_canonical_entries_match_blocks(q, m, calibrate):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_canonical_entries_match_dense_oracle(q, m, calibrate):
-    # the canonical GEMM against the dense einsum, within 1e-13 of the
-    # block's largest entry: n below, at and above s_nodes (q = 3 at n = 60
-    # takes a non-BLAS einsum), out_times 0.3 leaving the cells past t at
-    # zero, and the 2-component grid of 100 cells on 32 nodes
+    # the row-blocked entries against the dense einsum and against one
+    # GEMM over the whole time, within 1e-13 of the block's largest entry:
+    # n below, at and above s_nodes (q = 3 at n = 60 takes a non-BLAS
+    # einsum), out_times 0.3 leaving the cells past t at zero, and the
+    # 2-component grid of 100 cells on 32 nodes (a block's GEMM may sum in
+    # another order where BLAS picks another kernel for its smaller M)
     for n, s_nodes, L in ((14, 64, 1.0), (24, 24, 1.0), (40, 16, 1.0), (60, 64, 8.0),
                           (100, 32, 8.0)):
         spec = small_spec(q=q, n=n, L=L, m=m, s_nodes=s_nodes, out_times=(0.3, 1.0))
@@ -435,18 +444,47 @@ def test_canonical_entries_match_dense_oracle(q, m, calibrate):
             assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(values == 0, want == 0)
             assert (values == 0).any() == (ti == 0)
+            gemm_index, gemm = canonical_gemm(field, ti)
+            assert np.array_equal(gemm_index, canon)
+            assert np.max(np.abs(values - gemm)) <= 1e-13 * np.max(np.abs(gemm))
+            assert np.array_equal(values == 0, gemm == 0)
 
 
 def test_canonical_entries_match_blocks_drivers_q3():
-    # the order-3 grid of `chaosde simulate` in the drivers-q3 benchmark
-    space = make_hilbert(1, -8.0, 1.0, 160)
-    spec = HermiteSpec(q=3, H=0.7, m=1, space=space, s_nodes=64, out_times=(0.25, 0.5, 1.0))
-    field = build_kernels(spec)
-    for ti in range(len(spec.out_times)):
+    # the order-3 grid of `chaosde simulate` in the drivers-q3 benchmark,
+    # where the row blocks keep every bit of one GEMM over the whole time
+    field = _drivers_q3_field()
+    for ti in range(len(field.spec.out_times)):
         index, values = _canonical_entries(field, ti)
         assert index.shape == (3, math.comb(162, 3))
         assert np.all(index[:-1] <= index[1:])
         assert np.array_equal(values, field.blocks[ti][tuple(index)])
+        gemm_index, gemm = canonical_gemm(field, ti)
+        assert np.array_equal(index, gemm_index)
+        assert np.array_equal(values.view(np.uint64), gemm.view(np.uint64))
+
+
+def _drivers_q3_field():
+    """The order-3 field of `chaosde simulate` in the drivers-q3 benchmark."""
+    space = make_hilbert(1, -8.0, 1.0, 160)
+    return build_kernels(HermiteSpec(q=3, H=0.7, m=1, space=space, s_nodes=64,
+                                     out_times=(0.25, 0.5, 1.0)))
+
+
+def test_export_kernels_peak_memory_drivers_q3():
+    # one row block and the time's tail products at a time, about 12.6 MB
+    # traced: no array spans a whole output time's entries (the (n, R)
+    # product of one time alone would be 16.5 MB)
+    field = _drivers_q3_field()
+    field._canonical
+    with open(os.devnull, "wb") as fh:
+        tracemalloc.start()
+        try:
+            export_kernels(field, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 15e6
 
 
 def test_export_kernels_stays_off_dense_view(monkeypatch):

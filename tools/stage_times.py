@@ -31,12 +31,17 @@ process as the first command of the interpreter.  A pass times its four
 stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
 and writing `kernels.txt` (each file from opening to closing), the whole
 command, and the peak resident memory of the pass.  The `kernels.txt`
-stage is split in two: `kernel_entries`, the time inside
-`hermite._canonical_entries` (each output time's canonical entries, by
-whatever means the source computes them: a dense einsum block in older
-sources, one GEMM over the canonical tails in newer ones; 0 in sources
-without it), and `kernel_text`, the rest (formatting and writing the
-lines).
+stage is split in two: `kernel_entries`, the time spent computing each
+output time's canonical entries, by whatever means the source computes
+them (the steps of the generator `hermite._canonical_blocks`, one GEMM
+per row block of i_1, where the source has it; else the time inside
+`hermite._canonical_entries`: a dense einsum block in older sources, one
+GEMM over the canonical tails in newer ones; 0 in sources with neither),
+and `kernel_text`, the rest (the zero filter, formatting and writing the
+lines).  After the timed command, and after its peak resident memory is
+read, the pass calls `hermite.export_kernels` once more on the command's
+kernel field, into a null stream with `tracemalloc` on:
+`kernels_traced_mb`, the peak traced allocation of the kernels.txt stage.
 
 Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
@@ -162,6 +167,7 @@ def measure_simulate() -> dict:
     import io
     import resource
     import time
+    import tracemalloc
 
     from chaosde import cli, hermite
 
@@ -177,6 +183,21 @@ def measure_simulate() -> dict:
                 stages[stage] += clock() - start
         return run
 
+    def timed_blocks(stage, fn):
+        # a generator of blocks: its time is spent in each step
+        def run(*args, **kwargs):
+            blocks = fn(*args, **kwargs)
+            while True:
+                start = clock()
+                try:
+                    block = next(blocks)
+                except StopIteration:
+                    return
+                finally:
+                    stages[stage] += clock() - start
+                yield block
+        return run
+
     def timed_output(output):
         @contextlib.contextmanager
         def run(cfg, name, *args, **kwargs):
@@ -186,10 +207,20 @@ def measure_simulate() -> dict:
             stages[name] += clock() - start
         return run
 
-    cli.build_kernels = timed("build_kernels", cli.build_kernels)
+    build_kernels = cli.build_kernels
+    fields = []
+
+    def build_and_keep(*args, **kwargs):
+        fields.append(build_kernels(*args, **kwargs))
+        return fields[-1]
+
+    cli.build_kernels = timed("build_kernels", build_and_keep)
     cli.simulate_paths = timed("simulate_paths", cli.simulate_paths)
     cli._output = timed_output(cli._output)
-    if hasattr(hermite, "_canonical_entries"):  # looked up by export_kernels at each call
+    # looked up by export_kernels at each call
+    if hasattr(hermite, "_canonical_blocks"):
+        hermite._canonical_blocks = timed_blocks("kernel_entries", hermite._canonical_blocks)
+    elif hasattr(hermite, "_canonical_entries"):
         hermite._canonical_entries = timed("kernel_entries", hermite._canonical_entries)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -202,8 +233,20 @@ def measure_simulate() -> dict:
     if rc != 0:
         raise RuntimeError(f"chaosde simulate exited {rc}")
     stages["kernel_text"] = stages["kernels.txt"] - stages["kernel_entries"]
-    return {"stages_s": stages, "command_s": command_s,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    timings = dict(stages)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # the kernels.txt stage once more, out of the timings, on the command's
+    # field (its per-field caches built) into a null stream, with
+    # allocations traced
+    with open(os.devnull, "wb") as null:
+        tracemalloc.start()
+        try:
+            hermite.export_kernels(fields[-1], null)
+            kernels_traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    return {"stages_s": timings, "command_s": command_s, "peak_rss_mb": peak_rss_mb,
+            "kernels_traced_mb": kernels_traced_mb}
 
 
 #: scenario -> (child measurement, per-pass stage key, stages, per-pass totals,
@@ -213,7 +256,7 @@ SCENARIOS = {
                           ("import_s", "sample_ms", "command_s"),
                           dict(ENSEMBLE, seeds=[SEEDS.start, SEEDS.stop - 1])),
     "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES,
-                   ("import_s", "command_s", "peak_rss_mb"), SIMULATE),
+                   ("import_s", "command_s", "peak_rss_mb", "kernels_traced_mb"), SIMULATE),
 }
 
 
