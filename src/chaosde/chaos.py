@@ -79,18 +79,6 @@ def symmetrize(space: HilbertDisc, raw: np.ndarray, q: int = None) -> SymTensor:
     return SymTensor(space, q, _perm_average(raw, q))
 
 
-def tensor_from_vectors(space: HilbertDisc, *vectors: HilbertVec) -> SymTensor:
-    """Symmetric product h_1 (.) ... (.) h_q of Hilbert vectors."""
-    q = len(vectors)
-    _check_order(q)
-    if q == 0:
-        return SymTensor(space, 0, np.array(1.0))
-    raw = vectors[0].coords
-    for v in vectors[1:]:
-        raw = np.multiply.outer(raw, v.coords)
-    return symmetrize(space, raw, q)
-
-
 def tensor_inner(f: SymTensor, g: SymTensor) -> float:
     """Full q-fold Euclidean inner product of the coefficient arrays."""
     if f.space != g.space:
@@ -166,12 +154,6 @@ def multiple_integral(f: SymTensor, w: GaussianDraw) -> float:
     if f.space != w.space:
         raise SpaceMismatchError("tensor and draw over different spaces")
     return float(_wick_value(f.coeffs, w.xi, f.q))
-
-
-def elementary_power_value(g: HilbertVec, q: int, w: GaussianDraw) -> float:
-    """Oracle for I_q(g^{(.)q}) = H_q(X_g; |g|^2) = |g|^q H_q(X_g / |g|)."""
-    _check_order(q)
-    return float(hermite_poly(q, iso_gaussian(g, w), g.norm() ** 2))
 
 
 def product_formula_check(f: SymTensor, g: SymTensor, w: GaussianDraw) -> float:

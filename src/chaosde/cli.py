@@ -3,8 +3,10 @@ checks, SDE solves, Malliavin diagnostics, density studies and the
 self-similarity test.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error,
-3 numeric failure.  Every output file starts with '#' header lines
-carrying the library version and a hash of the effective configuration.
+3 numeric failure.  Every output file starts with a '#' header line
+carrying the library version and a hash of the effective configuration
+(`config_hash`: the process, sde and run settings, without the worker count
+and the output directory).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ DEFAULT_CONFIG = {
     "sde": {"preset": "additive", "x0": None, "steps": 128, "T": 1.0},
     "run": {"M": 100, "seed": 0, "out_times": [0.25, 0.5, 1.0],
             "eps": [1e-1, 1e-2, 1e-3, 1e-4], "t": 1.0, "epsilon_window": 0.25},
-    "output": {"directory": ".", "formats": ["csv"]},
+    "output": {"directory": "."},
 }
 
 
@@ -114,6 +116,10 @@ def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> di
         cfg["output"]["directory"] = out_dir
     if workers is not None and workers < 1:
         raise ConfigError(f"--workers={workers} invalid: at least 1 worker")
+    # the pool forks all its workers at once: no more than the machine's CPUs
+    cpus = os.cpu_count() or 1
+    if workers is not None and workers > cpus:
+        raise ConfigError(f"--workers={workers} invalid: at most {cpus}, the CPU count")
     cfg["run"]["workers"] = 1 if workers is None else workers
     _validate(cfg)
     return cfg
@@ -151,7 +157,13 @@ def _validate(cfg: dict):
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Hash of the settings that decide a command's results: the process,
+    sde and run sections without run.workers, so that serial and parallel
+    runs, and runs into different output directories, write the same
+    bytes."""
+    run = {key: value for key, value in cfg["run"].items() if key != "workers"}
+    canon = json.dumps({"process": cfg["process"], "sde": cfg["sde"], "run": run},
+                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

@@ -136,9 +136,6 @@ class DensityEstimate:
     values: np.ndarray
     bandwidth: float
 
-    def at(self, x: float) -> float:
-        return float(np.interp(x, self.grid, self.values))
-
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.grid))
 
@@ -185,7 +182,10 @@ def kde(samples) -> DensityEstimate:
     x = np.asarray(samples, dtype=float).ravel()
     if x.shape[0] < 100:
         raise ConfigError("kde needs at least 100 samples")
-    std = float(np.std(x, ddof=1))
+    # the mean of huge samples overflows; the spread check below rejects
+    # the non-finite std that follows
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(x, ddof=1))
     ordered = np.sort(x)
     iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std

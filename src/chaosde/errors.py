@@ -19,10 +19,6 @@ class SpaceMismatchError(ChaosdeError):
     """Two objects built over different discretizations were combined."""
 
 
-class EmbeddingError(ChaosdeError):
-    """A function produced non-finite values during embedding."""
-
-
 class UnsupportedOrderError(ChaosdeError):
     """Requested chaos order exceeds the supported cap."""
 

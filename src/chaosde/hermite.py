@@ -1,6 +1,7 @@
 """Hermite-process drivers: kernel construction on the discrete Wiener
-space, path simulation, an independent central-limit oracle, and the
-self-similarity statistic for the law of localized Malliavin derivatives.
+space, path simulation, the solver-grid driver, the kernels.txt dump, and
+the self-similarity statistic for the law of localized Malliavin
+derivatives.
 
 A Hermite process of order q and Hurst index H in (1/2, 1) is Z_t =
 I_q(L_t) with the homogeneous kernel
@@ -48,7 +49,7 @@ from .errors import (
     UnsupportedOrderError,
     check_budget,
 )
-from .wiener import GaussianDraw, HilbertDisc, HolderConfig, draw_blocks, make_hilbert
+from .wiener import GaussianDraw, HilbertDisc, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
 from .textio import EXPORT_CHUNK, VALUE_WORDS, _format_17g, label_words, write_ascii, write_words
 
@@ -103,31 +104,6 @@ class HermiteSpec:
         object.__setattr__(self, "out_times", times)
 
 
-def kernel_eval(spec: HermiteSpec, t: float, xs) -> float:
-    """Pointwise kernel value L_t(x_1..x_q).
-
-    q = 1 uses the closed antiderivative; q >= 2 uses midpoint quadrature
-    with s_nodes nodes on (max_j x_j v 0, t].  Zero when any x_j >= t.
-    """
-    if not 0.0 < t <= spec.space.hi:
-        raise OutOfRangeError(f"t must lie in (0, hi], got {t}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.shape != (spec.q,):
-        raise InvalidDimensionError(f"expected {spec.q} arguments, got {xs.shape}")
-    if np.any(xs >= t):
-        return 0.0
-    H0, c = hurst_aux(spec.H, spec.q)
-    if spec.q == 1:
-        x = float(xs[0])
-        p = H0 - 0.5
-        return c / p * (max(t - x, 0.0) ** p - max(-x, 0.0) ** p)
-    lo_s = max(float(np.max(xs)), 0.0)
-    s = lo_s + (t - lo_s) * (np.arange(spec.s_nodes) + 0.5) / spec.s_nodes
-    w = (t - lo_s) / spec.s_nodes
-    vals = np.prod(np.clip(s[:, None] - xs[None, :], 0.0, None) ** (H0 - 1.5), axis=1)
-    return float(c * w * vals.sum())
-
-
 def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
     """g[k, i] = integral over cell i of (s_k - x)_+^a dx (closed form)."""
     edges = space.cell_edges()
@@ -147,15 +123,30 @@ def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
     space, q, s_nodes = spec.space, spec.q, spec.s_nodes
     H0, c = hurst_aux(spec.H, q)
     a = H0 - 1.5
-    scale = c * space.delta ** (-q / 2.0)
-    if q == 1:
-        prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
-        g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
-    else:
-        g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
-        beta = np.full(s_nodes, scale * t / s_nodes)
-    # adaptedness: cells at or beyond t carry no coefficient
-    return g * (space.cell_midpoints() < t), beta
+    # powers of numpy scalars: an overflow is inf, where a float raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = c * np.float64(space.delta) ** (-q / 2.0)
+        if q == 1:
+            prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
+            g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
+        else:
+            g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
+            beta = np.full(s_nodes, scale * t / s_nodes)
+        # adaptedness: cells at or beyond t carry no coefficient
+        g = g * (space.cell_midpoints() < t)
+    _check_finite([t], g, beta)
+    return g, beta
+
+
+def _check_finite(times, *arrays):
+    """Raise InvalidDimensionError naming the first of times whose row is
+    not finite in one of the arrays, each with one row per time: kernel
+    factors or norms overflow on a grid of huge or tiny extent."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(array).reshape(len(times), -1).all(axis=1) for array in arrays])
+    if not finite.all():
+        t = float(times[np.argmin(finite)])
+        raise InvalidDimensionError(f"kernel at t={t} is not finite: its factors or norm overflow")
 
 
 def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
@@ -176,18 +167,23 @@ def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
 def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
     """rho_j scaling the prefix sum_{k<=j} beta_k g_k^{(x)q} to norm sqrt(t_j^{2H}/q!)."""
     check_budget((beta.shape[0],) * 2)
-    bb = beta[:, None] * beta[None, :] * (g @ g.T) ** q
-    # prefix norms ||block_j||^2 over the growing leading square:
-    # increment when adding node j is bb[j,j] + 2 sum_{k<j} bb[k,j]
-    inc = np.diagonal(bb).copy()
-    if inc.shape[0] > 1:
-        inc[1:] += 2.0 * np.cumsum(bb, axis=0).diagonal(1)
-    norms2 = np.cumsum(inc)
+    node_times = np.broadcast_to(times, beta.shape)
+    with np.errstate(all="ignore"):
+        bb = beta[:, None] * beta[None, :] * (g @ g.T) ** q
+        # prefix norms ||block_j||^2 over the growing leading square:
+        # increment when adding node j is bb[j,j] + 2 sum_{k<j} bb[k,j]
+        inc = np.diagonal(bb).copy()
+        if inc.shape[0] > 1:
+            inc[1:] += 2.0 * np.cumsum(bb, axis=0).diagonal(1)
+        norms2 = np.cumsum(inc)
+        # a float t as a numpy scalar, whose overflow is inf
+        targets = np.float64(times) ** (2.0 * H) / math.factorial(q)
+        rho = np.sqrt(targets / norms2)
     if not norms2.all():  # beta underflows to 0 on a horizon near the smallest double
-        t = float(np.broadcast_to(times, norms2.shape)[np.argmin(norms2)])
+        t = float(node_times[np.argmin(norms2)])
         raise InvalidDimensionError(f"degenerate kernel at t={t}: its norm is 0")
-    targets = times ** (2.0 * H) / math.factorial(q)
-    return np.sqrt(targets / norms2)
+    _check_finite(node_times, norms2, rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -220,9 +216,6 @@ class KernelField:
         """<f_i, f_j>, the Euclidean inner product of two blocks."""
         gram = (self.g[i] @ self.g[j].T) ** self.spec.q
         return float(self.rho[i] * self.rho[j] * (self.beta[i] @ gram @ self.beta[j]))
-
-    def norm_at(self, ti: int) -> float:
-        return math.sqrt(self.inner(ti, ti))
 
     def check_dense_budget(self):
         """Raise MemoryBudgetError when the dense view, one (n,)*q block per
@@ -332,55 +325,6 @@ def covariance_theoretical(s: float, t: float, H: float) -> float:
     return 0.5 * (t ** (2.0 * H) + s ** (2.0 * H) - abs(t - s) ** (2.0 * H))
 
 
-def _fgn_covariance(H0: float, N: int) -> np.ndarray:
-    k = np.arange(N)
-    r = 0.5 * (
-        np.abs(k + 1.0) ** (2.0 * H0)
-        - 2.0 * np.abs(k) ** (2.0 * H0)
-        + np.abs(k - 1.0) ** (2.0 * H0)
-    )
-    idx = np.abs(k[:, None] - k[None, :])
-    return r[idx]
-
-
-def nclt_factor(spec: HermiteSpec, steps_per_unit: int):
-    """Cholesky factor of the underlying Gaussian sequence and the norm A_N.
-
-    The oracle path is Z_t = A_N^{-1} sum_{i <= floor(N t)} H_q(X_i) with
-    X long-range-dependent of Hurst H0; A_N makes Var(Z at the last output
-    time) match its self-similar value exactly.
-    """
-    t_max = spec.out_times[-1]
-    N_tot = int(math.ceil(steps_per_unit * t_max))
-    cov = _fgn_covariance(hurst_aux(spec.H, spec.q)[0], N_tot)
-    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(N_tot))
-    # exact variance of the last partial sum of H_q(X): q! sum r(i-j)^q
-    var_last = math.factorial(spec.q) * float(np.sum(cov**spec.q))
-    A = math.sqrt(var_last) / t_max**spec.H
-    return chol, A
-
-
-def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarray:
-    """Independent marginal-law oracle via normalized Hermite partial sums,
-    shape (len(seeds), T, m).
-
-    Shares no coupling with simulate_path: only marginal statistics are
-    comparable, not pathwise values.
-    """
-    seeds = list(seeds)
-    chol, A = nclt_factor(spec, steps_per_unit)
-    N_tot = chol.shape[0]
-    K = [min(int(math.floor(steps_per_unit * t)), N_tot) for t in spec.out_times]
-    out = np.empty((len(seeds), len(spec.out_times), spec.m))
-    for k, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        for ell in range(spec.m):
-            X = chol @ rng.standard_normal(N_tot)
-            hsum = np.concatenate([[0.0], np.cumsum(hermite_poly(spec.q, X))])
-            out[k, :, ell] = hsum[K] / A
-    return out
-
-
 def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
                          rhs_seeds) -> tuple:
     """Samples of each side of the localized-derivative law identity.
@@ -427,62 +371,6 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     return lhs, rhs
 
 
-def holder_norms(times, values, config: HolderConfig, theta: float = None) -> tuple:
-    """Discrete estimators of the three pathwise norms on a uniform grid.
-
-    Returns (c_theta, w1_alpha, w2_oneminusalpha):
-      c_theta            sup |f| + sup_{s<t} |f(t)-f(s)| / (t-s)^theta
-      w1_alpha           sup_t (|f(t)| + int_0^t |f(t)-f(s)|/(t-s)^{1+alpha} ds)
-      w2_oneminusalpha   sup_{s<t} (|f(t)-f(s)|/(t-s)^{1-alpha}
-                                     + int_s^t |f(u)-f(s)|/(u-s)^{2-alpha} du)
-    Integrals use the trapezoid rule with the singular endpoint dropped.
-    values has one row per time, shape (len(times), k), or is 1-D (k = 1).
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.ndim != 2 or values.shape[0] != times.shape[0]:
-        raise InvalidDimensionError(f"values need one row per time, got {values.shape}")
-    npts = times.shape[0]
-    if npts < 8:
-        raise InvalidDimensionError("need at least 8 grid points")
-    dt_all = np.diff(times)
-    if not np.allclose(dt_all, dt_all[0], rtol=1e-8):
-        raise InvalidDimensionError("grid must be uniform")
-    if theta is None:
-        theta = 1.0 - config.alpha
-    alpha = config.alpha
-    mag = np.linalg.norm(values, axis=1)
-    gaps = times[:, None] - times[None, :]
-    diffs = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=2)
-    upper = gaps > 0
-    quot = np.zeros_like(gaps)
-    quot[upper] = diffs[upper] / gaps[upper] ** theta
-    c_theta = float(mag.max() + quot.max())
-
-    dt = float(dt_all[0])
-    w1 = 0.0
-    for i in range(npts):
-        if i == 0:
-            w1 = max(w1, float(mag[0]))
-            continue
-        integrand = diffs[i, :i] / gaps[i, :i] ** (1.0 + alpha)
-        integral = dt * (np.sum(integrand) - 0.5 * integrand[0])
-        w1 = max(w1, float(mag[i] + integral))
-
-    quot2 = np.zeros_like(gaps)
-    quot2[upper] = diffs[upper] / gaps[upper] ** (1.0 - alpha)
-    w2 = 0.0
-    for j in range(npts - 1):
-        integrand = diffs[j + 1 :, j] / gaps[j + 1 :, j] ** (2.0 - alpha)
-        # prefix trapezoid in the upper argument, singular node dropped
-        cum = dt * (np.cumsum(integrand) - 0.5 * integrand - 0.5 * integrand[0])
-        total = quot2[j + 1 :, j] + cum
-        w2 = max(w2, float(total.max()))
-    return c_theta, w1, w2
-
-
 class GridDriver:
     """Driver evaluated on a fine solver grid via cumulative quadrature.
 
@@ -509,8 +397,10 @@ class GridDriver:
         mids = 0.5 * (times[:-1] + times[1:])
         dts = np.diff(times)
         check_budget((mids.shape[0], space.n + 1))  # the cell-average factors
-        self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
-        self._beta = c * space.delta ** (-q / 2.0) * dts
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
+            self._beta = c * np.float64(space.delta) ** (-q / 2.0) * dts
+        _check_finite(times[1:], self._g, self._beta)
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
@@ -650,23 +540,3 @@ def _write_entries(fh, chunk, heads, tails, entries, keep):
         tails.take(column, axis=0, out=rows[:, heads.shape[1]:labels], mode="clip")
         _format_17g(entries.take(flat), out=rows[:, labels:])
         write_words(fh, rows, " ", [VALUE_WORDS])
-
-
-def import_kernels(path: str) -> tuple:
-    """Read an export_kernels dump: (spec, dense blocks, calibrated), filled
-    by symmetry as `KernelField.blocks` is."""
-    with open(path) as fh:
-        lines = [line[1:].split() for line in fh if line.startswith("#")]
-    header = dict(tok.split("=", 1) for parts in lines for tok in parts if "=" in tok)
-    times = next(tuple(float(x) for x in parts[1:]) for parts in lines if parts[0] == "times")
-    space = make_hilbert(int(header["m"]), float(header["lo"]), float(header["hi"]), int(header["n"]))
-    spec = HermiteSpec(
-        q=int(header["q"]), H=float(header["H"]), m=int(header["m"]), space=space,
-        s_nodes=int(header["s_nodes"]), out_times=times,
-    )
-    rows = np.loadtxt(path, ndmin=2)
-    index = rows[:, :-1].astype(np.intp).T
-    blocks = np.zeros((len(spec.out_times),) + (space.n,) * spec.q)
-    for perm in itertools.permutations(index[1:]):
-        blocks[(index[0],) + perm] = rows[:, -1]
-    return spec, blocks, bool(int(header["calibrated"]))

@@ -1,6 +1,5 @@
-"""Malliavin derivatives of the driver and of the SDE solution, the
-Malliavin matrix, Taylor-shifted drivers, and the hypothesis diagnostics
-used by the density studies.
+"""Malliavin derivative of the SDE solution, the Malliavin matrix,
+Taylor-shifted drivers and difference quotients of the discrete flow.
 
 The solution derivative is assembled from the variational triangle by the
 Hilbert-valued left-point representation DX_t^k = sum_l int_0^t
@@ -10,15 +9,14 @@ is the exact gradient of the discrete Euler flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, InvalidDimensionError, OutOfRangeError, SpaceMismatchError
+from .errors import BlowupError, InvalidDimensionError, SpaceMismatchError
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert, shift_omega
 from .chaos import SymTensor, taylor_shift
-from .hermite import DrivingPath, GridDriver, HermiteSpec, KernelField, build_kernels
+from .hermite import DrivingPath, GridDriver, KernelField
 from .sde import SdeCoefficients, SolutionBundle, solve_euler, solve_theta_all
 from .young import rs_integral_hvalued
 
@@ -39,22 +37,6 @@ class MalliavinMatrix:
     gamma: np.ndarray
     det: float
     min_eig: float
-
-
-def driver_derivative(field: KernelField, w: GaussianDraw, ti: int, ell: int) -> HilbertVec:
-    """DF_t^ell as a Hilbert vector: entry r = q * I_{q-1}(f_t^ell(., r)).
-
-    Supported on the component-ell block; zero on cells at or beyond t.
-    """
-    spec = field.spec
-    space = spec.space
-    if w.space != space:
-        raise SpaceMismatchError("draw built over a different discretization")
-    if not 0 <= ell < space.m:
-        raise OutOfRangeError(f"component {ell} out of range")
-    coords = np.zeros(space.basis_dim)
-    space.components(coords)[ell] = field.evaluate(ti, space.components(w.xi)[ell:ell + 1])[1][0]
-    return HilbertVec(space, coords)
 
 
 def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
@@ -127,58 +109,6 @@ def shifted_driver(field: KernelField, w: GaussianDraw, h: HilbertVec, eps: floa
             f = SymTensor(sub, spec.q, field.blocks[ti])
             values[ti, ell] = taylor_shift(f, w_sub, h_sub, eps)
     return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
-
-
-def holder_slope(field: KernelField) -> float:
-    """Log-log slope of ||f_t - f_s|| against |t - s| over time pairs."""
-    T = len(field.spec.out_times)
-    if T < 3:
-        raise InvalidDimensionError("need at least 3 output times for a slope fit")
-    xs, ys = [], []
-    for i in range(T):
-        for j in range(i + 1, T):
-            gap = field.spec.out_times[j] - field.spec.out_times[i]
-            diff2 = field.inner(i, i) + field.inner(j, j) - 2.0 * field.inner(i, j)
-            diff = math.sqrt(max(diff2, 0.0))
-            if diff > 0:
-                xs.append(np.log(gap))
-                ys.append(np.log(diff))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def hypothesis_checks(spec: HermiteSpec, coeffs: SdeCoefficients,
-                      states: np.ndarray, field: KernelField = None,
-                      h5_integrand=None, dfields: np.ndarray = None,
-                      times: np.ndarray = None) -> dict:
-    """Diagnostic report for the standing hypotheses.
-
-    Keys:
-      holder_slope      regularity exponent fit of kernel increments,
-                        to compare with H (driver Holder scale)
-      sigma_min_sv      min singular value of sigma over visited states
-      h5_premise        ||sum_i Y(s_i) (DF_{i+1} - DF_i)|| for the supplied
-                        test integrand, or None; reported without verdict
-    """
-    report = {}
-    if field is None:
-        dyadic = tuple(spec.space.hi * k / 16.0 for k in range(1, 17))
-        probe_spec = HermiteSpec(q=spec.q, H=spec.H, m=spec.m, space=spec.space,
-                                 s_nodes=spec.s_nodes, out_times=dyadic)
-        field = build_kernels(probe_spec)
-    report["holder_slope"] = holder_slope(field)
-
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    svs = [np.linalg.svd(coeffs.eval_sigma(x), compute_uv=False)[-1] for x in states]
-    report["sigma_min_sv"] = float(np.min(svs)) if svs else float("nan")
-    report["sigma_flag"] = bool(report["sigma_min_sv"] < 1e-8)
-
-    if h5_integrand is not None and dfields is not None and times is not None:
-        y = [float(h5_integrand(t)) for t in times]
-        acc = rs_integral_hvalued(times, y, dfields[:, 0, :], tol=0.0).value
-        report["h5_premise"] = float(np.linalg.norm(acc))
-    else:
-        report["h5_premise"] = None
-    return report
 
 
 def directional_quotient(coeffs: SdeCoefficients, x0, gd: GridDriver, w: GaussianDraw,

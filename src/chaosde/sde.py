@@ -14,9 +14,8 @@ sum_i Theta_t(s_i) dpsi_i the exact derivative of the discrete flow:
 Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step Jacobians of steps
 i+1 .. t-1 (the step at s_i itself enters through the increment, not
 through Theta).  The one-step Jacobians are evaluated once for all steps
-(_step_jacobians); the whole triangle is filled from them column by
-column in O(steps^2) memory, while a directional derivative needs only
-the forward tangent recursion over them, in O(steps) memory.
+(_step_jacobians), and the whole triangle is filled from them column by
+column in O(steps^2) memory.
 """
 
 from __future__ import annotations
@@ -203,13 +202,6 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     return batch if F.ndim == 3 else batch.path(0)
 
 
-def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
-    """I + db(x) dt + dsigma(x).dF, the one-step state Jacobian."""
-    J = np.eye(coeffs.d) + coeffs.eval_db(x) * dt
-    J += np.einsum("klp,l->kp", coeffs.eval_dsigma(x), dF)
-    return J
-
-
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
     j < steps, stacked to shape (steps, d, d): one db and one dsigma call
@@ -223,44 +215,18 @@ def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarr
     return jac
 
 
-def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -> np.ndarray:
-    """One row of the variational triangle: Theta_{t_j}(t_s) for all j.
-
-    Theta(s, s) = sigma(X_s); for j > s the initial matrix is propagated by
-    the Jacobians of steps s+1 .. j-1, so the first increment after s is
-    skipped.  With this convention the left-point representation of the
-    Frechet derivative is the exact derivative of the discrete flow.
-    Entries with j < s are zero.
-    """
-    N = bundle.steps
-    if not 0 <= s_index <= N:
-        raise InvalidDimensionError(f"s_index {s_index} outside grid")
-    row = np.zeros((N + 1, coeffs.d, coeffs.m))
-    sig = coeffs.eval_sigma(bundle.X[s_index])
-    row[s_index] = sig
-    cur = sig
-    for j in range(s_index + 1, N + 1):
-        row[j] = cur
-        if j < N:
-            dt = bundle.times[j + 1] - bundle.times[j]
-            dF = bundle.driver_values[j + 1] - bundle.driver_values[j]
-            cur = _step_jacobian(coeffs, bundle.X[j], dt, dF) @ cur
-        if not np.all(np.isfinite(row[j])):
-            raise BlowupError(f"non-finite variational state at step {j}", step=j)
-    return row
-
-
 def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> SolutionBundle:
     """Fill the full (s, t) triangle column by column.
 
     Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
-    and J_j Theta[:j, j] in the rows above: the entries solve_theta builds
-    row by row.  sigma(X_j) comes from the Euler steps (only sigma(X_N) is
-    evaluated here) and the step Jacobians J_j are evaluated once for all
-    steps.  The buffer is laid out as columns[j, k, i, l] = theta[i, j, k, l],
-    so column j is one contiguous (d, (steps+1) m) matrix and J_j times the
-    rows above the diagonal is one GEMM per column, written in place; the
-    sigma entries go in by two assignments before the recursion.  The
+    and J_j Theta[:j, j] in the rows above: the entries the row oracle
+    `solve_theta` (tests/oracles.py) builds row by row.  sigma(X_j) comes
+    from the Euler steps (only sigma(X_N) is evaluated here) and the step
+    Jacobians J_j are evaluated once for all steps.  The buffer is laid out
+    as columns[j, k, i, l] = theta[i, j, k, l], so column j is one
+    contiguous (d, (steps+1) m) matrix and J_j times the rows above the
+    diagonal is one GEMM per column, written in place; the sigma entries
+    go in by two assignments before the recursion.  The
     triangle takes O(steps^2) memory.  A non-finite entry reaches every
     later column, so one scan after the recursion finds the first column
     that holds one and raises BlowupError there; the invalid operations
@@ -286,30 +252,6 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
         raise BlowupError(f"non-finite variational state at step {step}", step=step)
     bundle.theta = columns.transpose(2, 0, 1, 3)
     return bundle
-
-
-def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) -> np.ndarray:
-    """Directional Frechet derivative path: sum_l int_0^t Theta_t(s) dpsi_s^l.
-
-    psi is an R^m path on the solver grid, shape (steps+1, m); returns an
-    R^d path.  Left-point sums at full grid resolution, matching the Theta
-    convention, by the forward tangent recursion y_0 = 0, y_{j+1} = J_j y_j
-    + sigma(X_j) dpsi_j over the one-step Jacobians: O(steps) work and
-    memory, no triangle.  A non-finite entry raises BlowupError at its step.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (bundle.times.shape[0], coeffs.m):
-        raise InvalidDimensionError("psi must be an R^m path on the solver grid")
-    jac = _step_jacobians(coeffs, bundle)
-    drive = np.einsum("jkl,jl->jk", bundle.sigma, np.diff(psi, axis=0))
-    out = np.zeros((bundle.steps + 1, coeffs.d))
-    for j in range(bundle.steps):
-        out[j + 1] = jac[j] @ out[j] + drive[j]
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if bad.any():
-        step = int(np.argmax(bad))
-        raise BlowupError(f"non-finite tangent state at step {step}", step=step)
-    return out
 
 
 def _constant(value):
@@ -343,10 +285,12 @@ def _elliptic_b(x):
 
 def _elliptic_db(x):
     # float_power squares through pow, as a scalar ** 2 does; an array ** 2
-    # multiplies, which differs from pow in the last bit at some states
+    # multiplies, which differs from pow in the last bit at some states.
+    # cosh overflows at huge states, where 0.1 / inf = 0 is the derivative
     out = np.zeros(np.shape(x)[:-1] + (2, 2), dtype=np.result_type(x, float))
-    out[..., 0, 1] = 0.1 / np.float_power(np.cosh(x[..., 1]), 2.0)
-    out[..., 1, 0] = 0.1 / np.float_power(np.cosh(x[..., 0]), 2.0)
+    with np.errstate(over="ignore"):
+        out[..., 0, 1] = 0.1 / np.float_power(np.cosh(x[..., 1]), 2.0)
+        out[..., 1, 0] = 0.1 / np.float_power(np.cosh(x[..., 0]), 2.0)
     return out
 
 

@@ -12,16 +12,11 @@ coordinate translation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmbeddingError,
-    InvalidDimensionError,
-    OutOfRangeError,
-    SpaceMismatchError,
-)
+from .errors import InvalidDimensionError, SpaceMismatchError
 
 
 @dataclass(frozen=True)
@@ -94,35 +89,6 @@ class GaussianDraw:
         object.__setattr__(self, "xi", xi)
 
 
-@dataclass(frozen=True)
-class HolderConfig:
-    """Regularity exponents used by the pathwise solver machinery.
-
-    Constraints: 1/2 < H < 1, 0 < beta < H - 1/2, alpha = 1 - (H - beta),
-    0 < gamma < beta.
-    """
-
-    H: float
-    beta: float = field(default=None)  # type: ignore[assignment]
-    gamma: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not 0.5 < self.H < 1.0:
-            raise OutOfRangeError(f"H must lie in (1/2, 1), got {self.H}")
-        beta = self.beta if self.beta is not None else (self.H - 0.5) / 2
-        if not 0.0 < beta < self.H - 0.5:
-            raise OutOfRangeError(f"beta must lie in (0, H - 1/2), got {beta}")
-        gamma = self.gamma if self.gamma is not None else beta / 2
-        if not 0.0 < gamma < beta:
-            raise OutOfRangeError(f"gamma must lie in (0, beta), got {gamma}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 - (self.H - self.beta)
-
-
 def make_hilbert(m: int, lo: float, hi: float, n: int) -> HilbertDisc:
     """Build the discretized Hilbert space; validates dimensions."""
     if not (lo < hi):
@@ -137,60 +103,6 @@ def make_hilbert(m: int, lo: float, hi: float, n: int) -> HilbertDisc:
 def _check_same_space(a, b):
     if a.space != b.space:
         raise SpaceMismatchError("operands live over different discretizations")
-
-
-def basis_vector(space: HilbertDisc, index: int) -> HilbertVec:
-    coords = np.zeros(space.basis_dim)
-    coords[index] = 1.0
-    return HilbertVec(space, coords)
-
-
-def inner(u: HilbertVec, v: HilbertVec) -> float:
-    """Hilbert-space inner product (dot product in the orthonormal basis)."""
-    _check_same_space(u, v)
-    return float(u.coords @ v.coords)
-
-
-def embed_function(space: HilbertDisc, f) -> HilbertVec:
-    """Coordinates of a function against the normalized-indicator basis.
-
-    Convention: coordinate (ell, cell) = f(midpoint)[ell] * sqrt(delta),
-    the first-order approximation of the cell integral over sqrt(delta).
-    `f` maps a scalar time to a length-m sequence (a scalar is accepted
-    when m == 1).
-    """
-    mids = space.cell_midpoints()
-    coords = np.empty(space.basis_dim)
-    cells = space.components(coords)
-    root_delta = np.sqrt(space.delta)
-    for i, t in enumerate(mids):
-        val = np.atleast_1d(np.asarray(f(t), dtype=float))
-        if val.shape != (space.m,):
-            raise EmbeddingError(
-                f"f({t}) returned shape {val.shape}, expected ({space.m},)"
-            )
-        if not np.all(np.isfinite(val)):
-            raise EmbeddingError(f"f({t}) is not finite")
-        cells[:, i] = val * root_delta
-    return HilbertVec(space, coords)
-
-
-def cameron_martin_path(space: HilbertDisc, h: HilbertVec, t: float) -> np.ndarray:
-    """Value at time t of the primitive j(h): t -> (int_0^t h^1, ..., int_0^t h^m).
-
-    The boundary cells at 0 and t contribute linearly with the covered
-    fraction, consistent with first-order (Euler) accuracy.
-    """
-    if h.space != space:
-        raise SpaceMismatchError("h lives over a different discretization")
-    if not (space.lo <= 0.0 <= t <= space.hi):
-        raise OutOfRangeError(f"need lo <= 0 <= t <= hi, got t={t}")
-    edges = space.cell_edges()
-    # fraction of each cell covered by (0, t]
-    overlap = np.clip(np.minimum(edges[1:], t) - np.maximum(edges[:-1], 0.0), 0.0, None)
-    frac = overlap / space.delta
-    # a stacked (1, n) @ (n,) product keeps each component's dot product
-    return np.sqrt(space.delta) * (space.components(h.coords)[:, None, :] @ frac)[:, 0]
 
 
 def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:
@@ -220,11 +132,6 @@ def draw_blocks(space: HilbertDisc, seeds):
         yield draws, space.components(np.array([w.xi for w in draws]))
 
 
-def zero_draw(space: HilbertDisc) -> GaussianDraw:
-    """All-zero coordinates; handy for deterministic checks."""
-    return GaussianDraw(space=space, xi=np.zeros(space.basis_dim), seed=-1)
-
-
 def iso_gaussian(g: HilbertVec, w: GaussianDraw) -> float:
     """Isonormal evaluation X_g(w) = <g, xi>; linear in g, N(0, |g|^2) in law."""
     _check_same_space(g, w)
@@ -235,7 +142,7 @@ def shift_omega(w: GaussianDraw, eps: float, h: HilbertVec) -> GaussianDraw:
     """Translate the draw by eps * h in coordinates.
 
     This realizes omega + eps * j(h) exactly in the discrete model:
-    iso_gaussian(g, shifted) == iso_gaussian(g, w) + eps * inner(g, h)
+    iso_gaussian(g, shifted) == iso_gaussian(g, w) + eps * <g, h>
     to machine precision.
     """
     _check_same_space(h, w)

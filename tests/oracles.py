@@ -1,17 +1,24 @@
 """Test oracles that share no code with the library recursions they check,
 the loops that faster library code replaced (among them the per-value
-writers of the output tables), and a component-independence check that
-addresses the basis by raw index."""
+writers of the output tables), a component-independence check that
+addresses the basis by raw index, and the reference implementations the
+library is compared against: the row-by-row Theta, the forward tangent
+recursion, the pointwise kernel, the non-central limit paths, the
+elementary power value and the reader of the kernels.txt dump."""
 
 import csv
+import itertools
+import math
 
 import numpy as np
 
+from chaosde.chaos import _check_order, hermite_poly
 from chaosde.density import euler_batches
-from chaosde.errors import BlowupError
-from chaosde.hermite import GridDriver, build_kernels, simulate_path
-from chaosde.sde import _step_jacobians
-from chaosde.wiener import HilbertVec, sample_omega, shift_omega
+from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
+from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, hurst_aux, simulate_path
+from chaosde.sde import SdeCoefficients, SolutionBundle, _step_jacobians
+from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
+                            shift_omega)
 
 #: size of the imaginary Cameron-Martin step: far below every rounding
 #: error, and Im of a result divided by it is the exact derivative
@@ -164,3 +171,163 @@ def kde_csv_loop(estimate, fh):
     fh.write("x,density\n")
     for x, v in zip(estimate.grid, estimate.values):
         fh.write(f"{x:.17g},{v:.17g}\n")
+
+
+def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
+    """I + db(x) dt + dsigma(x).dF, the one-step state Jacobian."""
+    J = np.eye(coeffs.d) + coeffs.eval_db(x) * dt
+    J += np.einsum("klp,l->kp", coeffs.eval_dsigma(x), dF)
+    return J
+
+
+def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -> np.ndarray:
+    """One row of the variational triangle: Theta_{t_j}(t_s) for all j.
+
+    Theta(s, s) = sigma(X_s); for j > s the initial matrix is propagated by
+    the Jacobians of steps s+1 .. j-1, so the first increment after s is
+    skipped.  With this convention the left-point representation of the
+    Frechet derivative is the exact derivative of the discrete flow.
+    Entries with j < s are zero.
+    """
+    N = bundle.steps
+    if not 0 <= s_index <= N:
+        raise InvalidDimensionError(f"s_index {s_index} outside grid")
+    row = np.zeros((N + 1, coeffs.d, coeffs.m))
+    sig = coeffs.eval_sigma(bundle.X[s_index])
+    row[s_index] = sig
+    cur = sig
+    for j in range(s_index + 1, N + 1):
+        row[j] = cur
+        if j < N:
+            dt = bundle.times[j + 1] - bundle.times[j]
+            dF = bundle.driver_values[j + 1] - bundle.driver_values[j]
+            cur = _step_jacobian(coeffs, bundle.X[j], dt, dF) @ cur
+        if not np.all(np.isfinite(row[j])):
+            raise BlowupError(f"non-finite variational state at step {j}", step=j)
+    return row
+
+
+def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) -> np.ndarray:
+    """Directional Frechet derivative path: sum_l int_0^t Theta_t(s) dpsi_s^l.
+
+    psi is an R^m path on the solver grid, shape (steps+1, m); returns an
+    R^d path.  Left-point sums at full grid resolution, matching the Theta
+    convention, by the forward tangent recursion y_0 = 0, y_{j+1} = J_j y_j
+    + sigma(X_j) dpsi_j over the one-step Jacobians: O(steps) work and
+    memory, no triangle.  A non-finite entry raises BlowupError at its step.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (bundle.times.shape[0], coeffs.m):
+        raise InvalidDimensionError("psi must be an R^m path on the solver grid")
+    jac = _step_jacobians(coeffs, bundle)
+    drive = np.einsum("jkl,jl->jk", bundle.sigma, np.diff(psi, axis=0))
+    out = np.zeros((bundle.steps + 1, coeffs.d))
+    for j in range(bundle.steps):
+        out[j + 1] = jac[j] @ out[j] + drive[j]
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if bad.any():
+        step = int(np.argmax(bad))
+        raise BlowupError(f"non-finite tangent state at step {step}", step=step)
+    return out
+
+
+def kernel_eval(spec: HermiteSpec, t: float, xs) -> float:
+    """Pointwise kernel value L_t(x_1..x_q).
+
+    q = 1 uses the closed antiderivative; q >= 2 uses midpoint quadrature
+    with s_nodes nodes on (max_j x_j v 0, t].  Zero when any x_j >= t.
+    """
+    if not 0.0 < t <= spec.space.hi:
+        raise OutOfRangeError(f"t must lie in (0, hi], got {t}")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.shape != (spec.q,):
+        raise InvalidDimensionError(f"expected {spec.q} arguments, got {xs.shape}")
+    if np.any(xs >= t):
+        return 0.0
+    H0, c = hurst_aux(spec.H, spec.q)
+    if spec.q == 1:
+        x = float(xs[0])
+        p = H0 - 0.5
+        return c / p * (max(t - x, 0.0) ** p - max(-x, 0.0) ** p)
+    lo_s = max(float(np.max(xs)), 0.0)
+    s = lo_s + (t - lo_s) * (np.arange(spec.s_nodes) + 0.5) / spec.s_nodes
+    w = (t - lo_s) / spec.s_nodes
+    vals = np.prod(np.clip(s[:, None] - xs[None, :], 0.0, None) ** (H0 - 1.5), axis=1)
+    return float(c * w * vals.sum())
+
+
+
+def _fgn_covariance(H0: float, N: int) -> np.ndarray:
+    k = np.arange(N)
+    r = 0.5 * (
+        np.abs(k + 1.0) ** (2.0 * H0)
+        - 2.0 * np.abs(k) ** (2.0 * H0)
+        + np.abs(k - 1.0) ** (2.0 * H0)
+    )
+    idx = np.abs(k[:, None] - k[None, :])
+    return r[idx]
+
+
+def nclt_factor(spec: HermiteSpec, steps_per_unit: int):
+    """Cholesky factor of the underlying Gaussian sequence and the norm A_N.
+
+    The oracle path is Z_t = A_N^{-1} sum_{i <= floor(N t)} H_q(X_i) with
+    X long-range-dependent of Hurst H0; A_N makes Var(Z at the last output
+    time) match its self-similar value exactly.
+    """
+    t_max = spec.out_times[-1]
+    N_tot = int(math.ceil(steps_per_unit * t_max))
+    cov = _fgn_covariance(hurst_aux(spec.H, spec.q)[0], N_tot)
+    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(N_tot))
+    # exact variance of the last partial sum of H_q(X): q! sum r(i-j)^q
+    var_last = math.factorial(spec.q) * float(np.sum(cov**spec.q))
+    A = math.sqrt(var_last) / t_max**spec.H
+    return chol, A
+
+
+def nclt_paths(spec: HermiteSpec, seeds, steps_per_unit: int = 256) -> np.ndarray:
+    """Independent marginal-law oracle via normalized Hermite partial sums,
+    shape (len(seeds), T, m).
+
+    Shares no coupling with simulate_path: only marginal statistics are
+    comparable, not pathwise values.
+    """
+    seeds = list(seeds)
+    chol, A = nclt_factor(spec, steps_per_unit)
+    N_tot = chol.shape[0]
+    K = [min(int(math.floor(steps_per_unit * t)), N_tot) for t in spec.out_times]
+    out = np.empty((len(seeds), len(spec.out_times), spec.m))
+    for k, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        for ell in range(spec.m):
+            X = chol @ rng.standard_normal(N_tot)
+            hsum = np.concatenate([[0.0], np.cumsum(hermite_poly(spec.q, X))])
+            out[k, :, ell] = hsum[K] / A
+    return out
+
+
+
+def import_kernels(path: str) -> tuple:
+    """Read an export_kernels dump: (spec, dense blocks, calibrated), filled
+    by symmetry as `KernelField.blocks` is."""
+    with open(path) as fh:
+        lines = [line[1:].split() for line in fh if line.startswith("#")]
+    header = dict(tok.split("=", 1) for parts in lines for tok in parts if "=" in tok)
+    times = next(tuple(float(x) for x in parts[1:]) for parts in lines if parts[0] == "times")
+    space = make_hilbert(int(header["m"]), float(header["lo"]), float(header["hi"]), int(header["n"]))
+    spec = HermiteSpec(
+        q=int(header["q"]), H=float(header["H"]), m=int(header["m"]), space=space,
+        s_nodes=int(header["s_nodes"]), out_times=times,
+    )
+    rows = np.loadtxt(path, ndmin=2)
+    index = rows[:, :-1].astype(np.intp).T
+    blocks = np.zeros((len(spec.out_times),) + (space.n,) * spec.q)
+    for perm in itertools.permutations(index[1:]):
+        blocks[(index[0],) + perm] = rows[:, -1]
+    return spec, blocks, bool(int(header["calibrated"]))
+
+
+def elementary_power_value(g: HilbertVec, q: int, w: GaussianDraw) -> float:
+    """Oracle for I_q(g^{(.)q}) = H_q(X_g; |g|^2) = |g|^q H_q(X_g / |g|)."""
+    _check_order(q)
+    return float(hermite_poly(q, iso_gaussian(g, w), g.norm() ** 2))

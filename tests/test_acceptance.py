@@ -157,17 +157,24 @@ def _diagonal_free(space, q, rng):
 
 
 def test_criterion_04_product_formula():
+    # with the reintegration identity I_q(f) = delta(D I_q(f) / q) on the
+    # same tensors and draws
     space = make_hilbert(1, 0.0, 1.0, 8)
     rng = np.random.default_rng(4)
-    worst = 0.0
+    worst, worst_re = 0.0, 0.0
     for p, q in ((1, 1), (1, 2), (2, 2), (1, 3)):
         f = _diagonal_free(space, p, rng)
         g = _diagonal_free(space, q, rng)
         for seed in range(50):
             w = sample_omega(space, seed)
             worst = max(worst, abs(chaos.product_formula_check(f, g, w)))
-    ok = worst <= 1e-10
-    report(4, "product formula", ok, f"worst residual {worst:.2e} <= 1e-10")
+            for h in (f, g):
+                value = chaos.multiple_integral(h, w)
+                gap = abs(chaos.reintegrate(h, w) - value) / max(1.0, abs(value))
+                worst_re = max(worst_re, gap)
+    ok = worst <= 1e-10 and worst_re <= 1e-10
+    report(4, "product formula", ok, f"worst residual {worst:.2e} <= 1e-10; "
+           f"reintegration rel gap {worst_re:.2e} <= 1e-10")
 
 
 # ---------------------------------------------------------------- criterion 5

@@ -16,16 +16,12 @@ from chaosde.errors import (
     SpaceMismatchError,
     UnsupportedOrderError,
 )
-from chaosde.wiener import (
-    HilbertVec,
-    make_hilbert,
-    sample_omega,
-    shift_omega,
-    zero_draw,
-)
+from chaosde.wiener import GaussianDraw, HilbertVec, make_hilbert, sample_omega, shift_omega
+from oracles import elementary_power_value
 
 SPACE = make_hilbert(1, 0.0, 1.0, 8)
 DIM = SPACE.basis_dim
+ZERO_DRAW = GaussianDraw(SPACE, np.zeros(DIM), seed=-1)
 
 
 def random_tensor(q, seed, space=SPACE):
@@ -76,15 +72,6 @@ def test_order_cap_and_budget():
         chaos.symmetrize(big, np.zeros(1), q=3)
 
 
-def test_tensor_from_vectors_norm():
-    rng = np.random.default_rng(1)
-    u = HilbertVec(SPACE, rng.standard_normal(DIM))
-    t1 = chaos.tensor_from_vectors(SPACE, u)
-    assert t1.norm() == pytest.approx(u.norm())
-    t2 = chaos.tensor_from_vectors(SPACE, u, u)
-    assert t2.norm() == pytest.approx(u.norm() ** 2)
-
-
 def test_contract_against_matrix_algebra():
     f = random_tensor(2, 2)
     g = random_tensor(2, 3)
@@ -110,7 +97,7 @@ def test_multiple_integral_wick_values():
     expected = float(xi @ f2.coeffs @ xi - np.trace(f2.coeffs))
     assert chaos.multiple_integral(f2, w) == pytest.approx(expected)
     # zero draw: I_2 reduces to minus the trace correction
-    assert chaos.multiple_integral(f2, zero_draw(SPACE)) == pytest.approx(
+    assert chaos.multiple_integral(f2, ZERO_DRAW) == pytest.approx(
         -np.trace(f2.coeffs)
     )
     f3 = random_tensor(3, 12)
@@ -132,11 +119,14 @@ def test_elementary_power_oracle(q):
     rng = np.random.default_rng(q)
     for scale in (1.0, 0.0):
         g = HilbertVec(SPACE, scale * rng.standard_normal(DIM))
-        f = chaos.tensor_from_vectors(SPACE, *([g] * q))
+        power = np.array(1.0)
+        for _ in range(q):
+            power = np.multiply.outer(power, g.coords)
+        f = chaos.SymTensor(SPACE, q, power)
         for seed in range(10):
             w = sample_omega(SPACE, seed)
             lhs = chaos.multiple_integral(f, w)
-            rhs = chaos.elementary_power_value(g, q, w)
+            rhs = elementary_power_value(g, q, w)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(rhs)))
 
 
@@ -168,7 +158,7 @@ def test_product_formula_order_cap():
     f = random_tensor(2, 0)
     g = random_tensor(3, 1)
     with pytest.raises(UnsupportedOrderError):
-        chaos.product_formula_check(f, g, zero_draw(SPACE))
+        chaos.product_formula_check(f, g, ZERO_DRAW)
 
 
 def test_malliavin_derivative_first_order():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,8 @@ Q2 = dict(FAST_PROCESS, q=2)
     ("density", bad(run={"M": 10**9}), [], "run.M"),
     ("check", bad(run={"M": 10**9}), [], "run.M"),
     ("selfsim", bad(run={"M": 10**9}), [], "run.M"),
+    # more workers than CPUs, rejected before any pool forks
+    ("density", bad(), ["--workers", str((os.cpu_count() or 1) + 1)], "--workers"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, command, payload, extra, key):
     code, out = run_cli(tmp_path, command, payload, extra=extra)
@@ -455,3 +458,55 @@ def test_selfsim_needs_a_whole_cell_in_the_window(tmp_path, capsys, q):
     code, out = run_cli(tmp_path, "selfsim", {"process": {"q": q, "n": 36}, "run": {"M": 20}})
     assert code == 0
     assert (out / "selfsim_report.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, t", [
+    # t^{2H} overflows in the calibration target
+    ("check", {"run": {"out_times": [1e300]}}, "1e+300"),
+    ("simulate", {"run": {"out_times": [1e300]}}, "1e+300"),
+    # the q = 1 antiderivative over cells of width 6e298 overflows to NaN
+    ("simulate", {"process": {"L": 1e300, "n": 16}}, "0.25"),
+    # the solver-grid driver's targets, at its first grid time
+    ("solve", {"sde": {"T": 1e300}}, "7.8125e+297"),
+    # delta^{-3/2} of cells 1.25e-301 wide overflows at q = 3
+    ("simulate", {"process": {"L": 1e-300, "q": 3, "n": 16}, "run": {"out_times": [1e-300]}},
+     "1e-300"),
+])
+def test_overflowing_kernel_exits_3(tmp_path, capsys, command, payload, t):
+    # a named numeric failure before any output, with no traceback, no
+    # NaN written and no warning on the way
+    code, out = run_cli(tmp_path, command, payload)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: kernel at t={t} is not finite: its factors or norm overflow\n"
+    assert not out.exists()
+
+
+def test_files_do_not_depend_on_workers_or_out(tmp_path, monkeypatch):
+    # header lines included: the config hash covers the process, sde and run
+    # settings, not the worker count or the output directory
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, {"process": dict(FAST_PROCESS, n=32),
+                                  "sde": {"preset": "elliptic-2d", "steps": 16},
+                                  "run": {"M": 100}})
+    outs = [tmp_path / "serial", tmp_path / "parallel"]
+    for out, workers in zip(outs, ("1", "2")):
+        assert main(["density", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["ensemble.csv", "kde.csv", "positivity.json"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_density_on_a_huge_state_warns_nothing(tmp_path):
+    # cosh overflows in the drift derivative (0.1 / inf = 0 is right there)
+    # and the KDE's mean overflows (the non-finite spread makes the law
+    # degenerate); this test runs with warnings as errors
+    payload = {"process": {"n": 32, "L": 4.0},
+               "sde": {"preset": "elliptic-2d", "x0": [1e308, -1e308], "steps": 16},
+               "run": {"M": 100}}
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    report = _strict_json("\n".join((out / "positivity.json").read_text().splitlines()[1:]))
+    assert report["degenerate"]

@@ -1,5 +1,5 @@
 """Hermite driver kernels: constants, pointwise values, blocks, simulation,
-covariance, the central-limit oracle, self-similarity and Holder norms."""
+covariance, the central-limit oracle and self-similarity."""
 
 import io
 import itertools
@@ -17,7 +17,7 @@ from chaosde.errors import (
     SpaceMismatchError,
     UnsupportedOrderError,
 )
-from chaosde.wiener import DRAW_BLOCK, HolderConfig, make_hilbert, sample_omega, zero_draw
+from chaosde.wiener import DRAW_BLOCK, GaussianDraw, make_hilbert, sample_omega
 from chaosde.chaos import hermite_poly
 from chaosde import hermite
 from chaosde.hermite import (
@@ -29,17 +29,13 @@ from chaosde.hermite import (
     build_kernels,
     covariance_theoretical,
     export_kernels,
-    holder_norms,
     hurst_aux,
-    import_kernels,
-    kernel_eval,
-    nclt_paths,
     self_similarity_stat,
     simulate_path,
     simulate_paths,
 )
 from chaosde.textio import export_paths
-from oracles import canonical_gemm, dense_block
+from oracles import canonical_gemm, dense_block, import_kernels, kernel_eval, nclt_paths
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -124,7 +120,7 @@ def test_blocks_calibrated_norm_and_adapted(q):
     field = build_kernels(spec)
     for ti, t in enumerate(spec.out_times):
         target = math.sqrt(t ** (2 * spec.H) / math.factorial(q))
-        assert field.norm_at(ti) == pytest.approx(target, rel=1e-12)
+        assert math.sqrt(field.inner(ti, ti)) == pytest.approx(target, rel=1e-12)
         block = field.blocks[ti]
         # adaptedness: cells with midpoint at or past t carry nothing
         dead = spec.space.cell_midpoints() >= t
@@ -164,6 +160,10 @@ def test_block_q1_matches_pointwise_kernel():
     mid = spec.space.cell_midpoints()[i]
     expected = kernel_eval(spec, 1.0, [mid]) * math.sqrt(spec.space.delta)
     assert field.blocks[0][i] == pytest.approx(expected, rel=1e-3)
+
+
+def zero_draw(space):
+    return GaussianDraw(space, np.zeros(space.basis_dim), seed=-1)
 
 
 def test_simulate_path_zero_draw():
@@ -208,8 +208,6 @@ def test_factored_matches_dense_chaos(q, m):
     # the factored value and derivative equal the dense chaos calculus
     # applied to the blocks they describe
     from chaosde import chaos
-    from chaosde.malliavin import driver_derivative
-    from chaosde.wiener import GaussianDraw
 
     n = 24 if q == 3 else 48
     spec = small_spec(q=q, n=n, m=m, out_times=(0.25, 0.5, 1.0))
@@ -225,7 +223,7 @@ def test_factored_matches_dense_chaos(q, m):
                 f = chaos.SymTensor(sub, q, field.blocks[ti])
                 want[ti, ell] = chaos.multiple_integral(f, w_sub)
                 d_want = chaos.malliavin_derivative(f, w_sub, 1)
-                d_got = spec.space.components(driver_derivative(field, w, ti, ell).coords)[ell]
+                d_got = field.evaluate(ti, spec.space.components(w.xi))[1][ell]
                 assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -622,40 +620,6 @@ def test_self_similarity_q2_law_small():
     lhs, rhs = self_similarity_stat(spec, 1.0, 0.25, range(300), range(10_000, 10_300))
     # medians of the two laws agree to ~10% at this sample size
     assert np.median(lhs) == pytest.approx(np.median(rhs), rel=0.25)
-
-
-def test_holder_norms_constant_and_linear():
-    cfg = HolderConfig(0.7)
-    times = np.linspace(0.0, 1.0, 65)
-    c_theta, w1, w2 = holder_norms(times, np.full((65, 1), 3.0), cfg)
-    assert c_theta == pytest.approx(3.0)
-    assert w1 == pytest.approx(3.0)
-    assert w2 == pytest.approx(0.0, abs=1e-12)
-    # linear path f(t) = 2t with theta = 1: sup quotient is the slope
-    c_theta, _, _ = holder_norms(times, 2.0 * times[:, None], cfg, theta=1.0)
-    assert c_theta == pytest.approx(4.0)
-
-
-def test_holder_norms_layout():
-    # one row per time: a (2, 9) array over 9 times is rejected, not
-    # transposed; 1-D values are one column; the norms are Python floats
-    cfg = HolderConfig(0.7)
-    times = np.linspace(0.0, 1.0, 9)
-    path = np.sin(3.0 * times)
-    with pytest.raises(InvalidDimensionError):
-        holder_norms(times, np.stack([path, path]), cfg)
-    with pytest.raises(InvalidDimensionError):
-        holder_norms(times, path[:, None, None], cfg)
-    norms = holder_norms(times, path, cfg)
-    assert norms == holder_norms(times, path[:, None], cfg)
-    assert all(type(v) is float for v in norms)
-
-
-def test_holder_norms_requires_uniform_grid():
-    cfg = HolderConfig(0.7)
-    times = np.concatenate([np.linspace(0, 0.5, 8), [1.0]])
-    with pytest.raises(InvalidDimensionError):
-        holder_norms(times, np.zeros((9, 1)), cfg)
 
 
 def test_grid_driver_calibrated_variance_q1():

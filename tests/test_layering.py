@@ -1,6 +1,8 @@
 """Module layering of the package: every import between chaosde modules,
-function-local ones included, goes down the table below; and the package
-imports no third-party module but those `pyproject.toml` declares."""
+function-local ones included, goes down the table below; the package
+imports no third-party module but those `pyproject.toml` declares; and
+every public name of the package is reached from somewhere other than its
+own unit tests."""
 
 import ast
 import os
@@ -12,7 +14,8 @@ import sys
 import chaosde
 
 PACKAGE = pathlib.Path(chaosde.__file__).parent
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 #: module -> the modules it may import from; "__init__" is the package itself
 ALLOWED = {"errors": set(), "textio": set()}
@@ -172,3 +175,83 @@ def test_density_command_leaves_numpy_ma_unloaded(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}, '--workers', '1']) == 0\n")
     assert "chaosde.density" in loaded
     assert "numpy.ma" not in loaded
+
+
+#: the code whose names reach the package's public surface, besides the
+#: package itself: the benchmark and tools (not perfbench/out/, which holds
+#: the run outputs), the test oracles and the acceptance criteria
+REACHING = ("perfbench/*.py", "tools/*.py", "tests/oracles.py", "tests/test_acceptance.py")
+#: public names that only their own unit tests reach: none
+UNREACHED_ALLOWED = set()
+
+
+def public_definitions(tree: ast.Module) -> list:
+    """(qualified name, node) of every public top-level function and class
+    of the module and every public method or property of those classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    found.append((f"{node.name}.{sub.name}", sub))
+    return found
+
+
+def named(tree: ast.AST, skip: ast.AST = None) -> set:
+    """The identifiers of every Name and Attribute node of tree outside the
+    subtree skip: docstrings and comments name nothing."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreached(package: pathlib.Path, reaching) -> list:
+    """module.name of every public definition in the package that no code
+    names, outside the definition itself, in the package or in the files
+    reaching."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    outside = set().union(*(named(ast.parse(path.read_text())) for path in reaching))
+    missing = []
+    for path, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            if node.name in outside or any(
+                    node.name in named(other, skip=node if other is tree else None)
+                    for other in trees.values()):
+                continue
+            missing.append(f"{path.stem}.{qualified}")
+    return missing
+
+
+def test_every_public_name_is_reached():
+    # a name that only its own unit tests call is test-only code: it belongs
+    # in tests/oracles.py if it is a reference implementation, and nowhere
+    # otherwise
+    reaching = [path for pattern in REACHING for path in sorted(ROOT.glob(pattern))]
+    assert sorted(unreached(PACKAGE, reaching)) == sorted(UNREACHED_ALLOWED)
+
+
+def test_reachability_scan(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    '''calls itself only; orphan is named in text alone'''\n"
+        "    return recursive(n - 1)  # orphan\n"
+        "def orphan():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Box:\n    def read(self):\n        return Box()\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def _hidden(self):\n        pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("import a\na.used()\nb = a.Box()\nb.read\n")
+    assert unreached(package, [caller]) == ["a.recursive", "a.orphan", "a.Box.size"]

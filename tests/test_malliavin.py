@@ -1,22 +1,16 @@
 """Malliavin derivatives of driver and solution, the Malliavin matrix,
-shifted drivers and the hypothesis diagnostics."""
-
-import math
+shifted drivers and difference quotients."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaosde.errors import OutOfRangeError, SpaceMismatchError
 from chaosde.wiener import HilbertDisc, HilbertVec, make_hilbert, sample_omega, shift_omega
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, simulate_path
 from chaosde.sde import preset, solve_euler, solve_theta_all
 from chaosde.malliavin import (
     directional_quotient,
-    driver_derivative,
-    holder_slope,
-    hypothesis_checks,
     malliavin_matrix,
     shifted_driver,
     solution_derivative,
@@ -46,22 +40,22 @@ def test_driver_derivative_q1_is_kernel():
     field = build_kernels(spec)
     w = sample_omega(spec.space, 0)
     for ti in range(2):
-        d = driver_derivative(field, w, ti, 0)
-        assert np.allclose(d.coords, field.blocks[ti])
+        d = field.evaluate(ti, spec.space.components(w.xi))[1][0]
+        assert np.allclose(d, field.blocks[ti])
 
 
 def test_driver_derivative_q2_finite_difference():
     spec = make_spec(q=2, n=48)
     field = build_kernels(spec)
     w = sample_omega(spec.space, 1)
-    d = driver_derivative(field, w, 1, 0)
+    d = field.evaluate(1, spec.space.components(w.xi))[1][0]  # m = 1: d spans the basis
     rng = np.random.default_rng(2)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
     eps = 1e-6
     up = simulate_path(field, shift_omega(w, eps, h)).values[1, 0]
     dn = simulate_path(field, shift_omega(w, -eps, h)).values[1, 0]
     fd = (up - dn) / (2 * eps)
-    assert fd == pytest.approx(float(d.coords @ h.coords), abs=1e-6)
+    assert fd == pytest.approx(float(d @ h.coords), abs=1e-6)
 
 
 def test_component_shift_independence():
@@ -82,17 +76,6 @@ def test_component_shift_check_fails_on_an_interleaved_layout(monkeypatch):
     failures = component_shift_failures(spec, np.linspace(0.0, 1.0, 17), range(2))
     assert {claim for _, _, claim in failures} >= {
         "Z^ell kept", "values row ell kept", "deriv_vectors row ell kept"}
-
-
-def test_driver_derivative_validation():
-    spec = make_spec(q=1)
-    field = build_kernels(spec)
-    w = sample_omega(spec.space, 0)
-    with pytest.raises(OutOfRangeError):
-        driver_derivative(field, w, 0, 3)
-    other = make_hilbert(1, -4.0, 1.0, 32)
-    with pytest.raises(SpaceMismatchError):
-        driver_derivative(field, sample_omega(other, 0), 0, 0)
 
 
 def test_solution_derivative_additive():
@@ -137,13 +120,6 @@ def test_shifted_driver_matches_shifted_simulation(q):
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
-def test_holder_slope_near_hurst():
-    spec = make_spec(q=1, n=128, out_times=tuple(k / 8 for k in range(1, 9)))
-    field = build_kernels(spec)
-    slope = holder_slope(field)
-    assert abs(slope - 0.7) <= 0.15
-
-
 def test_directional_quotient_converges():
     coeffs, x0, spec, gd, w, bundle, mf = solve_case("elliptic-2d", 2)
     rng = np.random.default_rng(7)
@@ -173,23 +149,3 @@ def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
         h = rng.standard_normal(spec.space.basis_dim)
         want = complex_step_dx(coeffs, x0, gd, w, h)
         assert np.max(np.abs(mf.dx @ h - want)) <= 1e-13 * np.max(np.abs(mf.dx) @ np.abs(h))
-
-
-def test_hypothesis_checks_report():
-    coeffs, x0, spec2, gd, w, bundle, mf = solve_case("elliptic-2d", 1, n=64)
-    report = hypothesis_checks(
-        spec2, coeffs, bundle.X,
-        h5_integrand=lambda t: 0.0,
-        dfields=gd.deriv_vectors(w), times=gd.times,
-    )
-    assert abs(report["holder_slope"] - 0.7) <= 0.15
-    assert report["sigma_min_sv"] >= 0.8
-    assert not report["sigma_flag"]
-    assert report["h5_premise"] == 0.0
-
-
-def test_hypothesis_flags_degenerate_sigma():
-    coeffs, x0 = preset("rank1-2d")
-    spec = make_spec(q=1, m=2, n=32)
-    report = hypothesis_checks(spec, coeffs, np.zeros((1, 2)))
-    assert report["sigma_flag"]

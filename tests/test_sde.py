@@ -1,5 +1,5 @@
-"""Euler solver, variational (Theta) equation, Frechet derivative and the
-coefficient presets."""
+"""Euler solver, variational (Theta) equation against its row and tangent
+oracles, and the coefficient presets."""
 
 import math
 
@@ -12,16 +12,13 @@ from chaosde import sde
 from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError, MemoryBudgetError
 from chaosde.sde import (
     SdeCoefficients,
-    _step_jacobian,
     _step_jacobians,
-    frechet_directional,
     preset,
     solve_euler,
-    solve_theta,
     solve_theta_all,
     validate_derivatives,
 )
-from oracles import theta_columns
+from oracles import _step_jacobian, frechet_directional, solve_theta, theta_columns
 
 
 PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
