@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BlowupError, ConfigError, DegenerateLawError, check_budget
 from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
-from .sde import preset, solve_euler
+from .sde import preset, solve_euler, solve_theta_all
 from .malliavin import malliavin_matrix, solution_derivative
 from .textio import integer_field, value_fields, write_ascii, write_rows
 
@@ -102,15 +102,25 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
 
 def _parallel_chunk(args):
     """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
-    for a blowup: Euler over batches of seeds, the Malliavin matrix per seed."""
+    for a blowup: Euler over batches of seeds, the Malliavin matrix per seed.
+
+    Every sample of the chunk fills the same zeroed Theta buffer and DF
+    buffer (the `out` of `solve_theta_all` and `deriv_vectors`), so the
+    chunk allocates them once instead of once per sample."""
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
+    N, d, m = scenario.steps, coeffs.d, coeffs.m
+    check_budget((N + 1, N + 1, d, m))  # the Theta triangle, as solve_theta_all checks it
+    theta = np.zeros((N + 1, d, N + 1, m))
+    dfields = np.zeros((N + 1, m, spec.space.n))
     out = []
     for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
         for k, w in enumerate(draws):
             try:
                 path = batch.path(k)
-                mf = solution_derivative(coeffs, path, driver.deriv_vectors(w), spec.space)
+                driver.deriv_vectors(w, out=dfields)
+                solve_theta_all(coeffs, path, out=theta)
+                mf = solution_derivative(coeffs, path, dfields, spec.space)
                 mm = malliavin_matrix(mf)
                 out.append((w.seed, path.X[-1], mm.det, mm.min_eig))
             except BlowupError:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the library, and the one dense
-memory budget rule."""
+"""Exception hierarchy shared across the library, the one dense memory
+budget rule and the rule for caller-supplied output buffers."""
 
 import math
 
@@ -46,6 +46,14 @@ def check_budget(shape: tuple):
     if entries > MEMORY_BUDGET_ENTRIES:
         raise MemoryBudgetError(f"dense array of shape {shape} holds {entries} entries, "
                                 f"over the budget of {MEMORY_BUDGET_ENTRIES}")
+
+
+def check_out(out, shape: tuple):
+    """Raise InvalidDimensionError unless out, a caller-supplied output
+    buffer (numpy's out=), is a C-contiguous float64 array of this shape."""
+    if (getattr(out, "shape", None) != shape or getattr(out, "dtype", None) != "float64"
+            or not out.flags.c_contiguous):
+        raise InvalidDimensionError(f"out must be a C-contiguous float64 array of shape {shape}")
 
 
 class ConfigError(ChaosdeError):

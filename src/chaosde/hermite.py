@@ -48,6 +48,7 @@ from .errors import (
     SpaceMismatchError,
     UnsupportedOrderError,
     check_budget,
+    check_out,
 )
 from .wiener import GaussianDraw, HilbertDisc, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
@@ -355,8 +356,9 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     def energies(field, seeds, lo, hi):
         # only cells fully inside the window: a straddling cell carries
         # kernel mass from outside (t-eps, t], which the rescaled side
-        # cannot represent
-        space, tol = field.spec.space, 1e-12
+        # cannot represent; the rounding slack scales with the cells
+        space = field.spec.space
+        tol = 1e-9 * space.delta
         edges = space.cell_edges()
         window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
         if not window.any():  # both sides would be all zeros, equal in law on no data
@@ -420,14 +422,26 @@ class GridDriver:
         out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
         return out * self._rho[:, None]
 
-    def deriv_vectors(self, w: GaussianDraw) -> np.ndarray:
+    def deriv_vectors(self, w: GaussianDraw, out=None) -> np.ndarray:
         """Full DF vectors, shape (len(times), m, n) in component-block coords.
 
         Each cell's increment beta der_w (x) g is written into its row of the
         output and prefix-summed there one contiguous row at a time: the
-        sequential sum of a cumsum over the rows, with no temporaries."""
+        sequential sum of a cumsum over the rows, with no temporaries.
+
+        out, if given, is the output: a C-contiguous float64 array of shape
+        (len(times), m, n) (InvalidDimensionError otherwise), whatever it
+        holds.  Row 0 is reset to 0 and every other row overwritten, so a
+        reused buffer gives the vectors of a fresh one bit for bit; the
+        result is out itself, valid until out is filled again.  Without
+        out the array is allocated."""
+        shape = (self.times.shape[0], self.spec.m, self.spec.space.n)
+        if out is None:
+            out = np.zeros(shape)
+        else:
+            check_out(out, shape)
+            out[0] = 0.0
         _, der_w = _wick_weights(self._g, self._components(w), self.spec.q)
-        out = np.zeros((self.times.shape[0], self.spec.m, self.spec.space.n))
         np.multiply((self._beta * der_w).T[:, :, None], self._g[:, None, :], out=out[1:])
         for i in range(2, out.shape[0]):
             np.add(out[i - 1], out[i], out=out[i])

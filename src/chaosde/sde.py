@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, InvalidDimensionError, check_budget
+from .errors import BlowupError, ConfigError, InvalidDimensionError, check_budget, check_out
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarr
     return jac
 
 
-def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> SolutionBundle:
+def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle, out=None) -> SolutionBundle:
     """Fill the full (s, t) triangle column by column.
 
     Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
@@ -227,17 +227,33 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
     contiguous (d, (steps+1) m) matrix and J_j times the rows above the
     diagonal is one GEMM per column, written in place; the sigma entries
     go in by two assignments before the recursion.  The
-    triangle takes O(steps^2) memory.  A non-finite entry reaches every
-    later column, so one scan after the recursion finds the first column
-    that holds one and raises BlowupError there; the invalid operations
-    (inf - inf) in the columns after it are not reported as warnings.
+    triangle takes O(steps^2) memory.
+
+    out, if given, is that buffer: a C-contiguous float64 array of shape
+    (steps+1, d, steps+1, m) (InvalidDimensionError otherwise) that is zero
+    below the diagonal (columns[j, :, i] for i > j), as np.zeros gives it.
+    Every entry on and above the diagonal is written on every call, also
+    when BlowupError is raised, and none below it, so one zeroed buffer
+    serves any number of paths and gives the triangle of a fresh one bit
+    for bit.  bundle.theta is then a view of out, valid until out is
+    filled again.  Without out the buffer is allocated.
+
+    A non-finite entry reaches every later column, so column N is finite
+    exactly when the triangle is; only when it is not is every column
+    scanned, to raise BlowupError at the first one that holds a non-finite
+    entry.  The invalid operations (inf - inf) in the columns after it are
+    not reported as warnings.
     """
     N = bundle.steps
     d, m = coeffs.d, coeffs.m
-    check_budget((N + 1, N + 1, d, m))
+    if out is None:
+        check_budget((N + 1, N + 1, d, m))
+        out = np.zeros((N + 1, d, N + 1, m))
+    else:
+        check_out(out, (N + 1, d, N + 1, m))
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
     jac = _step_jacobians(coeffs, bundle)
-    columns = np.zeros((N + 1, d, N + 1, m))  # columns[j, k, i, l] = theta[i, j, k, l]
+    columns = out  # columns[j, k, i, l] = theta[i, j, k, l]
     diag = np.arange(N + 1)
     columns[diag, :, diag] = sig  # Theta_{t_j}(t_j) = sigma(X_j)
     columns[diag[1:], :, diag[:-1]] = sig[:-1]  # Theta_{t_{j+1}}(t_j) = sigma(X_j)
@@ -246,9 +262,8 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
         for j in range(2, N + 1):
             above = (j - 1) * m
             np.matmul(jac[j - 1], flat[j - 1, :, :above], out=flat[j, :, :above])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    if not finite.all():
-        step = int(np.argmin(finite))
+    if not np.isfinite(flat[N]).all():
+        step = int(np.argmin(np.isfinite(flat).all(axis=(1, 2))))
         raise BlowupError(f"non-finite variational state at step {step}", step=step)
     bundle.theta = columns.transpose(2, 0, 1, 3)
     return bundle

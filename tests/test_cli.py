@@ -460,6 +460,21 @@ def test_selfsim_needs_a_whole_cell_in_the_window(tmp_path, capsys, q):
     assert (out / "selfsim_report.json").exists()
 
 
+def test_selfsim_window_is_scale_free(tmp_path, capsys):
+    # cells of width 2.5e-301 on the user's grid, wider than the 1e-301
+    # window: the window test's rounding slack scales with the cells, so no
+    # cell fits and the message names the user's grid and window, not the
+    # rescaled right-hand ones
+    payload = {"process": {"L": 1e-300, "n": 8},
+               "run": {"M": 20, "t": 1e-300, "epsilon_window": 1e-301}}
+    code, out = run_cli(tmp_path, "selfsim", payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "process.n=8" in err and "run.epsilon_window=1e-301" in err
+    assert "(width 2.5e-301)" in err and "window (9e-301, 1e-300]" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload, t", [
     # t^{2H} overflows in the calibration target
     ("check", {"run": {"out_times": [1e300]}}, "1e+300"),

@@ -11,7 +11,7 @@ from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryB
 from chaosde.wiener import sample_omega
 from chaosde import density, wiener
 from chaosde.sde import SdeCoefficients, solve_euler, solve_theta_all
-from chaosde.malliavin import solution_derivative
+from chaosde.malliavin import malliavin_matrix, solution_derivative
 from chaosde.density import (
     SampleEnsemble,
     Scenario,
@@ -155,6 +155,44 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     assert np.array_equal(capped.x_samples, free.x_samples[keep])
     assert np.array_equal(capped.det_samples, free.det_samples[keep])
     assert np.array_equal(capped.min_eigs, free.min_eigs[keep])
+
+
+def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
+    # every sample of a chunk fills one Theta buffer and one DF buffer; each
+    # sample equals the one computed with fresh arrays, also right after a
+    # sample whose Theta overflowed (dsigma = 1e300 above 0.5, with bounded
+    # sigma, keeps Euler finite and makes the one-step Jacobians overflow)
+    jumpy = SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.where(x > 0.5, 1e300, 0.5 * np.cos(x))[..., None, None],
+    )
+    monkeypatch.setattr(density, "preset", lambda name: (jumpy, np.zeros(1)))
+    sc = Scenario(preset="jumpy", **SMALL)
+    seeds = list(range(wiener.DRAW_BLOCK + 6))
+    with np.errstate(over="ignore"):
+        got = density._parallel_chunk((sc, seeds))
+    coeffs, x0, spec, driver = sc.build()
+    blown = []
+    for seed, x, det, min_eig in got:
+        w = sample_omega(spec.space, seed)
+        bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
+        assert np.isfinite(bundle.X).all()
+        try:
+            with np.errstate(over="ignore"):
+                mm = malliavin_matrix(solution_derivative(coeffs, bundle, driver.deriv_vectors(w),
+                                                          spec.space))
+        except BlowupError:
+            assert x is None and det is None and min_eig is None
+            blown.append(seed)
+            continue
+        assert np.array_equal(x, bundle.X[-1])
+        assert det == mm.det and min_eig == mm.min_eig
+    assert [s for s, *_ in got] == seeds
+    assert 0 < len(blown) < len(seeds) // 2
+    assert any(s + 1 in seeds and s + 1 not in blown for s in blown)  # kept right after a blowup
 
 
 def test_kde_standard_normal():

@@ -754,3 +754,29 @@ def test_grid_driver_matches_per_component_oracle(q, m):
     want = np.array([grid_values_one(gd, w) for w in draws])
     assert np.array_equal(gd.values(draws), want)
     assert np.array_equal(gd.values(draws[5:8]), want[5:8])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_grid_driver_deriv_out_buffer_matches_fresh(q):
+    # one buffer over consecutive draws gives each draw's fresh vectors bit
+    # for bit, with row 0 dirtied before every call
+    spec = small_spec(q=q, n=40, m=2, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
+    buffer = np.full((17, 2, 40), np.nan)
+    for seed in range(6):
+        w = sample_omega(spec.space, seed)
+        buffer[0] = -0.0 if seed % 2 else np.inf
+        assert gd.deriv_vectors(w, out=buffer) is buffer
+        fresh = gd.deriv_vectors(w)
+        assert np.array_equal(buffer, fresh)
+        assert buffer.tobytes() == fresh.tobytes()  # row 0 is +0.0, not -0.0
+
+
+def test_grid_driver_deriv_out_buffer_checked():
+    spec = small_spec(q=1, n=40, m=2, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
+    w = sample_omega(spec.space, 0)
+    for bad in (np.zeros((16, 2, 40)), np.zeros((17, 40, 2)), np.zeros((17, 2, 40), dtype=np.float32),
+                np.zeros((40, 2, 17)).T, np.zeros(17 * 2 * 40)):
+        with pytest.raises(InvalidDimensionError):
+            gd.deriv_vectors(w, out=bad)

@@ -351,6 +351,52 @@ def test_theta_blowup_in_two_dimensions_matches_column_loop():
     assert bundle.theta is None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", ["elliptic-2d", "mixed-3x2"])
+def test_theta_out_buffer_matches_fresh_triangle(name):
+    # one zeroed buffer over consecutive paths gives each path's fresh
+    # triangle bit for bit, also right after a path whose Theta overflowed
+    # (a driver of scale 1e200 keeps Euler finite and makes each one-step
+    # Jacobian ~1e199) and left the buffer full of inf and nan
+    coeffs, x0 = mixed_3x2() if name == "mixed-3x2" else preset(name)
+    steps = 16
+    times = np.linspace(0.0, 1.0, steps + 1)
+    buffer = np.zeros((steps + 1, coeffs.d, steps + 1, coeffs.m))
+    blown = 0
+    for seed, scale in ((0, 0.3), (1, 1e200), (2, 0.3), (3, 1.0), (4, 1e200), (5, 0.05)):
+        F = random_paths(coeffs, 1, steps, seed, scale)[0]
+        fresh = solve_euler(coeffs, x0, (times, F))
+        reused = solve_euler(coeffs, x0, (times, F))
+        assert np.isfinite(fresh.X).all()
+        try:
+            solve_theta_all(coeffs, fresh)
+        except BlowupError as want:
+            with pytest.raises(BlowupError) as exc:
+                solve_theta_all(coeffs, reused, out=buffer)
+            assert exc.value.step == want.step
+            assert reused.theta is None
+            blown += 1
+            continue
+        assert solve_theta_all(coeffs, reused, out=buffer) is reused
+        assert np.shares_memory(reused.theta, buffer)
+        assert np.array_equal(reused.theta, fresh.theta)
+    assert blown == 2
+
+
+def test_theta_out_buffer_checked():
+    coeffs, x0 = preset("elliptic-2d")
+    times, F = smooth_driver(8)
+    bundle = solve_euler(coeffs, x0, (times, np.hstack([F, F])))
+    shape = (9, 2, 9, 2)
+    for bad in (np.zeros((9, 9, 2, 2)), np.zeros((8, 2, 9, 2)), np.zeros(shape, dtype=np.float32),
+                np.zeros(shape[::-1]).T, [[0.0]]):
+        with pytest.raises(InvalidDimensionError):
+            solve_theta_all(coeffs, bundle, out=bad)
+        assert bundle.theta is None
+    assert np.array_equal(solve_theta_all(coeffs, bundle, out=np.zeros(shape)).theta,
+                          solve_theta_all(coeffs, bundle).theta)
+
+
 def test_theta_closed_form_linear():
     # dX = lam X dF, F = t: Theta_t(s) = lam X_s exp(lam (t - s)); the
     # discrete Theta matches to well under 1% at 2^10 steps

@@ -14,16 +14,24 @@ ensemble-elliptic (the default): elliptic-2d, q = 1, H = 0.7, n = 256,
 L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
 every sample in the order the ensemble runs them, each the way the source
 runs it: draw (`sample_omega`), driver values (`GridDriver.values`), Euler
-(`solve_euler`), Theta (`solve_theta_all`), DF (`GridDriver.deriv_vectors`),
+(`solve_euler`), DF (`GridDriver.deriv_vectors`), Theta (`solve_theta_all`),
 DX (`solution_derivative` on the filled triangle) and Gram
 (`malliavin_matrix`), in milliseconds per sample.  Seeds go in blocks of
 `wiener.DRAW_BLOCK` (or, in older sources, `density.EULER_BATCH`): Euler is
 one batched solve per block, and driver values one call per block where
 the source has `wiener.DRAW_BLOCK` (its `values` takes a list of draws) and
 one call per draw otherwise.  A source with neither constant runs one seed
-at a time.  As in the ensemble, a sample's path and Theta triangle are
-dropped once its stages are timed.  The pass then times one whole `chaosde density` command on the
-same scenario with `run.seed` 5 and `run.M` 100, in process.
+at a time.  Where the source's `solve_theta_all` and `deriv_vectors` take
+an `out` buffer, every sample fills the same two buffers, as the ensemble
+does (`out_buffers` true); otherwise each sample's Theta triangle and DF
+array are allocated and dropped once its stages are timed.  The pass then
+times one whole `chaosde density` command on the same scenario with
+`run.seed` 5 and `run.M` 100, in process: `command_s`, and
+`command_sample_ms`, its time per sample, to set beside the stage sum
+`sample_ms`.  `stage_faults` and `command_faults` count the minor page
+faults (`ru_minflt`) of the pass's timed stage loop and of the command:
+each is memory that the allocator handed back to the kernel and touches
+again.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
 n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
@@ -73,7 +81,7 @@ import time
 ENSEMBLE = {"preset": "elliptic-2d", "q": 1, "H": 0.7, "t": 1.0, "steps": 128, "n": 256,
             "L": 8.0}
 SEEDS = range(5, 105)
-STAGES = ("draw", "driver_values", "euler", "theta", "df", "dx", "gram")
+STAGES = ("draw", "driver_values", "euler", "df", "theta", "dx", "gram")
 SIMULATE = {"process": {"q": 3, "H": 0.7, "m": 1, "n": 160, "L": 8.0, "s_nodes": 64},
             "run": {"M": 200, "seed": 5, "out_times": [0.25, 0.5, 1.0]}}
 SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt",
@@ -84,7 +92,9 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def measure_ensemble() -> dict:
     """One pass over SEEDS with the chaosde on sys.path (run in a child)."""
     import contextlib
+    import inspect
     import io
+    import resource
     import time
 
     import numpy as np
@@ -100,15 +110,26 @@ def measure_ensemble() -> dict:
     clock = time.perf_counter
     totals = dict.fromkeys(STAGES, 0.0)
 
-    def timed(stage, fn, *args):
+    def timed(stage, fn, *args, **kwargs):
         start = clock()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         totals[stage] += clock() - start
         return out
 
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    out_buffers = "out" in inspect.signature(solve_theta_all).parameters
+    if out_buffers:
+        N = ENSEMBLE["steps"]
+        buffers = {"theta": {"out": np.zeros((N + 1, coeffs.d, N + 1, coeffs.m))},
+                   "df": {"out": np.zeros((N + 1, coeffs.m, spec.space.n))}}
+    else:
+        buffers = {"theta": {}, "df": {}}
+
     def sample(w, bundle):
-        timed("theta", solve_theta_all, coeffs, bundle)
-        dfields = timed("df", driver.deriv_vectors, w)
+        dfields = timed("df", driver.deriv_vectors, w, **buffers["df"])
+        timed("theta", solve_theta_all, coeffs, bundle, **buffers["theta"])
         mf = timed("dx", solution_derivative, coeffs, bundle, dfields, spec.space)
         timed("gram", malliavin_matrix, mf)
 
@@ -116,6 +137,7 @@ def measure_ensemble() -> dict:
     size = batch or 1
     for first in (True, False):  # a warm-up pass over one group, then the timed pass
         totals = dict.fromkeys(STAGES, 0.0)
+        stage_faults = faults()
         for start in range(0, size if first else len(seeds), size):
             group = seeds[start:start + size]
             draws = [timed("draw", sample_omega, spec.space, s) for s in group]
@@ -134,6 +156,7 @@ def measure_ensemble() -> dict:
                            for v in values]
             for w, bundle in zip(draws, bundles):
                 sample(w, bundle)
+    stage_faults = faults() - stage_faults
     stages_ms = {k: 1e3 * v / len(seeds) for k, v in totals.items()}
 
     cfg = {"process": {"q": ENSEMBLE["q"], "H": ENSEMBLE["H"], "m": coeffs.m,
@@ -148,14 +171,18 @@ def measure_ensemble() -> dict:
         argv = ["density", "--config", path, "--out", os.path.join(tmp, "out"),
                 "--workers", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
+            command_faults = faults()
             start = clock()
             rc = cli.main(argv)
             command_s = clock() - start
+            command_faults = faults() - command_faults
     if rc != 0:
         raise RuntimeError(f"chaosde density exited {rc}")
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
-            "command_s": command_s, "euler_batch": batch,
-            "values_per_block": bool(draw_block)}
+            "command_s": command_s, "command_sample_ms": 1e3 * command_s / len(seeds),
+            "stage_faults": stage_faults, "command_faults": command_faults,
+            "euler_batch": batch, "values_per_block": bool(draw_block),
+            "out_buffers": out_buffers}
 
 
 def measure_simulate() -> dict:
@@ -253,7 +280,8 @@ def measure_simulate() -> dict:
 #: record of the setting)
 SCENARIOS = {
     "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES,
-                          ("import_s", "sample_ms", "command_s"),
+                          ("import_s", "sample_ms", "command_sample_ms", "command_s",
+                           "stage_faults", "command_faults"),
                           dict(ENSEMBLE, seeds=[SEEDS.start, SEEDS.stop - 1])),
     "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES,
                    ("import_s", "command_s", "peak_rss_mb", "kernels_traced_mb"), SIMULATE),
@@ -312,7 +340,7 @@ def _record(scenario: str, sources: dict, repeats: int) -> dict:
     for label, src in sources.items():
         runs = passes[label]
         entry = {"git_commit": _git_commit(src)}
-        for key in ("euler_batch", "values_per_block"):
+        for key in ("euler_batch", "values_per_block", "out_buffers"):
             if key in runs[0]:
                 entry[key] = runs[0][key]
         for name, stat in (("median_", statistics.median), ("min_", min)):
