@@ -367,8 +367,7 @@ def cmd_malliavin(cfg: dict) -> int:
     seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    with _budget_key(cfg, "sde.steps"):  # the variational triangle
-        mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
+    mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
     mm = malliavin_matrix(mf)
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
@@ -394,8 +393,7 @@ def cmd_density(cfg: dict) -> int:
     scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
     with _budget_key(cfg, "run.M"):
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
-    with _budget_key(cfg, "sde.steps"):  # the variational triangle
-        ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
+    ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
     with _output(cfg, "ensemble.csv", binary=True) as fh:
         dump_csv(ensemble, fh)
     report = positivity_report(ensemble)

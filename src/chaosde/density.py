@@ -102,24 +102,22 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
 
 def _parallel_chunk(args):
     """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
-    for a blowup: Euler over batches of seeds, the Malliavin matrix per seed.
+    for a blowup: Euler and Theta at t over batches of seeds, the Malliavin
+    matrix per seed.
 
-    Every sample of the chunk fills the same zeroed Theta buffer and DF
-    buffer (the `out` of `solve_theta_all` and `deriv_vectors`), so the
-    chunk allocates them once instead of once per sample."""
+    Every sample of the chunk fills the same DF buffer (the `out` of
+    `deriv_vectors`), so the chunk allocates it once instead of once per
+    sample."""
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
-    N, d, m = scenario.steps, coeffs.d, coeffs.m
-    check_budget((N + 1, N + 1, d, m))  # the Theta triangle, as solve_theta_all checks it
-    theta = np.zeros((N + 1, d, N + 1, m))
-    dfields = np.zeros((N + 1, m, spec.space.n))
+    dfields = np.zeros((scenario.steps + 1, coeffs.m, spec.space.n))
     out = []
     for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+        solve_theta_all(coeffs, batch)
         for k, w in enumerate(draws):
             try:
                 path = batch.path(k)
                 driver.deriv_vectors(w, out=dfields)
-                solve_theta_all(coeffs, path, out=theta)
                 mf = solution_derivative(coeffs, path, dfields, spec.space)
                 mm = malliavin_matrix(mf)
                 out.append((w.seed, path.X[-1], mm.det, mm.min_eig))

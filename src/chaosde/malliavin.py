@@ -1,10 +1,11 @@
 """Malliavin derivative of the SDE solution, the Malliavin matrix,
 Taylor-shifted drivers and difference quotients of the discrete flow.
 
-The solution derivative is assembled from the variational triangle by the
-Hilbert-valued left-point representation DX_t^k = sum_l int_0^t
-Theta_t^{k,l}(s) d DF^l(s), evaluated at full grid resolution so that it
-is the exact gradient of the discrete Euler flow.
+The solution derivative at the output time t = t_N is assembled from Theta
+at that time, W_i = Theta_t(t_i), by the Hilbert-valued left-point
+representation DX_t^k = sum_l int_0^t Theta_t^{k,l}(s) d DF^l(s),
+evaluated at full grid resolution so that it is the exact gradient of the
+discrete Euler flow.
 """
 
 from __future__ import annotations
@@ -39,43 +40,39 @@ class MalliavinMatrix:
     min_eig: float
 
 
+# a DX that overflows is reported as BlowupError by its finiteness check
+@np.errstate(over="ignore", invalid="ignore")
 def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
-                        dfields: np.ndarray, space: HilbertDisc,
-                        t_index: int = None) -> MalliavinField:
-    """Assemble DX at one grid time from Theta and the DF grid.
+                        dfields: np.ndarray, space: HilbertDisc) -> MalliavinField:
+    """Assemble DX at the output time t_N from Theta at that time and the
+    DF grid.
 
     dfields has shape (steps+1, m, n): the component-block coordinates of
-    DF^l at every grid time (GridDriver.deriv_vectors output).  Each
-    (k, l) pair is a Hilbert-valued Young integral evaluated with tol=0,
-    i.e. the finest-level left-point sum.  Theta is filled first when the
-    bundle does not hold it yet.  Raises BlowupError (step = t_index) when
-    DX or its Gram matrix is not finite.
+    DF^l at every grid time (GridDriver.deriv_vectors output).  Each noise
+    component l is one Hilbert-valued Young integral of the d integrands
+    Theta^{k,l}, k = 1..d, evaluated with tol=0, i.e. the finest-level
+    left-point sum.  Theta is solved first when the bundle does not hold
+    it yet.  Raises BlowupError (step = steps) when DX or its Gram matrix
+    is not finite.
     """
     if bundle.theta is None:
         solve_theta_all(coeffs, bundle)
     N = bundle.steps
-    if t_index is None:
-        t_index = N
-    if not 0 < t_index <= N:
-        raise InvalidDimensionError(f"t_index {t_index} outside grid")
     if dfields.shape[0] != N + 1 or dfields.shape[1] != coeffs.m:
         raise InvalidDimensionError("dfields must have shape (steps+1, m, n)")
     n = dfields.shape[2]
     if space.n != n or space.m != coeffs.m:
         raise SpaceMismatchError("space does not match the DF field layout")
-    sub = slice(0, t_index + 1)
-    times = bundle.times[sub]
     dx = np.zeros((coeffs.d, space.basis_dim))
-    for k in range(coeffs.d):
-        for ell in range(coeffs.m):
-            g_path = bundle.theta[sub, t_index, k, ell]
-            res = rs_integral_hvalued(times, g_path, dfields[sub, ell, :], tol=0.0)
-            space.components(dx)[k, ell] += np.asarray(res.value)
+    for ell in range(coeffs.m):
+        res = rs_integral_hvalued(bundle.times, bundle.theta[:, :, ell], dfields[:, ell, :],
+                                  tol=0.0)
+        space.components(dx)[:, ell] += res.value
     # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
     # means a finite DX and a finite Malliavin matrix
     if not np.isfinite(np.vdot(dx, dx)):
-        raise BlowupError(f"non-finite Malliavin derivative at step {t_index}", step=t_index)
-    return MalliavinField(t=float(bundle.times[t_index]), dx=dx)
+        raise BlowupError(f"non-finite Malliavin derivative at step {N}", step=N)
+    return MalliavinField(t=float(bundle.times[N]), dx=dx)
 
 
 def malliavin_matrix(mfield: MalliavinField) -> MalliavinMatrix:

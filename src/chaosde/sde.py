@@ -14,8 +14,10 @@ sum_i Theta_t(s_i) dpsi_i the exact derivative of the discrete flow:
 Theta_t(s_i) propagates sigma(X_{s_i}) by the one-step Jacobians of steps
 i+1 .. t-1 (the step at s_i itself enters through the increment, not
 through Theta).  The one-step Jacobians are evaluated once for all steps
-(_step_jacobians), and the whole triangle is filled from them column by
-column in O(steps^2) memory.
+of a block of paths (_step_jacobians), and Theta at the output time,
+W_i = Theta_{t_N}(t_i), is advanced from them one column of the (s, t)
+triangle at a time: O(steps) memory per path, and one stacked product per
+step for the whole block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, InvalidDimensionError, check_budget, check_out
+from .errors import BlowupError, ConfigError, InvalidDimensionError
 
 
 @dataclass(frozen=True)
@@ -100,19 +102,20 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
 
 @dataclass
 class SolutionBundle:
-    """Euler solution on a grid, with the optional Theta triangle.
+    """Euler solution on a grid, with the optional Theta at the output time.
 
     For one path X has shape (steps+1, d), driver_values (steps+1, m) and
     sigma (steps, d, m): sigma[i] is sigma(X_i) for i < steps, as evaluated
-    by the Euler steps.  theta[i, j] is the d x m matrix Theta_{t_j}(t_i)
-    for j >= i, zero in the other direction (s > t); it is the view
-    transpose(2, 0, 1, 3) of a buffer laid out as [j, k, i, l], so column j,
-    theta[:, j], is one contiguous (d, (steps+1) m) matrix.
+    by the Euler steps.  theta[i] is the d x m matrix Theta_{t_N}(t_i), i =
+    0..steps (solve_theta_all): row i of the last column of the (s, t)
+    triangle.
 
-    A batch of B paths puts a leading B axis on X, driver_values and sigma,
-    and failed[k] is the step of path k's first non-finite state (0 for a
-    finite path); entries of a failed path after that state are NaN.
-    path(k) is path k as a one-path bundle.
+    A batch of B paths puts a leading B axis on X, driver_values, sigma and
+    theta, and failed[k] is the step of path k's first non-finite state (0
+    for a finite path); entries of a failed path after that state are NaN.
+    theta_failed[k] is the first column of path k's triangle that holds a
+    non-finite entry (0 for a finite one, and for a path that failed in
+    Euler, whose theta is NaN).  path(k) is path k as a one-path bundle.
     """
 
     times: np.ndarray
@@ -121,18 +124,26 @@ class SolutionBundle:
     theta: np.ndarray = field(default=None)  # type: ignore[assignment]
     sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
     failed: np.ndarray = field(default=None)  # type: ignore[assignment]
+    theta_failed: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
     def steps(self) -> int:
         return self.times.shape[0] - 1
 
     def path(self, k: int) -> "SolutionBundle":
-        """Path k of a batch; BlowupError at its step if it went non-finite."""
+        """Path k of a batch, with its theta when the batch holds one;
+        BlowupError at its step if it went non-finite in Euler, else if its
+        Theta did."""
         step = int(self.failed[k])
         if step:
             raise BlowupError(f"non-finite state at step {step}", step=step)
-        return SolutionBundle(times=self.times, X=self.X[k],
-                              driver_values=self.driver_values[k], sigma=self.sigma[k])
+        if self.theta is not None:
+            step = int(self.theta_failed[k])
+            if step:
+                raise BlowupError(f"non-finite variational state at step {step}", step=step)
+        return SolutionBundle(times=self.times, X=self.X[k], driver_values=self.driver_values[k],
+                              sigma=self.sigma[k],
+                              theta=None if self.theta is None else self.theta[k])
 
 
 def _driver_arrays(driver, times):
@@ -204,68 +215,105 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
 
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
-    j < steps, stacked to shape (steps, d, d): one db and one dsigma call
-    over the states X_0 .. X_{steps-1}."""
+    j < steps, stacked to shape (steps, d, d) for one path and (B, steps,
+    d, d) for a batch: one db and one dsigma call over the states X_0 ..
+    X_{steps-1} of every path.  The dsigma term is formed first, so that
+    its (..., d, m, d) values are freed before db's are made."""
     N = bundle.steps
     dt = np.diff(bundle.times)
-    dF = np.diff(bundle.driver_values, axis=0)
-    X = bundle.X[:N]
-    jac = np.eye(coeffs.d) + coeffs.eval_db(X) * dt[:, None, None]
-    jac += np.einsum("jklp,jl->jkp", coeffs.eval_dsigma(X), dF)
+    dF = np.diff(bundle.driver_values, axis=-2)
+    X = bundle.X[..., :N, :]
+    noise = np.einsum("...jklp,...jl->...jkp", coeffs.eval_dsigma(X), dF)
+    jac = coeffs.eval_db(X) * dt[:, None, None]
+    jac += np.eye(coeffs.d)
+    jac += noise
     return jac
 
 
-def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle, out=None) -> SolutionBundle:
-    """Fill the full (s, t) triangle column by column.
+def _last_columns(jac, sigma, sigma_N, scan=False):
+    """Column N of the (s, t) triangle of every path of a block, laid out
+    as [b, k, i, l] = Theta_{t_N}(t_i)^{k,l}, from the step Jacobians jac
+    (B, N, d, d), the Euler steps' sigma (B, N, d, m) and sigma_N (B, d,
+    m), sigma(X_N).
 
-    Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
-    and J_j Theta[:j, j] in the rows above: the entries the row oracle
-    `solve_theta` (tests/oracles.py) builds row by row.  sigma(X_j) comes
-    from the Euler steps (only sigma(X_N) is evaluated here) and the step
-    Jacobians J_j are evaluated once for all steps.  The buffer is laid out
-    as columns[j, k, i, l] = theta[i, j, k, l], so column j is one
-    contiguous (d, (steps+1) m) matrix and J_j times the rows above the
-    diagonal is one GEMM per column, written in place; the sigma entries
-    go in by two assignments before the recursion.  The
-    triangle takes O(steps^2) memory.
+    Column j holds sigma(X_j) in row j, sigma(X_{j-1}) in row j-1 and
+    J_{j-1} times column j-1 in the rows above.  Two (B, d, (N+1) m)
+    buffers start with sigma(X_i) in every row i, and step j writes
+    J_{j-1} times the rows above the diagonal of one into the other, as
+    one stacked matmul for the block: the rows below it are never written,
+    so they still hold sigma.  Each path's product has the shape of its
+    own one-path GEMM.  The two buffers are separate arrays, so the one
+    that does not hold column N is freed on return.
 
-    out, if given, is that buffer: a C-contiguous float64 array of shape
-    (steps+1, d, steps+1, m) (InvalidDimensionError otherwise) that is zero
-    below the diagonal (columns[j, :, i] for i > j), as np.zeros gives it.
-    Every entry on and above the diagonal is written on every call, also
-    when BlowupError is raised, and none below it, so one zeroed buffer
-    serves any number of paths and gives the triangle of a fresh one bit
-    for bit.  bundle.theta is then a view of out, valid until out is
-    filled again.  Without out the buffer is allocated.
+    With scan, also returns the first column j of each path that holds a
+    non-finite entry (0 if none).
+    """
+    B, N, d, m = sigma.shape
+    src = np.empty((B, d, N + 1, m))
+    src[..., :N, :] = sigma.transpose(0, 2, 1, 3)
+    src[..., N, :] = sigma_N
+    src = src.reshape(B, d, (N + 1) * m)
+    dst = src.copy()
+    first = np.zeros(B, dtype=int)
+    for j in range(1, N + 1):
+        if j >= 2:
+            above = (j - 1) * m
+            np.matmul(jac[:, j - 1], src[..., :above], out=dst[..., :above])
+            src, dst = dst, src
+        if scan:
+            bad = (first == 0) & ~np.isfinite(src[..., :(j + 1) * m]).all(axis=(1, 2))
+            first[bad] = j
+    return src.reshape(B, d, N + 1, m), first
+
+
+# overflow is expected on a path whose Theta blows up: the finiteness check
+# of the last column records it, and numpy's warning would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
+def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> SolutionBundle:
+    """Theta at the output time: bundle.theta[..., i, k, l] =
+    Theta_{t_N}(t_i)^{k,l} for i = 0..N, shape (N+1, d, m) for one path and
+    (B, N+1, d, m) for a batch, returned in the bundle.
+
+    The column recursion of the (s, t) triangle runs for the whole block
+    at once and keeps only its current column (_last_columns), so a path
+    takes O(steps) memory; each path's W equals its own one-path solve and
+    column N of the triangle (tests/oracles.theta_triangle) bit for bit.
+    sigma(X_j) comes from the Euler steps (only sigma(X_N) is evaluated
+    here), and the step Jacobians take one db and one dsigma call for the
+    block.  Paths that failed in Euler are left out; their theta is NaN.
 
     A non-finite entry reaches every later column, so column N is finite
-    exactly when the triangle is; only when it is not is every column
-    scanned, to raise BlowupError at the first one that holds a non-finite
-    entry.  The invalid operations (inf - inf) in the columns after it are
-    not reported as warnings.
+    exactly when the triangle is.  Only for a path where it is not is the
+    recursion run again, column by column, to find the first column that
+    holds a non-finite entry: the step of its BlowupError, raised for one
+    path and recorded in theta_failed for a batch.  One path is a batch of
+    one, as in solve_euler.
     """
-    N = bundle.steps
-    d, m = coeffs.d, coeffs.m
-    if out is None:
-        check_budget((N + 1, N + 1, d, m))
-        out = np.zeros((N + 1, d, N + 1, m))
-    else:
-        check_out(out, (N + 1, d, N + 1, m))
-    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
-    jac = _step_jacobians(coeffs, bundle)
-    columns = out  # columns[j, k, i, l] = theta[i, j, k, l]
-    diag = np.arange(N + 1)
-    columns[diag, :, diag] = sig  # Theta_{t_j}(t_j) = sigma(X_j)
-    columns[diag[1:], :, diag[:-1]] = sig[:-1]  # Theta_{t_{j+1}}(t_j) = sigma(X_j)
-    flat = columns.reshape(N + 1, d, (N + 1) * m)
-    with np.errstate(invalid="ignore"):
-        for j in range(2, N + 1):
-            above = (j - 1) * m
-            np.matmul(jac[j - 1], flat[j - 1, :, :above], out=flat[j, :, :above])
-    if not np.isfinite(flat[N]).all():
-        step = int(np.argmin(np.isfinite(flat).all(axis=(1, 2))))
-        raise BlowupError(f"non-finite variational state at step {step}", step=step)
-    bundle.theta = columns.transpose(2, 0, 1, 3)
+    one = bundle.X.ndim == 2
+    batch = bundle
+    if one:
+        batch = SolutionBundle(times=bundle.times, X=bundle.X[None],
+                               driver_values=bundle.driver_values[None],
+                               sigma=bundle.sigma[None], failed=np.zeros(1, dtype=int))
+    B, N, d, m = batch.sigma.shape
+    rows = np.flatnonzero(batch.failed == 0)
+    live = batch if rows.size == B else SolutionBundle(
+        times=batch.times, X=batch.X[rows], driver_values=batch.driver_values[rows],
+        sigma=batch.sigma[rows])
+    sigma_N = coeffs.eval_sigma(live.X[:, N])
+    jac = _step_jacobians(coeffs, live)
+    cols, steps = _last_columns(jac, live.sigma, sigma_N)
+    bad = ~np.isfinite(cols).all(axis=(1, 2, 3))
+    if bad.any():
+        steps[bad] = _last_columns(jac[bad], live.sigma[bad], sigma_N[bad], scan=True)[1]
+    theta = cols.transpose(0, 2, 1, 3)
+    if rows.size < B:
+        theta = np.full((B, N + 1, d, m), np.nan)
+        theta[rows] = cols.transpose(0, 2, 1, 3)
+    batch.theta, batch.theta_failed = theta, np.zeros(B, dtype=int)
+    batch.theta_failed[rows] = steps
+    if one:
+        bundle.theta = batch.path(0).theta
     return bundle
 
 

@@ -4,7 +4,8 @@ Integrals are limits of left-point sums sum g(u_i) (Phi(u_{i+1}) - Phi(u_i))
 along refining partitions; they converge when the Holder exponents of the
 integrand and the integrator sum above 1.  Paths enter as sampled arrays on
 a common grid whose interior the integrator refines dyadically: a scalar
-integrand g and a Hilbert-valued integrator Phi, one coordinate per column.
+integrand g, or r of them side by side, and a Hilbert-valued integrator
+Phi, one coordinate per column.
 """
 
 from __future__ import annotations
@@ -45,13 +46,22 @@ def _level_strides(npts: int):
 
 
 def _left_sum(g: np.ndarray, Phi: np.ndarray, stride: int):
-    return g[:-stride:stride] @ (Phi[stride::stride] - Phi[:-stride:stride])
+    """The left-point sum at one stride: the increments of Phi formed once,
+    then one GEMV per integrand column, each summed in the order of its
+    own one-column sum."""
+    inc = Phi[stride::stride] - Phi[:-stride:stride]
+    if g.ndim == 1:
+        return g[:-stride:stride] @ inc
+    return np.stack([col[:-stride:stride] @ inc for col in g.T])
 
 
 def rs_integral_hvalued(times, g, Phi, tol: float = DEFAULT_TOL) -> YoungResult:
     """Hilbert-valued Young integral: sum g(u)(Phi(v) - Phi(u)) in coordinates.
 
-    Phi has shape (len(times), dim); the result value is a dim-vector.
+    Phi has shape (len(times), dim).  g has shape (len(times),), and the
+    result value is a dim-vector, or (len(times), r) for r integrands
+    against the same Phi, and the value has shape (r, dim): row c is the
+    integral of g[:, c], bit for bit.
     Left-point sums on dyadic refinements until two successive levels agree
     to tol (relative to max(1, |value|)) or the refinement tower is
     exhausted.  tol = 0 returns the finest sum alone: one level, last_delta
@@ -62,6 +72,8 @@ def rs_integral_hvalued(times, g, Phi, tol: float = DEFAULT_TOL) -> YoungResult:
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise InvalidDimensionError("Phi must be a (time, coordinate) array")
+    if g.ndim not in (1, 2):
+        raise InvalidDimensionError("g must be a (time,) or (time, integrand) array")
     if g.shape[0] != times.shape[0] or Phi.shape[0] != times.shape[0]:
         raise InvalidDimensionError("paths must be sampled on the common grid")
     if times.ndim != 1 or times.shape[0] < 2 or not np.all(np.diff(times) > 0):

@@ -2,9 +2,10 @@
 the loops that faster library code replaced (among them the per-value
 writers of the output tables), a component-independence check that
 addresses the basis by raw index, and the reference implementations the
-library is compared against: the row-by-row Theta, the forward tangent
-recursion, the pointwise kernel, the non-central limit paths, the
-elementary power value and the reader of the kernels.txt dump."""
+library is compared against: the row-by-row Theta, the whole Theta
+triangle and the DX assembly over it, the forward tangent recursion, the
+pointwise kernel, the non-central limit paths, the elementary power value
+and the reader of the kernels.txt dump."""
 
 import csv
 import itertools
@@ -17,6 +18,7 @@ from chaosde.density import euler_batches
 from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, hurst_aux, simulate_path
 from chaosde.sde import SdeCoefficients, SolutionBundle, _step_jacobians
+from chaosde.young import rs_integral_hvalued
 from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
                             shift_omega)
 
@@ -89,9 +91,65 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
     return failures
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError
+def theta_triangle(coeffs, bundle):
+    """The whole (steps+1, steps+1, d, m) Theta triangle of one path,
+    theta[i, j] = Theta_{t_j}(t_i) for j >= i and zero below, by the
+    GEMM-per-column recursion that solve_theta_all ran before it kept only
+    the last column.
+
+    Column j+1 holds sigma(X_{j+1}) on the diagonal, sigma(X_j) in row j
+    and J_j Theta[:j, j] in the rows above.  The buffer is laid out as
+    columns[j, k, i, l] = theta[i, j, k, l], so column j is one contiguous
+    (d, (steps+1) m) matrix and J_j times the rows above the diagonal is
+    one GEMM per column, written in place.  Column N is finite exactly
+    when the triangle is; only when it is not is every column scanned, to
+    raise BlowupError at the first one that holds a non-finite entry.
+    """
+    N = bundle.steps
+    d, m = coeffs.d, coeffs.m
+    columns = np.zeros((N + 1, d, N + 1, m))  # columns[j, k, i, l] = theta[i, j, k, l]
+    sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
+    jac = _step_jacobians(coeffs, bundle)
+    diag = np.arange(N + 1)
+    columns[diag, :, diag] = sig  # Theta_{t_j}(t_j) = sigma(X_j)
+    columns[diag[1:], :, diag[:-1]] = sig[:-1]  # Theta_{t_{j+1}}(t_j) = sigma(X_j)
+    flat = columns.reshape(N + 1, d, (N + 1) * m)
+    for j in range(2, N + 1):
+        above = (j - 1) * m
+        np.matmul(jac[j - 1], flat[j - 1, :, :above], out=flat[j, :, :above])
+    if not np.isfinite(flat[N]).all():
+        step = int(np.argmin(np.isfinite(flat).all(axis=(1, 2))))
+        raise BlowupError(f"non-finite variational state at step {step}", step=step)
+    return columns.transpose(2, 0, 1, 3)
+
+
+def truncated(bundle, j):
+    """The one-path bundle of the first j steps: its final-time Theta is
+    Theta_{t_j}, column j of the full path's triangle."""
+    return SolutionBundle(times=bundle.times[:j + 1], X=bundle.X[:j + 1],
+                          driver_values=bundle.driver_values[:j + 1], sigma=bundle.sigma[:j])
+
+
+def dx_from_triangle(coeffs, triangle, times, dfields, space, t_index):
+    """DX at grid time t_index by the assembly solution_derivative made
+    before it took Theta at the final time alone: one Young sum per (k, l)
+    pair over column t_index of the triangle, each added into a zero
+    full-basis row."""
+    sub = slice(0, t_index + 1)
+    dx = np.zeros((coeffs.d, space.basis_dim))
+    for k in range(coeffs.d):
+        for ell in range(coeffs.m):
+            res = rs_integral_hvalued(times[sub], triangle[sub, t_index, k, ell],
+                                      dfields[sub, ell, :], tol=0.0)
+            space.components(dx)[k, ell] += np.asarray(res.value)
+    return dx
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError
 def theta_columns(coeffs, bundle):
     """The (steps+1, steps+1, d, m) Theta triangle by the per-column loop
-    solve_theta_all replaced: column j+1 is J_j times column j above the
+    theta_triangle replaced: column j+1 is J_j times column j above the
     diagonal, one stacked (d, d) x (d, m) product per entry, with
     sigma(X_j) in row j and sigma(X_{j+1}) on the diagonal.  A non-finite
     entry raises BlowupError at the first column that holds one."""
@@ -180,6 +238,7 @@ def _step_jacobian(coeffs: SdeCoefficients, x, dt, dF):
     return J
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError
 def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -> np.ndarray:
     """One row of the variational triangle: Theta_{t_j}(t_s) for all j.
 
@@ -207,6 +266,7 @@ def solve_theta(coeffs: SdeCoefficients, bundle: SolutionBundle, s_index: int) -
     return row
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError
 def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) -> np.ndarray:
     """Directional Frechet derivative path: sum_l int_0^t Theta_t(s) dpsi_s^l.
 

@@ -525,3 +525,20 @@ def test_density_on_a_huge_state_warns_nothing(tmp_path):
     assert code == 0
     report = _strict_json("\n".join((out / "positivity.json").read_text().splitlines()[1:]))
     assert report["degenerate"]
+
+
+def test_overflowing_theta_warns_nothing(tmp_path, capsys):
+    # on a horizon of 1e100 every path's Theta overflows while its Euler
+    # states stay finite: density excludes every sample and malliavin names
+    # the first column that overflowed; this test runs with warnings as
+    # errors, and stderr holds no warning
+    payload = {"process": {"m": 2, "n": 32},
+               "sde": {"preset": "elliptic-2d", "T": 1e100, "steps": 16}, "run": {"M": 100}}
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = _strict_json("\n".join((out / "positivity.json").read_text().splitlines()[1:]))
+    assert report["excluded"] == 100 and report["degenerate"]
+    code, _ = run_cli(tmp_path, "malliavin", payload)
+    assert code == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite variational state at step 6\n"

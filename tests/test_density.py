@@ -21,7 +21,7 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
-from oracles import ensemble_csv_writer
+from oracles import ensemble_csv_writer, truncated
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -96,17 +96,19 @@ def test_additive_law_variance():
     assert np.mean(x) == pytest.approx(0.5 + 0.25, abs=3 * 1.5 / math.sqrt(len(x)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_malliavin_derivative_is_a_blowup():
     # x0 at the top of the double range: seed 9 keeps a finite Euler state
-    # and a finite Theta, but its DX overflows; no sample keeps an inf det
+    # and a finite Theta, but its DX at step 12 (the path truncated there)
+    # overflows, silently; no sample keeps an inf det
     sc = Scenario(preset="linear-scalar", x0=(1.797e308,), q=1, H=0.7,
                   steps=16, n=32, L=4.0)
     coeffs, x0, spec, driver = sc.build()
     w = sample_omega(spec.space, 9)
-    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(w))))
+    bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
+    assert np.isfinite(solve_theta_all(coeffs, bundle).theta).all()
     with pytest.raises(BlowupError) as exc:
-        solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space, t_index=12)
+        solution_derivative(coeffs, truncated(bundle, 12), driver.deriv_vectors(w)[:13],
+                            spec.space)
     assert exc.value.step == 12
     ens = run_ensemble(sc, M=10, base_seed=0)
     assert ens.excluded_seeds == list(range(10))
@@ -157,23 +159,27 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     assert np.array_equal(capped.min_eigs, free.min_eigs[keep])
 
 
-def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
-    # every sample of a chunk fills one Theta buffer and one DF buffer; each
-    # sample equals the one computed with fresh arrays, also right after a
-    # sample whose Theta overflowed (dsigma = 1e300 above 0.5, with bounded
-    # sigma, keeps Euler finite and makes the one-step Jacobians overflow)
-    jumpy = SdeCoefficients(
+def jumpy_preset(name):
+    """Bounded sigma and dsigma = 1e300 above 0.5: Euler stays finite, and
+    the one-step Jacobians of a path that crosses 0.5 overflow its Theta."""
+    return SdeCoefficients(
         d=1, m=1,
         b=lambda x: np.zeros(np.shape(x)),
         sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
         db=lambda x: np.zeros(np.shape(x) + (1,)),
         dsigma=lambda x: np.where(x > 0.5, 1e300, 0.5 * np.cos(x))[..., None, None],
-    )
-    monkeypatch.setattr(density, "preset", lambda name: (jumpy, np.zeros(1)))
+    ), np.zeros(1)
+
+
+def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
+    # every sample of a chunk fills one DF buffer and takes its Theta from
+    # the batched solve of its block; each sample equals the one computed
+    # alone with fresh arrays, also right after a sample whose Theta
+    # overflowed, and no overflow is reported as a warning
+    monkeypatch.setattr(density, "preset", jumpy_preset)
     sc = Scenario(preset="jumpy", **SMALL)
     seeds = list(range(wiener.DRAW_BLOCK + 6))
-    with np.errstate(over="ignore"):
-        got = density._parallel_chunk((sc, seeds))
+    got = density._parallel_chunk((sc, seeds))
     coeffs, x0, spec, driver = sc.build()
     blown = []
     for seed, x, det, min_eig in got:
@@ -181,9 +187,8 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
         bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
         assert np.isfinite(bundle.X).all()
         try:
-            with np.errstate(over="ignore"):
-                mm = malliavin_matrix(solution_derivative(coeffs, bundle, driver.deriv_vectors(w),
-                                                          spec.space))
+            mm = malliavin_matrix(solution_derivative(coeffs, bundle, driver.deriv_vectors(w),
+                                                      spec.space))
         except BlowupError:
             assert x is None and det is None and min_eig is None
             blown.append(seed)
@@ -193,6 +198,25 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
     assert [s for s, *_ in got] == seeds
     assert 0 < len(blown) < len(seeds) // 2
     assert any(s + 1 in seeds and s + 1 not in blown for s in blown)  # kept right after a blowup
+
+
+def test_ensemble_rows_do_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 1, 7 and 64 draws give the same ensemble.csv bytes and the
+    # same excluded seeds, with Theta blowups inside blocks of 7 and 64
+    monkeypatch.setattr(density, "preset", jumpy_preset)
+    sc = Scenario(preset="jumpy", **SMALL)
+    dumps, excluded = [], []
+    for size in (1, 7, 64):
+        monkeypatch.setattr(wiener, "DRAW_BLOCK", size)
+        ens = run_ensemble(sc, M=130, base_seed=0)
+        fh = io.BytesIO()
+        dump_csv(ens, fh)
+        dumps.append(fh.getvalue())
+        excluded.append(ens.excluded_seeds)
+    assert dumps[0] == dumps[1] == dumps[2]
+    assert excluded[0] == excluded[1] == excluded[2]
+    inside = [s for s in excluded[0] if s % 7 not in (0, 6) and s % 64 not in (0, 63)]
+    assert inside and len(excluded[0]) < 65
 
 
 def test_kde_standard_normal():

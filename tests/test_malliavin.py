@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaosde.errors import BlowupError
 from chaosde.wiener import HilbertDisc, HilbertVec, make_hilbert, sample_omega, shift_omega
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, simulate_path
 from chaosde.sde import preset, solve_euler, solve_theta_all
@@ -15,7 +16,8 @@ from chaosde.malliavin import (
     shifted_driver,
     solution_derivative,
 )
-from oracles import complex_step_dx, component_shift_failures
+from oracles import (complex_step_dx, component_shift_failures, dx_from_triangle, theta_triangle,
+                     truncated)
 
 
 def make_spec(q=1, m=1, n=96, L=4.0, out_times=(0.5, 1.0)):
@@ -29,8 +31,7 @@ def solve_case(preset_name, q, steps=48, n=96, seed=0):
     times = np.linspace(0.0, 1.0, steps + 1)
     gd = GridDriver(spec, times)
     w = sample_omega(spec.space, seed)
-    bundle = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
-    solve_theta_all(coeffs, bundle)
+    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(w))))
     mf = solution_derivative(coeffs, bundle, gd.deriv_vectors(w), spec.space)
     return coeffs, x0, spec, gd, w, bundle, mf
 
@@ -84,6 +85,19 @@ def test_solution_derivative_additive():
     coeffs, x0, spec, gd, w, bundle, mf = solve_case("additive", 1)
     assert np.allclose(spec.space.components(mf.dx)[0, 0], 1.5 * gd.deriv_vectors(w)[-1, 0], atol=1e-12)
     assert np.linalg.norm(mf.dx[0]) == pytest.approx(1.5 * 1.0**0.7, rel=1e-10)
+
+
+def test_one_step_dx_overflow_is_a_silent_blowup():
+    # on a one-step grid each Young sum is a single product, which numpy
+    # forms without BLAS; its overflow is a BlowupError, not a warning
+    coeffs, x0 = preset("additive")
+    bundle = solve_euler(coeffs, x0, (np.array([0.0, 1.0]), np.zeros((2, 1))))
+    space = make_hilbert(1, -4.0, 1.0, 8)
+    dfields = np.zeros((2, 1, 8))
+    dfields[1] = 1.5e308
+    with pytest.raises(BlowupError) as exc:
+        solution_derivative(coeffs, bundle, dfields, space)
+    assert exc.value.step == 1
 
 
 def test_malliavin_matrix_properties():
@@ -149,3 +163,26 @@ def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
         h = rng.standard_normal(spec.space.basis_dim)
         want = complex_step_dx(coeffs, x0, gd, w, h)
         assert np.max(np.abs(mf.dx @ h - want)) <= 1e-13 * np.max(np.abs(mf.dx) @ np.abs(h))
+
+
+@given(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]),
+       st.integers(1, 3), st.integers(1, 70), st.integers(0, 2**64 - 1))
+@example("elliptic-2d", 1, 128, 5)
+@example("rank1-2d", 3, 37, 0)
+@settings(max_examples=20, deadline=None)
+def test_dx_matches_the_triangle_assembly(name, q, steps, seed):
+    # DX from Theta at the final time, one Young sum per noise component,
+    # equals the assembly of one Young sum per (k, l) pair over the
+    # triangle oracle bit for bit: at the final time, and at an earlier
+    # grid time j as the DX of the path truncated there
+    coeffs, x0, spec, gd, w, bundle, mf = solve_case(name, q, steps=steps, n=40, seed=seed)
+    dfields = gd.deriv_vectors(w)
+    triangle = theta_triangle(coeffs, bundle)
+    assert mf.t == bundle.times[-1]
+    assert np.array_equal(mf.dx, dx_from_triangle(coeffs, triangle, bundle.times, dfields,
+                                                   spec.space, steps))
+    j = 1 + seed % steps
+    part = solution_derivative(coeffs, truncated(bundle, j), dfields[:j + 1], spec.space)
+    assert part.t == bundle.times[j]
+    assert np.array_equal(part.dx, dx_from_triangle(coeffs, triangle, bundle.times, dfields,
+                                                    spec.space, j))

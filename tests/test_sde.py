@@ -2,6 +2,7 @@
 oracles, and the coefficient presets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosde import sde
-from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError, MemoryBudgetError
+from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError
+from chaosde.hermite import GridDriver, HermiteSpec
 from chaosde.sde import (
     SdeCoefficients,
     _step_jacobians,
@@ -18,7 +20,9 @@ from chaosde.sde import (
     solve_theta_all,
     validate_derivatives,
 )
-from oracles import _step_jacobian, frechet_directional, solve_theta, theta_columns
+from chaosde.wiener import make_hilbert, sample_omega
+from oracles import (_step_jacobian, frechet_directional, solve_theta, theta_columns,
+                     theta_triangle, truncated)
 
 
 PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
@@ -32,12 +36,10 @@ def smooth_driver(steps, func=lambda t: t):
 def frechet_triangle(coeffs, bundle, psi):
     """Oracle for frechet_directional: the strict-triangle einsum
     out[j] = sum_{i<j} Theta_{t_j}(t_i) dpsi_i over the full Theta."""
-    if bundle.theta is None:
-        solve_theta_all(coeffs, bundle)
     N = bundle.steps
     dpsi = np.diff(psi, axis=0)
     below = np.triu(np.ones((N, N + 1)), k=1)[:, :, None, None]
-    return np.einsum("ijkl,il->jk", bundle.theta[:N] * below, dpsi)
+    return np.einsum("ijkl,il->jk", theta_triangle(coeffs, bundle)[:N] * below, dpsi)
 
 
 def test_presets_have_consistent_derivatives():
@@ -240,34 +242,42 @@ def test_theta_constant_sigma():
 @example("linear-scalar", 2, 0, 0.1)
 @settings(max_examples=40, deadline=None)
 def test_theta_triangle_matches_rows(name, steps, seed, scale):
-    # the column recursion against the row-by-row oracle solve_theta
+    # the column recursion of the triangle oracle against the row-by-row
+    # oracle solve_theta; Theta at the final time is its last column
     coeffs, x0 = preset(name)
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, steps + 1)
     F = np.cumsum(rng.standard_normal((steps + 1, coeffs.m)), axis=0) * scale
     F[0] = 0.0
-    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (times, F)))
-    assert bundle.theta.shape == (steps + 1, steps + 1, coeffs.d, coeffs.m)
+    bundle = solve_euler(coeffs, x0, (times, F))
+    triangle = theta_triangle(coeffs, bundle)
+    assert triangle.shape == (steps + 1, steps + 1, coeffs.d, coeffs.m)
     for s_idx in range(steps + 1):
         want = solve_theta(coeffs, bundle, s_idx)
-        gap = np.max(np.abs(bundle.theta[s_idx] - want))
+        gap = np.max(np.abs(triangle[s_idx] - want))
         assert gap <= 1e-13 * np.max(np.abs(want))
+    theta = solve_theta_all(coeffs, bundle).theta
+    assert theta.shape == (steps + 1, coeffs.d, coeffs.m)
+    assert np.array_equal(theta, triangle[:, steps])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_theta_triangle_budget():
-    # at d = m = 2, 5800 steps make a (5801, 5801, 2, 2) triangle, over the
-    # budget, while the (5800, 5800) driver Gram is within it: rejected
-    # before the triangle is allocated
+    # at d = m = 2, 5800 steps would make a (5801, 5801, 2, 2) triangle, over
+    # the memory budget; Theta at the final time needs no triangle, and the
+    # solve allocates a few (5801, 2, 2)-sized arrays at a time
     coeffs, x0 = preset("elliptic-2d")
     times = np.linspace(0.0, 1.0, 5801)
     bundle = solve_euler(coeffs, x0, (times, np.zeros((5801, 2))))
-    with pytest.raises(MemoryBudgetError):
+    tracemalloc.start()
+    try:
         solve_theta_all(coeffs, bundle)
-    assert bundle.theta is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.theta.shape == (5801, 2, 2) and np.isfinite(bundle.theta).all()
+    assert peak < 2e6
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_theta_blowup_reports_first_column():
     # bounded sigma keeps Euler finite; dsigma = 1e300 makes each one-step
     # Jacobian ~6e298, so a product of two of them overflows Theta
@@ -316,17 +326,93 @@ def mixed_3x2():
 @pytest.mark.parametrize("name", PRESETS + ["mixed-3x2"])
 def test_theta_triangle_matches_column_loop(name, steps):
     # one GEMM per column gives the triangle of the per-entry column loop
-    # bit for bit
+    # bit for bit, and Theta at the final time of the path truncated at
+    # step j is its column j, for every j: one path alone, and in a batch
     coeffs, x0 = mixed_3x2() if name == "mixed-3x2" else preset(name)
     times = np.linspace(0.0, 1.0, steps + 1)
-    for seed, scale in ((0, 0.05), (1, 0.3), (2, 1.0)):
-        F = random_paths(coeffs, 1, steps, seed, scale)[0]
-        bundle = solve_euler(coeffs, x0, (times, F))
+    F = random_paths(coeffs, 3, steps, steps, 1.0) * np.array([0.05, 0.3, 1.0])[:, None, None]
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (times, F)))
+    for k in range(3):
+        bundle = solve_euler(coeffs, x0, (times, F[k]))
         want = theta_columns(coeffs, bundle)
-        assert np.array_equal(solve_theta_all(coeffs, bundle).theta, want)
+        assert np.array_equal(theta_triangle(coeffs, bundle), want)
+        assert np.array_equal(batch.path(k).theta, want[:, steps])
+        for j in range(1, steps + 1):
+            theta = solve_theta_all(coeffs, truncated(bundle, j)).theta
+            assert np.array_equal(theta, want[:j + 1, j])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def jumpy():
+    """d = m = 1 with bounded sigma and dsigma = 1e300 above 0.5: Euler stays
+    finite and the one-step Jacobians of a path that crosses 0.5 overflow
+    its Theta."""
+    return SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.where(x > 0.5, 1e300, 0.5 * np.cos(x))[..., None, None],
+    ), np.zeros(1)
+
+
+def capped():
+    """Unit additive noise and a drift that is infinite above 1: a path
+    that crosses 1 fails in Euler."""
+    return SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.where(x > 1.0, np.inf, 0.0),
+        sigma=lambda x: np.ones(np.shape(x) + (1,)),
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)),
+    ), np.zeros(1)
+
+
+@given(st.sampled_from(PRESETS + ["mixed-3x2", "jumpy", "capped"]), st.integers(1, 3),
+       st.integers(1, 70), st.integers(0, 2**32 - 1), st.integers(1, 9))
+@example("elliptic-2d", 1, 128, 5, 9)
+@example("jumpy", 2, 37, 0, 9)
+@example("capped", 1, 24, 3, 9)
+@settings(max_examples=30, deadline=None)
+def test_batched_theta_matches_triangle_columns(name, q, steps, seed, B):
+    # Theta at the final time of a batch of GridDriver paths is column N of
+    # each path's triangle oracle, bit for bit; on a path truncated at step
+    # j it is column j.  A path whose Theta overflows reports the oracle's
+    # step, alone and in the batch; a path that failed in Euler reports its
+    # Euler step first, and its theta is NaN
+    coeffs, x0 = {"mixed-3x2": mixed_3x2, "jumpy": jumpy, "capped": capped}.get(
+        name, lambda: preset(name))()
+    space = make_hilbert(coeffs.m, -4.0, 1.0, 24)
+    gd = GridDriver(HermiteSpec(q=q, H=0.7, m=coeffs.m, space=space, out_times=(1.0,)),
+                    np.linspace(0.0, 1.0, steps + 1))
+    draws = [sample_omega(space, (seed + k) % 2**64) for k in range(B)]
+    batch = solve_euler(coeffs, x0, (gd.times, gd.values(draws)))
+    assert solve_theta_all(coeffs, batch) is batch
+    assert batch.theta.shape == (B, steps + 1, coeffs.d, coeffs.m)
+    for k, w in enumerate(draws):
+        if batch.failed[k]:
+            with pytest.raises(BlowupError, match="non-finite state") as exc:
+                batch.path(k)
+            assert exc.value.step == batch.failed[k]
+            assert np.isnan(batch.theta[k]).all()
+            continue
+        one = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
+        try:
+            want = theta_triangle(coeffs, one)
+        except BlowupError as err:
+            for run in (lambda: batch.path(k), lambda: solve_theta_all(coeffs, one)):
+                with pytest.raises(BlowupError, match="variational") as exc:
+                    run()
+                assert exc.value.step == err.step
+            assert one.theta is None
+            continue
+        assert np.array_equal(batch.path(k).theta, want[:, steps])
+        assert np.array_equal(solve_theta_all(coeffs, one).theta, want[:, steps])
+        if k == 0:
+            for j in range(1, steps):
+                theta = solve_theta_all(coeffs, truncated(one, j)).theta
+                assert np.array_equal(theta, want[:j + 1, j])
+
+
 def test_theta_blowup_in_two_dimensions_matches_column_loop():
     # bounded sigma keeps Euler finite; dsigma = +-1e300 makes each one-step
     # Jacobian ~6e298 with a sign change in its second row, so Theta(t_0)
@@ -345,56 +431,12 @@ def test_theta_blowup_in_two_dimensions_matches_column_loop():
     assert np.isfinite(bundle.X).all()
     with pytest.raises(BlowupError) as want:
         theta_columns(huge, bundle)
+    with pytest.raises(BlowupError) as oracle:
+        theta_triangle(huge, bundle)
     with pytest.raises(BlowupError) as exc:
         solve_theta_all(huge, bundle)
-    assert exc.value.step == want.value.step == 3
+    assert exc.value.step == oracle.value.step == want.value.step == 3
     assert bundle.theta is None
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("name", ["elliptic-2d", "mixed-3x2"])
-def test_theta_out_buffer_matches_fresh_triangle(name):
-    # one zeroed buffer over consecutive paths gives each path's fresh
-    # triangle bit for bit, also right after a path whose Theta overflowed
-    # (a driver of scale 1e200 keeps Euler finite and makes each one-step
-    # Jacobian ~1e199) and left the buffer full of inf and nan
-    coeffs, x0 = mixed_3x2() if name == "mixed-3x2" else preset(name)
-    steps = 16
-    times = np.linspace(0.0, 1.0, steps + 1)
-    buffer = np.zeros((steps + 1, coeffs.d, steps + 1, coeffs.m))
-    blown = 0
-    for seed, scale in ((0, 0.3), (1, 1e200), (2, 0.3), (3, 1.0), (4, 1e200), (5, 0.05)):
-        F = random_paths(coeffs, 1, steps, seed, scale)[0]
-        fresh = solve_euler(coeffs, x0, (times, F))
-        reused = solve_euler(coeffs, x0, (times, F))
-        assert np.isfinite(fresh.X).all()
-        try:
-            solve_theta_all(coeffs, fresh)
-        except BlowupError as want:
-            with pytest.raises(BlowupError) as exc:
-                solve_theta_all(coeffs, reused, out=buffer)
-            assert exc.value.step == want.step
-            assert reused.theta is None
-            blown += 1
-            continue
-        assert solve_theta_all(coeffs, reused, out=buffer) is reused
-        assert np.shares_memory(reused.theta, buffer)
-        assert np.array_equal(reused.theta, fresh.theta)
-    assert blown == 2
-
-
-def test_theta_out_buffer_checked():
-    coeffs, x0 = preset("elliptic-2d")
-    times, F = smooth_driver(8)
-    bundle = solve_euler(coeffs, x0, (times, np.hstack([F, F])))
-    shape = (9, 2, 9, 2)
-    for bad in (np.zeros((9, 9, 2, 2)), np.zeros((8, 2, 9, 2)), np.zeros(shape, dtype=np.float32),
-                np.zeros(shape[::-1]).T, [[0.0]]):
-        with pytest.raises(InvalidDimensionError):
-            solve_theta_all(coeffs, bundle, out=bad)
-        assert bundle.theta is None
-    assert np.array_equal(solve_theta_all(coeffs, bundle, out=np.zeros(shape)).theta,
-                          solve_theta_all(coeffs, bundle).theta)
 
 
 def test_theta_closed_form_linear():
@@ -405,15 +447,14 @@ def test_theta_closed_form_linear():
     steps = 2**10
     times, F = smooth_driver(steps)
     bundle = solve_euler(coeffs, x0, (times, F))
-    solve_theta_all(coeffs, bundle)
     worst = 0.0
-    for s_idx in (0, steps // 4, steps // 2):
-        for t_idx in (steps // 2, steps):
-            if t_idx < s_idx:
-                continue
+    for t_idx in (steps // 2, steps):
+        # Theta at t_idx: the final-time Theta of the path truncated there
+        theta = solve_theta_all(coeffs, truncated(bundle, t_idx)).theta
+        for s_idx in (0, steps // 4, steps // 2):
             s, t = times[s_idx], times[t_idx]
             exact = lam * math.exp(lam * s) * math.exp(lam * (t - s))
-            got = bundle.theta[s_idx, t_idx, 0, 0]
+            got = theta[s_idx, 0, 0]
             worst = max(worst, abs(got - exact) / exact)
     assert worst <= 0.01
 
@@ -611,7 +652,8 @@ def test_batched_euler_freezes_a_failed_path():
 @pytest.mark.parametrize("name", PRESETS)
 def test_step_jacobian_stack_matches_single_steps(name):
     # one db and one dsigma call over all steps give the per-step Jacobians
-    # bit for bit
+    # bit for bit, and one call over all steps of a batch gives each path's
+    # own stack
     coeffs, x0 = preset(name)
     steps = 96
     times = np.linspace(0.0, 1.0, steps + 1)
@@ -622,3 +664,9 @@ def test_step_jacobian_stack_matches_single_steps(name):
         for j in range(steps)
     ])
     assert np.array_equal(_step_jacobians(coeffs, bundle), want)
+    batch = solve_euler(coeffs, x0, (times, random_paths(coeffs, 9, steps, 12, 0.3)))
+    stack = _step_jacobians(coeffs, batch)
+    assert stack.shape == (9, steps, coeffs.d, coeffs.d)
+    for k in range(9):
+        assert np.array_equal(stack[k], _step_jacobians(coeffs, batch.path(k)))
+

@@ -91,3 +91,20 @@ def test_hvalued_shape_checked():
     t = dyadic(2**4 + 1)
     with pytest.raises(InvalidDimensionError):
         rs_integral_hvalued(t, t, t)
+
+
+def test_hvalued_integrand_columns_match_one_column_sums():
+    # r integrands against one Phi give r rows, each the one-column sum bit
+    # for bit: at tol = 0, and at the end of the whole refinement tower
+    # (a tolerance no level meets)
+    t = dyadic(2**7 + 1)
+    rng = np.random.default_rng(3)
+    g = np.cumsum(rng.standard_normal((t.shape[0], 2, 3)), axis=0)[:, :, 1]  # strided columns
+    Phi = np.cumsum(rng.standard_normal((t.shape[0], 5)), axis=0) * 0.02
+    for tol, levels in ((0.0, 1), (1e-300, 8)):
+        res = rs_integral_hvalued(t, g, Phi, tol=tol)
+        assert res.value.shape == (2, 5) and res.refinement_levels == levels
+        for c in range(2):
+            assert np.array_equal(res.value[c], rs_integral_hvalued(t, g[:, c], Phi, tol=tol).value)
+    with pytest.raises(InvalidDimensionError):
+        rs_integral_hvalued(t, g[:, :, None], Phi)

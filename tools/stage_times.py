@@ -15,16 +15,22 @@ L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
 every sample in the order the ensemble runs them, each the way the source
 runs it: draw (`sample_omega`), driver values (`GridDriver.values`), Euler
 (`solve_euler`), DF (`GridDriver.deriv_vectors`), Theta (`solve_theta_all`),
-DX (`solution_derivative` on the filled triangle) and Gram
+DX (`solution_derivative` on the Theta the source solved) and Gram
 (`malliavin_matrix`), in milliseconds per sample.  Seeds go in blocks of
 `wiener.DRAW_BLOCK` (or, in older sources, `density.EULER_BATCH`): Euler is
 one batched solve per block, and driver values one call per block where
 the source has `wiener.DRAW_BLOCK` (its `values` takes a list of draws) and
 one call per draw otherwise.  A source with neither constant runs one seed
-at a time.  Where the source's `solve_theta_all` and `deriv_vectors` take
-an `out` buffer, every sample fills the same two buffers, as the ensemble
-does (`out_buffers` true); otherwise each sample's Theta triangle and DF
-array are allocated and dropped once its stages are timed.  The pass then
+at a time.  Theta is timed the way the source's ensemble solves it: once
+per block where `solve_theta_all` takes a batch and keeps Theta at the
+final time alone (`theta_per_block` true: its `SolutionBundle` has a
+`theta_failed` field), with DX on that final-time Theta; otherwise once
+per sample, filling the whole triangle.  Where the source's
+`solve_theta_all` and `deriv_vectors` take an `out` buffer, every sample
+fills the same two buffers, as the ensemble does (`out_buffers` true);
+otherwise each sample's Theta triangle and DF array are allocated and
+dropped once its stages are timed (only the DF buffer where Theta is
+solved per block).  The pass then
 times one whole `chaosde density` command on the same scenario with
 `run.seed` 5 and `run.M` 100, in process: `command_s`, and
 `command_sample_ms`, its time per sample, to set beside the stage sum
@@ -98,7 +104,7 @@ def measure_ensemble() -> dict:
     import time
 
     import numpy as np
-    from chaosde import cli, density, wiener
+    from chaosde import cli, density, sde, wiener
     from chaosde.malliavin import malliavin_matrix, solution_derivative
     from chaosde.sde import solve_euler, solve_theta_all
     from chaosde.wiener import sample_omega
@@ -119,17 +125,19 @@ def measure_ensemble() -> dict:
     def faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    out_buffers = "out" in inspect.signature(solve_theta_all).parameters
+    theta_per_block = "theta_failed" in getattr(sde.SolutionBundle, "__dataclass_fields__", {})
+    out_buffers = "out" in inspect.signature(driver.deriv_vectors).parameters
+    N = ENSEMBLE["steps"]
+    buffers = {"theta": {}, "df": {}}
     if out_buffers:
-        N = ENSEMBLE["steps"]
-        buffers = {"theta": {"out": np.zeros((N + 1, coeffs.d, N + 1, coeffs.m))},
-                   "df": {"out": np.zeros((N + 1, coeffs.m, spec.space.n))}}
-    else:
-        buffers = {"theta": {}, "df": {}}
+        buffers["df"] = {"out": np.zeros((N + 1, coeffs.m, spec.space.n))}
+        if not theta_per_block:
+            buffers["theta"] = {"out": np.zeros((N + 1, coeffs.d, N + 1, coeffs.m))}
 
     def sample(w, bundle):
         dfields = timed("df", driver.deriv_vectors, w, **buffers["df"])
-        timed("theta", solve_theta_all, coeffs, bundle, **buffers["theta"])
+        if not theta_per_block:
+            timed("theta", solve_theta_all, coeffs, bundle, **buffers["theta"])
         mf = timed("dx", solution_derivative, coeffs, bundle, dfields, spec.space)
         timed("gram", malliavin_matrix, mf)
 
@@ -148,8 +156,11 @@ def measure_ensemble() -> dict:
             if batch:
                 paths = timed("euler", solve_euler, coeffs, x0,
                               (driver.times, np.asarray(values)))
+                if theta_per_block:
+                    timed("theta", solve_theta_all, coeffs, paths)
                 # one path at a time, as the ensemble takes them: a bundle
-                # and its Theta triangle are dropped after their sample
+                # (and in older sources its Theta triangle) is dropped
+                # after its sample
                 bundles = (paths.path(k) for k in range(len(group)))
             else:
                 bundles = [timed("euler", solve_euler, coeffs, x0, (driver.times, v))
@@ -182,7 +193,7 @@ def measure_ensemble() -> dict:
             "command_s": command_s, "command_sample_ms": 1e3 * command_s / len(seeds),
             "stage_faults": stage_faults, "command_faults": command_faults,
             "euler_batch": batch, "values_per_block": bool(draw_block),
-            "out_buffers": out_buffers}
+            "out_buffers": out_buffers, "theta_per_block": theta_per_block}
 
 
 def measure_simulate() -> dict:
@@ -340,7 +351,7 @@ def _record(scenario: str, sources: dict, repeats: int) -> dict:
     for label, src in sources.items():
         runs = passes[label]
         entry = {"git_commit": _git_commit(src)}
-        for key in ("euler_batch", "values_per_block", "out_buffers"):
+        for key in ("euler_batch", "values_per_block", "out_buffers", "theta_per_block"):
             if key in runs[0]:
                 entry[key] = runs[0][key]
         for name, stat in (("median_", statistics.median), ("min_", min)):
