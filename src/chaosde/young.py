@@ -58,10 +58,10 @@ def _left_sum(g: np.ndarray, Phi: np.ndarray, stride: int):
 def rs_integral_hvalued(times, g, Phi, tol: float = DEFAULT_TOL) -> YoungResult:
     """Hilbert-valued Young integral: sum g(u)(Phi(v) - Phi(u)) in coordinates.
 
-    Phi has shape (len(times), dim).  g has shape (len(times),), and the
-    result value is a dim-vector, or (len(times), r) for r integrands
-    against the same Phi, and the value has shape (r, dim): row c is the
-    integral of g[:, c], bit for bit.
+    Phi has shape (len(times), dim).  For g of shape (len(times),) the
+    value is a dim-vector; for g of shape (len(times), r), r integrands
+    against the same Phi, it has shape (r, dim), and row c is the value
+    for g[:, c] alone, bit for bit.
     Left-point sums on dyadic refinements until two successive levels agree
     to tol (relative to max(1, |value|)) or the refinement tower is
     exhausted.  tol = 0 returns the finest sum alone: one level, last_delta

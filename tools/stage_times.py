@@ -26,13 +26,12 @@ per block where `solve_theta_all` takes a batch and keeps Theta at the
 final time alone (`theta_per_block` true: its `SolutionBundle` has a
 `theta_failed` field), with DX on that final-time Theta; otherwise once
 per sample, filling the whole triangle.  Where the source's
-`solve_theta_all` and `deriv_vectors` take an `out` buffer, every sample
-fills the same two buffers, as the ensemble does (`out_buffers` true);
-otherwise each sample's Theta triangle and DF array are allocated and
-dropped once its stages are timed (only the DF buffer where Theta is
-solved per block).  The pass then
-times one whole `chaosde density` command on the same scenario with
-`run.seed` 5 and `run.M` 100, in process: `command_s`, and
+`deriv_vectors` takes an `out` buffer, every sample fills the same DF
+buffer, and the same Theta buffer where the triangle is per sample, as
+the ensemble does (`out_buffers` true); otherwise each sample's DF array
+and Theta triangle are allocated and dropped once its stages are timed.
+The pass then times one whole `chaosde density` command on the same
+scenario with `run.seed` 5 and `run.M` 100, in process: `command_s`, and
 `command_sample_ms`, its time per sample, to set beside the stage sum
 `sample_ms`.  `stage_faults` and `command_faults` count the minor page
 faults (`ru_minflt`) of the pass's timed stage loop and of the command:
