@@ -363,7 +363,9 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_malliavin(cfg: dict) -> int:
-    _, (coeffs, x0, spec, driver) = _scenario(cfg)
+    scenario, (coeffs, x0, spec, driver) = _scenario(cfg)
+    with _budget_key(cfg, "process.n"):
+        check_budget((scenario.steps + 1, coeffs.m, scenario.n))  # the DF array
     seed = cfg["run"]["seed"]
     w = sample_omega(spec.space, seed)
     bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
@@ -391,6 +393,9 @@ def cmd_malliavin(cfg: dict) -> int:
 def cmd_density(cfg: dict) -> int:
     r = cfg["run"]
     scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
+    m = preset(scenario.preset)[0].m
+    with _budget_key(cfg, "process.n"):
+        check_budget((scenario.steps + 1, m, scenario.n))  # each chunk's DF buffer
     with _budget_key(cfg, "run.M"):
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])

@@ -58,10 +58,6 @@ class SampleEnsemble:
     excluded_seeds: list = field(default_factory=list)
 
     @property
-    def draws(self) -> int:
-        return len(self.seeds)
-
-    @property
     def excluded(self) -> int:
         return len(self.excluded_seeds)
 

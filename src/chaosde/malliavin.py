@@ -3,9 +3,9 @@ Taylor-shifted drivers and difference quotients of the discrete flow.
 
 The solution derivative at the output time t = t_N is assembled from Theta
 at that time, W_i = Theta_t(t_i), by the Hilbert-valued left-point
-representation DX_t^k = sum_l int_0^t Theta_t^{k,l}(s) d DF^l(s),
-evaluated at full grid resolution so that it is the exact gradient of the
-discrete Euler flow.
+representation DX_t^k = sum_l int_0^t Theta_t^{k,l}(s) d DF^l(s), summed
+on the step grid itself, where it is the exact gradient of the discrete
+Euler flow.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     dfields has shape (steps+1, m, n): the component-block coordinates of
     DF^l at every grid time (GridDriver.deriv_vectors output).  Each noise
     component l is one Hilbert-valued Young integral of the d integrands
-    Theta^{k,l}, k = 1..d, evaluated with tol=0, i.e. the finest-level
-    left-point sum.  Theta is solved first when the bundle does not hold
-    it yet.  Raises BlowupError (step = steps) when DX or its Gram matrix
-    is not finite.
+    Theta^{k,l}, k = 1..d: the left-point sum on the step grid.  Theta is
+    solved first when the bundle does not hold it yet.  Raises BlowupError
+    (step = steps) when DX or its Gram matrix is not finite.
     """
     if bundle.theta is None:
         solve_theta_all(coeffs, bundle)
@@ -65,8 +64,7 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
         raise SpaceMismatchError("space does not match the DF field layout")
     dx = np.zeros((coeffs.d, space.basis_dim))
     for ell in range(coeffs.m):
-        res = rs_integral_hvalued(bundle.times, bundle.theta[:, :, ell], dfields[:, ell, :],
-                                  tol=0.0)
+        res = rs_integral_hvalued(bundle.theta[:, :, ell], dfields[:, ell, :])
         space.components(dx)[:, ell] += res.value
     # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
     # means a finite DX and a finite Malliavin matrix

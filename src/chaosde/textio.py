@@ -238,13 +238,10 @@ def write_words(fh, rows: np.ndarray, sep: str, widths):
     write_ascii(fh, rows.tobytes().translate(None, b"\0"))
 
 
-def write_rows(fh, fields, sep: str, head=()):
-    """`write_words` of the word arrays head and fields side by side:
-    fields is a list of (N, w_i) word arrays, each row of each ending in a
-    NUL byte, and head a list of (N, w) ones whose text holds its own
-    separators."""
-    write_words(fh, np.concatenate(list(head) + list(fields), axis=1), sep,
-                [f.shape[1] for f in fields])
+def write_rows(fh, fields, sep: str):
+    """`write_words` of the word arrays fields side by side: a list of
+    (N, w_i) word arrays, each row of each ending in a NUL byte."""
+    write_words(fh, np.concatenate(fields, axis=1), sep, [f.shape[1] for f in fields])
 
 
 #: data lines formatted at once: each chunk's arrays stay within a few

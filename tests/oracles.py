@@ -18,7 +18,6 @@ from chaosde.density import euler_batches
 from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, hurst_aux, simulate_path
 from chaosde.sde import SdeCoefficients, SolutionBundle, _step_jacobians
-from chaosde.young import rs_integral_hvalued
 from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
                             shift_omega)
 
@@ -131,18 +130,17 @@ def truncated(bundle, j):
                           driver_values=bundle.driver_values[:j + 1], sigma=bundle.sigma[:j])
 
 
-def dx_from_triangle(coeffs, triangle, times, dfields, space, t_index):
+def dx_from_triangle(coeffs, triangle, dfields, space, t_index):
     """DX at grid time t_index by the assembly solution_derivative made
-    before it took Theta at the final time alone: one Young sum per (k, l)
-    pair over column t_index of the triangle, each added into a zero
-    full-basis row."""
+    before it took Theta at the final time alone, in plain numpy: one
+    left-point sum w[:-1] @ (df[1:] - df[:-1]) per (k, l) pair over column
+    t_index of the triangle, each added into a zero full-basis row."""
     sub = slice(0, t_index + 1)
     dx = np.zeros((coeffs.d, space.basis_dim))
     for k in range(coeffs.d):
         for ell in range(coeffs.m):
-            res = rs_integral_hvalued(times[sub], triangle[sub, t_index, k, ell],
-                                      dfields[sub, ell, :], tol=0.0)
-            space.components(dx)[k, ell] += np.asarray(res.value)
+            w, df = triangle[sub, t_index, k, ell], dfields[sub, ell, :]
+            space.components(dx)[k, ell] += w[:-1] @ (df[1:] - df[:-1])
     return dx
 
 

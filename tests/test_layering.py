@@ -1,10 +1,12 @@
 """Module layering of the package: every import between chaosde modules,
 function-local ones included, goes down the table below; the package
 imports no third-party module but those `pyproject.toml` declares; and
-every public name of the package is reached from somewhere other than its
-own unit tests."""
+every public name of the package, and every defaulted parameter of its
+public functions, is reached from somewhere other than its own unit
+tests."""
 
 import ast
+import collections
 import os
 import pathlib
 import re
@@ -185,56 +187,104 @@ REACHING = ("perfbench/*.py", "tools/*.py", "tests/oracles.py", "tests/test_acce
 UNREACHED_ALLOWED = set()
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with `dataclass` or `dataclass(...)`."""
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def public_definitions(tree: ast.Module) -> list:
-    """(qualified name, node) of every public top-level function and class
-    of the module and every public method or property of those classes."""
+    """(qualified name, name, node, member) of every public top-level
+    function and class of the module and every public method, property
+    or dataclass field of those classes; member is True for the latter."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            found.append((node.name, node))
+            found.append((node.name, node.name, node, False))
             for sub in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    found.append((f"{node.name}.{sub.name}", sub))
+                if isinstance(sub, ast.FunctionDef):
+                    name = sub.name
+                elif (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                      and is_dataclass(node)):
+                    name = sub.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.append((f"{node.name}.{name}", name, sub, True))
     return found
 
 
-def named(tree: ast.AST, skip: ast.AST = None) -> set:
-    """The identifiers of every Name and Attribute node of tree outside the
-    subtree skip: docstrings and comments name nothing."""
-    found, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
+def references(tree: ast.AST, member: bool) -> collections.Counter:
+    """How often each identifier that can reach a definition occurs in
+    tree: that of every Name and Attribute node, or for a member that of
+    every Attribute node and call keyword (a bare name is then a local
+    that shares its name).  Docstrings and comments name nothing."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Name) and not member:
+            found[node.id] += 1
+        elif isinstance(node, ast.keyword) and node.arg and member:
+            found[node.arg] += 1
     return found
+
+
+def defaulted_parameters(node: ast.FunctionDef, method: bool) -> list:
+    """(name, position) of every parameter of the function that has a
+    default: position is its index among the arguments a call passes by
+    position (self not counted for a method), None for a keyword-only one."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    found = [(p.arg, i - method) for i, p in enumerate(positional) if i >= first]
+    return found + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def passes(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or
+    through a starred argument that may hold it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (starred or len(call.args) > position)
 
 
 def unreached(package: pathlib.Path, reaching) -> list:
-    """module.name of every public definition in the package that no code
-    names, outside the definition itself, in the package or in the files
-    reaching."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    outside = set().union(*(named(ast.parse(path.read_text())) for path in reaching))
+    """Every public definition in the package that no code reaches, outside
+    the definition itself, in the package or in the files reaching.
+
+    A function or class is reached when some code names it.  A method,
+    property or dataclass field is reached only as an attribute or a call
+    keyword.  A defaulted parameter of a public function or method, listed
+    as function(parameter), is reached only when some call passes it.
+    """
+    modules = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in modules + list(reaching)}
+    refs = {member: sum((references(tree, member) for tree in trees.values()),
+                        collections.Counter()) for member in (False, True)}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
     missing = []
-    for path, tree in trees.items():
-        for qualified, node in public_definitions(tree):
-            if node.name in outside or any(
-                    node.name in named(other, skip=node if other is tree else None)
-                    for other in trees.values()):
-                continue
-            missing.append(f"{path.stem}.{qualified}")
+    for path in modules:
+        for qualified, name, node, member in public_definitions(trees[path]):
+            if refs[member][name] == references(node, member)[name]:
+                missing.append(f"{path.stem}.{qualified}")
+            if isinstance(node, ast.FunctionDef):
+                own = set(map(id, ast.walk(node)))
+                mine = [call for call in calls if id(call) not in own and name in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+                missing += [f"{path.stem}.{qualified}({param})"
+                            for param, position in defaulted_parameters(node, member)
+                            if not any(passes(call, param, position) for call in mine)]
     return missing
 
 
 def test_every_public_name_is_reached():
-    # a name that only its own unit tests call is test-only code: it belongs
-    # in tests/oracles.py if it is a reference implementation, and nowhere
-    # otherwise
+    # a name or a parameter that only its own unit tests use is test-only
+    # code: it belongs in tests/oracles.py if it is a reference
+    # implementation, and nowhere otherwise
     reaching = [path for pattern in REACHING for path in sorted(ROOT.glob(pattern))]
     assert sorted(unreached(PACKAGE, reaching)) == sorted(UNREACHED_ALLOWED)
 
@@ -243,15 +293,23 @@ def test_reachability_scan(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "a.py").write_text(
-        "def used():\n    return helper()\n"
+        "from dataclasses import dataclass\n"
+        "def used(x=1, y=2, *, z=3, w=4):\n    return helper()\n"
         "def helper():\n    return 1\n"
-        "def recursive(n):\n    '''calls itself only; orphan is named in text alone'''\n"
-        "    return recursive(n - 1)  # orphan\n"
+        "def recursive(n, depth=0):\n    '''calls itself only; orphan is named in text alone'''\n"
+        "    return recursive(n - 1, depth=depth + 1)  # orphan\n"
         "def orphan():\n    pass\n"
         "def _private():\n    pass\n"
-        "class Box:\n    def read(self):\n        return Box()\n"
+        "class Box:\n    def read(self, fresh=False):\n        return Box()\n"
         "    @property\n    def size(self):\n        return 0\n"
-        "    def _hidden(self):\n        pass\n")
+        "    def width(self):\n        return 1\n"
+        "    def _hidden(self):\n        pass\n"
+        "@dataclass\nclass Rec:\n    kept: int\n    made: int = 0\n    shadow: int = 0\n")
     caller = tmp_path / "caller.py"
-    caller.write_text("import a\na.used()\nb = a.Box()\nb.read\n")
-    assert unreached(package, [caller]) == ["a.recursive", "a.orphan", "a.Box.size"]
+    # members named only as bare locals (width, shadow) are not reached, a
+    # keyword reaches a field (made), and the calls pass x, z and fresh
+    caller.write_text("import a\na.used(0, z=1)\nb = a.Box()\nb.read(True)\n"
+                      "width = shadow = 2\na.Rec(made=1).kept\n")
+    assert unreached(package, [caller]) == [
+        "a.used(y)", "a.used(w)", "a.recursive", "a.recursive(depth)", "a.orphan", "a.Box.size",
+        "a.Box.width", "a.Rec.shadow"]

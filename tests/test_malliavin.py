@@ -172,17 +172,15 @@ def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
 @settings(max_examples=20, deadline=None)
 def test_dx_matches_the_triangle_assembly(name, q, steps, seed):
     # DX from Theta at the final time, one Young sum per noise component,
-    # equals the assembly of one Young sum per (k, l) pair over the
-    # triangle oracle bit for bit: at the final time, and at an earlier
+    # equals the plain-numpy assembly of one left-point sum per (k, l) pair
+    # over the triangle oracle bit for bit: at the final time, and at an earlier
     # grid time j as the DX of the path truncated there
     coeffs, x0, spec, gd, w, bundle, mf = solve_case(name, q, steps=steps, n=40, seed=seed)
     dfields = gd.deriv_vectors(w)
     triangle = theta_triangle(coeffs, bundle)
     assert mf.t == bundle.times[-1]
-    assert np.array_equal(mf.dx, dx_from_triangle(coeffs, triangle, bundle.times, dfields,
-                                                   spec.space, steps))
+    assert np.array_equal(mf.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, steps))
     j = 1 + seed % steps
     part = solution_derivative(coeffs, truncated(bundle, j), dfields[:j + 1], spec.space)
     assert part.t == bundle.times[j]
-    assert np.array_equal(part.dx, dx_from_triangle(coeffs, triangle, bundle.times, dfields,
-                                                    spec.space, j))
+    assert np.array_equal(part.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, j))

@@ -92,11 +92,13 @@ def test_write_rows_layout():
     fh = io.StringIO()
     textio.write_rows(fh, [empty[:0], empty[:0]], ",")
     assert fh.getvalue() == ""
-    # head words carry their own separators and are written as they are,
-    # to a binary stream as bytes
+    # write_words takes head words before the fields, whose text carries
+    # its own separators and is written as it is, to a binary stream as bytes
     fh = io.BytesIO()
-    textio.write_rows(fh, [empty, labels.take(cells, axis=0)], ";",
-                      head=[textio.label_words(cells, 100), textio.label_words([1, 22, 333])])
+    head = [textio.label_words(cells, 100), textio.label_words([1, 22, 333])]
+    fields = [empty, labels.take(cells, axis=0)]
+    textio.write_words(fh, np.concatenate(head + fields, axis=1), ";",
+                       [f.shape[1] for f in fields])
     assert fh.getvalue() == b"0 100 1 ;0\n11 100 22 ;11\n7 100 333 ;7\n"
 
 
