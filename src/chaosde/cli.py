@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, OutOfRangeError,
                      check_budget)
-from .wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
+from .wiener import HilbertVec, draw_blocks, make_hilbert, sample_omega, shift_omega
 from . import chaos
 from .hermite import (
     HermiteSpec,
@@ -34,7 +34,7 @@ from .hermite import (
     self_similarity_stat,
     simulate_paths,
 )
-from .sde import preset, solve_euler, validate_derivatives
+from .sde import preset, solve_euler, solve_theta_all, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
 from .textio import export_paths, value_fields, write_ascii, write_rows
 from .density import (
@@ -306,12 +306,14 @@ def _check_records(cfg: dict):
     add("product_formula", worst, 1e-10, worst <= 1e-10)
 
     # kernel covariance at the configured process parameters
-    T = len(spec.out_times)
     worst = 0.0
-    for i in range(T):
-        for j in range(i, T):
+    for i, s in enumerate(spec.out_times):
+        for j, t in enumerate(spec.out_times[i:], i):
             ip = math.factorial(spec.q) * field.inner(i, j)
-            tgt = covariance_theoretical(spec.out_times[i], spec.out_times[j], spec.H)
+            tgt = covariance_theoretical(s, t, spec.H)
+            if not tgt > 0:  # it rounds to 0 for times far apart in scale
+                raise ConfigError(f"run.out_times={cfg['run']['out_times']!r} invalid: the "
+                                  f"covariance at {s:g} and {t:g} rounds to 0")
             worst = max(worst, abs(ip - tgt) / tgt)
     add("kernel_covariance", worst, 0.05, worst <= 0.05)
     return records
@@ -349,7 +351,7 @@ def cmd_solve(cfg: dict) -> int:
     def blocks():
         # each block's paths up to its first that went non-finite, whose
         # BlowupError then stops the command
-        for draws, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
+        for draws, _, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
             failed = np.flatnonzero(batch.failed)
             kept = failed[0] if failed.size else len(draws)
             yield draws[0].seed, batch.X[:kept, every]
@@ -367,9 +369,9 @@ def cmd_malliavin(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         check_budget((scenario.steps + 1, coeffs.m, scenario.n))  # the DF array
     seed = cfg["run"]["seed"]
-    w = sample_omega(spec.space, seed)
-    bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    mf = solution_derivative(coeffs, bundle, driver.deriv_vectors(w), spec.space)
+    (w,), xi = next(draw_blocks(spec.space, [seed]))  # a block of one draw
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
+    mf = solution_derivative(coeffs, batch.path(0), driver.deriv_vectors(xi[0]), spec.space)
     mm = malliavin_matrix(mf)
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
@@ -381,7 +383,8 @@ def cmd_malliavin(cfg: dict) -> int:
         err = float(np.max(np.abs(quot - target)))
         errs.append(err)
         lines.append(f"quotient_gap eps={eps:g} {err:.17g}")
-    if len(errs) >= 2 and min(errs) > 0:
+    # a slope needs two distinct steps
+    if len(set(cfg["run"]["eps"])) >= 2 and min(errs) > 0:
         order = np.polyfit(np.log([float(e) for e in cfg["run"]["eps"]]), np.log(errs), 1)[0]
         lines.append(f"observed_order {float(order):.17g}")
     with _output(cfg, "malliavin_report.txt") as fh:

@@ -63,11 +63,12 @@ class SampleEnsemble:
 
 
 def euler_batches(coeffs, x0, spec, driver, seeds):
-    """(draws, batch) for each block of `wiener.draw_blocks`: the batched
-    Euler solve along the draws' driver values, about DRAW_BLOCK * steps *
-    (d * m + d + m) doubles; batch.path(k) is the path of draws[k]."""
-    for draws, _ in draw_blocks(spec.space, seeds):
-        yield draws, solve_euler(coeffs, x0, (driver.times, driver.values(draws)))
+    """(draws, xi, batch) for each block (draws, xi) of `wiener.draw_blocks`:
+    the batched Euler solve along the driver values at the block's
+    coordinates xi, about DRAW_BLOCK * steps * (d * m + d + m) doubles;
+    batch.path(k) is the path of draws[k]."""
+    for draws, xi in draw_blocks(spec.space, seeds):
+        yield draws, xi, solve_euler(coeffs, x0, (driver.times, driver.values(xi)))
 
 
 def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 1) -> SampleEnsemble:
@@ -108,12 +109,12 @@ def _parallel_chunk(args):
     coeffs, x0, spec, driver = scenario.build()
     dfields = np.zeros((scenario.steps + 1, coeffs.m, spec.space.n))
     out = []
-    for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+    for draws, xi, batch in euler_batches(coeffs, x0, spec, driver, seeds):
         solve_theta_all(coeffs, batch)
         for k, w in enumerate(draws):
             try:
                 path = batch.path(k)
-                driver.deriv_vectors(w, out=dfields)
+                driver.deriv_vectors(xi[k], out=dfields)
                 mf = solution_derivative(coeffs, path, dfields, spec.space)
                 mm = malliavin_matrix(mf)
                 out.append((w.seed, path.X[-1], mm.det, mm.min_eig))

@@ -11,10 +11,10 @@ I_q(L_t) with the homogeneous kernel
 H0 = 1 + (H-1)/q.  Discretely each kernel becomes an order-q coefficient
 block over the cells of one noise component; m components use m disjoint
 blocks of the same shape, which makes distinct components exactly
-orthogonal at the kernel level.  Evaluators take the (m, n) component view
-of a draw (`HilbertDisc.components`), or the (B, m, n) one of a block of
-draws (`wiener.draw_blocks`), and return every component of every draw at
-once.
+orthogonal at the kernel level.  Every evaluator (`KernelField.evaluate`,
+`GridDriver.values` and `deriv_vectors`) takes component coordinates of
+shape (..., m, n), such as the (B, m, n) block of `wiener.draw_blocks`,
+and returns every component of every draw at once.
 
 Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     InvalidDimensionError,
+    MemoryBudgetError,
     OutOfRangeError,
     SpaceMismatchError,
     UnsupportedOrderError,
@@ -124,8 +125,8 @@ def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
     space, q, s_nodes = spec.space, spec.q, spec.s_nodes
     H0, c = hurst_aux(spec.H, q)
     a = H0 - 1.5
-    # powers of numpy scalars: an overflow is inf, where a float raises
-    with np.errstate(over="ignore", invalid="ignore"):
+    # powers of numpy scalars: an overflow, or 0 ** -x, is inf where a float raises
+    with np.errstate(all="ignore"):
         scale = c * np.float64(space.delta) ** (-q / 2.0)
         if q == 1:
             prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
@@ -150,19 +151,23 @@ def _check_finite(times, *arrays):
         raise InvalidDimensionError(f"kernel at t={t} is not finite: its factors or norm overflow")
 
 
-def _wick_weights(g: np.ndarray, xi: np.ndarray, q: int) -> tuple:
+def _wick_weights(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> tuple:
     """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q},
-    shape (..., m, k) each, for the (..., m, n) component coordinates xi.
+    shape (..., m, k) each, for the (..., m, n) component coordinates xi of
+    spec's space (InvalidDimensionError for any other trailing shape).
 
     With gx = <g_k, xi^ell> and gg = |g_k|^2, the value weight is
     I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
     q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k.
     """
+    if np.shape(xi)[-2:] != (spec.m, spec.space.n):
+        raise InvalidDimensionError(f"coordinates need shape (..., {spec.m}, {spec.space.n}), "
+                                    f"got {np.shape(xi)}")
     # one stacked matrix-vector product per component of each draw: a single
     # GEMM would reduce in another order and change the bits
     gx = (g @ xi[..., None])[..., 0]
     gg = np.einsum("ki,ki->k", g, g)
-    return hermite_poly(q, gx, gg), q * hermite_poly(q - 1, gx, gg)
+    return hermite_poly(spec.q, gx, gg), spec.q * hermite_poly(spec.q - 1, gx, gg)
 
 
 def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
@@ -208,7 +213,7 @@ class KernelField:
         """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (..., m) and
         (..., m, n), at the (..., m, n) component coordinates xi."""
         g, beta = self.g[ti], self.beta[ti]
-        val_w, der_w = _wick_weights(g, xi, self.spec.q)
+        val_w, der_w = _wick_weights(self.spec, g, xi)
         value = (val_w[..., None, :] @ beta)[..., 0]
         deriv = ((beta * der_w)[..., None, :] @ g)[..., 0, :]
         return self.rho[ti] * value, self.rho[ti] * deriv
@@ -346,7 +351,10 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         raise OutOfRangeError(f"need 0 < eps < t, got eps={eps}, t={t}")
     # lhs s-node count chosen so window nodes are the exact images of the
     # rhs nodes under the affine rescaling
-    s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
+    s_lhs = spec.s_nodes * t / eps
+    if math.isinf(s_lhs):  # int() would overflow; a finite count meets the lhs spec's check
+        raise MemoryBudgetError(f"the window would need {s_lhs} quadrature nodes")
+    s_lhs = max(int(round(s_lhs)), spec.s_nodes)
     lhs_field = build_kernels(replace(spec, s_nodes=s_lhs, out_times=(t,)), calibrate=False)
     space_rhs = make_hilbert(1, (spec.space.lo - (t - eps)) / eps, 1.0, spec.space.n)
     rhs_field = build_kernels(HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs,
@@ -364,7 +372,7 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         if not window.any():  # both sides would be all zeros, equal in law on no data
             raise OutOfRangeError(f"no whole cell of the grid (width {space.delta:.6g}) lies "
                                   f"in the window ({lo:.6g}, {hi:.6g}]")
-        ders = (field.evaluate(0, xi[:, :1])[1][:, 0, window]
+        ders = (field.evaluate(0, xi)[1][:, 0, window]
                 for _, xi in draw_blocks(space, seeds))
         return np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders])
 
@@ -396,55 +404,48 @@ class GridDriver:
         self.times = times
         space, q = spec.space, spec.q
         H0, c = hurst_aux(spec.H, q)
-        mids = 0.5 * (times[:-1] + times[1:])
-        dts = np.diff(times)
-        check_budget((mids.shape[0], space.n + 1))  # the cell-average factors
-        with np.errstate(over="ignore", invalid="ignore"):
+        check_budget((times.shape[0] - 1, space.n + 1))  # the cell-average factors
+        with np.errstate(all="ignore"):
+            mids = 0.5 * (times[:-1] + times[1:])
             self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
-            self._beta = c * np.float64(space.delta) ** (-q / 2.0) * dts
+            self._beta = c * np.float64(space.delta) ** (-q / 2.0) * np.diff(times)
         _check_finite(times[1:], self._g, self._beta)
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
 
-    def _components(self, draws) -> np.ndarray:
-        """The (m, n) component coordinates of one draw, or the (B, m, n)
-        ones of a list of B draws, each over the driver's space."""
-        one = isinstance(draws, GaussianDraw)
-        if any(w.space != self.spec.space for w in ([draws] if one else draws)):
-            raise SpaceMismatchError("draw built over a different discretization")
-        return self.spec.space.components(draws.xi if one else np.array([w.xi for w in draws]))
-
-    def values(self, draws) -> np.ndarray:
-        """Driver values on the grid, shape (len(times), m) for one draw and
-        (B, len(times), m) for a list of B draws; row 0 is 0."""
-        val_w, _ = _wick_weights(self._g, self._components(draws), self.spec.q)
+    def values(self, xi: np.ndarray) -> np.ndarray:
+        """Driver values on the grid, shape (..., len(times), m), at the
+        (..., m, n) component coordinates xi; row 0 is 0."""
+        val_w, _ = _wick_weights(self.spec, self._g, xi)
         out = np.zeros(val_w.shape[:-2] + (self.times.shape[0], self.spec.m))
         out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
         return out * self._rho[:, None]
 
-    def deriv_vectors(self, w: GaussianDraw, out=None) -> np.ndarray:
-        """Full DF vectors, shape (len(times), m, n) in component-block coords.
+    def deriv_vectors(self, xi: np.ndarray, out=None) -> np.ndarray:
+        """Full DF vectors, shape (..., len(times), m, n) in component-block
+        coords, at the (..., m, n) component coordinates xi.
 
         Each cell's increment beta der_w (x) g is written into its row of the
-        output and prefix-summed there one contiguous row at a time: the
-        sequential sum of a cumsum over the rows, with no temporaries.
+        output and prefix-summed there one row at a time: the sequential sum
+        of a cumsum over the rows, with no temporaries.
 
         out, if given, is the output: a C-contiguous float64 array of shape
-        (len(times), m, n) (InvalidDimensionError otherwise), whatever it
-        holds.  Row 0 is reset to 0 and every other row overwritten, so a
+        (..., len(times), m, n) (InvalidDimensionError otherwise), whatever
+        it holds.  Row 0 is reset to 0 and every other row overwritten, so a
         reused buffer gives the vectors of a fresh one bit for bit; the
         result is out itself, valid until out is filled again.  Without
         out the array is allocated."""
-        shape = (self.times.shape[0], self.spec.m, self.spec.space.n)
+        _, der_w = _wick_weights(self.spec, self._g, xi)
+        shape = der_w.shape[:-2] + (self.times.shape[0], self.spec.m, self.spec.space.n)
         if out is None:
             out = np.zeros(shape)
         else:
             check_out(out, shape)
-            out[0] = 0.0
-        _, der_w = _wick_weights(self._g, self._components(w), self.spec.q)
-        np.multiply((self._beta * der_w).T[:, :, None], self._g[:, None, :], out=out[1:])
-        for i in range(2, out.shape[0]):
-            np.add(out[i - 1], out[i], out=out[i])
+            out[..., 0, :, :] = 0.0
+        np.multiply(np.swapaxes(self._beta * der_w, -1, -2)[..., None], self._g[:, None, :],
+                    out=out[..., 1:, :, :])
+        for i in range(2, self.times.shape[0]):
+            np.add(out[..., i - 1, :, :], out[..., i, :, :], out=out[..., i, :, :])
         out *= self._rho[:, None, None]
         return out
 

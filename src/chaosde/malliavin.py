@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, InvalidDimensionError, SpaceMismatchError
-from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert, shift_omega
+from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
 from .chaos import SymTensor, taylor_shift
 from .hermite import DrivingPath, GridDriver, KernelField
-from .sde import SdeCoefficients, SolutionBundle, solve_euler, solve_theta_all
+from .sde import SdeCoefficients, SolutionBundle, solve_euler
 from .young import rs_integral_hvalued
 
 
@@ -44,18 +44,15 @@ class MalliavinMatrix:
 @np.errstate(over="ignore", invalid="ignore")
 def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
                         dfields: np.ndarray, space: HilbertDisc) -> MalliavinField:
-    """Assemble DX at the output time t_N from Theta at that time and the
-    DF grid.
+    """Assemble DX at the output time t_N from the DF grid and the Theta at
+    that time held by the one-path bundle (`path(k)` after `solve_theta_all`).
 
     dfields has shape (steps+1, m, n): the component-block coordinates of
     DF^l at every grid time (GridDriver.deriv_vectors output).  Each noise
     component l is one Hilbert-valued Young integral of the d integrands
-    Theta^{k,l}, k = 1..d: the left-point sum on the step grid.  Theta is
-    solved first when the bundle does not hold it yet.  Raises BlowupError
-    (step = steps) when DX or its Gram matrix is not finite.
+    Theta^{k,l}, k = 1..d: the left-point sum on the step grid.  Raises
+    BlowupError (step = steps) when DX or its Gram matrix is not finite.
     """
-    if bundle.theta is None:
-        solve_theta_all(coeffs, bundle)
     N = bundle.steps
     if dfields.shape[0] != N + 1 or dfields.shape[1] != coeffs.m:
         raise InvalidDimensionError("dfields must have shape (steps+1, m, n)")
@@ -73,14 +70,17 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     return MalliavinField(t=float(bundle.times[N]), dx=dx)
 
 
+@np.errstate(over="ignore")
 def malliavin_matrix(mfield: MalliavinField) -> MalliavinMatrix:
-    """Gram matrix gamma_{kk'} = <DX^k, DX^k'> with det and smallest eigenvalue."""
+    """Gram matrix gamma_{kk'} = <DX^k, DX^k'> with det and smallest eigenvalue;
+    BlowupError when the det, a product of finite eigenvalues, overflows."""
     gamma = mfield.dx @ mfield.dx.T
     gamma = 0.5 * (gamma + gamma.T)
     eigs = np.linalg.eigvalsh(gamma)
-    return MalliavinMatrix(
-        t=mfield.t, gamma=gamma, det=float(np.prod(eigs)), min_eig=float(eigs[0])
-    )
+    det = float(np.prod(eigs))
+    if not np.isfinite(det):
+        raise BlowupError(f"non-finite Malliavin determinant at t={mfield.t}")
+    return MalliavinMatrix(t=mfield.t, gamma=gamma, det=det, min_eig=float(eigs[0]))
 
 
 def shifted_driver(field: KernelField, w: GaussianDraw, h: HilbertVec, eps: float) -> DrivingPath:
@@ -106,8 +106,11 @@ def shifted_driver(field: KernelField, w: GaussianDraw, h: HilbertVec, eps: floa
     return DrivingPath(spec=spec, times=spec.out_times, values=values, seed=w.seed)
 
 
+# a quotient of a pair that overflows is reported as BlowupError by path(k)
+@np.errstate(over="ignore", invalid="ignore")
 def directional_quotient(coeffs: SdeCoefficients, x0, gd: GridDriver, w: GaussianDraw,
                          h: HilbertVec, eps: float) -> np.ndarray:
-    """(X_T(omega + eps h) - X_T(omega)) / eps for the discrete flow, one batch."""
-    pair = solve_euler(coeffs, x0, (gd.times, gd.values([w, shift_omega(w, eps, h)])))
+    """(X_T(omega + eps h) - X_T(omega)) / eps of the discrete flow, the pair as one block."""
+    xi = gd.spec.space.components(np.array([w.xi, w.xi + eps * h.coords]))
+    pair = solve_euler(coeffs, x0, (gd.times, gd.values(xi)))
     return (pair.path(1).X[-1] - pair.path(0).X[-1]) / eps

@@ -7,7 +7,9 @@ left-point increments.  Coefficients take states with any leading axes:
 b, sigma, db and dsigma map x of shape (..., d) to (..., d), (..., d, m),
 (..., d, d) and (..., d, m, d), one value per state, so Euler makes one b
 and one sigma call per step for a whole batch of paths, and the Jacobian
-stack one db and one dsigma call for all steps of a path.
+stack one db and one dsigma call for all steps of every path of a batch.
+Both solves take and return a batch of paths (`SolutionBundle`), and
+`path(k)` is one of them.
 
 Theta rows follow the convention that makes the left-point sum
 sum_i Theta_t(s_i) dpsi_i the exact derivative of the discrete flow:
@@ -102,20 +104,18 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
 
 @dataclass
 class SolutionBundle:
-    """Euler solution on a grid, with the optional Theta at the output time.
+    """Euler solution of a batch of B paths on a grid, with the optional
+    Theta at the output time.
 
-    For one path X has shape (steps+1, d), driver_values (steps+1, m) and
-    sigma (steps, d, m): sigma[i] is sigma(X_i) for i < steps, as evaluated
-    by the Euler steps.  theta[i] is the d x m matrix Theta_{t_N}(t_i), i =
-    0..steps (solve_theta_all): row i of the last column of the (s, t)
-    triangle.
-
-    A batch of B paths puts a leading B axis on X, driver_values, sigma and
-    theta, and failed[k] is the step of path k's first non-finite state (0
-    for a finite path); entries of a failed path after that state are NaN.
-    theta_failed[k] is the first column of path k's triangle that holds a
-    non-finite entry (0 for a finite one, and for a path that failed in
-    Euler, whose theta is NaN).  path(k) is path k as a one-path bundle.
+    X has shape (B, steps+1, d), driver_values (B, steps+1, m) and sigma
+    (B, steps, d, m): sigma[k, i] is sigma(X_i) of path k, i < steps, as
+    evaluated by the Euler steps.  theta[k, i] is the d x m matrix
+    Theta_{t_N}(t_i) of path k, i = 0..steps (solve_theta_all).  failed[k]
+    is the step of path k's first non-finite state (0 for a finite path);
+    entries of a failed path after that state are NaN.  theta_failed[k] is
+    the first column of path k's (s, t) triangle that holds a non-finite
+    entry (0 for a finite one, and for a path that failed in Euler, whose
+    theta is NaN).  path(k) is path k alone, without the B axis.
     """
 
     times: np.ndarray
@@ -131,9 +131,8 @@ class SolutionBundle:
         return self.times.shape[0] - 1
 
     def path(self, k: int) -> "SolutionBundle":
-        """Path k of a batch, with its theta when the batch holds one;
-        BlowupError at its step if it went non-finite in Euler, else if its
-        Theta did."""
+        """Path k, with its theta when the batch holds one; BlowupError at
+        its step if it went non-finite in Euler, else if its Theta did."""
         step = int(self.failed[k])
         if step:
             raise BlowupError(f"non-finite state at step {step}", step=step)
@@ -146,46 +145,28 @@ class SolutionBundle:
                               theta=None if self.theta is None else self.theta[k])
 
 
-def _driver_arrays(driver, times):
-    dtimes, dvals = driver
-    dtimes = np.asarray(dtimes, dtype=float)
-    dvals = np.asarray(dvals, dtype=float)
-    if dvals.ndim not in (2, 3) or dvals.shape[-2] != dtimes.shape[0]:
-        raise InvalidDimensionError("driver values need shape ([B,] len(driver times), m)")
-    if times is None:
-        times = dtimes
-    times = np.asarray(times, dtype=float)
-    # the solver times must be driver times, to 12 decimals
-    rd, rt = np.round(dtimes, 12), np.round(times, 12)
-    idx = np.searchsorted(rd, rt)
-    if not (np.all(idx < rd.shape[0]) and np.array_equal(rd[idx], rt)):
-        raise InvalidDimensionError("driver must be sampled at the solver grid or finer")
-    return times, dvals[..., idx, :]
-
-
 # overflow is expected on a path that blows up: the finiteness scan of each
 # step records it, and numpy's warning would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBundle:
+def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
     """Left-point Euler solve of dX = b dt + sigma dF along the given driver.
 
-    driver is a (times, values) pair sampled on the solver grid or a
-    refinement of it: values of shape (len(times), m) for one path, or
-    (B, len(times), m) for a batch of B paths from the common x0.  Each
-    step makes one b and one sigma call for the whole batch; a path's rows
-    equal its own one-path solve bit for bit.  A path that goes non-finite
-    is recorded in `failed` and frozen there (no further arithmetic on it)
-    while the others go on.  One path is a batch of one, returned as its
-    `path(0)`: BlowupError at its first non-finite state.
+    driver is a (times, values) pair: the solver grid and the driver values
+    of a batch of B paths on it, shape (B, len(times), m), all started at
+    x0.  Each step makes one b and one sigma call for the whole batch, and
+    each path's rows do not depend on the others in the batch.  A path that
+    goes non-finite is recorded in `failed` and frozen there (no further
+    arithmetic on it) while the others go on.
     """
-    times, F = _driver_arrays(driver, times)
+    times, F = (np.asarray(a, dtype=float) for a in driver)
+    if F.ndim != 3 or F.shape[1] != times.shape[0]:
+        raise InvalidDimensionError("driver values need shape (B, len(times), m)")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (coeffs.d,):
         raise InvalidDimensionError(f"x0 must have shape ({coeffs.d},)")
     if F.shape[-1] != coeffs.m:
         raise InvalidDimensionError("driver component count does not match m")
-    paths = F if F.ndim == 3 else F[None]
-    B, N = paths.shape[0], times.shape[0] - 1
+    B, N = F.shape[0], times.shape[0] - 1
     X = np.empty((B, N + 1, coeffs.d))
     X[:, 0] = x0
     sig = np.empty((B, N, coeffs.d, coeffs.m))
@@ -194,7 +175,7 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     for i in range(N):
         x = X[live, i]
         dt = times[i + 1] - times[i]
-        dF = paths[live, i + 1] - paths[live, i]
+        dF = F[live, i + 1] - F[live, i]
         s = coeffs.eval_sigma(x)
         nxt = x + coeffs.eval_b(x) * dt + (s @ dF[..., None])[..., 0]
         sig[live, i] = s
@@ -209,8 +190,7 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver, times=None) -> SolutionBund
     for k in np.flatnonzero(failed):
         X[k, failed[k] + 1:] = np.nan
         sig[k, failed[k]:] = np.nan
-    batch = SolutionBundle(times=times, X=X, driver_values=paths, sigma=sig, failed=failed)
-    return batch if F.ndim == 3 else batch.path(0)
+    return SolutionBundle(times=times, X=X, driver_values=F, sigma=sig, failed=failed)
 
 
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
@@ -269,32 +249,25 @@ def _last_columns(jac, sigma, sigma_N, scan=False):
 # overflow is expected on a path whose Theta blows up: the finiteness check
 # of the last column records it, and numpy's warning would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> SolutionBundle:
-    """Theta at the output time: bundle.theta[..., i, k, l] =
-    Theta_{t_N}(t_i)^{k,l} for i = 0..N, shape (N+1, d, m) for one path and
-    (B, N+1, d, m) for a batch, returned in the bundle.
+def solve_theta_all(coeffs: SdeCoefficients, batch: SolutionBundle) -> SolutionBundle:
+    """Theta at the output time: batch.theta[k, i, k', l] =
+    Theta_{t_N}(t_i)^{k',l} of path k for i = 0..N, shape (B, N+1, d, m),
+    returned in the batch.
 
     The column recursion of the (s, t) triangle runs for the whole block
     at once and keeps only its current column (_last_columns), so a path
-    takes O(steps) memory; each path's W equals its own one-path solve and
-    column N of the triangle (tests/oracles.theta_triangle) bit for bit.
-    sigma(X_j) comes from the Euler steps (only sigma(X_N) is evaluated
-    here), and the step Jacobians take one db and one dsigma call for the
-    block.  Paths that failed in Euler are left out; their theta is NaN.
+    takes O(steps) memory; each path's W equals column N of its own
+    triangle (tests/oracles.theta_triangle) bit for bit.  sigma(X_j) comes
+    from the Euler steps (only sigma(X_N) is evaluated here), and the step
+    Jacobians take one db and one dsigma call for the block.  Paths that
+    failed in Euler are left out; their theta is NaN.
 
     A non-finite entry reaches every later column, so column N is finite
     exactly when the triangle is.  Only for a path where it is not is the
     recursion run again, column by column, to find the first column that
-    holds a non-finite entry: the step of its BlowupError, raised for one
-    path and recorded in theta_failed for a batch.  One path is a batch of
-    one, as in solve_euler.
+    holds a non-finite entry: the step recorded in theta_failed, which
+    path(k) raises as BlowupError.
     """
-    one = bundle.X.ndim == 2
-    batch = bundle
-    if one:
-        batch = SolutionBundle(times=bundle.times, X=bundle.X[None],
-                               driver_values=bundle.driver_values[None],
-                               sigma=bundle.sigma[None], failed=np.zeros(1, dtype=int))
     B, N, d, m = batch.sigma.shape
     rows = np.flatnonzero(batch.failed == 0)
     live = batch if rows.size == B else SolutionBundle(
@@ -312,9 +285,7 @@ def solve_theta_all(coeffs: SdeCoefficients, bundle: SolutionBundle) -> Solution
         theta[rows] = cols.transpose(0, 2, 1, 3)
     batch.theta, batch.theta_failed = theta, np.zeros(B, dtype=int)
     batch.theta_failed[rows] = steps
-    if one:
-        bundle.theta = batch.path(0).theta
-    return bundle
+    return batch
 
 
 def _constant(value):

@@ -5,7 +5,8 @@ addresses the basis by raw index, and the reference implementations the
 library is compared against: the row-by-row Theta, the whole Theta
 triangle and the DX assembly over it, the forward tangent recursion, the
 pointwise kernel, the non-central limit paths, the elementary power value
-and the reader of the kernels.txt dump."""
+and the reader of the kernels.txt dump; and the Euler and Theta solves of
+one path, each as a block of one (`euler_path`, `theta_path`)."""
 
 import csv
 import itertools
@@ -17,7 +18,8 @@ from chaosde.chaos import _check_order, hermite_poly
 from chaosde.density import euler_batches
 from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, hurst_aux, simulate_path
-from chaosde.sde import SdeCoefficients, SolutionBundle, _step_jacobians
+from chaosde.sde import (SdeCoefficients, SolutionBundle, _step_jacobians, solve_euler,
+                         solve_theta_all)
 from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
                             shift_omega)
 
@@ -79,11 +81,13 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
             ws = shift_omega(w, eps, HilbertVec(space, coords))
             others = [k for k in range(spec.m) if k != ell]
             z, zs = simulate_path(field, w).values, simulate_path(field, ws).values
+            xi, xis = space.components(w.xi), space.components(ws.xi)
             claims = {
                 "Z^ell kept": np.array_equal(zs[:, ell], z[:, ell]),
-                "values row ell kept": np.array_equal(gd.values(ws)[:, ell], gd.values(w)[:, ell]),
+                "values row ell kept": np.array_equal(gd.values(xis)[:, ell],
+                                                      gd.values(xi)[:, ell]),
                 "deriv_vectors row ell kept": np.array_equal(
-                    gd.deriv_vectors(ws)[:, ell], gd.deriv_vectors(w)[:, ell]),
+                    gd.deriv_vectors(xis)[:, ell], gd.deriv_vectors(xi)[:, ell]),
                 "Z^other moved": bool(np.all(zs[:, others] != z[:, others])),
             }
             failures += [(seed, ell, claim) for claim, ok in claims.items() if not ok]
@@ -123,11 +127,24 @@ def theta_triangle(coeffs, bundle):
     return columns.transpose(2, 0, 1, 3)
 
 
-def truncated(bundle, j):
-    """The one-path bundle of the first j steps: its final-time Theta is
-    Theta_{t_j}, column j of the full path's triangle."""
-    return SolutionBundle(times=bundle.times[:j + 1], X=bundle.X[:j + 1],
-                          driver_values=bundle.driver_values[:j + 1], sigma=bundle.sigma[:j])
+def euler_path(coeffs, x0, driver):
+    """The Euler solve of one path: the (times, values) driver, values of
+    shape (len(times), m), as a block of one, and path(0) of the batch
+    (BlowupError at its first non-finite state)."""
+    times, values = driver
+    return solve_euler(coeffs, x0, (times, np.asarray(values)[None])).path(0)
+
+
+def theta_path(coeffs, bundle, j=None):
+    """The first j steps (all by default) of a one-path bundle with their
+    final-time Theta, Theta_{t_j}, column j of the full path's triangle:
+    path(0) of solve_theta_all on them as a batch of one (BlowupError if
+    that Theta is not finite)."""
+    j = bundle.steps if j is None else j
+    batch = SolutionBundle(times=bundle.times[:j + 1], X=bundle.X[None, :j + 1],
+                           driver_values=bundle.driver_values[None, :j + 1],
+                           sigma=bundle.sigma[None, :j], failed=np.zeros(1, dtype=int))
+    return solve_theta_all(coeffs, batch).path(0)
 
 
 def dx_from_triangle(coeffs, triangle, dfields, space, t_index):
@@ -199,7 +216,7 @@ def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):
     the row writer replaced: every 16th step of each path, and BlowupError
     at the first draw that went non-finite, after the rows before it."""
     fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
-    for draws, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+    for draws, _, batch in euler_batches(coeffs, x0, spec, driver, seeds):
         for k, w in enumerate(draws):
             X = batch.path(k).X
             for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):

@@ -36,7 +36,7 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
-from oracles import complex_step_dx, component_shift_failures, truncated
+from oracles import complex_step_dx, component_shift_failures, euler_path, theta_path
 
 
 def report(num, name, ok, detail):
@@ -217,9 +217,9 @@ def test_criterion_06_sde_oracles():
     coeffs, x0 = preset("additive")
     times = np.linspace(0.0, 1.0, 257)
     gd = GridDriver(spec, times)
-    w = sample_omega(space, 0)
-    F = gd.values(w)
-    bundle = solve_euler(coeffs, x0, (times, F))
+    xi = space.components(sample_omega(space, 0).xi)
+    F = gd.values(xi)
+    bundle = euler_path(coeffs, x0, (times, F))
     exact = x0[0] + 0.25 * times + 1.5 * F[:, 0]
     add_err = float(np.max(np.abs(bundle.X[:, 0] - exact)))
 
@@ -227,12 +227,12 @@ def test_criterion_06_sde_oracles():
     coeffs_l, x0_l = preset("linear-scalar")
     fine = np.linspace(0.0, 1.0, 2**11 + 1)
     gd_f = GridDriver(spec, fine)
-    F_f = gd_f.values(w)
+    F_f = gd_f.values(xi)
     target = x0_l[0] * math.exp(0.5 * F_f[-1, 0])
     errs = []
     for k in (8, 9, 10, 11):
         stride = 2 ** (11 - k)
-        b = solve_euler(coeffs_l, x0_l, (fine, F_f), times=fine[::stride])
+        b = euler_path(coeffs_l, x0_l, (fine[::stride], F_f[::stride]))
         errs.append(abs(b.X[-1, 0] - target))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     rate_ok = all(e2 < e1 for e1, e2 in zip(errs, errs[1:])) and min(rates) >= 0.3
@@ -240,11 +240,11 @@ def test_criterion_06_sde_oracles():
     # Theta closed form for the smooth driver F = t at 2^10 steps
     steps = 2**10
     t_sm = np.linspace(0.0, 1.0, steps + 1)
-    b_sm = solve_euler(coeffs_l, x0_l, (t_sm, t_sm[:, None]))
+    b_sm = euler_path(coeffs_l, x0_l, (t_sm, t_sm[:, None]))
     worst_theta = 0.0
     for t_idx in (steps // 2, steps):
         # Theta at t_idx: the final-time Theta of the path truncated there
-        theta = solve_theta_all(coeffs_l, truncated(b_sm, t_idx)).theta
+        theta = theta_path(coeffs_l, b_sm, t_idx).theta
         for s_idx in (0, steps // 4, steps // 2):
             exact_th = 0.5 * math.exp(0.5 * t_sm[t_idx])
             got = theta[s_idx, 0, 0]
@@ -270,9 +270,9 @@ def test_criterion_07_malliavin_representation():
         times = np.linspace(0.0, 1.0, 129)
         gd = GridDriver(spec, times)
         w = sample_omega(space, q)
-        bundle = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
-        solve_theta_all(coeffs, bundle)
-        mf = solution_derivative(coeffs, bundle, gd.deriv_vectors(w), space)
+        xi = space.components(w.xi[None])  # a block of one draw
+        batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi))))
+        mf = solution_derivative(coeffs, batch.path(0), gd.deriv_vectors(xi[0]), space)
         rng = np.random.default_rng(70 + q)
         for _ in range(10):
             h = HilbertVec(space, rng.standard_normal(space.basis_dim))

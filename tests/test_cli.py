@@ -1,16 +1,22 @@
 """Command-line interface: config handling, exit codes, output artifacts."""
 
+import contextlib
 import io
 import json
 import os
+import pathlib
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chaosde import chaos, errors
-from chaosde.cli import (CHECK_BLOCK, _build_field, _check_records, _check_values, _scenario,
-                         load_config, main)
+from chaosde.cli import (CHECK_BLOCK, COMMANDS, _build_field, _check_records, _check_values,
+                         _scenario, load_config, main)
 from chaosde.density import kde, run_ensemble
 from chaosde.errors import BlowupError
 from chaosde.hermite import simulate_paths
@@ -560,3 +566,184 @@ def test_overflowing_theta_warns_nothing(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "malliavin", payload)
     assert code == 3
     assert capsys.readouterr().err == "numeric failure: non-finite variational state at step 6\n"
+
+
+def test_selfsim_window_of_infinitely_many_nodes_exits_2(tmp_path, capsys):
+    # t / epsilon_window overflows, so the window's quadrature would need
+    # infinitely many nodes: a configuration error naming the window, not
+    # an OverflowError from int()
+    payload = {"process": {"q": 1, "n": 16, "L": 1e-300},
+               "run": {"M": 2, "t": 1e300, "epsilon_window": 1e-301}}
+    code, out = run_cli(tmp_path, "selfsim", payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.epsilon_window=1e-301 invalid: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "malliavin", "density"])
+def test_solver_grid_of_huge_extent_warns_nothing(tmp_path, capsys, command):
+    # the step midpoints of a grid out to 1e308 overflow: the driver's
+    # finiteness check names the failure, and no warning precedes it (this
+    # test runs with warnings as errors)
+    payload = {"process": {"q": 2, "n": 3, "L": 1e12}, "sde": {"T": 1e308, "steps": 8}}
+    code, out = run_cli(tmp_path, command, payload)
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: kernel at t=1e+308 is not finite: "
+                                       "its factors or norm overflow\n")
+    assert not out.exists()
+
+
+MALLIAVIN_2D = {"process": {"n": 32, "L": 4.0}, "sde": {"preset": "elliptic-2d", "steps": 16}}
+
+
+def test_malliavin_huge_quotient_step_warns_nothing(tmp_path, capsys):
+    # the draw shifted by 1e308 h overflows, and so do its driver values:
+    # the pair's Euler solve reports the blowup, with no warning before it
+    code, out = run_cli(tmp_path, "malliavin", dict(MALLIAVIN_2D, run={"eps": [1e308]}))
+    assert code == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite state at step 1\n"
+    assert not out.exists()
+
+
+def test_malliavin_fits_no_order_to_one_repeated_step(tmp_path, capsys):
+    # a slope needs two distinct steps: with one step given twice both gaps
+    # are reported and no observed_order is fitted
+    code, out = run_cli(tmp_path, "malliavin", dict(MALLIAVIN_2D, run={"eps": [0.1, 0.1]}))
+    assert code == 0
+    lines = body(out / "malliavin_report.txt").splitlines()
+    assert [line.split()[0] for line in lines] == ["t", "det_gamma", "min_eig", "quotient_gap",
+                                                   "quotient_gap"]
+    assert lines[3] == lines[4]
+    assert capsys.readouterr().err == ""
+    code, out = run_cli(tmp_path, "malliavin", dict(MALLIAVIN_2D, run={"eps": [0.1, 0.1, 0.01]}))
+    assert code == 0
+    assert body(out / "malliavin_report.txt").splitlines()[-1].startswith("observed_order ")
+
+
+def test_overflowing_malliavin_determinant_is_a_blowup(tmp_path, capsys):
+    # on a horizon of 1.8e19 DX and the eigenvalues of Gamma stay finite but
+    # their product overflows: malliavin exits 3 and density excludes every
+    # sample, with no warning, no inf det and no Infinity in the JSON
+    payload = {"process": {"q": 2, "n": 12, "L": 4.0, "s_nodes": 8},
+               "sde": {"preset": "elliptic-2d", "steps": 8, "T": 2.0**64}, "run": {"M": 100}}
+    code, out = run_cli(tmp_path, "malliavin", payload)
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: non-finite Malliavin determinant at "
+                                       "t=1.8446744073709552e+19\n")
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = _strict_json(body(out / "positivity.json"))
+    assert report["excluded"] == 100 and report["degenerate"]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cells_of_width_zero_warn_nothing(tmp_path, capsys, command):
+    # (5e-324 + 5e-324) / 12 underflows to a cell width of 0, whose negative
+    # power is inf: the kernel's finiteness check names the failure, and no
+    # warning precedes it (this test runs with warnings as errors)
+    payload = {"process": {"q": 2, "n": 12, "L": 5e-324, "s_nodes": 8},
+               "run": {"out_times": [5e-324]}}
+    code, out = run_cli(tmp_path, command, payload)
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: kernel at t=5e-324 is not finite: "
+                                       "its factors or norm overflow\n")
+    assert not out.exists()
+
+
+def test_check_with_a_covariance_that_rounds_to_0_exits_2(tmp_path, capsys):
+    # the covariance of times 1e-91 and 1e-9 cancels to 0, and the kernel
+    # covariance statistic is relative to it: a configuration error, not a
+    # ZeroDivisionError
+    payload = {"process": {"q": 2, "n": 12, "L": 4.0, "s_nodes": 8},
+               "run": {"M": 100, "out_times": [1e-91, 1e-9, 1.0]}}
+    code, out = run_cli(tmp_path, "check", payload)
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: run.out_times=[1e-91, 1e-09, 1.0] invalid: "
+                                       "the covariance at 1e-91 and 1e-09 rounds to 0\n")
+    assert not out.exists()
+
+
+# The CLI fuzz: mutated configurations of every command, run in process.
+# Grid sizes stay at most 16 and M at most 120 so that an example is quick;
+# every other value is drawn freely, extremes and wrong types included.
+EXTREMES = [0, 1, 2, 3, -1, 0.5, 0.9, 5e-324, 1e-320, 1e-300, 1e300, 1e308, -1e308, 1.797e308,
+            2**64 - 1, float("nan"), float("inf"), -float("inf"), True, None, "1", [], {}]
+FREE = st.one_of(st.sampled_from(EXTREMES), st.floats(), st.integers(-5, 20))
+FREE_LISTS = st.one_of(st.lists(FREE, max_size=4), FREE)
+
+
+def either(plausible, free=FREE):
+    """A value that the key may well accept (two draws in three), or any
+    value at all."""
+    return st.one_of(plausible, plausible, free)
+
+
+SIZES = either(st.integers(2, 16), st.one_of(st.integers(-2, 16), st.sampled_from(
+    [0.5, 8.0, float("nan"), float("inf"), "8", None, [4], True])))
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, exclude_min=True)
+
+
+FUZZ_KEYS = {
+    ("process", "q"): either(st.integers(1, 3)), ("process", "H"): either(floats(0.5, 0.99)),
+    ("process", "m"): SIZES, ("process", "n"): SIZES, ("process", "L"): either(floats(0, 16)),
+    ("process", "s_nodes"): SIZES,
+    ("sde", "preset"): either(st.sampled_from(["additive", "linear-scalar", "elliptic-2d",
+                                               "rank1-2d", "none"])),
+    ("sde", "x0"): either(st.lists(floats(-4, 4), min_size=1, max_size=2), FREE_LISTS),
+    ("sde", "steps"): SIZES, ("sde", "T"): either(floats(0, 4)),
+    ("run", "M"): either(st.integers(100, 120), st.one_of(st.integers(-2, 120), SIZES)),
+    ("run", "seed"): either(st.integers(0, 2**64 - 1)),
+    ("run", "out_times"): either(st.lists(floats(0, 2), min_size=1, max_size=3), FREE_LISTS),
+    ("run", "eps"): either(st.lists(floats(0, 0.5), max_size=4), FREE_LISTS),
+    ("run", "t"): either(floats(0, 4)), ("run", "epsilon_window"): either(floats(0, 1)),
+}
+#: each command's starting point: a configuration that runs, on tiny grids
+FUZZ_BASE = {"process": {"q": 2, "n": 12, "L": 4.0, "s_nodes": 8},
+             "sde": {"preset": "elliptic-2d", "steps": 8},
+             "run": {"M": 100, "out_times": [0.5, 1.0], "eps": [0.1, 0.01], "t": 1.0,
+                     "epsilon_window": 0.5}}
+
+
+def run_in_process(command, cfg) -> tuple:
+    """(exit code, stdout, stderr, warnings, JSON files) of one command on
+    cfg, written with NaN and Infinity as json.dump writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "out"),
+                         "--workers", "1"])
+        files = [path.read_text() for path in pathlib.Path(tmp, "out").glob("*.json")]
+    return code, out.getvalue(), err.getvalue(), caught, files
+
+
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz(command, data):
+    # every mutated configuration works or exits with its code and a
+    # message: no traceback, no warning, 1 only from the two commands that
+    # test invariants, and every JSON output strict
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for section, key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3,
+                                           unique=True)):
+        cfg[section][key] = data.draw(FUZZ_KEYS[section, key])
+    code, out, err, caught, files = run_in_process(command, cfg)
+    assert code in ((0, 1, 2, 3) if command in ("check", "selfsim") else (0, 2, 3))
+    assert "Traceback" not in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+    for text in files:
+        header, *rest = text.splitlines()
+        assert header.startswith("# chaosde ")
+        _strict_json("\n".join(rest))
+    if command in ("density", "selfsim") and code in (0, 1):
+        _strict_json(out)

@@ -10,7 +10,7 @@ import pytest
 from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryBudgetError
 from chaosde.wiener import sample_omega
 from chaosde import density, wiener
-from chaosde.sde import SdeCoefficients, solve_euler, solve_theta_all
+from chaosde.sde import SdeCoefficients, solve_euler
 from chaosde.malliavin import malliavin_matrix, solution_derivative
 from chaosde.density import (
     SampleEnsemble,
@@ -21,7 +21,7 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
-from oracles import ensemble_csv_writer, truncated
+from oracles import ensemble_csv_writer, euler_path, theta_path
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -30,10 +30,9 @@ def terminal_states(scenario, M, base_seed):
     """X_t of seeds base_seed.. base_seed + M - 1: the Euler solve of an
     ensemble sample without its Malliavin matrix."""
     coeffs, x0, spec, driver = scenario.build()
-    return np.array([
-        solve_euler(coeffs, x0, (driver.times, driver.values(sample_omega(spec.space, s)))).X[-1]
-        for s in range(base_seed, base_seed + M)
-    ])
+    xi = spec.space.components(np.array([sample_omega(spec.space, s).xi
+                                         for s in range(base_seed, base_seed + M)]))
+    return solve_euler(coeffs, x0, (driver.times, driver.values(xi))).X[:, -1]
 
 
 def test_scenario_steps_budget():
@@ -103,11 +102,11 @@ def test_overflowing_malliavin_derivative_is_a_blowup():
     sc = Scenario(preset="linear-scalar", x0=(1.797e308,), q=1, H=0.7,
                   steps=16, n=32, L=4.0)
     coeffs, x0, spec, driver = sc.build()
-    w = sample_omega(spec.space, 9)
-    bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-    assert np.isfinite(solve_theta_all(coeffs, bundle).theta).all()
+    xi = spec.space.components(sample_omega(spec.space, 9).xi)
+    bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
+    assert np.isfinite(theta_path(coeffs, bundle).theta).all()
     with pytest.raises(BlowupError) as exc:
-        solution_derivative(coeffs, truncated(bundle, 12), driver.deriv_vectors(w)[:13],
+        solution_derivative(coeffs, theta_path(coeffs, bundle, 12), driver.deriv_vectors(xi)[:13],
                             spec.space)
     assert exc.value.step == 12
     ens = run_ensemble(sc, M=10, base_seed=0)
@@ -146,7 +145,8 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     monkeypatch.setattr(density, "preset", capped_preset(np.inf))
     free = run_ensemble(sc, M=M, base_seed=0)
     coeffs, x0, spec, driver = sc.build()
-    peaks = np.array([np.max(driver.values(sample_omega(spec.space, s))) for s in range(M)])
+    xi = spec.space.components(np.array([sample_omega(spec.space, s).xi for s in range(M)]))
+    peaks = np.max(driver.values(xi), axis=(1, 2))
     top, second = np.sort(peaks)[[-1, -2]]
     monkeypatch.setattr(density, "preset", capped_preset(0.5 * (top + second)))
     capped = run_ensemble(sc, M=M, base_seed=0)
@@ -183,12 +183,11 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
     coeffs, x0, spec, driver = sc.build()
     blown = []
     for seed, x, det, min_eig in got:
-        w = sample_omega(spec.space, seed)
-        bundle = solve_euler(coeffs, x0, (driver.times, driver.values(w)))
-        assert np.isfinite(bundle.X).all()
+        xi = spec.space.components(sample_omega(spec.space, seed).xi)
+        bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
         try:
-            mm = malliavin_matrix(solution_derivative(coeffs, bundle, driver.deriv_vectors(w),
-                                                      spec.space))
+            mm = malliavin_matrix(solution_derivative(coeffs, theta_path(coeffs, bundle),
+                                                      driver.deriv_vectors(xi), spec.space))
         except BlowupError:
             assert x is None and det is None and min_eig is None
             blown.append(seed)

@@ -14,7 +14,6 @@ from chaosde.errors import (
     InvalidDimensionError,
     MemoryBudgetError,
     OutOfRangeError,
-    SpaceMismatchError,
     UnsupportedOrderError,
 )
 from chaosde.wiener import DRAW_BLOCK, GaussianDraw, make_hilbert, sample_omega
@@ -240,7 +239,7 @@ def test_wick_weights_match_closed_forms(q):
     want = {1: (gx, np.ones_like(gx)),
             2: (gx * gx - gg, 2.0 * gx),
             3: (gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg))}[q]
-    for got, ref in zip(_wick_weights(g, xi, q), want):
+    for got, ref in zip(_wick_weights(small_spec(q=q, n=32, m=2), g, xi), want):
         if q < 3:
             assert np.array_equal(got, ref)
         else:
@@ -628,7 +627,7 @@ def test_grid_driver_calibrated_variance_q1():
     spec = small_spec(q=1, n=128, L=8.0, out_times=(1.0,))
     times = np.linspace(0.0, 1.0, 33)
     gd = GridDriver(spec, times)
-    vecs = gd.deriv_vectors(zero_draw(spec.space))
+    vecs = gd.deriv_vectors(spec.space.components(zero_draw(spec.space).xi))
     for i in range(1, 33):
         t = times[i]
         nrm2 = float(np.sum(vecs[i, 0] ** 2))
@@ -645,13 +644,11 @@ def test_grid_driver_directional_derivative_exact(q):
     w = sample_omega(spec.space, 1)
     rng = np.random.default_rng(2)
     h = rng.standard_normal(spec.space.basis_dim)
-    target = gd.deriv_vectors(w) @ h  # m = 1: one block spans the basis
+    xi, hc = spec.space.components(w.xi), spec.space.components(h)
+    target = gd.deriv_vectors(xi) @ h  # m = 1: one block spans the basis
     eps = 1e-6
-    from chaosde.wiener import HilbertVec, shift_omega
-
-    hv = HilbertVec(spec.space, h)
-    up = gd.values(shift_omega(w, eps, hv))
-    dn = gd.values(shift_omega(w, -eps, hv))
+    up = gd.values(xi + eps * hc)
+    dn = gd.values(xi - eps * hc)
     fd = (up - dn) / (2 * eps)
     assert np.max(np.abs(fd - target)) <= 1e-6
 
@@ -664,21 +661,18 @@ def test_grid_driver_validation():
         GridDriver(spec, np.linspace(0.0, 2.0, 9))
 
 
-def test_grid_driver_rejects_draw_over_another_space():
-    # both evaluators read the draw through the driver's own component
-    # layout, so a draw over another grid of the same size is refused
-    spec = small_spec(q=1, n=32, L=4.0, out_times=(1.0,))
-    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
-    w = sample_omega(make_hilbert(1, -8.0, 1.0, 32), 0)
-    with pytest.raises(SpaceMismatchError):
-        gd.values(w)
-    with pytest.raises(SpaceMismatchError):
-        gd.deriv_vectors(w)
-    # one foreign draw in a list is enough
-    ours = [sample_omega(spec.space, s) for s in range(3)]
-    with pytest.raises(SpaceMismatchError):
-        gd.values(ours[:2] + [w] + ours[2:])
-    assert gd.values(ours).shape == (3, 17, 1)
+@pytest.mark.parametrize("shape", [(32,), (2, 32), (1, 31), (3, 1, 33), (1, 32, 1)])
+def test_evaluators_reject_coordinates_of_another_shape(shape):
+    # every evaluator reads coordinates of shape (..., m, n) of its own
+    # space, and any other trailing shape is refused, not broadcast
+    spec = small_spec(q=2, n=32, L=4.0, out_times=(1.0,))
+    gd, field = GridDriver(spec, np.linspace(0.0, 1.0, 17)), build_kernels(spec)
+    for evaluate in (gd.values, gd.deriv_vectors, lambda xi: field.evaluate(0, xi)):
+        with pytest.raises(InvalidDimensionError, match=r"\(\.\.\., 1, 32\)"):
+            evaluate(np.zeros(shape))
+    # leading axes are free
+    assert gd.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 17, 1)
+    assert gd.deriv_vectors(np.zeros((3, 1, 32))).shape == (3, 17, 1, 32)
 
 
 # Per-component oracles: one (n,) block of the component-major coordinates
@@ -747,13 +741,19 @@ def test_grid_driver_matches_per_component_oracle(q, m):
         gd = GridDriver(spec, times)
         for seed in range(5):
             w = sample_omega(spec.space, seed)
-            assert np.array_equal(gd.values(w), grid_values_one(gd, w))
-            assert np.array_equal(gd.deriv_vectors(w), grid_deriv_vectors_one(gd, w))
-    # a list of draws, a full block and a short one, stacks the draws' values
+            xi = spec.space.components(w.xi)
+            assert np.array_equal(gd.values(xi), grid_values_one(gd, w))
+            assert np.array_equal(gd.deriv_vectors(xi), grid_deriv_vectors_one(gd, w))
+    # a block of draws, a full one and a short one, stacks the draws' values
+    # and vectors
     draws = [sample_omega(spec.space, s) for s in range(100, 100 + DRAW_BLOCK)]
+    xi = spec.space.components(np.array([w.xi for w in draws]))
     want = np.array([grid_values_one(gd, w) for w in draws])
-    assert np.array_equal(gd.values(draws), want)
-    assert np.array_equal(gd.values(draws[5:8]), want[5:8])
+    assert np.array_equal(gd.values(xi), want)
+    assert np.array_equal(gd.values(xi[5:8]), want[5:8])
+    vectors = gd.deriv_vectors(xi[5:8])
+    for k, w in enumerate(draws[5:8]):
+        assert np.array_equal(vectors[k], grid_deriv_vectors_one(gd, w))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -764,10 +764,10 @@ def test_grid_driver_deriv_out_buffer_matches_fresh(q):
     gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
     buffer = np.full((17, 2, 40), np.nan)
     for seed in range(6):
-        w = sample_omega(spec.space, seed)
+        xi = spec.space.components(sample_omega(spec.space, seed).xi)
         buffer[0] = -0.0 if seed % 2 else np.inf
-        assert gd.deriv_vectors(w, out=buffer) is buffer
-        fresh = gd.deriv_vectors(w)
+        assert gd.deriv_vectors(xi, out=buffer) is buffer
+        fresh = gd.deriv_vectors(xi)
         assert np.array_equal(buffer, fresh)
         assert buffer.tobytes() == fresh.tobytes()  # row 0 is +0.0, not -0.0
 
@@ -775,8 +775,8 @@ def test_grid_driver_deriv_out_buffer_matches_fresh(q):
 def test_grid_driver_deriv_out_buffer_checked():
     spec = small_spec(q=1, n=40, m=2, out_times=(1.0,))
     gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
-    w = sample_omega(spec.space, 0)
+    xi = spec.space.components(sample_omega(spec.space, 0).xi)
     for bad in (np.zeros((16, 2, 40)), np.zeros((17, 40, 2)), np.zeros((17, 2, 40), dtype=np.float32),
-                np.zeros((40, 2, 17)).T, np.zeros(17 * 2 * 40)):
+                np.zeros((40, 2, 17)).T, np.zeros(17 * 2 * 40), np.zeros((1, 17, 2, 40))):
         with pytest.raises(InvalidDimensionError):
-            gd.deriv_vectors(w, out=bad)
+            gd.deriv_vectors(xi, out=bad)

@@ -3,10 +3,11 @@ function-local ones included, goes down the table below; the package
 imports no third-party module but those `pyproject.toml` declares; and
 every public name of the package, and every defaulted parameter of its
 public functions, is reached from somewhere other than its own unit
-tests."""
+tests; and the stage timer in tools/ runs on the package as it is."""
 
 import ast
 import collections
+import json
 import os
 import pathlib
 import re
@@ -151,14 +152,12 @@ def test_cli_import_loads_numpy_and_chaosde_only():
 
 
 def test_euler_solve_leaves_numpy_ma_unloaded():
-    # numpy's masked arrays (about 10 ms to import) stay out of a solve: the
-    # driver grid check is a searchsorted equality, not np.isin
+    # numpy's masked arrays (about 10 ms to import) stay out of a solve
     loaded = loaded_modules(
         "import numpy as np\n"
         "from chaosde.sde import preset, solve_euler\n"
         "coeffs, x0 = preset('elliptic-2d')\n"
-        "fine = np.linspace(0.0, 1.0, 17)\n"
-        "solve_euler(coeffs, x0, (fine, np.zeros((3, 17, 2))), times=fine[::4])\n")
+        "solve_euler(coeffs, x0, (np.linspace(0.0, 1.0, 17), np.zeros((3, 17, 2))))\n")
     assert "chaosde.sde" in loaded
     assert "numpy.ma" not in loaded
 
@@ -313,3 +312,20 @@ def test_reachability_scan(tmp_path):
     assert unreached(package, [caller]) == [
         "a.used(y)", "a.used(w)", "a.recursive", "a.recursive(depth)", "a.orphan", "a.Box.size",
         "a.Box.width", "a.Rec.shadow"]
+
+
+def test_stage_times_runs_on_this_checkout(tmp_path):
+    # the timer calls the pipeline's own API, so a change to that API that
+    # leaves the timer behind fails here: one pass of the ensemble scenario
+    # over this checkout's src, with every stage and the command timed
+    out = tmp_path / "stage_times.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
+                    f"src={PACKAGE.parent}", "--scenario", "ensemble-elliptic", "--repeats", "1",
+                    "--out", str(out)], check=True, capture_output=True, text=True)
+    record = json.loads(out.read_text())
+    assert record["scenario"] == "ensemble-elliptic"
+    entry = record["sources"]["src"]
+    assert set(entry["median_stages_ms"]) == {"draw", "driver_values", "euler", "df", "theta",
+                                              "dx", "gram"}
+    assert all(ms > 0 for ms in entry["median_stages_ms"].values())
+    assert entry["median_command_s"] > 0

@@ -16,8 +16,8 @@ from chaosde.malliavin import (
     shifted_driver,
     solution_derivative,
 )
-from oracles import (complex_step_dx, component_shift_failures, dx_from_triangle, theta_triangle,
-                     truncated)
+from oracles import (complex_step_dx, component_shift_failures, dx_from_triangle, euler_path,
+                     theta_path, theta_triangle)
 
 
 def make_spec(q=1, m=1, n=96, L=4.0, out_times=(0.5, 1.0)):
@@ -31,8 +31,9 @@ def solve_case(preset_name, q, steps=48, n=96, seed=0):
     times = np.linspace(0.0, 1.0, steps + 1)
     gd = GridDriver(spec, times)
     w = sample_omega(spec.space, seed)
-    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(w))))
-    mf = solution_derivative(coeffs, bundle, gd.deriv_vectors(w), spec.space)
+    xi = spec.space.components(w.xi[None])  # a block of one draw
+    bundle = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi)))).path(0)
+    mf = solution_derivative(coeffs, bundle, gd.deriv_vectors(xi[0]), spec.space)
     return coeffs, x0, spec, gd, w, bundle, mf
 
 
@@ -83,7 +84,8 @@ def test_solution_derivative_additive():
     # additive scalar case: DX_t = sigma DF_t exactly, so the norm of DX
     # equals |sigma| t^H under the calibrated driver
     coeffs, x0, spec, gd, w, bundle, mf = solve_case("additive", 1)
-    assert np.allclose(spec.space.components(mf.dx)[0, 0], 1.5 * gd.deriv_vectors(w)[-1, 0], atol=1e-12)
+    dfields = gd.deriv_vectors(spec.space.components(w.xi))
+    assert np.allclose(spec.space.components(mf.dx)[0, 0], 1.5 * dfields[-1, 0], atol=1e-12)
     assert np.linalg.norm(mf.dx[0]) == pytest.approx(1.5 * 1.0**0.7, rel=1e-10)
 
 
@@ -91,7 +93,7 @@ def test_one_step_dx_overflow_is_a_silent_blowup():
     # on a one-step grid each Young sum is a single product, which numpy
     # forms without BLAS; its overflow is a BlowupError, not a warning
     coeffs, x0 = preset("additive")
-    bundle = solve_euler(coeffs, x0, (np.array([0.0, 1.0]), np.zeros((2, 1))))
+    bundle = theta_path(coeffs, euler_path(coeffs, x0, (np.array([0.0, 1.0]), np.zeros((2, 1)))))
     space = make_hilbert(1, -4.0, 1.0, 8)
     dfields = np.zeros((2, 1, 8))
     dfields[1] = 1.5e308
@@ -176,11 +178,11 @@ def test_dx_matches_the_triangle_assembly(name, q, steps, seed):
     # over the triangle oracle bit for bit: at the final time, and at an earlier
     # grid time j as the DX of the path truncated there
     coeffs, x0, spec, gd, w, bundle, mf = solve_case(name, q, steps=steps, n=40, seed=seed)
-    dfields = gd.deriv_vectors(w)
+    dfields = gd.deriv_vectors(spec.space.components(w.xi))
     triangle = theta_triangle(coeffs, bundle)
     assert mf.t == bundle.times[-1]
     assert np.array_equal(mf.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, steps))
     j = 1 + seed % steps
-    part = solution_derivative(coeffs, truncated(bundle, j), dfields[:j + 1], spec.space)
+    part = solution_derivative(coeffs, theta_path(coeffs, bundle, j), dfields[:j + 1], spec.space)
     assert part.t == bundle.times[j]
     assert np.array_equal(part.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, j))

@@ -21,8 +21,8 @@ from chaosde.sde import (
     validate_derivatives,
 )
 from chaosde.wiener import make_hilbert, sample_omega
-from oracles import (_step_jacobian, frechet_directional, solve_theta, theta_columns,
-                     theta_triangle, truncated)
+from oracles import (_step_jacobian, euler_path, frechet_directional, solve_theta, theta_columns,
+                     theta_path, theta_triangle)
 
 
 PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
@@ -147,7 +147,7 @@ def test_additive_exact():
     # X_t = x0 + b t + sigma F_t holds exactly for the discrete scheme
     coeffs, x0 = preset("additive")
     times, F = smooth_driver(64, lambda t: np.sin(2 * t))
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     expected = x0[0] + 0.25 * times + 1.5 * F[:, 0]
     assert np.max(np.abs(bundle.X[:, 0] - expected)) <= 1e-13
 
@@ -158,7 +158,7 @@ def test_linear_scalar_rate():
     errs = []
     for steps in (256, 512, 1024):
         times, F = smooth_driver(steps)
-        bundle = solve_euler(coeffs, x0, (times, F))
+        bundle = euler_path(coeffs, x0, (times, F))
         errs.append(abs(bundle.X[-1, 0] - math.exp(0.5)))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(r >= 0.3 for r in rates)
@@ -169,47 +169,18 @@ def test_solver_shape_validation():
     coeffs, x0 = preset("additive")
     times, F = smooth_driver(8)
     with pytest.raises(InvalidDimensionError):
-        solve_euler(coeffs, np.zeros(2), (times, F))
+        solve_euler(coeffs, np.zeros(2), (times, F[None]))
     with pytest.raises(InvalidDimensionError):
-        solve_euler(coeffs, x0, (times, np.zeros((9, 2))))
+        solve_euler(coeffs, x0, (times, np.zeros((1, 9, 2))))
+    # values of one path are not a block: the batch axis is not guessed
+    with pytest.raises(InvalidDimensionError):
+        solve_euler(coeffs, x0, (times, F))
     # transposed driver values and a transposed psi are rejected, not guessed
     with pytest.raises(InvalidDimensionError):
-        solve_euler(coeffs, x0, (times, F.T))
-    bundle = solve_euler(coeffs, x0, (times, F))
+        solve_euler(coeffs, x0, (times, F.T[None]))
+    bundle = euler_path(coeffs, x0, (times, F))
     with pytest.raises(InvalidDimensionError):
         frechet_directional(coeffs, bundle, F.T)
-
-
-def test_driver_subgrid():
-    # driver sampled on a refinement of the solver grid is accepted
-    coeffs, x0 = preset("additive")
-    fine_t, fine_F = smooth_driver(64, lambda t: t * t)
-    coarse_t = fine_t[::4]
-    bundle = solve_euler(coeffs, x0, (fine_t, fine_F), times=coarse_t)
-    assert bundle.steps == 16
-    direct = solve_euler(coeffs, x0, (coarse_t, fine_F[::4]))
-    assert np.allclose(bundle.X, direct.X)
-    with pytest.raises(InvalidDimensionError):
-        solve_euler(coeffs, x0, (fine_t, fine_F), times=np.array([0.0, 0.33, 1.0]))
-
-
-def test_driver_grid_membership():
-    # a solver time is a driver time to 12 decimals: the rows it selects are
-    # those of its driver times, and a time off the grid by more than 1e-12,
-    # before its start or after its end is rejected
-    coeffs, x0 = preset("elliptic-2d")
-    fine_t = np.linspace(0.0, 1.0, 65)
-    fine_F = random_paths(coeffs, 3, 64, 4, 0.3)
-    for rows in (np.arange(0, 65, 4), np.array([0, 3, 10, 11, 64]), np.arange(65)):
-        times = fine_t[rows] + 1e-14 * (rows % 2)
-        batch = solve_euler(coeffs, x0, (fine_t, fine_F), times=times)
-        assert np.array_equal(batch.driver_values, fine_F[:, rows])
-        one = solve_euler(coeffs, x0, (fine_t, fine_F[1]), times=times)
-        assert np.array_equal(one.driver_values, fine_F[1, rows])
-    for bad in (fine_t[7] + 2e-12, fine_t[7] - 2e-12, -1e-9, 1.0 + 1e-9):
-        times = np.sort(np.append(fine_t[::8], bad))
-        with pytest.raises(InvalidDimensionError):
-            solve_euler(coeffs, x0, (fine_t, fine_F), times=times)
 
 
 def test_blowup_detected():
@@ -222,7 +193,7 @@ def test_blowup_detected():
     )
     times, F = smooth_driver(16)
     with pytest.raises(BlowupError) as exc:
-        solve_euler(cubed, np.array([1e200]), (times, F))
+        euler_path(cubed, np.array([1e200]), (times, F))
     assert exc.value.step >= 1
 
 
@@ -230,7 +201,7 @@ def test_theta_constant_sigma():
     # zero drift, constant sigma: Theta_t(s) = sigma for all s <= t
     coeffs, x0 = preset("additive")
     times, F = smooth_driver(32, np.cos)
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     row = solve_theta(coeffs, bundle, 5)
     assert np.all(row[:5] == 0.0)
     assert np.allclose(row[5:], 1.5)
@@ -249,14 +220,14 @@ def test_theta_triangle_matches_rows(name, steps, seed, scale):
     times = np.linspace(0.0, 1.0, steps + 1)
     F = np.cumsum(rng.standard_normal((steps + 1, coeffs.m)), axis=0) * scale
     F[0] = 0.0
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     triangle = theta_triangle(coeffs, bundle)
     assert triangle.shape == (steps + 1, steps + 1, coeffs.d, coeffs.m)
     for s_idx in range(steps + 1):
         want = solve_theta(coeffs, bundle, s_idx)
         gap = np.max(np.abs(triangle[s_idx] - want))
         assert gap <= 1e-13 * np.max(np.abs(want))
-    theta = solve_theta_all(coeffs, bundle).theta
+    theta = theta_path(coeffs, bundle).theta
     assert theta.shape == (steps + 1, coeffs.d, coeffs.m)
     assert np.array_equal(theta, triangle[:, steps])
 
@@ -267,14 +238,14 @@ def test_theta_triangle_budget():
     # solve allocates a few (5801, 2, 2)-sized arrays at a time
     coeffs, x0 = preset("elliptic-2d")
     times = np.linspace(0.0, 1.0, 5801)
-    bundle = solve_euler(coeffs, x0, (times, np.zeros((5801, 2))))
+    bundle = solve_euler(coeffs, x0, (times, np.zeros((1, 5801, 2))))
     tracemalloc.start()
     try:
         solve_theta_all(coeffs, bundle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bundle.theta.shape == (5801, 2, 2) and np.isfinite(bundle.theta).all()
+    assert bundle.theta.shape == (1, 5801, 2, 2) and np.isfinite(bundle.theta).all()
     assert peak < 2e6
 
 
@@ -289,7 +260,7 @@ def test_theta_blowup_reports_first_column():
         dsigma=lambda x: np.full(np.shape(x) + (1, 1), 1e300),
     )
     times, F = smooth_driver(16)
-    bundle = solve_euler(huge, np.array([0.3]), (times, F))
+    bundle = euler_path(huge, np.array([0.3]), (times, F))
     # oracle: the earliest step at which some row overflows
     first = []
     for s_idx in range(bundle.steps + 1):
@@ -298,7 +269,7 @@ def test_theta_blowup_reports_first_column():
         except BlowupError as err:
             first.append(err.step)
     with pytest.raises(BlowupError) as exc:
-        solve_theta_all(huge, bundle)
+        theta_path(huge, bundle)
     assert exc.value.step == min(first) == 3
     # the tangent recursion overflows at the same step along psi = t
     with pytest.raises(BlowupError) as exc:
@@ -333,13 +304,12 @@ def test_theta_triangle_matches_column_loop(name, steps):
     F = random_paths(coeffs, 3, steps, steps, 1.0) * np.array([0.05, 0.3, 1.0])[:, None, None]
     batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (times, F)))
     for k in range(3):
-        bundle = solve_euler(coeffs, x0, (times, F[k]))
+        bundle = euler_path(coeffs, x0, (times, F[k]))
         want = theta_columns(coeffs, bundle)
         assert np.array_equal(theta_triangle(coeffs, bundle), want)
         assert np.array_equal(batch.path(k).theta, want[:, steps])
         for j in range(1, steps + 1):
-            theta = solve_theta_all(coeffs, truncated(bundle, j)).theta
-            assert np.array_equal(theta, want[:j + 1, j])
+            assert np.array_equal(theta_path(coeffs, bundle, j).theta, want[:j + 1, j])
 
 
 def jumpy():
@@ -384,33 +354,33 @@ def test_batched_theta_matches_triangle_columns(name, q, steps, seed, B):
     space = make_hilbert(coeffs.m, -4.0, 1.0, 24)
     gd = GridDriver(HermiteSpec(q=q, H=0.7, m=coeffs.m, space=space, out_times=(1.0,)),
                     np.linspace(0.0, 1.0, steps + 1))
-    draws = [sample_omega(space, (seed + k) % 2**64) for k in range(B)]
-    batch = solve_euler(coeffs, x0, (gd.times, gd.values(draws)))
+    xi = space.components(np.array([sample_omega(space, (seed + k) % 2**64).xi
+                                    for k in range(B)]))
+    batch = solve_euler(coeffs, x0, (gd.times, gd.values(xi)))
     assert solve_theta_all(coeffs, batch) is batch
     assert batch.theta.shape == (B, steps + 1, coeffs.d, coeffs.m)
-    for k, w in enumerate(draws):
+    for k in range(B):
         if batch.failed[k]:
             with pytest.raises(BlowupError, match="non-finite state") as exc:
                 batch.path(k)
             assert exc.value.step == batch.failed[k]
             assert np.isnan(batch.theta[k]).all()
             continue
-        one = solve_euler(coeffs, x0, (gd.times, gd.values(w)))
+        one = euler_path(coeffs, x0, (gd.times, gd.values(xi[k])))
         try:
             want = theta_triangle(coeffs, one)
         except BlowupError as err:
-            for run in (lambda: batch.path(k), lambda: solve_theta_all(coeffs, one)):
+            for run in (lambda: batch.path(k), lambda: theta_path(coeffs, one)):
                 with pytest.raises(BlowupError, match="variational") as exc:
                     run()
                 assert exc.value.step == err.step
             assert one.theta is None
             continue
         assert np.array_equal(batch.path(k).theta, want[:, steps])
-        assert np.array_equal(solve_theta_all(coeffs, one).theta, want[:, steps])
+        assert np.array_equal(theta_path(coeffs, one).theta, want[:, steps])
         if k == 0:
             for j in range(1, steps):
-                theta = solve_theta_all(coeffs, truncated(one, j)).theta
-                assert np.array_equal(theta, want[:j + 1, j])
+                assert np.array_equal(theta_path(coeffs, one, j).theta, want[:j + 1, j])
 
 
 def test_theta_blowup_in_two_dimensions_matches_column_loop():
@@ -427,14 +397,14 @@ def test_theta_blowup_in_two_dimensions_matches_column_loop():
         dsigma=lambda x: np.broadcast_to(dsigma, np.shape(x)[:-1] + dsigma.shape).copy(),
     )
     times, F = smooth_driver(16)
-    bundle = solve_euler(huge, np.array([0.3, -0.1]), (times, F))
+    bundle = euler_path(huge, np.array([0.3, -0.1]), (times, F))
     assert np.isfinite(bundle.X).all()
     with pytest.raises(BlowupError) as want:
         theta_columns(huge, bundle)
     with pytest.raises(BlowupError) as oracle:
         theta_triangle(huge, bundle)
     with pytest.raises(BlowupError) as exc:
-        solve_theta_all(huge, bundle)
+        theta_path(huge, bundle)
     assert exc.value.step == oracle.value.step == want.value.step == 3
     assert bundle.theta is None
 
@@ -446,11 +416,11 @@ def test_theta_closed_form_linear():
     lam = 0.5
     steps = 2**10
     times, F = smooth_driver(steps)
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     worst = 0.0
     for t_idx in (steps // 2, steps):
         # Theta at t_idx: the final-time Theta of the path truncated there
-        theta = solve_theta_all(coeffs, truncated(bundle, t_idx)).theta
+        theta = theta_path(coeffs, bundle, t_idx).theta
         for s_idx in (0, steps // 4, steps // 2):
             s, t = times[s_idx], times[t_idx]
             exact = lam * math.exp(lam * s) * math.exp(lam * (t - s))
@@ -472,7 +442,7 @@ def test_frechet_recursion_matches_triangle(name, steps, seed, scale):
     F = np.cumsum(rng.standard_normal((steps + 1, coeffs.m)), axis=0) * scale
     F[0] = 0.0
     psi = rng.standard_normal((steps + 1, coeffs.m))
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     got = frechet_directional(coeffs, bundle, psi)
     want = frechet_triangle(coeffs, bundle, psi)
     assert got.shape == want.shape == (steps + 1, coeffs.d)
@@ -483,7 +453,7 @@ def test_frechet_additive_exact():
     # additive: derivative along psi is sigma (psi_t - psi_0) exactly
     coeffs, x0 = preset("additive")
     times, F = smooth_driver(32, np.sin)
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     psi = (times * times)[:, None]
     out = frechet_directional(coeffs, bundle, psi)
     assert np.max(np.abs(out[:, 0] - 1.5 * (psi[:, 0] - psi[0, 0]))) <= 1e-13
@@ -498,12 +468,12 @@ def test_frechet_is_exact_gradient_of_discrete_flow():
     times = np.linspace(0.0, 1.0, steps + 1)
     F = np.cumsum(rng.standard_normal((steps + 1, 2)), axis=0) * 0.05
     F[0] = 0.0
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     psi = np.cumsum(rng.standard_normal((steps + 1, 2)), axis=0) * 0.05
     target = frechet_directional(coeffs, bundle, psi)[-1]
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
-        pert = solve_euler(coeffs, x0, (times, F + eps * (psi - psi[0])))
+        pert = euler_path(coeffs, x0, (times, F + eps * (psi - psi[0])))
         quot = (pert.X[-1] - bundle.X[-1]) / eps
         gaps.append(float(np.max(np.abs(quot - target))))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -517,7 +487,7 @@ def test_frechet_linearity():
     times = np.linspace(0.0, 1.0, 33)
     F = np.cumsum(rng.standard_normal((33, 2)), axis=0) * 0.05
     F[0] = 0.0
-    bundle = solve_euler(coeffs, x0, (times, F))
+    bundle = euler_path(coeffs, x0, (times, F))
     p1 = rng.standard_normal((33, 2))
     p2 = rng.standard_normal((33, 2))
     lhs = frechet_directional(coeffs, bundle, 2.0 * p1 - 0.5 * p2)
@@ -580,7 +550,7 @@ def test_coefficient_shapes_are_checked():
             with pytest.raises(InvalidDimensionError):
                 ev(states)
     with pytest.raises(InvalidDimensionError):
-        solve_euler(transposed, x, smooth_driver(4))
+        euler_path(transposed, x, smooth_driver(4))
 
 
 @given(st.sampled_from(PRESETS), st.integers(1, 32), st.integers(8, 20),
@@ -594,7 +564,7 @@ def test_batched_euler_matches_single_paths(name, steps, M, seed, scale):
     coeffs, x0 = preset(name)
     times = np.linspace(0.0, 1.0, steps + 1)
     F = random_paths(coeffs, M, steps, seed, scale)
-    single = [solve_euler(coeffs, x0, (times, F[k])) for k in range(M)]
+    single = [euler_path(coeffs, x0, (times, F[k])) for k in range(M)]
     for size in (1, 7, M):
         for start in range(0, M, size):
             batch = solve_euler(coeffs, x0, (times, F[start:start + size]))
@@ -630,7 +600,7 @@ def test_batched_euler_freezes_a_failed_path():
     F = random_paths(capped, M, steps, 3, 0.02)  # far below the level
     F[4, :, 0] = np.linspace(0.0, 2.0, steps + 1)  # crosses it
     with pytest.raises(BlowupError) as exc:
-        solve_euler(capped, np.zeros(1), (times, F[4]))
+        euler_path(capped, np.zeros(1), (times, F[4]))
     step = exc.value.step
     assert 1 <= step < steps
     calls.clear()
@@ -644,7 +614,7 @@ def test_batched_euler_freezes_a_failed_path():
     assert exc.value.step == step
     for k in range(M):
         if k != 4:
-            one = solve_euler(capped, np.zeros(1), (times, F[k]))
+            one = euler_path(capped, np.zeros(1), (times, F[k]))
             assert np.array_equal(batch.path(k).X, one.X)
             assert np.array_equal(batch.path(k).sigma, one.sigma)
 
@@ -657,7 +627,7 @@ def test_step_jacobian_stack_matches_single_steps(name):
     coeffs, x0 = preset(name)
     steps = 96
     times = np.linspace(0.0, 1.0, steps + 1)
-    bundle = solve_euler(coeffs, x0, (times, random_paths(coeffs, 1, steps, 11, 0.3)[0]))
+    bundle = euler_path(coeffs, x0, (times, random_paths(coeffs, 1, steps, 11, 0.3)[0]))
     want = np.array([
         _step_jacobian(coeffs, bundle.X[j], times[j + 1] - times[j],
                        bundle.driver_values[j + 1] - bundle.driver_values[j])

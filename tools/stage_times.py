@@ -12,24 +12,13 @@ The scenarios are the benchmark's two workloads:
 
 ensemble-elliptic (the default): elliptic-2d, q = 1, H = 0.7, n = 256,
 L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
-every sample in the order the ensemble runs them, each the way the source
-runs it: draw (`sample_omega`), driver values (`GridDriver.values`), Euler
-(`solve_euler`), DF (`GridDriver.deriv_vectors`), Theta (`solve_theta_all`),
-DX (`solution_derivative` on the Theta the source solved) and Gram
-(`malliavin_matrix`), in milliseconds per sample.  Seeds go in blocks of
-`wiener.DRAW_BLOCK` (or, in older sources, `density.EULER_BATCH`): Euler is
-one batched solve per block, and driver values one call per block where
-the source has `wiener.DRAW_BLOCK` (its `values` takes a list of draws) and
-one call per draw otherwise.  A source with neither constant runs one seed
-at a time.  Theta is timed the way the source's ensemble solves it: once
-per block where `solve_theta_all` takes a batch and keeps Theta at the
-final time alone (`theta_per_block` true: its `SolutionBundle` has a
-`theta_failed` field), with DX on that final-time Theta; otherwise once
-per sample, filling the whole triangle.  Where the source's
-`deriv_vectors` takes an `out` buffer, every sample fills the same DF
-buffer, and the same Theta buffer where the triangle is per sample, as
-the ensemble does (`out_buffers` true); otherwise each sample's DF array
-and Theta triangle are allocated and dropped once its stages are timed.
+every sample the way the ensemble runs them (`density._parallel_chunk`),
+in milliseconds per sample.  Per block of `wiener.draw_blocks`: draw (the
+block's draws and their coordinates), driver values (`GridDriver.values`
+at the coordinates), Euler (`solve_euler`) and Theta (`solve_theta_all`).
+Per sample: DF (`GridDriver.deriv_vectors` into the one DF buffer that
+every sample fills), DX (`solution_derivative` on the sample's path) and
+Gram (`malliavin_matrix`).  Every source must have this API.
 The pass then times one whole `chaosde density` command on the same
 scenario with `run.seed` 5 and `run.M` 100, in process: `command_s`, and
 `command_sample_ms`, its time per sample, to set beside the stage sum
@@ -45,12 +34,9 @@ stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
 and writing `kernels.txt` (each file from opening to closing), the whole
 command, and the peak resident memory of the pass.  The `kernels.txt`
 stage is split in two: `kernel_entries`, the time spent computing each
-output time's canonical entries, by whatever means the source computes
-them (the steps of the generator `hermite._canonical_blocks`, one GEMM
-per row block of i_1, where the source has it; else the time inside
-`hermite._canonical_entries`: a dense einsum block in older sources, one
-GEMM over the canonical tails in newer ones; 0 in sources with neither),
-and `kernel_text`, the rest (the zero filter, formatting and writing the
+output time's canonical entries (the steps of the generator
+`hermite._canonical_blocks`, one GEMM per row block of i_1), and
+`kernel_text`, the rest (the zero filter, formatting and writing the
 lines).  After the timed command, and after its peak resident memory is
 read, the pass calls `hermite.export_kernels` once more on the command's
 kernel field, into a null stream with `tracemalloc` on:
@@ -97,23 +83,20 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def measure_ensemble() -> dict:
     """One pass over SEEDS with the chaosde on sys.path (run in a child)."""
     import contextlib
-    import inspect
     import io
     import resource
     import time
 
     import numpy as np
-    from chaosde import cli, density, sde, wiener
+    from chaosde import cli, density
     from chaosde.malliavin import malliavin_matrix, solution_derivative
     from chaosde.sde import solve_euler, solve_theta_all
-    from chaosde.wiener import sample_omega
+    from chaosde.wiener import draw_blocks
 
     scenario = density.Scenario(**ENSEMBLE)
     coeffs, x0, spec, driver = scenario.build()
-    draw_block = getattr(wiener, "DRAW_BLOCK", None)
-    batch = draw_block or getattr(density, "EULER_BATCH", None)
+    dfields = np.zeros((ENSEMBLE["steps"] + 1, coeffs.m, spec.space.n))
     clock = time.perf_counter
-    totals = dict.fromkeys(STAGES, 0.0)
 
     def timed(stage, fn, *args, **kwargs):
         start = clock()
@@ -124,48 +107,23 @@ def measure_ensemble() -> dict:
     def faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    theta_per_block = "theta_failed" in getattr(sde.SolutionBundle, "__dataclass_fields__", {})
-    out_buffers = "out" in inspect.signature(driver.deriv_vectors).parameters
-    N = ENSEMBLE["steps"]
-    buffers = {"theta": {}, "df": {}}
-    if out_buffers:
-        buffers["df"] = {"out": np.zeros((N + 1, coeffs.m, spec.space.n))}
-        if not theta_per_block:
-            buffers["theta"] = {"out": np.zeros((N + 1, coeffs.d, N + 1, coeffs.m))}
-
-    def sample(w, bundle):
-        dfields = timed("df", driver.deriv_vectors, w, **buffers["df"])
-        if not theta_per_block:
-            timed("theta", solve_theta_all, coeffs, bundle, **buffers["theta"])
-        mf = timed("dx", solution_derivative, coeffs, bundle, dfields, spec.space)
-        timed("gram", malliavin_matrix, mf)
-
     seeds = list(SEEDS)
-    size = batch or 1
-    for first in (True, False):  # a warm-up pass over one group, then the timed pass
+    for first in (True, False):  # a warm-up pass over one block, then the timed pass
         totals = dict.fromkeys(STAGES, 0.0)
         stage_faults = faults()
-        for start in range(0, size if first else len(seeds), size):
-            group = seeds[start:start + size]
-            draws = [timed("draw", sample_omega, spec.space, s) for s in group]
-            if draw_block:
-                values = timed("driver_values", driver.values, draws)
-            else:
-                values = [timed("driver_values", driver.values, w) for w in draws]
-            if batch:
-                paths = timed("euler", solve_euler, coeffs, x0,
-                              (driver.times, np.asarray(values)))
-                if theta_per_block:
-                    timed("theta", solve_theta_all, coeffs, paths)
-                # one path at a time, as the ensemble takes them: a bundle
-                # (and in older sources its Theta triangle) is dropped
-                # after its sample
-                bundles = (paths.path(k) for k in range(len(group)))
-            else:
-                bundles = [timed("euler", solve_euler, coeffs, x0, (driver.times, v))
-                           for v in values]
-            for w, bundle in zip(draws, bundles):
-                sample(w, bundle)
+        blocks = draw_blocks(spec.space, seeds)
+        while block := timed("draw", next, blocks, None):
+            draws, xi = block
+            values = timed("driver_values", driver.values, xi)
+            batch = timed("euler", solve_euler, coeffs, x0, (driver.times, values))
+            timed("theta", solve_theta_all, coeffs, batch)
+            for k in range(len(draws)):
+                path = batch.path(k)
+                timed("df", driver.deriv_vectors, xi[k], out=dfields)
+                mf = timed("dx", solution_derivative, coeffs, path, dfields, spec.space)
+                timed("gram", malliavin_matrix, mf)
+            if first:
+                break
     stage_faults = faults() - stage_faults
     stages_ms = {k: 1e3 * v / len(seeds) for k, v in totals.items()}
 
@@ -190,9 +148,7 @@ def measure_ensemble() -> dict:
         raise RuntimeError(f"chaosde density exited {rc}")
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
             "command_s": command_s, "command_sample_ms": 1e3 * command_s / len(seeds),
-            "stage_faults": stage_faults, "command_faults": command_faults,
-            "euler_batch": batch, "values_per_block": bool(draw_block),
-            "out_buffers": out_buffers, "theta_per_block": theta_per_block}
+            "stage_faults": stage_faults, "command_faults": command_faults}
 
 
 def measure_simulate() -> dict:
@@ -255,10 +211,7 @@ def measure_simulate() -> dict:
     cli.simulate_paths = timed("simulate_paths", cli.simulate_paths)
     cli._output = timed_output(cli._output)
     # looked up by export_kernels at each call
-    if hasattr(hermite, "_canonical_blocks"):
-        hermite._canonical_blocks = timed_blocks("kernel_entries", hermite._canonical_blocks)
-    elif hasattr(hermite, "_canonical_entries"):
-        hermite._canonical_entries = timed("kernel_entries", hermite._canonical_entries)
+    hermite._canonical_blocks = timed_blocks("kernel_entries", hermite._canonical_blocks)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -350,9 +303,6 @@ def _record(scenario: str, sources: dict, repeats: int) -> dict:
     for label, src in sources.items():
         runs = passes[label]
         entry = {"git_commit": _git_commit(src)}
-        for key in ("euler_batch", "values_per_block", "out_buffers", "theta_per_block"):
-            if key in runs[0]:
-                entry[key] = runs[0][key]
         for name, stat in (("median_", statistics.median), ("min_", min)):
             entry[name + stage_key] = {k: stat(r[stage_key][k] for r in runs) for k in stages}
             entry.update({name + key: stat(r[key] for r in runs) for key in totals})
