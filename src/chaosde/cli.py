@@ -103,12 +103,16 @@ def _merge_strict(defaults: dict, user, path: str = "") -> dict:
 
 def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except OSError as exc:  # a directory, a file it may not read
+        raise ConfigError(f"--config={path!r} invalid: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer or a nesting too deep
+        raise ConfigError(f"--config={path!r} invalid: {exc}") from None
     cfg = _merge_strict(DEFAULT_CONFIG, user)
     if seed_override is not None:
         cfg["run"]["seed"] = int(seed_override)
@@ -174,9 +178,14 @@ def _output(cfg: dict, name: str, binary: bool = False):
     its header line written.  The output directory is made on the first
     file, so a command that fails before writing leaves none behind."""
     directory = cfg["output"]["directory"]
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
-    with open(path, "wb") if binary else open(path, "w", newline="\n") as fh:
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fh = open(path, "wb") if binary else open(path, "w", newline="\n")
+    except OSError as exc:  # "", an existing file, a path under a file
+        raise ConfigError(f"output.directory={directory!r} invalid: cannot write {name}: "
+                          f"{exc.strerror}") from None
+    with fh:
         write_ascii(fh, f"# chaosde {__version__} config={config_hash(cfg)}\n".encode())
         yield fh
 

@@ -8,15 +8,16 @@ import pathlib
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaosde import chaos, errors
-from chaosde.cli import (CHECK_BLOCK, COMMANDS, _build_field, _check_records, _check_values,
-                         _scenario, load_config, main)
+from chaosde import chaos, cli, errors
+from chaosde.cli import (CHECK_BLOCK, COMMANDS, DEFAULT_CONFIG, _build_field, _check_records,
+                         _check_values, _scenario, load_config, main)
 from chaosde.density import kde, run_ensemble
 from chaosde.errors import BlowupError
 from chaosde.hermite import simulate_paths
@@ -236,6 +237,35 @@ def test_malformed_json_exits_2(tmp_path):
     path.write_text("{not json")
     code = main(["check", "--config", str(path)])
     assert code == 2
+
+
+FAST_CONFIG = json.dumps({"process": FAST_PROCESS}).encode()
+
+
+@pytest.mark.parametrize("config, out, key", [
+    (None, "out", "--config"),
+    (b'{"sde": {"preset": "\xe9"}}', "out", "--config"),
+    (b"[" * 100_000 + b"]" * 100_000, "out", "--config"),
+    (b'{"run": {"M": ' + b"1" * 5000 + b"}}", "out", "--config"),
+    (FAST_CONFIG, "", "output.directory"),
+    (FAST_CONFIG, "file", "output.directory"),
+    (FAST_CONFIG, "file/out", "output.directory"),
+], ids=["config-a-directory", "config-latin-1", "config-nested-past-recursion-limit",
+        "config-integer-past-digit-limit", "out-empty", "out-a-file", "out-under-a-file"])
+def test_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys, config, out, key):
+    # an I/O error on either side is a configuration error naming its
+    # source, not a traceback, and nothing is written
+    path = tmp_path / "config.json"
+    if config is None:
+        path.mkdir()
+    else:
+        path.write_bytes(config)
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["check", "--config", str(path), "--out", out and str(tmp_path / out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}=")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_solve_and_malliavin(tmp_path, capsys):
@@ -737,7 +767,14 @@ def test_cli_fuzz(command, data):
     for section, key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3,
                                            unique=True)):
         cfg[section][key] = data.draw(FUZZ_KEYS[section, key])
-    code, out, err, caught, files = run_in_process(command, cfg)
+    stat, samples = cli.self_similarity_stat, []
+
+    def recorded(*args):
+        samples.append(stat(*args))
+        return samples[-1]
+
+    with mock.patch.object(cli, "self_similarity_stat", recorded):
+        code, out, err, caught, files = run_in_process(command, cfg)
     assert code in ((0, 1, 2, 3) if command in ("check", "selfsim") else (0, 2, 3))
     assert "Traceback" not in err and "Warning" not in err
     assert [str(w.message) for w in caught] == []
@@ -747,3 +784,14 @@ def test_cli_fuzz(command, data):
         _strict_json("\n".join(rest))
     if command in ("density", "selfsim") and code in (0, 1):
         _strict_json(out)
+    if command == "selfsim" and code == 0:
+        # a passed test compared draws, not two samples of zeros
+        lhs, rhs = samples[-1]
+        assert np.any(lhs != 0) and np.any(rhs != 0)
+
+
+def test_fuzz_covers_every_config_key():
+    # a key added to the configuration is fuzzed too; the output directory
+    # is the fuzz's own
+    keys = {(section, key) for section, values in DEFAULT_CONFIG.items() for key in values}
+    assert set(FUZZ_KEYS) == keys - {("output", "directory")}

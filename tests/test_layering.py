@@ -315,9 +315,10 @@ def test_reachability_scan(tmp_path):
 
 
 def test_stage_times_runs_on_this_checkout(tmp_path):
-    # the timer calls the pipeline's own API, so a change to that API that
-    # leaves the timer behind fails here: one pass of the ensemble scenario
-    # over this checkout's src, with every stage and the command timed
+    # the timer wraps the names the density command calls its stages by,
+    # so a change that renames one, or stops calling it, fails here: one
+    # pass of the ensemble scenario over this checkout's src, with every
+    # stage and the command timed
     out = tmp_path / "stage_times.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
                     f"src={PACKAGE.parent}", "--scenario", "ensemble-elliptic", "--repeats", "1",

@@ -10,29 +10,30 @@ SRC is a directory holding the `chaosde` package (the `src` directory of a
 checkout).  Each pass runs in a fresh interpreter with one BLAS thread.
 The scenarios are the benchmark's two workloads:
 
-ensemble-elliptic (the default): elliptic-2d, q = 1, H = 0.7, n = 256,
-L = 8, 128 steps to T = 1, seeds 5-104.  A pass times the seven stages of
-every sample the way the ensemble runs them (`density._parallel_chunk`),
-in milliseconds per sample.  Per block of `wiener.draw_blocks`: draw (the
-block's draws and their coordinates), driver values (`GridDriver.values`
-at the coordinates), Euler (`solve_euler`) and Theta (`solve_theta_all`).
-Per sample: DF (`GridDriver.deriv_vectors` into the one DF buffer that
-every sample fills), DX (`solution_derivative` on the sample's path) and
-Gram (`malliavin_matrix`).  Every source must have this API.
-The pass then times one whole `chaosde density` command on the same
-scenario with `run.seed` 5 and `run.M` 100, in process: `command_s`, and
-`command_sample_ms`, its time per sample, to set beside the stage sum
-`sample_ms`.  `stage_faults` and `command_faults` count the minor page
-faults (`ru_minflt`) of the pass's timed stage loop and of the command:
-each is memory that the allocator handed back to the kernel and touches
-again.
+ensemble-elliptic (the default): one `chaosde density` command, elliptic-2d,
+q = 1, H = 0.7, n = 256, L = 8, 128 steps to T = 1, `run.M` 100 from
+`run.seed` 5, run in process after one untimed warm-up command.  A pass
+times the command's seven stages by wrapping the names it calls them by,
+so every source tree runs its own, unchanged command: draw (each step of
+`density.draw_blocks`, a block's draws and their coordinates), driver
+values and DF (the `GridDriver.values` and `deriv_vectors` methods,
+wrapped on the class), Euler, Theta, DX and Gram (`density.solve_euler`,
+`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Each
+stage is its total over the command, in milliseconds per sample, and
+`sample_ms` their sum; `command_s` is the whole command and
+`command_sample_ms` its time per sample.  The rest of the command (the
+build, the KDE, the output files and the per-sample bookkeeping) is in
+no stage.  `command_faults` counts the command's minor page faults
+(`ru_minflt`): each is memory that the allocator handed back to the
+kernel and touches again.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
 n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
 process as the first command of the interpreter.  A pass times its four
-stages in seconds: `build_kernels`, `simulate_paths`, writing `driver.csv`
-and writing `kernels.txt` (each file from opening to closing), the whole
-command, and the peak resident memory of the pass.  The `kernels.txt`
+stages in seconds, wrapping names as above: `build_kernels`,
+`simulate_paths`, writing `driver.csv` and writing `kernels.txt` (each
+file from opening to closing), the whole command, and the peak resident
+memory of the pass.  The `kernels.txt`
 stage is split in two: `kernel_entries`, the time spent computing each
 output time's canonical entries (the steps of the generator
 `hermite._canonical_blocks`, one GEMM per row block of i_1), and
@@ -45,7 +46,8 @@ kernel field, into a null stream with `tracemalloc` on:
 Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
 `import chaosde.cli`, which runs before anything else in the child imports
-numpy.  That is the start-up every command pays.
+numpy.  That is the start-up every command pays.  A wrapper costs about
+half a microsecond per call, some 2 us of an ensemble sample's 0.8 ms.
 
 The passes alternate between the sources, R times each (default 7), so
 that host drift hits every source alike; the report gives the median and
@@ -69,9 +71,9 @@ import sys
 import tempfile
 import time
 
-ENSEMBLE = {"preset": "elliptic-2d", "q": 1, "H": 0.7, "t": 1.0, "steps": 128, "n": 256,
-            "L": 8.0}
-SEEDS = range(5, 105)
+ENSEMBLE = {"process": {"q": 1, "H": 0.7, "m": 2, "n": 256, "L": 8.0},
+            "sde": {"preset": "elliptic-2d", "steps": 128, "T": 1.0},
+            "run": {"M": 100, "seed": 5}}
 STAGES = ("draw", "driver_values", "euler", "df", "theta", "dx", "gram")
 SIMULATE = {"process": {"q": 3, "H": 0.7, "m": 1, "n": 160, "L": 8.0, "s_nodes": 64},
             "run": {"M": 200, "seed": 5, "out_times": [0.25, 0.5, 1.0]}}
@@ -80,124 +82,101 @@ SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def measure_ensemble() -> dict:
-    """One pass over SEEDS with the chaosde on sys.path (run in a child)."""
+def timed(stages: dict, stage: str, fn):
+    """fn, adding the time of each call to stages[stage]."""
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            stages[stage] += time.perf_counter() - start
+    return run
+
+
+def timed_blocks(stages: dict, stage: str, fn):
+    """The generator function fn, adding the time of each step to
+    stages[stage]: a generator's work is done in its steps, not its call."""
+    def run(*args, **kwargs):
+        blocks = fn(*args, **kwargs)
+        while True:
+            start = time.perf_counter()
+            try:
+                block = next(blocks)
+            except StopIteration:
+                return
+            finally:
+                stages[stage] += time.perf_counter() - start
+            yield block
+    return run
+
+
+def run_command(command: str, cfg: dict) -> tuple:
+    """(seconds, minor page faults) of one `chaosde COMMAND` on cfg, run in
+    process through `cli.main` with one worker, its output written to a
+    temporary directory and its stdout dropped."""
     import contextlib
     import io
     import resource
-    import time
 
-    import numpy as np
-    from chaosde import cli, density
-    from chaosde.malliavin import malliavin_matrix, solution_derivative
-    from chaosde.sde import solve_euler, solve_theta_all
-    from chaosde.wiener import draw_blocks
+    from chaosde import cli
 
-    scenario = density.Scenario(**ENSEMBLE)
-    coeffs, x0, spec, driver = scenario.build()
-    dfields = np.zeros((ENSEMBLE["steps"] + 1, coeffs.m, spec.space.n))
-    clock = time.perf_counter
-
-    def timed(stage, fn, *args, **kwargs):
-        start = clock()
-        out = fn(*args, **kwargs)
-        totals[stage] += clock() - start
-        return out
-
-    def faults():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-    seeds = list(SEEDS)
-    for first in (True, False):  # a warm-up pass over one block, then the timed pass
-        totals = dict.fromkeys(STAGES, 0.0)
-        stage_faults = faults()
-        blocks = draw_blocks(spec.space, seeds)
-        while block := timed("draw", next, blocks, None):
-            draws, xi = block
-            values = timed("driver_values", driver.values, xi)
-            batch = timed("euler", solve_euler, coeffs, x0, (driver.times, values))
-            timed("theta", solve_theta_all, coeffs, batch)
-            for k in range(len(draws)):
-                path = batch.path(k)
-                timed("df", driver.deriv_vectors, xi[k], out=dfields)
-                mf = timed("dx", solution_derivative, coeffs, path, dfields, spec.space)
-                timed("gram", malliavin_matrix, mf)
-            if first:
-                break
-    stage_faults = faults() - stage_faults
-    stages_ms = {k: 1e3 * v / len(seeds) for k, v in totals.items()}
-
-    cfg = {"process": {"q": ENSEMBLE["q"], "H": ENSEMBLE["H"], "m": coeffs.m,
-                       "n": ENSEMBLE["n"], "L": ENSEMBLE["L"]},
-           "sde": {"preset": ENSEMBLE["preset"], "steps": ENSEMBLE["steps"],
-                   "T": ENSEMBLE["t"]},
-           "run": {"M": len(seeds), "seed": seeds[0]}}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        argv = ["density", "--config", path, "--out", os.path.join(tmp, "out"),
-                "--workers", "1"]
+        argv = [command, "--config", path, "--out", os.path.join(tmp, "out"), "--workers", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
-            command_faults = faults()
-            start = clock()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
             rc = cli.main(argv)
-            command_s = clock() - start
-            command_faults = faults() - command_faults
+            seconds = time.perf_counter() - start
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if rc != 0:
-        raise RuntimeError(f"chaosde density exited {rc}")
+        raise RuntimeError(f"chaosde {command} exited {rc}")
+    return seconds, faults
+
+
+def measure_ensemble() -> dict:
+    """One `chaosde density` command on ENSEMBLE with its seven stages
+    timed, after an untimed warm-up command (run in a child)."""
+    from chaosde import density, hermite
+
+    stages = dict.fromkeys(STAGES, 0.0)
+    density.draw_blocks = timed_blocks(stages, "draw", density.draw_blocks)
+    for stage, name in (("euler", "solve_euler"), ("theta", "solve_theta_all"),
+                        ("dx", "solution_derivative"), ("gram", "malliavin_matrix")):
+        setattr(density, name, timed(stages, stage, getattr(density, name)))
+    for stage, name in (("driver_values", "values"), ("df", "deriv_vectors")):
+        setattr(hermite.GridDriver, name, timed(stages, stage, getattr(hermite.GridDriver, name)))
+    run_command("density", ENSEMBLE)
+    stages.update(dict.fromkeys(STAGES, 0.0))
+    command_s, command_faults = run_command("density", ENSEMBLE)
+    M = ENSEMBLE["run"]["M"]
+    stages_ms = {k: 1e3 * v / M for k, v in stages.items()}
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
-            "command_s": command_s, "command_sample_ms": 1e3 * command_s / len(seeds),
-            "stage_faults": stage_faults, "command_faults": command_faults}
+            "command_s": command_s, "command_sample_ms": 1e3 * command_s / M,
+            "command_faults": command_faults}
 
 
 def measure_simulate() -> dict:
-    """One `chaosde simulate` command with its stages timed (run in a child).
-
-    The stages are timed by wrapping the names the command calls them by,
-    so every source tree runs its own, unchanged command."""
+    """One `chaosde simulate` command on SIMULATE with its stages timed, as
+    the first command of its interpreter (run in a child)."""
     import contextlib
-    import io
     import resource
-    import time
     import tracemalloc
 
     from chaosde import cli, hermite
 
-    clock = time.perf_counter
     stages = dict.fromkeys(SIMULATE_STAGES, 0.0)
 
-    def timed(stage, fn):
-        def run(*args, **kwargs):
-            start = clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stages[stage] += clock() - start
-        return run
-
-    def timed_blocks(stage, fn):
-        # a generator of blocks: its time is spent in each step
-        def run(*args, **kwargs):
-            blocks = fn(*args, **kwargs)
-            while True:
-                start = clock()
-                try:
-                    block = next(blocks)
-                except StopIteration:
-                    return
-                finally:
-                    stages[stage] += clock() - start
-                yield block
-        return run
-
     def timed_output(output):
+        # an output file from opening to closing
         @contextlib.contextmanager
         def run(cfg, name, *args, **kwargs):
-            start = clock()
+            start = time.perf_counter()
             with output(cfg, name, *args, **kwargs) as fh:
                 yield fh
-            stages[name] += clock() - start
+            stages[name] += time.perf_counter() - start
         return run
 
     build_kernels = cli.build_kernels
@@ -207,21 +186,13 @@ def measure_simulate() -> dict:
         fields.append(build_kernels(*args, **kwargs))
         return fields[-1]
 
-    cli.build_kernels = timed("build_kernels", build_and_keep)
-    cli.simulate_paths = timed("simulate_paths", cli.simulate_paths)
+    cli.build_kernels = timed(stages, "build_kernels", build_and_keep)
+    cli.simulate_paths = timed(stages, "simulate_paths", cli.simulate_paths)
     cli._output = timed_output(cli._output)
     # looked up by export_kernels at each call
-    hermite._canonical_blocks = timed_blocks("kernel_entries", hermite._canonical_blocks)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w") as fh:
-            json.dump(dict(SIMULATE, output={"directory": os.path.join(tmp, "out")}), fh)
-        with contextlib.redirect_stdout(io.StringIO()):
-            start = clock()
-            rc = cli.main(["simulate", "--config", path, "--workers", "1"])
-            command_s = clock() - start
-    if rc != 0:
-        raise RuntimeError(f"chaosde simulate exited {rc}")
+    hermite._canonical_blocks = timed_blocks(stages, "kernel_entries",
+                                             hermite._canonical_blocks)
+    command_s = run_command("simulate", SIMULATE)[0]
     stages["kernel_text"] = stages["kernels.txt"] - stages["kernel_entries"]
     timings = dict(stages)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -240,12 +211,11 @@ def measure_simulate() -> dict:
 
 
 #: scenario -> (child measurement, per-pass stage key, stages, per-pass totals,
-#: record of the setting)
+#: configuration)
 SCENARIOS = {
     "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES,
                           ("import_s", "sample_ms", "command_sample_ms", "command_s",
-                           "stage_faults", "command_faults"),
-                          dict(ENSEMBLE, seeds=[SEEDS.start, SEEDS.stop - 1])),
+                           "command_faults"), ENSEMBLE),
     "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES,
                    ("import_s", "command_s", "peak_rss_mb", "kernels_traced_mb"), SIMULATE),
 }
