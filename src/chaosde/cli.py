@@ -36,7 +36,7 @@ from .hermite import (
 )
 from .sde import preset, solve_euler, solve_theta_all, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
-from .textio import export_paths, value_fields, write_ascii, write_rows
+from .textio import export_paths, value_fields, write_rows
 from .density import (
     KDE_GRID_POINTS,
     Scenario,
@@ -48,12 +48,43 @@ from .density import (
     run_ensemble,
 )
 
-DEFAULT_CONFIG = {
-    "process": {"q": 1, "H": 0.7, "m": 1, "n": 256, "L": 8.0, "s_nodes": 64},
-    "sde": {"preset": "additive", "x0": None, "steps": 128, "T": 1.0},
-    "run": {"M": 100, "seed": 0, "out_times": [0.25, 0.5, 1.0],
-            "eps": [1e-1, 1e-2, 1e-3, 1e-4], "t": 1.0, "epsilon_window": 0.25},
-    "output": {"directory": "."},
+
+def _states(cfg: dict) -> int:
+    """The configured preset's state count (`preset` raises on an unknown name)."""
+    return len(preset(cfg["sde"]["preset"])[1])
+
+
+#: every configuration key, in the one order load_config coerces and then
+#: checks them: its default, whose type is the type the key takes (`_coerce`),
+#: the check of its value given the whole configuration, and the reason a
+#: failed check reports (text, or a function of the configuration)
+CONFIG_KEYS = {
+    "process.q": (1, lambda q, cfg: 1 <= q <= 3, "the order must be 1, 2 or 3"),
+    "process.H": (0.7, lambda h, cfg: 0.5 < h < 1.0, "the Hurst index must lie in (1/2, 1)"),
+    "process.m": (1, lambda m, cfg: m >= 1, "at least one noise component"),
+    "process.n": (256, lambda n, cfg: n >= 2, "the grid needs at least 2 cells"),
+    "process.L": (8.0, lambda length, cfg: length > 0, "the truncation length must be positive"),
+    "process.s_nodes": (64, lambda s, cfg: s >= 1, "at least one quadrature node"),
+    # an unknown preset fails inside the check, with its own message
+    "sde.preset": ("additive", lambda name, cfg: _states(cfg) >= 1, "an unknown preset"),
+    "sde.x0": (None, lambda x0, cfg: x0 is None or len(x0) == _states(cfg),
+               lambda cfg: f"preset {cfg['sde']['preset']} has {_states(cfg)} state components"),
+    "sde.steps": (128, lambda steps, cfg: steps >= 1, "at least one Euler step"),
+    "sde.T": (1.0, lambda horizon, cfg: horizon > 0, "the horizon must be positive"),
+    "run.M": (100, lambda M, cfg: M >= 1, "at least one draw"),
+    # selfsim draws seeds up to seed + 2M - 1; every seed must fit in uint64
+    "run.seed": (0, lambda seed, cfg: 0 <= seed and seed + 2 * cfg["run"]["M"] <= 1 << 64,
+                 lambda cfg: "a seed is an integer >= 0" if cfg["run"]["seed"] < 0
+                 else "seed + 2*M must not exceed 2^64"),
+    "run.out_times": ([0.25, 0.5, 1.0], lambda times, cfg: times and times[0] > 0
+                      and all(a < b for a, b in zip(times, times[1:])),
+                      "a nonempty increasing list of positive times"),
+    "run.eps": ([1e-1, 1e-2, 1e-3, 1e-4], lambda eps, cfg: all(e > 0 for e in eps),
+                "the quotient steps must be positive"),
+    "run.t": (1.0, lambda t, cfg: t > 0, "the time must be positive"),
+    "run.epsilon_window": (0.25, lambda w, cfg: 0 < w < cfg["run"]["t"],
+                           "the window must lie in (0, run.t)"),
+    "output.directory": (".", lambda d, cfg: True, "any path: _output reports one it cannot write"),
 }
 
 
@@ -86,22 +117,14 @@ def _coerce(default, value, key: str):
     raise ConfigError(f"{key}={value!r} invalid: expected {expected}")
 
 
-def _merge_strict(defaults: dict, user, path: str = "") -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path[:-1] or 'config root'} must be an object")
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(path + k for k in sorted(unknown))}")
-    out = {}
-    for key, val in defaults.items():
-        if isinstance(val, dict):
-            out[key] = _merge_strict(val, user.get(key, {}), f"{path}{key}.")
-        else:
-            out[key] = _coerce(val, user[key], path + key) if key in user else val
-    return out
+def _invalid(cfg: dict, key: str, why) -> ConfigError:
+    """The error of the configuration's value of the dotted key."""
+    section, name = key.split(".")
+    return ConfigError(f"{key}={cfg[section][name]!r} invalid: {why}")
 
 
 def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> dict:
+    """The config file at path: every CONFIG_KEYS key coerced, then checked."""
     try:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
@@ -113,7 +136,20 @@ def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> di
         raise ConfigError(f"--config={path!r} invalid: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, an integer or a nesting too deep
         raise ConfigError(f"--config={path!r} invalid: {exc}") from None
-    cfg = _merge_strict(DEFAULT_CONFIG, user)
+    if not isinstance(user, dict):
+        raise ConfigError("config root must be an object")
+    cfg = {key.split(".")[0]: {} for key in CONFIG_KEYS}
+    for section in cfg:
+        if not isinstance(user.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object")
+    given = {f"{section}.{key}": value
+             for section in cfg for key, value in user.get(section, {}).items()}
+    unknown = sorted(user.keys() - cfg.keys() | given.keys() - CONFIG_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, (default, ok, why) in CONFIG_KEYS.items():
+        section, name = key.split(".")
+        cfg[section][name] = _coerce(default, given[key], key) if key in given else default
     if seed_override is not None:
         cfg["run"]["seed"] = int(seed_override)
     if out_dir is not None:
@@ -125,39 +161,11 @@ def load_config(path: str, seed_override=None, workers=None, out_dir=None) -> di
     if workers is not None and workers > cpus:
         raise ConfigError(f"--workers={workers} invalid: at most {cpus}, the CPU count")
     cfg["run"]["workers"] = 1 if workers is None else workers
-    _validate(cfg)
+    for key, (default, ok, why) in CONFIG_KEYS.items():
+        section, name = key.split(".")
+        if not ok(cfg[section][name], cfg):
+            raise _invalid(cfg, key, why(cfg) if callable(why) else why)
     return cfg
-
-
-def _validate(cfg: dict):
-    p, s, r = cfg["process"], cfg["sde"], cfg["run"]
-    times, x0 = r["out_times"], s["x0"]
-    x0_default = preset(s["preset"])[1]  # raises ConfigError for unknown names
-    checks = [
-        ("process.H", 0.5 < p["H"] < 1.0, "the Hurst index must lie in (1/2, 1)"),
-        ("process.q", 1 <= p["q"] <= 3, "the order must be 1, 2 or 3"),
-        ("process.m", p["m"] >= 1, "at least one noise component"),
-        ("process.n", p["n"] >= 2, "the grid needs at least 2 cells"),
-        ("process.L", p["L"] > 0, "the truncation length must be positive"),
-        ("process.s_nodes", p["s_nodes"] >= 1, "at least one quadrature node"),
-        ("sde.x0", x0 is None or len(x0) == len(x0_default),
-         f"preset {s['preset']} has {len(x0_default)} state components"),
-        ("sde.steps", s["steps"] >= 1, "at least one Euler step"),
-        ("sde.T", s["T"] > 0, "the horizon must be positive"),
-        ("run.M", r["M"] >= 1, "at least one draw"),
-        ("run.seed", r["seed"] >= 0, "a seed is an integer >= 0"),
-        # selfsim draws seeds up to seed + 2M - 1; every seed must fit in uint64
-        ("run.seed", r["seed"] + 2 * r["M"] <= 1 << 64, "seed + 2*M must not exceed 2^64"),
-        ("run.out_times", times and times[0] > 0 and all(a < b for a, b in zip(times, times[1:])),
-         "a nonempty increasing list of positive times"),
-        ("run.eps", all(e > 0 for e in r["eps"]), "the quotient steps must be positive"),
-        ("run.t", r["t"] > 0, "the time must be positive"),
-        ("run.epsilon_window", 0 < r["epsilon_window"] < r["t"], "the window must lie in (0, run.t)"),
-    ]
-    for key, ok, why in checks:
-        if not ok:
-            section, name = key.split(".")
-            raise ConfigError(f"{key}={cfg[section][name]!r} invalid: {why}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -172,22 +180,26 @@ def config_hash(cfg: dict) -> str:
 
 
 @contextlib.contextmanager
-def _output(cfg: dict, name: str, binary: bool = False):
-    """The output file `name`, open for text with LF line endings, or for
-    bytes (the numeric tables, which `textio` writes as ASCII bytes), and
-    its header line written.  The output directory is made on the first
-    file, so a command that fails before writing leaves none behind."""
+def _output(cfg: dict, name: str):
+    """The output file `name`, open for bytes, with its header line
+    written.  The output directory is made on the first file, so a command
+    that fails before writing leaves none behind."""
     directory = cfg["output"]["directory"]
-    path = os.path.join(directory, name)
     try:
         os.makedirs(directory, exist_ok=True)
-        fh = open(path, "wb") if binary else open(path, "w", newline="\n")
+        fh = open(os.path.join(directory, name), "wb")
     except OSError as exc:  # "", an existing file, a path under a file
-        raise ConfigError(f"output.directory={directory!r} invalid: cannot write {name}: "
-                          f"{exc.strerror}") from None
+        raise _invalid(cfg, "output.directory", f"cannot write {name}: {exc.strerror}") from None
     with fh:
-        write_ascii(fh, f"# chaosde {__version__} config={config_hash(cfg)}\n".encode())
+        fh.write(f"# chaosde {__version__} config={config_hash(cfg)}\n".encode())
         yield fh
+
+
+def _report(cfg: dict, name: str, text: str) -> str:
+    """Write text as the output file `name`; return it."""
+    with _output(cfg, name) as fh:
+        fh.write(text.encode())
+    return text
 
 
 @contextlib.contextmanager
@@ -196,8 +208,7 @@ def _budget_key(cfg: dict, key: str):
     try:
         yield
     except MemoryBudgetError as exc:
-        section, name = key.split(".")
-        raise ConfigError(f"{key}={cfg[section][name]!r} invalid: {exc}") from None
+        raise _invalid(cfg, key, exc) from None
 
 
 def _spec(cfg: dict, m: int, out_times) -> HermiteSpec:
@@ -232,10 +243,10 @@ def cmd_simulate(cfg: dict) -> int:
     with _budget_key(cfg, "run.M"):
         check_budget((M, len(spec.out_times), spec.m))  # the driver values
     values = simulate_paths(field, range(seed, seed + M))
-    with _output(cfg, "driver.csv", binary=True) as driver:
+    with _output(cfg, "driver.csv") as driver:
         export_paths(driver, [f"F_{l + 1}" for l in range(spec.m)], spec.out_times,
                      [(seed, values)])
-    with _output(cfg, "kernels.txt", binary=True) as kernels:
+    with _output(cfg, "kernels.txt") as kernels:
         export_kernels(field, kernels)
     print(f"wrote {driver.name} and {kernels.name}")
     return 0
@@ -264,7 +275,7 @@ def _check_values(f, g1, u, xis) -> np.ndarray:
 def _check_records(cfg: dict):
     M = cfg["run"]["M"]
     if M < 2:
-        raise ConfigError(f"run.M={M} invalid: the check statistics need at least 2 draws")
+        raise _invalid(cfg, "run.M", "the check statistics need at least 2 draws")
     spec, field = _build_field(cfg)
     with _budget_key(cfg, "run.M"):
         check_budget((M, 16))  # the Monte Carlo draws
@@ -321,8 +332,8 @@ def _check_records(cfg: dict):
             ip = math.factorial(spec.q) * field.inner(i, j)
             tgt = covariance_theoretical(s, t, spec.H)
             if not tgt > 0:  # it rounds to 0 for times far apart in scale
-                raise ConfigError(f"run.out_times={cfg['run']['out_times']!r} invalid: the "
-                                  f"covariance at {s:g} and {t:g} rounds to 0")
+                raise _invalid(cfg, "run.out_times",
+                               f"the covariance at {s:g} and {t:g} rounds to 0")
             worst = max(worst, abs(ip - tgt) / tgt)
     add("kernel_covariance", worst, 0.05, worst <= 0.05)
     return records
@@ -330,9 +341,7 @@ def _check_records(cfg: dict):
 
 def cmd_check(cfg: dict) -> int:
     records = _check_records(cfg)
-    with _output(cfg, "check_report.json") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    _report(cfg, "check_report.json", json.dumps(records, indent=2) + "\n")
     ok = all(r["pass"] for r in records)
     for r in records:
         print(f"{'PASS' if r['pass'] else 'FAIL'} {r['name']}: "
@@ -367,7 +376,7 @@ def cmd_solve(cfg: dict) -> int:
             if failed.size:
                 batch.path(kept)  # raises
 
-    with _output(cfg, "solution.csv", binary=True) as fh:
+    with _output(cfg, "solution.csv") as fh:
         export_paths(fh, [f"X_{k + 1}" for k in range(coeffs.d)], driver.times[every], blocks())
     print(f"wrote {fh.name}")
     return 0
@@ -396,9 +405,7 @@ def cmd_malliavin(cfg: dict) -> int:
     if len(set(cfg["run"]["eps"])) >= 2 and min(errs) > 0:
         order = np.polyfit(np.log([float(e) for e in cfg["run"]["eps"]]), np.log(errs), 1)[0]
         lines.append(f"observed_order {float(order):.17g}")
-    with _output(cfg, "malliavin_report.txt") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    print(_report(cfg, "malliavin_report.txt", "\n".join(lines) + "\n"), end="")
     return 0
 
 
@@ -411,22 +418,19 @@ def cmd_density(cfg: dict) -> int:
     with _budget_key(cfg, "run.M"):
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
-    with _output(cfg, "ensemble.csv", binary=True) as fh:
+    with _output(cfg, "ensemble.csv") as fh:
         dump_csv(ensemble, fh)
     report = positivity_report(ensemble)
     try:
         est = kde(ensemble.x_samples[:, 0])
-        with _output(cfg, "kde.csv", binary=True) as fh:
+        with _output(cfg, "kde.csv") as fh:
             fh.write(b"x,density\n")
             write_rows(fh, value_fields(np.column_stack([est.grid, est.values])), ",")
         report["kde_bandwidth"] = est.bandwidth
         report["degenerate"] = False
     except ChaosdeError:
         report["degenerate"] = True
-    with _output(cfg, "positivity.json") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(report, indent=2))
+    print(_report(cfg, "positivity.json", json.dumps(report, indent=2) + "\n"), end="")
     return 0
 
 
@@ -444,6 +448,11 @@ def cmd_selfsim(cfg: dict) -> int:
         except OutOfRangeError as exc:
             raise ConfigError(f"process.n={spec.space.n} and run.epsilon_window={eps!r} "
                               f"invalid: {exc}") from None
+    # a side of zeros or subnormals would pass on no digits, or divide 0 by 0
+    if not (np.any(lhs >= np.finfo(float).tiny) and np.any(rhs >= np.finfo(float).tiny)):
+        raise ConfigError(f"process.L={cfg['process']['L']!r}, run.t={r['t']!r} and "
+                          f"run.epsilon_window={r['epsilon_window']!r} invalid: the derivative "
+                          "energies of a side all underflow below the smallest normal double")
     result = ks_two_sample(lhs, rhs)
     if spec.q == 1:
         # order 1 is deterministic: both sides are draw-independent numbers,
@@ -452,10 +461,7 @@ def cmd_selfsim(cfg: dict) -> int:
         ok = result["deterministic_gap"] <= 1e-3
     else:
         ok = result["statistic"] <= result["critical_1pct"]
-    with _output(cfg, "selfsim_report.json") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(result, indent=2))
+    print(_report(cfg, "selfsim_report.json", json.dumps(result, indent=2) + "\n"), end="")
     return 0 if ok else 1
 
 

@@ -15,7 +15,7 @@ from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler, solve_theta_all
 from .malliavin import malliavin_matrix, solution_derivative
-from .textio import integer_field, value_fields, write_ascii, write_rows
+from .textio import integer_field, value_fields, write_rows
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,12 @@ def ks_two_sample(a, b) -> dict:
 
 
 def dump_csv(ensemble: SampleEnsemble, fh):
-    """Ensemble dump to fh, an open text or binary stream: seed, t, x_1..x_d,
+    """Ensemble dump to fh, an open binary stream: seed, t, x_1..x_d,
     det_gamma, min_eig, excluded_flag; the kept seeds first, then the
     excluded ones, whose value fields are empty."""
     d = ensemble.x_samples.shape[1]
-    write_ascii(fh, (",".join(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
-                              + ["det_gamma", "min_eig", "excluded_flag"]) + "\n").encode())
+    fh.write((",".join(["seed", "t"] + [f"x_{k + 1}" for k in range(d)]
+                       + ["det_gamma", "min_eig", "excluded_flag"]) + "\n").encode())
     (t,) = value_fields([[ensemble.t]])
     kept = value_fields(np.column_stack([ensemble.x_samples, ensemble.det_samples,
                                          ensemble.min_eigs]))

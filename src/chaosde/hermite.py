@@ -53,7 +53,7 @@ from .errors import (
 )
 from .wiener import GaussianDraw, HilbertDisc, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
-from .textio import EXPORT_CHUNK, VALUE_WORDS, _format_17g, label_words, write_ascii, write_words
+from .textio import EXPORT_CHUNK, VALUE_WORDS, _format_17g, label_words, write_words
 
 
 def hurst_aux(H: float, q: int) -> tuple:
@@ -508,7 +508,7 @@ def _canonical_entries(field: KernelField, ti: int) -> tuple:
 
 
 def export_kernels(field: KernelField, fh):
-    """Portable text dump to fh, an open text or binary stream: one line
+    """Portable text dump to fh, an open binary stream: one line
     `ti i_1 .. i_q value` per nonzero canonical (nondecreasing)
     multi-index, in lexicographic order, values in %.17g (NaN kept, -0.0
     skipped).
@@ -522,10 +522,10 @@ def export_kernels(field: KernelField, fh):
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
-    write_ascii(fh, (f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n"
-                     f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n"
-                     f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n"
-                     "# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n").encode())
+    fh.write((f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n"
+              f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={n}\n"
+              f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n"
+              "# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n").encode())
     tails, starts = field._canonical
     cells = np.arange(n)
     # the words after `ti i_1 ` by tail: `i_2 i_3 ` or `i_2 ` (none at q = 1)

@@ -4,7 +4,6 @@ fields (`write_words`) that hold '%.17g' of doubles (`_format_17g`),
 integers and labels.
 """
 
-import io
 import math
 
 import numpy as np
@@ -215,15 +214,8 @@ def value_fields(values) -> list:
     return list(words.transpose(1, 0, 2))
 
 
-def write_ascii(fh, data: bytes):
-    """Write the ASCII bytes data to fh: as they are to a binary stream,
-    decoded to a text one."""
-    fh.write(data.decode("ascii") if isinstance(fh, io.TextIOBase) else data)
-
-
 def write_words(fh, rows: np.ndarray, sep: str, widths):
-    """Write one line per row of the (N, W) word array rows to fh, an open
-    text or binary stream (bytes go to a binary one as they are).
+    """Write one line per row of the (N, W) word array rows to the binary stream fh.
 
     A row is head words, whose text holds its own separators, then fields
     of the given widths in words, which end the row; each field's words end
@@ -235,7 +227,7 @@ def write_words(fh, rows: np.ndarray, sep: str, widths):
     for column in rows.shape[1] - 1 - np.cumsum(widths[:0:-1], dtype=np.intp):
         rows[:, column] |= ord(sep) << 56
     rows[:, -1] |= ord("\n") << 56
-    write_ascii(fh, rows.tobytes().translate(None, b"\0"))
+    fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_rows(fh, fields, sep: str):
@@ -250,13 +242,13 @@ EXPORT_CHUNK = 1 << 13
 
 
 def export_paths(fh, columns, times, blocks):
-    """CSV dump of paths to fh, an open text or binary stream: the header
+    """CSV dump of paths to fh, an open binary stream: the header
     `seed,t,<columns>`, then for each (seed, values) pair of blocks, one row
     `seed,t,v_1,..,v_m` per draw and time for the (B, T, m) values of the
     draws of seeds seed .. seed + B - 1 at the T times.  Each block is
     written before the next is asked for.
     """
-    write_ascii(fh, (",".join(["seed", "t", *columns]) + "\n").encode())
+    fh.write((",".join(["seed", "t", *columns]) + "\n").encode())
     (t,) = value_fields(np.reshape(times, (-1, 1)))
     draws = max(EXPORT_CHUNK // len(t), 1)
     for seed, values in blocks:

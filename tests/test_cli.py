@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chaosde import chaos, cli, errors
-from chaosde.cli import (CHECK_BLOCK, COMMANDS, DEFAULT_CONFIG, _build_field, _check_records,
+from chaosde.cli import (CHECK_BLOCK, COMMANDS, CONFIG_KEYS, _build_field, _check_records,
                          _check_values, _scenario, load_config, main)
 from chaosde.density import kde, run_ensemble
 from chaosde.errors import BlowupError
@@ -598,6 +598,22 @@ def test_overflowing_theta_warns_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == "numeric failure: non-finite variational state at step 6\n"
 
 
+@pytest.mark.parametrize("q, scale", [(1, 1e-250), (2, 1e-250), (1, 1e-229)])
+def test_selfsim_on_underflowing_energies_exits_2(tmp_path, capsys, q, scale):
+    # every energy of both sides is 0 or subnormal: at q = 1 the gap would
+    # be 0/0, or 7.86e-322 against 7.9e-322 decided by rounding, and at
+    # q = 2 the KS test would pass on two samples of zeros
+    payload = {"process": {"q": q, "n": 4, "L": scale, "s_nodes": 2},
+               "run": {"M": 20, "t": scale, "epsilon_window": 0.9 * scale}}
+    code, out = run_cli(tmp_path, "selfsim", payload)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: process.L={scale!r}, run.t={scale!r} and run.epsilon_window="
+        f"{0.9 * scale!r} invalid: the derivative energies of a side all underflow below the "
+        "smallest normal double\n")
+    assert not out.exists()
+
+
 def test_selfsim_window_of_infinitely_many_nodes_exits_2(tmp_path, capsys):
     # t / epsilon_window overflows, so the window's quadrature would need
     # infinitely many nodes: a configuration error naming the window, not
@@ -719,18 +735,18 @@ def floats(lo, hi):
 
 
 FUZZ_KEYS = {
-    ("process", "q"): either(st.integers(1, 3)), ("process", "H"): either(floats(0.5, 0.99)),
-    ("process", "m"): SIZES, ("process", "n"): SIZES, ("process", "L"): either(floats(0, 16)),
-    ("process", "s_nodes"): SIZES,
-    ("sde", "preset"): either(st.sampled_from(["additive", "linear-scalar", "elliptic-2d",
-                                               "rank1-2d", "none"])),
-    ("sde", "x0"): either(st.lists(floats(-4, 4), min_size=1, max_size=2), FREE_LISTS),
-    ("sde", "steps"): SIZES, ("sde", "T"): either(floats(0, 4)),
-    ("run", "M"): either(st.integers(100, 120), st.one_of(st.integers(-2, 120), SIZES)),
-    ("run", "seed"): either(st.integers(0, 2**64 - 1)),
-    ("run", "out_times"): either(st.lists(floats(0, 2), min_size=1, max_size=3), FREE_LISTS),
-    ("run", "eps"): either(st.lists(floats(0, 0.5), max_size=4), FREE_LISTS),
-    ("run", "t"): either(floats(0, 4)), ("run", "epsilon_window"): either(floats(0, 1)),
+    "process.q": either(st.integers(1, 3)), "process.H": either(floats(0.5, 0.99)),
+    "process.m": SIZES, "process.n": SIZES, "process.L": either(floats(0, 16)),
+    "process.s_nodes": SIZES,
+    "sde.preset": either(st.sampled_from(["additive", "linear-scalar", "elliptic-2d", "rank1-2d",
+                                          "none"])),
+    "sde.x0": either(st.lists(floats(-4, 4), min_size=1, max_size=2), FREE_LISTS),
+    "sde.steps": SIZES, "sde.T": either(floats(0, 4)),
+    "run.M": either(st.integers(100, 120), st.one_of(st.integers(-2, 120), SIZES)),
+    "run.seed": either(st.integers(0, 2**64 - 1)),
+    "run.out_times": either(st.lists(floats(0, 2), min_size=1, max_size=3), FREE_LISTS),
+    "run.eps": either(st.lists(floats(0, 0.5), max_size=4), FREE_LISTS),
+    "run.t": either(floats(0, 4)), "run.epsilon_window": either(floats(0, 1)),
 }
 #: each command's starting point: a configuration that runs, on tiny grids
 FUZZ_BASE = {"process": {"q": 2, "n": 12, "L": 4.0, "s_nodes": 8},
@@ -764,9 +780,9 @@ def test_cli_fuzz(command, data):
     # message: no traceback, no warning, 1 only from the two commands that
     # test invariants, and every JSON output strict
     cfg = json.loads(json.dumps(FUZZ_BASE))
-    for section, key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3,
-                                           unique=True)):
-        cfg[section][key] = data.draw(FUZZ_KEYS[section, key])
+    for key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3, unique=True)):
+        section, name = key.split(".")
+        cfg[section][name] = data.draw(FUZZ_KEYS[key])
     stat, samples = cli.self_similarity_stat, []
 
     def recorded(*args):
@@ -793,5 +809,24 @@ def test_cli_fuzz(command, data):
 def test_fuzz_covers_every_config_key():
     # a key added to the configuration is fuzzed too; the output directory
     # is the fuzz's own
-    keys = {(section, key) for section, values in DEFAULT_CONFIG.items() for key in values}
-    assert set(FUZZ_KEYS) == keys - {("output", "directory")}
+    assert set(FUZZ_KEYS) == set(CONFIG_KEYS) - {"output.directory"}
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_reference_follows_the_table(tmp_path):
+    # README's table of the keys each command reads names every key but the
+    # output directory, and its example configuration loads
+    text = README.read_text()
+    table = text.split("Every command validates every key", 1)[1].split("\n\n")[1]
+    header, _, *rows = table.splitlines()
+    sections = [cell.strip(" `") for cell in header.split("|")[2:-1]]
+    named = {f"{section}.{name.strip()}" for row in rows
+             for section, cell in zip(sections, row.split("|")[2:-1])
+             for name in cell.split(",") if name.strip() != "-"}
+    assert named == set(CONFIG_KEYS) - {"output.directory"}
+    example = text.split("Example configuration", 1)[1].split("```json\n", 1)[1].split("```")[0]
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    assert load_config(str(path))["sde"]["preset"] == "elliptic-2d"

@@ -335,7 +335,7 @@ def test_dump_csv_layout(tmp_path):
     sc = Scenario(preset="elliptic-2d", **SMALL)
     ens = run_ensemble(sc, M=4, base_seed=0)
     path = tmp_path / "ensemble.csv"
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         dump_csv(ens, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "seed,t,x_1,x_2,det_gamma,min_eig,excluded_flag"
@@ -360,7 +360,7 @@ def test_dump_csv_matches_csv_writer(d):
             ens = SampleEnsemble(t=t, seeds=kept[rows], x_samples=values[rows, :d],
                                  det_samples=values[rows, d], min_eigs=values[rows, d + 1],
                                  excluded_seeds=excluded)
-            got, want = io.StringIO(), io.StringIO()
+            got, want = io.BytesIO(), io.StringIO()
             dump_csv(ens, got)
             ensemble_csv_writer(ens, want)
-            assert got.getvalue() == want.getvalue()
+            assert got.getvalue().decode() == want.getvalue()

@@ -308,7 +308,7 @@ def test_export_import_roundtrip(tmp_path):
         spec = small_spec(q=q, n=12 if q == 3 else 24, m=2, out_times=(0.5, 1.0))
         field = build_kernels(spec, calibrate=q != 3)
         path = str(tmp_path / f"kernels{q}.txt")
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "wb") as fh:
             export_kernels(field, fh)
         back_spec, back_blocks, back_calibrated = import_kernels(path)
         assert back_spec == spec
@@ -332,25 +332,26 @@ def test_blocks_are_exactly_symmetric(q, m):
 
 
 def _export_kernels_loop(field, fh):
-    """Line-by-line kernel dump, one write per canonical multi-index: the
-    oracle for the row-batched export_kernels."""
+    """Line-by-line kernel dump to a binary stream, one write per canonical
+    multi-index: the oracle for the row-batched export_kernels."""
     spec = field.spec
-    fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n")
-    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n")
-    fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n")
-    fh.write("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n")
+    fh.write(f"# chaosde kernel field q={spec.q} H={spec.H:.17g} m={spec.m}\n".encode())
+    fh.write(f"# space lo={spec.space.lo:.17g} hi={spec.space.hi:.17g} n={spec.space.n}\n"
+             .encode())
+    fh.write(f"# s_nodes={spec.s_nodes} calibrated={int(field.calibrated)}\n".encode())
+    fh.write(("# times " + " ".join(f"{t:.17g}" for t in spec.out_times) + "\n").encode())
     for ti, block in enumerate(field.blocks):
         for idx in itertools.combinations_with_replacement(range(spec.space.n), spec.q):
             v = block[idx]
             if v != 0.0:
                 cols = " ".join(str(i) for i in idx)
-                fh.write(f"{ti} {cols} {v:.17g}\n")
+                fh.write(f"{ti} {cols} {v:.17g}\n".encode())
 
 
 def _dump(export, field) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     export(field, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 @pytest.mark.parametrize("calibrate", [True, False])
@@ -535,10 +536,10 @@ def test_export_paths_matches_value_loop(m):
     for vals in (values, bits.view(np.float64)):
         for seed in (0, 123_456, 2**64 - vals.shape[0]):
             for times in (spec.out_times, (1e-300, 2.5e-7, 1.0 / 3.0)):
-                got, want = io.StringIO(), io.StringIO()
+                got, want = io.BytesIO(), io.StringIO()
                 export_paths(got, [f"F_{l + 1}" for l in range(m)], times, [(seed, vals)])
                 _export_paths_loop(vals, times, seed, want)
-                assert got.getvalue() == want.getvalue()
+                assert got.getvalue().decode() == want.getvalue()
 
 
 def test_self_similarity_q1_deterministic():

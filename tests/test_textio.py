@@ -85,15 +85,15 @@ def test_write_rows_layout():
     labels = textio.integer_field(np.arange(12))
     cells = np.array([0, 11, 7])
     empty = np.zeros((3, 1), dtype=textio._WORD)
-    fh = io.StringIO()
+    fh = io.BytesIO()
     textio.write_rows(fh, [labels.take(cells, axis=0), empty] + textio.value_fields(
         [[0.5, -1e-7], [np.nan, 3.0], [-0.0, 1e300]]), ";")
-    assert fh.getvalue() == "0;;0.5;-9.9999999999999995e-08\n11;;nan;3\n7;;-0;1.0000000000000001e+300\n"
-    fh = io.StringIO()
+    assert fh.getvalue() == b"0;;0.5;-9.9999999999999995e-08\n11;;nan;3\n7;;-0;1.0000000000000001e+300\n"
+    fh = io.BytesIO()
     textio.write_rows(fh, [empty[:0], empty[:0]], ",")
-    assert fh.getvalue() == ""
+    assert fh.getvalue() == b""
     # write_words takes head words before the fields, whose text carries
-    # its own separators and is written as it is, to a binary stream as bytes
+    # its own separators and is written as it is
     fh = io.BytesIO()
     head = [textio.label_words(cells, 100), textio.label_words([1, 22, 333])]
     fields = [empty, labels.take(cells, axis=0)]
@@ -120,8 +120,8 @@ def test_fields_match_python_formatting():
     for k in (1, 2, 5):
         values = rng.integers(0, 2**64, size=(400, k), dtype=np.uint64).view(np.float64)
         ints = [0, 9, 10, 2**63, 2**64 - 1] + rng.integers(0, 2**64, 395, dtype=np.uint64).tolist()
-        fh = io.StringIO()
+        fh = io.BytesIO()
         textio.write_rows(fh, [textio.integer_field(ints)] + textio.value_fields(values), ",")
         want = "".join(f"{i}," + ",".join("%.17g" % v for v in row) + "\n"
                        for i, row in zip(ints, values.tolist()))
-        assert fh.getvalue() == want
+        assert fh.getvalue().decode() == want

@@ -23,9 +23,7 @@ stage is its total over the command, in milliseconds per sample, and
 `sample_ms` their sum; `command_s` is the whole command and
 `command_sample_ms` its time per sample.  The rest of the command (the
 build, the KDE, the output files and the per-sample bookkeeping) is in
-no stage.  `command_faults` counts the command's minor page faults
-(`ru_minflt`): each is memory that the allocator handed back to the
-kernel and touches again.
+no stage.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
 n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
@@ -110,13 +108,12 @@ def timed_blocks(stages: dict, stage: str, fn):
     return run
 
 
-def run_command(command: str, cfg: dict) -> tuple:
-    """(seconds, minor page faults) of one `chaosde COMMAND` on cfg, run in
-    process through `cli.main` with one worker, its output written to a
-    temporary directory and its stdout dropped."""
+def run_command(command: str, cfg: dict) -> float:
+    """Seconds of one `chaosde COMMAND` on cfg, run in process through
+    `cli.main` with one worker, its output written to a temporary directory
+    and its stdout dropped."""
     import contextlib
     import io
-    import resource
 
     from chaosde import cli
 
@@ -126,14 +123,12 @@ def run_command(command: str, cfg: dict) -> tuple:
             json.dump(cfg, fh)
         argv = [command, "--config", path, "--out", os.path.join(tmp, "out"), "--workers", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             rc = cli.main(argv)
             seconds = time.perf_counter() - start
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if rc != 0:
         raise RuntimeError(f"chaosde {command} exited {rc}")
-    return seconds, faults
+    return seconds
 
 
 def measure_ensemble() -> dict:
@@ -150,12 +145,11 @@ def measure_ensemble() -> dict:
         setattr(hermite.GridDriver, name, timed(stages, stage, getattr(hermite.GridDriver, name)))
     run_command("density", ENSEMBLE)
     stages.update(dict.fromkeys(STAGES, 0.0))
-    command_s, command_faults = run_command("density", ENSEMBLE)
+    command_s = run_command("density", ENSEMBLE)
     M = ENSEMBLE["run"]["M"]
     stages_ms = {k: 1e3 * v / M for k, v in stages.items()}
     return {"stages_ms": stages_ms, "sample_ms": sum(stages_ms.values()),
-            "command_s": command_s, "command_sample_ms": 1e3 * command_s / M,
-            "command_faults": command_faults}
+            "command_s": command_s, "command_sample_ms": 1e3 * command_s / M}
 
 
 def measure_simulate() -> dict:
@@ -192,7 +186,7 @@ def measure_simulate() -> dict:
     # looked up by export_kernels at each call
     hermite._canonical_blocks = timed_blocks(stages, "kernel_entries",
                                              hermite._canonical_blocks)
-    command_s = run_command("simulate", SIMULATE)[0]
+    command_s = run_command("simulate", SIMULATE)
     stages["kernel_text"] = stages["kernels.txt"] - stages["kernel_entries"]
     timings = dict(stages)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -214,8 +208,7 @@ def measure_simulate() -> dict:
 #: configuration)
 SCENARIOS = {
     "ensemble-elliptic": (measure_ensemble, "stages_ms", STAGES,
-                          ("import_s", "sample_ms", "command_sample_ms", "command_s",
-                           "command_faults"), ENSEMBLE),
+                          ("import_s", "sample_ms", "command_sample_ms", "command_s"), ENSEMBLE),
     "drivers-q3": (measure_simulate, "stages_s", SIMULATE_STAGES,
                    ("import_s", "command_s", "peak_rss_mb", "kernels_traced_mb"), SIMULATE),
 }
