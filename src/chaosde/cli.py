@@ -411,6 +411,8 @@ def cmd_malliavin(cfg: dict) -> int:
 
 def cmd_density(cfg: dict) -> int:
     r = cfg["run"]
+    if r["M"] < 2:
+        raise _invalid(cfg, "run.M", "the ensemble needs at least 2 draws")
     scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
     m = preset(scenario.preset)[0].m
     with _budget_key(cfg, "process.n"):
@@ -441,13 +443,12 @@ def cmd_selfsim(cfg: dict) -> int:
     M, seed = r["M"], r["seed"]
     with _budget_key(cfg, "run.M"):
         check_budget((M,))  # each side's samples
-    with _budget_key(cfg, "run.epsilon_window"):  # the lhs quadrature nodes
-        try:
-            lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
-                                            range(seed + M, seed + 2 * M))
-        except OutOfRangeError as exc:
-            raise ConfigError(f"process.n={spec.space.n} and run.epsilon_window={eps!r} "
-                              f"invalid: {exc}") from None
+    try:
+        lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
+                                        range(seed + M, seed + 2 * M))
+    except OutOfRangeError as exc:
+        raise ConfigError(f"process.n={spec.space.n} and run.epsilon_window={eps!r} "
+                          f"invalid: {exc}") from None
     # a side of zeros or subnormals would pass on no digits, or divide 0 by 0
     if not (np.any(lhs >= np.finfo(float).tiny) and np.any(rhs >= np.finfo(float).tiny)):
         raise ConfigError(f"process.L={cfg['process']['L']!r}, run.t={r['t']!r} and "

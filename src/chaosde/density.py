@@ -211,15 +211,16 @@ def kde(samples) -> DensityEstimate:
 def positivity_report(ensemble: SampleEnsemble, eps_det: float = None) -> dict:
     """Fraction of samples whose Malliavin determinant clears the threshold.
 
-    Default threshold is scale-aware: 1e-12 * (trace Gamma / d)^d per
-    sample, using d inferred from the state dimension.  With every sample
-    excluded the four statistics are None (null in JSON, which has no NaN).
+    The default threshold of a sample is 1e-12 * max((d * min_eig)^d, 1), d
+    the state dimension and min_eig its smallest eigenvalue of Gamma (0 where
+    negative); `threshold` reports the smallest.  With every sample excluded
+    the four statistics are None (null in JSON, which has no NaN).
     """
     dets = ensemble.det_samples
-    d = ensemble.x_samples.shape[1] if ensemble.x_samples.ndim > 1 else 1
+    d = ensemble.x_samples.shape[1]
     if eps_det is None:
-        # trace of Gamma is not stored; min_eig * d underestimates it, so
-        # use the determinant-compatible scale |det|^(1/d) ~ eigenvalue scale
+        # the d-th power of d * min_eig, floored at 1 so that a small Gamma
+        # keeps the absolute threshold 1e-12
         scale = np.maximum(ensemble.min_eigs * d, 0.0) ** d
         thresholds = 1e-12 * np.maximum(scale, 1.0)
     else:

@@ -20,10 +20,12 @@ Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
 does not converge.  Coefficients are instead cell averages computed from
 the closed-form antiderivative in each x_j, which is bounded, and the
-time integral is done by midpoint quadrature (exactly, for q = 1).  The
-small remaining diagonal-band mass is restored by scaling each kernel to
-its exact norm t^{2H}/q!, so that E[Z_t^2] = t^{2H} holds by the
-isometry.
+time integral is done by midpoint quadrature (exactly, for q = 1), over
+any interval (a, b] by one builder, `_kernel_factors`: the kernel at t
+is the increment over (0, t], each self-similarity side the increment
+over its window.  The small remaining diagonal-band mass is restored by
+scaling each kernel to its exact norm t^{2H}/q!, so that E[Z_t^2] =
+t^{2H} holds by the isometry.
 
 Storage note: the midpoint rule makes every block a short sum of rank-one
 powers rho * sum_k beta_k g_k^{(x)q}, so kernels are kept as the factors
@@ -37,14 +39,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     InvalidDimensionError,
-    MemoryBudgetError,
     OutOfRangeError,
     SpaceMismatchError,
     UnsupportedOrderError,
@@ -114,29 +115,38 @@ def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
     return (lpow - rpow) / (a + 1.0)
 
 
-def _kernel_factors(spec: HermiteSpec, t: float) -> tuple:
-    """Uncalibrated factors (g, beta) of L_t over one component.
-
-    The block is sum_k beta_k g_k^{(x)q}.  For q >= 2, g_k are the cell
-    averages at the midpoint node s_k of the time quadrature on (0, t];
-    for q = 1 the time integral is exact: one factor, the difference of the
-    second antiderivative between 0 and t, with beta = 1.
-    """
-    space, q, s_nodes = spec.space, spec.q, spec.s_nodes
-    H0, c = hurst_aux(spec.H, q)
-    a = H0 - 1.5
+def _node_factors(spec: HermiteSpec, s: np.ndarray, integrated: bool = False) -> tuple:
+    """(g, scale) at the time nodes s, for `_kernel_factors` and `GridDriver`:
+    g[k, i] the average over cell i of (s_k - x)_+^{H0-3/2} (integrated: of
+    its antiderivative in s), scale = c(H,q) delta^{-q/2}."""
+    H0, c = hurst_aux(spec.H, spec.q)
+    a = H0 - 1.5 + (1.0 if integrated else 0.0)
     # powers of numpy scalars: an overflow, or 0 ** -x, is inf where a float raises
     with np.errstate(all="ignore"):
-        scale = c * np.float64(space.delta) ** (-q / 2.0)
-        if q == 1:
-            prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
+        g = _cell_avg_matrix(spec.space, s, a) / (a if integrated else 1.0)
+        return g, c * np.float64(spec.space.delta) ** (-spec.q / 2.0)
+
+
+def _kernel_factors(spec: HermiteSpec, a: float, b: float) -> tuple:
+    """Uncalibrated factors (g, beta) of the increment L_b - L_a over one
+    component, 0 <= a < b.
+
+    The block is sum_k beta_k g_k^{(x)q}.  For q >= 2, g_k are the cell
+    averages at the s_nodes midpoint nodes s_k of the time quadrature on
+    (a, b]; for q = 1 the time integral is exact: one factor, the
+    difference of the second antiderivative between a and b, with beta = 1.
+    """
+    s_nodes = spec.s_nodes
+    with np.errstate(all="ignore"):
+        if spec.q == 1:
+            prim, scale = _node_factors(spec, np.array([b, a]), integrated=True)
             g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
         else:
-            g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
-            beta = np.full(s_nodes, scale * t / s_nodes)
-        # adaptedness: cells at or beyond t carry no coefficient
-        g = g * (space.cell_midpoints() < t)
-    _check_finite([t], g, beta)
+            g, scale = _node_factors(spec, a + (b - a) * (np.arange(s_nodes) + 0.5) / s_nodes)
+            beta = np.full(s_nodes, scale * (b - a) / s_nodes)
+        # adaptedness: cells at or beyond b carry no coefficient
+        g = g * (spec.space.cell_midpoints() < b)
+    _check_finite([b], g, beta)
     return g, beta
 
 
@@ -260,26 +270,22 @@ class KernelField:
         return out
 
 
-def build_kernels(spec: HermiteSpec, calibrate: bool = True) -> KernelField:
-    """Cell-average kernel factors at every output time.
-
-    With calibrate=True each block is scaled to its exact continuum norm
-    sqrt(t^{2H}/q!), which enforces E[Z_t^2] = t^{2H} through the
-    isometry and removes the diagonal-band discretization bias.
+def build_kernels(spec: HermiteSpec) -> KernelField:
+    """Cell-average kernel factors at every output time, each block scaled
+    to its exact continuum norm sqrt(t^{2H}/q!), which enforces E[Z_t^2] =
+    t^{2H} through the isometry and removes the diagonal-band
+    discretization bias.
     """
     gs, betas, rhos = [], [], []
     for t in spec.out_times:
-        g, beta = _kernel_factors(spec, t)
-        rho = 1.0
-        if calibrate:
-            if not np.any(g):
-                raise InvalidDimensionError(f"degenerate kernel at t={t}")
-            rho = _calibration(g, beta, spec.q, t, spec.H)[-1]
+        g, beta = _kernel_factors(spec, 0.0, t)
+        if not np.any(g):
+            raise InvalidDimensionError(f"degenerate kernel at t={t}")
         gs.append(g)
         betas.append(beta)
-        rhos.append(rho)
+        rhos.append(_calibration(g, beta, spec.q, t, spec.H)[-1])
     return KernelField(spec=spec, g=np.array(gs), beta=np.array(betas), rho=np.array(rhos),
-                       calibrated=calibrate)
+                       calibrated=True)
 
 
 @dataclass(frozen=True)
@@ -338,47 +344,40 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     lhs[k] = sum over cells r in (t-eps, t] of |D_r(Z_t - Z_{t-eps})|^2 on
     the draw of seeds[k]; rhs[k] = eps^{2H} times the same functional of Z_1
     on the image grid under x -> (x - (t-eps))/eps, restricted to (0, 1],
-    on the draw of rhs_seeds[k].  The image grid and aligned quadrature
-    nodes make the two sides exactly equal in law for the discretized
-    kernels, which is the faithful finite analogue of the continuum
-    statement.  Both draws enter through their first component.
+    on the draw of rhs_seeds[k].  Each side is a KernelField of its window
+    increment on s_nodes nodes; on a grid ending at t, as `chaosde selfsim`
+    builds it, the left-hand cells and nodes are the images of the
+    right-hand ones for every t/eps, so the two sides are exactly equal in
+    law for the discretized kernels, the faithful finite analogue of the
+    continuum statement.  Both draws enter through their first component.
 
     Kernels enter uncalibrated here: the identity is a statement about the
     homogeneous kernels themselves and per-side calibration constants
     would shift the two laws against each other.
     """
-    if not 0.0 < eps < t:
-        raise OutOfRangeError(f"need 0 < eps < t, got eps={eps}, t={t}")
-    # lhs s-node count chosen so window nodes are the exact images of the
-    # rhs nodes under the affine rescaling
-    s_lhs = spec.s_nodes * t / eps
-    if math.isinf(s_lhs):  # int() would overflow; a finite count meets the lhs spec's check
-        raise MemoryBudgetError(f"the window would need {s_lhs} quadrature nodes")
-    s_lhs = max(int(round(s_lhs)), spec.s_nodes)
-    lhs_field = build_kernels(replace(spec, s_nodes=s_lhs, out_times=(t,)), calibrate=False)
+    if not 0.0 < eps < t <= spec.space.hi:
+        raise OutOfRangeError(f"need 0 < eps < t <= hi, got eps={eps}, t={t}, "
+                              f"hi={spec.space.hi}")
     space_rhs = make_hilbert(1, (spec.space.lo - (t - eps)) / eps, 1.0, spec.space.n)
-    rhs_field = build_kernels(HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs,
-                                          s_nodes=spec.s_nodes, out_times=(1.0,)),
-                              calibrate=False)
-
-    def energies(field, seeds, lo, hi):
+    spec_rhs = HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs, s_nodes=spec.s_nodes,
+                           out_times=(1.0,))
+    samples = []
+    for side, lo, hi, side_seeds in ((spec, t - eps, t, seeds), (spec_rhs, 0.0, 1.0, rhs_seeds)):
+        g, beta = _kernel_factors(side, lo, hi)
+        field = KernelField(spec=side, g=g[None], beta=beta[None], rho=np.ones(1),
+                            calibrated=False)
         # only cells fully inside the window: a straddling cell carries
-        # kernel mass from outside (t-eps, t], which the rescaled side
+        # kernel mass from outside (lo, hi], which the rescaled side
         # cannot represent; the rounding slack scales with the cells
-        space = field.spec.space
-        tol = 1e-9 * space.delta
-        edges = space.cell_edges()
+        edges, tol = side.space.cell_edges(), 1e-9 * side.space.delta
         window = (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
         if not window.any():  # both sides would be all zeros, equal in law on no data
-            raise OutOfRangeError(f"no whole cell of the grid (width {space.delta:.6g}) lies "
-                                  f"in the window ({lo:.6g}, {hi:.6g}]")
+            raise OutOfRangeError(f"no whole cell of the grid (width {side.space.delta:.6g}) "
+                                  f"lies in the window ({lo:.6g}, {hi:.6g}]")
         ders = (field.evaluate(0, xi)[1][:, 0, window]
-                for _, xi in draw_blocks(space, seeds))
-        return np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders])
-
-    lhs = energies(lhs_field, seeds, t - eps, t)
-    rhs = eps ** (2.0 * spec.H) * energies(rhs_field, rhs_seeds, 0.0, 1.0)
-    return lhs, rhs
+                for _, xi in draw_blocks(side.space, side_seeds))
+        samples.append(np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders]))
+    return samples[0], eps ** (2.0 * spec.H) * samples[1]
 
 
 class GridDriver:
@@ -402,16 +401,13 @@ class GridDriver:
             raise OutOfRangeError("grid extends beyond the noise support")
         self.spec = spec
         self.times = times
-        space, q = spec.space, spec.q
-        H0, c = hurst_aux(spec.H, q)
-        check_budget((times.shape[0] - 1, space.n + 1))  # the cell-average factors
+        check_budget((times.shape[0] - 1, spec.space.n + 1))  # the cell-average factors
         with np.errstate(all="ignore"):
-            mids = 0.5 * (times[:-1] + times[1:])
-            self._g = _cell_avg_matrix(space, mids, H0 - 1.5)
-            self._beta = c * np.float64(space.delta) ** (-q / 2.0) * np.diff(times)
+            self._g, scale = _node_factors(spec, 0.5 * (times[:-1] + times[1:]))
+            self._beta = scale * np.diff(times)
         _check_finite(times[1:], self._g, self._beta)
         self._rho = np.ones(times.shape[0])
-        self._rho[1:] = _calibration(self._g, self._beta, q, times[1:], spec.H)
+        self._rho[1:] = _calibration(self._g, self._beta, spec.q, times[1:], spec.H)
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """Driver values on the grid, shape (..., len(times), m), at the

@@ -192,6 +192,7 @@ Q2 = dict(FAST_PROCESS, q=2)
     ("check", bad(run={"M": 1}), [], "run.M"),
     ("density", bad(), ["--workers", "-2"], "--workers"),
     # sizes over the dense budget, rejected before the array exists
+    # (this window of 1e-7 holds no whole cell of the grid: it names the window)
     ("selfsim", bad(process=Q2, run={"M": 2, "epsilon_window": 1e-7}), [], "run.epsilon_window"),
     ("simulate", bad(process=dict(Q2, s_nodes=10**9)), [], "process.s_nodes"),
     ("check", bad(process=dict(Q2, s_nodes=10**9)), [], "process.s_nodes"),
@@ -237,6 +238,26 @@ def test_malformed_json_exits_2(tmp_path):
     path.write_text("{not json")
     code = main(["check", "--config", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("root", ["[]", "3", '"config"', "null"])
+def test_config_root_not_an_object_exits_2(tmp_path, capsys, root):
+    path = tmp_path / "config.json"
+    path.write_text(root)
+    code = main(["check", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_density_names_run_M_below_2(tmp_path, capsys):
+    # one draw passes the table's check (M >= 1) but not the ensemble's,
+    # which reports it as every other invalid value is reported
+    code, out = run_cli(tmp_path, "density", {"process": FAST_PROCESS, "run": {"M": 1}})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: run.M=1 invalid: the ensemble needs at least 2 draws\n")
+    assert not out.exists()
 
 
 FAST_CONFIG = json.dumps({"process": FAST_PROCESS}).encode()
@@ -540,6 +561,10 @@ def test_selfsim_window_is_scale_free(tmp_path, capsys):
     # delta^{-3/2} of cells 1.25e-301 wide overflows at q = 3
     ("simulate", {"process": {"L": 1e-300, "q": 3, "n": 16}, "run": {"out_times": [1e-300]}},
      "1e-300"),
+    # the q = 1 antiderivative over cells 6.25e298 wide overflows in the
+    # left-hand window increment of selfsim (t / epsilon_window overflows too)
+    ("selfsim", {"process": {"q": 1, "n": 16, "L": 1e-300},
+                 "run": {"M": 2, "t": 1e300, "epsilon_window": 1e-301}}, "1e+300"),
 ])
 def test_overflowing_kernel_exits_3(tmp_path, capsys, command, payload, t):
     # a named numeric failure before any output, with no traceback, no
@@ -611,19 +636,6 @@ def test_selfsim_on_underflowing_energies_exits_2(tmp_path, capsys, q, scale):
         f"config error: process.L={scale!r}, run.t={scale!r} and run.epsilon_window="
         f"{0.9 * scale!r} invalid: the derivative energies of a side all underflow below the "
         "smallest normal double\n")
-    assert not out.exists()
-
-
-def test_selfsim_window_of_infinitely_many_nodes_exits_2(tmp_path, capsys):
-    # t / epsilon_window overflows, so the window's quadrature would need
-    # infinitely many nodes: a configuration error naming the window, not
-    # an OverflowError from int()
-    payload = {"process": {"q": 1, "n": 16, "L": 1e-300},
-               "run": {"M": 2, "t": 1e300, "epsilon_window": 1e-301}}
-    code, out = run_cli(tmp_path, "selfsim", payload)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: run.epsilon_window=1e-301 invalid: ")
     assert not out.exists()
 
 

@@ -301,6 +301,24 @@ def test_positivity_zero_sigma_example():
     assert rep["fraction"] == 0.0
 
 
+def test_positivity_default_threshold():
+    # 1e-12 * max((d * min_eig)^d, 1) per sample at d = 3: 3.375e-12,
+    # 2.16e-10 and 2.7e-11, and 1e-12 where min_eig is negative or small;
+    # the report names the smallest
+    ens = SampleEnsemble(t=1.0, seeds=[0, 1, 2], x_samples=np.zeros((3, 3)),
+                         det_samples=np.array([3.4e-12, 2e-10, 3e-11]),
+                         min_eigs=np.array([0.5, 2.0, 1.0]))
+    rep = positivity_report(ens)
+    assert rep["threshold"] == 1e-12 * 3.375
+    assert rep["fraction"] == 2 / 3
+    for min_eig in (-1.0, 0.1):
+        rep = positivity_report(SampleEnsemble(
+            t=1.0, seeds=[0, 1], x_samples=np.zeros((2, 3)), det_samples=np.array([2e-12, 5e-13]),
+            min_eigs=np.array([min_eig, 2.0])))
+        assert rep["threshold"] == 1e-12
+        assert rep["fraction"] == 0.5
+
+
 def test_ks_identical_samples():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(500)

@@ -30,3 +30,22 @@ def test_differences_name_each_changed_field():
     assert golden.differences({"r": entry, "gone": entry}, {"r": moved, "new": entry}) == [
         "gone: only in the recorded runs", "new: only in the new runs",
         "r: exit, files differ (recorded [0, {'x.csv': 'c'}], now [1, {'x.csv': 'd'}])"]
+
+
+def test_record_lists_the_changed_entries(tmp_path, monkeypatch, capsys):
+    # --record prints each entry and environment it overwrites, then writes
+    recorded = json.loads(golden.GOLDEN.read_text())
+    stale = json.loads(json.dumps(recorded))
+    stale["environment"] = {"numpy": "0.0", "blas": "none"}
+    stale["runs"]["selfsim/elliptic-q2"]["stdout"] = "0" * 64
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(stale))
+    monkeypatch.setattr(golden, "GOLDEN", path)
+    monkeypatch.setattr(golden, "record", lambda: recorded)
+    assert golden.main(["--record"]) == 0
+    now = recorded["runs"]["selfsim/elliptic-q2"]["stdout"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"recorded on {stale['environment']}, run on {recorded['environment']}",
+        f"selfsim/elliptic-q2: stdout differ (recorded ['{'0' * 64}'], now ['{now}'])",
+        f"recorded {len(recorded['runs'])} runs in {path}"]
+    assert json.loads(path.read_text()) == recorded

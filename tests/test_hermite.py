@@ -1,6 +1,7 @@
 """Hermite driver kernels: constants, pointwise values, blocks, simulation,
 covariance, the central-limit oracle and self-similarity."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -79,6 +80,15 @@ def test_hurst_aux_validation():
         hurst_aux(0.7, 0)
 
 
+def kernels(spec, calibrate=True):
+    """build_kernels(spec), or without calibrate the same field with every
+    rho at 1: the raw factor blocks."""
+    field = build_kernels(spec)
+    if calibrate:
+        return field
+    return dataclasses.replace(field, rho=np.ones(len(spec.out_times)), calibrated=False)
+
+
 def test_spec_validation():
     with pytest.raises(UnsupportedOrderError):
         small_spec(q=4)
@@ -154,7 +164,7 @@ def test_block_q1_matches_pointwise_kernel():
     # for q = 1 the cell average converges to the pointwise value at the
     # midpoint times sqrt(delta); compare on an interior cell
     spec = small_spec(q=1, n=512, out_times=(1.0,))
-    field = build_kernels(spec, calibrate=False)
+    field = kernels(spec, calibrate=False)
     i = 300  # interior cell, away from 0 and t
     mid = spec.space.cell_midpoints()[i]
     expected = kernel_eval(spec, 1.0, [mid]) * math.sqrt(spec.space.delta)
@@ -306,7 +316,7 @@ def test_export_import_roundtrip(tmp_path):
     # the dump reads back as the dense view bit for bit, at every order
     for q in (1, 2, 3):
         spec = small_spec(q=q, n=12 if q == 3 else 24, m=2, out_times=(0.5, 1.0))
-        field = build_kernels(spec, calibrate=q != 3)
+        field = kernels(spec, calibrate=q != 3)
         path = str(tmp_path / f"kernels{q}.txt")
         with open(path, "wb") as fh:
             export_kernels(field, fh)
@@ -361,7 +371,7 @@ def test_export_kernels_matches_line_loop(q, m, calibrate):
     # out_times 0.5 leaves the cells in (0.5, 1] of the first block at zero
     n = 14 if q == 3 else 40
     spec = small_spec(q=q, n=n, L=1.0, m=m, out_times=(0.5, 1.0))
-    field = build_kernels(spec, calibrate=calibrate)
+    field = kernels(spec, calibrate=calibrate)
     got = _dump(export_kernels, field)
     assert got == _dump(_export_kernels_loop, field)
     data = [line for line in got.splitlines() if not line.startswith("#")]
@@ -412,7 +422,7 @@ def test_canonical_entries_match_blocks(q, m, calibrate):
     # grids with n below, at and above s_nodes
     for n, s_nodes in ((14, 64), (24, 24), (40, 16)):
         spec = small_spec(q=q, n=n, L=1.0, m=m, s_nodes=s_nodes, out_times=(0.5, 1.0))
-        field = build_kernels(spec, calibrate=calibrate)
+        field = kernels(spec, calibrate=calibrate)
         canon = np.array(list(itertools.combinations_with_replacement(range(n), q))).T
         for ti in range(len(spec.out_times)):
             index, values = _canonical_entries(field, ti)
@@ -433,7 +443,7 @@ def test_canonical_entries_match_dense_oracle(q, m, calibrate):
     for n, s_nodes, L in ((14, 64, 1.0), (24, 24, 1.0), (40, 16, 1.0), (60, 64, 8.0),
                           (100, 32, 8.0)):
         spec = small_spec(q=q, n=n, L=L, m=m, s_nodes=s_nodes, out_times=(0.3, 1.0))
-        field = build_kernels(spec, calibrate=calibrate)
+        field = kernels(spec, calibrate=calibrate)
         canon = tuple(np.array(list(itertools.combinations_with_replacement(range(n), q))).T)
         for ti in range(len(spec.out_times)):
             want = dense_block(field, ti)[canon]
@@ -556,33 +566,36 @@ def test_self_similarity_validation():
         self_similarity_stat(spec, 0.5, 0.5, [0], [1])
     with pytest.raises(OutOfRangeError):  # t beyond the noise support
         self_similarity_stat(spec, 1.5, 0.25, [0], [1])
-    # a window of 1e-7 asks for 6.4e8 lhs quadrature nodes: rejected before
-    # the node array exists
-    with pytest.raises(MemoryBudgetError):
+    # no whole cell of the grid (width 0.156) fits a window of 1e-7
+    with pytest.raises(OutOfRangeError, match="no whole cell"):
         self_similarity_stat(spec, 1.0, 1e-7, [0], [1])
+
+
+def whole_cells(space, lo, hi):
+    """The mask of the cells of space wholly inside (lo, hi]."""
+    edges, tol = space.cell_edges(), 1e-12
+    return (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
 
 
 def selfsim_oracle(spec, t, eps, seeds, rhs_seeds):
     """The per-draw computation self_similarity_stat replaced: raw factors
-    (g, beta) built directly, one derivative vector per draw, its squared
-    norm over the fully covered window cells."""
+    (g, beta) of each window increment built directly, s_nodes midpoint
+    nodes on (t - eps, t] and on (0, 1], one derivative vector per draw,
+    its squared norm over the fully covered window cells."""
     q = spec.q
     H0, c = hurst_aux(spec.H, q)
     a = H0 - 1.5
 
-    def factors(space, t, s_nodes):
+    def factors(space, lo, hi, s_nodes):
         scale = c * space.delta ** (-q / 2.0)
         if q == 1:
-            prim = _cell_avg_matrix(space, np.array([t, 0.0]), a + 1.0) / (a + 1.0)
+            prim = _cell_avg_matrix(space, np.array([hi, lo]), a + 1.0) / (a + 1.0)
             g, beta = scale * (prim[:1] - prim[1:]), np.ones(1)
         else:
-            g = _cell_avg_matrix(space, t * (np.arange(s_nodes) + 0.5) / s_nodes, a)
-            beta = np.full(s_nodes, scale * t / s_nodes)
-        return g * (space.cell_midpoints() < t), beta
-
-    def window(space, lo, hi):
-        edges, tol = space.cell_edges(), 1e-12
-        return (edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol)
+            nodes = lo + (hi - lo) * (np.arange(s_nodes) + 0.5) / s_nodes
+            g = _cell_avg_matrix(space, nodes, a)
+            beta = np.full(s_nodes, scale * (hi - lo) / s_nodes)
+        return g * (space.cell_midpoints() < hi), beta
 
     def energy(g, beta, xi, win):
         gx, gg = g @ xi, np.einsum("ki,ki->k", g, g)
@@ -590,11 +603,10 @@ def selfsim_oracle(spec, t, eps, seeds, rhs_seeds):
         return float(np.sum(d * d))
 
     space = spec.space
-    s_lhs = max(int(round(spec.s_nodes * t / eps)), spec.s_nodes)
-    g_l, b_l = factors(space, t, s_lhs)
+    g_l, b_l = factors(space, t - eps, t, spec.s_nodes)
     space_r = make_hilbert(1, (space.lo - (t - eps)) / eps, 1.0, space.n)
-    g_r, b_r = factors(space_r, 1.0, spec.s_nodes)
-    win_l, win_r = window(space, t - eps, t), window(space_r, 0.0, 1.0)
+    g_r, b_r = factors(space_r, 0.0, 1.0, spec.s_nodes)
+    win_l, win_r = whole_cells(space, t - eps, t), whole_cells(space_r, 0.0, 1.0)
     lhs = [energy(g_l, b_l, space.components(sample_omega(space, k).xi)[0], win_l)
            for k in seeds]
     rhs = [eps ** (2.0 * spec.H) * energy(g_r, b_r, sample_omega(space_r, k).xi, win_r)
@@ -613,6 +625,36 @@ def test_self_similarity_matches_raw_factor_oracle(q, m, eps):
     for g, w, count in zip(got, want, (len(seeds), len(rhs_seeds))):
         assert g.shape == (count,)
         assert g.tobytes() == w.tobytes()
+
+
+def window_energy(g, beta, q, space, lo, hi):
+    """E sum_{r in W} |D_r I_q(f)|^2 = q^2 (q-1)! beta^T (G^{o(q-1)} o G_W) beta
+    for f = sum_k beta_k g_k^{(x)q}, G the Gram of the factors and G_W its
+    part over W, the cells wholly inside (lo, hi]."""
+    window = whole_cells(space, lo, hi)
+    gram, gram_w = g @ g.T, g[:, window] @ g[:, window].T
+    return q * q * math.factorial(q - 1) * float(beta @ (gram ** (q - 1) * gram_w) @ beta)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("eps", [0.25, 0.3, 0.07])
+def test_self_similarity_window_energies_are_exact(q, eps, monkeypatch):
+    # the expected window energies of the two sides, from the factors of the
+    # two window increments self_similarity_stat builds, s_nodes nodes each,
+    # agree to rounding whether or not t / eps is an integer
+    spec = small_spec(q=q, n=256, L=8.0, s_nodes=64, out_times=(1.0,))
+    built, factors = [], hermite._kernel_factors
+
+    def record(side, lo, hi):
+        built.append((side.space, lo, hi, *factors(side, lo, hi)))
+        return built[-1][3:]
+
+    monkeypatch.setattr(hermite, "_kernel_factors", record)
+    self_similarity_stat(spec, 1.0, eps, [], [])
+    assert [(lo, hi, g.shape[0]) for _, lo, hi, g, _ in built] == [(1.0 - eps, 1.0, 64),
+                                                                   (0.0, 1.0, 64)]
+    lhs, rhs = (window_energy(g, beta, q, space, lo, hi) for space, lo, hi, g, beta in built)
+    assert abs(lhs - eps ** (2 * spec.H) * rhs) <= 1e-12 * lhs
 
 
 def test_self_similarity_q2_law_small():

@@ -6,7 +6,7 @@ changed.
 Usage (from the root of a checkout):
 
     python3 tools/golden.py            # compare with tests/golden.json
-    python3 tools/golden.py --record   # rewrite tests/golden.json
+    python3 tools/golden.py --record   # list the changes, then rewrite tests/golden.json
 
 Each run calls `chaosde.cli.main` in process with `--workers 1`, its
 config and `--out` in a fresh temporary directory.  The temporary
@@ -154,15 +154,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     new = record()
-    if args.record:
-        GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(new['runs'])} runs in {GOLDEN}")
-        return 0
     old = json.loads(GOLDEN.read_text())
     lines = differences(old["runs"], new["runs"])
     if old["environment"] != new["environment"]:
         lines.insert(0, f"recorded on {old['environment']}, run on {new['environment']}")
     print("\n".join(lines) or f"all {len(new['runs'])} runs match")
+    if args.record:
+        GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(new['runs'])} runs in {GOLDEN}")
+        return 0
     return 1 if lines else 0
 
 
