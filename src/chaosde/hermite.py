@@ -161,10 +161,11 @@ def _check_finite(times, *arrays):
         raise InvalidDimensionError(f"kernel at t={t} is not finite: its factors or norm overflow")
 
 
-def _wick_weights(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> tuple:
+def _wick_weights(spec: HermiteSpec, g: np.ndarray, gg: np.ndarray, xi: np.ndarray) -> tuple:
     """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q},
     shape (..., m, k) each, for the (..., m, n) component coordinates xi of
-    spec's space (InvalidDimensionError for any other trailing shape).
+    spec's space (InvalidDimensionError for any other trailing shape); gg
+    holds the squared norms |g_k|^2, a constant of the factors.
 
     With gx = <g_k, xi^ell> and gg = |g_k|^2, the value weight is
     I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
@@ -176,7 +177,6 @@ def _wick_weights(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> tuple:
     # one stacked matrix-vector product per component of each draw: a single
     # GEMM would reduce in another order and change the bits
     gx = (g @ xi[..., None])[..., 0]
-    gg = np.einsum("ki,ki->k", g, g)
     return hermite_poly(spec.q, gx, gg), spec.q * hermite_poly(spec.q - 1, gx, gg)
 
 
@@ -223,7 +223,7 @@ class KernelField:
         """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (..., m) and
         (..., m, n), at the (..., m, n) component coordinates xi."""
         g, beta = self.g[ti], self.beta[ti]
-        val_w, der_w = _wick_weights(self.spec, g, xi)
+        val_w, der_w = _wick_weights(self.spec, g, np.einsum("ki,ki->k", g, g), xi)
         value = (val_w[..., None, :] @ beta)[..., 0]
         deriv = ((beta * der_w)[..., None, :] @ g)[..., 0, :]
         return self.rho[ti] * value, self.rho[ti] * deriv
@@ -345,18 +345,20 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     the draw of seeds[k]; rhs[k] = eps^{2H} times the same functional of Z_1
     on the image grid under x -> (x - (t-eps))/eps, restricted to (0, 1],
     on the draw of rhs_seeds[k].  Each side is a KernelField of its window
-    increment on s_nodes nodes; on a grid ending at t, as `chaosde selfsim`
-    builds it, the left-hand cells and nodes are the images of the
-    right-hand ones for every t/eps, so the two sides are exactly equal in
-    law for the discretized kernels, the faithful finite analogue of the
-    continuum statement.  Both draws enter through their first component.
+    increment on s_nodes nodes.  The grid must end at t, as `chaosde
+    selfsim` builds it (OutOfRangeError otherwise): then the left-hand cells
+    and nodes are the images of the right-hand ones for every t/eps, so the
+    two sides are exactly equal in law for the discretized kernels, the
+    faithful finite analogue of the continuum statement.  On a grid ending
+    elsewhere the right-hand grid is not the image of the left-hand one.
+    Both draws enter through their first component.
 
     Kernels enter uncalibrated here: the identity is a statement about the
     homogeneous kernels themselves and per-side calibration constants
     would shift the two laws against each other.
     """
-    if not 0.0 < eps < t <= spec.space.hi:
-        raise OutOfRangeError(f"need 0 < eps < t <= hi, got eps={eps}, t={t}, "
+    if not 0.0 < eps < t == spec.space.hi:
+        raise OutOfRangeError(f"need 0 < eps < t == hi, got eps={eps}, t={t}, "
                               f"hi={spec.space.hi}")
     space_rhs = make_hilbert(1, (spec.space.lo - (t - eps)) / eps, 1.0, spec.space.n)
     spec_rhs = HermiteSpec(q=spec.q, H=spec.H, m=1, space=space_rhs, s_nodes=spec.s_nodes,
@@ -406,13 +408,14 @@ class GridDriver:
             self._g, scale = _node_factors(spec, 0.5 * (times[:-1] + times[1:]))
             self._beta = scale * np.diff(times)
         _check_finite(times[1:], self._g, self._beta)
+        self._gg = np.einsum("ki,ki->k", self._g, self._g)
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, spec.q, times[1:], spec.H)
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """Driver values on the grid, shape (..., len(times), m), at the
         (..., m, n) component coordinates xi; row 0 is 0."""
-        val_w, _ = _wick_weights(self.spec, self._g, xi)
+        val_w, _ = _wick_weights(self.spec, self._g, self._gg, xi)
         out = np.zeros(val_w.shape[:-2] + (self.times.shape[0], self.spec.m))
         out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
         return out * self._rho[:, None]
@@ -422,8 +425,10 @@ class GridDriver:
         coords, at the (..., m, n) component coordinates xi.
 
         Each cell's increment beta der_w (x) g is written into its row of the
-        output and prefix-summed there one row at a time: the sequential sum
-        of a cumsum over the rows, with no temporaries.
+        output and prefix-summed there one row at a time, walking a
+        time-first view of the output: the sequential sum of a cumsum over
+        the rows, with no temporaries.  (np.cumsum gives the same bits but
+        accumulates an outer axis one lane at a time, which is slower.)
 
         out, if given, is the output: a C-contiguous float64 array of shape
         (..., len(times), m, n) (InvalidDimensionError otherwise), whatever
@@ -431,7 +436,7 @@ class GridDriver:
         reused buffer gives the vectors of a fresh one bit for bit; the
         result is out itself, valid until out is filled again.  Without
         out the array is allocated."""
-        _, der_w = _wick_weights(self.spec, self._g, xi)
+        _, der_w = _wick_weights(self.spec, self._g, self._gg, xi)
         shape = der_w.shape[:-2] + (self.times.shape[0], self.spec.m, self.spec.space.n)
         if out is None:
             out = np.zeros(shape)
@@ -440,8 +445,9 @@ class GridDriver:
             out[..., 0, :, :] = 0.0
         np.multiply(np.swapaxes(self._beta * der_w, -1, -2)[..., None], self._g[:, None, :],
                     out=out[..., 1:, :, :])
-        for i in range(2, self.times.shape[0]):
-            np.add(out[..., i - 1, :, :], out[..., i, :, :], out=out[..., i, :, :])
+        rows = np.moveaxis(out, -3, 0)
+        for prev, row in zip(rows[1:-1], rows[2:]):
+            np.add(prev, row, out=row)
         out *= self._rho[:, None, None]
         return out
 

@@ -5,7 +5,7 @@ The solution derivative at the output time t = t_N is assembled from Theta
 at that time, W_i = Theta_t(t_i), by the Hilbert-valued left-point
 representation DX_t^k = sum_l int_0^t Theta_t^{k,l}(s) d DF^l(s), summed
 on the step grid itself, where it is the exact gradient of the discrete
-Euler flow.
+Euler flow: one Young sum per noise component, all m of them in one call.
 """
 
 from __future__ import annotations
@@ -48,10 +48,13 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     that time held by the one-path bundle (`path(k)` after `solve_theta_all`).
 
     dfields has shape (steps+1, m, n): the component-block coordinates of
-    DF^l at every grid time (GridDriver.deriv_vectors output).  Each noise
-    component l is one Hilbert-valued Young integral of the d integrands
-    Theta^{k,l}, k = 1..d: the left-point sum on the step grid.  Raises
-    BlowupError (step = steps) when DX or its Gram matrix is not finite.
+    DF^l at every grid time (GridDriver.deriv_vectors output).  One Young
+    sum per noise component: component l is one Hilbert-valued Young
+    integral of the d integrands Theta^{k,l}, k = 1..d, the left-point sum
+    on the step grid, and one stacked call takes all m of them.  Raises
+    InvalidDimensionError when the bundle holds no (steps+1, d, m) Theta
+    (a path taken before solve_theta_all), and BlowupError (step = steps)
+    when DX or its Gram matrix is not finite.
     """
     N = bundle.steps
     if dfields.shape[0] != N + 1 or dfields.shape[1] != coeffs.m:
@@ -59,10 +62,12 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     n = dfields.shape[2]
     if space.n != n or space.m != coeffs.m:
         raise SpaceMismatchError("space does not match the DF field layout")
+    if bundle.theta is None or bundle.theta.shape != (N + 1, coeffs.d, coeffs.m):
+        raise InvalidDimensionError(f"the bundle needs the ({N + 1}, {coeffs.d}, {coeffs.m}) "
+                                    "Theta of one path: take path(k) after solve_theta_all")
+    res = rs_integral_hvalued(bundle.theta.swapaxes(1, 2), dfields)
     dx = np.zeros((coeffs.d, space.basis_dim))
-    for ell in range(coeffs.m):
-        res = rs_integral_hvalued(bundle.theta[:, :, ell], dfields[:, ell, :])
-        space.components(dx)[:, ell] += res.value
+    space.components(dx)[...] += res.value.swapaxes(0, 1)
     # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
     # means a finite DX and a finite Malliavin matrix
     if not np.isfinite(np.vdot(dx, dx)):

@@ -249,7 +249,7 @@ def test_wick_weights_match_closed_forms(q):
     want = {1: (gx, np.ones_like(gx)),
             2: (gx * gx - gg, 2.0 * gx),
             3: (gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg))}[q]
-    for got, ref in zip(_wick_weights(small_spec(q=q, n=32, m=2), g, xi), want):
+    for got, ref in zip(_wick_weights(small_spec(q=q, n=32, m=2), g, gg, xi), want):
         if q < 3:
             assert np.array_equal(got, ref)
         else:
@@ -569,6 +569,14 @@ def test_self_similarity_validation():
     # no whole cell of the grid (width 0.156) fits a window of 1e-7
     with pytest.raises(OutOfRangeError, match="no whole cell"):
         self_similarity_stat(spec, 1.0, 1e-7, [0], [1])
+
+
+def test_self_similarity_needs_a_grid_ending_at_t():
+    # the right-hand grid is the image of the left-hand one only on a grid
+    # ending at t: on one ending at 2 the two side means differ by some 12%
+    spec = HermiteSpec(q=2, H=0.7, m=1, space=make_hilbert(1, -8.0, 2.0, 284))
+    with pytest.raises(OutOfRangeError, match="t == hi"):
+        self_similarity_stat(spec, 1.0, 0.25, [0], [1])
 
 
 def whole_cells(space, lo, hi):

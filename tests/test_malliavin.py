@@ -1,12 +1,14 @@
 """Malliavin derivatives of driver and solution, the Malliavin matrix,
 shifted drivers and difference quotients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaosde.errors import BlowupError
+from chaosde.errors import BlowupError, InvalidDimensionError
 from chaosde.wiener import HilbertDisc, HilbertVec, make_hilbert, sample_omega, shift_omega
 from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, simulate_path
 from chaosde.sde import preset, solve_euler, solve_theta_all
@@ -87,6 +89,15 @@ def test_solution_derivative_additive():
     dfields = gd.deriv_vectors(spec.space.components(w.xi))
     assert np.allclose(spec.space.components(mf.dx)[0, 0], 1.5 * dfields[-1, 0], atol=1e-12)
     assert np.linalg.norm(mf.dx[0]) == pytest.approx(1.5 * 1.0**0.7, rel=1e-10)
+
+
+def test_solution_derivative_needs_the_theta_of_one_path():
+    coeffs, x0, spec, gd, w, bundle, mf = solve_case("elliptic-2d", 1, steps=8)
+    dfields = gd.deriv_vectors(spec.space.components(w.xi))
+    no_theta = solve_euler(coeffs, x0, (gd.times, gd.values(spec.space.components(w.xi[None]))))
+    for path in (no_theta.path(0), dataclasses.replace(bundle, theta=bundle.theta[:5])):
+        with pytest.raises(InvalidDimensionError, match="solve_theta_all"):
+            solution_derivative(coeffs, path, dfields, spec.space)
 
 
 def test_one_step_dx_overflow_is_a_silent_blowup():

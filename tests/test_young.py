@@ -1,6 +1,6 @@
 """The Young left-point sum: closed-form integrals, the chain rule,
-linearity and the Hilbert-valued sums, a scalar integrand or integrator
-being one column."""
+linearity and the stacked Hilbert-valued sums, a scalar integrand or
+integrator being one column of a stack of one."""
 
 import numpy as np
 import pytest
@@ -15,15 +15,15 @@ def grid(npts=2**12 + 1):
 
 def scalar(g, phi):
     """The integral of a scalar g against a scalar phi: one column each."""
-    return rs_integral_hvalued(g[:, None], phi[:, None]).value[0, 0]
+    return rs_integral_hvalued(g[:, None, None], phi[:, None, None]).value[0, 0, 0]
 
 
 def test_value_is_the_left_point_sum():
     t = grid(2**5 + 1)
     g = t**2
     phi = np.exp(t)
-    res = rs_integral_hvalued(g[:, None], phi[:, None])
-    assert res.value[0, 0] == float(g[:-1] @ np.diff(phi))
+    res = rs_integral_hvalued(g[:, None, None], phi[:, None, None])
+    assert res.value[0, 0, 0] == float(g[:-1] @ np.diff(phi))
     assert res.refinement_levels == 1
     # the sum reads no time value: any grid the paths were sampled on
     assert scalar(np.ones(3), np.array([0.0, 1.0, 3.0])) == 3.0
@@ -66,31 +66,40 @@ def test_hvalued_matches_componentwise():
     rng = np.random.default_rng(2)
     g = np.sin(2 * t)
     Phi = np.cumsum(rng.standard_normal((t.shape[0], 3)), axis=0) * 0.02
-    res = rs_integral_hvalued(g[:, None], Phi)
+    res = rs_integral_hvalued(g[:, None, None], Phi[:, None])
     for j in range(3):
-        assert res.value[0, j] == pytest.approx(scalar(g, Phi[:, j]), abs=1e-12)
+        assert res.value[0, 0, j] == pytest.approx(scalar(g, Phi[:, j]), abs=1e-12)
 
 
 def test_hvalued_shape_checked():
     t = grid(2**4 + 1)
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t, t[:, None])  # a 1-D integrand
+        rs_integral_hvalued(t[:, None], t[:, None, None])  # an unstacked integrand
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:, None], t)  # a 1-D integrator
+        rs_integral_hvalued(t[:, None, None], t[:, None])  # an unstacked integrator
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:, None, None], t[:, None])
+        rs_integral_hvalued(t[:, None, None, None], t[:, None, None])
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:-1, None], t[:, None])  # not on one grid
+        rs_integral_hvalued(t[:-1, None, None], t[:, None, None])  # not on one grid
+    with pytest.raises(InvalidDimensionError):  # two integrand groups, one integrator
+        rs_integral_hvalued(np.zeros((t.shape[0], 2, 1)), t[:, None, None])
 
 
 def test_hvalued_integrand_columns_match_one_column_sums():
-    # r integrands against one Phi give r rows, each the one-column sum bit
-    # for bit
+    # s groups of r integrands against s integrators give (s, r) rows, each
+    # bit for bit the one-row sum on contiguous copies, on inputs strided as
+    # the Theta and DF arrays solution_derivative passes: the integrand a
+    # swapped view of a (T, r, s) array, each integrator a row of a
+    # (T, s, dim) array
     t = grid(2**7 + 1)
     rng = np.random.default_rng(3)
-    g = np.cumsum(rng.standard_normal((t.shape[0], 2, 3)), axis=0)[:, :, 1]  # strided columns
-    Phi = np.cumsum(rng.standard_normal((t.shape[0], 5)), axis=0) * 0.02
-    res = rs_integral_hvalued(g, Phi)
-    assert res.value.shape == (2, 5)
-    for c in range(2):
-        assert np.array_equal(res.value[c], rs_integral_hvalued(g[:, c:c + 1], Phi).value[0])
+    for s in (2, 3):
+        g = np.cumsum(rng.standard_normal((t.shape[0], 2, s)), axis=0).swapaxes(1, 2)
+        Phi = np.cumsum(rng.standard_normal((t.shape[0], s, 5)), axis=0) * 0.02
+        res = rs_integral_hvalued(g, Phi)
+        assert res.value.shape == (s, 2, 5)
+        for j in range(s):
+            phi = np.ascontiguousarray(Phi[:, j])
+            for c in range(2):
+                col = np.ascontiguousarray(g[:, j, c])
+                assert np.array_equal(res.value[j, c], col[:-1] @ (phi[1:] - phi[:-1]))
