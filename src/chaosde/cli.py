@@ -385,7 +385,9 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_malliavin(cfg: dict) -> int:
     scenario, (coeffs, x0, spec, driver) = _scenario(cfg)
     with _budget_key(cfg, "process.n"):
-        check_budget((scenario.steps + 1, coeffs.m, scenario.n))  # the DF array
+        # an input limit: the size of the DF array DX no longer forms, kept
+        # until a declared change of the command line lifts it
+        check_budget((scenario.steps + 1, coeffs.m, scenario.n))
     seed = cfg["run"]["seed"]
     (w,), xi = next(draw_blocks(spec.space, [seed]))  # a block of one draw
     batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
@@ -416,7 +418,7 @@ def cmd_density(cfg: dict) -> int:
     scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
     m = preset(scenario.preset)[0].m
     with _budget_key(cfg, "process.n"):
-        check_budget((scenario.steps + 1, m, scenario.n))  # each chunk's DF buffer
+        check_budget((scenario.steps + 1, m, scenario.n))  # the input limit of cmd_malliavin
     with _budget_key(cfg, "run.M"):
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])

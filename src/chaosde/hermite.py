@@ -41,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .errors import (
     SpaceMismatchError,
     UnsupportedOrderError,
     check_budget,
-    check_out,
 )
 from .wiener import GaussianDraw, HilbertDisc, draw_blocks, make_hilbert
 from .chaos import MAX_ORDER, hermite_poly
@@ -161,23 +161,26 @@ def _check_finite(times, *arrays):
         raise InvalidDimensionError(f"kernel at t={t} is not finite: its factors or norm overflow")
 
 
-def _wick_weights(spec: HermiteSpec, g: np.ndarray, gg: np.ndarray, xi: np.ndarray) -> tuple:
-    """Per-factor value and derivative weights of sum_k beta_k g_k^{(x)q},
-    shape (..., m, k) each, for the (..., m, n) component coordinates xi of
-    spec's space (InvalidDimensionError for any other trailing shape); gg
-    holds the squared norms |g_k|^2, a constant of the factors.
+def _projections(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """gx = <g_k, xi^ell>, shape (..., m, k), for the (..., m, n) component
+    coordinates xi of spec's space (InvalidDimensionError for any other
+    trailing shape).
 
-    With gx = <g_k, xi^ell> and gg = |g_k|^2, the value weight is
-    I_q(g_k^{(x)q}) = H_q(gx; gg) and the derivative weight is
-    q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k.
+    With gg = |g_k|^2, the value weight of g_k^{(x)q} is I_q(g_k^{(x)q}) =
+    H_q(gx; gg) and its derivative weight `_deriv_weights`, each caller
+    taking only the weight it needs.
     """
     if np.shape(xi)[-2:] != (spec.m, spec.space.n):
         raise InvalidDimensionError(f"coordinates need shape (..., {spec.m}, {spec.space.n}), "
                                     f"got {np.shape(xi)}")
     # one stacked matrix-vector product per component of each draw: a single
     # GEMM would reduce in another order and change the bits
-    gx = (g @ xi[..., None])[..., 0]
-    return hermite_poly(spec.q, gx, gg), spec.q * hermite_poly(spec.q - 1, gx, gg)
+    return (g @ xi[..., None])[..., 0]
+
+
+def _deriv_weights(q: int, gx: np.ndarray, gg: np.ndarray) -> np.ndarray:
+    """q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k."""
+    return q * hermite_poly(q - 1, gx, gg)
 
 
 def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
@@ -222,8 +225,9 @@ class KernelField:
     def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
         """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (..., m) and
         (..., m, n), at the (..., m, n) component coordinates xi."""
-        g, beta = self.g[ti], self.beta[ti]
-        val_w, der_w = _wick_weights(self.spec, g, np.einsum("ki,ki->k", g, g), xi)
+        g, beta, q = self.g[ti], self.beta[ti], self.spec.q
+        gx, gg = _projections(self.spec, g, xi), np.einsum("ki,ki->k", g, g)
+        val_w, der_w = hermite_poly(q, gx, gg), _deriv_weights(q, gx, gg)
         value = (val_w[..., None, :] @ beta)[..., 0]
         deriv = ((beta * der_w)[..., None, :] @ g)[..., 0, :]
         return self.rho[ti] * value, self.rho[ti] * deriv
@@ -382,15 +386,29 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     return samples[0], eps ** (2.0 * spec.H) * samples[1]
 
 
+class PrefixFactors(NamedTuple):
+    """A path Phi on a grid of T times in prefix-factor form: Phi_0 = 0 and
+    Phi_i = scale[i] sum_{k<i} weights[..., k, j] basis[k] for each of its
+    s columns j, with scale of shape (T,), weights (..., T-1, s) and basis
+    (T-1, dim).  `young.rs_integral_hvalued` integrates against one such
+    path, weights of shape (T-1, s), without forming it."""
+
+    scale: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+
+
 class GridDriver:
     """Driver evaluated on a fine solver grid via cumulative quadrature.
 
     Every quantity needed on an SDE grid is a prefix sum over
-    time-quadrature nodes: the block at t_i is sum_{k<i} beta_k g_k^{(x)q}
-    with g_k the cell-average factor at the midpoint of (t_k, t_{k+1}).
-    Values and Malliavin derivative vectors are therefore O(n) per grid
-    time, and each derivative vector is the exact gradient of the value,
-    which the difference-quotient checks rely on.
+    time-quadrature nodes: the block at t_i is rho_i sum_{k<i} beta_k
+    g_k^{(x)q} with g_k the cell-average factor at the midpoint of (t_k,
+    t_{k+1}) and rho_i its calibration.  Values are O(n) per grid time.
+    The Malliavin derivative DF_i = rho_i sum_{k<i} a_k g_k, the exact
+    gradient of the value, which the difference-quotient checks rely on,
+    stays in these factors (`deriv_vectors`): only the node weights a_k
+    depend on the draw.
 
     times must start at 0; values at time 0 are 0.
     """
@@ -411,45 +429,26 @@ class GridDriver:
         self._gg = np.einsum("ki,ki->k", self._g, self._g)
         self._rho = np.ones(times.shape[0])
         self._rho[1:] = _calibration(self._g, self._beta, spec.q, times[1:], spec.H)
+        # deriv_vectors hands both out with every draw's weights
+        self._g.flags.writeable = self._rho.flags.writeable = False
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """Driver values on the grid, shape (..., len(times), m), at the
         (..., m, n) component coordinates xi; row 0 is 0."""
-        val_w, _ = _wick_weights(self.spec, self._g, self._gg, xi)
+        val_w = hermite_poly(self.spec.q, _projections(self.spec, self._g, xi), self._gg)
         out = np.zeros(val_w.shape[:-2] + (self.times.shape[0], self.spec.m))
         out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
         return out * self._rho[:, None]
 
-    def deriv_vectors(self, xi: np.ndarray, out=None) -> np.ndarray:
-        """Full DF vectors, shape (..., len(times), m, n) in component-block
-        coords, at the (..., m, n) component coordinates xi.
-
-        Each cell's increment beta der_w (x) g is written into its row of the
-        output and prefix-summed there one row at a time, walking a
-        time-first view of the output: the sequential sum of a cumsum over
-        the rows, with no temporaries.  (np.cumsum gives the same bits but
-        accumulates an outer axis one lane at a time, which is slower.)
-
-        out, if given, is the output: a C-contiguous float64 array of shape
-        (..., len(times), m, n) (InvalidDimensionError otherwise), whatever
-        it holds.  Row 0 is reset to 0 and every other row overwritten, so a
-        reused buffer gives the vectors of a fresh one bit for bit; the
-        result is out itself, valid until out is filled again.  Without
-        out the array is allocated."""
-        _, der_w = _wick_weights(self.spec, self._g, self._gg, xi)
-        shape = der_w.shape[:-2] + (self.times.shape[0], self.spec.m, self.spec.space.n)
-        if out is None:
-            out = np.zeros(shape)
-        else:
-            check_out(out, shape)
-            out[..., 0, :, :] = 0.0
-        np.multiply(np.swapaxes(self._beta * der_w, -1, -2)[..., None], self._g[:, None, :],
-                    out=out[..., 1:, :, :])
-        rows = np.moveaxis(out, -3, 0)
-        for prev, row in zip(rows[1:-1], rows[2:]):
-            np.add(prev, row, out=row)
-        out *= self._rho[:, None, None]
-        return out
+    def deriv_vectors(self, xi: np.ndarray) -> PrefixFactors:
+        """DF at every grid time as `PrefixFactors` (rho, a, g), at the
+        (..., m, n) component coordinates xi: DF_i^ell = rho_i sum_{k<i}
+        a[..., k, ell] g_k in the coordinates of component ell, with the
+        node weights a_k = beta_k q H_{q-1}(<g_k, xi^ell>; |g_k|^2) of
+        shape (..., steps, m).  rho and g are the driver's own read-only
+        arrays."""
+        der_w = _deriv_weights(self.spec.q, _projections(self.spec, self._g, xi), self._gg)
+        return PrefixFactors(self._rho, np.swapaxes(self._beta * der_w, -1, -2), self._g)
 
 
 #: rows of i_1 per GEMM of `_canonical_blocks`.  The height sets the

@@ -6,6 +6,10 @@ at that time, W_i = Theta_t(t_i), by the Hilbert-valued left-point
 representation DX_t^k = sum_l int_0^t Theta_t^{k,l}(s) d DF^l(s), summed
 on the step grid itself, where it is the exact gradient of the discrete
 Euler flow: one Young sum per noise component, all m of them in one call.
+DF enters in the driver's factors, DF_i = rho_i sum_{j<i} a_j g_j, and the
+Young sum is taken by parts, DX = sum_j C_j g_j with C one reverse
+cumulative sum over the steps (the adjoint of the forward sum; Giles &
+Glasserman, "Smoking adjoints", Risk 2006): no DF vector in R^n is formed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import BlowupError, InvalidDimensionError, SpaceMismatchError
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
 from .chaos import SymTensor, taylor_shift
-from .hermite import DrivingPath, GridDriver, KernelField
+from .hermite import DrivingPath, GridDriver, KernelField, PrefixFactors
 from .sde import SdeCoefficients, SolutionBundle, solve_euler
 from .young import rs_integral_hvalued
 
@@ -43,12 +47,15 @@ class MalliavinMatrix:
 # a DX that overflows is reported as BlowupError by its finiteness check
 @np.errstate(over="ignore", invalid="ignore")
 def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
-                        dfields: np.ndarray, space: HilbertDisc) -> MalliavinField:
-    """Assemble DX at the output time t_N from the DF grid and the Theta at
-    that time held by the one-path bundle (`path(k)` after `solve_theta_all`).
+                        df: PrefixFactors, space: HilbertDisc) -> MalliavinField:
+    """Assemble DX at the output time t_N from DF on the step grid and the
+    Theta at that time held by the one-path bundle (`path(k)` after
+    `solve_theta_all`).
 
-    dfields has shape (steps+1, m, n): the component-block coordinates of
-    DF^l at every grid time (GridDriver.deriv_vectors output).  One Young
+    df is DF of one draw in prefix-factor form (GridDriver.deriv_vectors
+    of its (m, n) coordinates): rho of shape (steps+1,), node weights a of
+    shape (steps, m) and factors g of shape (steps, n), DF_i^l = rho_i
+    sum_{j<i} a[j, l] g_j in the coordinates of component l.  One Young
     sum per noise component: component l is one Hilbert-valued Young
     integral of the d integrands Theta^{k,l}, k = 1..d, the left-point sum
     on the step grid, and one stacked call takes all m of them.  Raises
@@ -57,15 +64,15 @@ def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
     when DX or its Gram matrix is not finite.
     """
     N = bundle.steps
-    if dfields.shape[0] != N + 1 or dfields.shape[1] != coeffs.m:
-        raise InvalidDimensionError("dfields must have shape (steps+1, m, n)")
-    n = dfields.shape[2]
-    if space.n != n or space.m != coeffs.m:
+    rho, a, g = df
+    if rho.shape != (N + 1,) or a.shape != (N, coeffs.m) or g.ndim != 2 or g.shape[0] != N:
+        raise InvalidDimensionError("df must have shapes (steps+1,), (steps, m) and (steps, n)")
+    if space.n != g.shape[1] or space.m != coeffs.m:
         raise SpaceMismatchError("space does not match the DF field layout")
     if bundle.theta is None or bundle.theta.shape != (N + 1, coeffs.d, coeffs.m):
         raise InvalidDimensionError(f"the bundle needs the ({N + 1}, {coeffs.d}, {coeffs.m}) "
                                     "Theta of one path: take path(k) after solve_theta_all")
-    res = rs_integral_hvalued(bundle.theta.swapaxes(1, 2), dfields)
+    res = rs_integral_hvalued(bundle.theta.swapaxes(1, 2), df)
     dx = np.zeros((coeffs.d, space.basis_dim))
     space.components(dx)[...] += res.value.swapaxes(0, 1)
     # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace

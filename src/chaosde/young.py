@@ -5,9 +5,11 @@ sum g(u_i) (Phi(u_{i+1}) - Phi(u_i)) along refining partitions; it exists
 when the Holder exponents of the integrand and the integrator sum above 1.
 Paths enter as sampled arrays on one grid, and the sum is taken on that
 grid: along a discrete flow stepped on it, the sum is the exact integral.
-The integrand is a stack of s groups of r paths and the integrator a stack
-of s Hilbert-valued paths, one coordinate per column: group j integrates
-against integrator j, all in one call.
+The integrand is a stack of s groups of r paths and the integrator s
+Hilbert-valued paths in prefix-factor form, Phi_i = scale_i sum_{k<i}
+weights_k basis_k (the `hermite.PrefixFactors` layout): group j integrates
+against integrator j, all in one call, and the sum is taken by parts over
+the factors, so that Phi itself is never formed.
 """
 
 from __future__ import annotations
@@ -28,28 +30,31 @@ class YoungResult:
 
 
 def rs_integral_hvalued(g, Phi) -> YoungResult:
-    """Stacked Hilbert-valued Young integrals: sum g(u)(Phi(v) - Phi(u)) in
-    coordinates.
+    """Stacked Hilbert-valued Young integrals: sum_i g_i (Phi_{i+1} - Phi_i)
+    in coordinates.
 
-    g has shape (T, s, r), s groups of r integrands, and Phi shape
-    (T, s, dim), s integrators, all sampled on one grid.  The value has
-    shape (s, r, dim): the increments of Phi are formed once over the whole
-    stack, and row (j, c) is one GEMV of g[:-1, j, c] with increments j,
-    the bits of the sum for g[:, j, c] and Phi[:, j] alone, whatever the
-    strides of the inputs.
+    g has shape (T, s, r), s groups of r integrands, and Phi is a triple
+    (scale, weights, basis) of shapes (T,), (T-1, s) and (T-1, dim): the s
+    integrators Phi_i^j = scale_i sum_{k<i} weights[k, j] basis_k, Phi_0 =
+    0, on the grid of g.  The value has shape (s, r, dim).
+
+    Summation by parts gives sum_{i=1}^{T-1} V_i sum_{k<i} weights_k basis_k
+    with V_i = scale_i (g_{i-1} - g_i) and V_{T-1} = scale_{T-1} g_{T-2}, so
+    the value is sum_k C_k basis_k with C_k = weights_k sum_{i>k} V_i: one
+    reverse cumulative sum and one (s r, T-1) x (T-1, dim) product.
     """
     g = np.asarray(g, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
-    if g.ndim != 3 or Phi.ndim != 3:
-        raise InvalidDimensionError("g and Phi must be (time, stack, integrand) and "
-                                    "(time, stack, coordinate)")
-    if g.shape[:2] != Phi.shape[:2]:
+    scale, weights, basis = (np.asarray(a, dtype=float) for a in Phi)
+    if g.ndim != 3 or basis.ndim != 2:
+        raise InvalidDimensionError("g and the basis of Phi must be (time, stack, integrand) "
+                                    "and (time, coordinate)")
+    T, s, r = g.shape
+    if scale.shape != (T,) or weights.shape != (T - 1, s) or basis.shape[0] != T - 1:
         raise InvalidDimensionError("paths must be sampled on the common grid, "
                                     "one integrator per integrand group")
-    inc = Phi[1:] - Phi[:-1]
-    # one GEMV per row: a GEMM over a group would reduce in another order
-    value = np.empty((g.shape[1], g.shape[2], Phi.shape[2]))
-    for j in range(g.shape[1]):
-        for c in range(g.shape[2]):
-            np.matmul(g[:-1, j, c], inc[:, j], out=value[j, c])
-    return YoungResult(value, 1)
+    V = g[:-1].copy()
+    V[:-1] -= g[1:-1]
+    V *= scale[1:, None, None]
+    C = np.cumsum(V[::-1], axis=0)[::-1] * weights[:, :, None]
+    value = C.reshape(T - 1, s * r).T @ basis
+    return YoungResult(value.reshape(s, r, basis.shape[1]), 1)

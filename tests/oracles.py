@@ -3,10 +3,13 @@ the loops that faster library code replaced (among them the per-value
 writers of the output tables), a component-independence check that
 addresses the basis by raw index, and the reference implementations the
 library is compared against: the row-by-row Theta, the whole Theta
-triangle and the DX assembly over it, the forward tangent recursion, the
-pointwise kernel, the non-central limit paths, the elementary power value
-and the reader of the kernels.txt dump; and the Euler and Theta solves of
-one path, each as a block of one (`euler_path`, `theta_path`)."""
+triangle and the DX assembly over it, the dense DF array and the dense
+left-point Young sum that DX was assembled from before it was summed by
+parts, the forward tangent recursion, the pointwise kernel, the
+non-central limit paths, the elementary power value and the reader of the
+kernels.txt dump; the Euler and Theta solves of one path, each as a block
+of one (`euler_path`, `theta_path`); and `jumpy_preset`, coefficients
+whose Theta overflows on some draws."""
 
 import csv
 import itertools
@@ -17,7 +20,8 @@ import numpy as np
 from chaosde.chaos import _check_order, hermite_poly
 from chaosde.density import euler_batches
 from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
-from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, hurst_aux, simulate_path
+from chaosde.hermite import (GridDriver, HermiteSpec, PrefixFactors, build_kernels, hurst_aux,
+                             simulate_path)
 from chaosde.sde import (SdeCoefficients, SolutionBundle, _step_jacobians, solve_euler,
                          solve_theta_all)
 from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
@@ -63,8 +67,9 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
     For each draw w and component ell, h is standard normal on the raw
     basis indices of every other component (component k owns k*n ..
     (k+1)*n - 1, the layout `HilbertDisc` documents) and zero on ell's.
-    At shift_omega(w, eps, h), Z^ell from simulate_path and row ell of
-    GridDriver.values and of deriv_vectors must keep every bit, and Z^k of
+    At shift_omega(w, eps, h), Z^ell from simulate_path, row ell of
+    GridDriver.values and column ell of the deriv_vectors node weights (the
+    only part of DF^ell that depends on the draw) must keep every bit, and Z^k of
     every other component must move at every output time.  Empty when the
     evaluators read each component from its own block alone.
     """
@@ -87,7 +92,7 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
                 "values row ell kept": np.array_equal(gd.values(xis)[:, ell],
                                                       gd.values(xi)[:, ell]),
                 "deriv_vectors row ell kept": np.array_equal(
-                    gd.deriv_vectors(xis)[:, ell], gd.deriv_vectors(xi)[:, ell]),
+                    gd.deriv_vectors(xis).weights[:, ell], gd.deriv_vectors(xi).weights[:, ell]),
                 "Z^other moved": bool(np.all(zs[:, others] != z[:, others])),
             }
             failures += [(seed, ell, claim) for claim, ok in claims.items() if not ok]
@@ -159,6 +164,72 @@ def dx_from_triangle(coeffs, triangle, dfields, space, t_index):
             w, df = triangle[sub, t_index, k, ell], dfields[sub, ell, :]
             space.components(dx)[k, ell] += w[:-1] @ (df[1:] - df[:-1])
     return dx
+
+
+def dense_prefix(factors):
+    """The path of `PrefixFactors` (scale, weights, basis) as a dense array
+    of shape (..., T, s, dim): row i is scale_i sum_{k<i} weights_k (x)
+    basis_k, each node's term written into its row and prefix-summed there
+    one row at a time (the sequential sum of a cumsum over the rows), as
+    GridDriver.deriv_vectors built DF before it returned the factors."""
+    scale, weights, basis = factors
+    out = np.zeros(weights.shape[:-2] + (scale.shape[0], weights.shape[-1], basis.shape[1]))
+    np.multiply(weights[..., None], basis[:, None, :], out=out[..., 1:, :, :])
+    rows = np.moveaxis(out, -3, 0)
+    for prev, row in zip(rows[1:-1], rows[2:]):
+        np.add(prev, row, out=row)
+    out *= scale[:, None, None]
+    return out
+
+
+def dense_deriv_vectors(gd, xi):
+    """The dense DF array of the driver gd at the (..., m, n) coordinates
+    xi, shape (..., len(times), m, n) in component-block coordinates."""
+    return dense_prefix(gd.deriv_vectors(xi))
+
+
+def first_steps(df, j):
+    """The `PrefixFactors` of a path restricted to its first j steps."""
+    return PrefixFactors(df.scale[:j + 1], df.weights[..., :j, :], df.basis[:j])
+
+
+def left_point_sum(g, Phi):
+    """sum_i g_i (Phi_{i+1} - Phi_i) of g, shape (T, s, r), against the
+    dense Phi, shape (T, s, dim), as rs_integral_hvalued summed it before
+    it took Phi in factors: the increments formed once, then one GEMV of
+    g[:-1, j, c] with the increments of integrator j per row; shape
+    (s, r, dim)."""
+    inc = Phi[1:] - Phi[:-1]
+    value = np.empty((g.shape[1], g.shape[2], Phi.shape[2]))
+    for j in range(g.shape[1]):
+        for c in range(g.shape[2]):
+            np.matmul(g[:-1, j, c], inc[:, j], out=value[j, c])
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError
+def dense_solution_derivative(coeffs, bundle, dfields, space):
+    """DX (d, basis_dim) of a one-path bundle after solve_theta_all, from
+    the dense DF array dfields (steps+1, m, n) by `left_point_sum`, as
+    solution_derivative assembled it before DF stayed in factors;
+    BlowupError when DX or its Gram matrix is not finite."""
+    dx = np.zeros((coeffs.d, space.basis_dim))
+    space.components(dx)[...] += left_point_sum(bundle.theta.swapaxes(1, 2), dfields).swapaxes(0, 1)
+    if not np.isfinite(np.vdot(dx, dx)):
+        raise BlowupError("non-finite Malliavin derivative", step=bundle.steps)
+    return dx
+
+
+def jumpy_preset(name):
+    """Bounded sigma and dsigma = 1e300 above 0.5: Euler stays finite, and
+    the one-step Jacobians of a path that crosses 0.5 overflow its Theta."""
+    return SdeCoefficients(
+        d=1, m=1,
+        b=lambda x: np.zeros(np.shape(x)),
+        sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
+        db=lambda x: np.zeros(np.shape(x) + (1,)),
+        dsigma=lambda x: np.where(x > 0.5, 1e300, 0.5 * np.cos(x))[..., None, None],
+    ), np.zeros(1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blowup raises BlowupError

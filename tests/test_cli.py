@@ -456,11 +456,12 @@ def test_simulate_over_tail_product_budget_exits_2(tmp_path, capsys, monkeypatch
 
 
 def test_df_array_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # density and malliavin fill a (steps+1, m, n) DF array: under a budget
-    # of 100000 entries, elliptic-2d (m = 2) at 100 steps and n = 990
-    # passes the driver's (steps, n+1) factor check (99100 entries) and puts
-    # DF over it (199980), rejected before any output is written; solve
-    # builds no DF and runs
+    # density and malliavin keep the input limit of (steps+1) m n entries,
+    # the DF array they no longer form: under a budget of 100000 entries,
+    # elliptic-2d (m = 2) at 100 steps and n = 990 passes the driver's
+    # (steps, n+1) factor check (99100 entries) and puts the limit over it
+    # (199980), rejected before any output is written; solve has no such
+    # limit and runs
     monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
     payload = {"process": dict(FAST_PROCESS, n=990), "run": {"M": 2},
                "sde": {"preset": "elliptic-2d", "steps": 100}}

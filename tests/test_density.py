@@ -21,7 +21,7 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
-from oracles import ensemble_csv_writer, euler_path, theta_path
+from oracles import ensemble_csv_writer, euler_path, first_steps, jumpy_preset, theta_path
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -106,8 +106,8 @@ def test_overflowing_malliavin_derivative_is_a_blowup():
     bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
     assert np.isfinite(theta_path(coeffs, bundle).theta).all()
     with pytest.raises(BlowupError) as exc:
-        solution_derivative(coeffs, theta_path(coeffs, bundle, 12), driver.deriv_vectors(xi)[:13],
-                            spec.space)
+        solution_derivative(coeffs, theta_path(coeffs, bundle, 12),
+                            first_steps(driver.deriv_vectors(xi), 12), spec.space)
     assert exc.value.step == 12
     ens = run_ensemble(sc, M=10, base_seed=0)
     assert ens.excluded_seeds == list(range(10))
@@ -159,23 +159,11 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     assert np.array_equal(capped.min_eigs, free.min_eigs[keep])
 
 
-def jumpy_preset(name):
-    """Bounded sigma and dsigma = 1e300 above 0.5: Euler stays finite, and
-    the one-step Jacobians of a path that crosses 0.5 overflow its Theta."""
-    return SdeCoefficients(
-        d=1, m=1,
-        b=lambda x: np.zeros(np.shape(x)),
-        sigma=lambda x: (1.0 + 0.5 * np.sin(x))[..., None],
-        db=lambda x: np.zeros(np.shape(x) + (1,)),
-        dsigma=lambda x: np.where(x > 0.5, 1e300, 0.5 * np.cos(x))[..., None, None],
-    ), np.zeros(1)
-
-
 def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
-    # every sample of a chunk fills one DF buffer and takes its Theta from
-    # the batched solve of its block; each sample equals the one computed
-    # alone with fresh arrays, also right after a sample whose Theta
-    # overflowed, and no overflow is reported as a warning
+    # every sample of a chunk takes its Theta from the batched solve of its
+    # block; each sample equals the one computed alone with fresh arrays,
+    # also right after a sample whose Theta overflowed, and no overflow is
+    # reported as a warning
     monkeypatch.setattr(density, "preset", jumpy_preset)
     sc = Scenario(preset="jumpy", **SMALL)
     seeds = list(range(wiener.DRAW_BLOCK + 6))

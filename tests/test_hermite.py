@@ -35,7 +35,8 @@ from chaosde.hermite import (
     simulate_paths,
 )
 from chaosde.textio import export_paths
-from oracles import canonical_gemm, dense_block, import_kernels, kernel_eval, nclt_paths
+from oracles import (canonical_gemm, dense_block, dense_deriv_vectors, import_kernels,
+                     kernel_eval, nclt_paths)
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -239,8 +240,10 @@ def test_factored_matches_dense_chaos(q, m):
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_wick_weights_match_closed_forms(q):
-    # hand-expanded per-order weight table, the oracle for the Hermite recurrence
-    from chaosde.hermite import _wick_weights
+    # hand-expanded per-order weight table, the oracle for the Hermite
+    # recurrence: the value weight H_q at the projections, and the
+    # derivative weight, each taken on its own
+    from chaosde.hermite import _deriv_weights, _projections
 
     rng = np.random.default_rng(q)
     g = rng.standard_normal((40, 32))
@@ -249,7 +252,9 @@ def test_wick_weights_match_closed_forms(q):
     want = {1: (gx, np.ones_like(gx)),
             2: (gx * gx - gg, 2.0 * gx),
             3: (gx**3 - 3.0 * gg * gx, 3.0 * (gx * gx - gg))}[q]
-    for got, ref in zip(_wick_weights(small_spec(q=q, n=32, m=2), g, gg, xi), want):
+    got_gx = _projections(small_spec(q=q, n=32, m=2), g, xi)
+    assert np.array_equal(got_gx, gx)
+    for got, ref in zip((hermite_poly(q, got_gx, gg), _deriv_weights(q, got_gx, gg)), want):
         if q < 3:
             assert np.array_equal(got, ref)
         else:
@@ -678,7 +683,7 @@ def test_grid_driver_calibrated_variance_q1():
     spec = small_spec(q=1, n=128, L=8.0, out_times=(1.0,))
     times = np.linspace(0.0, 1.0, 33)
     gd = GridDriver(spec, times)
-    vecs = gd.deriv_vectors(spec.space.components(zero_draw(spec.space).xi))
+    vecs = dense_deriv_vectors(gd, spec.space.components(zero_draw(spec.space).xi))
     for i in range(1, 33):
         t = times[i]
         nrm2 = float(np.sum(vecs[i, 0] ** 2))
@@ -687,8 +692,8 @@ def test_grid_driver_calibrated_variance_q1():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_grid_driver_directional_derivative_exact(q):
-    # the derivative vectors must be the exact gradient of values in the
-    # draw coordinates
+    # the derivative vectors, dense from their factors, must be the exact
+    # gradient of values in the draw coordinates
     spec = small_spec(q=q, n=64, L=4.0, out_times=(1.0,))
     times = np.linspace(0.0, 1.0, 17)
     gd = GridDriver(spec, times)
@@ -696,7 +701,7 @@ def test_grid_driver_directional_derivative_exact(q):
     rng = np.random.default_rng(2)
     h = rng.standard_normal(spec.space.basis_dim)
     xi, hc = spec.space.components(w.xi), spec.space.components(h)
-    target = gd.deriv_vectors(xi) @ h  # m = 1: one block spans the basis
+    target = dense_deriv_vectors(gd, xi) @ h  # m = 1: one block spans the basis
     eps = 1e-6
     up = gd.values(xi + eps * hc)
     dn = gd.values(xi - eps * hc)
@@ -723,7 +728,7 @@ def test_evaluators_reject_coordinates_of_another_shape(shape):
             evaluate(np.zeros(shape))
     # leading axes are free
     assert gd.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 17, 1)
-    assert gd.deriv_vectors(np.zeros((3, 1, 32))).shape == (3, 17, 1, 32)
+    assert gd.deriv_vectors(np.zeros((3, 1, 32))).weights.shape == (3, 16, 1)
 
 
 # Per-component oracles: one (n,) block of the component-major coordinates
@@ -794,7 +799,9 @@ def test_grid_driver_matches_per_component_oracle(q, m):
             w = sample_omega(spec.space, seed)
             xi = spec.space.components(w.xi)
             assert np.array_equal(gd.values(xi), grid_values_one(gd, w))
-            assert np.array_equal(gd.deriv_vectors(xi), grid_deriv_vectors_one(gd, w))
+            df = gd.deriv_vectors(xi)
+            assert df.scale is gd._rho and df.basis is gd._g
+            assert np.array_equal(dense_deriv_vectors(gd, xi), grid_deriv_vectors_one(gd, w))
     # a block of draws, a full one and a short one, stacks the draws' values
     # and vectors
     draws = [sample_omega(spec.space, s) for s in range(100, 100 + DRAW_BLOCK)]
@@ -802,32 +809,6 @@ def test_grid_driver_matches_per_component_oracle(q, m):
     want = np.array([grid_values_one(gd, w) for w in draws])
     assert np.array_equal(gd.values(xi), want)
     assert np.array_equal(gd.values(xi[5:8]), want[5:8])
-    vectors = gd.deriv_vectors(xi[5:8])
+    vectors = dense_deriv_vectors(gd, xi[5:8])
     for k, w in enumerate(draws[5:8]):
         assert np.array_equal(vectors[k], grid_deriv_vectors_one(gd, w))
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_grid_driver_deriv_out_buffer_matches_fresh(q):
-    # one buffer over consecutive draws gives each draw's fresh vectors bit
-    # for bit, with row 0 dirtied before every call
-    spec = small_spec(q=q, n=40, m=2, out_times=(1.0,))
-    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
-    buffer = np.full((17, 2, 40), np.nan)
-    for seed in range(6):
-        xi = spec.space.components(sample_omega(spec.space, seed).xi)
-        buffer[0] = -0.0 if seed % 2 else np.inf
-        assert gd.deriv_vectors(xi, out=buffer) is buffer
-        fresh = gd.deriv_vectors(xi)
-        assert np.array_equal(buffer, fresh)
-        assert buffer.tobytes() == fresh.tobytes()  # row 0 is +0.0, not -0.0
-
-
-def test_grid_driver_deriv_out_buffer_checked():
-    spec = small_spec(q=1, n=40, m=2, out_times=(1.0,))
-    gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
-    xi = spec.space.components(sample_omega(spec.space, 0).xi)
-    for bad in (np.zeros((16, 2, 40)), np.zeros((17, 40, 2)), np.zeros((17, 2, 40), dtype=np.float32),
-                np.zeros((40, 2, 17)).T, np.zeros(17 * 2 * 40), np.zeros((1, 17, 2, 40))):
-        with pytest.raises(InvalidDimensionError):
-            gd.deriv_vectors(xi, out=bad)

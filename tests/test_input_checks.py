@@ -16,6 +16,7 @@ from chaosde.hermite import GridDriver, HermiteSpec
 from chaosde.malliavin import solution_derivative
 from chaosde.sde import preset, solve_euler
 from chaosde.wiener import HilbertVec, make_hilbert, sample_omega
+from oracles import first_steps
 
 SPACE, OTHER = make_hilbert(1, -1.0, 1.0, 4), make_hilbert(1, -1.0, 1.0, 5)
 F1, F2 = chaos.SymTensor(SPACE, 1, np.ones(4)), chaos.SymTensor(SPACE, 2, np.eye(4))
@@ -23,15 +24,15 @@ ON_OTHER = chaos.SymTensor(OTHER, 2, np.eye(5))
 DRAW = sample_omega(SPACE, 0)
 
 
-def assemble_dx(rows: int, space):
+def assemble_dx(steps: int, space):
     """solution_derivative of one `additive` path of 4 steps on SPACE, from
-    the first rows of its (5, 1, 4) DF vectors, over space."""
+    the DF factors of its first steps, over space."""
     coeffs, x0 = preset("additive")
     driver = GridDriver(HermiteSpec(q=1, H=0.7, m=1, space=SPACE, out_times=(1.0,)),
                         np.linspace(0.0, 1.0, 5))
     xi = SPACE.components(DRAW.xi)
     path = solve_euler(coeffs, x0, (driver.times, driver.values(xi[None]))).path(0)
-    return solution_derivative(coeffs, path, driver.deriv_vectors(xi)[:rows], space)
+    return solution_derivative(coeffs, path, first_steps(driver.deriv_vectors(xi), steps), space)
 
 
 CASES = {
@@ -39,9 +40,9 @@ CASES = {
                       InvalidDimensionError, "s_nodes must be positive"),
     "spec-components": (lambda: HermiteSpec(q=1, H=0.7, m=2, space=SPACE),
                         SpaceMismatchError, "component count"),
-    "dx-df-shape": (lambda: assemble_dx(4, SPACE), InvalidDimensionError,
-                    "dfields must have shape"),
-    "dx-other-space": (lambda: assemble_dx(5, OTHER), SpaceMismatchError,
+    "dx-df-shape": (lambda: assemble_dx(3, SPACE), InvalidDimensionError,
+                    r"df must have shapes \(steps\+1,\), \(steps, m\) and \(steps, n\)"),
+    "dx-other-space": (lambda: assemble_dx(4, OTHER), SpaceMismatchError,
                        "space does not match"),
     "ks-empty": (lambda: ks_two_sample([], [1.0]), ConfigError, "nonempty"),
     "inner-space": (lambda: chaos.tensor_inner(F2, ON_OTHER), SpaceMismatchError,

@@ -2,6 +2,7 @@
 shifted drivers and difference quotients."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from hypothesis import strategies as st
 
 from chaosde.errors import BlowupError, InvalidDimensionError
 from chaosde.wiener import HilbertDisc, HilbertVec, make_hilbert, sample_omega, shift_omega
-from chaosde.hermite import GridDriver, HermiteSpec, build_kernels, simulate_path
+from chaosde.hermite import GridDriver, HermiteSpec, PrefixFactors, build_kernels, simulate_path
 from chaosde.sde import preset, solve_euler, solve_theta_all
+from chaosde.density import euler_batches
 from chaosde.malliavin import (
+    MalliavinField,
     directional_quotient,
     malliavin_matrix,
     shifted_driver,
     solution_derivative,
 )
-from oracles import (complex_step_dx, component_shift_failures, dx_from_triangle, euler_path,
-                     theta_path, theta_triangle)
+from oracles import (complex_step_dx, component_shift_failures, dense_deriv_vectors,
+                     dense_solution_derivative, dx_from_triangle, euler_path, first_steps,
+                     jumpy_preset, theta_path, theta_triangle)
 
 
 def make_spec(q=1, m=1, n=96, L=4.0, out_times=(0.5, 1.0)):
@@ -86,7 +90,7 @@ def test_solution_derivative_additive():
     # additive scalar case: DX_t = sigma DF_t exactly, so the norm of DX
     # equals |sigma| t^H under the calibrated driver
     coeffs, x0, spec, gd, w, bundle, mf = solve_case("additive", 1)
-    dfields = gd.deriv_vectors(spec.space.components(w.xi))
+    dfields = dense_deriv_vectors(gd, spec.space.components(w.xi))
     assert np.allclose(spec.space.components(mf.dx)[0, 0], 1.5 * dfields[-1, 0], atol=1e-12)
     assert np.linalg.norm(mf.dx[0]) == pytest.approx(1.5 * 1.0**0.7, rel=1e-10)
 
@@ -101,15 +105,15 @@ def test_solution_derivative_needs_the_theta_of_one_path():
 
 
 def test_one_step_dx_overflow_is_a_silent_blowup():
-    # on a one-step grid each Young sum is a single product, which numpy
-    # forms without BLAS; its overflow is a BlowupError, not a warning
+    # on a one-step grid the sum by parts is a single product per
+    # coordinate, C_0 = a_0 rho_1 Theta_0 of the one DF factor; its
+    # overflow is a BlowupError, not a warning
     coeffs, x0 = preset("additive")
     bundle = theta_path(coeffs, euler_path(coeffs, x0, (np.array([0.0, 1.0]), np.zeros((2, 1)))))
     space = make_hilbert(1, -4.0, 1.0, 8)
-    dfields = np.zeros((2, 1, 8))
-    dfields[1] = 1.5e308
+    df = PrefixFactors(np.ones(2), np.full((1, 1), 1.5e308), np.ones((1, 8)))
     with pytest.raises(BlowupError) as exc:
-        solution_derivative(coeffs, bundle, dfields, space)
+        solution_derivative(coeffs, bundle, df, space)
     assert exc.value.step == 1
 
 
@@ -184,16 +188,80 @@ def test_dx_is_the_complex_step_derivative(name, q, steps, seed):
 @example("rank1-2d", 3, 37, 0)
 @settings(max_examples=20, deadline=None)
 def test_dx_matches_the_triangle_assembly(name, q, steps, seed):
-    # DX from Theta at the final time, one Young sum per noise component,
+    # DX from Theta at the final time and DF in factors, summed by parts,
     # equals the plain-numpy assembly of one left-point sum per (k, l) pair
-    # over the triangle oracle bit for bit: at the final time, and at an earlier
-    # grid time j as the DX of the path truncated there
+    # of the dense DF over the triangle oracle to 1e-13: at the final time,
+    # and at an earlier grid time j as the DX of the path truncated there
     coeffs, x0, spec, gd, w, bundle, mf = solve_case(name, q, steps=steps, n=40, seed=seed)
-    dfields = gd.deriv_vectors(spec.space.components(w.xi))
+    xi = spec.space.components(w.xi)
+    dfields = dense_deriv_vectors(gd, xi)
     triangle = theta_triangle(coeffs, bundle)
+
+    def assert_close(dx, t_index):
+        want = dx_from_triangle(coeffs, triangle, dfields, spec.space, t_index)
+        assert np.max(np.abs(dx - want)) <= 1e-13 * np.max(np.abs(want))
+
     assert mf.t == bundle.times[-1]
-    assert np.array_equal(mf.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, steps))
+    assert_close(mf.dx, steps)
     j = 1 + seed % steps
-    part = solution_derivative(coeffs, theta_path(coeffs, bundle, j), dfields[:j + 1], spec.space)
+    part = solution_derivative(coeffs, theta_path(coeffs, bundle, j),
+                               first_steps(gd.deriv_vectors(xi), j), spec.space)
     assert part.t == bundle.times[j]
-    assert np.array_equal(part.dx, dx_from_triangle(coeffs, triangle, dfields, spec.space, j))
+    assert_close(part.dx, j)
+
+
+#: (coefficients, x0) of the adjoint comparison: the four presets; the
+#: jumpy coefficients, whose Theta overflows on some draws; and the linear
+#: preset started at 2e154, where |DX|^2 overflows on some draws
+ADJOINT_CASES = {name: preset(name) for name in ("additive", "linear-scalar", "elliptic-2d",
+                                                 "rank1-2d")}
+ADJOINT_CASES["jumpy"] = jumpy_preset("jumpy")
+ADJOINT_CASES["linear-2e154"] = (preset("linear-scalar")[0], np.array([2e154]))
+
+
+def dx_and_gram(path, dx_of):
+    """(DX, Gamma) of the one-path bundle path() with DX = dx_of(path()),
+    or None when the path is excluded: a BlowupError of its Euler or Theta
+    state, its DX or its Gamma."""
+    try:
+        bundle = path()
+        dx = dx_of(bundle)
+        return dx, malliavin_matrix(MalliavinField(t=float(bundle.times[-1]), dx=dx)).gamma
+    except BlowupError:
+        return None
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_adjoint_dx_matches_the_dense_oracle(name, q):
+    # DX and Gamma by summation by parts over the DF factors equal, to 1e-13,
+    # those of the dense DF array and its left-point Young sum, over 24
+    # draws run as the ensemble runs them (one Euler and Theta solve per
+    # block); each seed is excluded by both or by neither, and DX h is the
+    # complex-step derivative of the Euler flow
+    coeffs, x0 = ADJOINT_CASES[name]
+    spec = make_spec(q=q, m=coeffs.m, n=40, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 33))
+    kept, excluded = 0, []
+    for draws, xi, batch in euler_batches(coeffs, x0, spec, gd, range(24)):
+        solve_theta_all(coeffs, batch)
+        for k, w in enumerate(draws):
+            path = functools.partial(batch.path, k)
+            got = dx_and_gram(path, lambda bundle: solution_derivative(
+                coeffs, bundle, gd.deriv_vectors(xi[k]), spec.space).dx)
+            want = dx_and_gram(path, lambda bundle: dense_solution_derivative(
+                coeffs, bundle, dense_deriv_vectors(gd, xi[k]), spec.space))
+            assert (got is None) == (want is None)
+            if got is None:
+                excluded.append(w.seed)
+                continue
+            kept += 1
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            if name != "jumpy":  # whose dsigma is not the derivative of its sigma
+                h = np.random.default_rng(w.seed).standard_normal(spec.space.basis_dim)
+                exact = complex_step_dx(coeffs, x0, gd, w, h)
+                scale = np.max(np.abs(got[0]) @ np.abs(h))
+                assert np.max(np.abs(got[0] @ h - exact)) <= 1e-13 * scale
+    # every case keeps draws, and the last two exclude some
+    assert kept and (name not in ("jumpy", "linear-2e154") or excluded)

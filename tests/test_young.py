@@ -1,32 +1,44 @@
-"""The Young left-point sum: closed-form integrals, the chain rule,
-linearity and the stacked Hilbert-valued sums, a scalar integrand or
-integrator being one column of a stack of one."""
+"""The Young left-point sum against integrators in prefix-factor form:
+closed-form integrals, the chain rule, linearity and the stacked
+Hilbert-valued sums, a scalar integrand or integrator being one column of
+a stack of one, and the sum by parts against the dense left-point sum."""
 
 import numpy as np
 import pytest
 
 from chaosde.errors import InvalidDimensionError
+from chaosde.hermite import PrefixFactors
 from chaosde.young import rs_integral_hvalued
+from oracles import dense_prefix, left_point_sum
 
 
 def grid(npts=2**12 + 1):
     return np.linspace(0.0, 1.0, npts)
 
 
+def increments(Phi):
+    """One integrator with the values of Phi, shape (T, dim), less Phi_0
+    (the sum reads only increments): unit scale and weights, its
+    increments as the basis."""
+    return PrefixFactors(np.ones(Phi.shape[0]), np.ones((Phi.shape[0] - 1, 1)), np.diff(Phi, axis=0))
+
+
 def scalar(g, phi):
     """The integral of a scalar g against a scalar phi: one column each."""
-    return rs_integral_hvalued(g[:, None, None], phi[:, None, None]).value[0, 0, 0]
+    return rs_integral_hvalued(g[:, None, None], increments(phi[:, None])).value[0, 0, 0]
 
 
 def test_value_is_the_left_point_sum():
     t = grid(2**5 + 1)
     g = t**2
     phi = np.exp(t)
-    res = rs_integral_hvalued(g[:, None, None], phi[:, None, None])
-    assert res.value[0, 0, 0] == float(g[:-1] @ np.diff(phi))
+    res = rs_integral_hvalued(g[:, None, None], increments(phi[:, None]))
+    assert res.value[0, 0, 0] == pytest.approx(float(g[:-1] @ np.diff(phi)), rel=1e-14)
     assert res.refinement_levels == 1
     # the sum reads no time value: any grid the paths were sampled on
     assert scalar(np.ones(3), np.array([0.0, 1.0, 3.0])) == 3.0
+    # a grid of one point has no step, and the sum is 0
+    assert scalar(np.ones(1), np.zeros(1)) == 0.0
 
 
 def test_constant_integrand():
@@ -66,40 +78,53 @@ def test_hvalued_matches_componentwise():
     rng = np.random.default_rng(2)
     g = np.sin(2 * t)
     Phi = np.cumsum(rng.standard_normal((t.shape[0], 3)), axis=0) * 0.02
-    res = rs_integral_hvalued(g[:, None, None], Phi[:, None])
+    res = rs_integral_hvalued(g[:, None, None], increments(Phi))
     for j in range(3):
         assert res.value[0, 0, j] == pytest.approx(scalar(g, Phi[:, j]), abs=1e-12)
 
 
 def test_hvalued_shape_checked():
     t = grid(2**4 + 1)
+    T = t.shape[0]
+    phi = increments(t[:, None])
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:, None], t[:, None, None])  # an unstacked integrand
+        rs_integral_hvalued(t[:, None], phi)  # an unstacked integrand
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:, None, None], t[:, None])  # an unstacked integrator
+        rs_integral_hvalued(t[:, None, None, None], phi)
+    with pytest.raises(InvalidDimensionError):  # a basis without coordinates
+        rs_integral_hvalued(t[:, None, None], phi._replace(basis=np.diff(t)))
     with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:, None, None, None], t[:, None, None])
-    with pytest.raises(InvalidDimensionError):
-        rs_integral_hvalued(t[:-1, None, None], t[:, None, None])  # not on one grid
+        rs_integral_hvalued(t[:-1, None, None], phi)  # not on one grid
+    for bad in (phi._replace(scale=np.ones(T - 1)), phi._replace(weights=np.ones((T, 1))),
+                phi._replace(basis=np.ones((T, 1)))):
+        with pytest.raises(InvalidDimensionError):  # factors of another grid
+            rs_integral_hvalued(t[:, None, None], bad)
     with pytest.raises(InvalidDimensionError):  # two integrand groups, one integrator
-        rs_integral_hvalued(np.zeros((t.shape[0], 2, 1)), t[:, None, None])
+        rs_integral_hvalued(np.zeros((T, 2, 1)), phi)
 
 
 def test_hvalued_integrand_columns_match_one_column_sums():
-    # s groups of r integrands against s integrators give (s, r) rows, each
-    # bit for bit the one-row sum on contiguous copies, on inputs strided as
-    # the Theta and DF arrays solution_derivative passes: the integrand a
-    # swapped view of a (T, r, s) array, each integrator a row of a
-    # (T, s, dim) array
+    # s groups of r integrands against s integrators in factors give (s, r)
+    # rows, each within 1e-13 of the dense left-point sum of its column
+    # against its integrator, and bit for bit the same on inputs strided as
+    # the Theta and DF factors solution_derivative passes (the integrand a
+    # swapped view of a (T, r, s) array, the weights a swapped view of an
+    # (s, T-1) array) as on contiguous copies
     t = grid(2**7 + 1)
+    T = t.shape[0]
     rng = np.random.default_rng(3)
     for s in (2, 3):
-        g = np.cumsum(rng.standard_normal((t.shape[0], 2, s)), axis=0).swapaxes(1, 2)
-        Phi = np.cumsum(rng.standard_normal((t.shape[0], s, 5)), axis=0) * 0.02
+        g = np.cumsum(rng.standard_normal((T, 2, s)), axis=0).swapaxes(1, 2)
+        scale = 1.0 + rng.random(T)
+        Phi = PrefixFactors(scale, rng.standard_normal((s, T - 1)).T,
+                            rng.standard_normal((T - 1, 5)) * 0.02)
         res = rs_integral_hvalued(g, Phi)
         assert res.value.shape == (s, 2, 5)
+        copies = rs_integral_hvalued(np.ascontiguousarray(g),
+                                     Phi._replace(weights=np.ascontiguousarray(Phi.weights)))
+        assert np.array_equal(res.value, copies.value)
+        dense = dense_prefix(Phi)
         for j in range(s):
-            phi = np.ascontiguousarray(Phi[:, j])
             for c in range(2):
-                col = np.ascontiguousarray(g[:, j, c])
-                assert np.array_equal(res.value[j, c], col[:-1] @ (phi[1:] - phi[:-1]))
+                want = left_point_sum(g[:, j:j + 1, c:c + 1], dense[:, j:j + 1])[0, 0]
+                assert np.max(np.abs(res.value[j, c] - want)) <= 1e-13 * np.max(np.abs(want))

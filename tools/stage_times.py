@@ -45,7 +45,7 @@ Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
 `import chaosde.cli`, which runs before anything else in the child imports
 numpy.  That is the start-up every command pays.  A wrapper costs about
-half a microsecond per call, some 2 us of an ensemble sample's 0.7 ms.
+half a microsecond per call, some 2 us of an ensemble sample's 0.4 ms.
 
 The passes alternate between the sources, R times each (default 7), so
 that host drift hits every source alike; the report gives the median and
