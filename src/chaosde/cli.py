@@ -242,7 +242,8 @@ def cmd_simulate(cfg: dict) -> int:
         check_budget((spec.m, spec.space.n))  # one draw, m * n coordinates
     with _budget_key(cfg, "run.M"):
         check_budget((M, len(spec.out_times), spec.m))  # the driver values
-    values = simulate_paths(field, range(seed, seed + M))
+    with _budget_key(cfg, "process.s_nodes"):  # a block's (B, m, s_nodes) projections
+        values = simulate_paths(field, range(seed, seed + M))
     with _output(cfg, "driver.csv") as driver:
         export_paths(driver, [f"F_{l + 1}" for l in range(spec.m)], spec.out_times,
                      [(seed, values)])
@@ -385,9 +386,7 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_malliavin(cfg: dict) -> int:
     scenario, (coeffs, x0, spec, driver) = _scenario(cfg)
     with _budget_key(cfg, "process.n"):
-        # an input limit: the size of the DF array DX no longer forms, kept
-        # until a declared change of the command line lifts it
-        check_budget((scenario.steps + 1, coeffs.m, scenario.n))
+        check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, its largest per-sample array
     seed = cfg["run"]["seed"]
     (w,), xi = next(draw_blocks(spec.space, [seed]))  # a block of one draw
     batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
@@ -416,9 +415,9 @@ def cmd_density(cfg: dict) -> int:
     if r["M"] < 2:
         raise _invalid(cfg, "run.M", "the ensemble needs at least 2 draws")
     scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
-    m = preset(scenario.preset)[0].m
+    coeffs = preset(scenario.preset)[0]
     with _budget_key(cfg, "process.n"):
-        check_budget((scenario.steps + 1, m, scenario.n))  # the input limit of cmd_malliavin
+        check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, as in cmd_malliavin
     with _budget_key(cfg, "run.M"):
         check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])

@@ -11,10 +11,11 @@ I_q(L_t) with the homogeneous kernel
 H0 = 1 + (H-1)/q.  Discretely each kernel becomes an order-q coefficient
 block over the cells of one noise component; m components use m disjoint
 blocks of the same shape, which makes distinct components exactly
-orthogonal at the kernel level.  Every evaluator (`KernelField.evaluate`,
-`GridDriver.values` and `deriv_vectors`) takes component coordinates of
-shape (..., m, n), such as the (B, m, n) block of `wiener.draw_blocks`,
-and returns every component of every draw at once.
+orthogonal at the kernel level.  Each evaluator has one job:
+`KernelField.values` and `GridDriver.values` form values,
+`GridDriver.deriv_vectors` and `_factor_derivative` derivatives.  Each
+takes component coordinates of shape (..., m, n), such as the (B, m, n)
+block of `wiener.draw_blocks`, and returns every component of every draw.
 
 Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
@@ -183,6 +184,14 @@ def _deriv_weights(q: int, gx: np.ndarray, gg: np.ndarray) -> np.ndarray:
     return q * hermite_poly(q - 1, gx, gg)
 
 
+def _factor_derivative(spec: HermiteSpec, g: np.ndarray, beta: np.ndarray,
+                       xi: np.ndarray) -> np.ndarray:
+    """D I_q(sum_k beta_k g_k^{(x)q}) of every component, shape (..., m, n),
+    at the (..., m, n) component coordinates xi."""
+    gx, gg = _projections(spec, g, xi), np.einsum("ki,ki->k", g, g)
+    return ((beta * _deriv_weights(spec.q, gx, gg))[..., None, :] @ g)[..., 0, :]
+
+
 def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np.ndarray:
     """rho_j scaling the prefix sum_{k<=j} beta_k g_k^{(x)q} to norm sqrt(t_j^{2H}/q!)."""
     check_budget((beta.shape[0],) * 2)
@@ -212,8 +221,8 @@ class KernelField:
     The block at out_times[ti] is rho[ti] * sum_k beta[ti, k] g[ti, k]^{(x)q}
     over the cells of one component; component ell realizes it on its own
     row of the component view, so kernels of distinct components have
-    disjoint support by construction.  Values and derivatives come from the
-    factors; the dense (T,) + (n,)*q array is built on first use of `blocks`.
+    disjoint support by construction.  Values come from the factors; the
+    dense (T,) + (n,)*q array is built on first use of `blocks`.
     """
 
     spec: HermiteSpec
@@ -222,15 +231,17 @@ class KernelField:
     rho: np.ndarray
     calibrated: bool
 
-    def evaluate(self, ti: int, xi: np.ndarray) -> tuple:
-        """(I_q(f_ti), D I_q(f_ti)) of every component, shapes (..., m) and
-        (..., m, n), at the (..., m, n) component coordinates xi."""
-        g, beta, q = self.g[ti], self.beta[ti], self.spec.q
-        gx, gg = _projections(self.spec, g, xi), np.einsum("ki,ki->k", g, g)
-        val_w, der_w = hermite_poly(q, gx, gg), _deriv_weights(q, gx, gg)
-        value = (val_w[..., None, :] @ beta)[..., 0]
-        deriv = ((beta * der_w)[..., None, :] @ g)[..., 0, :]
-        return self.rho[ti] * value, self.rho[ti] * deriv
+    def values(self, xi: np.ndarray) -> np.ndarray:
+        """I_q(f_ti) of every component, shape (..., T, m), at the (..., m, n)
+        component coordinates xi, from the value weight alone, one output
+        time at a time: one time's (..., m, k) projections, held to the
+        budget, are the largest array."""
+        check_budget(np.shape(xi)[:-1] + self.beta.shape[1:])
+        out = []
+        for g, beta, rho in zip(self.g, self.beta, self.rho):
+            gx, gg = _projections(self.spec, g, xi), np.einsum("ki,ki->k", g, g)
+            out.append(rho * (hermite_poly(self.spec.q, gx, gg)[..., None, :] @ beta)[..., 0])
+        return np.stack(out, -2)
 
     def inner(self, i: int, j: int) -> float:
         """<f_i, f_j>, the Euclidean inner product of two blocks."""
@@ -310,18 +321,13 @@ class DrivingPath:
         object.__setattr__(self, "values", values)
 
 
-def _path_values(field: KernelField, xi: np.ndarray) -> np.ndarray:
-    """Z_t^ell at every output time, shape (..., T, m), at coordinates (..., m, n)."""
-    return np.stack([field.evaluate(ti, xi)[0] for ti in range(len(field.spec.out_times))], -2)
-
-
 def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:
     """Evaluate Z_t^ell = I_q(kernel) on one draw, all times and components."""
     spec = field.spec
     if w.space != spec.space:
         raise SpaceMismatchError("draw built over a different discretization")
     return DrivingPath(spec=spec, times=spec.out_times, seed=w.seed,
-                       values=_path_values(field, spec.space.components(w.xi)))
+                       values=field.values(spec.space.components(w.xi)))
 
 
 def simulate_paths(field: KernelField, seeds) -> np.ndarray:
@@ -330,7 +336,7 @@ def simulate_paths(field: KernelField, seeds) -> np.ndarray:
     row k equals simulate_path of seeds[k] bit for bit.
     """
     spec = field.spec
-    blocks = [_path_values(field, xi) for _, xi in draw_blocks(spec.space, seeds)]
+    blocks = [field.values(xi) for _, xi in draw_blocks(spec.space, seeds)]
     return np.concatenate([np.empty((0, len(spec.out_times), spec.m))] + blocks)
 
 
@@ -348,8 +354,8 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     lhs[k] = sum over cells r in (t-eps, t] of |D_r(Z_t - Z_{t-eps})|^2 on
     the draw of seeds[k]; rhs[k] = eps^{2H} times the same functional of Z_1
     on the image grid under x -> (x - (t-eps))/eps, restricted to (0, 1],
-    on the draw of rhs_seeds[k].  Each side is a KernelField of its window
-    increment on s_nodes nodes.  The grid must end at t, as `chaosde
+    on the draw of rhs_seeds[k].  Each side is the derivative of its window
+    increment's factors on s_nodes nodes.  The grid must end at t, as `chaosde
     selfsim` builds it (OutOfRangeError otherwise): then the left-hand cells
     and nodes are the images of the right-hand ones for every t/eps, so the
     two sides are exactly equal in law for the discretized kernels, the
@@ -370,8 +376,6 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
     samples = []
     for side, lo, hi, side_seeds in ((spec, t - eps, t, seeds), (spec_rhs, 0.0, 1.0, rhs_seeds)):
         g, beta = _kernel_factors(side, lo, hi)
-        field = KernelField(spec=side, g=g[None], beta=beta[None], rho=np.ones(1),
-                            calibrated=False)
         # only cells fully inside the window: a straddling cell carries
         # kernel mass from outside (lo, hi], which the rescaled side
         # cannot represent; the rounding slack scales with the cells
@@ -380,7 +384,7 @@ def self_similarity_stat(spec: HermiteSpec, t: float, eps: float, seeds,
         if not window.any():  # both sides would be all zeros, equal in law on no data
             raise OutOfRangeError(f"no whole cell of the grid (width {side.space.delta:.6g}) "
                                   f"lies in the window ({lo:.6g}, {hi:.6g}]")
-        ders = (field.evaluate(0, xi)[1][:, 0, window]
+        ders = (_factor_derivative(side, g, beta, xi)[:, 0, window]
                 for _, xi in draw_blocks(side.space, side_seeds))
         samples.append(np.concatenate([np.empty(0)] + [np.sum(d * d, axis=-1) for d in ders]))
     return samples[0], eps ** (2.0 * spec.H) * samples[1]

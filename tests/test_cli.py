@@ -455,23 +455,47 @@ def test_simulate_over_tail_product_budget_exits_2(tmp_path, capsys, monkeypatch
     assert code == 0
 
 
-def test_df_array_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # density and malliavin keep the input limit of (steps+1) m n entries,
-    # the DF array they no longer form: under a budget of 100000 entries,
-    # elliptic-2d (m = 2) at 100 steps and n = 990 passes the driver's
-    # (steps, n+1) factor check (99100 entries) and puts the limit over it
-    # (199980), rejected before any output is written; solve has no such
-    # limit and runs
+def test_simulate_over_projection_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # simulate projects each block of draws on every quadrature node, a
+    # (B, m, s_nodes) array per output time: under a budget of 100000
+    # entries, 64 draws of m = 8 components at s_nodes = 300 form 153600
+    # entries while every array the configuration sizes up front fits, and
+    # the command exits 2 naming s_nodes before any output is written
     monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
-    payload = {"process": dict(FAST_PROCESS, n=990), "run": {"M": 2},
-               "sde": {"preset": "elliptic-2d", "steps": 100}}
+    payload = {"process": {"q": 2, "m": 8, "n": 4, "L": 1.0, "s_nodes": 300},
+               "run": {"M": 64, "out_times": [1.0]}}
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 2
+    assert "process.s_nodes=300" in capsys.readouterr().err
+    assert not out.exists()
+    payload["process"]["s_nodes"] = 190  # 97280 entries
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 0
+    assert (out / "driver.csv").exists() and (out / "kernels.txt").exists()
+
+
+def test_df_array_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # density and malliavin check DX, d m n entries, the largest array of a
+    # sample; the (steps+1) m n entries of a DF array that no command forms
+    # are no limit.  Under a budget of 100000 entries elliptic-2d (d = m =
+    # 2) at 2 steps and n = 30000 passes the driver's (steps, n+1) factor
+    # check (60002 entries) and puts DX over it (120000), rejected before
+    # any output is written; solve has no such limit and runs.  At 100
+    # steps and n = 990, with 199980 DF entries and 3960 of DX, all three run
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
+    payload = {"process": dict(FAST_PROCESS, n=30_000), "run": {"M": 2},
+               "sde": {"preset": "elliptic-2d", "steps": 2}}
     for command in ("density", "malliavin"):
         code, out = run_cli(tmp_path, command, payload)
         assert code == 2
-        assert "process.n=990" in capsys.readouterr().err
+        assert "process.n=30000" in capsys.readouterr().err
         assert not out.exists()
-    code, out = run_cli(tmp_path, "solve", payload)
-    assert code == 0
+    assert run_cli(tmp_path, "solve", payload)[0] == 0
+    payload = {"process": dict(FAST_PROCESS, n=990), "run": {"M": 2},
+               "sde": {"preset": "elliptic-2d", "steps": 100}}
+    for command in ("density", "malliavin"):
+        (tmp_path / command).mkdir()
+        assert run_cli(tmp_path / command, command, payload)[0] == 0
 
 
 def _strict_json(text: str):

@@ -23,6 +23,7 @@ from chaosde import hermite
 from chaosde.hermite import (
     _canonical_entries,
     _cell_avg_matrix,
+    _factor_derivative,
     GridDriver,
     HermiteSpec,
     KernelField,
@@ -233,7 +234,8 @@ def test_factored_matches_dense_chaos(q, m):
                 f = chaos.SymTensor(sub, q, field.blocks[ti])
                 want[ti, ell] = chaos.multiple_integral(f, w_sub)
                 d_want = chaos.malliavin_derivative(f, w_sub, 1)
-                d_got = field.evaluate(ti, spec.space.components(w.xi))[1][ell]
+                d_got = field.rho[ti] * _factor_derivative(
+                    spec, field.g[ti], field.beta[ti], spec.space.components(w.xi))[ell]
                 assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -723,11 +725,13 @@ def test_evaluators_reject_coordinates_of_another_shape(shape):
     # space, and any other trailing shape is refused, not broadcast
     spec = small_spec(q=2, n=32, L=4.0, out_times=(1.0,))
     gd, field = GridDriver(spec, np.linspace(0.0, 1.0, 17)), build_kernels(spec)
-    for evaluate in (gd.values, gd.deriv_vectors, lambda xi: field.evaluate(0, xi)):
+    for evaluate in (gd.values, gd.deriv_vectors, field.values,
+                     lambda xi: _factor_derivative(spec, field.g[0], field.beta[0], xi)):
         with pytest.raises(InvalidDimensionError, match=r"\(\.\.\., 1, 32\)"):
             evaluate(np.zeros(shape))
     # leading axes are free
     assert gd.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 17, 1)
+    assert field.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 1, 1)
     assert gd.deriv_vectors(np.zeros((3, 1, 32))).weights.shape == (3, 16, 1)
 
 
@@ -770,21 +774,23 @@ def grid_deriv_vectors_one(gd, w):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_kernel_evaluate_matches_per_component_oracle(q, m):
     # every component of a draw in one pass, bit for bit the per-component
-    # evaluation, for the value, the derivative and simulate_path
+    # evaluation: the values at every output time, simulate_path, and the
+    # derivative from the factors of each time
     spec = small_spec(q=q, n=48, m=m, s_nodes=24, out_times=(0.25, 0.5, 1.0))
     field = build_kernels(spec)
     for seed in range(5):
         w = sample_omega(spec.space, seed)
-        want = np.empty((len(spec.out_times), m))
+        xis = spec.space.components(w.xi)
+        val = field.values(xis)
+        assert val.shape == (len(spec.out_times), m)
         for ti in range(len(spec.out_times)):
-            val, der = field.evaluate(ti, spec.space.components(w.xi))
-            assert val.shape == (m,) and der.shape == (m, spec.space.n)
+            der = field.rho[ti] * _factor_derivative(spec, field.g[ti], field.beta[ti], xis)
+            assert der.shape == (m, spec.space.n)
             for ell, xi in enumerate(blocks_of(spec.space, w.xi)):
                 v_one, d_one = evaluate_one(field, ti, xi)
-                assert val[ell] == v_one
+                assert val[ti, ell] == v_one
                 assert np.array_equal(der[ell], d_one)
-                want[ti, ell] = v_one
-        assert np.array_equal(simulate_path(field, w).values, want)
+        assert np.array_equal(simulate_path(field, w).values, val)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -55,6 +55,10 @@ VALID = {
                     "sde": {"preset": "additive", "steps": 16},
                     "run": {"M": 100, "seed": 11, "out_times": [0.5, 1.0],
                             "epsilon_window": 0.5}},
+    # two noise components: simulate's driver.csv has a column per component
+    "elliptic-m2-q2": {"process": {"q": 2, "m": 2, "n": 48, "L": 4.0, "s_nodes": 64},
+                       "sde": {"preset": "elliptic-2d", "steps": 16},
+                       "run": {"M": 100, "seed": 13, "out_times": [0.25, 0.5, 1.0]}},
     # every seed's path overflows: solve and malliavin exit 3, density
     # reports every seed excluded
     "linear-all-excluded": {"process": {"q": 1, "n": 32, "L": 4.0},
