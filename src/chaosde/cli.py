@@ -390,12 +390,17 @@ def cmd_malliavin(cfg: dict) -> int:
     seed = cfg["run"]["seed"]
     (w,), xi = next(draw_blocks(spec.space, [seed]))  # a block of one draw
     batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
-    mf = solution_derivative(coeffs, batch.path(0), driver.deriv_vectors(xi[0]), spec.space)
-    mm = malliavin_matrix(mf)
+    batch.path(0)  # BlowupError at its Euler or Theta step
+    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+    if not np.isfinite(np.vdot(dx, dx)):  # the |DX|^2 of malliavin_matrix's ok
+        raise BlowupError(f"non-finite Malliavin derivative at step {scenario.steps}")
+    mm = malliavin_matrix(dx)
+    if not mm.ok[0]:  # t is the grid's last time, linspace's exact endpoint
+        raise BlowupError(f"non-finite Malliavin determinant at t={scenario.t}")
     rng = np.random.default_rng(seed)
     h = HilbertVec(spec.space, rng.standard_normal(spec.space.basis_dim))
-    target = mf.dx @ h.coords
-    lines = [f"t {mf.t:.17g}", f"det_gamma {mm.det:.17g}", f"min_eig {mm.min_eig:.17g}"]
+    target = dx[0] @ h.coords
+    lines = [f"t {scenario.t:.17g}", f"det_gamma {mm.det[0]:.17g}", f"min_eig {mm.min_eig[0]:.17g}"]
     errs = []
     for eps in cfg["run"]["eps"]:
         quot = directional_quotient(coeffs, x0, driver, w, h, float(eps))
@@ -414,8 +419,7 @@ def cmd_density(cfg: dict) -> int:
     r = cfg["run"]
     if r["M"] < 2:
         raise _invalid(cfg, "run.M", "the ensemble needs at least 2 draws")
-    scenario = _scenario(cfg)[0]  # built once for its checks; each worker builds its own
-    coeffs = preset(scenario.preset)[0]
+    scenario, (coeffs, *_) = _scenario(cfg)  # built for its checks; a serial run reuses it
     with _budget_key(cfg, "process.n"):
         check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, as in cmd_malliavin
     with _budget_key(cfg, "run.M"):
@@ -445,8 +449,9 @@ def cmd_selfsim(cfg: dict) -> int:
     with _budget_key(cfg, "run.M"):
         check_budget((M,))  # each side's samples
     try:
-        lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
-                                        range(seed + M, seed + 2 * M))
+        with _budget_key(cfg, "process.s_nodes"):  # a block's (B, 1, s_nodes) projections
+            lhs, rhs = self_similarity_stat(spec, t, eps, range(seed, seed + M),
+                                            range(seed + M, seed + 2 * M))
     except OutOfRangeError as exc:
         raise ConfigError(f"process.n={spec.space.n} and run.epsilon_window={eps!r} "
                           f"invalid: {exc}") from None

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, DegenerateLawError, check_budget
+from .errors import ConfigError, DegenerateLawError, check_budget
 from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler, solve_theta_all
@@ -35,15 +35,18 @@ class Scenario:
         check_budget((self.steps, self.steps))  # the driver's calibration Gram
 
     def build(self):
+        """(coeffs, x0, spec, driver): the preset looked up on each call, the
+        spec and GridDriver built once per noise count m and kept."""
         coeffs, x0_default = preset(self.preset)
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else x0_default
-        space = make_hilbert(coeffs.m, -self.L, self.t, self.n)
-        # the driver's time-quadrature nodes are the step midpoints
-        spec = HermiteSpec(q=self.q, H=self.H, m=coeffs.m, space=space,
-                           s_nodes=self.steps, out_times=(self.t,))
-        times = np.linspace(0.0, self.t, self.steps + 1)
-        driver = GridDriver(spec, times)
-        return coeffs, x0, spec, driver
+        drivers = self.__dict__.setdefault("_drivers", {})
+        if coeffs.m not in drivers:
+            space = make_hilbert(coeffs.m, -self.L, self.t, self.n)
+            # the driver's time-quadrature nodes are the step midpoints
+            spec = HermiteSpec(q=self.q, H=self.H, m=coeffs.m, space=space,
+                               s_nodes=self.steps, out_times=(self.t,))
+            drivers[coeffs.m] = spec, GridDriver(spec, np.linspace(0.0, self.t, self.steps + 1))
+        return (coeffs, x0) + drivers[coeffs.m]
 
 
 @dataclass
@@ -99,21 +102,20 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
 
 def _parallel_chunk(args):
     """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
-    for a blowup: Euler and Theta at t over batches of seeds, the Malliavin
-    matrix per seed, from DF in the driver's factors."""
+    for a blowup: Euler, Theta, DF, DX and the Malliavin matrix at t, one
+    call of each per block of seeds.  A draw is kept where `ok` holds and
+    its Theta is finite, sigma(X_N) too, the row DX does not read."""
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
     out = []
     for draws, xi, batch in euler_batches(coeffs, x0, spec, driver, seeds):
         solve_theta_all(coeffs, batch)
-        for k, w in enumerate(draws):
-            try:
-                path = batch.path(k)
-                mf = solution_derivative(coeffs, path, driver.deriv_vectors(xi[k]), spec.space)
-                mm = malliavin_matrix(mf)
-                out.append((w.seed, path.X[-1], mm.det, mm.min_eig))
-            except BlowupError:
-                out.append((w.seed, None, None, None))
+        mm = malliavin_matrix(solution_derivative(coeffs, batch, driver.deriv_vectors(xi),
+                                                  spec.space))
+        ok = mm.ok & (batch.theta_failed == 0)
+        x_t = batch.X[:, -1].copy()  # the rows keep no view of the block's paths
+        out += [(w.seed, x_t[k], mm.det[k], mm.min_eig[k]) if ok[k] else (w.seed, None, None, None)
+                for k, w in enumerate(draws)]
     return out
 
 

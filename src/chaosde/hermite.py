@@ -165,7 +165,7 @@ def _check_finite(times, *arrays):
 def _projections(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """gx = <g_k, xi^ell>, shape (..., m, k), for the (..., m, n) component
     coordinates xi of spec's space (InvalidDimensionError for any other
-    trailing shape).
+    trailing shape, MemoryBudgetError when gx would exceed the budget).
 
     With gg = |g_k|^2, the value weight of g_k^{(x)q} is I_q(g_k^{(x)q}) =
     H_q(gx; gg) and its derivative weight `_deriv_weights`, each caller
@@ -174,6 +174,7 @@ def _projections(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> np.ndarray
     if np.shape(xi)[-2:] != (spec.m, spec.space.n):
         raise InvalidDimensionError(f"coordinates need shape (..., {spec.m}, {spec.space.n}), "
                                     f"got {np.shape(xi)}")
+    check_budget(np.shape(xi)[:-1] + g.shape[:1])
     # one stacked matrix-vector product per component of each draw: a single
     # GEMM would reduce in another order and change the bits
     return (g @ xi[..., None])[..., 0]
@@ -236,7 +237,6 @@ class KernelField:
         component coordinates xi, from the value weight alone, one output
         time at a time: one time's (..., m, k) projections, held to the
         budget, are the largest array."""
-        check_budget(np.shape(xi)[:-1] + self.beta.shape[1:])
         out = []
         for g, beta, rho in zip(self.g, self.beta, self.rho):
             gx, gg = _projections(self.spec, g, xi), np.einsum("ki,ki->k", g, g)

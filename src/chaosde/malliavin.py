@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, InvalidDimensionError, SpaceMismatchError
+from .errors import InvalidDimensionError, SpaceMismatchError
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
 from .chaos import SymTensor, taylor_shift
 from .hermite import DrivingPath, GridDriver, KernelField, PrefixFactors
@@ -27,72 +27,63 @@ from .young import rs_integral_hvalued
 
 
 @dataclass(frozen=True)
-class MalliavinField:
-    """DX at one output time: row k holds DX^k in full-basis coordinates."""
-
-    t: float
-    dx: np.ndarray
-
-
-@dataclass(frozen=True)
 class MalliavinMatrix:
-    """Gram matrix of the solution derivatives with its spectrum summary."""
+    """Gram matrices of the solution derivatives of B draws, gamma (B, d, d),
+    with det and min_eig (B,), NaN where |DX|^2 is not finite, and ok (B,),
+    the draws whose |DX|^2 and det are finite."""
 
-    t: float
     gamma: np.ndarray
-    det: float
-    min_eig: float
+    det: np.ndarray
+    min_eig: np.ndarray
+    ok: np.ndarray
 
 
-# a DX that overflows is reported as BlowupError by its finiteness check
+# a DX that overflows, or of a failed path, is left out of malliavin_matrix's ok
 @np.errstate(over="ignore", invalid="ignore")
-def solution_derivative(coeffs: SdeCoefficients, bundle: SolutionBundle,
-                        df: PrefixFactors, space: HilbertDisc) -> MalliavinField:
-    """Assemble DX at the output time t_N from DF on the step grid and the
-    Theta at that time held by the one-path bundle (`path(k)` after
-    `solve_theta_all`).
-
-    df is DF of one draw in prefix-factor form (GridDriver.deriv_vectors
-    of its (m, n) coordinates): rho of shape (steps+1,), node weights a of
-    shape (steps, m) and factors g of shape (steps, n), DF_i^l = rho_i
-    sum_{j<i} a[j, l] g_j in the coordinates of component l.  One Young
-    sum per noise component: component l is one Hilbert-valued Young
-    integral of the d integrands Theta^{k,l}, k = 1..d, the left-point sum
-    on the step grid, and one stacked call takes all m of them.  Raises
-    InvalidDimensionError when the bundle holds no (steps+1, d, m) Theta
-    (a path taken before solve_theta_all), and BlowupError (step = steps)
-    when DX or its Gram matrix is not finite.
+def solution_derivative(coeffs: SdeCoefficients, batch: SolutionBundle,
+                        df: PrefixFactors, space: HilbertDisc) -> np.ndarray:
+    """DX at the output time t_N of a block of B paths, shape (B, d,
+    basis_dim), from the batch's (B, steps+1, d, m) Theta (solve_theta_all)
+    and df, its DF in prefix-factor form (GridDriver.deriv_vectors of the
+    block's coordinates): rho of shape (steps+1,), node weights a of shape
+    (B, steps, m) and factors g of shape (steps, n), DF_i^l = rho_i
+    sum_{j<i} a[b, j, l] g_j in the coordinates of component l.  One Young
+    sum per noise component, over the d integrands Theta^{k,l}, and one
+    stacked call for all m of them and every path.  InvalidDimensionError
+    when the batch holds no such Theta; a path that failed in Euler or in
+    Theta gets a non-finite DX, and nothing is raised.
     """
-    N = bundle.steps
+    N = batch.steps
     rho, a, g = df
-    if rho.shape != (N + 1,) or a.shape != (N, coeffs.m) or g.ndim != 2 or g.shape[0] != N:
-        raise InvalidDimensionError("df must have shapes (steps+1,), (steps, m) and (steps, n)")
-    if space.n != g.shape[1] or space.m != coeffs.m:
+    if (rho.shape != (N + 1,) or a.ndim != 3 or a.shape[1:] != (N, coeffs.m) or g.ndim != 2
+            or len(g) != N):
+        raise InvalidDimensionError("df must have shapes (steps+1,), (B, steps, m) and (steps, n)")
+    if g.shape[1:] != (space.n,) or space.m != coeffs.m:
         raise SpaceMismatchError("space does not match the DF field layout")
-    if bundle.theta is None or bundle.theta.shape != (N + 1, coeffs.d, coeffs.m):
-        raise InvalidDimensionError(f"the bundle needs the ({N + 1}, {coeffs.d}, {coeffs.m}) "
-                                    "Theta of one path: take path(k) after solve_theta_all")
-    res = rs_integral_hvalued(bundle.theta.swapaxes(1, 2), df)
-    dx = np.zeros((coeffs.d, space.basis_dim))
-    space.components(dx)[...] += res.value.swapaxes(0, 1)
-    # trace Gamma = |DX|^2 bounds every |Gamma_kk'|, so one finite trace
-    # means a finite DX and a finite Malliavin matrix
-    if not np.isfinite(np.vdot(dx, dx)):
-        raise BlowupError(f"non-finite Malliavin derivative at step {N}", step=N)
-    return MalliavinField(t=float(bundle.times[N]), dx=dx)
+    shape = (len(a), N + 1, coeffs.d, coeffs.m)
+    if batch.theta is None or batch.theta.shape != shape:
+        raise InvalidDimensionError(f"the batch needs the {shape} Theta of its paths: "
+                                    "run solve_theta_all on it")
+    res = rs_integral_hvalued(batch.theta.swapaxes(-1, -2), df)
+    dx = np.zeros((len(a), coeffs.d, space.basis_dim))
+    space.components(dx)[...] += res.value.swapaxes(-3, -2)
+    return dx
 
 
-@np.errstate(over="ignore")
-def malliavin_matrix(mfield: MalliavinField) -> MalliavinMatrix:
-    """Gram matrix gamma_{kk'} = <DX^k, DX^k'> with det and smallest eigenvalue;
-    BlowupError when the det, a product of finite eigenvalues, overflows."""
-    gamma = mfield.dx @ mfield.dx.T
-    gamma = 0.5 * (gamma + gamma.T)
-    eigs = np.linalg.eigvalsh(gamma)
-    det = float(np.prod(eigs))
-    if not np.isfinite(det):
-        raise BlowupError(f"non-finite Malliavin determinant at t={mfield.t}")
-    return MalliavinMatrix(t=mfield.t, gamma=gamma, det=det, min_eig=float(eigs[0]))
+# a DX that overflows, or the det of its Gram matrix, leaves the draw out of ok
+@np.errstate(over="ignore", invalid="ignore")
+def malliavin_matrix(dx: np.ndarray) -> MalliavinMatrix:
+    """gamma_{kk'} = <DX^k, DX^k'> of each draw of a (B, d, basis_dim) DX,
+    with det and smallest eigenvalue, taken where |DX|^2 (np.vdot's BLAS
+    dot per draw), which bounds every |gamma_kk'|, is finite."""
+    flat = dx.reshape(len(dx), 1, -1)
+    finite = np.isfinite((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
+    gamma = dx @ dx.swapaxes(-1, -2)
+    gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2))
+    eigs = np.full(dx.shape[:2], np.nan)
+    eigs[finite] = np.linalg.eigvalsh(gamma[finite])
+    det = np.prod(eigs, axis=-1)
+    return MalliavinMatrix(gamma=gamma, det=det, min_eig=eigs[:, 0], ok=finite & np.isfinite(det))
 
 
 def shifted_driver(field: KernelField, w: GaussianDraw, h: HilbertVec, eps: float) -> DrivingPath:

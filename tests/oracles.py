@@ -8,8 +8,9 @@ left-point Young sum that DX was assembled from before it was summed by
 parts, the forward tangent recursion, the pointwise kernel, the
 non-central limit paths, the elementary power value and the reader of the
 kernels.txt dump; the Euler and Theta solves of one path, each as a block
-of one (`euler_path`, `theta_path`); and `jumpy_preset`, coefficients
-whose Theta overflows on some draws."""
+of one (`euler_path`, `theta_block`, `theta_path`); the Malliavin matrix
+of one draw (`gram_oracle`); and `jumpy_preset`, coefficients whose Theta
+overflows on some draws."""
 
 import csv
 import itertools
@@ -140,16 +141,20 @@ def euler_path(coeffs, x0, driver):
     return solve_euler(coeffs, x0, (times, np.asarray(values)[None])).path(0)
 
 
-def theta_path(coeffs, bundle, j=None):
-    """The first j steps (all by default) of a one-path bundle with their
-    final-time Theta, Theta_{t_j}, column j of the full path's triangle:
-    path(0) of solve_theta_all on them as a batch of one (BlowupError if
-    that Theta is not finite)."""
+def theta_block(coeffs, bundle, j=None):
+    """The first j steps (all by default) of a one-path bundle as a batch of
+    one, with their final-time Theta, Theta_{t_j}, column j of the full
+    path's triangle (solve_theta_all on them)."""
     j = bundle.steps if j is None else j
     batch = SolutionBundle(times=bundle.times[:j + 1], X=bundle.X[None, :j + 1],
                            driver_values=bundle.driver_values[None, :j + 1],
                            sigma=bundle.sigma[None, :j], failed=np.zeros(1, dtype=int))
-    return solve_theta_all(coeffs, batch).path(0)
+    return solve_theta_all(coeffs, batch)
+
+
+def theta_path(coeffs, bundle, j=None):
+    """path(0) of `theta_block`: BlowupError if that Theta is not finite."""
+    return theta_block(coeffs, bundle, j).path(0)
 
 
 def dx_from_triangle(coeffs, triangle, dfields, space, t_index):
@@ -218,6 +223,21 @@ def dense_solution_derivative(coeffs, bundle, dfields, space):
     if not np.isfinite(np.vdot(dx, dx)):
         raise BlowupError("non-finite Malliavin derivative", step=bundle.steps)
     return dx
+
+
+@np.errstate(over="ignore")  # an overflowing det is reported as None
+def gram_oracle(dx):
+    """(gamma, det, min_eig) of one draw's (d, basis_dim) DX, as the
+    Malliavin matrix was taken one draw at a time: None when |DX|^2
+    (np.vdot) is not finite, or the det, the product of the eigenvalues of
+    the symmetrized Gram matrix, overflows."""
+    if not np.isfinite(np.vdot(dx, dx)):
+        return None
+    gamma = dx @ dx.T
+    gamma = 0.5 * (gamma + gamma.T)
+    eigs = np.linalg.eigvalsh(gamma)
+    det = float(np.prod(eigs))
+    return (gamma, det, float(eigs[0])) if np.isfinite(det) else None
 
 
 def jumpy_preset(name):

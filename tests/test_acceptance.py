@@ -272,11 +272,11 @@ def test_criterion_07_malliavin_representation():
         w = sample_omega(space, q)
         xi = space.components(w.xi[None])  # a block of one draw
         batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi))))
-        mf = solution_derivative(coeffs, batch.path(0), gd.deriv_vectors(xi[0]), space)
+        dx = solution_derivative(coeffs, batch, gd.deriv_vectors(xi), space)[0]
         rng = np.random.default_rng(70 + q)
         for _ in range(10):
             h = HilbertVec(space, rng.standard_normal(space.basis_dim))
-            target = mf.dx @ h.coords
+            target = dx @ h.coords
             errs = []
             for eps in EPS_LADDER:
                 quot = directional_quotient(coeffs, x0, gd, w, h, eps)
@@ -285,7 +285,7 @@ def test_criterion_07_malliavin_representation():
             worst_order = min(worst_order, order)
             # relative to the size of the summands of DX h, which may cancel
             exact = complex_step_dx(coeffs, x0, gd, w, h.coords)
-            scale = np.max(np.abs(mf.dx) @ np.abs(h.coords))
+            scale = np.max(np.abs(dx) @ np.abs(h.coords))
             worst_cs = max(worst_cs, float(np.max(np.abs(target - exact)) / scale))
     report(7, "Malliavin representation", worst_order >= 0.9,
            f"min observed order {worst_order:.3f} >= 0.9")

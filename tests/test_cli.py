@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaosde import chaos, cli, errors
+from chaosde import chaos, cli, errors, hermite
 from chaosde.cli import (CHECK_BLOCK, COMMANDS, CONFIG_KEYS, _build_field, _check_records,
                          _check_values, _scenario, load_config, main)
 from chaosde.density import kde, run_ensemble
@@ -474,6 +474,43 @@ def test_simulate_over_projection_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert (out / "driver.csv").exists() and (out / "kernels.txt").exists()
 
 
+def test_selfsim_over_projection_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # selfsim projects each block of draws on every node of a side, a
+    # (B, 1, s_nodes) array: under a budget of 100000 entries, 64 draws at
+    # s_nodes = 10000 form 640000 entries while the (s_nodes, n+1) factors
+    # fit (50000), and the command exits 2 naming s_nodes with no output
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
+    payload = {"process": {"q": 2, "n": 4, "L": 1.0, "s_nodes": 10_000},
+               "run": {"M": 64, "t": 1.0, "epsilon_window": 0.5}}
+    code, out = run_cli(tmp_path, "selfsim", payload)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: process.s_nodes=10000 invalid: dense array of shape (64, 1, 10000) "
+        "holds 640000 entries, over the budget of 100000\n")
+    assert not out.exists()
+    payload["process"]["s_nodes"] = 1500  # 96000 entries
+    assert run_cli(tmp_path, "selfsim", payload)[0] in (0, 1)
+    assert (out / "selfsim_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["density", "malliavin"])
+def test_serial_commands_build_the_driver_once(tmp_path, monkeypatch, command):
+    # the command's checks build the scenario's GridDriver, and a serial
+    # run reuses that build
+    inits = []
+    init = hermite.GridDriver.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hermite.GridDriver, "__init__", counted)
+    payload = {"process": FAST_PROCESS, "sde": {"preset": "elliptic-2d", "steps": 16},
+               "run": {"M": 100}}
+    assert run_cli(tmp_path, command, payload, ["--workers", "1"])[0] == 0
+    assert len(inits) == 1
+
+
 def test_df_array_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     # density and malliavin check DX, d m n entries, the largest array of a
     # sample; the (steps+1) m n entries of a DF array that no command forms
@@ -719,6 +756,25 @@ def test_overflowing_malliavin_determinant_is_a_blowup(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     report = _strict_json(body(out / "positivity.json"))
     assert report["excluded"] == 100 and report["degenerate"]
+
+
+def test_overflowing_malliavin_derivative_exits_3(tmp_path, capsys):
+    # linear-scalar from 2e154: seed 1 keeps finite Euler states and a
+    # finite Theta, but its |DX|^2 overflows: malliavin exits 3 naming the
+    # output step, with no warning, and density excludes the seed
+    payload = {"process": {"n": 32, "L": 4.0},
+               "sde": {"preset": "linear-scalar", "x0": [2e154], "steps": 16},
+               "run": {"M": 2, "seed": 1}}
+    code, out = run_cli(tmp_path, "malliavin", payload)
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: non-finite Malliavin derivative at "
+                                       "step 16\n")
+    assert not out.exists()
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = body(out / "ensemble.csv").splitlines()[1:]
+    assert [row for row in rows if row.startswith("1,")] == ["1,1,,,,1"]
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])

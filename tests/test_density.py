@@ -1,6 +1,7 @@
 """Density lab: reproducible ensembles, KDE, positivity reporting and the
 two-sample KS test."""
 
+import collections
 import io
 import math
 
@@ -10,7 +11,8 @@ import pytest
 from chaosde.errors import BlowupError, ConfigError, DegenerateLawError, MemoryBudgetError
 from chaosde.wiener import sample_omega
 from chaosde import density, wiener
-from chaosde.sde import SdeCoefficients, solve_euler
+from chaosde.hermite import GridDriver
+from chaosde.sde import SdeCoefficients, solve_euler, solve_theta_all
 from chaosde.malliavin import malliavin_matrix, solution_derivative
 from chaosde.density import (
     SampleEnsemble,
@@ -21,7 +23,8 @@ from chaosde.density import (
     positivity_report,
     run_ensemble,
 )
-from oracles import ensemble_csv_writer, euler_path, first_steps, jumpy_preset, theta_path
+from oracles import (ensemble_csv_writer, euler_path, first_steps, gram_oracle, jumpy_preset,
+                     theta_block, theta_path)
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -98,17 +101,19 @@ def test_additive_law_variance():
 def test_overflowing_malliavin_derivative_is_a_blowup():
     # x0 at the top of the double range: seed 9 keeps a finite Euler state
     # and a finite Theta, but its DX at step 12 (the path truncated there)
-    # overflows, silently; no sample keeps an inf det
+    # overflows, silently, and leaves it out of ok; no sample keeps an inf
+    # det
     sc = Scenario(preset="linear-scalar", x0=(1.797e308,), q=1, H=0.7,
                   steps=16, n=32, L=4.0)
     coeffs, x0, spec, driver = sc.build()
     xi = spec.space.components(sample_omega(spec.space, 9).xi)
     bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
     assert np.isfinite(theta_path(coeffs, bundle).theta).all()
-    with pytest.raises(BlowupError) as exc:
-        solution_derivative(coeffs, theta_path(coeffs, bundle, 12),
-                            first_steps(driver.deriv_vectors(xi), 12), spec.space)
-    assert exc.value.step == 12
+    dx = solution_derivative(coeffs, theta_block(coeffs, bundle, 12),
+                             first_steps(driver.deriv_vectors(xi[None]), 12), spec.space)
+    assert not np.isfinite(np.vdot(dx, dx))
+    mm = malliavin_matrix(dx)
+    assert not mm.ok[0] and np.isnan(mm.det[0])
     ens = run_ensemble(sc, M=10, base_seed=0)
     assert ens.excluded_seeds == list(range(10))
     assert ens.x_samples.shape == (0, 1)
@@ -160,10 +165,12 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
 
 
 def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
-    # every sample of a chunk takes its Theta from the batched solve of its
-    # block; each sample equals the one computed alone with fresh arrays,
-    # also right after a sample whose Theta overflowed, and no overflow is
-    # reported as a warning
+    # every sample of a chunk takes its Theta, DX and Gamma from the
+    # batched calls of its block; each sample equals the one computed alone
+    # with fresh arrays, as a block of one with the per-draw Malliavin
+    # matrix, also right after a sample whose Theta overflowed; the chunk
+    # excludes exactly the seeds whose path(0), DX or det the per-draw
+    # oracle rejects, and no overflow is reported as a warning
     monkeypatch.setattr(density, "preset", jumpy_preset)
     sc = Scenario(preset="jumpy", **SMALL)
     seeds = list(range(wiener.DRAW_BLOCK + 6))
@@ -171,20 +178,85 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
     coeffs, x0, spec, driver = sc.build()
     blown = []
     for seed, x, det, min_eig in got:
-        xi = spec.space.components(sample_omega(spec.space, seed).xi)
-        bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
+        xi = spec.space.components(sample_omega(spec.space, seed).xi[None])
+        bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi[0])))
         try:
-            mm = malliavin_matrix(solution_derivative(coeffs, theta_path(coeffs, bundle),
-                                                      driver.deriv_vectors(xi), spec.space))
+            batch = theta_block(coeffs, bundle)
+            batch.path(0)
+            dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+            want = gram_oracle(dx[0])
         except BlowupError:
+            want = None
+        if want is None:
             assert x is None and det is None and min_eig is None
             blown.append(seed)
             continue
         assert np.array_equal(x, bundle.X[-1])
-        assert det == mm.det and min_eig == mm.min_eig
+        assert det == want[1] and min_eig == want[2]
     assert [s for s, *_ in got] == seeds
     assert 0 < len(blown) < len(seeds) // 2
     assert any(s + 1 in seeds and s + 1 not in blown for s in blown)  # kept right after a blowup
+
+
+def test_chunk_calls_each_stage_once_per_block(monkeypatch):
+    # DF, DX and the Malliavin matrix take the block, as Euler and Theta do
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("solve_euler", "solve_theta_all", "solution_derivative", "malliavin_matrix"):
+        monkeypatch.setattr(density, name, counted(name, getattr(density, name)))
+    monkeypatch.setattr(GridDriver, "deriv_vectors",
+                        counted("deriv_vectors", GridDriver.deriv_vectors))
+    rows = density._parallel_chunk((Scenario(preset="elliptic-2d", **SMALL),
+                                    list(range(2 * wiener.DRAW_BLOCK + 3))))
+    assert len(rows) == 2 * wiener.DRAW_BLOCK + 3
+    assert calls == dict.fromkeys(["solve_euler", "solve_theta_all", "deriv_vectors",
+                                   "solution_derivative", "malliavin_matrix"], 3)
+
+
+def test_theta_non_finite_at_the_output_time_alone_is_excluded(monkeypatch):
+    # sigma is infinite above a level that one path crosses only at its
+    # last state X_N: its Euler steps and its DX, which does not read
+    # sigma(X_N), stay finite, but its Theta does not (path(k) names step
+    # N), so the seed is excluded, as are the paths that cross earlier and
+    # fail in Euler, and no other
+    lookup = density.preset
+
+    def patched(name, level=None):
+        if name != "edge":
+            return lookup(name)
+        return SdeCoefficients(
+            d=1, m=1, b=lambda x: np.zeros(np.shape(x)),
+            sigma=lambda x: np.where(x > level, np.inf, 1.0)[..., None],
+            db=lambda x: np.zeros(np.shape(x) + (1,)),
+            dsigma=lambda x: np.zeros(np.shape(x) + (1, 1)), name="edge"), np.zeros(1)
+
+    M = 40
+    sc = Scenario(preset="edge", **SMALL)
+    monkeypatch.setattr(density, "preset", lambda name: patched(name, np.inf))
+    coeffs, x0, spec, driver = sc.build()
+    xi = spec.space.components(np.array([sample_omega(spec.space, s).xi for s in range(M)]))
+    X = driver.values(xi)[..., 0]  # the unit-noise paths, x0 = 0
+    earlier, last = np.max(X[:, :-1], axis=1), X[:, -1]
+    edge = int(np.argmax(last - earlier))
+    level = 0.5 * (earlier[edge] + last[edge])
+    assert earlier[edge] < level < last[edge]
+    monkeypatch.setattr(density, "preset", lambda name: patched(name, level))
+    coeffs = sc.build()[0]
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
+    assert batch.failed[edge] == 0 and batch.theta_failed[edge] == sc.steps
+    with pytest.raises(BlowupError, match=f"variational state at step {sc.steps}"):
+        batch.path(edge)
+    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+    assert malliavin_matrix(dx).ok[edge]
+    ens = run_ensemble(sc, M=M, base_seed=0)
+    assert ens.excluded_seeds == [s for s in range(M) if np.max(X[s]) > level]
+    assert edge in ens.excluded_seeds and len(ens.excluded_seeds) < M
 
 
 def test_ensemble_rows_do_not_depend_on_the_block_size(monkeypatch):

@@ -14,7 +14,7 @@ from chaosde.errors import (
 )
 from chaosde.hermite import GridDriver, HermiteSpec
 from chaosde.malliavin import solution_derivative
-from chaosde.sde import preset, solve_euler
+from chaosde.sde import preset, solve_euler, solve_theta_all
 from chaosde.wiener import HilbertVec, make_hilbert, sample_omega
 from oracles import first_steps
 
@@ -25,14 +25,14 @@ DRAW = sample_omega(SPACE, 0)
 
 
 def assemble_dx(steps: int, space):
-    """solution_derivative of one `additive` path of 4 steps on SPACE, from
-    the DF factors of its first steps, over space."""
+    """solution_derivative of a block of one `additive` path of 4 steps on
+    SPACE, from the DF factors of its first steps, over space."""
     coeffs, x0 = preset("additive")
     driver = GridDriver(HermiteSpec(q=1, H=0.7, m=1, space=SPACE, out_times=(1.0,)),
                         np.linspace(0.0, 1.0, 5))
-    xi = SPACE.components(DRAW.xi)
-    path = solve_euler(coeffs, x0, (driver.times, driver.values(xi[None]))).path(0)
-    return solution_derivative(coeffs, path, first_steps(driver.deriv_vectors(xi), steps), space)
+    xi = SPACE.components(DRAW.xi[None])
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
+    return solution_derivative(coeffs, batch, first_steps(driver.deriv_vectors(xi), steps), space)
 
 
 CASES = {
@@ -41,7 +41,7 @@ CASES = {
     "spec-components": (lambda: HermiteSpec(q=1, H=0.7, m=2, space=SPACE),
                         SpaceMismatchError, "component count"),
     "dx-df-shape": (lambda: assemble_dx(3, SPACE), InvalidDimensionError,
-                    r"df must have shapes \(steps\+1,\), \(steps, m\) and \(steps, n\)"),
+                    r"df must have shapes \(steps\+1,\), \(B, steps, m\) and \(steps, n\)"),
     "dx-other-space": (lambda: assemble_dx(4, OTHER), SpaceMismatchError,
                        "space does not match"),
     "ks-empty": (lambda: ks_two_sample([], [1.0]), ConfigError, "nonempty"),

@@ -1,7 +1,8 @@
 """The Young left-point sum against integrators in prefix-factor form:
 closed-form integrals, the chain rule, linearity and the stacked
 Hilbert-valued sums, a scalar integrand or integrator being one column of
-a stack of one, and the sum by parts against the dense left-point sum."""
+a stack of one, the sum by parts against the dense left-point sum, and
+leading axes against their slices."""
 
 import numpy as np
 import pytest
@@ -128,3 +129,22 @@ def test_hvalued_integrand_columns_match_one_column_sums():
             for c in range(2):
                 want = left_point_sum(g[:, j:j + 1, c:c + 1], dense[:, j:j + 1])[0, 0]
                 assert np.max(np.abs(res.value[j, c] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_leading_axes_are_integrated_slice_by_slice():
+    # a (4, 3) stack of integrals, as a block of draws passes them, equals
+    # its per-slice calls bit for bit, on inputs strided as the block's
+    # Theta and DF weights are; the weights must carry g's leading axes
+    T, s, r, dim = 33, 2, 3, 7
+    rng = np.random.default_rng(4)
+    g = np.cumsum(rng.standard_normal((4, 3, T, r, s)), axis=2).swapaxes(-1, -2)
+    Phi = PrefixFactors(1.0 + rng.random(T), rng.standard_normal((4, 3, s, T - 1)).swapaxes(-1, -2),
+                        rng.standard_normal((T - 1, dim)))
+    res = rs_integral_hvalued(g, Phi)
+    assert res.value.shape == (4, 3, s, r, dim) and res.refinement_levels == 1
+    for idx in np.ndindex(4, 3):
+        one = rs_integral_hvalued(g[idx], Phi._replace(weights=Phi.weights[idx]))
+        assert np.array_equal(res.value[idx], one.value)
+    for weights in (Phi.weights[0], Phi.weights[:, :1]):
+        with pytest.raises(InvalidDimensionError):
+            rs_integral_hvalued(g, Phi._replace(weights=weights))

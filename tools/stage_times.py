@@ -18,12 +18,12 @@ so every source tree runs its own, unchanged command: draw (each step of
 `density.draw_blocks`, a block's draws and their coordinates), driver
 values and DF (the `GridDriver.values` and `deriv_vectors` methods,
 wrapped on the class), Euler, Theta, DX and Gram (`density.solve_euler`,
-`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Each
-stage is its total over the command, in milliseconds per sample, and
-`sample_ms` their sum; `command_s` is the whole command and
-`command_sample_ms` its time per sample.  The rest of the command (the
-build, the KDE, the output files and the per-sample bookkeeping) is in
-no stage.
+`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Every
+stage is one call per block of draws, DX and Gram too.  Each stage is its
+total over the command, in milliseconds per sample, and `sample_ms` their
+sum; `command_s` is the whole command and `command_sample_ms` its time
+per sample.  The rest of the command (the build, the KDE, the output
+files and the bookkeeping of the rows) is in no stage.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
 n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
