@@ -423,7 +423,7 @@ def cmd_density(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, as in cmd_malliavin
     with _budget_key(cfg, "run.M"):
-        check_budget((r["M"], KDE_GRID_POINTS))  # the KDE matrix
+        check_budget((r["M"], KDE_GRID_POINTS))  # the KDE grid against every sample
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
     with _output(cfg, "ensemble.csv") as fh:
         dump_csv(ensemble, fh)

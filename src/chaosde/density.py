@@ -65,10 +65,19 @@ class SampleEnsemble:
         return len(self.excluded_seeds)
 
 
+#: draws per sub-block of an Euler block in `_parallel_chunk`: Theta, DF,
+#: DX and the Malliavin matrix run on sub-blocks of at most this many
+#: draws, whose (B, steps, d, m, d) and (B, d, m n) temporaries set the
+#: peak memory of a chunk, while Euler, whose step loop costs the same at
+#: any block size, runs once per block of `wiener.DRAW_BLOCK` draws
+SUB_BLOCK = 64
+
+
 def euler_batches(coeffs, x0, spec, driver, seeds):
     """(draws, xi, batch) for each block (draws, xi) of `wiener.draw_blocks`:
     the batched Euler solve along the driver values at the block's
-    coordinates xi, about DRAW_BLOCK * steps * (d * m + d + m) doubles;
+    coordinates xi, about DRAW_BLOCK * steps * (d * m + d + 2 m) doubles
+    (the states, sigma, the driver values and their increments);
     batch.path(k) is the path of draws[k]."""
     for draws, xi in draw_blocks(spec.space, seeds):
         yield draws, xi, solve_euler(coeffs, x0, (driver.times, driver.values(xi)))
@@ -102,20 +111,23 @@ def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 
 
 def _parallel_chunk(args):
     """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
-    for a blowup: Euler, Theta, DF, DX and the Malliavin matrix at t, one
-    call of each per block of seeds.  A draw is kept where `ok` holds and
-    its Theta is finite, sigma(X_N) too, the row DX does not read."""
+    for a blowup: one Euler call per block of seeds, then one call each of
+    Theta, DF, DX and the Malliavin matrix at t per sub-block of at most
+    SUB_BLOCK of its draws.  A draw is kept where `ok` holds and its Theta
+    is finite, sigma(X_N) too, the row DX does not read."""
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
     out = []
     for draws, xi, batch in euler_batches(coeffs, x0, spec, driver, seeds):
-        solve_theta_all(coeffs, batch)
-        mm = malliavin_matrix(solution_derivative(coeffs, batch, driver.deriv_vectors(xi),
-                                                  spec.space))
-        ok = mm.ok & (batch.theta_failed == 0)
         x_t = batch.X[:, -1].copy()  # the rows keep no view of the block's paths
-        out += [(w.seed, x_t[k], mm.det[k], mm.min_eig[k]) if ok[k] else (w.seed, None, None, None)
-                for k, w in enumerate(draws)]
+        for lo in range(0, len(draws), SUB_BLOCK):
+            part = slice(lo, lo + SUB_BLOCK)
+            sub = solve_theta_all(coeffs, batch.rows(part))
+            mm = malliavin_matrix(solution_derivative(coeffs, sub, driver.deriv_vectors(xi[part]),
+                                                      spec.space))
+            ok = mm.ok & (sub.theta_failed == 0)
+            out += [(w.seed, x_t[lo + k], mm.det[k], mm.min_eig[k]) if ok[k]
+                    else (w.seed, None, None, None) for k, w in enumerate(draws[part])]
     return out
 
 
@@ -141,8 +153,9 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
-#: number of KDE grid points; kde holds a (KDE_GRID_POINTS, samples) matrix
-KDE_GRID_POINTS = 512
+#: number of KDE grid points, and grid rows per chunk of kde: it holds
+#: (KDE_ROWS, samples) matrices
+KDE_GRID_POINTS, KDE_ROWS = 512, 64
 
 
 # np.percentile and np.median import numpy's masked arrays, about 15 ms on
@@ -196,8 +209,12 @@ def kde(samples) -> DensityEstimate:
     lo = x.min() - 5.0 * bandwidth
     hi = x.max() + 5.0 * bandwidth
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
-    z = (grid[:, None] - x[None, :]) / bandwidth
-    values = np.exp(-0.5 * z * z).sum(axis=1) / (x.shape[0] * bandwidth * math.sqrt(2 * math.pi))
+    sums = np.empty(KDE_GRID_POINTS)
+    # each grid row is summed over every sample, in any chunk of rows
+    for r in range(0, KDE_GRID_POINTS, KDE_ROWS):
+        z = (grid[r:r + KDE_ROWS, None] - x[None, :]) / bandwidth
+        sums[r:r + KDE_ROWS] = np.exp(-0.5 * z * z).sum(axis=1)
+    values = sums / (x.shape[0] * bandwidth * math.sqrt(2 * math.pi))
     est = DensityEstimate(grid=grid, values=values, bandwidth=float(bandwidth))
     if abs(est.mass() - 1.0) > 0.02:
         raise DegenerateLawError(f"KDE mass {est.mass():.4f} outside the 2% band")

@@ -75,11 +75,12 @@ def solution_derivative(coeffs: SdeCoefficients, batch: SolutionBundle,
 def malliavin_matrix(dx: np.ndarray) -> MalliavinMatrix:
     """gamma_{kk'} = <DX^k, DX^k'> of each draw of a (B, d, basis_dim) DX,
     with det and smallest eigenvalue, taken where |DX|^2 (np.vdot's BLAS
-    dot per draw), which bounds every |gamma_kk'|, is finite."""
+    dot per draw), which bounds every |gamma_kk'|, is finite.  numpy takes
+    dx @ dx^T by BLAS syrk, which fills both triangles from one, so gamma
+    is symmetric bit for bit as it comes."""
     flat = dx.reshape(len(dx), 1, -1)
     finite = np.isfinite((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
     gamma = dx @ dx.swapaxes(-1, -2)
-    gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2))
     eigs = np.full(dx.shape[:2], np.nan)
     eigs[finite] = np.linalg.eigvalsh(gamma[finite])
     det = np.prod(eigs, axis=-1)

@@ -7,7 +7,8 @@ left-point increments.  Coefficients take states with any leading axes:
 b, sigma, db and dsigma map x of shape (..., d) to (..., d), (..., d, m),
 (..., d, d) and (..., d, m, d), one value per state, so Euler makes one b
 and one sigma call per step for a whole batch of paths, and the Jacobian
-stack one db and one dsigma call for all steps of every path of a batch.
+stack one db and one dsigma call for all steps of every path of a batch,
+summing dsigma.dF over the noise index l in order, with no einsum.
 Both solves take and return a batch of paths (`SolutionBundle`), and
 `path(k)` is one of them.
 
@@ -130,6 +131,17 @@ class SolutionBundle:
     def steps(self) -> int:
         return self.times.shape[0] - 1
 
+    def rows(self, index) -> "SolutionBundle":
+        """The paths at index (a slice, or an array of indices) as a batch of
+        their own, with their theta when the batch holds one; a slice takes
+        views of this batch's arrays."""
+        def part(a):
+            return None if a is None else a[index]
+        return SolutionBundle(times=self.times, X=self.X[index],
+                              driver_values=self.driver_values[index], theta=part(self.theta),
+                              sigma=part(self.sigma), failed=part(self.failed),
+                              theta_failed=part(self.theta_failed))
+
     def path(self, k: int) -> "SolutionBundle":
         """Path k, with its theta when the batch holds one; BlowupError at
         its step if it went non-finite in Euler, else if its Theta did."""
@@ -171,13 +183,12 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
     X[:, 0] = x0
     sig = np.empty((B, N, coeffs.d, coeffs.m))
     failed = np.zeros(B, dtype=int)
+    dts, dF = np.diff(times), np.diff(F, axis=1)[..., None]
     live = slice(None)  # the paths still finite: all of them, or their indices
     for i in range(N):
         x = X[live, i]
-        dt = times[i + 1] - times[i]
-        dF = F[live, i + 1] - F[live, i]
         s = coeffs.eval_sigma(x)
-        nxt = x + coeffs.eval_b(x) * dt + (s @ dF[..., None])[..., 0]
+        nxt = x + coeffs.eval_b(x) * dts[i] + (s @ dF[live, i])[..., 0]
         sig[live, i] = s
         X[live, i + 1] = nxt
         if not np.isfinite(nxt).all():
@@ -197,13 +208,18 @@ def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarr
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
     j < steps, stacked to shape (steps, d, d) for one path and (B, steps,
     d, d) for a batch: one db and one dsigma call over the states X_0 ..
-    X_{steps-1} of every path.  The dsigma term is formed first, so that
-    its (..., d, m, d) values are freed before db's are made."""
+    X_{steps-1} of every path.  The dsigma term, sum_l dsigma[..., l, :]
+    dF_l, is summed over l in index order and formed first, so that its
+    (..., d, m, d) values are freed before db's are made."""
     N = bundle.steps
     dt = np.diff(bundle.times)
-    dF = np.diff(bundle.driver_values, axis=-2)
+    dF = np.diff(bundle.driver_values, axis=-2)[..., None, None, :]
     X = bundle.X[..., :N, :]
-    noise = np.einsum("...jklp,...jl->...jkp", coeffs.eval_dsigma(X), dF)
+    dsigma = coeffs.eval_dsigma(X)
+    noise = dsigma[..., 0, :] * dF[..., 0]
+    for l in range(1, coeffs.m):
+        noise += dsigma[..., l, :] * dF[..., l]
+    del dsigma
     jac = coeffs.eval_db(X) * dt[:, None, None]
     jac += np.eye(coeffs.d)
     jac += noise
@@ -270,9 +286,7 @@ def solve_theta_all(coeffs: SdeCoefficients, batch: SolutionBundle) -> SolutionB
     """
     B, N, d, m = batch.sigma.shape
     rows = np.flatnonzero(batch.failed == 0)
-    live = batch if rows.size == B else SolutionBundle(
-        times=batch.times, X=batch.X[rows], driver_values=batch.driver_values[rows],
-        sigma=batch.sigma[rows])
+    live = batch if rows.size == B else batch.rows(rows)
     sigma_N = coeffs.eval_sigma(live.X[:, N])
     jac = _step_jacobians(coeffs, live)
     cols, steps = _last_columns(jac, live.sigma, sigma_N)
@@ -314,7 +328,10 @@ def _elliptic_dsigma(x):
 
 
 def _elliptic_b(x):
-    return 0.1 * np.stack([np.tanh(x[..., 1]), np.tanh(x[..., 0])], axis=-1)
+    out = np.empty(np.shape(x), dtype=np.result_type(x, float))
+    out[..., 0] = 0.1 * np.tanh(x[..., 1])
+    out[..., 1] = 0.1 * np.tanh(x[..., 0])
+    return out
 
 
 def _elliptic_db(x):

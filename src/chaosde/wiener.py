@@ -11,6 +11,7 @@ coordinate translation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -105,19 +106,35 @@ def _check_same_space(a, b):
         raise SpaceMismatchError("operands live over different discretizations")
 
 
+@functools.cache
+def _generator():
+    """The one Generator of `sample_omega`, on a Philox rekeyed per call;
+    built at the first draw, since numpy.random is not imported before."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(0)))
+
+
 def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:
     """Draw i.i.d. N(0,1) coordinates from a counter-based (Philox) stream.
 
     The stream is keyed by the seed alone, so draws are reproducible and
-    order-independent across parallel workers.
+    order-independent across parallel workers.  One call per seed: each
+    call resets the key and counter of one reused Philox through its
+    `state`, which gives the coordinates of a fresh
+    `Generator(Philox(key=seed))` bit for bit without building one.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     xi = rng.standard_normal(space.basis_dim)
     return GaussianDraw(space=space, xi=xi, seed=int(seed))
 
 
 #: draws per block of `draw_blocks`, whatever the number of seeds
-DRAW_BLOCK = 64
+DRAW_BLOCK = 256
 #: coordinates per block (8 MB): over a fine grid a block holds fewer draws
 DRAW_BLOCK_COORDS = 1 << 20
 

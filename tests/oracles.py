@@ -5,12 +5,13 @@ addresses the basis by raw index, and the reference implementations the
 library is compared against: the row-by-row Theta, the whole Theta
 triangle and the DX assembly over it, the dense DF array and the dense
 left-point Young sum that DX was assembled from before it was summed by
-parts, the forward tangent recursion, the pointwise kernel, the
-non-central limit paths, the elementary power value and the reader of the
-kernels.txt dump; the Euler and Theta solves of one path, each as a block
-of one (`euler_path`, `theta_block`, `theta_path`); the Malliavin matrix
-of one draw (`gram_oracle`); and `jumpy_preset`, coefficients whose Theta
-overflows on some draws."""
+parts, the KDE as one (grid, samples) matrix, the forward tangent
+recursion, the pointwise kernel, the non-central limit paths, the
+elementary power value and the reader of the kernels.txt dump; the Euler
+and Theta solves of one path, each as a block of one (`euler_path`,
+`theta_block`, `theta_path`); the Malliavin matrix of one draw
+(`gram_oracle`); and `jumpy_preset`, coefficients whose Theta overflows
+on some draws."""
 
 import csv
 import itertools
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from chaosde.chaos import _check_order, hermite_poly
-from chaosde.density import euler_batches
+from chaosde.density import KDE_GRID_POINTS, DensityEstimate, euler_batches
 from chaosde.errors import BlowupError, InvalidDimensionError, OutOfRangeError
 from chaosde.hermite import (GridDriver, HermiteSpec, PrefixFactors, build_kernels, hurst_aux,
                              simulate_path)
@@ -230,11 +231,12 @@ def gram_oracle(dx):
     """(gamma, det, min_eig) of one draw's (d, basis_dim) DX, as the
     Malliavin matrix was taken one draw at a time: None when |DX|^2
     (np.vdot) is not finite, or the det, the product of the eigenvalues of
-    the symmetrized Gram matrix, overflows."""
+    the Gram matrix, overflows.  The Gram matrix is not symmetrized: numpy
+    takes dx @ dx.T by syrk, symmetric bit for bit, and 0.5 (gamma +
+    gamma.T) overflows once an entry passes half the largest double."""
     if not np.isfinite(np.vdot(dx, dx)):
         return None
     gamma = dx @ dx.T
-    gamma = 0.5 * (gamma + gamma.T)
     eigs = np.linalg.eigvalsh(gamma)
     det = float(np.prod(eigs))
     return (gamma, det, float(eigs[0])) if np.isfinite(det) else None
@@ -328,6 +330,21 @@ def ensemble_csv_writer(ensemble, fh):
         writer.writerow(row)
     for seed in ensemble.excluded_seeds:
         writer.writerow([seed, f"{ensemble.t:.17g}"] + [""] * d + ["", "", 1])
+
+
+def kde_one_shot(samples):
+    """The Silverman-bandwidth Gaussian KDE of `density.kde` on its
+    KDE_GRID_POINTS grid, every grid row against every sample in one
+    (grid, samples) matrix, with numpy's percentiles."""
+    x = np.asarray(samples, dtype=float).ravel()
+    std = float(np.std(x, ddof=1))
+    iqr = float(np.percentile(x, 75) - np.percentile(x, 25))
+    spread = min(std, iqr / 1.34) if iqr > 0 else std
+    bandwidth = 0.9 * spread * x.shape[0] ** (-0.2)
+    grid = np.linspace(x.min() - 5.0 * bandwidth, x.max() + 5.0 * bandwidth, KDE_GRID_POINTS)
+    z = (grid[:, None] - x[None, :]) / bandwidth
+    values = np.exp(-0.5 * z * z).sum(axis=1) / (x.shape[0] * bandwidth * math.sqrt(2 * math.pi))
+    return DensityEstimate(grid=grid, values=values, bandwidth=float(bandwidth))
 
 
 def kde_csv_loop(estimate, fh):

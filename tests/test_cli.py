@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaosde import chaos, cli, errors, hermite
+from chaosde import chaos, cli, density, errors, hermite, wiener
 from chaosde.cli import (CHECK_BLOCK, COMMANDS, CONFIG_KEYS, _build_field, _check_records,
                          _check_values, _scenario, load_config, main)
 from chaosde.density import kde, run_ensemble
@@ -653,6 +653,22 @@ def test_files_do_not_depend_on_workers_or_out(tmp_path, monkeypatch):
     assert sorted(p.name for p in outs[1].iterdir()) == names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_parallel_density_over_several_blocks_matches_serial(tmp_path, monkeypatch):
+    # a serial run takes two Euler blocks, each worker of a parallel run one
+    # block of several sub-blocks, and every process its draws from its own
+    # reused sampler: ensemble.csv keeps its bytes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    M = wiener.DRAW_BLOCK + 2 * density.SUB_BLOCK + 11
+    cfg = write_config(tmp_path, {"process": dict(FAST_PROCESS, n=32),
+                                  "sde": {"preset": "elliptic-2d", "steps": 8},
+                                  "run": {"M": M, "seed": 3}})
+    outs = [tmp_path / "serial", tmp_path / "parallel"]
+    for out, workers in zip(outs, ("1", "2")):
+        assert main(["density", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+    serial, parallel = ((out / "ensemble.csv").read_bytes() for out in outs)
+    assert serial == parallel and serial.count(b"\n") == M + 2  # M rows under two header lines
 
 
 def test_density_on_a_huge_state_warns_nothing(tmp_path):

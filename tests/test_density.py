@@ -24,7 +24,7 @@ from chaosde.density import (
     run_ensemble,
 )
 from oracles import (ensemble_csv_writer, euler_path, first_steps, gram_oracle, jumpy_preset,
-                     theta_block, theta_path)
+                     kde_one_shot, theta_block, theta_path)
 
 SMALL = dict(q=1, H=0.7, steps=32, n=64, L=4.0)
 
@@ -144,14 +144,16 @@ def capped_preset(level):
 def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     # the level lies between the two highest path maxima of the seeds, so
     # one path of the batched Euler solves fails; the ensemble excludes
-    # that seed alone and keeps the other rows bit for bit
+    # that seed alone and keeps the other rows bit for bit.  The maxima are
+    # over the states a step starts from: a path that crosses the level
+    # only at its last state takes no step after it, and does not fail
     M = wiener.DRAW_BLOCK + 6
     sc = Scenario(preset="capped", **SMALL)
     monkeypatch.setattr(density, "preset", capped_preset(np.inf))
     free = run_ensemble(sc, M=M, base_seed=0)
     coeffs, x0, spec, driver = sc.build()
     xi = spec.space.components(np.array([sample_omega(spec.space, s).xi for s in range(M)]))
-    peaks = np.max(driver.values(xi), axis=(1, 2))
+    peaks = np.max(driver.values(xi)[:, :-1], axis=(1, 2))
     top, second = np.sort(peaks)[[-1, -2]]
     monkeypatch.setattr(density, "preset", capped_preset(0.5 * (top + second)))
     capped = run_ensemble(sc, M=M, base_seed=0)
@@ -199,7 +201,8 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
 
 
 def test_chunk_calls_each_stage_once_per_block(monkeypatch):
-    # DF, DX and the Malliavin matrix take the block, as Euler and Theta do
+    # Euler takes the block of DRAW_BLOCK draws, and Theta, DF, DX and the
+    # Malliavin matrix each sub-block of at most SUB_BLOCK of its draws
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -215,8 +218,10 @@ def test_chunk_calls_each_stage_once_per_block(monkeypatch):
     rows = density._parallel_chunk((Scenario(preset="elliptic-2d", **SMALL),
                                     list(range(2 * wiener.DRAW_BLOCK + 3))))
     assert len(rows) == 2 * wiener.DRAW_BLOCK + 3
-    assert calls == dict.fromkeys(["solve_euler", "solve_theta_all", "deriv_vectors",
-                                   "solution_derivative", "malliavin_matrix"], 3)
+    subs = 2 * -(-wiener.DRAW_BLOCK // density.SUB_BLOCK) + 1
+    assert subs > 3
+    assert calls == dict(solve_euler=3, **dict.fromkeys(
+        ["solve_theta_all", "deriv_vectors", "solution_derivative", "malliavin_matrix"], subs))
 
 
 def test_theta_non_finite_at_the_output_time_alone_is_excluded(monkeypatch):
@@ -276,6 +281,39 @@ def test_ensemble_rows_do_not_depend_on_the_block_size(monkeypatch):
     assert excluded[0] == excluded[1] == excluded[2]
     inside = [s for s in excluded[0] if s % 7 not in (0, 6) and s % 64 not in (0, 63)]
     assert inside and len(excluded[0]) < 65
+
+
+def test_ensemble_rows_do_not_depend_on_the_sub_block_size(monkeypatch):
+    # under one Euler block of 130 draws, Theta, DF, DX and Gamma in
+    # sub-blocks of 1, 7 and 64 draws give the same ensemble.csv bytes and
+    # the same excluded seeds, with Theta blowups inside sub-blocks of 7
+    # and 64
+    monkeypatch.setattr(density, "preset", jumpy_preset)
+    monkeypatch.setattr(wiener, "DRAW_BLOCK", 130)
+    sc = Scenario(preset="jumpy", **SMALL)
+    dumps, excluded = [], []
+    for size in (1, 7, 64):
+        monkeypatch.setattr(density, "SUB_BLOCK", size)
+        ens = run_ensemble(sc, M=130, base_seed=0)
+        fh = io.BytesIO()
+        dump_csv(ens, fh)
+        dumps.append(fh.getvalue())
+        excluded.append(ens.excluded_seeds)
+    assert dumps[0] == dumps[1] == dumps[2]
+    assert excluded[0] == excluded[1] == excluded[2]
+    inside = [s for s in excluded[0] if s % 7 not in (0, 6) and s % 64 not in (0, 63)]
+    assert inside and len(excluded[0]) < 65
+
+
+def test_kde_rows_in_chunks_match_the_one_shot_sum():
+    # the KDE summed in chunks of KDE_ROWS grid rows equals the one-shot
+    # (grid, samples) matrix bit for bit, over a sample count that is no
+    # multiple of the chunk
+    x = np.random.default_rng(4).standard_normal(1001) * 0.3 + 2.0
+    assert x.shape[0] % density.KDE_ROWS
+    est, want = kde(x), kde_one_shot(x)
+    assert est.bandwidth == want.bandwidth
+    assert np.array_equal(est.grid, want.grid) and np.array_equal(est.values, want.values)
 
 
 def test_kde_standard_normal():

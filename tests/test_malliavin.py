@@ -139,6 +139,47 @@ def test_malliavin_matrix_properties():
     assert mm.det[0] == pytest.approx(np.linalg.det(gamma), rel=1e-8)
 
 
+@pytest.mark.parametrize("name", ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"])
+def test_gram_is_symmetric_bit_for_bit(name):
+    # gamma = DX DX^T comes out of numpy's syrk symmetric bit for bit, for
+    # the DX of every preset and for random stacks, so it needs no
+    # symmetrization
+    coeffs, x0 = preset(name)
+    spec = make_spec(q=2, m=coeffs.m, n=48, out_times=(1.0,))
+    gd = GridDriver(spec, np.linspace(0.0, 1.0, 25))
+    for _, xi, batch in euler_batches(coeffs, x0, spec, gd, range(40)):
+        solve_theta_all(coeffs, batch)
+        gamma = malliavin_matrix(solution_derivative(coeffs, batch, gd.deriv_vectors(xi),
+                                                     spec.space)).gamma
+        assert np.array_equal(gamma, gamma.swapaxes(-1, -2))
+    rng = np.random.default_rng(3)
+    for shape in ((64, 2, 512), (100, 3, 1000), (7, 2, 5)):
+        gamma = malliavin_matrix(rng.standard_normal(shape)).gamma
+        assert np.array_equal(gamma, gamma.swapaxes(-1, -2))
+
+
+def test_gram_near_the_largest_double_stays_ok():
+    # a DX whose first row has |DX^1|^2 near 9e307, above half the largest
+    # double, and a second row near 0.01: |DX|^2, gamma and det are
+    # finite, so the draw is kept with finite eigenvalues, as the per-draw
+    # oracle keeps it; gamma + gamma^T, the symmetrization the Gram matrix
+    # no longer takes, would overflow there
+    rng = np.random.default_rng(5)
+    B, n = 16, 100
+    dx = np.empty((B, 2, n))
+    dx[:, 0] = np.sqrt(9e307 / n) * (1.0 + 1e-3 * rng.standard_normal((B, n)))
+    dx[:, 1] = 0.01 * rng.standard_normal((B, n))
+    mm = malliavin_matrix(dx)
+    assert (mm.gamma[:, 0, 0] > 0.5 * np.finfo(float).max).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(mm.gamma + mm.gamma.swapaxes(-1, -2)).any(axis=(1, 2)).all()
+    assert mm.ok.all() and np.isfinite(mm.min_eig).all() and np.isfinite(mm.det).all()
+    for k in range(B):
+        gamma, det, min_eig = gram_oracle(dx[k])
+        assert np.array_equal(mm.gamma[k], gamma)
+        assert (mm.det[k], mm.min_eig[k]) == (det, min_eig)
+
+
 def test_rank1_matrix_degenerate():
     coeffs, x0, spec, gd, w, bundle, dx = solve_case("rank1-2d", 1)
     mm = malliavin_matrix(dx[None])

@@ -80,6 +80,20 @@ def test_sample_omega_reproducible_and_seed_sensitive():
     assert not np.array_equal(w1.xi, w3.xi)
 
 
+def test_sample_omega_equals_a_fresh_philox_per_seed():
+    # the reused generator gives each seed the coordinates of a fresh
+    # Generator(Philox(key=seed)), also after calls on other seeds
+    space = make_hilbert(2, -4.0, 1.0, 33)
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    fresh = {s: np.random.Generator(np.random.Philox(key=np.uint64(s)))
+             .standard_normal(space.basis_dim) for s in seeds}
+    for a in seeds:
+        for b in seeds:
+            for s in (a, b, a):
+                w = sample_omega(space, s)
+                assert w.seed == s and np.array_equal(w.xi, fresh[s])
+
+
 def test_draw_blocks_split_seeds_into_sample_omega_blocks():
     # consecutive blocks of at most DRAW_BLOCK seeds, from any iterable; a
     # draw's coordinates are those of its own sample_omega call

@@ -4,7 +4,7 @@ measured side by side.
 Usage (from the root of a checkout):
 
     python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME ...]
-                                 [--repeats R] [--out FILE]
+                                 [--ensemble-M M] [--repeats R] [--out FILE]
 
 SRC is a directory holding the `chaosde` package (the `src` directory of a
 checkout).  Each pass runs in a fresh interpreter with one BLAS thread.
@@ -12,14 +12,17 @@ The scenarios are the benchmark's two workloads:
 
 ensemble-elliptic (the default): one `chaosde density` command, elliptic-2d,
 q = 1, H = 0.7, n = 256, L = 8, 128 steps to T = 1, `run.M` 100 from
-`run.seed` 5, run in process after one untimed warm-up command.  A pass
+`run.seed` 5 (the benchmark's size; `--ensemble-M` sets another, such as
+4096, where the per-sample cost dominates the command), run in process
+after one untimed warm-up command of the same size.  A pass
 times the command's seven stages by wrapping the names it calls them by,
 so every source tree runs its own, unchanged command: draw (each step of
 `density.draw_blocks`, a block's draws and their coordinates), driver
 values and DF (the `GridDriver.values` and `deriv_vectors` methods,
 wrapped on the class), Euler, Theta, DX and Gram (`density.solve_euler`,
-`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Every
-stage is one call per block of draws, DX and Gram too.  Each stage is its
+`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Euler
+is one call per block of draws, Theta, DF, DX and Gram one call per
+sub-block (`density.SUB_BLOCK` draws at most).  Each stage is its
 total over the command, in milliseconds per sample, and `sample_ms` their
 sum; `command_s` is the whole command and `command_sample_ms` its time
 per sample.  The rest of the command (the build, the KDE, the output
@@ -239,6 +242,7 @@ def _pass(src: str, scenario: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update({name: "1" for name in BLAS_ENV})
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario,
+                          "--ensemble-M", str(ENSEMBLE["run"]["M"]),
                           "--started", repr(time.time())],
                          env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -290,11 +294,14 @@ def main(argv=None) -> int:
     parser.add_argument("sources", nargs="*", metavar="LABEL=SRC")
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), action="append",
                         help="scenario to time (default ensemble-elliptic); repeat for more")
+    parser.add_argument("--ensemble-M", type=int, default=ENSEMBLE["run"]["M"],
+                        help="run.M of the ensemble scenario (default %(default)s)")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", default=None, help="write the JSON record here")
     parser.add_argument("--child", choices=sorted(SCENARIOS), help=argparse.SUPPRESS)
     parser.add_argument("--started", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    ENSEMBLE["run"]["M"] = args.ensemble_M
     if args.child:
         import chaosde.cli  # noqa: F401  the child's first numpy import
 
@@ -304,6 +311,8 @@ def main(argv=None) -> int:
     sources = dict(item.split("=", 1) for item in args.sources if "=" in item)
     if not sources or len(sources) != len(args.sources) or args.repeats < 1:
         parser.error("give at least one LABEL=SRC, each label once, and --repeats >= 1")
+    if args.ensemble_M < 100:
+        parser.error("--ensemble-M must be at least 100, the smallest ensemble the KDE takes")
     scenarios = args.scenario or ["ensemble-elliptic"]
     records = {name: _record(name, sources, args.repeats) for name in scenarios}
     text = json.dumps(records[scenarios[0]] if len(scenarios) == 1 else records, indent=1)
