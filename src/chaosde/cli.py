@@ -25,7 +25,7 @@ from . import __version__
 from .errors import (BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, OutOfRangeError,
                      check_budget)
 from .wiener import HilbertVec, draw_blocks, make_hilbert, sample_omega, shift_omega
-from . import chaos
+from . import chaos, hermite
 from .hermite import (
     HermiteSpec,
     build_kernels,
@@ -38,7 +38,7 @@ from .sde import preset, solve_euler, solve_theta_all, validate_derivatives
 from .malliavin import directional_quotient, malliavin_matrix, solution_derivative
 from .textio import export_paths, value_fields, write_rows
 from .density import (
-    KDE_GRID_POINTS,
+    KDE_ROWS,
     Scenario,
     dump_csv,
     euler_batches,
@@ -234,9 +234,10 @@ def cmd_simulate(cfg: dict) -> int:
         # the dump's size guard: len(out_times) * n^q, the entries of the dense view
         field.check_dense_budget()
     with _budget_key(cfg, "process.s_nodes"):
-        # the dump's tail products of one output time: one row per node, one
-        # column per canonical tail i_2 <= .. <= i_q
-        check_budget((spec.s_nodes, math.comb(spec.space.n + spec.q - 2, spec.q - 1)))
+        # the dump's tile of tail products: one row per node, one column per
+        # canonical tail i_2 <= .. <= i_q, at most TAIL_TILE of them
+        count = math.comb(spec.space.n + spec.q - 2, spec.q - 1)
+        check_budget((spec.s_nodes, min(hermite.TAIL_TILE, count)))
     M, seed = cfg["run"]["M"], cfg["run"]["seed"]
     with _budget_key(cfg, "process.m"):
         check_budget((spec.m, spec.space.n))  # one draw, m * n coordinates
@@ -423,7 +424,7 @@ def cmd_density(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, as in cmd_malliavin
     with _budget_key(cfg, "run.M"):
-        check_budget((r["M"], KDE_GRID_POINTS))  # the KDE grid against every sample
+        check_budget((KDE_ROWS, r["M"]))  # a chunk of KDE grid rows against every sample
     ensemble = run_ensemble(scenario, r["M"], base_seed=r["seed"], workers=r["workers"])
     with _output(cfg, "ensemble.csv") as fh:
         dump_csv(ensemble, fh)

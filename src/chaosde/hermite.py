@@ -38,6 +38,7 @@ for it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -263,10 +264,10 @@ class KernelField:
         n, q = self.spec.space.n, self.spec.q
         tails = (np.array(np.triu_indices(n)) if q == 3 else np.arange(n)[None, :] if q == 2
                  else np.zeros((0, 1), dtype=np.intp))
-        # every row against every tail bounds a block's GEMM product; one
-        # output time's tail products are (s_nodes, R)
+        # every row against every tail bounds a block's GEMM product; the
+        # tail products are held one (s_nodes, TAIL_TILE) tile at a time
         check_budget((n, tails.shape[1]))
-        check_budget((self.spec.s_nodes, tails.shape[1]))
+        check_budget((self.spec.s_nodes, min(TAIL_TILE, tails.shape[1])))
         starts = np.searchsorted(tails[0], np.arange(n)) if q > 1 else np.zeros(n, dtype=np.intp)
         for array in (tails, starts):
             array.flags.writeable = False
@@ -461,6 +462,15 @@ class GridDriver:
 #: keep every bit of the whole-time product on the drivers-q3 grid, and
 #: blocks of 12, 20, 24 and 40 rows do not
 ENTRY_ROWS = 16
+#: canonical tails per GEMM of `_canonical_blocks` at q >= 2, the width of
+#: its reused tile of tail products.  The width sets the GEMM's N: on
+#: OpenBLAS 0.3.31 fixed tiles of 256, 512, 1000, 1024, 2048 and 4096 tails
+#: keep every bit of the whole-block product at all three drivers-q3 times,
+#: while tiles of 7 tails, or cut where i_2 changes (widths that vary), move
+#: last digits.  Narrower tiles formed the drivers-q3 entries faster (512:
+#: 25 ms, 1024: 29 ms, 2048: 34 ms a dump), their tile staying in cache
+#: while BLAS packs it; at 1024 a q = 3 grid of n <= 44 is one tile
+TAIL_TILE = 1024
 
 
 def _canonical_blocks(field: KernelField, ti: int):
@@ -468,34 +478,62 @@ def _canonical_blocks(field: KernelField, ti: int):
     yields (a, entries, keep) for the rows a <= i_1 < a + ENTRY_ROWS (the
     last block may be shorter), with entries[r, c] the entry at i_1 = a + r
     and the canonical tail starts[a] + c, and keep the mask of the
-    canonical ones, i_1 <= i_2.  Row by row and column by column that is
-    the lexicographic order.
+    canonical ones, i_1 <= i_2: row r keeps the tails from starts[a + r]
+    on.  Row by row and column by column that is the lexicographic order.
 
-    Each block is one GEMM, (rho beta g)[:, a:b]^T @ P[:, starts[a]:], with
-    P[k, r] the product of g[k, i_j] over the r-th tail, built once per
-    time one i_2 at a time (P = g at q = 2); at q = 1 the one block is the
-    n rows of (rho beta) @ g.  Only P and one block are held, never an
-    array over the whole time's entries.
+    Each block is (rho beta g)[:, a:b]^T @ P[:, starts[a]:], with P[k, r]
+    the product of g[k, i_j] over the r-th tail, one GEMM per TAIL_TILE
+    tails (P = g at q = 2); at q = 1 the one block is the n rows of
+    (rho beta) @ g.  One reused (s_nodes, TAIL_TILE) tile of P and one
+    block, ENTRY_ROWS rows by the time's tails, are held: never the whole
+    P, nor an array over the whole time's entries.
     """
     tails, starts = field._canonical
     g, weights, q = field.g[ti], field.rho[ti] * field.beta[ti], field.spec.q
-    n = g.shape[1]
+    n, count = g.shape[1], tails.shape[1]
     if q == 1:
         yield 0, (weights @ g)[:, None], np.ones((n, 1), dtype=bool)
         return
-    if q == 2:
-        tail_products = g
-    else:
-        tail_products = np.empty((g.shape[0], tails.shape[1]))
-        for i2 in range(n):
-            np.multiply(g[:, i2:i2 + 1], g[:, i2:],
-                        out=tail_products[:, starts[i2]:starts[i2] + n - i2])
     weighted = weights[:, None] * g
+    products = (lambda lo, hi: g[:, lo:hi]) if q == 2 else _tail_products(g, starts)
     for a in range(0, n, ENTRY_ROWS):
         b = min(a + ENTRY_ROWS, n)
         # nothing of a block stays bound here while the next is formed
-        yield (a, weighted[:, a:b].T @ tail_products[:, starts[a]:],
-               np.arange(tails.shape[1] - starts[a]) >= (starts[a:b] - starts[a])[:, None])
+        yield (a, _row_block(weighted[:, a:b].T, products, starts[a], count),
+               np.arange(count - starts[a]) >= (starts[a:b] - starts[a])[:, None])
+
+
+def _tail_products(g: np.ndarray, starts: np.ndarray):
+    """products(lo, hi), the (s_nodes, hi - lo) products g[:, i_2] *
+    g[:, i_3] over the order-3 tails lo <= r < hi, hi - lo <= TAIL_TILE:
+    a view of one reused tile, tail by tail in memory, filled one i_2 run
+    at a time, each run clipped at the tile's edges."""
+    n, count = g.shape[1], starts[-1] + 1
+    rows, starts = g.T.copy(), starts.tolist()
+    tile = np.empty((min(TAIL_TILE, count), g.shape[0]))
+
+    def products(lo: int, hi: int) -> np.ndarray:
+        i2 = bisect.bisect_right(starts, lo) - 1
+        while i2 < n and starts[i2] < hi:
+            left, right = max(starts[i2], lo), min(starts[i2] + n - i2, hi)
+            shift = i2 - starts[i2]  # run i_2 holds the tails (i_2, r + shift)
+            np.multiply(rows[i2], rows[left + shift:right + shift], out=tile[left - lo:right - lo])
+            i2 += 1
+        return tile[:hi - lo].T
+
+    return products
+
+
+def _row_block(lhs: np.ndarray, products, first: int, count: int) -> np.ndarray:
+    """lhs @ P[:, first:], P the (s_nodes, count) products over the
+    canonical tails, one GEMM per TAIL_TILE tails from first on, each
+    written into its columns of the result; products(lo, hi) gives
+    P[:, lo:hi]."""
+    out = np.empty((lhs.shape[0], count - first))
+    for lo in range(first, count, TAIL_TILE):
+        hi = min(lo + TAIL_TILE, count)
+        np.matmul(lhs, products(lo, hi), out=out[:, lo - first:hi - first])
+    return out
 
 
 def _canonical_entries(field: KernelField, ti: int) -> tuple:
@@ -520,10 +558,12 @@ def export_kernels(field: KernelField, fh):
 
     Works from the factors (`_canonical_blocks`), never the dense view, and
     writes each row block of i_1 before the next is formed, a chunk of
-    lines at a time: the labels packed into words with their separators
-    inside, `ti i_1 ` and, at q >= 2, `i_2 i_3 ` (`i_2 ` at q = 2), gathered
-    from tables built per call, and the value formatted, straight into one
-    row buffer (`textio.write_words`).
+    lines at a time (`_write_rows`).  The labels are packed into words with
+    their separators inside, `ti i_1 ` and, at q >= 2, `i_2 i_3 ` (`i_2 `
+    at q = 2), from tables built per call: row i_1 is the range of tails
+    from starts[i_1] on, so its head word is filled once and its tail words
+    are a slice of the table.  Besides the tables and a block, the working
+    set is one chunk of lines and their values.
     """
     spec = field.spec
     n, q = spec.space.n, spec.q
@@ -535,28 +575,50 @@ def export_kernels(field: KernelField, fh):
     cells = np.arange(n)
     # the words after `ti i_1 ` by tail: `i_2 i_3 ` or `i_2 ` (none at q = 1)
     tail_words = label_words(*tails) if q > 1 else np.zeros((1, 0), dtype=np.uint64)
+    values = np.empty(EXPORT_CHUNK)
     for ti in range(len(spec.out_times)):
         head_words = label_words(ti, cells)  # `ti i_1 ` by i_1
         labels = head_words.shape[1] + tail_words.shape[1]
         chunk = np.empty((EXPORT_CHUNK, labels + VALUE_WORDS), dtype=head_words.dtype)
         for a, entries, keep in _canonical_blocks(field, ti):
-            _write_entries(fh, chunk, head_words[a:], tail_words[starts[a]:], entries, keep)
+            _write_rows(fh, chunk, values, head_words[a:], tail_words[starts[a]:], entries,
+                        starts[a:a + entries.shape[0]] - starts[a])
             del entries, keep  # the next block is formed with this one's arrays gone
 
 
-def _write_entries(fh, chunk, heads, tails, entries, keep):
-    """The dump lines of one row block of `_canonical_blocks`, its entries
-    and keep mask, a chunk of lines at a time: for each nonzero kept entry
-    (NaN kept, -0.0 skipped) the word rows of heads by row and of tails by
-    column, then the value, laid into the rows of chunk."""
-    keep &= entries != 0
-    kept = np.flatnonzero(keep)
-    labels = heads.shape[1] + tails.shape[1]
-    for lo in range(0, kept.shape[0], chunk.shape[0]):
-        flat = kept[lo:lo + chunk.shape[0]]
-        rows = chunk[:flat.shape[0]]
-        row, column = np.divmod(flat, entries.shape[1])
-        heads.take(row, axis=0, out=rows[:, :heads.shape[1]], mode="clip")
-        tails.take(column, axis=0, out=rows[:, heads.shape[1]:labels], mode="clip")
-        _format_17g(entries.take(flat), out=rows[:, labels:])
-        write_words(fh, rows, " ", [VALUE_WORDS])
+def _write_rows(fh, chunk, values, heads, tails, entries, firsts):
+    """The dump lines of one row block of `_canonical_blocks`: row r keeps
+    the columns from firsts[r] on, and of those its nonzero entries (NaN
+    kept, -0.0 skipped).  Each row's lines are laid into the rows of chunk,
+    heads[r] in every line and the slice of tails by column (gathered only
+    in a row with zeros), and their entries into values; each full chunk is
+    written as it fills, and the rest at the end."""
+    width, labels, size = heads.shape[1], heads.shape[1] + tails.shape[1], chunk.shape[0]
+    fill = 0
+    for r, first in enumerate(firsts):
+        nonzero = entries[r, first:] != 0
+        kept = None if nonzero.all() else first + np.flatnonzero(nonzero)
+        lines = nonzero.shape[0] if kept is None else kept.shape[0]
+        done = 0
+        # a row longer than the room left in the chunk goes on in the next
+        while done < lines:
+            take = min(lines - done, size - fill)
+            part = (slice(first + done, first + done + take) if kept is None
+                    else kept[done:done + take])
+            rows = chunk[fill:fill + take]
+            rows[:, :width] = heads[r]
+            rows[:, width:labels] = tails[part]
+            values[fill:fill + take] = entries[r, part]
+            done += take
+            fill += take
+            if fill == size:
+                _write_chunk(fh, chunk, values, labels)
+                fill = 0
+    _write_chunk(fh, chunk[:fill], values[:fill], labels)
+
+
+def _write_chunk(fh, rows, values, labels):
+    """Write the lines of rows, each of values formatted into the words
+    after its labels."""
+    _format_17g(values, out=rows[:, labels:])
+    write_words(fh, rows, " ", [VALUE_WORDS])

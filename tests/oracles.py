@@ -304,6 +304,24 @@ def canonical_gemm(field, ti):
     return np.vstack([rows, tails[:, columns]]), entries[keep]
 
 
+def row_block_gemm(field, ti, rows=16):
+    """The canonical values at out_times[ti], in lexicographic order, by one
+    GEMM per block of rows rows of i_1 over the whole time's tail products,
+    (rho beta g)[:, a:a+rows]^T @ P[:, starts[a]:] with P (s_nodes, R) built
+    at once (P = g at q = 2), kept where i_1 <= i_2: the entries of q >= 2
+    before the dump held P one tile at a time."""
+    n, q = field.spec.space.n, field.spec.q
+    g, weights = field.g[ti], field.rho[ti] * field.beta[ti]
+    tails = np.array(np.triu_indices(n)) if q == 3 else np.arange(n)[None, :]
+    P = g if q == 2 else g[:, tails[0]] * g[:, tails[1]]
+    values = []
+    for a in range(0, n, rows):
+        first = np.searchsorted(tails[0], a)
+        entries = (weights[:, None] * g)[:, a:a + rows].T @ P[:, first:]
+        values.append(entries[tails[0, first:] >= np.arange(a, min(a + rows, n))[:, None]])
+    return np.concatenate(values)
+
+
 def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):
     """The solution.csv body one '%.17g' per value, by the per-draw loop
     the row writer replaced: every 16th step of each path, and BlowupError

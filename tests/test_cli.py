@@ -455,6 +455,24 @@ def test_simulate_over_tail_product_budget_exits_2(tmp_path, capsys, monkeypatch
     assert code == 0
 
 
+def test_simulate_holds_one_tile_of_tail_products(tmp_path, capsys, monkeypatch):
+    # the dump holds its tail products one (s_nodes, TAIL_TILE) tile at a
+    # time: under a budget of 100000 entries, q = 3 at n = 40 and s_nodes =
+    # 128 runs with 256-tail tiles (32768 entries) where the whole time's
+    # (s_nodes, 820) products would hold 104960, and writes the same
+    # kernels.txt as with the default tile and budget
+    payload = {"process": {"q": 3, "n": 40, "L": 1.0, "s_nodes": 128},
+               "run": {"M": 2, "out_times": [1.0]}}
+    (tmp_path / "whole").mkdir()
+    code, whole = run_cli(tmp_path / "whole", "simulate", payload)
+    assert code == 0
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 100_000)
+    monkeypatch.setattr(hermite, "TAIL_TILE", 256)
+    code, out = run_cli(tmp_path, "simulate", payload)
+    assert code == 0, capsys.readouterr().err
+    assert (out / "kernels.txt").read_bytes() == (whole / "kernels.txt").read_bytes()
+
+
 def test_simulate_over_projection_budget_exits_2(tmp_path, capsys, monkeypatch):
     # simulate projects each block of draws on every quadrature node, a
     # (B, m, s_nodes) array per output time: under a budget of 100000
@@ -533,6 +551,27 @@ def test_df_array_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     for command in ("density", "malliavin"):
         (tmp_path / command).mkdir()
         assert run_cli(tmp_path / command, command, payload)[0] == 0
+
+
+def test_density_kde_budget_counts_a_chunk_of_grid_rows(tmp_path, capsys, monkeypatch):
+    # the KDE holds (KDE_ROWS, M) arrays, one chunk of its 512 grid rows
+    # against every sample: under a budget of 20000 entries M = 100 runs
+    # (6400 entries, where the whole (M, 512) grid would hold 51200), and at
+    # M = 400 the chunk (25600) is over it, rejected before any output
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_ENTRIES", 20_000)
+    payload = {"process": FAST_PROCESS, "sde": {"preset": "elliptic-2d", "steps": 16},
+               "run": {"M": 100}}
+    (tmp_path / "fits").mkdir()
+    code, out = run_cli(tmp_path / "fits", "density", payload)
+    assert code == 0, capsys.readouterr().err
+    assert (out / "kde.csv").exists()
+    payload["run"]["M"] = 400
+    code, out = run_cli(tmp_path, "density", payload)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: run.M=400 invalid: dense array of shape (64, 400) "
+        "holds 25600 entries, over the budget of 20000\n")
+    assert not out.exists()
 
 
 def _strict_json(text: str):

@@ -37,7 +37,7 @@ from chaosde.hermite import (
 )
 from chaosde.textio import export_paths
 from oracles import (canonical_gemm, dense_block, dense_deriv_vectors, import_kernels,
-                     kernel_eval, nclt_paths)
+                     kernel_eval, nclt_paths, row_block_gemm)
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -47,6 +47,8 @@ C_07_2 = 0.06802476430913895
 KERNEL_Q1_AT0 = 1.091809130903782
 # c(H=0.7, q=2) * int_0^1 (s + 0.5)^{-1.3} ds
 KERNEL_Q2_AT_HALF = 0.07838197004488931
+#: the widths `hermite.TAIL_TILE`'s comment lists
+TILE_WIDTHS = (256, 512, 1000, 1024, 2048, 4096)
 
 
 def small_spec(q=1, H=0.7, n=64, L=4.0, m=1, **kw):
@@ -479,6 +481,18 @@ def test_canonical_entries_match_blocks_drivers_q3():
         assert np.array_equal(values.view(np.uint64), gemm.view(np.uint64))
 
 
+def test_tail_tile_widths_keep_the_drivers_q3_bits(monkeypatch):
+    # every listed tile width against one GEMM over the whole time on the
+    # drivers-q3 grid (R = 13041 tails), where a 7-tail tile moves last bits
+    field = _drivers_q3_field()
+    for ti in range(len(field.spec.out_times)):
+        want = canonical_gemm(field, ti)[1]
+        for width in TILE_WIDTHS:
+            monkeypatch.setattr(hermite, "TAIL_TILE", width)
+            values = _canonical_entries(field, ti)[1]
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
 def _drivers_q3_field():
     """The order-3 field of `chaosde simulate` in the drivers-q3 benchmark."""
     space = make_hilbert(1, -8.0, 1.0, 160)
@@ -487,7 +501,7 @@ def _drivers_q3_field():
 
 
 def test_export_kernels_peak_memory_drivers_q3():
-    # one row block and the time's tail products at a time, about 12.6 MB
+    # one row block and one tile of tail products at a time, about 4.8 MB
     # traced: no array spans a whole output time's entries (the (n, R)
     # product of one time alone would be 16.5 MB)
     field = _drivers_q3_field()
@@ -500,6 +514,51 @@ def test_export_kernels_peak_memory_drivers_q3():
         finally:
             tracemalloc.stop()
     assert peak <= 15e6
+
+
+def test_export_kernels_peak_memory_below_the_tail_products():
+    # q = 3, n = 120 on 256 nodes: the time's whole (s_nodes, R) tail
+    # products would be 14.9 MB; the dump holds one (s_nodes, TAIL_TILE)
+    # tile of them and one row block at a time
+    space = make_hilbert(1, -8.0, 1.0, 120)
+    field = build_kernels(HermiteSpec(q=3, H=0.7, m=1, space=space, s_nodes=256,
+                                      out_times=(0.5, 1.0)))
+    whole = 8 * field.spec.s_nodes * math.comb(121, 2)
+    field._canonical
+    with open(os.devnull, "wb") as fh:
+        tracemalloc.start()
+        try:
+            export_kernels(field, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < whole
+
+
+@pytest.mark.parametrize("q, n", [(2, 1030), (3, 100)])
+def test_tail_tile_width_keeps_every_bit(q, n, monkeypatch):
+    # the entries at every listed width against one GEMM per row block over
+    # the whole time's tail products, and the dump against the untiled one
+    # (TAIL_TILE >= R): R = 1030 (q = 2) and 5050 (q = 3) tails, a multiple
+    # of none of the widths, and blocks whose last tile is narrow (the first
+    # block's 6 of 256 at q = 2; 50 of 1000 at q = 3); at q = 3 7-tail tiles
+    # move last bits on this grid
+    spec = small_spec(q=q, n=n, L=8.0, out_times=(0.5, 1.0))
+    field = build_kernels(spec)
+    tails, starts = field._canonical
+    count = tails.shape[1]
+    assert 0 < min((count - starts[0]) % width for width in TILE_WIDTHS if width < count) <= 50
+    canon = np.array(list(itertools.combinations_with_replacement(range(n), q))).T
+    want = [row_block_gemm(field, ti, hermite.ENTRY_ROWS) for ti in range(len(spec.out_times))]
+    monkeypatch.setattr(hermite, "TAIL_TILE", count)
+    want_text = _dump(export_kernels, field)
+    for width in TILE_WIDTHS:
+        monkeypatch.setattr(hermite, "TAIL_TILE", width)
+        for ti, values in enumerate(want):
+            index, got = _canonical_entries(field, ti)
+            assert np.array_equal(index, canon)
+            assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+        assert _dump(export_kernels, field) == want_text
 
 
 def test_export_kernels_stays_off_dense_view(monkeypatch):

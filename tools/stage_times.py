@@ -4,7 +4,8 @@ measured side by side.
 Usage (from the root of a checkout):
 
     python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME ...]
-                                 [--ensemble-M M] [--repeats R] [--out FILE]
+                                 [--ensemble-M M] [--simulate-n N] [--repeats R]
+                                 [--out FILE]
 
 SRC is a directory holding the `chaosde` package (the `src` directory of a
 checkout).  Each pass runs in a fresh interpreter with one BLAS thread.
@@ -28,21 +29,23 @@ sum; `command_s` is the whole command and `command_sample_ms` its time
 per sample.  The rest of the command (the build, the KDE, the output
 files and the bookkeeping of the rows) is in no stage.
 
-drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1,
-n = 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204, run in
-process as the first command of the interpreter.  A pass times its four
-stages in seconds, wrapping names as above: `build_kernels`,
-`simulate_paths`, writing `driver.csv` and writing `kernels.txt` (each
-file from opening to closing), the whole command, and the peak resident
-memory of the pass.  The `kernels.txt`
-stage is split in two: `kernel_entries`, the time spent computing each
-output time's canonical entries (the steps of the generator
-`hermite._canonical_blocks`, one GEMM per row block of i_1), and
-`kernel_text`, the rest (the zero filter, formatting and writing the
-lines).  After the timed command, and after its peak resident memory is
-read, the pass calls `hermite.export_kernels` once more on the command's
-kernel field, into a null stream with `tracemalloc` on:
-`kernels_traced_mb`, the peak traced allocation of the kernels.txt stage.
+drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1, n =
+160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204 (the
+benchmark's size; `--simulate-n` sets another n, such as 256, the default
+grid), run in process as the first command of the interpreter. A pass
+times its four stages in seconds, wrapping names as above:
+`build_kernels`, `simulate_paths`, writing `driver.csv` and writing
+`kernels.txt` (each file from opening to closing), the whole command, and
+the peak resident memory of the pass. The `kernels.txt` stage is split in
+two: `kernel_entries`, the time spent computing each output time's
+canonical entries (the steps of the generator `hermite._canonical_blocks`:
+per row block of i_1, its tiles of tail products and one GEMM per tile),
+and `kernel_text`, the rest (laying out the labels, the zero filter,
+formatting and writing the lines). After the timed command, and after its
+peak resident memory is read, the pass calls `hermite.export_kernels` once
+more on the command's kernel field, into a null stream with `tracemalloc`
+on: `kernels_traced_mb`, the peak traced allocation of the kernels.txt
+stage.
 
 Every pass of either scenario also records `import_s`: the wall time from
 just before its child interpreter is spawned to the end of the child's
@@ -243,6 +246,7 @@ def _pass(src: str, scenario: str) -> dict:
     env.update({name: "1" for name in BLAS_ENV})
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario,
                           "--ensemble-M", str(ENSEMBLE["run"]["M"]),
+                          "--simulate-n", str(SIMULATE["process"]["n"]),
                           "--started", repr(time.time())],
                          env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -296,12 +300,15 @@ def main(argv=None) -> int:
                         help="scenario to time (default ensemble-elliptic); repeat for more")
     parser.add_argument("--ensemble-M", type=int, default=ENSEMBLE["run"]["M"],
                         help="run.M of the ensemble scenario (default %(default)s)")
+    parser.add_argument("--simulate-n", type=int, default=SIMULATE["process"]["n"],
+                        help="process.n of the drivers-q3 scenario (default %(default)s)")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", default=None, help="write the JSON record here")
     parser.add_argument("--child", choices=sorted(SCENARIOS), help=argparse.SUPPRESS)
     parser.add_argument("--started", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     ENSEMBLE["run"]["M"] = args.ensemble_M
+    SIMULATE["process"]["n"] = args.simulate_n
     if args.child:
         import chaosde.cli  # noqa: F401  the child's first numpy import
 
@@ -313,6 +320,8 @@ def main(argv=None) -> int:
         parser.error("give at least one LABEL=SRC, each label once, and --repeats >= 1")
     if args.ensemble_M < 100:
         parser.error("--ensemble-M must be at least 100, the smallest ensemble the KDE takes")
+    if args.simulate_n < 1:
+        parser.error("--simulate-n must be positive")
     scenarios = args.scenario or ["ensemble-elliptic"]
     records = {name: _record(name, sources, args.repeats) for name in scenarios}
     text = json.dumps(records[scenarios[0]] if len(scenarios) == 1 else records, indent=1)
