@@ -113,10 +113,10 @@ def hermite_poly(n: int, x, v=1.0):
     if n < 0:
         raise InvalidDimensionError("Hermite degree must be nonnegative")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
     if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
+        h = np.ones_like(x)
+        return h if h.ndim else float(h)
+    h, h_prev = x.copy(), np.ones_like(x) if n > 1 else None
     for k in range(1, n):
         h, h_prev = x * h - k * v * h_prev, h
     return h if h.ndim else float(h)

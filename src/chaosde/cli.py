@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (BlowupError, ChaosdeError, ConfigError, MemoryBudgetError, OutOfRangeError,
                      check_budget)
-from .wiener import HilbertVec, draw_blocks, make_hilbert, sample_omega, shift_omega
+from .wiener import HilbertVec, make_hilbert, sample_omega, shift_omega
 from . import chaos, hermite
 from .hermite import (
     HermiteSpec,
@@ -371,10 +371,10 @@ def cmd_solve(cfg: dict) -> int:
     def blocks():
         # each block's paths up to its first that went non-finite, whose
         # BlowupError then stops the command
-        for draws, _, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
+        for block, _, batch in euler_batches(coeffs, x0, spec, driver, range(seed, seed + M)):
             failed = np.flatnonzero(batch.failed)
-            kept = failed[0] if failed.size else len(draws)
-            yield draws[0].seed, batch.X[:kept, every]
+            kept = failed[0] if failed.size else len(block)
+            yield block[0], batch.X[:kept, every]
             if failed.size:
                 batch.path(kept)  # raises
 
@@ -389,10 +389,11 @@ def cmd_malliavin(cfg: dict) -> int:
     with _budget_key(cfg, "process.n"):
         check_budget((coeffs.d * coeffs.m, scenario.n))  # DX, its largest per-sample array
     seed = cfg["run"]["seed"]
-    (w,), xi = next(draw_blocks(spec.space, [seed]))  # a block of one draw
-    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
+    w = sample_omega(spec.space, seed)
+    p = driver.projections(spec.space.components(w.xi[None]))  # a block of one draw
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(p))))
     batch.path(0)  # BlowupError at its Euler or Theta step
-    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(p), spec.space)
     if not np.isfinite(np.vdot(dx, dx)):  # the |DX|^2 of malliavin_matrix's ok
         raise BlowupError(f"non-finite Malliavin derivative at step {scenario.steps}")
     mm = malliavin_matrix(dx)

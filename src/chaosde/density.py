@@ -74,13 +74,15 @@ SUB_BLOCK = 64
 
 
 def euler_batches(coeffs, x0, spec, driver, seeds):
-    """(draws, xi, batch) for each block (draws, xi) of `wiener.draw_blocks`:
-    the batched Euler solve along the driver values at the block's
-    coordinates xi, about DRAW_BLOCK * steps * (d * m + d + 2 m) doubles
-    (the states, sigma, the driver values and their increments);
-    batch.path(k) is the path of draws[k]."""
-    for draws, xi in draw_blocks(spec.space, seeds):
-        yield draws, xi, solve_euler(coeffs, x0, (driver.times, driver.values(xi)))
+    """(seeds, p, batch) for each block (seeds, xi) of `wiener.draw_blocks`:
+    the block's projections p = driver.projections(xi) on the driver's
+    nodes, formed once for the block, and the batched Euler solve along the
+    driver values at p, about DRAW_BLOCK * steps * (d * m + d + 3 m)
+    doubles (the states, sigma, the projections, the driver values and
+    their increments); batch.path(k) is the path of seeds[k]."""
+    for block, xi in draw_blocks(spec.space, seeds):
+        p = driver.projections(xi)
+        yield block, p, solve_euler(coeffs, x0, (driver.times, driver.values(p)))
 
 
 def run_ensemble(scenario: Scenario, M: int, base_seed: int = 0, workers: int = 1) -> SampleEnsemble:
@@ -113,21 +115,22 @@ def _parallel_chunk(args):
     """(seed, X_t, det Gamma, min eig) per seed, or (seed, None, None, None)
     for a blowup: one Euler call per block of seeds, then one call each of
     Theta, DF, DX and the Malliavin matrix at t per sub-block of at most
-    SUB_BLOCK of its draws.  A draw is kept where `ok` holds and its Theta
-    is finite, sigma(X_N) too, the row DX does not read."""
+    SUB_BLOCK of its draws, DF at the sub-block's slice of the block's
+    projections.  A draw is kept where `ok` holds and its Theta is finite,
+    sigma(X_N) too, the row DX does not read."""
     scenario, seeds = args
     coeffs, x0, spec, driver = scenario.build()
     out = []
-    for draws, xi, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+    for block, p, batch in euler_batches(coeffs, x0, spec, driver, seeds):
         x_t = batch.X[:, -1].copy()  # the rows keep no view of the block's paths
-        for lo in range(0, len(draws), SUB_BLOCK):
+        for lo in range(0, len(block), SUB_BLOCK):
             part = slice(lo, lo + SUB_BLOCK)
             sub = solve_theta_all(coeffs, batch.rows(part))
-            mm = malliavin_matrix(solution_derivative(coeffs, sub, driver.deriv_vectors(xi[part]),
+            mm = malliavin_matrix(solution_derivative(coeffs, sub, driver.deriv_vectors(p[part]),
                                                       spec.space))
             ok = mm.ok & (sub.theta_failed == 0)
-            out += [(w.seed, x_t[lo + k], mm.det[k], mm.min_eig[k]) if ok[k]
-                    else (w.seed, None, None, None) for k, w in enumerate(draws[part])]
+            out += [(seed, x_t[lo + k], mm.det[k], mm.min_eig[k]) if ok[k]
+                    else (seed, None, None, None) for k, seed in enumerate(block[part])]
     return out
 
 

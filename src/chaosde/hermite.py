@@ -14,8 +14,11 @@ blocks of the same shape, which makes distinct components exactly
 orthogonal at the kernel level.  Each evaluator has one job:
 `KernelField.values` and `GridDriver.values` form values,
 `GridDriver.deriv_vectors` and `_factor_derivative` derivatives.  Each
-takes component coordinates of shape (..., m, n), such as the (B, m, n)
-block of `wiener.draw_blocks`, and returns every component of every draw.
+returns every component of every draw.  `KernelField.values` and
+`_factor_derivative` take component coordinates of shape (..., m, n),
+such as the (B, m, n) block of `wiener.draw_blocks`; the two of
+`GridDriver` take the draws' projections on its nodes
+(`GridDriver.projections`), formed once per block of draws.
 
 Discretization note: the kernel is unbounded on the diagonal for q >= 2
 (pointwise exponent H0 - 3/2 < -1/2), so sampling it at cell midpoints
@@ -183,7 +186,9 @@ def _projections(spec: HermiteSpec, g: np.ndarray, xi: np.ndarray) -> np.ndarray
 
 def _deriv_weights(q: int, gx: np.ndarray, gg: np.ndarray) -> np.ndarray:
     """q H_{q-1}(gx; gg), so that D I_q(g_k^{(x)q}) = weight * g_k."""
-    return q * hermite_poly(q - 1, gx, gg)
+    weights = hermite_poly(q - 1, gx, gg)
+    weights *= q
+    return weights
 
 
 def _factor_derivative(spec: HermiteSpec, g: np.ndarray, beta: np.ndarray,
@@ -413,7 +418,8 @@ class GridDriver:
     The Malliavin derivative DF_i = rho_i sum_{k<i} a_k g_k, the exact
     gradient of the value, which the difference-quotient checks rely on,
     stays in these factors (`deriv_vectors`): only the node weights a_k
-    depend on the draw.
+    depend on the draw, through its projections p_k = <g_k, xi> on the
+    nodes (`projections`), which both evaluators take.
 
     times must start at 0; values at time 0 are 0.
     """
@@ -437,22 +443,43 @@ class GridDriver:
         # deriv_vectors hands both out with every draw's weights
         self._g.flags.writeable = self._rho.flags.writeable = False
 
-    def values(self, xi: np.ndarray) -> np.ndarray:
-        """Driver values on the grid, shape (..., len(times), m), at the
-        (..., m, n) component coordinates xi; row 0 is 0."""
-        val_w = hermite_poly(self.spec.q, _projections(self.spec, self._g, xi), self._gg)
-        out = np.zeros(val_w.shape[:-2] + (self.times.shape[0], self.spec.m))
-        out[..., 1:, :] = np.swapaxes(np.cumsum(self._beta * val_w, axis=-1), -1, -2)
-        return out * self._rho[:, None]
+    def projections(self, xi: np.ndarray) -> np.ndarray:
+        """p = <g_k, xi^ell> on the driver's nodes, shape (..., m, steps), at
+        the (..., m, n) component coordinates xi: all that `values` and
+        `deriv_vectors` read of a draw, formed once per block of draws and
+        sliced for its sub-blocks."""
+        return _projections(self.spec, self._g, xi)
 
-    def deriv_vectors(self, xi: np.ndarray) -> PrefixFactors:
+    def _check_projections(self, p):
+        want = (self.spec.m, self.times.shape[0] - 1)
+        if np.shape(p)[-2:] != want:
+            raise InvalidDimensionError(f"projections need shape (..., {want[0]}, {want[1]}), "
+                                        f"got {np.shape(p)}")
+
+    def values(self, p: np.ndarray) -> np.ndarray:
+        """Driver values on the grid, shape (..., len(times), m), at the
+        projections p = projections(xi) of shape (..., m, steps); row 0 is
+        0."""
+        self._check_projections(p)
+        steps = hermite_poly(self.spec.q, p, self._gg)
+        steps *= self._beta
+        # summed along the contiguous node axis, then laid out by grid row
+        np.cumsum(steps, axis=-1, out=steps)
+        out = np.empty(steps.shape[:-2] + (self.times.shape[0], self.spec.m))
+        out[..., 0, :] = 0.0
+        out[..., 1:, :] = np.swapaxes(steps, -1, -2)
+        out *= self._rho[:, None]
+        return out
+
+    def deriv_vectors(self, p: np.ndarray) -> PrefixFactors:
         """DF at every grid time as `PrefixFactors` (rho, a, g), at the
-        (..., m, n) component coordinates xi: DF_i^ell = rho_i sum_{k<i}
-        a[..., k, ell] g_k in the coordinates of component ell, with the
-        node weights a_k = beta_k q H_{q-1}(<g_k, xi^ell>; |g_k|^2) of
-        shape (..., steps, m).  rho and g are the driver's own read-only
+        projections p = projections(xi) of shape (..., m, steps): DF_i^ell =
+        rho_i sum_{k<i} a[..., k, ell] g_k in the coordinates of component
+        ell, with the node weights a_k = beta_k q H_{q-1}(p_k^ell; |g_k|^2)
+        of shape (..., steps, m).  rho and g are the driver's own read-only
         arrays."""
-        der_w = _deriv_weights(self.spec.q, _projections(self.spec, self._g, xi), self._gg)
+        self._check_projections(p)
+        der_w = _deriv_weights(self.spec.q, p, self._gg)
         return PrefixFactors(self._rho, np.swapaxes(self._beta * der_w, -1, -2), self._g)
 
 

@@ -116,5 +116,5 @@ def directional_quotient(coeffs: SdeCoefficients, x0, gd: GridDriver, w: Gaussia
                          h: HilbertVec, eps: float) -> np.ndarray:
     """(X_T(omega + eps h) - X_T(omega)) / eps of the discrete flow, the pair as one block."""
     xi = gd.spec.space.components(np.array([w.xi, w.xi + eps * h.coords]))
-    pair = solve_euler(coeffs, x0, (gd.times, gd.values(xi)))
+    pair = solve_euler(coeffs, x0, (gd.times, gd.values(gd.projections(xi))))
     return (pair.path(1).X[-1] - pair.path(0).X[-1]) / eps

@@ -5,12 +5,15 @@ named coefficient presets used by the checks and the CLI.
 The state recursion is X_{i+1} = X_i + b(X_i) dt + sigma(X_i) dF_i with
 left-point increments.  Coefficients take states with any leading axes:
 b, sigma, db and dsigma map x of shape (..., d) to (..., d), (..., d, m),
-(..., d, d) and (..., d, m, d), one value per state, so Euler makes one b
-and one sigma call per step for a whole batch of paths, and the Jacobian
-stack one db and one dsigma call for all steps of every path of a batch,
-summing dsigma.dF over the noise index l in order, with no einsum.
-Both solves take and return a batch of paths (`SolutionBundle`), and
-`path(k)` is one of them.
+(..., d, d) and (..., d, m, d), one value per state.  Euler takes b and
+sigma once per step for a whole batch of paths (`SdeCoefficients.
+eval_terms`), and Theta the one-step Jacobians once for all steps of
+every path of a batch (`eval_jacobians`).  By default both come from the
+four callables, the Jacobian stack summing dsigma.dF over the noise index
+l in order, with no einsum; a coefficient set may supply fused forms of
+both, which keep those bits and skip the callables' per-call overhead and
+the zeros of dsigma (`elliptic-2d` does).  Both solves take and return a
+batch of paths (`SolutionBundle`), and `path(k)` is one of them.
 
 Theta rows follow the convention that makes the left-point sum
 sum_i Theta_t(s_i) dpsi_i the exact derivative of the discrete flow:
@@ -25,6 +28,7 @@ step for the whole block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,14 @@ class SdeCoefficients:
     dsigma[k,l,p] = d sigma_{k,l} / d x_p, each evaluated pointwise over
     the leading axes of its argument: x of shape (..., d) gives values of
     shape (..., d), (..., d, m), (..., d, d) and (..., d, m, d).
+
+    terms and jacobians are optional fused forms of what the solvers take
+    from the four callables, and must give their bits (validate_derivatives
+    compares them at its probes): terms(x) is (b(x), sigma(x)) at the (B,
+    d) states x of one Euler step, and jacobians(X, dt, dF) the one-step
+    Jacobians I + db(X_j) dt_j + dsigma(X_j).dF_j at the (..., N, d)
+    states X, with steps dt of shape (N,) and driver increments dF of
+    shape (..., N, m).  Left None, each is formed from the four callables.
     """
 
     d: int
@@ -49,6 +61,8 @@ class SdeCoefficients:
     db: object
     dsigma: object
     name: str = ""
+    terms: object = None
+    jacobians: object = None
 
     def eval_b(self, x):
         return _evaluated("b", self.b, x, (self.d,))
@@ -61,6 +75,19 @@ class SdeCoefficients:
 
     def eval_dsigma(self, x):
         return _evaluated("dsigma", self.dsigma, x, (self.d, self.m, self.d))
+
+    def eval_terms(self, x):
+        """(b(x), sigma(x)) at the (B, d) states x of one Euler step."""
+        if self.terms is None:
+            return self.eval_b(x), self.eval_sigma(x)
+        return self.terms(x)
+
+    def eval_jacobians(self, X, dt, dF):
+        """The one-step Jacobians at the (..., N, d) states X, shape (..., N,
+        d, d), for steps dt (N,) and driver increments dF (..., N, m)."""
+        if self.jacobians is None:
+            return _generic_jacobians(self, X, dt, dF)
+        return self.jacobians(X, dt, dF)
 
 
 def _evaluated(name, fn, x, tail):
@@ -79,10 +106,12 @@ DERIV_PROBES, DERIV_TOL = 10, 1e-4
 
 def validate_derivatives(coeffs: SdeCoefficients) -> float:
     """Central-difference check of db and dsigma at DERIV_PROBES random
-    points: one b, sigma, db and dsigma call for all probes and steps.
+    points: one b, sigma, db and dsigma call for all probes and steps.  The
+    supplied terms and jacobians, if any, must give the callables' bits at
+    the same points (jacobians at random steps and driver increments).
 
     Returns the worst relative discrepancy; raises ConfigError above
-    DERIV_TOL or at NaN.
+    DERIV_TOL or at NaN, and at a supplied form that differs.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(0)))
     x = rng.standard_normal((DERIV_PROBES, coeffs.d))
@@ -100,6 +129,15 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
     worst = float(np.max(gap / scale))
     if not worst <= DERIV_TOL:
         raise ConfigError(f"derivative callables disagree with finite differences ({worst:.2e})")
+    if coeffs.terms is not None and not all(
+            np.array_equal(got, want) for got, want in
+            zip(coeffs.terms(x), (coeffs.eval_b(x), coeffs.eval_sigma(x)))):
+        raise ConfigError("the supplied Euler terms disagree with the b and sigma callables")
+    if coeffs.jacobians is not None:
+        dt, dF = rng.uniform(0.0, 1.0, DERIV_PROBES), rng.standard_normal((DERIV_PROBES, coeffs.m))
+        if not np.array_equal(coeffs.jacobians(x, dt, dF), _generic_jacobians(coeffs, x, dt, dF)):
+            raise ConfigError("the supplied step Jacobians disagree with the db and dsigma "
+                              "callables")
     return worst
 
 
@@ -165,8 +203,9 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
 
     driver is a (times, values) pair: the solver grid and the driver values
     of a batch of B paths on it, shape (B, len(times), m), all started at
-    x0.  Each step makes one b and one sigma call for the whole batch, and
-    each path's rows do not depend on the others in the batch.  A path that
+    x0.  Each step takes b and sigma once for the whole batch
+    (`SdeCoefficients.eval_terms`), and each path's rows do not depend on
+    the others in the batch.  A path that
     goes non-finite is recorded in `failed` and frozen there (no further
     arithmetic on it) while the others go on.
     """
@@ -183,21 +222,31 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
     X[:, 0] = x0
     sig = np.empty((B, N, coeffs.d, coeffs.m))
     failed = np.zeros(B, dtype=int)
-    dts, dF = np.diff(times), np.diff(F, axis=1)[..., None]
+    # the steps as floats: numpy takes a Python float operand faster than
+    # a numpy scalar
+    dts, dF = np.diff(times).tolist(), np.diff(F, axis=1)[..., None]
     live = slice(None)  # the paths still finite: all of them, or their indices
     for i in range(N):
         x = X[live, i]
-        s = coeffs.eval_sigma(x)
-        nxt = x + coeffs.eval_b(x) * dts[i] + (s @ dF[live, i])[..., 0]
+        b, s = coeffs.eval_terms(x)
+        # x + b dt + sigma dF, formed on the (d, B) transposes: a (B, d)
+        # operand that is not contiguous costs numpy one inner loop per path.
+        # The noise term stays one stacked (d, m) @ (m, 1) product per path:
+        # a multiply-add in numpy would round differently from BLAS's FMA
+        nxt = b.T * dts[i]
+        nxt += x.T
+        nxt += (s @ dF[live, i])[..., 0].T
         sig[live, i] = s
-        X[live, i + 1] = nxt
-        if not np.isfinite(nxt).all():
-            rows = np.arange(B)[live]
-            bad = ~np.isfinite(nxt).all(axis=-1)
-            failed[rows[bad]] = i + 1
-            live = rows[~bad]
-            if live.size == 0:
-                break
+        X[live, i + 1] = nxt.T
+        # one sum stands for the entrywise check; it may also overflow
+        if not math.isfinite(nxt.sum()):
+            bad = ~np.isfinite(nxt).all(axis=0)
+            if bad.any():
+                rows = np.arange(B)[live]
+                failed[rows[bad]] = i + 1
+                live = rows[~bad]
+                if live.size == 0:
+                    break
     for k in np.flatnonzero(failed):
         X[k, failed[k] + 1:] = np.nan
         sig[k, failed[k]:] = np.nan
@@ -207,14 +256,20 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
     j < steps, stacked to shape (steps, d, d) for one path and (B, steps,
-    d, d) for a batch: one db and one dsigma call over the states X_0 ..
-    X_{steps-1} of every path.  The dsigma term, sum_l dsigma[..., l, :]
-    dF_l, is summed over l in index order and formed first, so that its
-    (..., d, m, d) values are freed before db's are made."""
+    d, d) for a batch, at the states X_0 .. X_{steps-1} of every path
+    (`SdeCoefficients.eval_jacobians`)."""
     N = bundle.steps
-    dt = np.diff(bundle.times)
-    dF = np.diff(bundle.driver_values, axis=-2)[..., None, None, :]
-    X = bundle.X[..., :N, :]
+    return coeffs.eval_jacobians(bundle.X[..., :N, :], np.diff(bundle.times),
+                                 np.diff(bundle.driver_values, axis=-2))
+
+
+def _generic_jacobians(coeffs: SdeCoefficients, X, dt, dF) -> np.ndarray:
+    """The one-step Jacobians from the callables: one db and one dsigma
+    call over the (..., N, d) states X.  The dsigma term, sum_l dsigma[...,
+    l, :] dF_l, is summed over l in index order and formed first, so that
+    its (..., N, d, m, d) values are freed before db's are made; then db
+    dt, plus I, plus that term."""
+    dF = dF[..., None, None, :]
     dsigma = coeffs.eval_dsigma(X)
     noise = dsigma[..., 0, :] * dF[..., 0]
     for l in range(1, coeffs.m):
@@ -275,7 +330,7 @@ def solve_theta_all(coeffs: SdeCoefficients, batch: SolutionBundle) -> SolutionB
     takes O(steps) memory; each path's W equals column N of its own
     triangle (tests/oracles.theta_triangle) bit for bit.  sigma(X_j) comes
     from the Euler steps (only sigma(X_N) is evaluated here), and the step
-    Jacobians take one db and one dsigma call for the block.  Paths that
+    Jacobians are formed once for the block (`_step_jacobians`).  Paths that
     failed in Euler are left out; their theta is NaN.
 
     A non-finite entry reaches every later column, so column N is finite
@@ -345,6 +400,55 @@ def _elliptic_db(x):
     return out
 
 
+def _elliptic_terms(x):
+    """(b(x), sigma(x)) of elliptic-2d at the (B, 2) states x, with the
+    callables' arithmetic entry by entry.  The trig is taken on the
+    component rows x_1, x_0 of x, copied contiguous, into the rows of one
+    (6, B) buffer: b, the diagonal of sigma, then its entries 10 and 01.
+    b is returned as a view of its rows; sigma is written from the other
+    four into a C-ordered (B, 2, 2) array, as matmul takes BLAS's bits
+    only from C-ordered matrices."""
+    rows = x.T[::-1].copy()
+    out = np.empty((6, rows.shape[1]))
+    np.tanh(rows, out=out[:2])
+    np.sin(rows, out=out[2:4])
+    np.cos(rows, out=out[4:])
+    out *= 0.1
+    out[2:4] += 1.0
+    sigma = np.empty((rows.shape[1], 2, 2))
+    entries = sigma.reshape(-1, 4).T  # the entries 00, 01, 10, 11 as rows
+    entries[::3] = out[2:4]
+    entries[2:0:-1] = out[4:]
+    return out[:2].T, sigma
+
+
+def _elliptic_jacobians(X, dt, dF):
+    """The one-step Jacobians of elliptic-2d, entry by entry in the generic
+    order (db dt, then + I, then the dsigma.dF sum over l) with its zero
+    terms left out, which keeps every bit: each dropped term is a signed
+    zero added to a finite entry.  The trig is taken on the contiguous
+    component rows of X, shape (2, ..., N)."""
+    rows = np.moveaxis(X, -1, 0).copy()
+    inc = np.moveaxis(dF, -1, 0)
+    # cosh overflows at huge states, where 0.1 / inf = 0 is the derivative
+    with np.errstate(over="ignore"):
+        slope = 0.1 / np.float_power(np.cosh(rows), 2.0)
+    slope *= dt
+    cos, sin = np.cos(rows), np.sin(rows)
+    cos *= 0.1
+    sin *= -0.1
+    jac = np.empty(X.shape[:-1] + (2, 2))
+    np.multiply(sin[0], inc[1], out=jac[..., 0, 0])
+    np.multiply(cos[1], inc[0], out=jac[..., 0, 1])
+    np.multiply(cos[0], inc[1], out=jac[..., 1, 0])
+    np.multiply(sin[1], inc[0], out=jac[..., 1, 1])
+    jac[..., 0, 0] += 1.0
+    jac[..., 1, 1] += 1.0
+    jac[..., 0, 1] += slope[1]
+    jac[..., 1, 0] += slope[0]
+    return jac
+
+
 _RANK1_U = np.array([1.0, 0.7])
 _RANK1_V = np.array([1.0, 0.5])
 
@@ -383,6 +487,7 @@ def preset(name: str):
                 b=_elliptic_b, sigma=_elliptic_sigma,
                 db=_elliptic_db, dsigma=_elliptic_dsigma,
                 name="elliptic-2d",
+                terms=_elliptic_terms, jacobians=_elliptic_jacobians,
             ),
             np.array([0.1, -0.2]),
         )

@@ -108,12 +108,16 @@ def _check_same_space(a, b):
 
 @functools.cache
 def _generator():
-    """The one Generator of `sample_omega`, on a Philox rekeyed per call;
-    built at the first draw, since numpy.random is not imported before."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(0)))
+    """The one Generator of `sample_omega`, on a Philox rekeyed per call,
+    and the state that rekeys it, whose key array each call sets: built at
+    the first draw, since numpy.random is not imported before."""
+    key, zeros = np.zeros(2, dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(np.random.Philox(key=np.uint64(0))), state, key
 
 
-def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:
+def sample_omega(space: HilbertDisc, seed: int, out=None):
     """Draw i.i.d. N(0,1) coordinates from a counter-based (Philox) stream.
 
     The stream is keyed by the seed alone, so draws are reproducible and
@@ -121,16 +125,16 @@ def sample_omega(space: HilbertDisc, seed: int) -> GaussianDraw:
     call resets the key and counter of one reused Philox through its
     `state`, which gives the coordinates of a fresh
     `Generator(Philox(key=seed))` bit for bit without building one.
+    Returns the GaussianDraw, or, given out (a contiguous float array of
+    space.basis_dim entries), fills out with the coordinates and returns
+    it.
     """
-    rng = _generator()
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    xi = rng.standard_normal(space.basis_dim)
-    return GaussianDraw(space=space, xi=xi, seed=int(seed))
+    rng, state, key = _generator()
+    key[0] = seed
+    rng.bit_generator.state = state
+    if out is not None:
+        return rng.standard_normal(out=out)
+    return GaussianDraw(space=space, xi=rng.standard_normal(space.basis_dim), seed=int(seed))
 
 
 #: draws per block of `draw_blocks`, whatever the number of seeds
@@ -140,13 +144,17 @@ DRAW_BLOCK_COORDS = 1 << 20
 
 
 def draw_blocks(space: HilbertDisc, seeds):
-    """(draws, xi) for consecutive blocks of at most DRAW_BLOCK seeds: the
-    `sample_omega` draws of the block and their (B, m, n) component
-    coordinates.  A draw does not depend on the block it lands in."""
+    """(seeds, xi) for consecutive blocks of at most DRAW_BLOCK seeds: the
+    block's seeds, a list, and their (B, m, n) component coordinates, each
+    row filled in place by the seed's `sample_omega` call.  A draw does not
+    depend on the block it lands in."""
     size = max(1, min(DRAW_BLOCK, DRAW_BLOCK_COORDS // space.basis_dim))
     seeds = iter(seeds)
-    while draws := [sample_omega(space, s) for s in itertools.islice(seeds, size)]:
-        yield draws, space.components(np.array([w.xi for w in draws]))
+    while block := list(itertools.islice(seeds, size)):
+        xi = np.empty((len(block), space.basis_dim))
+        for seed, row in zip(block, xi):
+            sample_omega(space, seed, out=row)
+        yield block, space.components(xi)
 
 
 def iso_gaussian(g: HilbertVec, w: GaussianDraw) -> float:

@@ -10,10 +10,12 @@ recursion, the pointwise kernel, the non-central limit paths, the
 elementary power value and the reader of the kernels.txt dump; the Euler
 and Theta solves of one path, each as a block of one (`euler_path`,
 `theta_block`, `theta_path`); the Malliavin matrix of one draw
-(`gram_oracle`); and `jumpy_preset`, coefficients whose Theta overflows
-on some draws."""
+(`gram_oracle`); `jumpy_preset`, coefficients whose Theta overflows on
+some draws; and `generic`, a coefficient set without its fused Euler
+terms and step Jacobians, which the Euler and Theta oracles run on."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -28,6 +30,12 @@ from chaosde.sde import (SdeCoefficients, SolutionBundle, _step_jacobians, solve
                          solve_theta_all)
 from chaosde.wiener import (GaussianDraw, HilbertVec, iso_gaussian, make_hilbert, sample_omega,
                             shift_omega)
+
+def generic(coeffs):
+    """coeffs without its supplied terms and jacobians: the solvers then
+    take b, sigma and the step Jacobians from the four callables alone."""
+    return dataclasses.replace(coeffs, terms=None, jacobians=None)
+
 
 #: size of the imaginary Cameron-Martin step: far below every rounding
 #: error, and Im of a result divided by it is the exact derivative
@@ -88,13 +96,14 @@ def component_shift_failures(spec, times, seeds, eps=0.5):
             ws = shift_omega(w, eps, HilbertVec(space, coords))
             others = [k for k in range(spec.m) if k != ell]
             z, zs = simulate_path(field, w).values, simulate_path(field, ws).values
-            xi, xis = space.components(w.xi), space.components(ws.xi)
+            p = gd.projections(space.components(w.xi))
+            ps = gd.projections(space.components(ws.xi))
             claims = {
                 "Z^ell kept": np.array_equal(zs[:, ell], z[:, ell]),
-                "values row ell kept": np.array_equal(gd.values(xis)[:, ell],
-                                                      gd.values(xi)[:, ell]),
+                "values row ell kept": np.array_equal(gd.values(ps)[:, ell],
+                                                      gd.values(p)[:, ell]),
                 "deriv_vectors row ell kept": np.array_equal(
-                    gd.deriv_vectors(xis).weights[:, ell], gd.deriv_vectors(xi).weights[:, ell]),
+                    gd.deriv_vectors(ps).weights[:, ell], gd.deriv_vectors(p).weights[:, ell]),
                 "Z^other moved": bool(np.all(zs[:, others] != z[:, others])),
             }
             failures += [(seed, ell, claim) for claim, ok in claims.items() if not ok]
@@ -120,7 +129,7 @@ def theta_triangle(coeffs, bundle):
     d, m = coeffs.d, coeffs.m
     columns = np.zeros((N + 1, d, N + 1, m))  # columns[j, k, i, l] = theta[i, j, k, l]
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
-    jac = _step_jacobians(coeffs, bundle)
+    jac = _step_jacobians(generic(coeffs), bundle)
     diag = np.arange(N + 1)
     columns[diag, :, diag] = sig  # Theta_{t_j}(t_j) = sigma(X_j)
     columns[diag[1:], :, diag[:-1]] = sig[:-1]  # Theta_{t_{j+1}}(t_j) = sigma(X_j)
@@ -135,11 +144,12 @@ def theta_triangle(coeffs, bundle):
 
 
 def euler_path(coeffs, x0, driver):
-    """The Euler solve of one path: the (times, values) driver, values of
-    shape (len(times), m), as a block of one, and path(0) of the batch
-    (BlowupError at its first non-finite state)."""
+    """The Euler solve of one path on the four callables (`generic`): the
+    (times, values) driver, values of shape (len(times), m), as a block of
+    one, and path(0) of the batch (BlowupError at its first non-finite
+    state)."""
     times, values = driver
-    return solve_euler(coeffs, x0, (times, np.asarray(values)[None])).path(0)
+    return solve_euler(generic(coeffs), x0, (times, np.asarray(values)[None])).path(0)
 
 
 def theta_block(coeffs, bundle, j=None):
@@ -191,7 +201,7 @@ def dense_prefix(factors):
 def dense_deriv_vectors(gd, xi):
     """The dense DF array of the driver gd at the (..., m, n) coordinates
     xi, shape (..., len(times), m, n) in component-block coordinates."""
-    return dense_prefix(gd.deriv_vectors(xi))
+    return dense_prefix(gd.deriv_vectors(gd.projections(xi)))
 
 
 def first_steps(df, j):
@@ -263,7 +273,7 @@ def theta_columns(coeffs, bundle):
     entry raises BlowupError at the first column that holds one."""
     N = bundle.steps
     sig = np.concatenate([bundle.sigma, coeffs.eval_sigma(bundle.X[N:])])
-    jac = _step_jacobians(coeffs, bundle)
+    jac = _step_jacobians(generic(coeffs), bundle)
     columns = np.zeros((N + 1, N + 1, coeffs.d, coeffs.m))  # columns[j, i] = theta[i, j]
     for j in range(N + 1):
         col = columns[j]
@@ -327,12 +337,12 @@ def solution_csv_loop(fh, coeffs, x0, spec, driver, seeds):
     the row writer replaced: every 16th step of each path, and BlowupError
     at the first draw that went non-finite, after the rows before it."""
     fh.write("seed,t," + ",".join(f"X_{k + 1}" for k in range(coeffs.d)) + "\n")
-    for draws, _, batch in euler_batches(coeffs, x0, spec, driver, seeds):
-        for k, w in enumerate(draws):
+    for block, _, batch in euler_batches(coeffs, x0, spec, driver, seeds):
+        for k, seed in enumerate(block):
             X = batch.path(k).X
             for i in range(0, batch.steps + 1, max(1, batch.steps // 16)):
                 cols = ",".join(f"{v:.17g}" for v in X[i])
-                fh.write(f"{w.seed},{batch.times[i]:.17g},{cols}\n")
+                fh.write(f"{seed},{batch.times[i]:.17g},{cols}\n")
 
 
 def ensemble_csv_writer(ensemble, fh):
@@ -420,7 +430,7 @@ def frechet_directional(coeffs: SdeCoefficients, bundle: SolutionBundle, psi) ->
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (bundle.times.shape[0], coeffs.m):
         raise InvalidDimensionError("psi must be an R^m path on the solver grid")
-    jac = _step_jacobians(coeffs, bundle)
+    jac = _step_jacobians(generic(coeffs), bundle)
     drive = np.einsum("jkl,jl->jk", bundle.sigma, np.diff(psi, axis=0))
     out = np.zeros((bundle.steps + 1, coeffs.d))
     for j in range(bundle.steps):

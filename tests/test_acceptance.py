@@ -218,7 +218,7 @@ def test_criterion_06_sde_oracles():
     times = np.linspace(0.0, 1.0, 257)
     gd = GridDriver(spec, times)
     xi = space.components(sample_omega(space, 0).xi)
-    F = gd.values(xi)
+    F = gd.values(gd.projections(xi))
     bundle = euler_path(coeffs, x0, (times, F))
     exact = x0[0] + 0.25 * times + 1.5 * F[:, 0]
     add_err = float(np.max(np.abs(bundle.X[:, 0] - exact)))
@@ -227,7 +227,7 @@ def test_criterion_06_sde_oracles():
     coeffs_l, x0_l = preset("linear-scalar")
     fine = np.linspace(0.0, 1.0, 2**11 + 1)
     gd_f = GridDriver(spec, fine)
-    F_f = gd_f.values(xi)
+    F_f = gd_f.values(gd_f.projections(xi))
     target = x0_l[0] * math.exp(0.5 * F_f[-1, 0])
     errs = []
     for k in (8, 9, 10, 11):
@@ -271,8 +271,9 @@ def test_criterion_07_malliavin_representation():
         gd = GridDriver(spec, times)
         w = sample_omega(space, q)
         xi = space.components(w.xi[None])  # a block of one draw
-        batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi))))
-        dx = solution_derivative(coeffs, batch, gd.deriv_vectors(xi), space)[0]
+        p = gd.projections(xi)
+        batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(p))))
+        dx = solution_derivative(coeffs, batch, gd.deriv_vectors(p), space)[0]
         rng = np.random.default_rng(70 + q)
         for _ in range(10):
             h = HilbertVec(space, rng.standard_normal(space.basis_dim))

@@ -356,6 +356,29 @@ def test_solve_writes_the_draws_before_a_blowup(tmp_path, capsys):
     assert seeds == set(range(59, 77))
 
 
+def test_solve_with_supplied_terms_of_other_callables_exits_2(tmp_path, capsys, monkeypatch):
+    # a coefficient set whose sigma was replaced but whose fused Euler terms
+    # were kept passes the finite differences; the comparison of the fused
+    # forms with the callables rejects it as a configuration error
+    import dataclasses
+
+    from chaosde import sde
+
+    def mismatched(name):
+        coeffs, x0 = sde.preset(name)
+        return dataclasses.replace(coeffs, sigma=lambda x: 2.0 * sde._elliptic_sigma(x),
+                                   dsigma=lambda x: 2.0 * sde._elliptic_dsigma(x)), x0
+
+    monkeypatch.setattr(density, "preset", mismatched)
+    payload = {"process": dict(FAST_PROCESS, n=32),
+               "sde": {"preset": "elliptic-2d", "steps": 16}, "run": {"M": 2}}
+    code, out = run_cli(tmp_path, "solve", payload)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: the supplied Euler terms disagree with the b and sigma callables\n")
+    assert not (out / "solution.csv").exists()
+
+
 def test_density_csvs_match_value_loops(tmp_path):
     payload = {"process": dict(FAST_PROCESS, q=2, n=32),
                "sde": {"preset": "elliptic-2d", "steps": 24}, "run": {"M": 130, "seed": 7}}

@@ -35,7 +35,7 @@ def terminal_states(scenario, M, base_seed):
     coeffs, x0, spec, driver = scenario.build()
     xi = spec.space.components(np.array([sample_omega(spec.space, s).xi
                                          for s in range(base_seed, base_seed + M)]))
-    return solve_euler(coeffs, x0, (driver.times, driver.values(xi))).X[:, -1]
+    return solve_euler(coeffs, x0, (driver.times, driver.values(driver.projections(xi)))).X[:, -1]
 
 
 def test_scenario_steps_budget():
@@ -107,10 +107,11 @@ def test_overflowing_malliavin_derivative_is_a_blowup():
                   steps=16, n=32, L=4.0)
     coeffs, x0, spec, driver = sc.build()
     xi = spec.space.components(sample_omega(spec.space, 9).xi)
-    bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi)))
+    bundle = euler_path(coeffs, x0, (driver.times, driver.values(driver.projections(xi))))
     assert np.isfinite(theta_path(coeffs, bundle).theta).all()
     dx = solution_derivative(coeffs, theta_block(coeffs, bundle, 12),
-                             first_steps(driver.deriv_vectors(xi[None]), 12), spec.space)
+                             first_steps(driver.deriv_vectors(driver.projections(xi[None])), 12),
+                             spec.space)
     assert not np.isfinite(np.vdot(dx, dx))
     mm = malliavin_matrix(dx)
     assert not mm.ok[0] and np.isnan(mm.det[0])
@@ -153,7 +154,7 @@ def test_ensemble_excludes_exactly_the_failed_euler_path(monkeypatch):
     free = run_ensemble(sc, M=M, base_seed=0)
     coeffs, x0, spec, driver = sc.build()
     xi = spec.space.components(np.array([sample_omega(spec.space, s).xi for s in range(M)]))
-    peaks = np.max(driver.values(xi)[:, :-1], axis=(1, 2))
+    peaks = np.max(driver.values(driver.projections(xi))[:, :-1], axis=(1, 2))
     top, second = np.sort(peaks)[[-1, -2]]
     monkeypatch.setattr(density, "preset", capped_preset(0.5 * (top + second)))
     capped = run_ensemble(sc, M=M, base_seed=0)
@@ -181,11 +182,12 @@ def test_chunk_buffers_give_the_fresh_samples(monkeypatch):
     blown = []
     for seed, x, det, min_eig in got:
         xi = spec.space.components(sample_omega(spec.space, seed).xi[None])
-        bundle = euler_path(coeffs, x0, (driver.times, driver.values(xi[0])))
+        bundle = euler_path(coeffs, x0, (driver.times, driver.values(driver.projections(xi[0]))))
         try:
             batch = theta_block(coeffs, bundle)
             batch.path(0)
-            dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+            dx = solution_derivative(coeffs, batch, driver.deriv_vectors(driver.projections(xi)),
+                                     spec.space)
             want = gram_oracle(dx[0])
         except BlowupError:
             want = None
@@ -246,18 +248,19 @@ def test_theta_non_finite_at_the_output_time_alone_is_excluded(monkeypatch):
     monkeypatch.setattr(density, "preset", lambda name: patched(name, np.inf))
     coeffs, x0, spec, driver = sc.build()
     xi = spec.space.components(np.array([sample_omega(spec.space, s).xi for s in range(M)]))
-    X = driver.values(xi)[..., 0]  # the unit-noise paths, x0 = 0
+    X = driver.values(driver.projections(xi))[..., 0]  # the unit-noise paths, x0 = 0
     earlier, last = np.max(X[:, :-1], axis=1), X[:, -1]
     edge = int(np.argmax(last - earlier))
     level = 0.5 * (earlier[edge] + last[edge])
     assert earlier[edge] < level < last[edge]
     monkeypatch.setattr(density, "preset", lambda name: patched(name, level))
     coeffs = sc.build()[0]
-    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
+    p = driver.projections(xi)
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(p))))
     assert batch.failed[edge] == 0 and batch.theta_failed[edge] == sc.steps
     with pytest.raises(BlowupError, match=f"variational state at step {sc.steps}"):
         batch.path(edge)
-    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(xi), spec.space)
+    dx = solution_derivative(coeffs, batch, driver.deriv_vectors(p), spec.space)
     assert malliavin_matrix(dx).ok[edge]
     ens = run_ensemble(sc, M=M, base_seed=0)
     assert ens.excluded_seeds == [s for s in range(M) if np.max(X[s]) > level]

@@ -764,8 +764,8 @@ def test_grid_driver_directional_derivative_exact(q):
     xi, hc = spec.space.components(w.xi), spec.space.components(h)
     target = dense_deriv_vectors(gd, xi) @ h  # m = 1: one block spans the basis
     eps = 1e-6
-    up = gd.values(xi + eps * hc)
-    dn = gd.values(xi - eps * hc)
+    up = gd.values(gd.projections(xi + eps * hc))
+    dn = gd.values(gd.projections(xi - eps * hc))
     fd = (up - dn) / (2 * eps)
     assert np.max(np.abs(fd - target)) <= 1e-6
 
@@ -781,17 +781,22 @@ def test_grid_driver_validation():
 @pytest.mark.parametrize("shape", [(32,), (2, 32), (1, 31), (3, 1, 33), (1, 32, 1)])
 def test_evaluators_reject_coordinates_of_another_shape(shape):
     # every evaluator reads coordinates of shape (..., m, n) of its own
-    # space, and any other trailing shape is refused, not broadcast
+    # space, the grid driver's through its projections, and any other
+    # trailing shape is refused, not broadcast
     spec = small_spec(q=2, n=32, L=4.0, out_times=(1.0,))
     gd, field = GridDriver(spec, np.linspace(0.0, 1.0, 17)), build_kernels(spec)
-    for evaluate in (gd.values, gd.deriv_vectors, field.values,
+    for evaluate in (gd.projections, field.values,
                      lambda xi: _factor_derivative(spec, field.g[0], field.beta[0], xi)):
         with pytest.raises(InvalidDimensionError, match=r"\(\.\.\., 1, 32\)"):
             evaluate(np.zeros(shape))
+    # and the projections have the shape (..., m, steps) of the driver's nodes
+    for evaluate in (gd.values, gd.deriv_vectors):
+        with pytest.raises(InvalidDimensionError, match=r"\(\.\.\., 1, 16\)"):
+            evaluate(np.zeros(shape))
     # leading axes are free
-    assert gd.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 17, 1)
+    assert gd.values(gd.projections(np.zeros((3, 2, 1, 32)))).shape == (3, 2, 17, 1)
     assert field.values(np.zeros((3, 2, 1, 32))).shape == (3, 2, 1, 1)
-    assert gd.deriv_vectors(np.zeros((3, 1, 32))).weights.shape == (3, 16, 1)
+    assert gd.deriv_vectors(gd.projections(np.zeros((3, 1, 32)))).weights.shape == (3, 16, 1)
 
 
 # Per-component oracles: one (n,) block of the component-major coordinates
@@ -863,8 +868,8 @@ def test_grid_driver_matches_per_component_oracle(q, m):
         for seed in range(5):
             w = sample_omega(spec.space, seed)
             xi = spec.space.components(w.xi)
-            assert np.array_equal(gd.values(xi), grid_values_one(gd, w))
-            df = gd.deriv_vectors(xi)
+            assert np.array_equal(gd.values(gd.projections(xi)), grid_values_one(gd, w))
+            df = gd.deriv_vectors(gd.projections(xi))
             assert df.scale is gd._rho and df.basis is gd._g
             assert np.array_equal(dense_deriv_vectors(gd, xi), grid_deriv_vectors_one(gd, w))
     # a block of draws, a full one and a short one, stacks the draws' values
@@ -872,8 +877,8 @@ def test_grid_driver_matches_per_component_oracle(q, m):
     draws = [sample_omega(spec.space, s) for s in range(100, 100 + DRAW_BLOCK)]
     xi = spec.space.components(np.array([w.xi for w in draws]))
     want = np.array([grid_values_one(gd, w) for w in draws])
-    assert np.array_equal(gd.values(xi), want)
-    assert np.array_equal(gd.values(xi[5:8]), want[5:8])
+    assert np.array_equal(gd.values(gd.projections(xi)), want)
+    assert np.array_equal(gd.values(gd.projections(xi[5:8])), want[5:8])
     vectors = dense_deriv_vectors(gd, xi[5:8])
     for k, w in enumerate(draws[5:8]):
         assert np.array_equal(vectors[k], grid_deriv_vectors_one(gd, w))

@@ -31,8 +31,9 @@ def assemble_dx(steps: int, space):
     driver = GridDriver(HermiteSpec(q=1, H=0.7, m=1, space=SPACE, out_times=(1.0,)),
                         np.linspace(0.0, 1.0, 5))
     xi = SPACE.components(DRAW.xi[None])
-    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(xi))))
-    return solution_derivative(coeffs, batch, first_steps(driver.deriv_vectors(xi), steps), space)
+    p = driver.projections(xi)
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (driver.times, driver.values(p))))
+    return solution_derivative(coeffs, batch, first_steps(driver.deriv_vectors(p), steps), space)
 
 
 CASES = {

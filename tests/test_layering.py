@@ -3,10 +3,13 @@ function-local ones included, goes down the table below; the package
 imports no third-party module but those `pyproject.toml` declares; and
 every public name of the package, and every defaulted parameter of its
 public functions, is reached from somewhere other than its own unit
-tests; and the stage timer in tools/ runs on the package as it is."""
+tests; the stage timer in tools/ runs on the package as it is; and
+importing the command line loads every module the benchmark's tracer
+instruments, and not numpy.random."""
 
 import ast
 import collections
+import importlib.util
 import json
 import os
 import pathlib
@@ -314,6 +317,26 @@ def test_reachability_scan(tmp_path):
         "a.Box.width", "a.Rec.shadow"]
 
 
+def test_cli_import_loads_the_traced_modules_and_not_numpy_random():
+    # perfbench/tracer.py wraps functions of these modules right after
+    # `import chaosde.cli`, so each must be loaded by then; numpy.random
+    # (about 8 ms) is imported at the first draw, not at start-up
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {module for _, module, _ in tracer.FUNCTIONS} | {"chaosde.hermite"}
+    assert traced == {f"chaosde.{name}" for name in ("wiener", "chaos", "hermite", "sde",
+                                                      "young", "malliavin", "density")}
+    code = ("import json, sys; import chaosde.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('chaosde', 'numpy')))))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                         text=True)
+    loaded = set(json.loads(out.stdout))
+    assert traced <= loaded
+    assert not any(m == "numpy.random" or m.startswith("numpy.random.") for m in loaded)
+
+
 def test_stage_times_runs_on_this_checkout(tmp_path):
     # the timer wraps the names the density command calls its stages by,
     # so a change that renames one, or stops calling it, fails here: one
@@ -326,7 +349,7 @@ def test_stage_times_runs_on_this_checkout(tmp_path):
     record = json.loads(out.read_text())
     assert record["scenario"] == "ensemble-elliptic"
     entry = record["sources"]["src"]
-    assert set(entry["median_stages_ms"]) == {"draw", "driver_values", "euler", "df", "theta",
-                                              "dx", "gram"}
+    assert set(entry["median_stages_ms"]) == {"draw", "projections", "driver_values", "euler",
+                                              "df", "theta", "dx", "gram"}
     assert all(ms > 0 for ms in entry["median_stages_ms"].values())
     assert entry["median_command_s"] > 0

@@ -19,7 +19,7 @@ from chaosde.malliavin import (
     shifted_driver,
     solution_derivative,
 )
-from oracles import (complex_step_dx, component_shift_failures, dense_deriv_vectors,
+from oracles import (complex_step_dx, component_shift_failures, dense_deriv_vectors, dense_prefix,
                      dense_solution_derivative, dx_from_triangle, euler_path, first_steps,
                      gram_oracle, jumpy_preset, theta_block, theta_triangle)
 
@@ -38,8 +38,9 @@ def solve_case(preset_name, q, steps=48, n=96, seed=0):
     gd = GridDriver(spec, times)
     w = sample_omega(spec.space, seed)
     xi = spec.space.components(w.xi[None])  # a block of one draw
-    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi))))
-    dx = solution_derivative(coeffs, batch, gd.deriv_vectors(xi), spec.space)[0]
+    p = gd.projections(xi)
+    batch = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(p))))
+    dx = solution_derivative(coeffs, batch, gd.deriv_vectors(p), spec.space)[0]
     return coeffs, x0, spec, gd, w, batch.path(0), dx
 
 
@@ -105,9 +106,10 @@ def test_solution_derivative_needs_the_theta_of_one_path():
     # with a Theta of another grid, nor one path without the block axis
     coeffs, x0, spec, gd, w, bundle, dx = solve_case("elliptic-2d", 1, steps=8)
     xi = spec.space.components(w.xi[None])
-    df = gd.deriv_vectors(xi)
-    no_theta = solve_euler(coeffs, x0, (gd.times, gd.values(xi)))
-    cut = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(xi))))
+    p = gd.projections(xi)
+    df = gd.deriv_vectors(p)
+    no_theta = solve_euler(coeffs, x0, (gd.times, gd.values(p)))
+    cut = solve_theta_all(coeffs, solve_euler(coeffs, x0, (gd.times, gd.values(p))))
     cut.theta = cut.theta[:, :5]
     for batch in (no_theta, cut, bundle):
         with pytest.raises(InvalidDimensionError, match="solve_theta_all"):
@@ -147,9 +149,9 @@ def test_gram_is_symmetric_bit_for_bit(name):
     coeffs, x0 = preset(name)
     spec = make_spec(q=2, m=coeffs.m, n=48, out_times=(1.0,))
     gd = GridDriver(spec, np.linspace(0.0, 1.0, 25))
-    for _, xi, batch in euler_batches(coeffs, x0, spec, gd, range(40)):
+    for _, p, batch in euler_batches(coeffs, x0, spec, gd, range(40)):
         solve_theta_all(coeffs, batch)
-        gamma = malliavin_matrix(solution_derivative(coeffs, batch, gd.deriv_vectors(xi),
+        gamma = malliavin_matrix(solution_derivative(coeffs, batch, gd.deriv_vectors(p),
                                                      spec.space)).gamma
         assert np.array_equal(gamma, gamma.swapaxes(-1, -2))
     rng = np.random.default_rng(3)
@@ -258,7 +260,8 @@ def test_dx_matches_the_triangle_assembly(name, q, steps, seed):
     assert_close(dx, steps)
     j = 1 + seed % steps
     part = solution_derivative(coeffs, theta_block(coeffs, bundle, j),
-                               first_steps(gd.deriv_vectors(xi[None]), j), spec.space)
+                               first_steps(gd.deriv_vectors(gd.projections(xi[None])), j),
+                               spec.space)
     assert_close(part[0], j)
 
 
@@ -284,27 +287,28 @@ def test_adjoint_dx_matches_the_dense_oracle(name, q):
     spec = make_spec(q=q, m=coeffs.m, n=40, out_times=(1.0,))
     gd = GridDriver(spec, np.linspace(0.0, 1.0, 33))
     kept, excluded = 0, []
-    for draws, xi, batch in euler_batches(coeffs, x0, spec, gd, range(24)):
+    for seeds, p, batch in euler_batches(coeffs, x0, spec, gd, range(24)):
         solve_theta_all(coeffs, batch)
-        dx = solution_derivative(coeffs, batch, gd.deriv_vectors(xi), spec.space)
+        dx = solution_derivative(coeffs, batch, gd.deriv_vectors(p), spec.space)
         mm = malliavin_matrix(dx)
-        for k, w in enumerate(draws):
+        for k, seed in enumerate(seeds):
             try:
                 want_dx = dense_solution_derivative(coeffs, batch.path(k),
-                                                    dense_deriv_vectors(gd, xi[k]), spec.space)
+                                                    dense_prefix(gd.deriv_vectors(p[k])),
+                                                    spec.space)
                 want = gram_oracle(want_dx)
             except BlowupError:
                 want = None
             assert mm.ok[k] == (want is not None)
             if want is None:
-                excluded.append(w.seed)
+                excluded.append(seed)
                 continue
             kept += 1
             for a, b in zip((dx[k], mm.gamma[k]), (want_dx, want[0])):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             if name != "jumpy":  # whose dsigma is not the derivative of its sigma
-                h = np.random.default_rng(w.seed).standard_normal(spec.space.basis_dim)
-                exact = complex_step_dx(coeffs, x0, gd, w, h)
+                h = np.random.default_rng(seed).standard_normal(spec.space.basis_dim)
+                exact = complex_step_dx(coeffs, x0, gd, sample_omega(spec.space, seed), h)
                 scale = np.max(np.abs(dx[k]) @ np.abs(h))
                 assert np.max(np.abs(dx[k] @ h - exact)) <= 1e-13 * scale
     # every case keeps draws, and the last two exclude some
@@ -338,16 +342,16 @@ MIXED_CASES = (preset("elliptic-2d"), (LINEAR_2D, np.full(2, 1.797e308)),
 
 def mixed_block(gd, seeds):
     """One block of the draws of seeds under each of MIXED_CASES, solved
-    case by case and then interleaved: (batch with Theta, coordinates)."""
+    case by case and then interleaved: (batch with Theta, projections)."""
     parts = []
     for coeffs, x0 in MIXED_CASES:
-        for _, xi, batch in euler_batches(coeffs, x0, gd.spec, gd, seeds):
-            parts.append((solve_theta_all(coeffs, batch), xi))
+        for _, p, batch in euler_batches(coeffs, x0, gd.spec, gd, seeds):
+            parts.append((solve_theta_all(coeffs, batch), p))
     order = np.random.default_rng(0).permutation(len(seeds) * len(MIXED_CASES))
     fields = {name: np.concatenate([getattr(b, name) for b, _ in parts])[order]
               for name in ("X", "driver_values", "sigma", "theta", "failed", "theta_failed")}
     return (SolutionBundle(times=gd.times, **fields),
-            np.concatenate([xi for _, xi in parts])[order])
+            np.concatenate([p for _, p in parts])[order])
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -360,15 +364,15 @@ def test_block_equals_its_draws_taken_alone(q):
     coeffs = LINEAR_2D
     spec = make_spec(q=q, m=2, n=24, out_times=(1.0,))
     gd = GridDriver(spec, np.linspace(0.0, 1.0, 17))
-    batch, xi = mixed_block(gd, range(8))
-    dx = solution_derivative(coeffs, batch, gd.deriv_vectors(xi), spec.space)
+    batch, p = mixed_block(gd, range(8))
+    dx = solution_derivative(coeffs, batch, gd.deriv_vectors(p), spec.space)
     mm = malliavin_matrix(dx)
     kinds = set()
-    for k in range(xi.shape[0]):
+    for k in range(p.shape[0]):
         one = SolutionBundle(times=batch.times, X=batch.X[k:k + 1],
                              driver_values=batch.driver_values[k:k + 1],
                              theta=batch.theta[k:k + 1])
-        dx1 = solution_derivative(coeffs, one, gd.deriv_vectors(xi[k:k + 1]), spec.space)
+        dx1 = solution_derivative(coeffs, one, gd.deriv_vectors(p[k:k + 1]), spec.space)
         mm1 = malliavin_matrix(dx1)
         assert np.array_equal(dx[k], dx1[0], equal_nan=True)
         for name in ("gamma", "det", "min_eig", "ok"):

@@ -1,6 +1,7 @@
 """Euler solver, variational (Theta) equation against its row and tangent
 oracles, and the coefficient presets."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from chaosde.errors import BlowupError, ConfigError, InvalidDimensionError
 from chaosde.hermite import GridDriver, HermiteSpec
 from chaosde.sde import (
     SdeCoefficients,
+    _generic_jacobians,
     _step_jacobians,
     preset,
     solve_euler,
@@ -21,8 +23,8 @@ from chaosde.sde import (
     validate_derivatives,
 )
 from chaosde.wiener import make_hilbert, sample_omega
-from oracles import (_step_jacobian, euler_path, frechet_directional, solve_theta, theta_columns,
-                     theta_path, theta_triangle)
+from oracles import (_step_jacobian, euler_path, frechet_directional, generic, solve_theta,
+                     theta_columns, theta_path, theta_triangle)
 
 
 PRESETS = ["additive", "linear-scalar", "elliptic-2d", "rank1-2d"]
@@ -356,7 +358,7 @@ def test_batched_theta_matches_triangle_columns(name, q, steps, seed, B):
                     np.linspace(0.0, 1.0, steps + 1))
     xi = space.components(np.array([sample_omega(space, (seed + k) % 2**64).xi
                                     for k in range(B)]))
-    batch = solve_euler(coeffs, x0, (gd.times, gd.values(xi)))
+    batch = solve_euler(coeffs, x0, (gd.times, gd.values(gd.projections(xi))))
     assert solve_theta_all(coeffs, batch) is batch
     assert batch.theta.shape == (B, steps + 1, coeffs.d, coeffs.m)
     for k in range(B):
@@ -366,7 +368,7 @@ def test_batched_theta_matches_triangle_columns(name, q, steps, seed, B):
             assert exc.value.step == batch.failed[k]
             assert np.isnan(batch.theta[k]).all()
             continue
-        one = euler_path(coeffs, x0, (gd.times, gd.values(xi[k])))
+        one = euler_path(coeffs, x0, (gd.times, gd.values(gd.projections(xi[k]))))
         try:
             want = theta_triangle(coeffs, one)
         except BlowupError as err:
@@ -639,4 +641,75 @@ def test_step_jacobian_stack_matches_single_steps(name):
     assert stack.shape == (9, steps, coeffs.d, coeffs.d)
     for k in range(9):
         assert np.array_equal(stack[k], _step_jacobians(coeffs, batch.path(k)))
+
+
+def awkward_states(rng, shape):
+    """States of the given shape (..., d) at small, unit, large and huge
+    scales, with exact zeros and states where cosh overflows."""
+    x = rng.standard_normal(shape) * rng.choice([1e-8, 0.1, 1.0, 3.0, 800.0, 1e300], shape)
+    x.reshape(-1)[::7] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("B", [1, 7, 100])
+@pytest.mark.parametrize("name", PRESETS + ["jumpy"])
+def test_supplied_terms_keep_the_callables_bits(name, B):
+    # a block solved with the set's supplied Euler terms and step Jacobians
+    # equals the block solved on its four callables alone, bit for bit:
+    # states, sigma, the failing step and NaN freeze of a path that blows
+    # up mid-solve (path 3 at step 40, when B > 3), Theta and theta_failed
+    coeffs, x0 = jumpy() if name == "jumpy" else preset(name)
+    assert (coeffs.terms is not None) == (name == "elliptic-2d")
+    steps = 128
+    times = np.linspace(0.0, 1.0, steps + 1)
+    for seed, scale in ((0, 0.05), (1, 0.3), (2, 1.5)):
+        F = random_paths(coeffs, B, steps, seed, scale)
+        if B > 3:
+            F[3, 40:] = np.inf
+        got = solve_theta_all(coeffs, solve_euler(coeffs, x0, (times, F)))
+        want = solve_theta_all(generic(coeffs), solve_euler(generic(coeffs), x0, (times, F)))
+        if B > 3:
+            assert got.failed[3] == 40 and np.isnan(got.X[3, 41:]).all()
+        for field in ("X", "sigma", "failed", "theta", "theta_failed"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+
+@pytest.mark.parametrize("name", PRESETS + ["jumpy"])
+def test_supplied_terms_keep_the_callables_bits_at_awkward_states(name):
+    # the Euler terms on (B, d) states and the step Jacobians on (N, d) and
+    # (B, N, d) states, against the callables, at tiny, huge and zero
+    # states and at signed-zero, tiny and huge driver increments
+    coeffs, _ = jumpy() if name == "jumpy" else preset(name)
+    rng = np.random.default_rng(5)
+    for B in (1, 7, 100):
+        x = awkward_states(rng, (B, coeffs.d))
+        for got, want in zip(coeffs.eval_terms(x), (coeffs.eval_b(x), coeffs.eval_sigma(x))):
+            assert np.array_equal(got, want)
+    for lead in ((), (1,), (9,)):
+        X = awkward_states(rng, lead + (33, coeffs.d))
+        dt = rng.uniform(0.0, 0.1, 33)
+        dF = rng.standard_normal(lead + (33, coeffs.m)) * rng.choice(
+            [0.0, -0.0, 1e-300, 1.0, 1e150], lead + (33, coeffs.m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = coeffs.eval_jacobians(X, dt, dF)
+            want = _generic_jacobians(coeffs, X, dt, dF)
+        assert got.shape == lead + (33, coeffs.d, coeffs.d)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_validate_derivatives_catches_supplied_terms_of_other_callables():
+    # a preset whose callables are replaced keeps its fused forms: the
+    # finite differences pass, and the supplied forms no longer match
+    coeffs, _ = preset("elliptic-2d")
+    assert validate_derivatives(coeffs) <= 1e-4
+    doubled = dataclasses.replace(coeffs, sigma=lambda x: 2.0 * sde._elliptic_sigma(x),
+                                  dsigma=lambda x: 2.0 * sde._elliptic_dsigma(x))
+    with pytest.raises(ConfigError, match="supplied Euler terms"):
+        validate_derivatives(doubled)
+    drift = dataclasses.replace(coeffs, terms=None, b=lambda x: 2.0 * sde._elliptic_b(x),
+                                db=lambda x: 2.0 * sde._elliptic_db(x))
+    with pytest.raises(ConfigError, match="supplied step Jacobians"):
+        validate_derivatives(drift)
+    # the same set with its fused forms dropped is valid
+    assert validate_derivatives(generic(doubled)) <= 1e-4
 

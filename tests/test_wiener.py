@@ -65,8 +65,9 @@ def test_component_view_matches_per_component_oracle(m, n):
     # the (B, m, n) coordinates of a block of draws, bit for bit the
     # per-component loops over index ell * n + cell
     space = make_hilbert(m, -2.0, 1.0, n)
-    for draws, xi in draw_blocks(space, range(5)):
-        for k, w in enumerate(draws):
+    for seeds, xi in draw_blocks(space, range(5)):
+        for k, seed in enumerate(seeds):
+            w = sample_omega(space, seed)
             for ell in range(m):
                 assert np.array_equal(xi[k, ell], [w.xi[ell * n + i] for i in range(n)])
 
@@ -100,13 +101,12 @@ def test_draw_blocks_split_seeds_into_sample_omega_blocks():
     space = make_hilbert(3, -4.0, 1.0, 10)
     seeds = [9, 2, 2**64 - 1] + list(range(100, 100 + 2 * DRAW_BLOCK))
     blocks = list(draw_blocks(space, iter(seeds)))
-    assert [len(draws) for draws, _ in blocks] == [DRAW_BLOCK, DRAW_BLOCK, 3]
-    draws = [w for block, _ in blocks for w in block]
-    assert [w.seed for w in draws] == seeds
+    assert [len(block) for block, _ in blocks] == [DRAW_BLOCK, DRAW_BLOCK, 3]
+    assert [seed for block, _ in blocks for seed in block] == seeds
     for block, xi in blocks:
         assert xi.shape == (len(block), 3, 10)
-        for w, rows in zip(block, xi):
-            assert np.array_equal(rows, space.components(sample_omega(space, w.seed).xi))
+        for seed, rows in zip(block, xi):
+            assert np.array_equal(rows, space.components(sample_omega(space, seed).xi))
     assert list(draw_blocks(space, [])) == []
     # over a fine grid a block holds at most DRAW_BLOCK_COORDS coordinates,
     # and one draw at least

@@ -4,8 +4,8 @@ measured side by side.
 Usage (from the root of a checkout):
 
     python3 tools/stage_times.py LABEL=SRC [LABEL=SRC ...] [--scenario NAME ...]
-                                 [--ensemble-M M] [--simulate-n N] [--repeats R]
-                                 [--out FILE]
+                                 [--ensemble-M M] [--ensemble-q Q] [--simulate-n N]
+                                 [--repeats R] [--out FILE]
 
 SRC is a directory holding the `chaosde` package (the `src` directory of a
 checkout).  Each pass runs in a fresh interpreter with one BLAS thread.
@@ -14,20 +14,24 @@ The scenarios are the benchmark's two workloads:
 ensemble-elliptic (the default): one `chaosde density` command, elliptic-2d,
 q = 1, H = 0.7, n = 256, L = 8, 128 steps to T = 1, `run.M` 100 from
 `run.seed` 5 (the benchmark's size; `--ensemble-M` sets another, such as
-4096, where the per-sample cost dominates the command), run in process
-after one untimed warm-up command of the same size.  A pass
-times the command's seven stages by wrapping the names it calls them by,
-so every source tree runs its own, unchanged command: draw (each step of
-`density.draw_blocks`, a block's draws and their coordinates), driver
-values and DF (the `GridDriver.values` and `deriv_vectors` methods,
-wrapped on the class), Euler, Theta, DX and Gram (`density.solve_euler`,
-`solve_theta_all`, `solution_derivative` and `malliavin_matrix`).  Euler
-is one call per block of draws, Theta, DF, DX and Gram one call per
-sub-block (`density.SUB_BLOCK` draws at most).  Each stage is its
-total over the command, in milliseconds per sample, and `sample_ms` their
-sum; `command_s` is the whole command and `command_sample_ms` its time
-per sample.  The rest of the command (the build, the KDE, the output
-files and the bookkeeping of the rows) is in no stage.
+4096, where the per-sample cost dominates the command, and `--ensemble-q`
+another order: at q >= 2 DF depends on the draw), run in process after
+one untimed warm-up command of the same size.  A pass times the
+command's eight stages by wrapping the names it calls them by, so every
+source tree runs its own, unchanged command: draw (each step of
+`density.draw_blocks`, a block's draws and their coordinates),
+projections, driver values and DF (the `GridDriver.projections`,
+`values` and `deriv_vectors` methods, wrapped on the class; a tree
+whose `GridDriver` has no `projections` forms them inside the other
+two, and reads 0 there), Euler, Theta, DX and Gram
+(`density.solve_euler`, `solve_theta_all`, `solution_derivative` and
+`malliavin_matrix`).  Euler and the projections are one call per block
+of draws, Theta, DF, DX and Gram one call per sub-block
+(`density.SUB_BLOCK` draws at most).  Each stage is its total over the
+command, in milliseconds per sample, and `sample_ms` their sum;
+`command_s` is the whole command and `command_sample_ms` its time per
+sample.  The rest of the command (the build, the KDE, the output files
+and the bookkeeping of the rows) is in no stage.
 
 drivers-q3: one `chaosde simulate` command, q = 3, H = 0.7, m = 1, n =
 160, L = 8, s_nodes = 64, out_times 0.25, 0.5, 1, seeds 5-204 (the
@@ -78,7 +82,7 @@ import time
 ENSEMBLE = {"process": {"q": 1, "H": 0.7, "m": 2, "n": 256, "L": 8.0},
             "sde": {"preset": "elliptic-2d", "steps": 128, "T": 1.0},
             "run": {"M": 100, "seed": 5}}
-STAGES = ("draw", "driver_values", "euler", "df", "theta", "dx", "gram")
+STAGES = ("draw", "projections", "driver_values", "euler", "df", "theta", "dx", "gram")
 SIMULATE = {"process": {"q": 3, "H": 0.7, "m": 1, "n": 160, "L": 8.0, "s_nodes": 64},
             "run": {"M": 200, "seed": 5, "out_times": [0.25, 0.5, 1.0]}}
 SIMULATE_STAGES = ("build_kernels", "simulate_paths", "driver.csv", "kernels.txt",
@@ -138,7 +142,7 @@ def run_command(command: str, cfg: dict) -> float:
 
 
 def measure_ensemble() -> dict:
-    """One `chaosde density` command on ENSEMBLE with its seven stages
+    """One `chaosde density` command on ENSEMBLE with its eight stages
     timed, after an untimed warm-up command (run in a child)."""
     from chaosde import density, hermite
 
@@ -147,8 +151,11 @@ def measure_ensemble() -> dict:
     for stage, name in (("euler", "solve_euler"), ("theta", "solve_theta_all"),
                         ("dx", "solution_derivative"), ("gram", "malliavin_matrix")):
         setattr(density, name, timed(stages, stage, getattr(density, name)))
-    for stage, name in (("driver_values", "values"), ("df", "deriv_vectors")):
-        setattr(hermite.GridDriver, name, timed(stages, stage, getattr(hermite.GridDriver, name)))
+    for stage, name in (("projections", "projections"), ("driver_values", "values"),
+                        ("df", "deriv_vectors")):
+        if hasattr(hermite.GridDriver, name):
+            setattr(hermite.GridDriver, name,
+                    timed(stages, stage, getattr(hermite.GridDriver, name)))
     run_command("density", ENSEMBLE)
     stages.update(dict.fromkeys(STAGES, 0.0))
     command_s = run_command("density", ENSEMBLE)
@@ -246,6 +253,7 @@ def _pass(src: str, scenario: str) -> dict:
     env.update({name: "1" for name in BLAS_ENV})
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", scenario,
                           "--ensemble-M", str(ENSEMBLE["run"]["M"]),
+                          "--ensemble-q", str(ENSEMBLE["process"]["q"]),
                           "--simulate-n", str(SIMULATE["process"]["n"]),
                           "--started", repr(time.time())],
                          env=env, check=True, capture_output=True, text=True)
@@ -300,6 +308,8 @@ def main(argv=None) -> int:
                         help="scenario to time (default ensemble-elliptic); repeat for more")
     parser.add_argument("--ensemble-M", type=int, default=ENSEMBLE["run"]["M"],
                         help="run.M of the ensemble scenario (default %(default)s)")
+    parser.add_argument("--ensemble-q", type=int, default=ENSEMBLE["process"]["q"],
+                        help="process.q of the ensemble scenario (default %(default)s)")
     parser.add_argument("--simulate-n", type=int, default=SIMULATE["process"]["n"],
                         help="process.n of the drivers-q3 scenario (default %(default)s)")
     parser.add_argument("--repeats", type=int, default=7)
@@ -308,6 +318,7 @@ def main(argv=None) -> int:
     parser.add_argument("--started", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     ENSEMBLE["run"]["M"] = args.ensemble_M
+    ENSEMBLE["process"]["q"] = args.ensemble_q
     SIMULATE["process"]["n"] = args.simulate_n
     if args.child:
         import chaosde.cli  # noqa: F401  the child's first numpy import
@@ -320,6 +331,8 @@ def main(argv=None) -> int:
         parser.error("give at least one LABEL=SRC, each label once, and --repeats >= 1")
     if args.ensemble_M < 100:
         parser.error("--ensemble-M must be at least 100, the smallest ensemble the KDE takes")
+    if not 1 <= args.ensemble_q <= 3:
+        parser.error("--ensemble-q must be 1, 2 or 3")
     if args.simulate_n < 1:
         parser.error("--simulate-n must be positive")
     scenarios = args.scenario or ["ensemble-elliptic"]
