@@ -48,9 +48,10 @@ class SdeCoefficients:
     terms and jacobians are optional fused forms of what the solvers take
     from the four callables, and must give their bits (validate_derivatives
     compares them at its probes): terms(x) is (b(x), sigma(x)) at the (B,
-    d) states x of one Euler step, and jacobians(X, dt, dF) the one-step
-    Jacobians I + db(X_j) dt_j + dsigma(X_j).dF_j at the (..., N, d)
-    states X, with steps dt of shape (N,) and driver increments dF of
+    d) states x of one Euler step, and jacobians(X, sigma, dt, dF) the
+    one-step Jacobians I + db(X_j) dt_j + dsigma(X_j).dF_j at the (..., N,
+    d) states X, given sigma(X) of shape (..., N, d, m) as the Euler steps
+    formed it, the steps dt of shape (N,) and the driver increments dF of
     shape (..., N, m).  Left None, each is formed from the four callables.
     """
 
@@ -82,12 +83,13 @@ class SdeCoefficients:
             return self.eval_b(x), self.eval_sigma(x)
         return self.terms(x)
 
-    def eval_jacobians(self, X, dt, dF):
+    def eval_jacobians(self, X, sigma, dt, dF):
         """The one-step Jacobians at the (..., N, d) states X, shape (..., N,
-        d, d), for steps dt (N,) and driver increments dF (..., N, m)."""
+        d, d), given sigma(X) (..., N, d, m), the steps dt (N,) and the
+        driver increments dF (..., N, m)."""
         if self.jacobians is None:
             return _generic_jacobians(self, X, dt, dF)
-        return self.jacobians(X, dt, dF)
+        return self.jacobians(X, sigma, dt, dF)
 
 
 def _evaluated(name, fn, x, tail):
@@ -135,7 +137,8 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
         raise ConfigError("the supplied Euler terms disagree with the b and sigma callables")
     if coeffs.jacobians is not None:
         dt, dF = rng.uniform(0.0, 1.0, DERIV_PROBES), rng.standard_normal((DERIV_PROBES, coeffs.m))
-        if not np.array_equal(coeffs.jacobians(x, dt, dF), _generic_jacobians(coeffs, x, dt, dF)):
+        if not np.array_equal(coeffs.jacobians(x, coeffs.eval_sigma(x), dt, dF),
+                              _generic_jacobians(coeffs, x, dt, dF)):
             raise ConfigError("the supplied step Jacobians disagree with the db and dsigma "
                               "callables")
     return worst
@@ -256,10 +259,10 @@ def solve_euler(coeffs: SdeCoefficients, x0, driver) -> SolutionBundle:
 def _step_jacobians(coeffs: SdeCoefficients, bundle: SolutionBundle) -> np.ndarray:
     """Every one-step Jacobian J_j = I + db(X_j) dt_j + dsigma(X_j).dF_j,
     j < steps, stacked to shape (steps, d, d) for one path and (B, steps,
-    d, d) for a batch, at the states X_0 .. X_{steps-1} of every path
-    (`SdeCoefficients.eval_jacobians`)."""
+    d, d) for a batch, at the states X_0 .. X_{steps-1} of every path and
+    their sigma from the Euler steps (`SdeCoefficients.eval_jacobians`)."""
     N = bundle.steps
-    return coeffs.eval_jacobians(bundle.X[..., :N, :], np.diff(bundle.times),
+    return coeffs.eval_jacobians(bundle.X[..., :N, :], bundle.sigma, np.diff(bundle.times),
                                  np.diff(bundle.driver_values, axis=-2))
 
 
@@ -422,25 +425,25 @@ def _elliptic_terms(x):
     return out[:2].T, sigma
 
 
-def _elliptic_jacobians(X, dt, dF):
+def _elliptic_jacobians(X, sigma, dt, dF):
     """The one-step Jacobians of elliptic-2d, entry by entry in the generic
     order (db dt, then + I, then the dsigma.dF sum over l) with its zero
     terms left out, which keeps every bit: each dropped term is a signed
-    zero added to a finite entry.  The trig is taken on the contiguous
-    component rows of X, shape (2, ..., N)."""
+    zero added to a finite entry.  The terms 0.1 cos(x_0) and 0.1 cos(x_1)
+    of dsigma are sigma's entries 01 and 10; the rest is taken on the
+    contiguous component rows of X, shape (2, ..., N)."""
     rows = np.moveaxis(X, -1, 0).copy()
     inc = np.moveaxis(dF, -1, 0)
     # cosh overflows at huge states, where 0.1 / inf = 0 is the derivative
     with np.errstate(over="ignore"):
         slope = 0.1 / np.float_power(np.cosh(rows), 2.0)
     slope *= dt
-    cos, sin = np.cos(rows), np.sin(rows)
-    cos *= 0.1
+    sin = np.sin(rows)
     sin *= -0.1
     jac = np.empty(X.shape[:-1] + (2, 2))
     np.multiply(sin[0], inc[1], out=jac[..., 0, 0])
-    np.multiply(cos[1], inc[0], out=jac[..., 0, 1])
-    np.multiply(cos[0], inc[1], out=jac[..., 1, 0])
+    np.multiply(sigma[..., 1, 0], inc[0], out=jac[..., 0, 1])
+    np.multiply(sigma[..., 0, 1], inc[1], out=jac[..., 1, 0])
     np.multiply(sin[1], inc[0], out=jac[..., 1, 1])
     jac[..., 0, 0] += 1.0
     jac[..., 1, 1] += 1.0

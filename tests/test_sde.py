@@ -691,7 +691,7 @@ def test_supplied_terms_keep_the_callables_bits_at_awkward_states(name):
         dF = rng.standard_normal(lead + (33, coeffs.m)) * rng.choice(
             [0.0, -0.0, 1e-300, 1.0, 1e150], lead + (33, coeffs.m))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = coeffs.eval_jacobians(X, dt, dF)
+            got = coeffs.eval_jacobians(X, coeffs.eval_sigma(X), dt, dF)
             want = _generic_jacobians(coeffs, X, dt, dF)
         assert got.shape == lead + (33, coeffs.d, coeffs.d)
         assert np.array_equal(got, want, equal_nan=True)
