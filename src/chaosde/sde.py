@@ -131,10 +131,11 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
     worst = float(np.max(gap / scale))
     if not worst <= DERIV_TOL:
         raise ConfigError(f"derivative callables disagree with finite differences ({worst:.2e})")
-    if coeffs.terms is not None and not all(
-            np.array_equal(got, want) for got, want in
-            zip(coeffs.terms(x), (coeffs.eval_b(x), coeffs.eval_sigma(x)))):
-        raise ConfigError("the supplied Euler terms disagree with the b and sigma callables")
+    if coeffs.terms is not None:
+        got_b, got_sigma = coeffs.terms(x)
+        if not (np.array_equal(got_b, coeffs.eval_b(x))
+                and np.array_equal(got_sigma, coeffs.eval_sigma(x))):
+            raise ConfigError("the supplied Euler terms disagree with the b and sigma callables")
     if coeffs.jacobians is not None:
         dt, dF = rng.uniform(0.0, 1.0, DERIV_PROBES), rng.standard_normal((DERIV_PROBES, coeffs.m))
         if not np.array_equal(coeffs.jacobians(x, coeffs.eval_sigma(x), dt, dF),
