@@ -36,17 +36,17 @@ class Scenario:
 
     def build(self):
         """(coeffs, x0, spec, driver): the preset looked up on each call, the
-        spec and GridDriver built once per noise count m and kept."""
+        spec and GridDriver built on the first call and kept."""
         coeffs, x0_default = preset(self.preset)
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else x0_default
-        drivers = self.__dict__.setdefault("_drivers", {})
-        if coeffs.m not in drivers:
+        if "_driver" not in self.__dict__:
             space = make_hilbert(coeffs.m, -self.L, self.t, self.n)
             # the driver's time-quadrature nodes are the step midpoints
             spec = HermiteSpec(q=self.q, H=self.H, m=coeffs.m, space=space,
                                s_nodes=self.steps, out_times=(self.t,))
-            drivers[coeffs.m] = spec, GridDriver(spec, np.linspace(0.0, self.t, self.steps + 1))
-        return (coeffs, x0) + drivers[coeffs.m]
+            times = np.linspace(0.0, self.t, self.steps + 1)
+            self.__dict__["_driver"] = spec, GridDriver(spec, times)
+        return (coeffs, x0) + self.__dict__["_driver"]
 
 
 @dataclass

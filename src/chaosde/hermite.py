@@ -114,10 +114,9 @@ class HermiteSpec:
 
 def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
     """g[k, i] = integral over cell i of (s_k - x)_+^a dx (closed form)."""
-    edges = space.cell_edges()
-    lpow = np.clip(s[:, None] - edges[None, :-1], 0.0, None) ** (a + 1.0)
-    rpow = np.clip(s[:, None] - edges[None, 1:], 0.0, None) ** (a + 1.0)
-    return (lpow - rpow) / (a + 1.0)
+    # one power per edge, each interior edge ending one cell and starting the next
+    powers = np.clip(s[:, None] - space.cell_edges(), 0.0, None) ** (a + 1.0)
+    return (powers[:, :-1] - powers[:, 1:]) / (a + 1.0)
 
 
 def _node_factors(spec: HermiteSpec, s: np.ndarray, integrated: bool = False) -> tuple:
@@ -502,11 +501,11 @@ TAIL_TILE = 1024
 
 def _canonical_blocks(field: KernelField, ti: int):
     """The entries of the block at out_times[ti] over row blocks of i_1:
-    yields (a, entries, keep) for the rows a <= i_1 < a + ENTRY_ROWS (the
-    last block may be shorter), with entries[r, c] the entry at i_1 = a + r
-    and the canonical tail starts[a] + c, and keep the mask of the
-    canonical ones, i_1 <= i_2: row r keeps the tails from starts[a + r]
-    on.  Row by row and column by column that is the lexicographic order.
+    yields (a, entries) for the rows a <= i_1 < a + ENTRY_ROWS (the last
+    block may be shorter), with entries[r, c] the entry at i_1 = a + r and
+    the canonical tail starts[a] + c.  The canonical ones, i_1 <= i_2, are
+    the columns from starts[a + r] - starts[a] on in row r; row by row and
+    column by column that is the lexicographic order.
 
     Each block is (rho beta g)[:, a:b]^T @ P[:, starts[a]:], with P[k, r]
     the product of g[k, i_j] over the r-th tail, one GEMM per TAIL_TILE
@@ -519,15 +518,14 @@ def _canonical_blocks(field: KernelField, ti: int):
     g, weights, q = field.g[ti], field.rho[ti] * field.beta[ti], field.spec.q
     n, count = g.shape[1], tails.shape[1]
     if q == 1:
-        yield 0, (weights @ g)[:, None], np.ones((n, 1), dtype=bool)
+        yield 0, (weights @ g)[:, None]
         return
     weighted = weights[:, None] * g
     products = (lambda lo, hi: g[:, lo:hi]) if q == 2 else _tail_products(g, starts)
     for a in range(0, n, ENTRY_ROWS):
         b = min(a + ENTRY_ROWS, n)
         # nothing of a block stays bound here while the next is formed
-        yield (a, _row_block(weighted[:, a:b].T, products, starts[a], count),
-               np.arange(count - starts[a]) >= (starts[a:b] - starts[a])[:, None])
+        yield a, _row_block(weighted[:, a:b].T, products, starts[a], count)
 
 
 def _tail_products(g: np.ndarray, starts: np.ndarray):
@@ -566,14 +564,16 @@ def _row_block(lhs: np.ndarray, products, first: int, count: int) -> np.ndarray:
 def _canonical_entries(field: KernelField, ti: int) -> tuple:
     """(index, values) of the block at out_times[ti] over its canonical
     multi-indices i_1 <= .. <= i_q in lexicographic order: index has shape
-    (q, N), values shape (N,); the kept entries of `_canonical_blocks`, so
+    (q, N), values shape (N,); the entries of `_canonical_blocks`, each
+    row i_1 from its first canonical tail starts[i_1] on, so
     `field.blocks`, built from these, and the dump agree bit for bit."""
     tails, starts = field._canonical
     index, values = [], []
-    for a, entries, keep in _canonical_blocks(field, ti):
-        rows, columns = np.nonzero(keep)
-        index.append(np.vstack([rows + a, tails[:, columns + starts[a]]]))
-        values.append(entries[keep])
+    for a, entries in _canonical_blocks(field, ti):
+        for i1, row in enumerate(entries, a):
+            index.append(np.vstack([np.full(tails.shape[1] - starts[i1], i1),
+                                    tails[:, starts[i1]:]]))
+            values.append(row[starts[i1] - starts[a]:])
     return np.concatenate(index, axis=1), np.concatenate(values)
 
 
@@ -607,10 +607,10 @@ def export_kernels(field: KernelField, fh):
         head_words = label_words(ti, cells)  # `ti i_1 ` by i_1
         labels = head_words.shape[1] + tail_words.shape[1]
         chunk = np.empty((EXPORT_CHUNK, labels + VALUE_WORDS), dtype=head_words.dtype)
-        for a, entries, keep in _canonical_blocks(field, ti):
+        for a, entries in _canonical_blocks(field, ti):
             _write_rows(fh, chunk, values, head_words[a:], tail_words[starts[a]:], entries,
                         starts[a:a + entries.shape[0]] - starts[a])
-            del entries, keep  # the next block is formed with this one's arrays gone
+            del entries  # the next block is formed with this one freed
 
 
 def _write_rows(fh, chunk, values, heads, tails, entries, firsts):

@@ -65,8 +65,8 @@ def solution_derivative(coeffs: SdeCoefficients, batch: SolutionBundle,
         raise InvalidDimensionError(f"the batch needs the {shape} Theta of its paths: "
                                     "run solve_theta_all on it")
     res = rs_integral_hvalued(batch.theta.swapaxes(-1, -2), df)
-    dx = np.zeros((len(a), coeffs.d, space.basis_dim))
-    space.components(dx)[...] += res.value.swapaxes(-3, -2)
+    dx = np.empty((len(a), coeffs.d, space.basis_dim))
+    space.components(dx)[...] = res.value.swapaxes(-3, -2)
     return dx
 
 

@@ -191,19 +191,12 @@ def label_words(*columns) -> np.ndarray:
     columns, every label followed by a space, as the rows of an (N, W) word
     array NUL-padded to the fewest words that hold the longest: a table to
     gather labels from, separators included."""
-    columns = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in columns))
-    texts = [c.astype(f"S{len(str(int(c.max())))}") for c in columns]
-    out = np.zeros((columns[0].shape[0], sum(t.itemsize + 1 for t in texts) + 7), dtype=np.uint8)
-    end = np.zeros(out.shape[0], dtype=np.intp)
-    rows = np.arange(out.shape[0])
-    for text in texts:
-        # each text's NUL padding is overwritten by the space and the next text
-        np.put_along_axis(out, end[:, None] + np.arange(text.itemsize),
-                          text.view(np.uint8).reshape(-1, text.itemsize), axis=1)
-        end += np.char.str_len(text)
-        out[rows, end] = ord(" ")
-        end += 1
-    return np.ascontiguousarray(out[:, :-(-end.max() // 8) * 8]).view(_WORD)
+    text = b""
+    for column in np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in columns)):
+        # 2^64 - 1 has 20 digits
+        text = np.strings.add(np.strings.add(text, column.astype("S20")), b" ")
+    words = -(-int(np.strings.str_len(text).max()) // 8)
+    return text.astype(f"S{8 * words}").view(_WORD).reshape(-1, words)
 
 
 def value_fields(values) -> list:

@@ -7,7 +7,8 @@ triangle and the DX assembly over it, the dense DF array and the dense
 left-point Young sum that DX was assembled from before it was summed by
 parts, the KDE as one (grid, samples) matrix, the forward tangent
 recursion, the pointwise kernel, the non-central limit paths, the
-elementary power value and the reader of the kernels.txt dump; the Euler
+elementary power value, the cell averages from two power tables
+(`cell_avg_two_tables`) and the reader of the kernels.txt dump; the Euler
 and Theta solves of one path, each as a block of one (`euler_path`,
 `theta_block`, `theta_path`); the Malliavin matrix of one draw
 (`gram_oracle`); `jumpy_preset`, coefficients whose Theta overflows on
@@ -284,6 +285,17 @@ def theta_columns(coeffs, bundle):
         if not np.isfinite(col[:j + 1]).all():
             raise BlowupError(f"non-finite variational state at step {j}", step=j)
     return columns.transpose(1, 0, 2, 3)
+
+
+def cell_avg_two_tables(space, s, a):
+    """g[k, i] = integral over cell i of (s_k - x)_+^a dx from two power
+    tables, one at the left and one at the right edge of every cell: each
+    interior edge's power is taken twice, as `hermite._cell_avg_matrix`
+    took it before it took one table over the n + 1 edges."""
+    edges = space.cell_edges()
+    lpow = np.clip(s[:, None] - edges[None, :-1], 0.0, None) ** (a + 1.0)
+    rpow = np.clip(s[:, None] - edges[None, 1:], 0.0, None) ** (a + 1.0)
+    return (lpow - rpow) / (a + 1.0)
 
 
 def dense_block(field, ti):

@@ -98,6 +98,23 @@ def test_additive_law_variance():
     assert np.mean(x) == pytest.approx(0.5 + 0.25, abs=3 * 1.5 / math.sqrt(len(x)))
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_additive_malliavin_matrix_has_its_exact_mean(q):
+    # X_T = x0 + b T + sigma Z_T, so det Gamma = sigma^2 |DZ_T|^2 with
+    # E|DZ_T|^2 = q E Z_T^2 = q T^{2H} under the calibrated driver: at q = 1
+    # DZ_T is the kernel itself and every draw reads the mean, at q >= 2 the
+    # sample mean lies within 4 standard errors of it
+    T, H = 0.5, 0.7
+    ens = run_ensemble(Scenario(preset="additive", q=q, H=H, t=T, steps=64, n=128), M=4000)
+    mean = 1.5**2 * q * T ** (2.0 * H)
+    assert ens.excluded == 0
+    if q == 1:
+        assert np.allclose(ens.det_samples, mean, rtol=1e-12, atol=0.0)
+    else:
+        se = np.std(ens.det_samples, ddof=1) / math.sqrt(len(ens.det_samples))
+        assert abs(np.mean(ens.det_samples) - mean) <= 4.0 * se
+
+
 def test_overflowing_malliavin_derivative_is_a_blowup():
     # x0 at the top of the double range: seed 9 keeps a finite Euler state
     # and a finite Theta, but its DX at step 12 (the path truncated there)

@@ -36,8 +36,8 @@ from chaosde.hermite import (
     simulate_paths,
 )
 from chaosde.textio import export_paths
-from oracles import (canonical_gemm, dense_block, dense_deriv_vectors, import_kernels,
-                     kernel_eval, nclt_paths, row_block_gemm)
+from oracles import (canonical_gemm, cell_avg_two_tables, dense_block, dense_deriv_vectors,
+                     import_kernels, kernel_eval, nclt_paths, row_block_gemm)
 
 # frozen constants from independent adaptive quadrature of the Beta
 # integrals B(a, b) = int_0^1 s^{a-1} (1-s)^{b-1} ds
@@ -173,6 +173,27 @@ def test_block_q1_matches_pointwise_kernel():
     mid = spec.space.cell_midpoints()[i]
     expected = kernel_eval(spec, 1.0, [mid]) * math.sqrt(spec.space.delta)
     assert field.blocks[0][i] == pytest.approx(expected, rel=1e-3)
+
+
+def test_cell_avg_matrix_matches_the_two_table_oracle():
+    # one power table over the n + 1 edges against one per cell side, bit
+    # for bit: random grids of extent 1e-300 to 1e300 (overflow to inf and
+    # NaN included), nodes on cell edges, before lo and past hi, and the
+    # exponents a + 1 the kernels take, (0, 1/2) and (1, 3/2), besides (1/2, 2)
+    rng = np.random.default_rng(37)
+    scales = np.concatenate([[1e-300, 1e300], 10.0 ** rng.uniform(-300, 300, 298)])
+    exponents = np.concatenate([rng.uniform(0.5, 2.0, 150), rng.uniform(0.0, 0.5, 75),
+                                rng.uniform(1.0, 1.5, 75)])
+    for scale, power in zip(scales, exponents):
+        n = int(rng.integers(2, 200))
+        space = make_hilbert(1, -scale * rng.uniform(0.1, 10.0), scale * rng.uniform(0.1, 10.0), n)
+        edges = space.cell_edges()
+        s = np.concatenate([rng.choice(edges, 8), rng.uniform(space.lo, space.hi, 8),
+                            [space.lo - scale, space.hi + scale]])
+        with np.errstate(all="ignore"):
+            got = _cell_avg_matrix(space, s, power - 1.0)
+            want = cell_avg_two_tables(space, s, power - 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def zero_draw(space):
@@ -411,10 +432,10 @@ def test_export_kernels_special_values_match_line_loop(q, monkeypatch):
     tails, starts = field._canonical
 
     def entries(field, ti):
-        for a, values, keep in row_blocks(field, ti):
-            rows, columns = np.nonzero(keep)
-            values[rows, columns] = blocks[ti][(rows + a, *tails[:, columns + starts[a]])]
-            yield a, values, keep
+        for a, values in row_blocks(field, ti):
+            for i1, row in enumerate(values, a):
+                row[starts[i1] - starts[a]:] = blocks[ti][(i1, *tails[:, starts[i1]:])]
+            yield a, values
 
     monkeypatch.setattr(hermite, "_canonical_blocks", entries)
     got = _dump(export_kernels, field)
