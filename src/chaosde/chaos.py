@@ -13,11 +13,11 @@ including those carrying diagonal mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    FrozenRecord,
     InvalidDimensionError,
     SpaceMismatchError,
     UnsupportedOrderError,
@@ -33,25 +33,22 @@ def _check_order(q: int):
         raise UnsupportedOrderError(f"chaos order {q} outside supported range 0..{MAX_ORDER}")
 
 
-@dataclass(frozen=True)
-class SymTensor:
+class SymTensor(FrozenRecord):
     """Order-q symmetric coefficient array, stored dense over basis indices."""
 
-    space: HilbertDisc
-    q: int
-    coeffs: np.ndarray
+    __slots__ = ("space", "q", "coeffs")
 
-    def __post_init__(self):
-        _check_order(self.q)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.q == 0:
+    def __init__(self, space: HilbertDisc, q: int, coeffs: np.ndarray):
+        _check_order(q)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if q == 0:
             coeffs = coeffs.reshape(())
-        expected = (self.space.basis_dim,) * self.q
+        expected = (space.basis_dim,) * q
         if coeffs.shape != expected:
             raise InvalidDimensionError(
-                f"order-{self.q} tensor needs shape {expected}, got {coeffs.shape}"
+                f"order-{q} tensor needs shape {expected}, got {coeffs.shape}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(space, q, coeffs)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs.ravel()))

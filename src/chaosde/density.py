@@ -6,11 +6,10 @@ the absolute-continuity criterion, and a two-sample distribution test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateLawError, check_budget
+from .errors import ConfigError, DegenerateLawError, FrozenRecord, check_budget
 from .wiener import draw_blocks, make_hilbert
 from .hermite import GridDriver, HermiteSpec
 from .sde import preset, solve_euler, solve_theta_all
@@ -18,21 +17,16 @@ from .malliavin import malliavin_matrix, solution_derivative
 from .textio import integer_field, value_fields, write_rows
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenRecord):
     """Everything needed to reproduce one ensemble member from a seed."""
 
-    preset: str
-    q: int
-    H: float
-    t: float = 1.0
-    steps: int = 128
-    n: int = 256
-    L: float = 8.0
-    x0: tuple = None
+    # the __dict__ holds build's driver
+    __slots__ = ("preset", "q", "H", "t", "steps", "n", "L", "x0", "__dict__")
 
-    def __post_init__(self):
-        check_budget((self.steps, self.steps))  # the driver's calibration Gram
+    def __init__(self, preset: str, q: int, H: float, t: float = 1.0, steps: int = 128,
+                 n: int = 256, L: float = 8.0, x0: tuple = None):
+        check_budget((steps, steps))  # the driver's calibration Gram
+        super().__init__(preset, q, H, t, steps, n, L, x0)
 
     def build(self):
         """(coeffs, x0, spec, driver): the preset looked up on each call, the
@@ -49,16 +43,16 @@ class Scenario:
         return (coeffs, x0) + self.__dict__["_driver"]
 
 
-@dataclass
 class SampleEnsemble:
     """M reproducible (X_t, det Gamma) samples with exclusion accounting."""
 
-    t: float
-    seeds: list
-    x_samples: np.ndarray
-    det_samples: np.ndarray
-    min_eigs: np.ndarray
-    excluded_seeds: list = field(default_factory=list)
+    __slots__ = ("t", "seeds", "x_samples", "det_samples", "min_eigs", "excluded_seeds")
+
+    def __init__(self, t: float, seeds: list, x_samples: np.ndarray, det_samples: np.ndarray,
+                 min_eigs: np.ndarray, excluded_seeds: list = None):
+        self.t, self.seeds, self.x_samples = t, seeds, x_samples
+        self.det_samples, self.min_eigs = det_samples, min_eigs
+        self.excluded_seeds = [] if excluded_seeds is None else excluded_seeds
 
     @property
     def excluded(self) -> int:
@@ -146,11 +140,11 @@ def _run_parallel(scenario, seeds, workers):
     return results
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    grid: np.ndarray
-    values: np.ndarray
-    bandwidth: float
+class DensityEstimate(FrozenRecord):
+    __slots__ = ("grid", "values", "bandwidth")
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray, bandwidth: float):
+        super().__init__(grid, values, bandwidth)
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.grid))

@@ -44,13 +44,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    FrozenRecord,
     InvalidDimensionError,
     OutOfRangeError,
     SpaceMismatchError,
@@ -80,36 +80,40 @@ def hurst_aux(H: float, q: int) -> tuple:
     return H0, c
 
 
-@dataclass(frozen=True)
-class HermiteSpec:
-    """Parameters of a discretized m-component Hermite driver."""
+class HermiteSpec(FrozenRecord):
+    """Parameters of a discretized m-component Hermite driver, equal to (and
+    hashed as) any other with the same fields."""
 
-    q: int
-    H: float
-    m: int
-    space: HilbertDisc
-    s_nodes: int = 64
-    out_times: tuple = (0.25, 0.5, 1.0)
+    __slots__ = ("q", "H", "m", "space", "s_nodes", "out_times")
 
-    def __post_init__(self):
-        if not 1 <= self.q <= MAX_ORDER:
-            raise UnsupportedOrderError(f"order {self.q} outside 1..{MAX_ORDER}")
-        hurst_aux(self.H, self.q)  # validates H
-        if self.space.m != self.m:
+    def __init__(self, q: int, H: float, m: int, space: HilbertDisc, s_nodes: int = 64,
+                 out_times: tuple = (0.25, 0.5, 1.0)):
+        if not 1 <= q <= MAX_ORDER:
+            raise UnsupportedOrderError(f"order {q} outside 1..{MAX_ORDER}")
+        hurst_aux(H, q)  # validates H
+        if space.m != m:
             raise SpaceMismatchError("component count of spec and space disagree")
-        if self.space.lo >= 0.0:
+        if space.lo >= 0.0:
             raise InvalidDimensionError("noise support must extend below 0 (lo < 0)")
-        times = tuple(float(t) for t in self.out_times)
+        times = tuple(float(t) for t in out_times)
         if list(times) != sorted(times) or len(set(times)) != len(times):
             raise InvalidDimensionError("out_times must be strictly increasing")
-        if not all(0.0 < t <= self.space.hi for t in times):
+        if not all(0.0 < t <= space.hi for t in times):
             raise OutOfRangeError("out_times must lie in (0, hi]")
-        if self.s_nodes < 1:
+        if s_nodes < 1:
             raise InvalidDimensionError("s_nodes must be positive")
         # the kernel factors: one row of n+1 cell edges per quadrature node at
         # q >= 2, and at q = 1 the two ends 0 and t of the exact time integral
-        check_budget((self.s_nodes if self.q >= 2 else 2, self.space.n + 1))
-        object.__setattr__(self, "out_times", times)
+        check_budget((s_nodes if q >= 2 else 2, space.n + 1))
+        super().__init__(q, H, m, space, s_nodes, times)
+
+    def __eq__(self, other):
+        if type(other) is not HermiteSpec:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash(self._field_values())
 
 
 def _cell_avg_matrix(space: HilbertDisc, s: np.ndarray, a: float) -> np.ndarray:
@@ -220,8 +224,7 @@ def _calibration(g: np.ndarray, beta: np.ndarray, q: int, times, H: float) -> np
     return rho
 
 
-@dataclass(frozen=True)
-class KernelField:
+class KernelField(FrozenRecord):
     """Kernels at every output time, stored as factors.
 
     The block at out_times[ti] is rho[ti] * sum_k beta[ti, k] g[ti, k]^{(x)q}
@@ -231,11 +234,12 @@ class KernelField:
     dense (T,) + (n,)*q array is built on first use of `blocks`.
     """
 
-    spec: HermiteSpec
-    g: np.ndarray
-    beta: np.ndarray
-    rho: np.ndarray
-    calibrated: bool
+    # the __dict__ holds the cached properties
+    __slots__ = ("spec", "g", "beta", "rho", "calibrated", "__dict__")
+
+    def __init__(self, spec: HermiteSpec, g: np.ndarray, beta: np.ndarray, rho: np.ndarray,
+                 calibrated: bool):
+        super().__init__(spec, g, beta, rho, calibrated)
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """I_q(f_ti) of every component, shape (..., T, m), at the (..., m, n)
@@ -308,22 +312,18 @@ def build_kernels(spec: HermiteSpec) -> KernelField:
                        calibrated=True)
 
 
-@dataclass(frozen=True)
-class DrivingPath:
+class DrivingPath(FrozenRecord):
     """Simulated driver values: one R^m vector per output time."""
 
-    spec: HermiteSpec
-    times: tuple
-    values: np.ndarray
-    seed: int
+    __slots__ = ("spec", "times", "values", "seed")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.times), self.spec.m):
+    def __init__(self, spec: HermiteSpec, times: tuple, values: np.ndarray, seed: int):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(times), spec.m):
             raise InvalidDimensionError(
-                f"expected values of shape {(len(self.times), self.spec.m)}, got {values.shape}"
+                f"expected values of shape {(len(times), spec.m)}, got {values.shape}"
             )
-        object.__setattr__(self, "values", values)
+        super().__init__(spec, times, values, seed)
 
 
 def simulate_path(field: KernelField, w: GaussianDraw) -> DrivingPath:

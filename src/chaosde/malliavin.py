@@ -14,11 +14,9 @@ Glasserman, "Smoking adjoints", Risk 2006): no DF vector in R^n is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidDimensionError, SpaceMismatchError
+from .errors import FrozenRecord, InvalidDimensionError, SpaceMismatchError
 from .wiener import GaussianDraw, HilbertDisc, HilbertVec, make_hilbert
 from .chaos import SymTensor, taylor_shift
 from .hermite import DrivingPath, GridDriver, KernelField, PrefixFactors
@@ -26,16 +24,15 @@ from .sde import SdeCoefficients, SolutionBundle, solve_euler
 from .young import rs_integral_hvalued
 
 
-@dataclass(frozen=True)
-class MalliavinMatrix:
+class MalliavinMatrix(FrozenRecord):
     """Gram matrices of the solution derivatives of B draws, gamma (B, d, d),
     with det and min_eig (B,), NaN where |DX|^2 is not finite, and ok (B,),
     the draws whose |DX|^2 and det are finite."""
 
-    gamma: np.ndarray
-    det: np.ndarray
-    min_eig: np.ndarray
-    ok: np.ndarray
+    __slots__ = ("gamma", "det", "min_eig", "ok")
+
+    def __init__(self, gamma: np.ndarray, det: np.ndarray, min_eig: np.ndarray, ok: np.ndarray):
+        super().__init__(gamma, det, min_eig, ok)
 
 
 # a DX that overflows, or of a failed path, is left out of malliavin_matrix's ok

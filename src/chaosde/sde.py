@@ -29,7 +29,7 @@ step for the whole block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,6 @@ def validate_derivatives(coeffs: SdeCoefficients) -> float:
     return worst
 
 
-@dataclass
 class SolutionBundle:
     """Euler solution of a batch of B paths on a grid, with the optional
     Theta at the output time.
@@ -161,13 +160,13 @@ class SolutionBundle:
     theta is NaN).  path(k) is path k alone, without the B axis.
     """
 
-    times: np.ndarray
-    X: np.ndarray
-    driver_values: np.ndarray
-    theta: np.ndarray = field(default=None)  # type: ignore[assignment]
-    sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
-    failed: np.ndarray = field(default=None)  # type: ignore[assignment]
-    theta_failed: np.ndarray = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("times", "X", "driver_values", "theta", "sigma", "failed", "theta_failed")
+
+    def __init__(self, times: np.ndarray, X: np.ndarray, driver_values: np.ndarray,
+                 theta: np.ndarray = None, sigma: np.ndarray = None, failed: np.ndarray = None,
+                 theta_failed: np.ndarray = None):
+        self.times, self.X, self.driver_values = times, X, driver_values
+        self.theta, self.sigma, self.failed, self.theta_failed = theta, sigma, failed, theta_failed
 
     @property
     def steps(self) -> int:

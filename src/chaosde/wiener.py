@@ -13,25 +13,32 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, SpaceMismatchError
+from .errors import FrozenRecord, InvalidDimensionError, SpaceMismatchError
 
 
-@dataclass(frozen=True)
-class HilbertDisc:
-    """Discretization of L^2([lo, hi], R^m) with n cells per component.
+class HilbertDisc(FrozenRecord):
+    """Discretization of L^2([lo, hi], R^m) with n cells per component,
+    equal to (and hashed as) any other with the same m, lo, hi and n.
 
     Basis index layout is component-major: index = ell * n + cell.  Only
     `components` reads that layout; everything else goes through it.
     """
 
-    m: int
-    lo: float
-    hi: float
-    n: int
+    __slots__ = ("m", "lo", "hi", "n")
+
+    def __init__(self, m: int, lo: float, hi: float, n: int):
+        super().__init__(m, lo, hi, n)
+
+    def __eq__(self, other):
+        if type(other) is not HilbertDisc:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash(self._field_values())
 
     @property
     def delta(self) -> float:
@@ -54,40 +61,35 @@ class HilbertDisc:
         return coords.reshape(coords.shape[:-1] + (self.m, self.n))
 
 
-@dataclass(frozen=True)
-class HilbertVec:
+class HilbertVec(FrozenRecord):
     """Coordinate vector of an element of the discretized Hilbert space."""
 
-    space: HilbertDisc
-    coords: np.ndarray
+    __slots__ = ("space", "coords")
 
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.space.basis_dim,):
+    def __init__(self, space: HilbertDisc, coords: np.ndarray):
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != (space.basis_dim,):
             raise InvalidDimensionError(
-                f"expected {self.space.basis_dim} coordinates, got {coords.shape}"
+                f"expected {space.basis_dim} coordinates, got {coords.shape}"
             )
-        object.__setattr__(self, "coords", coords)
+        super().__init__(space, coords)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
 
-@dataclass(frozen=True)
-class GaussianDraw:
+class GaussianDraw(FrozenRecord):
     """One realization: standard-normal coordinates against the basis."""
 
-    space: HilbertDisc
-    xi: np.ndarray
-    seed: int
+    __slots__ = ("space", "xi", "seed")
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.shape != (self.space.basis_dim,):
+    def __init__(self, space: HilbertDisc, xi: np.ndarray, seed: int):
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (space.basis_dim,):
             raise InvalidDimensionError(
-                f"expected {self.space.basis_dim} coordinates, got {xi.shape}"
+                f"expected {space.basis_dim} coordinates, got {xi.shape}"
             )
-        object.__setattr__(self, "xi", xi)
+        super().__init__(space, xi, seed)
 
 
 def make_hilbert(m: int, lo: float, hi: float, n: int) -> HilbertDisc:

@@ -14,19 +14,18 @@ the factors, so that Phi itself is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import FrozenRecord, InvalidDimensionError
 
 
-@dataclass(frozen=True)
-class YoungResult:
+class YoungResult(FrozenRecord):
     """The integral value and the number of partitions summed (one)."""
 
-    value: np.ndarray
-    refinement_levels: int
+    __slots__ = ("value", "refinement_levels")
+
+    def __init__(self, value: np.ndarray, refinement_levels: int):
+        super().__init__(value, refinement_levels)
 
 
 def rs_integral_hvalued(g, Phi) -> YoungResult:

@@ -1,7 +1,6 @@
 """Hermite driver kernels: constants, pointwise values, blocks, simulation,
 covariance, the central-limit oracle and self-similarity."""
 
-import dataclasses
 import io
 import itertools
 import math
@@ -90,7 +89,7 @@ def kernels(spec, calibrate=True):
     field = build_kernels(spec)
     if calibrate:
         return field
-    return dataclasses.replace(field, rho=np.ones(len(spec.out_times)), calibrated=False)
+    return KernelField(field.spec, field.g, field.beta, np.ones(len(spec.out_times)), False)
 
 
 def test_spec_validation():

@@ -189,32 +189,57 @@ REACHING = ("perfbench/*.py", "tools/*.py", "tests/oracles.py", "tests/test_acce
 UNREACHED_ALLOWED = set()
 
 
+def named(node: ast.expr, name: str) -> bool:
+    """Whether the expression is the name, bare or as a module attribute."""
+    return getattr(node, "id", getattr(node, "attr", None)) == name
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
-    """Whether the class is decorated with `dataclass` or `dataclass(...)`."""
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+    """Whether the class is decorated with `dataclass` or `dataclass(...)`,
+    bare or as `dataclasses.dataclass`."""
+    return any(named(d.func if isinstance(d, ast.Call) else d, "dataclass")
                for d in node.decorator_list)
+
+
+def class_members(node: ast.ClassDef, sub: ast.stmt) -> list:
+    """(name, node) of what the statement of the class body defines: a
+    method, a field of a dataclass or a NamedTuple (an annotated name), or
+    the fields that a `__slots__` assignment names."""
+    if isinstance(sub, ast.FunctionDef):
+        return [(sub.name, sub)]
+    if (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+            and (is_dataclass(node) or any(named(base, "NamedTuple") for base in node.bases))):
+        return [(sub.target.id, sub)]
+    if isinstance(sub, ast.Assign) and any(named(t, "__slots__") for t in sub.targets):
+        return [(c.value, c) for c in ast.walk(sub.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return []
 
 
 def public_definitions(tree: ast.Module) -> list:
     """(qualified name, name, node, member) of every public top-level
     function and class of the module and every public method, property
-    or dataclass field of those classes; member is True for the latter."""
+    or record field of those classes; member is True for the latter."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             found.append((node.name, node.name, node, False))
             for sub in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(sub, ast.FunctionDef):
-                    name = sub.name
-                elif (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
-                      and is_dataclass(node)):
-                    name = sub.target.id
-                else:
-                    continue
-                if not name.startswith("_"):
-                    found.append((f"{node.name}.{name}", name, sub, True))
+                found += [(f"{node.name}.{name}", name, member, True)
+                          for name, member in class_members(node, sub)
+                          if not name.startswith("_")]
     return found
+
+
+def test_sde_coefficients_is_the_one_dataclass():
+    # a dataclass compiles its generated methods through exec at import,
+    # about 1 ms per record at every start-up, so the records are written
+    # out; SdeCoefficients stays one because the benchmark's tracer and the
+    # test oracles build altered copies with dataclasses.replace
+    found = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and is_dataclass(node)]
+    assert found == ["sde.SdeCoefficients"]
 
 
 def references(tree: ast.AST, member: bool) -> collections.Counter:
@@ -258,7 +283,7 @@ def unreached(package: pathlib.Path, reaching) -> list:
     the definition itself, in the package or in the files reaching.
 
     A function or class is reached when some code names it.  A method,
-    property or dataclass field is reached only as an attribute or a call
+    property or record field is reached only as an attribute or a call
     keyword.  A defaulted parameter of a public function or method, listed
     as function(parameter), is reached only when some call passes it.
     """
@@ -295,7 +320,7 @@ def test_reachability_scan(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "a.py").write_text(
-        "from dataclasses import dataclass\n"
+        "import dataclasses, typing\nfrom dataclasses import dataclass\n"
         "def used(x=1, y=2, *, z=3, w=4):\n    return helper()\n"
         "def helper():\n    return 1\n"
         "def recursive(n, depth=0):\n    '''calls itself only; orphan is named in text alone'''\n"
@@ -306,15 +331,23 @@ def test_reachability_scan(tmp_path):
         "    @property\n    def size(self):\n        return 0\n"
         "    def width(self):\n        return 1\n"
         "    def _hidden(self):\n        pass\n"
-        "@dataclass\nclass Rec:\n    kept: int\n    made: int = 0\n    shadow: int = 0\n")
+        "@dataclass\nclass Rec:\n    kept: int\n    made: int = 0\n    shadow: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Frozen:\n    held: int\n    dropped: int\n"
+        "class Slotted:\n    __slots__ = ('filled', 'empty', '_own', '__dict__')\n"
+        "    def __init__(self):\n        object.__setattr__(self, 'empty', 0)\n"
+        "class Pair(typing.NamedTuple):\n    left: int\n    right: int = 0\n"
+        "class Plain:\n    label: str = ''\n")
     caller = tmp_path / "caller.py"
-    # members named only as bare locals (width, shadow) are not reached, a
-    # keyword reaches a field (made), and the calls pass x, z and fresh
+    # members named only as bare locals (width, shadow) or as strings (empty)
+    # are not reached, a keyword reaches a field (made, left), the calls pass
+    # x, z and fresh, and the annotation of a class that is no record
+    # declares no field
     caller.write_text("import a\na.used(0, z=1)\nb = a.Box()\nb.read(True)\n"
-                      "width = shadow = 2\na.Rec(made=1).kept\n")
+                      "width = shadow = 2\na.Rec(made=1).kept\na.Frozen(0, 1).held\n"
+                      "a.Slotted().filled\na.Pair(left=1)\na.Plain()\n")
     assert unreached(package, [caller]) == [
         "a.used(y)", "a.used(w)", "a.recursive", "a.recursive(depth)", "a.orphan", "a.Box.size",
-        "a.Box.width", "a.Rec.shadow"]
+        "a.Box.width", "a.Rec.shadow", "a.Frozen.dropped", "a.Slotted.empty", "a.Pair.right"]
 
 
 def test_cli_import_loads_the_traced_modules_and_not_numpy_random():
